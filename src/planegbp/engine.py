@@ -16,32 +16,15 @@ numbers; only the bookkeeping differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
-from .gaussians import GaussianInfo
-from .factors import (
-    LINEAR_KINDS,
-    tukey_weight_batch,
-)
+from .gaussians import GaussianInfo, solve_guarded
 from . import factors as _fm
-from .graph import (
-    COMBINED_RIGID_REPROJECTION,
-    LINEAR,
-    PLANE_POINT,
-    PLANE_PREDICTION,
-    PRIOR,
-    REPROJECTION,
-    RIGID_PLANE_PREDICTION,
-    RIGID_REPROJECTION,
-    VARIABLE_DIMS,
-    FactorGraph,
-    StoredLinearisation,
-)
-
-_REG_REL = 1e-8
+from .graph import VARIABLE_DIMS, FactorGraph, StoredLinearisation
 
 
 @dataclass
@@ -75,14 +58,6 @@ class IterationReport:
     marginalisation_calls: int = 0
     n_regularised: int = 0
 
-    CSV_FIELDS = (
-        "iteration", "avg_reproj_px", "total_energy",
-        "n_relinearised", "n_dropped", "n_factors", "n_variables",
-    )
-
-    def csv_row(self):
-        return [getattr(self, f) for f in self.CSV_FIELDS]
-
 
 class _VarBank:
     """Stacked beliefs for all variables of one dimension."""
@@ -105,77 +80,29 @@ class _VarBank:
             setattr(self, name, np.zeros((n, self.dim, self.dim)))
 
 
-class _Batch:
-    """All factors of one kind, stacked."""
+class _Batch(_fm.FactorStack):
+    """All factors of one kind and adjacency shape, with their engine state."""
 
-    def __init__(self, kind: str, dims: tuple):
-        self.kind = kind
-        self.dims = dims
-        self.offsets = tuple(int(o) for o in np.cumsum((0,) + dims)[:-1])
-        self.joint_dim = int(sum(dims))
-        self.ids: list[int] = []
-        self.nodes: list = []
-        self.adjacency: np.ndarray | None = None  # (n, arity) variable ids
-        self.rows: list[np.ndarray] = []  # per position: rows into the bank
-        self.banks: list[_VarBank] = []
-        # measurement payloads (kind-specific, filled at build)
-        self.z = None
-        self.sigma = None
-        self.extra = {}
-        self.robust = None  # (n,) bool
-        self.robust_scale = None
+    def __init__(self, kind: str, dims: tuple, nodes: list, banks: dict):
+        super().__init__(kind, dims, nodes)
+        n, D = self.n, self.joint_dim
+        self.banks = [banks[d] for d in dims]
+        # per position: rows into the bank
+        self.rows = [
+            np.array([bank.row[v] for v in self.adjacency[:, pos]], dtype=int)
+            for pos, bank in enumerate(self.banks)
+        ]
         # linearisation state
-        self.x0 = None
-        self.eta = None
-        self.lam = None
-        self.weight = None
-        self.lin_valid = None
+        self.x0 = np.zeros((n, D))
+        self.eta = np.zeros((n, D))
+        self.lam = np.zeros((n, D, D))
+        self.weight = np.ones(n)
+        self.lin_valid = np.zeros(n, dtype=bool)
         # messages per position
-        self.f2v_eta: list = []
-        self.f2v_lam: list = []
-        self.v2f_eta: list = []
-        self.v2f_lam: list = []
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    @property
-    def arity(self) -> int:
-        return len(self.dims)
-
-
-def _batch_dims(kind: str, graph: FactorGraph, factor) -> tuple:
-    if kind in (PRIOR, LINEAR):
-        return tuple(graph.variables[v].dim for v in factor.adjacency)
-    from .graph import FACTOR_SIGNATURES
-
-    return tuple(VARIABLE_DIMS[k] for k in FACTOR_SIGNATURES[kind])
-
-
-def _solve_with_fallback(S, rhs, counters):
-    """Batched solve with Tikhonov fallback on singular rows."""
-    try:
-        sol = np.linalg.solve(S, rhs)
-        if np.all(np.isfinite(sol)):
-            return sol
-    except np.linalg.LinAlgError:
-        pass
-    n, d = S.shape[0], S.shape[1]
-    sol = np.empty_like(rhs)
-    eye = np.eye(d)
-    for i in range(n):
-        try:
-            x = np.linalg.solve(S[i], rhs[i])
-            if not np.all(np.isfinite(x)):
-                raise np.linalg.LinAlgError
-            sol[i] = x
-        except np.linalg.LinAlgError:
-            tr = np.trace(S[i])
-            reg = _REG_REL * (tr / d if tr > 0 else 1.0)
-            sol[i] = np.linalg.solve(S[i] + reg * eye, rhs[i])
-            counters["regularised"] += 1
-    return sol
+        self.f2v_eta = [np.zeros((n, d)) for d in dims]
+        self.f2v_lam = [np.zeros((n, d, d)) for d in dims]
+        self.v2f_eta = [np.zeros((n, d)) for d in dims]
+        self.v2f_lam = [np.zeros((n, d, d)) for d in dims]
 
 
 class DirectTransport:
@@ -253,41 +180,12 @@ class GbpEngine:
                 bank.belief_lam[i] = node.prior.lam
                 bank.mean[i] = node.mean
 
-        groups: dict[tuple, _Batch] = {}
-        for fid in sorted(graph.factors):
-            fac = graph.factors[fid]
-            dims = _batch_dims(fac.kind, graph, fac)
-            key = (fac.kind, dims)
-            if fac.kind == LINEAR:
-                key = (fac.kind, dims, fac.measurement.shape[0])
-            if key not in groups:
-                groups[key] = _Batch(fac.kind, dims)
-            b = groups[key]
-            b.ids.append(fid)
-            b.nodes.append(fac)
-        self.batches = [groups[k] for k in sorted(groups)]
         self.banks = banks
-
+        self.batches = [
+            _Batch(kind, dims, nodes, banks)
+            for (kind, dims, _), nodes in _fm.group_factors(graph)
+        ]
         for b in self.batches:
-            n = b.n
-            b.adjacency = np.array([f.adjacency for f in b.nodes], dtype=int).reshape(n, b.arity)
-            b.rows = []
-            b.banks = []
-            for pos, d in enumerate(b.dims):
-                bank = banks[d]
-                b.banks.append(bank)
-                b.rows.append(np.array([bank.row[v] for v in b.adjacency[:, pos]], dtype=int))
-            self._stack_payload(b)
-            D = b.joint_dim
-            b.x0 = np.zeros((n, D))
-            b.eta = np.zeros((n, D))
-            b.lam = np.zeros((n, D, D))
-            b.weight = np.ones(n)
-            b.lin_valid = np.zeros(n, dtype=bool)
-            b.f2v_eta = [np.zeros((n, d)) for d in b.dims]
-            b.f2v_lam = [np.zeros((n, d, d)) for d in b.dims]
-            b.v2f_eta = [np.zeros((n, d)) for d in b.dims]
-            b.v2f_lam = [np.zeros((n, d, d)) for d in b.dims]
             for i, fid in enumerate(b.ids):
                 if fid in old_factors:
                     b.x0[i], b.eta[i], b.lam[i], b.weight[i], b.lin_valid[i] = old_factors[fid]
@@ -296,51 +194,13 @@ class GbpEngine:
                     if key in old_edges:
                         (b.f2v_eta[pos][i], b.f2v_lam[pos][i],
                          b.v2f_eta[pos][i], b.v2f_lam[pos][i]) = old_edges[key]
-            if b.kind == PRIOR:
-                # Linear unary factors are exact; linearise once at build.
-                inv_var = 1.0 / (b.sigma**2)
-                b.eta = b.z * inv_var
-                b.lam = np.einsum("ni,ij->nij", inv_var, np.eye(b.dims[0]))
-                b.lin_valid[:] = True
-            elif b.kind == LINEAR:
-                inv_var = 1.0 / (b.sigma**2)
-                A = b.extra["A"]
-                b.eta = np.einsum("nmd,nm,nm->nd", A, inv_var, b.z)
-                lam = np.einsum("nmd,nm,nme->nde", A, inv_var, A)
-                b.lam = 0.5 * (lam + np.transpose(lam, (0, 2, 1)))
+            if b.spec.linear:
+                # Exact factors: linearise once at build.
+                b.eta, b.lam, b.weight = _fm.linearise_batch(
+                    b, graph.camera, self._gather_x(b)
+                )
                 b.lin_valid[:] = True
         self._journal_mark = len(graph.journal)
-
-    def _stack_payload(self, b: _Batch):
-        nodes = b.nodes
-        n = b.n
-        if b.kind == PRIOR:
-            b.z = np.stack([f.measurement for f in nodes]) if n else np.zeros((0, b.dims[0]))
-            b.sigma = np.stack([f.sigma for f in nodes]) if n else np.zeros((0, b.dims[0]))
-        elif b.kind == LINEAR:
-            b.z = np.stack([f.measurement for f in nodes])
-            b.sigma = np.stack([f.sigma for f in nodes])
-            b.extra["A"] = np.stack([f.payload["A"] for f in nodes])
-        elif b.kind == COMBINED_RIGID_REPROJECTION:
-            owner, con_z, con_p = [], [], []
-            for i, f in enumerate(nodes):
-                for z, p_conv in f.constituents():
-                    owner.append(i)
-                    con_z.append(np.asarray(z, float))
-                    con_p.append(np.asarray(p_conv, float))
-            b.extra["owner"] = np.array(owner, dtype=int)
-            b.extra["con_z"] = np.stack(con_z) if con_z else np.zeros((0, 2))
-            b.extra["con_p"] = np.stack(con_p) if con_p else np.zeros((0, 3))
-            b.sigma = np.stack([f.sigma for f in nodes]) if n else np.zeros((0, 2))
-        else:
-            b.z = np.stack([f.measurement for f in nodes]) if n else None
-            b.sigma = np.stack([f.sigma for f in nodes]) if n else None
-            if b.kind == RIGID_REPROJECTION:
-                b.extra["p_conv"] = np.stack([f.payload["p_conv"] for f in nodes])
-            elif b.kind == RIGID_PLANE_PREDICTION:
-                b.extra["pi_conv"] = np.stack([f.payload["pi_conv"] for f in nodes])
-        b.robust = np.array([f.robust == "tukey" for f in nodes], dtype=bool)
-        b.robust_scale = np.array([f.robust_scale for f in nodes], dtype=float)
 
     def on_graph_edit(self, events=None):
         """Recompile after graph edits, preserving per-id engine state."""
@@ -399,112 +259,27 @@ class GbpEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _gather_x(self, b: _Batch, rows=None) -> np.ndarray:
-        cols = []
-        for pos in range(b.arity):
-            r = b.rows[pos] if rows is None else b.rows[pos][rows]
-            cols.append(b.banks[pos].mean[r])
-        return np.concatenate(cols, axis=1)
+    def _gather_x(self, b: _Batch) -> np.ndarray:
+        return np.concatenate(
+            [bank.mean[rows] for bank, rows in zip(b.banks, b.rows)], axis=1
+        )
 
-    def _eval_batch(self, b: _Batch, X: np.ndarray, want_jac: bool, rows=None):
-        """Dispatch to the kind evaluator; returns (value, J0, J1, valid).
-
-        X holds the stacked means of the selected rows (all rows when
-        rows is None); payload arrays are subset to match.
-        """
-        cam = self.graph.camera
-        d0 = b.dims[0]
-        sub = (lambda a: a) if rows is None else (lambda a: a[rows])
-        n = b.n if rows is None else len(rows)
-        if b.kind == LINEAR:
-            value = sub(b.z) - np.einsum("nmd,nd->nm", sub(b.extra["A"]), X)
-            return value, None, None, np.ones(n, dtype=bool)
-        if b.kind == REPROJECTION:
-            return _fm.eval_reprojection_batch(cam, sub(b.z), X[:, :d0], X[:, d0:], want_jac)
-        if b.kind == PLANE_POINT:
-            return _fm.eval_plane_point_batch(X[:, :d0], X[:, d0:], want_jac)
-        if b.kind == PLANE_PREDICTION:
-            return _fm.eval_plane_prediction_batch(sub(b.z), X[:, :d0], X[:, d0:], want_jac)
-        if b.kind == RIGID_REPROJECTION:
-            return _fm.eval_rigid_reprojection_batch(
-                cam, sub(b.z), sub(b.extra["p_conv"]), X[:, :d0], X[:, d0:], want_jac
-            )
-        if b.kind == RIGID_PLANE_PREDICTION:
-            return _fm.eval_rigid_plane_prediction_batch(
-                sub(b.z), sub(b.extra["pi_conv"]), X[:, :d0], X[:, d0:], want_jac
-            )
-        raise ContractViolation(f"no batched evaluator for {b.kind}")
-
-    def _relinearise(self, b: _Batch, counters) -> int:
-        if b.kind == PRIOR or b.n == 0:
+    def _relinearise(self, b: _Batch) -> int:
+        if b.spec.linear:
             return 0
         X = self._gather_x(b)
         drift = np.sum(np.abs(X - b.x0), axis=1)
         need = (~b.lin_valid) | (drift > self.config.beta)
-        if b.kind in LINEAR_KINDS:
-            need = ~b.lin_valid
         rows = np.nonzero(need)[0]
         if rows.size == 0:
             return 0
         Xr = X[rows]
-        if b.kind == COMBINED_RIGID_REPROJECTION:
-            self._relinearise_combined(b, rows, Xr)
-        else:
-            value, J0, J1, valid = self._eval_batch(b, Xr, want_jac=True, rows=rows)
-            J = np.concatenate([J0, J1], axis=2)
-            sigma = b.sigma[rows]
-            inv_var = 1.0 / (sigma**2)
-            rho = np.sqrt(np.sum(value**2 * inv_var, axis=1))
-            w = np.where(
-                b.robust[rows], tukey_weight_batch(rho, b.robust_scale[rows]), 1.0
-            )
-            w = np.where(valid, w, 0.0)
-            D = inv_var * w[:, None]
-            t = (J @ Xr[:, :, None])[:, :, 0] - value
-            lam = np.einsum("nki,nk,nkj->nij", J, D, J)
-            eta = np.einsum("nki,nk,nk->ni", J, D, t)
-            b.lam[rows] = 0.5 * (lam + np.transpose(lam, (0, 2, 1)))
-            b.eta[rows] = eta
-            b.weight[rows] = w
+        b.eta[rows], b.lam[rows], b.weight[rows] = _fm.linearise_batch(
+            b, self.graph.camera, Xr, rows
+        )
         b.x0[rows] = Xr
         b.lin_valid[rows] = True
         return int(rows.size)
-
-    def _relinearise_combined(self, b: _Batch, rows, Xr):
-        owner = b.extra["owner"]
-        sel = np.isin(owner, rows)
-        own = owner[sel]
-        # map each constituent to its row position within `rows`
-        remap = np.full(b.n, -1, dtype=int)
-        remap[rows] = np.arange(rows.size)
-        local = remap[own]
-        cam = self.graph.camera
-        c = Xr[local, :6]
-        r = Xr[local, 6:]
-        value, Jc, Jr, valid = _fm.eval_rigid_reprojection_batch(
-            cam, b.extra["con_z"][sel], b.extra["con_p"][sel], c, r, True
-        )
-        J = np.concatenate([Jc, Jr], axis=2)
-        sigma = b.sigma[own]
-        inv_var = 1.0 / (sigma**2)
-        rho = np.sqrt(np.sum(value**2 * inv_var, axis=1))
-        w = np.where(b.robust[own], tukey_weight_batch(rho, b.robust_scale[own]), 1.0)
-        w = np.where(valid, w, 0.0)
-        D = inv_var * w[:, None]
-        t = (J @ Xr[local][:, :, None])[:, :, 0] - value
-        lam_c = np.einsum("nki,nk,nkj->nij", J, D, J)
-        eta_c = np.einsum("nki,nk,nk->ni", J, D, t)
-        lam = np.zeros((rows.size, b.joint_dim, b.joint_dim))
-        eta = np.zeros((rows.size, b.joint_dim))
-        wsum = np.zeros(rows.size)
-        cnt = np.zeros(rows.size)
-        np.add.at(lam, local, lam_c)
-        np.add.at(eta, local, eta_c)
-        np.add.at(wsum, local, w)
-        np.add.at(cnt, local, 1.0)
-        b.lam[rows] = 0.5 * (lam + np.transpose(lam, (0, 2, 1)))
-        b.eta[rows] = eta
-        b.weight[rows] = wsum / np.maximum(cnt, 1.0)
 
     # -- messages ------------------------------------------------------------
 
@@ -531,7 +306,8 @@ class GbpEngine:
                 msg_eta = np.zeros_like(eta_t)
                 msg_lam = np.zeros_like(Ltt)
             else:
-                X = _solve_with_fallback(Loo, rhs, counters)
+                X, regularised = solve_guarded(Loo, rhs)
+                counters["regularised"] += regularised
                 msg_eta = eta_t - (Lto @ X[:, :, :1])[:, :, 0]
                 msg_lam = Ltt - Lto @ X[:, :, 1:]
                 msg_lam = 0.5 * (msg_lam + np.transpose(msg_lam, (0, 2, 1)))
@@ -547,7 +323,7 @@ class GbpEngine:
         counters = {"marginalisation_calls": 0, "regularised": 0}
         n_relin = 0
         for b in self.batches:
-            n_relin += self._relinearise(b, counters)
+            n_relin += self._relinearise(b)
 
         # factor -> variable, with damping and dropout
         rng = np.random.default_rng([cfg.seed, self.iteration])
@@ -631,35 +407,12 @@ class GbpEngine:
         px_sum = 0.0
         px_count = 0
         for b in self.batches:
-            if b.n == 0:
-                continue
-            if b.kind == PRIOR:
-                X = b.banks[0].mean[b.rows[0]]
-                v = X - b.z
-                total_energy += float(0.5 * np.sum((v / b.sigma) ** 2))
-                continue
-            X = self._gather_x(b)
-            if b.kind == COMBINED_RIGID_REPROJECTION:
-                owner = b.extra["owner"]
-                value, _, _, valid = _fm.eval_rigid_reprojection_batch(
-                    self.graph.camera, b.extra["con_z"], b.extra["con_p"],
-                    X[owner, :6], X[owner, 6:], False,
-                )
-                sig = b.sigma[owner]
-                value = np.where(valid[:, None], value, 0.0)
-                total_energy += float(0.5 * np.sum((value / sig) ** 2))
-                norms = np.linalg.norm(value, axis=1)
-                px_sum += float(np.sum(norms[valid]))
-                px_count += int(np.count_nonzero(valid))
-            else:
-                value, _, _, valid = self._eval_batch(b, X, want_jac=False)
-                value = np.where(valid[:, None], value, 0.0)
-                total_energy += float(0.5 * np.sum((value / b.sigma) ** 2))
-                if b.kind in _fm.PIXEL_KINDS:
-                    norms = np.linalg.norm(value, axis=1)
-                    px_sum += float(np.sum(norms[valid]))
-                    px_count += int(np.count_nonzero(valid))
-        avg_px = px_sum / px_count if px_count else 0.0
+            energy, px, count = _fm.residual_sums(b, self.graph.camera, self._gather_x(b))
+            total_energy += energy
+            px_sum += px
+            px_count += count
+        # NaN, not 0, while no pixel row has been measured
+        avg_px = px_sum / px_count if px_count else math.nan
         return total_energy, avg_px
 
 

@@ -1,10 +1,21 @@
-"""Measurement models for all factor kinds.
+"""Measurement models and the one evaluate-and-linearise path of every solver.
 
-Each kind provides a batched evaluator returning residual values, analytic
-Jacobian blocks in adjacency order and a validity mask (cheirality or plane
-degeneracy failures flag the row as an outlier for the current iteration
-rather than raising). Scalar wrappers expose the single-instance contracts
-and raise the corresponding errors.
+Each kind in `graph.FACTOR_KINDS` names one batched kernel here,
+
+    eval_<kind>_batch(camera, z, *payload, *variables, want_jac=True)
+
+which evaluates n rows at once and returns the residual values (n, m), the
+joint Jacobian (n, m, D) over the adjacency in order (None without want_jac)
+and a validity mask: cheirality or plane-degeneracy failures flag a row as an
+outlier for the current iteration rather than raising.
+
+`FactorStack` stacks the factors of one kind and adjacency shape row-wise for
+their kernel. The propagation engine, the dense oracle and Levenberg-Marquardt
+all evaluate through it: `evaluate_rows` calls the kernel, `linearise_batch`
+turns rows into information form and `residual_sums` gives the energy and
+pixel-error sums behind the convergence metrics. A row is one kernel
+evaluation: the factor itself, or for kinds with constituents (combined
+factors) one constituent, `owner` mapping it to its factor.
 
 Linearisation follows the first-order expansion of the residual v(X) around
 X0 with robust-rescaled noise S' = S / w:
@@ -12,8 +23,16 @@ X0 with robust-rescaled noise S' = S / w:
     lam = J^T S'^-1 J        eta = J^T S'^-1 (J X0 - v(X0))
 
 which is invariant to the sign convention of v. A Tukey weight w is computed
-from the Mahalanobis norm of the unrobustified residual at X0; w = 0 turns
-the factor into a zero-information message until beliefs move again.
+per row from the Mahalanobis norm of its unrobustified residual at X0; w = 0
+turns the row into zero information until beliefs move again. A combined
+factor is the product of its constituents: their rows, each with its own
+weight, are summed into the factor. Linear kinds (priors, linear factors) are
+exact: they are expanded about X0 = 0, so that eta is not formed by
+cancellation, and they carry no robust weight.
+
+The single-instance wrappers (residual_*) expose the per-measurement
+contracts and raise the corresponding errors; `evaluate_factor` and
+`linearise` are the one-factor views of the batched path.
 """
 
 from __future__ import annotations
@@ -22,44 +41,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, ContractViolation, DegeneratePlaneError
+from .errors import BehindCameraError, DegeneratePlaneError
 from .gaussians import GaussianInfo
 from .geometry import (
-    EPS_DEPTH,
     EPS_PLANE,
     CameraModel,
     PlaneParams,
     Pose,
-    plane_boxminus,
     proj_jacobian_cam_batch,
     project_cam_batch,
     so3_exp_batch,
     so3_hat_batch,
     so3_right_jacobian_batch,
-    transform_plane,
     transform_plane_jacobians_batch,
     transform_plane_min_batch,
 )
-from .graph import (
-    COMBINED_RIGID_REPROJECTION,
-    LINEAR,
-    PLANE_POINT,
-    PLANE_PREDICTION,
-    PRIOR,
-    REPROJECTION,
-    RIGID_PLANE_PREDICTION,
-    RIGID_REPROJECTION,
-    FactorNode,
-    StoredLinearisation,
-)
-
-TUKEY_SCALE_DEFAULT = 4.685  # 95% efficiency constant, Mahalanobis units
-
-LINEAR_KINDS = {PRIOR, LINEAR}
-
-# Factor kinds whose residuals are pixel errors; these define the average
-# reprojection error used as the convergence criterion.
-PIXEL_KINDS = {REPROJECTION, RIGID_REPROJECTION, COMBINED_RIGID_REPROJECTION}
+from .graph import FACTOR_KINDS, FactorNode, StoredLinearisation
 
 
 @dataclass
@@ -73,7 +70,7 @@ class Residual:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluators (hot path). Parameter stacks are (n, dim) arrays.
+# Batched kernels (hot path). Parameter stacks are (n, dim) arrays.
 # ---------------------------------------------------------------------------
 
 def eval_reprojection_batch(cam: CameraModel, z, c, p, want_jac=True):
@@ -82,31 +79,29 @@ def eval_reprojection_batch(cam: CameraModel, z, c, p, want_jac=True):
     pix, valid = project_cam_batch(cam, p_cam)
     value = z - pix
     if not want_jac:
-        return value, None, None, valid
+        return value, None, valid
     safe = p_cam.copy()
     safe[~valid, 2] = 1.0
     Jproj = proj_jacobian_cam_batch(cam, safe)
     dp_dw = -(R @ so3_hat_batch(p)) @ so3_right_jacobian_batch(c[:, 3:])
-    Jc = np.concatenate([-Jproj, -Jproj @ dp_dw], axis=2)
-    Jp = -Jproj @ R
-    return value, Jc, Jp, valid
+    return value, np.concatenate([-Jproj, -Jproj @ dp_dw, -Jproj @ R], axis=2), valid
 
 
-def eval_plane_point_batch(m, p, want_jac=True):
+def eval_plane_point_batch(cam, z, m, p, want_jac=True):
+    # The measurement is the point's signed distance to the plane, always 0.
     d = np.linalg.norm(m, axis=-1)
     valid = d > EPS_PLANE
     ds = np.where(valid, d, 1.0)
     n = m / ds[:, None]
     value = (np.einsum("ni,ni->n", n, p) - ds)[:, None]
     if not want_jac:
-        return value, None, None, valid
-    Jp = n[:, None, :]
+        return value, None, valid
     proj = np.eye(3)[None] - n[:, :, None] * n[:, None, :]
     Jm = (np.einsum("ni,nij->nj", p, proj) / ds[:, None] - n)[:, None, :]
-    return value, Jm, Jp, valid
+    return value, np.concatenate([Jm, n[:, None, :]], axis=2), valid
 
 
-def eval_plane_prediction_batch(z, pi, c, want_jac=True):
+def eval_plane_prediction_batch(cam, z, pi, c, want_jac=True):
     d_in = np.linalg.norm(pi, axis=-1)
     valid = d_in > EPS_PLANE
     pi_safe = np.where(valid[:, None], pi, [[0.0, 0.0, 1.0]])
@@ -120,11 +115,11 @@ def eval_plane_prediction_batch(z, pi, c, want_jac=True):
     valid &= np.linalg.norm(m_cam, axis=-1) > EPS_PLANE
     value = z - m_cam
     if not want_jac:
-        return value, None, None, valid
-    return value, -dm_dm, -dm_dpose, valid
+        return value, None, valid
+    return value, np.concatenate([-dm_dm, -dm_dpose], axis=2), valid
 
 
-def eval_rigid_plane_prediction_batch(z, pi_conv, r, c, want_jac=True):
+def eval_rigid_plane_prediction_batch(cam, z, pi_conv, r, c, want_jac=True):
     Rr = so3_exp_batch(r[:, 3:])
     Rc = so3_exp_batch(c[:, 3:])
     if want_jac:
@@ -144,10 +139,8 @@ def eval_rigid_plane_prediction_batch(z, pi_conv, r, c, want_jac=True):
     valid &= np.linalg.norm(m_cam, axis=-1) > EPS_PLANE
     value = z - m_cam
     if not want_jac:
-        return value, None, None, valid
-    Jr = -(dmc_dmw @ dmw_dr)
-    Jc = -dmc_dc
-    return value, Jr, Jc, valid
+        return value, None, valid
+    return value, np.concatenate([-(dmc_dmw @ dmw_dr), -dmc_dc], axis=2), valid
 
 
 def eval_rigid_reprojection_batch(cam: CameraModel, z, p_conv, c, r, want_jac=True):
@@ -158,202 +151,294 @@ def eval_rigid_reprojection_batch(cam: CameraModel, z, p_conv, c, r, want_jac=Tr
     pix, valid = project_cam_batch(cam, p_cam)
     value = z - pix
     if not want_jac:
-        return value, None, None, valid
+        return value, None, valid
     safe = p_cam.copy()
     safe[~valid, 2] = 1.0
     Jproj = proj_jacobian_cam_batch(cam, safe)
     dpc_dwc = -(Rc @ so3_hat_batch(p_world)) @ so3_right_jacobian_batch(c[:, 3:])
-    Jc = np.concatenate([-Jproj, -Jproj @ dpc_dwc], axis=2)
     dpw_dwr = -(Rr @ so3_hat_batch(p_conv)) @ so3_right_jacobian_batch(r[:, 3:])
     JR = -Jproj @ Rc
-    Jr = np.concatenate([JR, JR @ dpw_dwr], axis=2)
-    return value, Jc, Jr, valid
+    J = np.concatenate([-Jproj, -Jproj @ dpc_dwc, JR, JR @ dpw_dwr], axis=2)
+    return value, J, valid
+
+
+def eval_prior_batch(cam, z, x, want_jac=True):
+    valid = np.ones(x.shape[0], dtype=bool)
+    J = np.broadcast_to(np.eye(x.shape[1]), (x.shape[0],) + (x.shape[1],) * 2)
+    return x - z, J if want_jac else None, valid
+
+
+def eval_linear_batch(cam, z, A, *xs, want_jac=True):
+    X = np.concatenate(xs, axis=1)
+    value = z - np.einsum("nmd,nd->nm", A, X)
+    return value, -A if want_jac else None, np.ones(X.shape[0], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
 # Single-instance residual API
 # ---------------------------------------------------------------------------
 
-def residual_reprojection(c: Pose, p, z, cam: CameraModel) -> Residual:
-    value, Jc, Jp, valid = eval_reprojection_batch(
-        cam, np.asarray(z, float)[None], c.r[None], np.asarray(p, float)[None]
-    )
+def _single(result, names, dims, x0, error) -> Residual:
+    value, J, valid = result
     if not valid[0]:
-        raise BehindCameraError("point behind camera")
-    return Residual(value[0], {"pose": Jc[0], "point": Jp[0]},
-                    np.concatenate([c.r, np.asarray(p, float)]))
+        raise error
+    offsets = np.cumsum((0,) + dims)
+    jac = {name: J[0][:, a:b] for name, a, b in zip(names, offsets, offsets[1:])}
+    return Residual(value[0], jac, x0)
+
+
+def residual_reprojection(c: Pose, p, z, cam: CameraModel) -> Residual:
+    p = np.asarray(p, float)
+    return _single(
+        eval_reprojection_batch(cam, np.asarray(z, float)[None], c.r[None], p[None]),
+        ("pose", "point"), (6, 3), np.concatenate([c.r, p]),
+        BehindCameraError("point behind camera"),
+    )
 
 
 def residual_plane_point(p, pi: PlaneParams) -> Residual:
-    value, Jm, Jp, valid = eval_plane_point_batch(
-        pi.m[None], np.asarray(p, float)[None]
+    p = np.asarray(p, float)
+    return _single(
+        eval_plane_point_batch(None, np.zeros((1, 1)), pi.m[None], p[None]),
+        ("plane", "point"), (3, 3), np.concatenate([pi.m, p]),
+        DegeneratePlaneError("degenerate plane in plane-point residual"),
     )
-    if not valid[0]:
-        raise DegeneratePlaneError("degenerate plane in plane-point residual")
-    return Residual(value[0], {"plane": Jm[0], "point": Jp[0]},
-                    np.concatenate([pi.m, np.asarray(p, float)]))
 
 
 def residual_plane_prediction(pi: PlaneParams, c: Pose, z_pi: PlaneParams) -> Residual:
-    value, Jpi, Jc, valid = eval_plane_prediction_batch(
-        z_pi.m[None], pi.m[None], c.r[None]
+    return _single(
+        eval_plane_prediction_batch(None, z_pi.m[None], pi.m[None], c.r[None]),
+        ("plane", "pose"), (3, 6), np.concatenate([pi.m, c.r]),
+        DegeneratePlaneError("degenerate plane in prediction residual"),
     )
-    if not valid[0]:
-        raise DegeneratePlaneError("degenerate plane in prediction residual")
-    return Residual(value[0], {"plane": Jpi[0], "pose": Jc[0]},
-                    np.concatenate([pi.m, c.r]))
 
 
 def residual_rigid_plane_prediction(
     r: Pose, c: Pose, z_pi: PlaneParams, pi_conv: PlaneParams
 ) -> Residual:
-    value, Jr, Jc, valid = eval_rigid_plane_prediction_batch(
-        z_pi.m[None], pi_conv.m[None], r.r[None], c.r[None]
+    return _single(
+        eval_rigid_plane_prediction_batch(
+            None, z_pi.m[None], pi_conv.m[None], r.r[None], c.r[None]
+        ),
+        ("rigid", "pose"), (6, 6), np.concatenate([r.r, c.r]),
+        DegeneratePlaneError("degenerate plane in rigid prediction residual"),
     )
-    if not valid[0]:
-        raise DegeneratePlaneError("degenerate plane in rigid prediction residual")
-    return Residual(value[0], {"rigid": Jr[0], "pose": Jc[0]},
-                    np.concatenate([r.r, c.r]))
 
 
 def residual_rigid_reprojection(c: Pose, r: Pose, z, p_conv, cam: CameraModel) -> Residual:
-    value, Jc, Jr, valid = eval_rigid_reprojection_batch(
-        cam, np.asarray(z, float)[None], np.asarray(p_conv, float)[None],
-        c.r[None], r.r[None]
+    return _single(
+        eval_rigid_reprojection_batch(
+            cam, np.asarray(z, float)[None], np.asarray(p_conv, float)[None],
+            c.r[None], r.r[None],
+        ),
+        ("pose", "rigid"), (6, 6), np.concatenate([c.r, r.r]),
+        BehindCameraError("rigid point behind camera"),
     )
-    if not valid[0]:
-        raise BehindCameraError("rigid point behind camera")
-    return Residual(value[0], {"pose": Jc[0], "rigid": Jr[0]},
-                    np.concatenate([c.r, r.r]))
 
 
 # ---------------------------------------------------------------------------
 # Robust loss
 # ---------------------------------------------------------------------------
 
-def tukey_weight(rho: float, c: float) -> float:
-    """Covariance-rescaling weight; hard zero beyond the cutoff."""
-    if c <= 0:
-        raise ContractViolation("tukey scale must be positive")
-    if rho > c:
-        return 0.0
-    x = rho / c
-    return (1.0 - x * x) ** 2
-
-
-def tukey_rescale(residual_mahalanobis: float, sigma, c: float):
-    """(sigma', weight): rescaled noise; sigma' is None when weight is 0."""
-    w = tukey_weight(residual_mahalanobis, c)
-    if w == 0.0:
-        return None, 0.0
-    return np.asarray(sigma, float) / np.sqrt(w), w
-
-
 def tukey_weight_batch(rho: np.ndarray, c) -> np.ndarray:
+    """Covariance-rescaling weight (1 - (rho/c)^2)^2; hard zero beyond c."""
     x = np.clip(rho / c, 0.0, 1.0)
     w = (1.0 - x * x) ** 2
     return np.where(rho > c, 0.0, w)
 
 
 # ---------------------------------------------------------------------------
-# Graph-level evaluation (object path: tests, reference solvers)
+# Stacks: the batched path shared by the engine, the dense oracle and LM
 # ---------------------------------------------------------------------------
 
-def _params_of(graph, factor: FactorNode, means: dict) -> list:
-    return [np.asarray(means[vid], dtype=float) for vid in factor.adjacency]
+def _take(a, sel):
+    return a if sel is None else a[sel]
+
+
+class FactorStack:
+    """Factors of one kind and adjacency shape, stacked row-wise for their kernel.
+
+    Row arrays: z (rows, m), sigma (rows, m), payload[key], robust and
+    robust_scale (rows,). `owner` (rows,) gives each row's factor for kinds
+    with constituents and is None when rows are the factors themselves.
+    """
+
+    def __init__(self, kind: str, dims: tuple, nodes: list):
+        spec = FACTOR_KINDS[kind]
+        self.kind = kind
+        self.spec = spec
+        self.dims = dims
+        self.offsets = tuple(int(o) for o in np.cumsum((0,) + dims)[:-1])
+        self.joint_dim = int(sum(dims))
+        self.ids = [f.id for f in nodes]
+        self.nodes = nodes
+        self.adjacency = np.array(
+            [f.adjacency for f in nodes], dtype=int
+        ).reshape(len(nodes), len(dims))
+        keys = [key for key, _ in spec.payload]
+        if spec.constituents:
+            counts = [len(f.constituents()) for f in nodes]
+            self.owner = np.repeat(np.arange(len(nodes)), counts)
+            rows = [c for f in nodes for c in f.constituents()]
+        else:
+            self.owner = None
+            rows = [(f.measurement, *(f.payload[k] for k in keys)) for f in nodes]
+        self.z = np.stack([r[0] for r in rows])
+        self.payload = {k: np.stack([r[i + 1] for r in rows]) for i, k in enumerate(keys)}
+        sigma = np.stack([f.sigma for f in nodes])
+        robust = np.array([f.robust == "tukey" and not spec.linear for f in nodes])
+        scale = np.array([f.robust_scale for f in nodes], dtype=float)
+        if self.owner is not None:
+            sigma, robust, scale = sigma[self.owner], robust[self.owner], scale[self.owner]
+        self.sigma = sigma
+        self.robust = robust
+        self.robust_scale = scale
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    @property
+    def arity(self) -> int:
+        return len(self.dims)
+
+
+def group_factors(graph, factors=None) -> list:
+    """((kind, dims, row dim), nodes) groups in sorted key order, nodes by id."""
+    groups: dict = {}
+    factors = graph.factors.values() if factors is None else factors
+    for fac in sorted(factors, key=lambda f: f.id):
+        dims = tuple(graph.variables[v].dim for v in fac.adjacency)
+        groups.setdefault((fac.kind, dims, fac.sigma.shape[0]), []).append(fac)
+    return [(key, groups[key]) for key in sorted(groups)]
+
+
+def factor_stacks(graph, factors=None) -> list:
+    return [FactorStack(kind, dims, nodes)
+            for (kind, dims, _), nodes in group_factors(graph, factors)]
+
+
+def evaluate_rows(stack: FactorStack, cam, X, sel=None, want_jac=True):
+    """(value, J, valid) of the stack's rows `sel` (all when None) at X.
+
+    X holds the stacked adjacency means of those rows, (rows, joint_dim).
+    """
+    kernel = globals()[stack.spec.kernel]  # looked up per call, so it can be wrapped
+    payload = [_take(stack.payload[key], sel) for key, _ in stack.spec.payload]
+    params = [X[:, o:o + d] for o, d in zip(stack.offsets, stack.dims)]
+    return kernel(cam, _take(stack.z, sel), *payload, *params, want_jac=want_jac)
+
+
+def linearise_batch(stack: FactorStack, cam, X, rows=None, weight=None):
+    """(eta, lam, weight) of the stack's factors `rows` (all when None).
+
+    X holds the factors' stacked adjacency means, (len(rows), joint_dim).
+    `weight` maps each row's Mahalanobis residual norm to its weight; by
+    default it is the factor's own robust setting (Tukey or none). Invalid
+    rows get weight 0. A factor's weight is the mean over its rows.
+    """
+    owner = stack.owner
+    sel, Xr = rows, X
+    if owner is not None:
+        # each selected factor's position in X, per constituent row
+        local = np.full(stack.n, -1, dtype=int)
+        local[slice(None) if rows is None else rows] = np.arange(X.shape[0])
+        local = local[owner]
+        sel = local >= 0
+        local = local[sel]
+        Xr = X[local]
+    value, J, valid = evaluate_rows(stack, cam, Xr, sel)
+    inv_var = 1.0 / (_take(stack.sigma, sel) ** 2)
+    rho = np.sqrt(np.sum(value**2 * inv_var, axis=1))
+    if weight is None:
+        w = np.where(_take(stack.robust, sel),
+                     tukey_weight_batch(rho, _take(stack.robust_scale, sel)), 1.0)
+    else:
+        w = weight(rho)
+    w = np.where(valid, w, 0.0)
+    D = inv_var * w[:, None]
+    if stack.spec.linear:
+        t = -evaluate_rows(stack, cam, np.zeros_like(Xr), sel, want_jac=False)[0]
+    else:
+        t = (J @ Xr[:, :, None])[:, :, 0] - value
+    lam = np.einsum("nki,nk,nkj->nij", J, D, J)
+    eta = np.einsum("nki,nk,nk->ni", J, D, t)
+    if owner is not None:
+        n = X.shape[0]
+        lam_f = np.zeros((n, stack.joint_dim, stack.joint_dim))
+        eta_f = np.zeros((n, stack.joint_dim))
+        wsum = np.zeros(n)
+        cnt = np.zeros(n)
+        np.add.at(lam_f, local, lam)
+        np.add.at(eta_f, local, eta)
+        np.add.at(wsum, local, w)
+        np.add.at(cnt, local, 1.0)
+        lam, eta, w = lam_f, eta_f, wsum / np.maximum(cnt, 1.0)
+    return eta, 0.5 * (lam + np.transpose(lam, (0, 2, 1))), w
+
+
+def residual_rows(stack: FactorStack, cam, X):
+    """(values, valid) of every row at the factors' stacked means X.
+
+    Invalid rows come back zeroed.
+    """
+    Xr = X if stack.owner is None else X[stack.owner]
+    value, _, valid = evaluate_rows(stack, cam, Xr, want_jac=False)
+    return np.where(valid[:, None], value, 0.0), valid
+
+
+def residual_sums(stack: FactorStack, cam, X):
+    """(energy, pixel-error sum, pixel rows) of a stack at its factors' means X.
+
+    The energy is half the squared Mahalanobis residual with the
+    unrobustified noise; invalid rows count zero and no pixel error.
+    """
+    value, valid = residual_rows(stack, cam, X)
+    energy = float(0.5 * np.sum((value / stack.sigma) ** 2))
+    if not stack.spec.pixel:
+        return energy, 0.0, 0
+    norms = np.linalg.norm(value, axis=1)
+    return energy, float(np.sum(norms[valid])), int(np.count_nonzero(valid))
+
+
+# ---------------------------------------------------------------------------
+# One-factor views (tests, reference checks)
+# ---------------------------------------------------------------------------
+
+def _one(graph, factor: FactorNode, means: dict):
+    stack = factor_stacks(graph, [factor])[0]
+    x0 = np.concatenate([np.asarray(means[vid], dtype=float) for vid in factor.adjacency])
+    return stack, x0
 
 
 def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Residual:
     """Residual of one factor at the given variable means.
 
-    Invalid rows (cheirality/degeneracy) come back with valid=False and
-    zeroed Jacobians instead of raising, matching the engine's outlier
-    handling.
+    Invalid rows (cheirality/degeneracy) come back zeroed, with zeroed
+    Jacobians, instead of raising, matching the engine's outlier handling.
+    A combined factor stacks its constituents' rows; `constituent_valid`
+    flags each of them.
     """
-    params = _params_of(graph, factor, means)
-    x0 = np.concatenate(params)
-    kind = factor.kind
-    if kind == PRIOR:
-        value = params[0] - factor.measurement
-        dim = value.shape[0]
-        return Residual(value, {factor.adjacency[0]: np.eye(dim)}, x0)
-    if kind == LINEAR:
-        A = factor.payload["A"]
-        value = factor.measurement - A @ x0
-        jac, off = {}, 0
-        for vid, p in zip(factor.adjacency, params):
-            jac[vid] = -A[:, off : off + p.shape[0]]
-            off += p.shape[0]
-        return Residual(value, jac, x0)
-    if kind == REPROJECTION:
-        value, J0, J1, valid = eval_reprojection_batch(
-            graph.camera, factor.measurement[None], params[0][None], params[1][None],
-            want_jac=want_jac,
-        )
-    elif kind == PLANE_POINT:
-        value, J0, J1, valid = eval_plane_point_batch(
-            params[0][None], params[1][None], want_jac=want_jac
-        )
-    elif kind == PLANE_PREDICTION:
-        value, J0, J1, valid = eval_plane_prediction_batch(
-            factor.measurement[None], params[0][None], params[1][None], want_jac=want_jac
-        )
-    elif kind == RIGID_REPROJECTION:
-        value, J0, J1, valid = eval_rigid_reprojection_batch(
-            graph.camera, factor.measurement[None],
-            factor.payload["p_conv"][None], params[0][None], params[1][None],
-            want_jac=want_jac,
-        )
-    elif kind == RIGID_PLANE_PREDICTION:
-        value, J0, J1, valid = eval_rigid_plane_prediction_batch(
-            factor.measurement[None], factor.payload["pi_conv"][None],
-            params[0][None], params[1][None], want_jac=want_jac,
-        )
-    elif kind == COMBINED_RIGID_REPROJECTION:
-        cons = factor.constituents()
-        zs = np.stack([np.asarray(z, float) for z, _ in cons])
-        ps = np.stack([np.asarray(pc, float) for _, pc in cons])
-        n = len(cons)
-        value, J0, J1, valid = eval_rigid_reprojection_batch(
-            graph.camera, zs, ps,
-            np.repeat(params[0][None], n, axis=0), np.repeat(params[1][None], n, axis=0),
-            want_jac=want_jac,
-        )
-        ok = bool(np.all(valid))
-        jac = {}
-        if want_jac:
-            J0 = np.where(valid[:, None, None], J0, 0.0)
-            J1 = np.where(valid[:, None, None], J1, 0.0)
-            jac = {factor.adjacency[0]: J0.reshape(-1, 6),
-                   factor.adjacency[1]: J1.reshape(-1, 6)}
-        value = np.where(valid[:, None], value, 0.0)
-        res = Residual(value.reshape(-1), jac, x0, valid=ok)
-        res.constituent_valid = valid
-        return res
-    else:
-        raise ContractViolation(f"cannot evaluate factor kind {kind}")
-
-    ok = bool(valid[0])
+    stack, x0 = _one(graph, factor, means)
+    rows = 1 if stack.owner is None else stack.owner.size
+    value, J, valid = evaluate_rows(stack, graph.camera, np.repeat(x0[None], rows, axis=0),
+                                    want_jac=want_jac)
+    value = np.where(valid[:, None], value, 0.0).reshape(-1)
     jac = {}
     if want_jac:
-        if not ok:
-            J0 = np.zeros_like(J0)
-            J1 = np.zeros_like(J1)
-        jac = {factor.adjacency[0]: J0[0], factor.adjacency[1]: J1[0]}
-    return Residual(value[0] if ok else np.zeros_like(value[0]), jac, x0, valid=ok)
-
-
-def _sigma_stack(factor: FactorNode) -> np.ndarray:
-    if factor.kind == COMBINED_RIGID_REPROJECTION:
-        return np.tile(factor.sigma, len(factor.constituents()))
-    return factor.sigma
+        J = np.where(valid[:, None, None], J, 0.0).reshape(-1, stack.joint_dim)
+        for vid, o, d in zip(factor.adjacency, stack.offsets, stack.dims):
+            jac[vid] = J[:, o:o + d]
+    res = Residual(value, jac, x0, valid=bool(np.all(valid)))
+    if stack.owner is not None:
+        res.constituent_valid = valid
+    return res
 
 
 def factor_energy(graph, factor: FactorNode, means: dict) -> float:
     """Half squared Mahalanobis residual with the unrobustified noise."""
-    res = evaluate_factor(graph, factor, means, want_jac=False)
-    sigma = _sigma_stack(factor)
-    return float(0.5 * np.sum((res.value / sigma) ** 2))
+    stack, x0 = _one(graph, factor, means)
+    return residual_sums(stack, graph.camera, x0[None])[0]
 
 
 def graph_energy(graph, means: dict) -> float:
@@ -361,50 +446,11 @@ def graph_energy(graph, means: dict) -> float:
 
 
 def linearise(graph, factor: FactorNode, means: dict) -> GaussianInfo:
-    """Linearised Gaussian over the factor's joint support; stores X0.
-
-    Combined factors accumulate their constituents, each with its own
-    robust weight. An outlier-flagged residual produces a zero-information
-    factor for this iteration.
-    """
-    res = evaluate_factor(graph, factor, means)
-    dims = [graph.variables[vid].dim for vid in factor.adjacency]
-    total = int(sum(dims))
-    sigma = _sigma_stack(factor)
-
-    if not res.valid and factor.kind != COMBINED_RIGID_REPROJECTION:
-        g = GaussianInfo.zero(total)
-        factor.linearisation = StoredLinearisation(res.x0, g, 0.0)
-        return g
-
-    J = np.zeros((res.value.shape[0], total))
-    off = 0
-    for vid, d in zip(factor.adjacency, dims):
-        J[:, off : off + d] = res.jacobians[vid]
-        off += d
-
-    inv_var = 1.0 / (sigma**2)
-    if factor.robust == "tukey":
-        if factor.kind == COMBINED_RIGID_REPROJECTION:
-            v2 = (res.value**2 * inv_var).reshape(-1, 2).sum(axis=1)
-            rho = np.sqrt(v2)
-            w = tukey_weight_batch(rho, factor.robust_scale)
-            weights = np.repeat(w, 2)
-            mean_weight = float(np.mean(w))
-        else:
-            rho = float(np.sqrt(np.sum(res.value**2 * inv_var)))
-            mean_weight = tukey_weight(rho, factor.robust_scale)
-            weights = np.full(res.value.shape[0], mean_weight)
-    else:
-        weights = np.ones(res.value.shape[0])
-        mean_weight = 1.0
-
-    D = inv_var * weights
-    Jw = J * D[:, None]
-    lam = J.T @ Jw
-    eta = Jw.T @ (J @ res.x0 - res.value)
-    g = GaussianInfo(eta, lam)
-    factor.linearisation = StoredLinearisation(res.x0.copy(), g, mean_weight)
+    """Linearised Gaussian over the factor's joint support; stores X0."""
+    stack, x0 = _one(graph, factor, means)
+    eta, lam, w = linearise_batch(stack, graph.camera, x0[None])
+    g = GaussianInfo(eta[0], lam[0])
+    factor.linearisation = StoredLinearisation(x0.copy(), g, float(w[0]))
     return g
 
 
@@ -412,7 +458,7 @@ def needs_relinearisation(factor: FactorNode, means: dict, beta: float) -> bool:
     """True when beliefs drifted more than beta (L1) from the stored point."""
     if factor.linearisation is None:
         return True
-    if factor.kind in LINEAR_KINDS:
+    if FACTOR_KINDS[factor.kind].linear:
         return False
     x = np.concatenate([np.asarray(means[vid], float) for vid in factor.adjacency])
     return float(np.sum(np.abs(x - factor.linearisation.x0))) > beta

@@ -7,6 +7,8 @@ operations are the arithmetic behind every message in the propagation engine.
 
 All operations are pure and value-typed; nothing here holds shared state
 except the optional diagnostics counter passed into marginalisation.
+`solve_guarded` is the one guarded small-block elimination, used both by
+`marginalize` and, batched, by the propagation engine's Schur step.
 """
 
 from __future__ import annotations
@@ -132,8 +134,6 @@ class MarginalizationDiagnostics:
     calls: int = 0
 
 
-GLOBAL_DIAGNOSTICS = MarginalizationDiagnostics()
-
 # Tikhonov strength for singular eliminated blocks, relative to mean diagonal.
 REG_LAMBDA_REL = 1e-8
 
@@ -156,20 +156,42 @@ def quotient(numerator: GaussianInfo, denominator: GaussianInfo) -> GaussianInfo
     return GaussianInfo(numerator.eta - denominator.eta, numerator.lam - denominator.lam)
 
 
-def _solve_eliminated(lam_ee, rhs, diagnostics):
-    """Solve lam_ee @ x = rhs, Tikhonov-regularising if the block is singular."""
+def solve_guarded(S: np.ndarray, rhs: np.ndarray):
+    """Batched solve S[i] x[i] = rhs[i] of small blocks, (n, d, d) and (n, d, k).
+
+    A block that is singular, or whose solution is not finite, is solved
+    again with a Tikhonov term REG_LAMBDA_REL times its mean diagonal.
+    Returns (solution, number of regularised blocks).
+    """
     try:
-        sol = np.linalg.solve(lam_ee, rhs)
+        sol = np.linalg.solve(S, rhs)
         if np.all(np.isfinite(sol)):
-            return sol
+            return sol, 0
     except np.linalg.LinAlgError:
         pass
-    d = lam_ee.shape[0]
-    reg = REG_LAMBDA_REL * (np.trace(lam_ee) / d if np.trace(lam_ee) > 0 else 1.0)
+    n, d = S.shape[0], S.shape[1]
+    sol = np.empty_like(rhs)
+    eye = np.eye(d)
+    regularised = 0
+    for i in range(n):
+        try:
+            x = np.linalg.solve(S[i], rhs[i])
+            if not np.all(np.isfinite(x)):
+                raise np.linalg.LinAlgError
+            sol[i] = x
+        except np.linalg.LinAlgError:
+            tr = np.trace(S[i])
+            reg = REG_LAMBDA_REL * (tr / d if tr > 0 else 1.0)
+            sol[i] = np.linalg.solve(S[i] + reg * eye, rhs[i])
+            regularised += 1
+    return sol, regularised
+
+
+def _eliminate(lam_ee, rhs, diagnostics):
+    x, regularised = solve_guarded(lam_ee[None], rhs[None])
     if diagnostics is not None:
-        diagnostics.singular_regularized += 1
-    GLOBAL_DIAGNOSTICS.singular_regularized += 1
-    return np.linalg.solve(lam_ee + reg * np.eye(d), rhs)
+        diagnostics.singular_regularized += regularised
+    return x[0]
 
 
 def marginalize(
@@ -189,7 +211,6 @@ def marginalize(
         )
     if diagnostics is not None:
         diagnostics.calls += 1
-    GLOBAL_DIAGNOSTICS.calls += 1
 
     sk = layout.slice_of(keep)
     if sk.stop - sk.start == joint.dim:
@@ -205,7 +226,7 @@ def marginalize(
     eta_k = joint.eta[keep_idx]
     eta_e = joint.eta[elim_idx]
 
-    x = _solve_eliminated(lam_ee, np.column_stack([eta_e[:, None], lam_ke.T]), diagnostics)
+    x = _eliminate(lam_ee, np.column_stack([eta_e[:, None], lam_ke.T]), diagnostics)
     eta_m = eta_k - lam_ke @ x[:, 0]
     lam_m = lam_kk - lam_ke @ x[:, 1:]
     return GaussianInfo(eta_m, lam_m)
@@ -228,7 +249,6 @@ def marginalize_onto(
 
     if diagnostics is not None:
         diagnostics.calls += 1
-    GLOBAL_DIAGNOSTICS.calls += 1
 
     keep_idx, elim_idx = [], []
     for vid, off, width in layout.blocks:
@@ -239,7 +259,7 @@ def marginalize_onto(
     lam_kk = joint.lam[np.ix_(keep_idx, keep_idx)]
     lam_ke = joint.lam[np.ix_(keep_idx, elim_idx)]
     lam_ee = joint.lam[np.ix_(elim_idx, elim_idx)]
-    x = _solve_eliminated(
+    x = _eliminate(
         lam_ee, np.column_stack([joint.eta[elim_idx][:, None], lam_ke.T]), diagnostics
     )
     eta_m = joint.eta[keep_idx] - lam_ke @ x[:, 0]

@@ -26,7 +26,7 @@ RIGID_BODY = "rigid_body"
 
 VARIABLE_DIMS = {KEYFRAME: 6, POINT: 3, PLANE_HYPOTHESIS: 3, RIGID_BODY: 6}
 
-# Factor kinds and the variable-kind signature of their adjacency, in order.
+# Factor kinds; FACTOR_KINDS below describes each.
 REPROJECTION = "reprojection"
 PLANE_POINT = "plane_point"
 PLANE_PREDICTION = "plane_prediction"
@@ -39,25 +39,61 @@ PRIOR = "prior"
 # measurement models.
 LINEAR = "linear"
 
-FACTOR_SIGNATURES = {
-    REPROJECTION: (KEYFRAME, POINT),
-    PLANE_POINT: (PLANE_HYPOTHESIS, POINT),
-    PLANE_PREDICTION: (PLANE_HYPOTHESIS, KEYFRAME),
-    RIGID_REPROJECTION: (KEYFRAME, RIGID_BODY),
-    RIGID_PLANE_PREDICTION: (RIGID_BODY, KEYFRAME),
-    COMBINED_RIGID_REPROJECTION: (KEYFRAME, RIGID_BODY),
-    PRIOR: None,  # unary, attaches to any variable kind
-    LINEAR: None,  # arity 1 or 2, any variable kinds
-}
+# A signature slot that takes any variable kind.
+ANY = None
+# Measurement dimension equal to the joint dimension of the adjacency.
+JOINT = "joint"
 
-# Measurement dimension per pixel/plane observation; combined factors carry a
-# list of 2-pixel constituents, priors measure the full variable block.
-MEASUREMENT_DIMS = {
-    REPROJECTION: 2,
-    PLANE_POINT: 1,
-    PLANE_PREDICTION: 3,
-    RIGID_REPROJECTION: 2,
-    RIGID_PLANE_PREDICTION: 3,
+
+@dataclass(frozen=True)
+class FactorKind:
+    """Registry entry: what every layer needs to know about one factor kind.
+
+    A new kind needs one entry in FACTOR_KINDS and one batched kernel in
+    `planegbp.factors`; graph validation, the propagation engine, the dense
+    oracle, Levenberg-Marquardt and serialisation all work from the entry.
+    """
+
+    # Variable kind per adjacency slot, in order (ANY takes every kind).
+    signature: tuple
+    # Measurement dimension of one kernel row: an int, JOINT, or None for
+    # the measurement's own length.
+    mdim: object
+    # (key, shape) of each payload array, passed to the kernel in this order
+    # after the measurement; "m" and JOINT in a shape stand for those dims.
+    payload: tuple = ()
+    # Name of the batched evaluator in planegbp.factors, looked up per call.
+    kernel: str = ""
+    # Fewest adjacent variables; 0 means exactly len(signature).
+    min_arity: int = 0
+    # Rows are pixel errors; they define the average reprojection error.
+    pixel: bool = False
+    # Exact linear-Gaussian: linearised once, about 0; the factor's own
+    # robust setting does not apply.
+    linear: bool = False
+    # Rows are the (z, *payload) constituents listed in the payload; the
+    # factor is their product.
+    constituents: bool = False
+
+
+FACTOR_KINDS = {
+    REPROJECTION: FactorKind((KEYFRAME, POINT), 2, kernel="eval_reprojection_batch",
+                             pixel=True),
+    PLANE_POINT: FactorKind((PLANE_HYPOTHESIS, POINT), 1,
+                            kernel="eval_plane_point_batch"),
+    PLANE_PREDICTION: FactorKind((PLANE_HYPOTHESIS, KEYFRAME), 3,
+                                 kernel="eval_plane_prediction_batch"),
+    RIGID_REPROJECTION: FactorKind((KEYFRAME, RIGID_BODY), 2, (("p_conv", (3,)),),
+                                   "eval_rigid_reprojection_batch", pixel=True),
+    RIGID_PLANE_PREDICTION: FactorKind((RIGID_BODY, KEYFRAME), 3, (("pi_conv", (3,)),),
+                                       "eval_rigid_plane_prediction_batch"),
+    COMBINED_RIGID_REPROJECTION: FactorKind(
+        (KEYFRAME, RIGID_BODY), 2, (("p_conv", (3,)),),
+        "eval_rigid_reprojection_batch", pixel=True, constituents=True,
+    ),
+    PRIOR: FactorKind((ANY,), JOINT, kernel="eval_prior_batch", linear=True),
+    LINEAR: FactorKind((ANY, ANY), None, (("A", ("m", JOINT)),), "eval_linear_batch",
+                       min_arity=1, linear=True),
 }
 
 
@@ -216,62 +252,65 @@ class FactorGraph:
         robust_scale: float = 4.685,
         _fixed_id: Optional[int] = None,
     ) -> int:
-        if kind not in FACTOR_SIGNATURES:
+        spec = FACTOR_KINDS.get(kind)
+        if spec is None:
             raise ContractViolation(f"unknown factor kind {kind!r}")
         adjacency = tuple(int(v) for v in adjacency)
         for vid in adjacency:
             if vid not in self.variables:
                 raise ContractViolation(f"factor adjacency references dead variable {vid}")
-        signature = FACTOR_SIGNATURES[kind]
-        if kind == LINEAR:
-            if not 1 <= len(adjacency) <= 2:
-                raise ContractViolation("linear factors take 1 or 2 variables")
-        elif signature is None:
-            if len(adjacency) != 1:
-                raise ContractViolation("prior factors are unary")
-        else:
-            if len(adjacency) != len(signature):
+        arity = len(spec.signature)
+        if not (spec.min_arity or arity) <= len(adjacency) <= arity:
+            raise ContractViolation(
+                f"{kind} expects arity {spec.min_arity or arity}..{arity}, "
+                f"got {len(adjacency)}"
+            )
+        for vid, want in zip(adjacency, spec.signature):
+            have = self.variables[vid].kind
+            if want is not ANY and have != want:
                 raise ContractViolation(
-                    f"{kind} expects arity {len(signature)}, got {len(adjacency)}"
+                    f"{kind} adjacency slot expects {want}, variable {vid} is {have}"
                 )
-            for vid, want in zip(adjacency, signature):
-                have = self.variables[vid].kind
-                if have != want:
-                    raise ContractViolation(
-                        f"{kind} adjacency slot expects {want}, variable {vid} is {have}"
-                    )
+        if robust not in (None, "tukey"):
+            raise ContractViolation(f"robust must be None or 'tukey', got {robust!r}")
+        if not robust_scale > 0:
+            raise ContractViolation(f"robust_scale must be positive, got {robust_scale}")
 
         payload = dict(payload or {})
-        if kind == LINEAR:
-            A = np.asarray(payload.get("A"), dtype=float)
-            joint = sum(self.variables[v].dim for v in adjacency)
-            measurement = np.atleast_1d(np.asarray(measurement, dtype=float))
-            if A.ndim != 2 or A.shape != (measurement.shape[0], joint):
-                raise ContractViolation(
-                    f"linear factor matrix must be ({measurement.shape[0]}, {joint})"
-                )
-            payload["A"] = A
-            sigma = _as_sigma(sigma, measurement.shape[0])
-        elif kind == COMBINED_RIGID_REPROJECTION:
+        if spec.constituents:
             cons = payload.get("constituents")
             if not cons or len(cons) < 2:
                 raise ContractViolation("combined factors need >= 2 constituents")
             measurement = None
-            sigma = _as_sigma(sigma, 2)
-        elif kind == PRIOR:
-            dim = self.variables[adjacency[0]].dim
-            measurement = np.asarray(measurement, dtype=float).reshape(-1)
-            if measurement.shape[0] != dim:
-                raise ContractViolation("prior measurement must match variable dim")
-            sigma = _as_sigma(sigma, dim)
+            cons = [tuple(np.asarray(a, dtype=float) for a in c) for c in cons]
+            payload["constituents"] = cons
         else:
-            mdim = MEASUREMENT_DIMS[kind]
-            measurement = np.atleast_1d(np.asarray(measurement, dtype=float))
-            if measurement.shape[0] != mdim:
+            measurement = np.asarray(measurement, dtype=float).reshape(-1)
+            for key, _ in spec.payload:
+                if key not in payload:
+                    raise ContractViolation(f"{kind} factors need payload {key!r}")
+                payload[key] = np.asarray(payload[key], dtype=float)
+            cons = [(measurement, *(payload[key] for key, _ in spec.payload))]
+        mdim = spec.mdim
+        if mdim is JOINT:
+            mdim = self._joint_dim(adjacency)
+        elif mdim is None:
+            mdim = measurement.shape[0]
+        for row in cons:
+            if row[0].shape != (mdim,):
                 raise ContractViolation(
-                    f"{kind} measurement must have dim {mdim}, got {measurement.shape[0]}"
+                    f"{kind} measurement must have dim {mdim}, got {row[0].shape}"
                 )
-            sigma = _as_sigma(sigma, mdim)
+            for (key, shape), arr in zip(spec.payload, row[1:]):
+                want = tuple(
+                    mdim if d == "m" else self._joint_dim(adjacency) if d == JOINT else d
+                    for d in shape
+                )
+                if arr.shape != want:
+                    raise ContractViolation(
+                        f"{kind} payload {key!r} must have shape {want}, got {arr.shape}"
+                    )
+        sigma = _as_sigma(sigma, mdim)
 
         fid = self._next_factor_id if _fixed_id is None else _fixed_id
         if fid in self.factors:
@@ -288,6 +327,9 @@ class FactorGraph:
             AddFactor(fid, kind, adjacency, measurement, sigma, payload, robust, robust_scale)
         )
         return fid
+
+    def _joint_dim(self, adjacency) -> int:
+        return sum(self.variables[v].dim for v in adjacency)
 
     def remove_factor(self, factor_id: int) -> None:
         node = self._factor(factor_id)
@@ -397,7 +439,7 @@ class FactorGraph:
         factors = Counter(f.kind for f in self.factors.values())
         return {
             "variables": {k: variables.get(k, 0) for k in VARIABLE_DIMS},
-            "factors": {k: factors.get(k, 0) for k in FACTOR_SIGNATURES},
+            "factors": {k: factors.get(k, 0) for k in FACTOR_KINDS},
             "n_variables": len(self.variables),
             "n_factors": len(self.factors),
         }
@@ -414,8 +456,8 @@ class FactorGraph:
     def check_integrity(self) -> None:
         """Bipartite structure, live adjacency, arity tables."""
         for fid, fac in self.factors.items():
-            signature = FACTOR_SIGNATURES[fac.kind]
-            if signature is not None and len(fac.adjacency) != len(signature):
+            spec = FACTOR_KINDS[fac.kind]
+            if not (spec.min_arity or len(spec.signature)) <= fac.arity <= len(spec.signature):
                 raise ContractViolation(f"factor {fid} arity mismatch")
             for vid in fac.adjacency:
                 if vid not in self.variables:

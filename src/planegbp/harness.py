@@ -26,7 +26,6 @@ from .engine import (
     energy_converged,
 )
 from .errors import ContractViolation
-from .factors import PIXEL_KINDS
 from .frontend import (
     KeyframePacket,
     SceneSpec,

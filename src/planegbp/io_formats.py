@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .errors import FormatError
+from .errors import FormatError, SingularGaussianError
 from .gaussians import GaussianInfo, to_moments
 from .geometry import CameraModel, Pose
 from .graph import FactorGraph
@@ -86,7 +86,7 @@ def graph_to_dict(graph: FactorGraph) -> dict:
             mom = to_moments(node.belief)
             mean = mom.mean.tolist()
             cov = mom.cov.tolist()
-        except Exception:
+        except SingularGaussianError:
             mean = node.mean.tolist()
             cov = None
         variables.append({
@@ -129,21 +129,13 @@ def graph_from_dict(doc: dict) -> FactorGraph:
         graph.add_variable(v["kind"], np.asarray(v["mean_cache"]), prior, _fixed_id=v["id"])
         node = graph.variables[v["id"]]
         node.belief = GaussianInfo(np.asarray(v["belief_eta"]), np.asarray(v["belief_lam"]))
+    # add_factor turns the payload lists back into arrays, per FACTOR_KINDS
     for f in doc["factors"]:
-        payload = dict(f["payload"])
-        for key in ("p_conv", "pi_conv", "A"):
-            if key in payload:
-                payload[key] = np.asarray(payload[key], float)
-        if "constituents" in payload:
-            payload["constituents"] = [
-                (np.asarray(z, float), np.asarray(p, float))
-                for z, p in payload["constituents"]
-            ]
         graph.add_factor(
             f["kind"], tuple(f["adjacency"]),
             None if f["measurement"] is None else np.asarray(f["measurement"]),
             np.asarray(f["sigma"]),
-            payload=payload, robust=f["robust"], robust_scale=f["robust_scale"],
+            payload=f["payload"], robust=f["robust"], robust_scale=f["robust_scale"],
             _fixed_id=f["id"],
         )
     return graph
@@ -235,7 +227,8 @@ def read_csv(path) -> list:
 
 
 ITERATION_FIELDS = ["iteration", "avg_reproj_px", "total_energy",
-                    "n_relinearised", "n_dropped", "n_factors", "n_variables"]
+                    "n_relinearised", "n_dropped", "n_factors", "n_variables",
+                    "marginalisation_calls", "n_regularised"]
 
 COST_FIELDS = ["sweep", "hops", "max_router_load", "n_routing_nodes"]
 

@@ -1,11 +1,15 @@
 """Ground-truth solvers used as correctness oracles and comparison baselines.
 
 * dense_marginals: exact Gaussian inference by assembling the full joint
-  information form and inverting it. The assembly scatters residual/Jacobian
-  evaluations directly (it does not go through the message engine), which
-  makes it an independent check of propagation results.
+  information form and inverting it. The assembly linearises every factor
+  with the same batched kernels as the message engine, one call per factor
+  stack, and scatters the blocks straight into the joint precision; it does
+  not go through message passing, which makes it an independent check of
+  propagation results.
 * lm_solve: a plain Levenberg-Marquardt loop over the same factor energies,
-  for the convergence-behaviour comparisons against propagation.
+  for the convergence-behaviour comparisons against propagation. It shares
+  the dense assembly: with LM's loss weights, H is the Gauss-Newton Hessian
+  and the gradient is H x - eta.
 * structure_cost_probe: symbolic elimination cost of a dense-Schur-style
   solve, quantifying how heterogeneous factors erode the landmark-diagonal
   sparsity that such solvers rely on.
@@ -13,14 +17,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, SingularGaussianError
-from .factors import evaluate_factor, tukey_weight, PIXEL_KINDS, _sigma_stack
+from .factors import (
+    evaluate_factor,  # noqa: F401  (part of this module's API)
+    factor_stacks,
+    linearise_batch,
+    residual_rows,
+    residual_sums,
+    tukey_weight_batch,
+)
 from .gaussians import BlockLayout, GaussianMoments
-from .graph import KEYFRAME, FactorGraph
+from .graph import KEYFRAME, PRIOR, FactorGraph
 
 
 def build_layout(graph: FactorGraph) -> BlockLayout:
@@ -29,53 +41,77 @@ def build_layout(graph: FactorGraph) -> BlockLayout:
     )
 
 
-def _robust_weight(factor, res, sigma) -> float:
-    if factor.robust != "tukey":
-        return 1.0
-    rho = float(np.sqrt(np.sum((res.value / sigma) ** 2)))
-    return tukey_weight(rho, factor.robust_scale)
+class _System:
+    """The graph's factor stacks and variable priors, indexed into one layout.
+
+    Means are flat vectors in layout order; `cols[k]` holds, per factor of
+    stack k, the columns of its adjacency, so that x[cols[k]] stacks the
+    factors' means and (cols, cols) addresses their joint block.
+    """
+
+    def __init__(self, graph: FactorGraph):
+        self.graph = graph
+        self.layout = build_layout(graph)
+        offset = {vid: off for vid, off, _ in self.layout.blocks}
+        self.stacks = factor_stacks(graph)
+        self.cols = [
+            np.concatenate(
+                [np.array([offset[v] for v in s.adjacency[:, pos]])[:, None] + np.arange(d)
+                 for pos, d in enumerate(s.dims)], axis=1,
+            )
+            for s in self.stacks
+        ]
+        # Variables with a prior, grouped by dimension: (cols, eta, lam).
+        groups: dict = {}
+        for vid, off, width in self.layout.blocks:
+            prior = graph.variables[vid].prior
+            if not prior.is_zero():
+                groups.setdefault(width, []).append((off + np.arange(width), prior))
+        self.priors = [
+            (np.stack([c for c, _ in g]), np.stack([p.eta for _, p in g]),
+             np.stack([p.lam for _, p in g]))
+            for g in groups.values()
+        ]
+
+    def flat(self, means: dict) -> np.ndarray:
+        return np.concatenate([np.zeros(0)] + [
+            np.asarray(means[vid], dtype=float) for vid, _, _ in self.layout.blocks
+        ])
+
+    def means(self, x: np.ndarray) -> dict:
+        return {vid: x[off:off + width].copy() for vid, off, width in self.layout.blocks}
+
+    def assemble(self, x: np.ndarray, weights=None):
+        """Joint (eta, lam) at x: priors plus every stack's linearisation.
+
+        `weights(stack)` gives the row weight function for linearise_batch;
+        None keeps each factor's own robust setting.
+        """
+        dim = self.layout.dim
+        eta = np.zeros(dim)
+        lam = np.zeros((dim, dim))
+        for cols, p_eta, p_lam in self.priors:
+            np.add.at(eta, cols, p_eta)
+            np.add.at(lam, (cols[:, :, None], cols[:, None, :]), p_lam)
+        cam = self.graph.camera
+        for stack, cols in zip(self.stacks, self.cols):
+            f_eta, f_lam, _ = linearise_batch(
+                stack, cam, x[cols], weight=None if weights is None else weights(stack)
+            )
+            np.add.at(eta, cols, f_eta)
+            np.add.at(lam, (cols[:, :, None], cols[:, None, :]), f_lam)
+        return eta, lam
+
+
+def _unit(rho):
+    return np.ones_like(rho)
 
 
 def assemble_dense(graph: FactorGraph, means: dict, robust: bool = True):
     """Global information form (eta, lam, layout) at the given means."""
-    layout = build_layout(graph)
-    dim = layout.dim
-    eta = np.zeros(dim)
-    lam = np.zeros((dim, dim))
-    for vid, off, width in layout.blocks:
-        node = graph.variables[vid]
-        sl = slice(off, off + width)
-        eta[sl] += node.prior.eta
-        lam[sl, sl] += node.prior.lam
-
-    for factor in graph.factors.values():
-        res = evaluate_factor(graph, factor, means)
-        sigma = _sigma_stack(factor)
-        if not res.valid and factor.kind != "combined_rigid_reprojection":
-            continue
-        w = _robust_weight(factor, res, sigma) if robust else 1.0
-        if w == 0.0:
-            continue
-        slices = [layout.slice_of(vid) for vid in factor.adjacency]
-        jaks = [res.jacobians[vid] for vid in factor.adjacency]
-        D = w / sigma**2
-        pred = sum(
-            j @ res.x0[s] for j, s in zip(jaks, _local_slices(graph, factor))
-        ) - res.value
-        for j_a, s_a in zip(jaks, slices):
-            eta[s_a] += (j_a * D[:, None]).T @ pred
-            for j_b, s_b in zip(jaks, slices):
-                lam[s_a, s_b] += (j_a * D[:, None]).T @ j_b
-    return eta, lam, layout
-
-
-def _local_slices(graph, factor):
-    out, off = [], 0
-    for vid in factor.adjacency:
-        d = graph.variables[vid].dim
-        out.append(slice(off, off + d))
-        off += d
-    return out
+    system = _System(graph)
+    eta, lam = system.assemble(system.flat(means), None if robust else (lambda s: _unit))
+    return eta, lam, system.layout
 
 
 def dense_marginals(graph: FactorGraph, means: dict | None = None, robust: bool = True):
@@ -121,105 +157,77 @@ class LmResult:
     hit_lambda_max: bool = False
 
 
-def _kernel_cost(kind: str, s: float, c: float) -> float:
+def _kernel_cost(kind: str, s: np.ndarray, c: float) -> np.ndarray:
     if kind == "none":
         return 0.5 * s * s
     if kind == "huber":
-        return 0.5 * s * s if s <= c else c * s - 0.5 * c * c
+        return np.where(s <= c, 0.5 * s * s, c * s - 0.5 * c * c)
     if kind == "tukey":
-        if s > c:
-            return c * c / 6.0
         u = 1.0 - (s / c) ** 2
-        return c * c / 6.0 * (1.0 - u**3)
+        return np.where(s > c, c * c / 6.0, c * c / 6.0 * (1.0 - u**3))
     raise ContractViolation(f"unknown kernel {kind}")
 
 
-def _kernel_weight(kind: str, s: float, c: float) -> float:
-    if kind == "none" or s == 0.0:
-        return 1.0
+def _kernel_weight(kind: str, s: np.ndarray, c: float) -> np.ndarray:
+    if kind == "none":
+        return np.ones_like(s)
     if kind == "huber":
-        return 1.0 if s <= c else c / s
+        return np.where(s <= c, 1.0, c / np.maximum(s, c))
     if kind == "tukey":
-        return tukey_weight(s, c)
+        return tukey_weight_batch(s, c)
     raise ContractViolation(f"unknown kernel {kind}")
 
 
-def _lm_cost(graph, means, kind, scale) -> float:
+def _lm_kernel(stack, cfg: LmConfig) -> str:
+    # LM does not robustify priors: they carry the gauge.
+    return "none" if stack.kind == PRIOR else cfg.kernel
+
+
+def _lm_cost(system: _System, x: np.ndarray, cfg: LmConfig) -> float:
     cost = 0.0
-    for factor in graph.factors.values():
-        res = evaluate_factor(graph, factor, means, want_jac=False)
-        sigma = _sigma_stack(factor)
-        s = float(np.sqrt(np.sum((res.value / sigma) ** 2)))
-        k = "none" if factor.kind == "prior" else kind
-        cost += _kernel_cost(k, s, scale)
-    for node in graph.variables.values():
-        d = means[node.id] - _prior_mean(node)
-        cost += 0.5 * float(d @ node.prior.lam @ d) if not node.prior.is_zero() else 0.0
+    for stack, cols in zip(system.stacks, system.cols):
+        value, _ = residual_rows(stack, system.graph.camera, x[cols])
+        s = np.sqrt(np.sum((value / stack.sigma) ** 2, axis=1))
+        cost += float(np.sum(_kernel_cost(_lm_kernel(stack, cfg), s, cfg.kernel_scale)))
+    for cols, p_eta, p_lam in system.priors:
+        d = x[cols] - np.linalg.solve(p_lam, p_eta[:, :, None])[:, :, 0]
+        cost += 0.5 * float(np.einsum("ni,nij,nj->", d, p_lam, d))
     return cost
 
 
-def _prior_mean(node):
-    if node.prior.is_zero():
-        return node.mean
-    return np.linalg.solve(node.prior.lam, node.prior.eta)
-
-
-def avg_reprojection_px(graph, means) -> float:
+def avg_reprojection_px(graph, means, system: _System | None = None) -> float:
+    """Mean pixel error over the valid pixel rows; NaN when there is none."""
+    system = system or _System(graph)
+    x = system.flat(means)
     total, count = 0.0, 0
-    for factor in graph.factors.values():
-        if factor.kind not in PIXEL_KINDS:
-            continue
-        res = evaluate_factor(graph, factor, means, want_jac=False)
-        v = res.value.reshape(-1, 2)
-        if factor.kind == "combined_rigid_reprojection":
-            valid = getattr(res, "constituent_valid", np.ones(v.shape[0], bool))
-        else:
-            valid = np.array([res.valid])
-        norms = np.linalg.norm(v, axis=1)
-        total += float(np.sum(norms[valid]))
-        count += int(np.count_nonzero(valid))
-    return total / count if count else 0.0
+    for stack, cols in zip(system.stacks, system.cols):
+        _, px, n = residual_sums(stack, graph.camera, x[cols])
+        total += px
+        count += n
+    return total / count if count else math.nan
 
 
 def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
     """Levenberg-Marquardt over all factor energies plus variable priors."""
     cfg = config or LmConfig()
-    layout = build_layout(graph)
-    means = {vid: graph.variables[vid].mean.copy() for vid in graph.variables}
+    system = _System(graph)
+    x = system.flat({vid: node.mean for vid, node in graph.variables.items()})
+
+    def weights(stack):
+        kind = _lm_kernel(stack, cfg)
+        return lambda rho: _kernel_weight(kind, rho, cfg.kernel_scale)
+
     lam_damp = cfg.lambda_init
-    cost = _lm_cost(graph, means, cfg.kernel, cfg.kernel_scale)
-    trace = [{"iteration": 0, "cost": cost, "avg_reproj_px": avg_reprojection_px(graph, means)}]
+    cost = _lm_cost(system, x, cfg)
+    trace = [{"iteration": 0, "cost": cost,
+              "avg_reproj_px": avg_reprojection_px(graph, system.means(x), system)}]
     converged = False
     hit_max = False
 
     for it in range(1, cfg.max_iterations + 1):
-        H = np.zeros((layout.dim, layout.dim))
-        g = np.zeros(layout.dim)
-        for factor in graph.factors.values():
-            res = evaluate_factor(graph, factor, means)
-            if not res.valid and factor.kind != "combined_rigid_reprojection":
-                continue
-            sigma = _sigma_stack(factor)
-            s = float(np.sqrt(np.sum((res.value / sigma) ** 2)))
-            k = "none" if factor.kind == "prior" else cfg.kernel
-            w = _kernel_weight(k, s, cfg.kernel_scale)
-            if w == 0.0:
-                continue
-            D = w / sigma**2
-            slices = [layout.slice_of(vid) for vid in factor.adjacency]
-            jaks = [res.jacobians[vid] for vid in factor.adjacency]
-            # gradient of 1/2 w |v|^2 wrt x is w J^T S^-1 v with J = dv/dx
-            for j_a, s_a in zip(jaks, slices):
-                g[s_a] += (j_a * D[:, None]).T @ res.value
-                for j_b, s_b in zip(jaks, slices):
-                    H[s_a, s_b] += (j_a * D[:, None]).T @ j_b
-        for vid, off, width in layout.blocks:
-            node = graph.variables[vid]
-            if node.prior.is_zero():
-                continue
-            sl = slice(off, off + width)
-            H[sl, sl] += node.prior.lam
-            g[sl] += node.prior.lam @ (means[vid] - _prior_mean(node))
+        # With J = dv/dx, the gradient of 1/2 w |v|^2 is w J^T S^-1 v = H x - eta.
+        eta, H = system.assemble(x, weights)
+        g = H @ x - eta
 
         accepted = False
         while not accepted:
@@ -229,19 +237,18 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
-                cand = {
-                    vid: means[vid] + delta[layout.slice_of(vid)] for vid in means
-                }
-                cand_cost = _lm_cost(graph, cand, cfg.kernel, cfg.kernel_scale)
+                cand = x + delta
+                cand_cost = _lm_cost(system, cand, cfg)
                 if cand_cost <= cost:
-                    means = cand
+                    x = cand
                     rel = (cost - cand_cost) / max(cost, 1e-300)
                     cost = cand_cost
                     lam_damp = max(lam_damp / cfg.lambda_factor, 1e-12)
                     accepted = True
                     trace.append({
                         "iteration": it, "cost": cost,
-                        "avg_reproj_px": avg_reprojection_px(graph, means),
+                        "avg_reproj_px": avg_reprojection_px(
+                            graph, system.means(x), system),
                     })
                     if rel < cfg.cost_rel_tol:
                         converged = True
@@ -253,7 +260,7 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
         if hit_max or converged:
             break
 
-    return LmResult(means, trace, converged, hit_max)
+    return LmResult(system.means(x), trace, converged, hit_max)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ import numpy as np
 from .errors import CapacityError, ContractViolation
 from .graph import (
     COMBINED_RIGID_REPROJECTION,
-    FACTOR_SIGNATURES,
+    ANY,
+    FACTOR_KINDS,
     LINEAR,
     PRIOR,
     RIGID_REPROJECTION,
@@ -43,31 +44,24 @@ from .graph import (
 )
 
 # Routing group per factor kind; None means core-local (no transport).
-ROUTED_GROUP = {
-    kind: kind for kind in FACTOR_SIGNATURES if FACTOR_SIGNATURES[kind] is not None
-}
+ROUTED_GROUP = {kind: kind for kind in FACTOR_KINDS}
 ROUTED_GROUP[COMBINED_RIGID_REPROJECTION] = RIGID_REPROJECTION
 ROUTED_GROUP[PRIOR] = None
-ROUTED_GROUP[LINEAR] = LINEAR
 
 
 def legal_type_pairs(factor_kinds=None) -> set:
     """(variable-kind, routing-group) pairs derivable from the arity tables."""
     kinds = factor_kinds if factor_kinds is not None else [
-        k for k in FACTOR_SIGNATURES if k != LINEAR
+        k for k in FACTOR_KINDS if k != LINEAR
     ]
     pairs = set()
     for kind in kinds:
         group = ROUTED_GROUP.get(kind)
         if group is None:
             continue
-        signature = FACTOR_SIGNATURES[kind]
-        if signature is None:  # generic factors may touch any variable kind
-            for vkind in VARIABLE_DIMS:
-                pairs.add((vkind, group))
-        else:
-            for vkind in signature:
-                pairs.add((vkind, group))
+        for vkind in FACTOR_KINDS[kind].signature:
+            # generic slots may touch any variable kind
+            pairs.update((v, group) for v in (VARIABLE_DIMS if vkind is ANY else (vkind,)))
     return pairs
 
 
@@ -388,7 +382,6 @@ class RoutedTransport:
 
     def begin_sweep(self):
         self.sim.begin_sweep()
-        self._phase_counted = set()
 
     def count_delivery(self, batch, pos):
         pairs = self._pairs.get((id(batch), pos))

@@ -21,15 +21,16 @@ from planegbp.graph import (
 from planegbp.factors import (
     evaluate_factor,
     factor_energy,
+    factor_stacks,
     linearise,
+    linearise_batch,
     needs_relinearisation,
     residual_plane_point,
     residual_plane_prediction,
     residual_reprojection,
     residual_rigid_plane_prediction,
     residual_rigid_reprojection,
-    tukey_rescale,
-    tukey_weight,
+    tukey_weight_batch,
 )
 from conftest import fd_jacobian
 
@@ -189,17 +190,10 @@ def test_analytic_jacobians_match_finite_differences(kind, rng):
 
 def test_tukey_weight_examples():
     c = 4.685
-    assert tukey_weight(0.0, c) == 1.0
-    assert tukey_weight(c * 1.01, c) == 0.0
-    assert np.isclose(tukey_weight(c / 2, c), 0.5625)
-
-
-def test_tukey_rescale():
-    sigma = np.array([2.0, 2.0])
-    s, w = tukey_rescale(0.0, sigma, 4.685)
-    assert np.allclose(s, sigma) and w == 1.0
-    s, w = tukey_rescale(10.0, sigma, 4.685)
-    assert s is None and w == 0.0
+    w = tukey_weight_batch(np.array([0.0, c * 1.01, c / 2]), c)
+    assert w[0] == 1.0
+    assert w[1] == 0.0
+    assert np.isclose(w[2], 0.5625)
 
 
 # -- linearisation ----------------------------------------------------------------
@@ -356,3 +350,157 @@ def test_combined_factor_matches_constituents(rng):
     e_c = factor_energy(g, g.factors[combined], means)
     e_s = sum(factor_energy(g, g.factors[fid], means) for fid in singles)
     assert np.isclose(e_c, e_s, rtol=1e-12)
+
+
+# -- batched linearisation against the per-factor loop reference -----------------
+
+def tukey_weight_loop(rho, c):
+    if rho > c:
+        return 0.0
+    x = rho / c
+    return (1.0 - x * x) ** 2
+
+
+def residual_rows_loop(g, fac, means):
+    """Per-row (value, J) through the single-instance API; None for an
+    invalid row. Linear kinds are written out directly."""
+    p = [np.asarray(means[v], float) for v in fac.adjacency]
+    z = fac.measurement
+    kind = fac.kind
+    try:
+        if kind == PRIOR:
+            return [(p[0] - z, np.eye(p[0].shape[0]))]
+        if kind == "linear":
+            A = fac.payload["A"]
+            return [(z - A @ np.concatenate(p), -A)]
+        if kind == REPROJECTION:
+            r = residual_reprojection(Pose(p[0]), p[1], z, CAM)
+            return [(r.value, np.hstack([r.jacobians["pose"], r.jacobians["point"]]))]
+        if kind == PLANE_POINT:
+            r = residual_plane_point(p[1], PlaneParams(p[0]))
+            return [(r.value, np.hstack([r.jacobians["plane"], r.jacobians["point"]]))]
+        if kind == PLANE_PREDICTION:
+            r = residual_plane_prediction(PlaneParams(p[0]), Pose(p[1]), PlaneParams(z))
+            return [(r.value, np.hstack([r.jacobians["plane"], r.jacobians["pose"]]))]
+        if kind == RIGID_PLANE_PREDICTION:
+            r = residual_rigid_plane_prediction(Pose(p[0]), Pose(p[1]), PlaneParams(z),
+                                                PlaneParams(fac.payload["pi_conv"]))
+            return [(r.value, np.hstack([r.jacobians["rigid"], r.jacobians["pose"]]))]
+        if kind == RIGID_REPROJECTION:
+            r = residual_rigid_reprojection(Pose(p[0]), Pose(p[1]), z,
+                                            fac.payload["p_conv"], CAM)
+            return [(r.value, np.hstack([r.jacobians["pose"], r.jacobians["rigid"]]))]
+    except (BehindCameraError, DegeneratePlaneError):
+        return [None]
+    rows = []
+    for zc, pc in fac.constituents():
+        try:
+            r = residual_rigid_reprojection(Pose(p[0]), Pose(p[1]), zc, pc, CAM)
+            rows.append((r.value, np.hstack([r.jacobians["pose"], r.jacobians["rigid"]])))
+        except BehindCameraError:
+            rows.append(None)
+    return rows
+
+
+def linearise_loop(g, fac, means):
+    """Reference (eta, lam, weight): one factor at a time, one row at a time,
+    with the scalar Tukey weight; a combined factor sums its constituents."""
+    x0 = np.concatenate([np.asarray(means[v], float) for v in fac.adjacency])
+    D = x0.shape[0]
+    eta, lam, wsum = np.zeros(D), np.zeros((D, D)), 0.0
+    rows = residual_rows_loop(g, fac, means)
+    linear = fac.kind in (PRIOR, "linear")
+    for row in rows:
+        if row is None:
+            continue
+        v, J = row
+        inv_var = 1.0 / fac.sigma**2
+        rho = float(np.sqrt(np.sum(v**2 * inv_var)))
+        w = 1.0
+        if fac.robust == "tukey" and not linear:
+            w = tukey_weight_loop(rho, fac.robust_scale)
+        Jw = J * (inv_var * w)[:, None]
+        lam += J.T @ Jw
+        eta += Jw.T @ (J @ x0 - v)
+        wsum += w
+    return eta, 0.5 * (lam + lam.T), wsum / len(rows)
+
+
+def seen_from(g, kf, rb, p_conv):
+    body = Pose(g.variables[rb].mean).apply(p_conv[None])[0]
+    return project(CAM, Pose(g.variables[kf].mean), body)
+
+
+def every_kind_graph(rng):
+    g = FactorGraph(camera=CAM)
+    kf = g.add_variable(KEYFRAME, np.concatenate([rng.normal(size=3) * 0.1,
+                                                  rng.normal(size=3) * 0.05]))
+    kf2 = g.add_variable(KEYFRAME, rng.normal(size=6) * 0.05)
+    pts = [g.add_variable(POINT, rng.normal(size=3) * 0.5 + [0, 0, 4.0]) for _ in range(4)]
+    behind = g.add_variable(POINT, np.array([0.1, 0.0, -3.0]))
+    plane = g.add_variable(PLANE_HYPOTHESIS, np.array([0.05, -0.02, 4.0]))
+    rb = g.add_variable(RIGID_BODY, rng.normal(size=6) * 0.05)
+    for robust in (None, "tukey"):
+        for p in pts:
+            z = project(CAM, Pose(g.variables[kf].mean), g.variables[p].mean)
+            g.add_factor(REPROJECTION, (kf, p), z + rng.normal(size=2) * 6.0, 2.0,
+                         robust=robust)
+        g.add_factor(REPROJECTION, (kf, behind), np.array([320.0, 240.0]), 2.0,
+                     robust=robust)
+        for p in pts[:3]:
+            g.add_factor(PLANE_POINT, (plane, p), 0.0, 0.3, robust=robust)
+        g.add_factor(PLANE_PREDICTION, (plane, kf2), rng.normal(size=3) * 0.1 + [0, 0, 4.0],
+                     0.5, robust=robust)
+        g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), rng.normal(size=3) * 0.1 + [0, 0, 4.0],
+                     0.1, payload={"pi_conv": np.array([0.0, 0.1, 4.0])}, robust=robust)
+        pc = rng.normal(size=3) * 0.3 + [0, 0, 4.0]
+        g.add_factor(RIGID_REPROJECTION, (kf2, rb),
+                     seen_from(g, kf2, rb, pc) + rng.normal(size=2) * 3.0, 2.0,
+                     payload={"p_conv": pc}, robust=robust)
+        cons = [(seen_from(g, kf, rb, pc) + rng.normal(size=2) * 3.0, pc)
+                for pc in rng.normal(size=(4, 3)) * 0.3 + [0, 0, 4.0]]
+        cons.append((np.array([320.0, 240.0]), np.array([0.0, 0.0, -6.0])))  # behind
+        g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+                     payload={"constituents": cons}, robust=robust)
+    g.add_factor(PRIOR, (pts[0],), rng.normal(size=3), 0.5)
+    A = rng.normal(size=(4, 9))
+    g.add_factor("linear", (kf, pts[1]), rng.normal(size=4), 0.7, payload={"A": A})
+    g.add_factor("linear", (pts[2],), rng.normal(size=3), 0.7,
+                 payload={"A": rng.normal(size=(3, 3))})
+    return g
+
+
+def assert_close(a, b, tol=1e-12):
+    assert np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b)))
+
+
+def test_batched_linearisation_matches_loop_reference(rng):
+    g = every_kind_graph(rng)
+    means = {vid: v.mean for vid, v in g.variables.items()}
+    kinds = set()
+    for stack in factor_stacks(g):
+        X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
+        eta, lam, w = linearise_batch(stack, CAM, X)
+        for i, fac in enumerate(stack.nodes):
+            ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means)
+            assert_close(eta[i], ref_eta)
+            assert_close(lam[i], ref_lam)
+            assert np.isclose(w[i], ref_w, rtol=1e-12, atol=1e-12)
+            kinds.add((fac.kind, fac.robust))
+        # a subset of the factors, as the engine relinearises them
+        rows = np.arange(stack.n)[::2]
+        sub = linearise_batch(stack, CAM, X[rows], rows)
+        for full, part in zip((eta, lam, w), sub):
+            assert np.array_equal(full[rows], part)
+    assert len(kinds) == 14  # six measurement kinds with and without Tukey, prior, linear
+
+
+def test_one_factor_linearise_is_the_batched_path(rng):
+    g = every_kind_graph(rng)
+    means = {vid: v.mean for vid, v in g.variables.items()}
+    for fac in g.factors.values():
+        out = linearise(g, fac, means)
+        ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means)
+        assert_close(out.eta, ref_eta)
+        assert_close(out.lam, ref_lam)
+        assert np.isclose(fac.linearisation.weight, ref_w, rtol=1e-12, atol=1e-12)

@@ -76,6 +76,37 @@ def test_factor_arity_and_kind_validation():
     assert g.factors[fid].adjacency == (plane, pts[0])
 
 
+@pytest.mark.parametrize("robust, scale", [
+    ("huber", 4.685), ("Tukey", 4.685), ("tukey", 0.0), ("tukey", -1.0),
+    ("tukey", float("nan")),
+])
+def test_add_factor_rejects_bad_robust_settings(robust, scale):
+    g, kf, pts = small_graph()
+    n_events = len(g.journal)
+    with pytest.raises(ContractViolation, match="robust"):
+        g.add_factor(REPROJECTION, (kf, pts[0]), np.zeros(2), 2.0,
+                     robust=robust, robust_scale=scale)
+    assert len(g.journal) == n_events  # nothing was added
+
+
+def test_add_factor_checks_payload_against_the_registry():
+    g, kf, pts = small_graph()
+    rb = g.add_variable(RIGID_BODY, np.zeros(6))
+    with pytest.raises(ContractViolation, match="p_conv"):  # missing
+        g.add_factor(RIGID_REPROJECTION, (kf, rb), np.zeros(2), 2.0)
+    with pytest.raises(ContractViolation, match="p_conv"):  # wrong shape
+        g.add_factor(RIGID_REPROJECTION, (kf, rb), np.zeros(2), 2.0,
+                     payload={"p_conv": np.zeros(2)})
+    with pytest.raises(ContractViolation, match="'A'"):  # A must be (m, joint)
+        g.add_factor("linear", (kf, pts[0]), np.zeros(2), 1.0,
+                     payload={"A": np.zeros((2, 6))})
+    with pytest.raises(ContractViolation):  # prior measures the whole variable
+        g.add_factor(PRIOR, (kf,), np.zeros(3), 1.0)
+    fid = g.add_factor(RIGID_REPROJECTION, (kf, rb), np.zeros(2), 2.0,
+                       payload={"p_conv": [0.0, 0.0, 3.0]})
+    assert g.factors[fid].payload["p_conv"].dtype == float
+
+
 def test_empty_graph_census_all_zero():
     census = FactorGraph().snapshot_census()
     assert census["n_variables"] == 0 and census["n_factors"] == 0

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from jsonschema import validate
 
-from planegbp import io_formats
+from planegbp import harness, io_formats
 from planegbp.cli import main as cli_main
+from planegbp.errors import CapacityError
 from planegbp.harness import ExperimentConfig, compare_runs, export_reconstruction, run
 from planegbp.frontend import box_room_spec
 from scenes import desk_config, wall_scene
@@ -36,6 +38,8 @@ def test_run_emits_all_artifacts(tmp_path):
     rows = io_formats.read_csv(out / "iterations.csv")
     assert len(rows) == result.summary["n_iterations"]
     assert list(rows[0]) == io_formats.ITERATION_FIELDS
+    assert {"marginalisation_calls", "n_regularised"} <= set(rows[0])
+    assert any(r["marginalisation_calls"] > 0 for r in rows)
 
 
 def test_routed_run_emits_cost_csv(tmp_path):
@@ -43,9 +47,28 @@ def test_routed_run_emits_cost_csv(tmp_path):
     cfg.out_dir = str(tmp_path / "run")
     run(cfg)
     rows = io_formats.read_csv(tmp_path / "run" / "cost.csv")
+    sweeps = io_formats.read_csv(tmp_path / "run" / "iterations.csv")
     assert list(rows[0]) == io_formats.COST_FIELDS
-    assert rows[0]["hops"] == 2 * 2 * rows[0]["sweep"] * 0 + rows[0]["hops"]  # present
     assert all(r["n_routing_nodes"] == 10 for r in rows)
+    assert len(rows) == len(sweeps)
+    # Each routed (pairwise) edge carries one f2v and one v2f message per
+    # sweep, 2 hops each; unary priors stay core-local.
+    for cost, sweep in zip(rows, sweeps):
+        assert cost["hops"] % 4 == 0
+        assert cost["hops"] == 4 * sweep["marginalisation_calls"]
+        assert (cost["hops"] > 0) == (sweep["n_factors"] > 0)
+    assert any(r["hops"] > 0 for r in rows)
+
+
+def test_converged_iteration_px_ignores_unmeasured_sweeps():
+    # Before the two-view bootstrap the graph has no pixel factors; those
+    # sweeps measure nothing and must not count as converged.
+    result = run(small_config())
+    first = next(r.iteration for r in result.reports if r.n_factors > 0)
+    assert first > 0
+    assert math.isnan(result.reports[0].avg_reproj_px)
+    conv = result.summary["converged_iteration_px"]
+    assert conv is None or conv >= first
 
 
 def test_replay_identity(tmp_path):
@@ -164,12 +187,21 @@ def test_cli_config_error_exit_code(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
+def test_cli_missing_replay_file_is_config_error(tmp_path):
     cfg = small_config(solver="gbp-routed")
-    # sabotage pool sizing by replaying a truncated packet file is elaborate;
-    # instead point the replay at a missing file after config was parsed
+    # the replay file is missing only once the config has been parsed
     cfg.scene = None
     cfg.replay_path = str(tmp_path / "nope.json")
     path = write_config(tmp_path, cfg)
     code = cli_main(["run", "--config", path, "--out", str(tmp_path / "x")])
     assert code == 2  # missing inputs are configuration errors
+
+
+def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
+    def exhausted(config):
+        raise CapacityError("pool 'reprojection' exhausted (capacity 0)")
+
+    monkeypatch.setattr(harness, "run", exhausted)
+    path = write_config(tmp_path, small_config(solver="gbp-routed"))
+    code = cli_main(["run", "--config", path, "--out", str(tmp_path / "x")])
+    assert code == 3

@@ -96,6 +96,23 @@ def test_graph_schema_validates(rng, tmp_path):
     validate(json.loads(path.read_text()), io_formats.GRAPH_SCHEMA)
 
 
+def test_graph_to_dict_singular_belief_has_no_covariance(rng, monkeypatch):
+    g = rich_graph(rng, n_points=2)
+    v = g.add_variable(POINT, np.array([0.0, 0.0, 4.0]))  # flat belief
+    doc = io_formats.graph_to_dict(g)
+    entry = next(e for e in doc["variables"] if e["id"] == v)
+    assert entry["covariance"] is None
+    assert entry["mean"] == [0.0, 0.0, 4.0]
+
+    def broken(_):
+        raise RuntimeError("not a singularity")
+
+    # only a singular belief is absorbed; other failures surface
+    monkeypatch.setattr(io_formats, "to_moments", broken)
+    with pytest.raises(RuntimeError):
+        io_formats.graph_to_dict(g)
+
+
 def test_truncated_json_names_offset(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"format": "factor-graph", "version": 1, "variables": [')
