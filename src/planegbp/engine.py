@@ -2,11 +2,13 @@
 
 The engine compiles the (object-level) graph into stacked per-kind arrays so
 that one sweep is a handful of batched numpy operations rather than a Python
-loop over factors: relinearisation, factor-to-variable Schur marginals,
-damping/dropout, belief products and variable-to-factor quotients are all
-vectorised over every factor of a kind at once. The compiled view is rebuilt
-whenever the graph is edited, carrying over messages, linearisations and
-beliefs by node id.
+loop over factors. Dropout is drawn first: a dropped factor does not send, so
+the factor-to-variable Schur marginals and damping are vectorised over the
+factors of a kind that send, and the others keep their previous message.
+Relinearisation and variable-to-factor quotients cover every factor; belief
+products are one compiled sparse scatter per variable bank. The compiled view
+is rebuilt whenever the graph is edited, carrying over messages,
+linearisations and beliefs by node id.
 
 Message transport is pluggable: the default writes messages straight along
 graph adjacency, while the routing simulator supplies slot-indirected
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import ContractViolation
 from .gaussians import GaussianInfo, solve_guarded
@@ -48,6 +51,14 @@ class GbpConfig:
 
 @dataclass
 class IterationReport:
+    """One sweep's outcome and counters.
+
+    `marginalisation_calls` counts one Schur marginal per pairwise factor and
+    position, sent or dropped: the structure-agnostic schedule that routed
+    hop counts are checked against. `n_regularised` counts the eliminated
+    blocks solved with a Tikhonov term, among the messages actually sent.
+    """
+
     iteration: int
     avg_reproj_px: float
     total_energy: float
@@ -134,7 +145,7 @@ class GbpEngine:
         self.batches: list[_Batch] = []
         self._journal_mark = len(graph.journal)
         self.rebuild()
-        self.transport.attach(self)
+        self._attach()
 
     # -- compilation ---------------------------------------------------------
 
@@ -205,7 +216,30 @@ class GbpEngine:
     def on_graph_edit(self, events=None):
         """Recompile after graph edits, preserving per-id engine state."""
         self.rebuild(carry=True)
+        self._attach()
+
+    def _attach(self):
+        """Attach the transport and compile each bank's belief scatter from it.
+
+        Bank `dim`'s matrix sums its prior and every message to it: columns
+        are the prior rows, then each (batch, position)'s messages in batch,
+        position and factor order, the order in which they are added.
+        """
         self.transport.attach(self)
+        self._scatter = {}
+        for dim, bank in self.banks.items():
+            edges = [(b, pos) for b in self.batches for pos in range(b.arity)
+                     if b.banks[pos] is bank]
+            n = len(bank.ids)
+            targets = np.concatenate([np.arange(n)] + [
+                self.transport.f2v_target_rows(b, pos) for b, pos in edges
+            ])
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=n))])
+            scatter = csr_matrix(
+                (np.ones(targets.size), np.argsort(targets, kind="stable"), indptr),
+                shape=(n, targets.size),
+            )
+            self._scatter[dim] = (scatter, edges)
 
     # -- accessors -----------------------------------------------------------
 
@@ -283,22 +317,23 @@ class GbpEngine:
 
     # -- messages ------------------------------------------------------------
 
-    def _factor_messages(self, b: _Batch, counters):
-        """New factor->variable messages for every position of the batch."""
+    def _factor_messages(self, b: _Batch, rows, counters):
+        """New factor->variable messages to each position's `rows` of the batch."""
         if b.arity == 1:
-            return [(b.eta.copy(), b.lam.copy())]
+            return [(b.eta[rows[0]], b.lam[rows[0]])]
         d0, d1 = b.dims
         out = []
-        for target in (0, 1):
+        for target, r in enumerate(rows):
             other = 1 - target
             st, so = (slice(0, d0), slice(d0, d0 + d1)) if target == 0 else (
                 slice(d0, d0 + d1), slice(0, d0))
-            Ltt = b.lam[:, st, st]
-            Lto = b.lam[:, st, so]
-            Loo = b.lam[:, so, so] + b.v2f_lam[other]
-            eta_t = b.eta[:, st]
-            eta_o = b.eta[:, so] + b.v2f_eta[other]
-            zero = b.weight == 0.0
+            lam, eta = b.lam[r], b.eta[r]
+            Ltt = lam[:, st, st]
+            Lto = lam[:, st, so]
+            Loo = lam[:, so, so] + b.v2f_lam[other][r]
+            eta_t = eta[:, st]
+            eta_o = eta[:, so] + b.v2f_eta[other][r]
+            zero = b.weight[r] == 0.0
             rhs = np.concatenate(
                 [eta_o[:, :, None], np.transpose(Lto, (0, 2, 1))], axis=2
             )
@@ -325,38 +360,32 @@ class GbpEngine:
         for b in self.batches:
             n_relin += self._relinearise(b)
 
-        # factor -> variable, with damping and dropout
+        # Dropout first: a dropped factor does not send, so only the rows
+        # that are sent are marginalised, damped and written.
         rng = np.random.default_rng([cfg.seed, self.iteration])
-        n_dropped = 0
+        sent = [
+            [np.flatnonzero(rng.uniform(size=b.n) >= cfg.dropout) for _ in range(b.arity)]
+            for b in self.batches
+        ]
+        n_dropped = sum(b.n - r.size for b, rows in zip(self.batches, sent) for r in rows)
+        d = cfg.damping
         self.transport.begin_sweep()
-        staged = []
-        for b in self.batches:
-            staged.append(self._factor_messages(b, counters))
-        for b, msgs in zip(self.batches, staged):
-            for pos in range(b.arity):
-                new_eta, new_lam = msgs[pos]
-                u = rng.uniform(size=b.n)
-                keep_prev = u < cfg.dropout
-                n_dropped += int(np.count_nonzero(keep_prev))
-                d = cfg.damping
-                mixed_eta = (1.0 - d) * new_eta + d * b.f2v_eta[pos]
-                mixed_lam = (1.0 - d) * new_lam + d * b.f2v_lam[pos]
-                b.f2v_eta[pos] = np.where(keep_prev[:, None], b.f2v_eta[pos], mixed_eta)
-                b.f2v_lam[pos] = np.where(
-                    keep_prev[:, None, None], b.f2v_lam[pos], mixed_lam
-                )
+        for b, rows in zip(self.batches, sent):
+            msgs = self._factor_messages(b, rows, counters)
+            for pos, (r, (new_eta, new_lam)) in enumerate(zip(rows, msgs)):
+                b.f2v_eta[pos][r] = (1.0 - d) * new_eta + d * b.f2v_eta[pos][r]
+                b.f2v_lam[pos][r] = (1.0 - d) * new_lam + d * b.f2v_lam[pos][r]
                 self.transport.count_delivery(b, pos)
 
         # beliefs: prior times product of incoming messages
-        for bank in self.banks.values():
-            bank.belief_eta = bank.prior_eta.copy()
-            bank.belief_lam = bank.prior_lam.copy()
-        for b in self.batches:
-            for pos in range(b.arity):
-                rows = self.transport.f2v_target_rows(b, pos)
-                bank = b.banks[pos]
-                np.add.at(bank.belief_eta, rows, b.f2v_eta[pos])
-                np.add.at(bank.belief_lam, rows, b.f2v_lam[pos])
+        for dim, bank in self.banks.items():
+            scatter, edges = self._scatter[dim]
+            eta = [bank.prior_eta] + [b.f2v_eta[pos] for b, pos in edges]
+            lam = [bank.prior_lam] + [b.f2v_lam[pos] for b, pos in edges]
+            bank.belief_eta = scatter @ np.concatenate(eta)
+            bank.belief_lam = (
+                scatter @ np.concatenate(lam).reshape(-1, dim * dim)
+            ).reshape(-1, dim, dim)
         for bank in self.banks.values():
             if not bank.ids:
                 continue

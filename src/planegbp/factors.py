@@ -361,8 +361,9 @@ def linearise_batch(stack: FactorStack, cam, X, rows=None, weight=None):
         t = -evaluate_rows(stack, cam, np.zeros_like(Xr), sel, want_jac=False)[0]
     else:
         t = (J @ Xr[:, :, None])[:, :, 0] - value
-    lam = np.einsum("nki,nk,nkj->nij", J, D, J)
-    eta = np.einsum("nki,nk,nk->ni", J, D, t)
+    JD = J * D[:, :, None]
+    lam = np.einsum("nki,nkj->nij", JD, J)
+    eta = np.einsum("nki,nk->ni", JD, t)
     if owner is not None:
         n = X.shape[0]
         lam_f = np.zeros((n, stack.joint_dim, stack.joint_dim))

@@ -165,26 +165,19 @@ def solve_guarded(S: np.ndarray, rhs: np.ndarray):
     """
     try:
         sol = np.linalg.solve(S, rhs)
-        if np.all(np.isfinite(sol)):
-            return sol, 0
     except np.linalg.LinAlgError:
-        pass
-    n, d = S.shape[0], S.shape[1]
-    sol = np.empty_like(rhs)
-    eye = np.eye(d)
-    regularised = 0
-    for i in range(n):
-        try:
-            x = np.linalg.solve(S[i], rhs[i])
-            if not np.all(np.isfinite(x)):
-                raise np.linalg.LinAlgError
-            sol[i] = x
-        except np.linalg.LinAlgError:
-            tr = np.trace(S[i])
-            reg = REG_LAMBDA_REL * (tr / d if tr > 0 else 1.0)
-            sol[i] = np.linalg.solve(S[i] + reg * eye, rhs[i])
-            regularised += 1
-    return sol, regularised
+        # An exact zero pivot of the same LU is what makes `solve` raise.
+        ok = np.linalg.slogdet(S)[0] != 0
+        sol = np.full_like(rhs, np.nan)
+        sol[ok] = np.linalg.solve(S[ok], rhs[ok])
+    bad = ~np.all(np.isfinite(sol), axis=(1, 2))
+    if not np.any(bad):
+        return sol, 0
+    d = S.shape[1]
+    tr = np.trace(S[bad], axis1=1, axis2=2)
+    reg = REG_LAMBDA_REL * np.where(tr > 0, tr / d, 1.0)
+    sol[bad] = np.linalg.solve(S[bad] + reg[:, None, None] * np.eye(d), rhs[bad])
+    return sol, int(np.count_nonzero(bad))
 
 
 def _eliminate(lam_ee, rhs, diagnostics):

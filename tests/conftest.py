@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from planegbp.gaussians import GaussianInfo
+from planegbp.gaussians import REG_LAMBDA_REL, GaussianInfo
 from planegbp.graph import KEYFRAME, LINEAR, POINT, FactorGraph
 
 
@@ -84,3 +84,110 @@ def fd_jacobian(fun, x0, eps=1e-6):
         xm[i] -= eps
         J[:, i] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * eps)
     return J
+
+
+def solve_guarded_loop(S, rhs):
+    """Per-block reference for `gaussians.solve_guarded`."""
+    n, d = S.shape[0], S.shape[1]
+    sol = np.empty_like(rhs)
+    regularised = 0
+    for i in range(n):
+        try:
+            x = np.linalg.solve(S[i], rhs[i])
+            if not np.all(np.isfinite(x)):
+                raise np.linalg.LinAlgError
+            sol[i] = x
+        except np.linalg.LinAlgError:
+            tr = np.trace(S[i])
+            reg = REG_LAMBDA_REL * (tr / d if tr > 0 else 1.0)
+            sol[i] = np.linalg.solve(S[i] + reg * np.eye(d), rhs[i])
+            regularised += 1
+    return sol, regularised
+
+
+def reference_messages(b):
+    """A batch's new factor->variable messages for every factor and position.
+
+    The Schur step of the engine's sweep, computed for all factors whether
+    they send or not, with the per-block solve of `solve_guarded_loop`.
+    """
+    if b.arity == 1:
+        return [(b.eta.copy(), b.lam.copy())]
+    d0, d1 = b.dims
+    out = []
+    for target in (0, 1):
+        other = 1 - target
+        st, so = (slice(0, d0), slice(d0, d0 + d1)) if target == 0 else (
+            slice(d0, d0 + d1), slice(0, d0))
+        Ltt = b.lam[:, st, st]
+        Lto = b.lam[:, st, so]
+        Loo = b.lam[:, so, so] + b.v2f_lam[other]
+        eta_t = b.eta[:, st]
+        eta_o = b.eta[:, so] + b.v2f_eta[other]
+        zero = b.weight == 0.0
+        rhs = np.concatenate([eta_o[:, :, None], np.transpose(Lto, (0, 2, 1))], axis=2)
+        if np.all(zero):
+            out.append((np.zeros_like(eta_t), np.zeros_like(Ltt)))
+            continue
+        X, _ = solve_guarded_loop(Loo, rhs)
+        msg_eta = eta_t - (Lto @ X[:, :, :1])[:, :, 0]
+        msg_lam = Ltt - Lto @ X[:, :, 1:]
+        msg_lam = 0.5 * (msg_lam + np.transpose(msg_lam, (0, 2, 1)))
+        msg_eta[zero] = 0.0
+        msg_lam[zero] = 0.0
+        out.append((msg_eta, msg_lam))
+    return out
+
+
+def dropout_masks(eng):
+    """Per batch and position, the factors the engine's next sweep drops."""
+    cfg = eng.config
+    rng = np.random.default_rng([cfg.seed, eng.iteration])
+    return [[rng.uniform(size=b.n) < cfg.dropout for _ in range(b.arity)]
+            for b in eng.batches]
+
+
+def reference_sweep(eng):
+    """One GBP sweep on `eng`'s state, every message computed and then masked.
+
+    New messages for every factor, dropout applied by keeping the previous
+    message with `np.where`, beliefs accumulated with `np.add.at`, means
+    solved per variable where the batched solve fails.
+    """
+    cfg = eng.config
+    for b in eng.batches:
+        eng._relinearise(b)
+    masks = dropout_masks(eng)
+    eng.transport.begin_sweep()
+    staged = [reference_messages(b) for b in eng.batches]
+    d = cfg.damping
+    for b, msgs, keep in zip(eng.batches, staged, masks):
+        for pos, (new_eta, new_lam) in enumerate(msgs):
+            mixed_eta = (1.0 - d) * new_eta + d * b.f2v_eta[pos]
+            mixed_lam = (1.0 - d) * new_lam + d * b.f2v_lam[pos]
+            b.f2v_eta[pos] = np.where(keep[pos][:, None], b.f2v_eta[pos], mixed_eta)
+            b.f2v_lam[pos] = np.where(keep[pos][:, None, None], b.f2v_lam[pos], mixed_lam)
+            eng.transport.count_delivery(b, pos)
+    for bank in eng.banks.values():
+        bank.belief_eta = bank.prior_eta.copy()
+        bank.belief_lam = bank.prior_lam.copy()
+    for b in eng.batches:
+        for pos in range(b.arity):
+            rows = eng.transport.f2v_target_rows(b, pos)
+            np.add.at(b.banks[pos].belief_eta, rows, b.f2v_eta[pos])
+            np.add.at(b.banks[pos].belief_lam, rows, b.f2v_lam[pos])
+    for bank in eng.banks.values():
+        for i in range(len(bank.ids)):
+            try:
+                mean = np.linalg.solve(bank.belief_lam[i], bank.belief_eta[i])
+                if np.all(np.isfinite(mean)):
+                    bank.mean[i] = mean
+            except np.linalg.LinAlgError:
+                pass  # under-constrained: hold previous mean
+    for b in eng.batches:
+        for pos in range(b.arity):
+            rows = eng.transport.v2f_source_rows(b, pos)
+            b.v2f_eta[pos] = b.banks[pos].belief_eta[rows] - b.f2v_eta[pos]
+            b.v2f_lam[pos] = b.banks[pos].belief_lam[rows] - b.f2v_lam[pos]
+            eng.transport.count_delivery(b, pos)
+    eng.iteration += 1

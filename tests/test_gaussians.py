@@ -14,9 +14,10 @@ from planegbp.gaussians import (
     mean_of,
     product,
     quotient,
+    solve_guarded,
     to_moments,
 )
-from conftest import random_info, random_spd
+from conftest import random_info, random_spd, solve_guarded_loop
 
 
 def dense_marginal_oracle(joint: GaussianInfo, layout: BlockLayout, keep):
@@ -168,6 +169,31 @@ def test_singular_elimination_regularised_and_flagged():
     out = marginalize(joint, layout, "keep", diagnostics=diag)
     assert diag.singular_regularized == 1
     assert np.isfinite(out.lam).all()
+
+
+def _guarded_batch(rng, d, singular=True, overflow=True):
+    S = np.stack([random_spd(rng, d) for _ in range(24)])
+    rhs = rng.normal(size=(24, d, d + 1))
+    if singular:
+        S[3] = 0.0                                # no information at all
+        S[7] = np.ones((d, d))                    # rank one, exact zero pivot
+        S[11] = -np.ones((d, d))                  # negative trace
+        S[15, :, 0] = S[15, 0, :] = 0.0           # one unconstrained direction
+    if overflow:
+        S[19] = np.diag([1e-300] + [1.0] * (d - 1))
+        rhs[19] = 1e300                           # regular, but x overflows
+    return S, rhs
+
+
+@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("singular,overflow", [(True, True), (False, True), (False, False)])
+def test_solve_guarded_matches_loop_reference(d, singular, overflow):
+    S, rhs = _guarded_batch(np.random.default_rng(d), d, singular, overflow)
+    sol, regularised = solve_guarded(S, rhs)
+    ref, ref_regularised = solve_guarded_loop(S, rhs)
+    assert np.array_equal(sol, ref)
+    assert regularised == ref_regularised == 4 * singular + overflow
+    assert np.all(np.isfinite(sol))
 
 
 # -- moments ------------------------------------------------------------------
