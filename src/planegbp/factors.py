@@ -453,13 +453,3 @@ def linearise(graph, factor: FactorNode, means: dict) -> GaussianInfo:
     g = GaussianInfo(eta[0], lam[0])
     factor.linearisation = StoredLinearisation(x0.copy(), g, float(w[0]))
     return g
-
-
-def needs_relinearisation(factor: FactorNode, means: dict, beta: float) -> bool:
-    """True when beliefs drifted more than beta (L1) from the stored point."""
-    if factor.linearisation is None:
-        return True
-    if FACTOR_KINDS[factor.kind].linear:
-        return False
-    x = np.concatenate([np.asarray(means[vid], float) for vid in factor.adjacency])
-    return float(np.sum(np.abs(x - factor.linearisation.x0))) > beta

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ContractViolation, DegeneratePlaneError
+from .errors import ContractViolation
 from .geometry import (
     CameraModel,
     PlaneParams,
@@ -313,9 +313,6 @@ class SyntheticScene:
             if np.all(np.abs(member_points @ n - d) > self.spec.spurious_min_distance):
                 return PlaneParams.from_normal_distance(n, d)
         return None
-
-    def keyframe_centers(self) -> np.ndarray:
-        return np.stack([p.inverse().t for p in self.trajectory])
 
 
 def generate_scene(spec: SceneSpec) -> SyntheticScene:

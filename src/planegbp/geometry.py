@@ -176,22 +176,6 @@ class Pose:
         return Pose.from_rt(Ra @ Rb, Ra @ other.t + self.t)
 
 
-def pose_exp(r: np.ndarray) -> Pose:
-    return Pose(r)
-
-
-def pose_log(p: Pose) -> np.ndarray:
-    return p.r.copy()
-
-
-def pose_compose(a: Pose, b: Pose) -> Pose:
-    return a.compose(b)
-
-
-def pose_apply(a: Pose, p: np.ndarray) -> np.ndarray:
-    return a.apply(p)
-
-
 # ---------------------------------------------------------------------------
 # Planes
 # ---------------------------------------------------------------------------
@@ -316,11 +300,6 @@ class CameraModel:
             raise ContractViolation("focal lengths must be positive")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ContractViolation("principal point must lie inside the image")
-
-    def in_image(self, pix: np.ndarray) -> np.ndarray:
-        pix = np.asarray(pix, dtype=float)
-        u, v = pix[..., 0], pix[..., 1]
-        return (u >= 0) & (u <= self.width) & (v >= 0) & (v <= self.height)
 
 
 def project(cam: CameraModel, pose: Pose, p_world: np.ndarray) -> np.ndarray:

@@ -447,9 +447,6 @@ class FactorGraph:
     def variables_of_kind(self, kind: str):
         return [v for v in self.variables.values() if v.kind == kind]
 
-    def factors_of_kind(self, kind: str):
-        return [f for f in self.factors.values() if f.kind == kind]
-
     def events_since(self, mark: int):
         return self.journal[mark:]
 

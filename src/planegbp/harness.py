@@ -11,7 +11,6 @@ config and seed (or from a recorded packet stream).
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -623,16 +622,8 @@ def _run_lm(config: ExperimentConfig, packets, camera, scene) -> RunResult:
     summary = _summarize(config, graph, state, None, reports, packets)
     summary["lm_converged"] = result.converged
     if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        io_formats.write_json(out / "config.json", "experiment-config", config.to_dict())
-        io_formats.write_iteration_csv(out / "iterations.csv", reports)
-        io_formats.write_graph(out / "graph.json", graph)
-        est, gt = _trajectories(graph, state, packets)
-        times = [float(i) for i in range(len(est))]
-        io_formats.write_tum(out / "trajectory_est.txt", times, est)
-        io_formats.write_tum(out / "trajectory_gt.txt", times, gt)
-        io_formats.write_json(out / "summary.json", "summary", summary)
+        _write_artifacts(config, graph, state, None, reports, packets, [],
+                         summary, None, camera, scene)
     return RunResult(config, summary, reports, graph, None, packets, config.out_dir)
 
 

@@ -3,13 +3,14 @@
 * dense_marginals: exact Gaussian inference by assembling the full joint
   information form and inverting it. The assembly linearises every factor
   with the same batched kernels as the message engine, one call per factor
-  stack, and scatters the blocks straight into the joint precision; it does
-  not go through message passing, which makes it an independent check of
-  propagation results.
+  stack, and sums the blocks into the joint precision; it does not go
+  through message passing, which makes it an independent check of
+  propagation results. It is the only place the joint precision is dense.
 * lm_solve: a plain Levenberg-Marquardt loop over the same factor energies,
   for the convergence-behaviour comparisons against propagation. It shares
-  the dense assembly: with LM's loss weights, H is the Gauss-Newton Hessian
-  and the gradient is H x - eta.
+  the assembly: with LM's loss weights, H is the Gauss-Newton Hessian and
+  the gradient is H x - eta. H stays sparse, in a CSC pattern compiled once
+  per solve, and each damped step is factorised by SuperLU.
 * structure_cost_probe: symbolic elimination cost of a dense-Schur-style
   solve, quantifying how heterogeneous factors erode the landmark-diagonal
   sparsity that such solvers rely on.
@@ -21,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .errors import ContractViolation, SingularGaussianError
 from .factors import (
@@ -47,6 +50,10 @@ class _System:
     Means are flat vectors in layout order; `cols[k]` holds, per factor of
     stack k, the columns of its adjacency, so that x[cols[k]] stacks the
     factors' means and (cols, cols) addresses their joint block.
+
+    The joint precision's sparsity is compiled here: every prior and factor
+    block entry, priors first and then the stacks in order, maps to its slot
+    in one CSC pattern (`slot`), which always holds the diagonal (`diag`).
     """
 
     def __init__(self, graph: FactorGraph):
@@ -72,6 +79,22 @@ class _System:
              np.stack([p.lam for _, p in g]))
             for g in groups.values()
         ]
+        self.prior_means = [
+            np.linalg.solve(p_lam, p_eta[:, :, None])[:, :, 0]
+            for _, p_eta, p_lam in self.priors
+        ]
+
+        dim = self.layout.dim
+        blocks = [c for c, _, _ in self.priors] + self.cols
+        self.eta_cols = np.concatenate([np.zeros(0, dtype=int)] + [c.ravel() for c in blocks])
+        # Entry (r, c) sorts as c * dim + r, which is CSC order. The diagonal
+        # comes first and is always present, so damping reaches every variable.
+        pattern, inverse = np.unique(np.concatenate([np.arange(dim) * (dim + 1)] + [
+            (c[:, None, :] * dim + c[:, :, None]).ravel() for c in blocks
+        ]), return_inverse=True)
+        self.diag, self.slot = inverse[:dim], inverse[dim:]
+        self.indices = pattern % dim
+        self.indptr = np.searchsorted(pattern, np.arange(dim + 1) * dim)
 
     def flat(self, means: dict) -> np.ndarray:
         return np.concatenate([np.zeros(0)] + [
@@ -84,23 +107,32 @@ class _System:
     def assemble(self, x: np.ndarray, weights=None):
         """Joint (eta, lam) at x: priors plus every stack's linearisation.
 
-        `weights(stack)` gives the row weight function for linearise_batch;
-        None keeps each factor's own robust setting.
+        lam is a CSC matrix in the compiled pattern. `weights(stack)` gives
+        the row weight function for linearise_batch; None keeps each
+        factor's own robust setting. Each quantity is one bincount over the
+        block entries in priors-then-stacks order, which adds them in the
+        order a sequential scatter would.
         """
-        dim = self.layout.dim
-        eta = np.zeros(dim)
-        lam = np.zeros((dim, dim))
-        for cols, p_eta, p_lam in self.priors:
-            np.add.at(eta, cols, p_eta)
-            np.add.at(lam, (cols[:, :, None], cols[:, None, :]), p_lam)
+        etas = [p_eta for _, p_eta, _ in self.priors]
+        lams = [p_lam for _, _, p_lam in self.priors]
         cam = self.graph.camera
         for stack, cols in zip(self.stacks, self.cols):
             f_eta, f_lam, _ = linearise_batch(
                 stack, cam, x[cols], weight=None if weights is None else weights(stack)
             )
-            np.add.at(eta, cols, f_eta)
-            np.add.at(lam, (cols[:, :, None], cols[:, None, :]), f_lam)
-        return eta, lam
+            etas.append(f_eta)
+            lams.append(f_lam)
+        dim = self.layout.dim
+        eta = _sum_into(self.eta_cols, etas, dim)
+        lam = _sum_into(self.slot, lams, self.indices.size)
+        return eta, csc_matrix((lam, self.indices, self.indptr), shape=(dim, dim))
+
+
+def _sum_into(slots: np.ndarray, blocks: list, size: int) -> np.ndarray:
+    """out[slots[i]] += (raveled, concatenated blocks)[i], in order of i."""
+    values = np.concatenate([np.zeros(0)] + [a.ravel() for a in blocks])
+    # bincount returns int64 when it is given no entries
+    return np.bincount(slots, values, minlength=size).astype(float, copy=False)
 
 
 def _unit(rho):
@@ -111,7 +143,7 @@ def assemble_dense(graph: FactorGraph, means: dict, robust: bool = True):
     """Global information form (eta, lam, layout) at the given means."""
     system = _System(graph)
     eta, lam = system.assemble(system.flat(means), None if robust else (lambda s: _unit))
-    return eta, lam, system.layout
+    return eta, lam.toarray(), system.layout
 
 
 def dense_marginals(graph: FactorGraph, means: dict | None = None, robust: bool = True):
@@ -189,8 +221,8 @@ def _lm_cost(system: _System, x: np.ndarray, cfg: LmConfig) -> float:
         value, _ = residual_rows(stack, system.graph.camera, x[cols])
         s = np.sqrt(np.sum((value / stack.sigma) ** 2, axis=1))
         cost += float(np.sum(_kernel_cost(_lm_kernel(stack, cfg), s, cfg.kernel_scale)))
-    for cols, p_eta, p_lam in system.priors:
-        d = x[cols] - np.linalg.solve(p_lam, p_eta[:, :, None])[:, :, 0]
+    for (cols, _, p_lam), mean in zip(system.priors, system.prior_means):
+        d = x[cols] - mean
         cost += 0.5 * float(np.einsum("ni,nij,nj->", d, p_lam, d))
     return cost
 
@@ -205,6 +237,15 @@ def avg_reprojection_px(graph, means, system: _System | None = None) -> float:
         total += px
         count += n
     return total / count if count else math.nan
+
+
+def _solve_step(damp: csc_matrix, rhs: np.ndarray):
+    """damp^-1 rhs by sparse LU, or None when the factorisation is singular."""
+    try:
+        lu = splu(damp)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return None
+    return lu.solve(rhs)
 
 
 def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
@@ -228,14 +269,13 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
         # With J = dv/dx, the gradient of 1/2 w |v|^2 is w J^T S^-1 v = H x - eta.
         eta, H = system.assemble(x, weights)
         g = H @ x - eta
+        h_diag = np.maximum(H.data[system.diag], 1e-12)
 
         accepted = False
         while not accepted:
-            damp = H + lam_damp * np.diag(np.maximum(np.diag(H), 1e-12))
-            try:
-                delta = np.linalg.solve(damp, -g)
-            except np.linalg.LinAlgError:
-                delta = None
+            damp = H.copy()
+            damp.data[system.diag] += lam_damp * h_diag
+            delta = _solve_step(damp, -g)
             if delta is not None and np.all(np.isfinite(delta)):
                 cand = x + delta
                 cand_cost = _lm_cost(system, cand, cfg)

@@ -269,6 +269,41 @@ def _toy_ba_graph():
     return graph, state
 
 
+def test_factor_relinearises_exactly_when_drift_exceeds_beta():
+    # A reprojection factor is linearised again exactly when the L1 distance
+    # of its variables' means from its stored linearisation point exceeds
+    # beta; prior factors keep the linearisation made at build.
+    g, _ = _toy_ba_graph()
+    assert {f.kind for f in g.factors.values()} == {REPROJECTION, PRIOR}
+    beta = 1e-3
+    eng = GbpEngine(g, GbpConfig(damping=0.4, dropout=0.0, beta=beta, seed=0))
+    eng.sync_graph()
+    priors = {fid: f.linearisation.x0.copy()
+              for fid, f in g.factors.items() if f.kind == PRIOR}
+    n_reproj = len(g.factors) - len(priors)
+
+    def drift(f, means):
+        return np.sum(np.abs(np.concatenate([means[v] for v in f.adjacency])
+                             - f.linearisation.x0))
+
+    partial = 0
+    for _ in range(30):
+        means = eng.means()
+        expected = sum(
+            f.linearisation is None or drift(f, means) > beta
+            for fid, f in g.factors.items() if fid not in priors
+        )
+        n = eng.iterate().n_relinearised
+        assert n == expected
+        partial += 0 < n < n_reproj
+        eng.sync_graph()
+    assert partial > 0
+    means = eng.means()
+    for fid, x0 in priors.items():
+        assert np.array_equal(g.factors[fid].linearisation.x0, x0)
+    assert any(drift(g.factors[fid], means) > beta for fid in priors)
+
+
 @pytest.mark.parametrize("routed", [False, True])
 def test_sweep_matches_loop_reference(routed):
     # The sweep marginalises only the factors that send and scatters beliefs

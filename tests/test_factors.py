@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import BehindCameraError, DegeneratePlaneError
 from planegbp.gaussians import BlockLayout, GaussianInfo
 from planegbp.geometry import CameraModel, PlaneParams, Pose, project, transform_plane
@@ -24,7 +25,6 @@ from planegbp.factors import (
     factor_stacks,
     linearise,
     linearise_batch,
-    needs_relinearisation,
     residual_plane_point,
     residual_plane_prediction,
     residual_reprojection,
@@ -292,24 +292,32 @@ def test_tukey_zero_weight_factor(rng):
 # -- relinearisation and energy ----------------------------------------------------
 
 def test_needs_relinearisation_thresholds(rng):
+    # The engine's drift rule on one reprojection factor: linearised when it
+    # never was, then again only once its means drift more than beta (L1).
     g, kfs, pts = ba_test_graph(rng, n_kf=1, n_pts=1)
-    fac = next(iter(g.factors.values()))
-    means = {vid: v.mean.copy() for vid, v in g.variables.items()}
-    assert needs_relinearisation(fac, means, 1e-4)  # never linearised
-    linearise(g, fac, means)
-    assert not needs_relinearisation(fac, means, 1e-4)
-    moved = {k: v.copy() for k, v in means.items()}
-    moved[pts[0]] = moved[pts[0]] + np.array([2e-4, 0, 0])
-    assert needs_relinearisation(fac, moved, 1e-4)
+    eng = GbpEngine(g, GbpConfig(beta=1e-4))
+    (b,) = eng.batches
+    assert eng._relinearise(b) == 1  # never linearised
+    assert eng._relinearise(b) == 0
+    bank = eng.banks[3]
+    row = bank.row[pts[0]]
+    bank.mean[row] = bank.mean[row] + np.array([0.5e-4, 0, 0])
+    assert eng._relinearise(b) == 0
+    bank.mean[row] = bank.mean[row] + np.array([1.5e-4, 0, 0])
+    assert eng._relinearise(b) == 1
+    assert np.array_equal(b.x0[0, 6:], bank.mean[row])
 
 
 def test_prior_never_needs_relinearisation():
     g = FactorGraph()
     v = g.add_variable(POINT, np.zeros(3))
-    fid = g.add_factor(PRIOR, (v,), np.zeros(3), 1.0)
-    fac = g.factors[fid]
-    linearise(g, fac, {v: np.zeros(3)})
-    assert not needs_relinearisation(fac, {v: np.full(3, 100.0)}, 1e-4)
+    g.add_factor(PRIOR, (v,), np.zeros(3), 1.0)
+    eng = GbpEngine(g, GbpConfig(beta=1e-4))
+    (b,) = eng.batches
+    x0, eta = b.x0.copy(), b.eta.copy()
+    eng.banks[3].mean[eng.banks[3].row[v]] = np.full(3, 100.0)
+    assert eng._relinearise(b) == 0
+    assert np.array_equal(b.x0, x0) and np.array_equal(b.eta, eta)
 
 
 def test_factor_energy_examples(rng):

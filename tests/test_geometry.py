@@ -7,10 +7,6 @@ from planegbp.geometry import (
     PlaneParams,
     Pose,
     plane_boxminus,
-    pose_apply,
-    pose_compose,
-    pose_exp,
-    pose_log,
     project,
     project_jacobians,
     so3_exp,
@@ -61,21 +57,21 @@ def test_pose_log_exp_round_trip(rng):
     for _ in range(100):
         r = rng.normal(size=6)
         r[3:] = r[3:] / np.linalg.norm(r[3:]) * rng.uniform(0, 3.0)
-        assert np.allclose(pose_log(pose_exp(r)), r, atol=1e-9)
+        assert np.allclose(Pose(r).r, r, atol=1e-9)
 
 
 def test_compose_with_identity(rng):
     T = Pose(rng.normal(size=6))
-    out = pose_compose(T, Pose.identity())
+    out = T.compose(Pose.identity())
     assert np.allclose(out.T, T.T, atol=1e-12)
-    out = pose_compose(Pose.identity(), T)
+    out = Pose.identity().compose(T)
     assert np.allclose(out.T, T.T, atol=1e-12)
 
 
 def test_apply_pure_translation(rng):
     t = rng.normal(size=3)
     p = rng.normal(size=3)
-    out = pose_apply(pose_exp(np.concatenate([t, np.zeros(3)])), p)
+    out = Pose(np.concatenate([t, np.zeros(3)])).apply(p)
     assert np.allclose(out, p + t)
 
 

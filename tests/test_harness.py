@@ -123,8 +123,20 @@ def test_lm_solver_path(tmp_path):
     result = run(cfg)
     assert result.summary["solver"] == "lm"
     assert result.summary["lm_converged"]
-    rows = io_formats.read_csv(tmp_path / "lm" / "iterations.csv")
+    out = tmp_path / "lm"
+    assert sorted(p.name for p in out.iterdir()) == sorted([
+        "config.json", "iterations.csv", "census.csv", "events.json", "graph.json",
+        "trajectory_est.txt", "trajectory_gt.txt", "reconstruction.json",
+        "summary.json", "packets.json",
+    ])
+    validate(json.loads((out / "events.json").read_text()), io_formats.EVENT_LOG_SCHEMA)
+    validate(json.loads((out / "reconstruction.json").read_text()),
+             io_formats.RECONSTRUCTION_SCHEMA)
+    validate(json.loads((out / "summary.json").read_text()), io_formats.SUMMARY_SCHEMA)
+    assert io_formats.read_csv(out / "census.csv") == []
+    rows = io_formats.read_csv(out / "iterations.csv")
     assert len(rows) >= 2
+    assert len(rows) == len(result.reports)
 
 
 def test_export_reconstruction_box_room(tmp_path):

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 
 from planegbp.errors import SingularGaussianError
+from planegbp.factors import linearise_batch
 from planegbp.gaussians import GaussianInfo, to_moments
+from planegbp.geometry import CameraModel
 from planegbp.graph import LINEAR, POINT, PRIOR, FactorGraph
 from planegbp.reference import (
     LmConfig,
+    _kernel_weight,
+    _lm_cost,
+    _lm_kernel,
+    _solve_step,
+    _System,
     dense_marginals,
     lm_solve,
     structure_cost_probe,
@@ -130,6 +138,149 @@ def test_lm_linear_graph_matches_dense_means(rng):
     result = lm_solve(g, LmConfig(kernel="none"))
     for vid in g.variables:
         assert np.allclose(result.means[vid], oracle[vid].mean, atol=1e-10)
+
+
+# -- sparse assembly and step against the dense reference ----------------------
+
+def dense_assemble(system, x, weights=None):
+    """Joint (eta, lam) scattered with np.add.at into a dense (dim, dim)
+    matrix, priors first, then the stacks in order: the reference for the
+    compiled sparse assembly."""
+    dim = system.layout.dim
+    eta = np.zeros(dim)
+    lam = np.zeros((dim, dim))
+    for cols, p_eta, p_lam in system.priors:
+        np.add.at(eta, cols, p_eta)
+        np.add.at(lam, (cols[:, :, None], cols[:, None, :]), p_lam)
+    cam = system.graph.camera
+    for stack, cols in zip(system.stacks, system.cols):
+        f_eta, f_lam, _ = linearise_batch(
+            stack, cam, x[cols], weight=None if weights is None else weights(stack)
+        )
+        np.add.at(eta, cols, f_eta)
+        np.add.at(lam, (cols[:, :, None], cols[:, None, :]), f_lam)
+    return eta, lam
+
+
+def lm_weights(cfg):
+    def weights(stack):
+        kind = _lm_kernel(stack, cfg)
+        return lambda rho: _kernel_weight(kind, rho, cfg.kernel_scale)
+    return weights
+
+
+def dense_lm_solve(graph, cfg):
+    """lm_solve's loop with a dense Hessian and np.linalg.solve steps; returns
+    (means, per-step costs)."""
+    system = _System(graph)
+    x = system.flat({vid: node.mean for vid, node in graph.variables.items()})
+    weights = lm_weights(cfg)
+    lam_damp = cfg.lambda_init
+    cost = _lm_cost(system, x, cfg)
+    costs = [cost]
+    for _ in range(cfg.max_iterations):
+        eta, H = dense_assemble(system, x, weights)
+        g = H @ x - eta
+        converged = hit_max = False
+        while True:
+            damp = H + lam_damp * np.diag(np.maximum(np.diag(H), 1e-12))
+            try:
+                delta = np.linalg.solve(damp, -g)
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is not None and np.all(np.isfinite(delta)):
+                cand_cost = _lm_cost(system, x + delta, cfg)
+                if cand_cost <= cost:
+                    x = x + delta
+                    rel = (cost - cand_cost) / max(cost, 1e-300)
+                    cost = cand_cost
+                    costs.append(cost)
+                    lam_damp = max(lam_damp / cfg.lambda_factor, 1e-12)
+                    converged = rel < cfg.cost_rel_tol
+                    break
+            lam_damp *= cfg.lambda_factor
+            if lam_damp > cfg.lambda_max:
+                hit_max = True
+                break
+        if hit_max or converged:
+            break
+    return system.means(x), costs
+
+
+def noisy_ba_graph(seed=3):
+    cfg = ExperimentConfig(scene=_scene(seed), solver="lm", seed=seed, robust=None)
+    cfg.scene.pixel_sigma = 1.0
+    packets, camera, scene = _packets_for(cfg)
+    graph, _ = build_ba_graph(cfg, packets, camera, pose_noise=(0.05, 0.02),
+                              point_noise=0.05, scene=scene)
+    return graph
+
+
+def planar_graph(rng):
+    """Reprojection plus plane-point and plane-prediction factors, which couple
+    landmarks, at perturbed means, with a prior on one keyframe."""
+    g = probe_graph(plane_members=20)
+    g.camera = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+    for node in g.variables.values():
+        node.mean = node.mean + rng.normal(scale=0.05, size=node.mean.shape)
+    kf = g.variables_of_kind(KEYFRAME)[0]
+    kf.prior = GaussianInfo(np.eye(6) @ kf.mean, np.eye(6))
+    return g
+
+
+@pytest.mark.parametrize("kind", ["ba", "planar"])
+def test_sparse_assembly_equals_dense_scatter(kind, rng):
+    graph = noisy_ba_graph() if kind == "ba" else planar_graph(rng)
+    system = _System(graph)
+    assert system.priors and len(system.stacks) >= (1 if kind == "ba" else 3)
+    x = system.flat({vid: v.mean for vid, v in graph.variables.items()})
+    for weights in (None, lm_weights(LmConfig(kernel="huber"))):
+        eta, H = system.assemble(x, weights)
+        eta_ref, lam_ref = dense_assemble(system, x, weights)
+        assert H.format == "csc"
+        assert np.array_equal(eta, eta_ref)
+        assert np.array_equal(H.toarray(), lam_ref)
+
+
+def test_lm_matches_dense_step_lm():
+    graph = noisy_ba_graph()
+    cfg = LmConfig(kernel="huber")
+    result = lm_solve(graph, cfg)
+    means, costs = dense_lm_solve(graph, cfg)
+    assert result.converged
+    assert len(result.trace) == len(costs) > 2
+    assert np.allclose([row["cost"] for row in result.trace], costs, rtol=1e-9, atol=0)
+    for vid, mean in means.items():
+        assert np.allclose(result.means[vid], mean, rtol=0, atol=1e-8)
+
+
+def test_singular_step_is_rejected():
+    rows = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+    assert _solve_step(csc_matrix(rows), np.ones(3)) is None
+    rows[1, 1] = 4.0
+    delta = _solve_step(csc_matrix(rows), np.ones(3))
+    assert np.allclose(delta, np.linalg.solve(rows, np.ones(3)), rtol=1e-14)
+
+
+def test_lm_with_unconstrained_variable_terminates(rng):
+    from conftest import build_linear_graph, random_tree_edges
+
+    g = build_linear_graph(rng, 5, random_tree_edges(rng, 5))
+    oracle = dense_marginals(g)
+    free = g.add_variable(POINT, np.array([1.0, 2.0, 3.0]))
+    result = lm_solve(g, LmConfig(kernel="none"))
+    assert result.converged or result.hit_lambda_max
+    assert np.array_equal(result.means[free], [1.0, 2.0, 3.0])
+    for vid in oracle:
+        assert np.allclose(result.means[vid], oracle[vid].mean, atol=1e-10)
+
+
+def test_lm_without_factors_or_priors_converges():
+    g = FactorGraph()
+    v = g.add_variable(POINT, np.array([1.0, 2.0, 3.0]))
+    result = lm_solve(g)
+    assert result.converged and not result.hit_lambda_max
+    assert np.array_equal(result.means[v], [1.0, 2.0, 3.0])
 
 
 # -- structure probe -----------------------------------------------------------
