@@ -6,14 +6,21 @@ loop over factors. Dropout is drawn first: a dropped factor does not send, so
 the factor-to-variable Schur marginals and damping are vectorised over the
 factors of a kind that send, and the others keep their previous message.
 Relinearisation and variable-to-factor quotients cover every factor; belief
-products are one compiled sparse scatter per variable bank. The compiled view
-is rebuilt whenever the graph is edited, carrying over messages,
-linearisations and beliefs by node id.
+products are one compiled sparse scatter per variable bank.
 
-Message transport is pluggable: the default writes messages straight along
-graph adjacency, while the routing simulator supplies slot-indirected
-delivery maps derived from its routing matrices. Both must produce identical
-numbers; only the bookkeeping differs.
+`rebuild` is the one compile path, at construction and after every edit. A
+variable's bank and a factor's batch never change, and both list their ids in
+ascending order, so the rows that survive an edit are found with one
+`searchsorted` per bank and per batch, and their beliefs, linearisations and
+per-position messages are copied with one fancy index per array. The engine
+is the only holder of propagation state; `sync_graph` writes beliefs and
+means back to the variable nodes.
+
+Each batch's `rows` give, per adjacency position, the bank row of each
+factor's variable: the only delivery map of gather, belief scatter and
+variable-to-factor messages. An optional transport (the routing simulator's)
+rewrites them from its routing matrices when the engine compiles, and records
+each sweep's transport cost; without one, rows follow graph adjacency.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from scipy.sparse import csr_matrix
 from .errors import ContractViolation
 from .gaussians import GaussianInfo, solve_guarded
 from . import factors as _fm
-from .graph import VARIABLE_DIMS, FactorGraph, StoredLinearisation
+from .graph import VARIABLE_DIMS, FactorGraph
 
 
 @dataclass
@@ -71,38 +78,63 @@ class IterationReport:
 
 
 class _VarBank:
-    """Stacked beliefs for all variables of one dimension."""
+    """Stacked priors, beliefs and means of all variables of one dimension."""
 
-    def __init__(self, dim: int):
+    STATE = ("belief_eta", "belief_lam", "mean")
+
+    def __init__(self, dim: int, nodes: list):
         self.dim = dim
-        self.ids: list[int] = []
-        self.row: dict[int, int] = {}
-        self.prior_eta = np.zeros((0, dim))
-        self.prior_lam = np.zeros((0, dim, dim))
-        self.belief_eta = np.zeros((0, dim))
-        self.belief_lam = np.zeros((0, dim, dim))
-        self.mean = np.zeros((0, dim))
+        self.ids = np.array([v.id for v in nodes], dtype=int)
+        self.prior_eta = np.array([v.prior.eta for v in nodes], dtype=float).reshape(-1, dim)
+        self.prior_lam = np.array(
+            [v.prior.lam for v in nodes], dtype=float).reshape(-1, dim, dim)
+        self.belief_eta = self.prior_eta.copy()
+        self.belief_lam = self.prior_lam.copy()
+        self.mean = np.array([v.mean for v in nodes], dtype=float).reshape(-1, dim)
 
-    def finalize(self):
-        n = len(self.ids)
-        for name in ("prior_eta", "belief_eta", "mean"):
-            setattr(self, name, np.zeros((n, self.dim)))
-        for name in ("prior_lam", "belief_lam"):
-            setattr(self, name, np.zeros((n, self.dim, self.dim)))
+    def rows_of(self, vids) -> np.ndarray:
+        """Bank rows of the variable ids `vids`."""
+        vids = np.asarray(vids, dtype=int)
+        found, rows = _find(self.ids, vids)
+        if found.size != vids.size:
+            raise ContractViolation(f"variables {vids} are not all in the {self.dim}-dim bank")
+        return rows
+
+
+def _find(ids, keys):
+    """(indices into `keys`, rows of `ids`) of the keys the ascending `ids` hold."""
+    at = np.searchsorted(ids, keys)
+    hit = at < ids.size
+    hit[hit] = ids[at[hit]] == keys[hit]
+    return np.flatnonzero(hit), at[hit]
+
+
+def _carry(new, old, names):
+    """Copy the arrays `names` (or lists of them, one per position) of the ids
+    both compiled views hold from `old` to `new`; both list ids ascending."""
+    new_rows, old_rows = _find(np.asarray(old.ids, dtype=int), np.asarray(new.ids, dtype=int))
+    for name in names:
+        dst, src = getattr(new, name), getattr(old, name)
+        for d, s in zip(dst, src) if isinstance(dst, list) else [(dst, src)]:
+            d[new_rows] = s[old_rows]
 
 
 class _Batch(_fm.FactorStack):
     """All factors of one kind and adjacency shape, with their engine state."""
 
-    def __init__(self, kind: str, dims: tuple, nodes: list, banks: dict):
+    # per-factor arrays, then the messages: per-position lists of them
+    STATE = ("x0", "eta", "lam", "weight", "lin_valid",
+             "f2v_eta", "f2v_lam", "v2f_eta", "v2f_lam")
+
+    def __init__(self, key: tuple, nodes: list, banks: dict):
+        kind, dims, _ = key
         super().__init__(kind, dims, nodes)
+        self.key = key
         n, D = self.n, self.joint_dim
         self.banks = [banks[d] for d in dims]
         # per position: rows into the bank
-        self.rows = [
-            np.array([bank.row[v] for v in self.adjacency[:, pos]], dtype=int)
-            for pos, bank in enumerate(self.banks)
-        ]
+        self.rows = [bank.rows_of(self.adjacency[:, pos])
+                     for pos, bank in enumerate(self.banks)]
         # linearisation state
         self.x0 = np.zeros((n, D))
         self.eta = np.zeros((n, D))
@@ -115,125 +147,68 @@ class _Batch(_fm.FactorStack):
         self.v2f_eta = [np.zeros((n, d)) for d in dims]
         self.v2f_lam = [np.zeros((n, d, d)) for d in dims]
 
-
-class DirectTransport:
-    """Messages follow graph adjacency directly; zero extra hops."""
-
-    def attach(self, engine):
-        self.engine = engine
-
-    def f2v_target_rows(self, batch, pos):
-        return batch.rows[pos]
-
-    def v2f_source_rows(self, batch, pos):
-        return batch.rows[pos]
-
-    def begin_sweep(self):
-        pass
-
-    def count_delivery(self, batch, pos):
-        pass
-
-
 class GbpEngine:
     def __init__(self, graph: FactorGraph, config: GbpConfig, transport=None):
         self.graph = graph
         self.config = config
-        self.transport = transport or DirectTransport()
+        self.transport = transport
         self.iteration = 0
         self.banks: dict[int, _VarBank] = {}
         self.batches: list[_Batch] = []
-        self._journal_mark = len(graph.journal)
         self.rebuild()
-        self._attach()
 
     # -- compilation ---------------------------------------------------------
 
-    def rebuild(self, carry: bool = True):
-        old_edges = {}
-        old_factors = {}
-        old_vars = {}
-        if carry and self.batches:
-            for b in self.batches:
-                for i, fid in enumerate(b.ids):
-                    old_factors[fid] = (
-                        b.x0[i], b.eta[i], b.lam[i], b.weight[i], b.lin_valid[i]
-                    )
-                    for pos in range(b.arity):
-                        vid = int(b.adjacency[i, pos])
-                        old_edges[(fid, vid)] = (
-                            b.f2v_eta[pos][i], b.f2v_lam[pos][i],
-                            b.v2f_eta[pos][i], b.v2f_lam[pos][i],
-                        )
-            for bank in self.banks.values():
-                for i, vid in enumerate(bank.ids):
-                    old_vars[vid] = (bank.belief_eta[i], bank.belief_lam[i], bank.mean[i])
+    def rebuild(self):
+        """Compile the graph, carrying the state of surviving nodes by id.
 
+        New variables start from their prior and node mean, new factors with
+        zero messages; exact (linear) factors are linearised once, when new.
+        """
         graph = self.graph
-        banks = {d: _VarBank(d) for d in sorted(set(VARIABLE_DIMS.values()))}
+        nodes: dict = {d: [] for d in sorted(set(VARIABLE_DIMS.values()))}
         for vid in sorted(graph.variables):
             node = graph.variables[vid]
-            bank = banks[node.dim]
-            bank.row[vid] = len(bank.ids)
-            bank.ids.append(vid)
-        for bank in banks.values():
-            bank.finalize()
-        for vid in sorted(graph.variables):
-            node = graph.variables[vid]
-            bank = banks[node.dim]
-            i = bank.row[vid]
-            bank.prior_eta[i] = node.prior.eta
-            bank.prior_lam[i] = node.prior.lam
-            if vid in old_vars:
-                bank.belief_eta[i], bank.belief_lam[i], bank.mean[i] = old_vars[vid]
-            else:
-                bank.belief_eta[i] = node.prior.eta
-                bank.belief_lam[i] = node.prior.lam
-                bank.mean[i] = node.mean
+            nodes[node.dim].append(node)
+        banks = {d: _VarBank(d, n) for d, n in nodes.items()}
+        for d, bank in banks.items():
+            if d in self.banks:
+                _carry(bank, self.banks[d], _VarBank.STATE)
 
+        old_batches = {b.key: b for b in self.batches}
         self.banks = banks
-        self.batches = [
-            _Batch(kind, dims, nodes, banks)
-            for (kind, dims, _), nodes in _fm.group_factors(graph)
-        ]
+        self.batches = [_Batch(key, n, banks) for key, n in _fm.group_factors(graph)]
         for b in self.batches:
-            for i, fid in enumerate(b.ids):
-                if fid in old_factors:
-                    b.x0[i], b.eta[i], b.lam[i], b.weight[i], b.lin_valid[i] = old_factors[fid]
-                for pos in range(b.arity):
-                    key = (fid, int(b.adjacency[i, pos]))
-                    if key in old_edges:
-                        (b.f2v_eta[pos][i], b.f2v_lam[pos][i],
-                         b.v2f_eta[pos][i], b.v2f_lam[pos][i]) = old_edges[key]
+            if b.key in old_batches:
+                _carry(b, old_batches[b.key], _Batch.STATE)
             if b.spec.linear:
-                # Exact factors: linearise once at build.
-                b.eta, b.lam, b.weight = _fm.linearise_batch(
-                    b, graph.camera, self._gather_x(b)
+                # exact factors: linearised once, about 0, when new
+                rows = np.flatnonzero(~b.lin_valid)
+                b.eta[rows], b.lam[rows], b.weight[rows] = _fm.linearise_batch(
+                    b, graph.camera, self._gather_x(b)[rows], rows
                 )
-                b.lin_valid[:] = True
-        self._journal_mark = len(graph.journal)
-
-    def on_graph_edit(self, events=None):
-        """Recompile after graph edits, preserving per-id engine state."""
-        self.rebuild(carry=True)
+                b.lin_valid[rows] = True
         self._attach()
 
+    def on_graph_edit(self):
+        """Recompile after graph edits, carrying engine state over by id."""
+        self.rebuild()
+
     def _attach(self):
-        """Attach the transport and compile each bank's belief scatter from it.
+        """Attach the transport and compile each bank's belief scatter.
 
         Bank `dim`'s matrix sums its prior and every message to it: columns
         are the prior rows, then each (batch, position)'s messages in batch,
         position and factor order, the order in which they are added.
         """
-        self.transport.attach(self)
+        if self.transport is not None:
+            self.transport.attach(self)
         self._scatter = {}
         for dim, bank in self.banks.items():
             edges = [(b, pos) for b in self.batches for pos in range(b.arity)
                      if b.banks[pos] is bank]
-            n = len(bank.ids)
-            targets = np.concatenate([np.arange(n)] + [
-                self.transport.f2v_target_rows(b, pos) for b, pos in edges
-            ])
+            n = bank.ids.size
+            targets = np.concatenate([np.arange(n)] + [b.rows[pos] for b, pos in edges])
             indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=n))])
             scatter = csr_matrix(
                 (np.ones(targets.size), np.argsort(targets, kind="stable"), indptr),
@@ -243,22 +218,23 @@ class GbpEngine:
 
     # -- accessors -----------------------------------------------------------
 
+    def _row(self, vid: int):
+        bank = self.banks[self.graph.variables[vid].dim]
+        return bank, int(bank.rows_of([vid])[0])
+
     def mean(self, vid: int) -> np.ndarray:
-        node = self.graph.variables[vid]
-        bank = self.banks[node.dim]
-        return bank.mean[bank.row[vid]].copy()
+        bank, i = self._row(vid)
+        return bank.mean[i].copy()
 
     def means(self) -> dict:
         out = {}
         for bank in self.banks.values():
-            for i, vid in enumerate(bank.ids):
+            for i, vid in enumerate(bank.ids.tolist()):
                 out[vid] = bank.mean[i].copy()
         return out
 
     def belief(self, vid: int) -> GaussianInfo:
-        node = self.graph.variables[vid]
-        bank = self.banks[node.dim]
-        i = bank.row[vid]
+        bank, i = self._row(vid)
         return GaussianInfo(bank.belief_eta[i].copy(), bank.belief_lam[i].copy())
 
     def edge_messages(self, fid: int, vid: int):
@@ -275,21 +251,12 @@ class GbpEngine:
         raise ContractViolation(f"no edge ({fid}, {vid})")
 
     def sync_graph(self):
-        """Write beliefs, means and stored linearisations back to the nodes."""
+        """Write beliefs and means back to the variable nodes."""
         for bank in self.banks.values():
-            for i, vid in enumerate(bank.ids):
+            for i, vid in enumerate(bank.ids.tolist()):
                 node = self.graph.variables[vid]
                 node.belief = GaussianInfo(bank.belief_eta[i].copy(), bank.belief_lam[i].copy())
                 node.mean = bank.mean[i].copy()
-        for b in self.batches:
-            for i, fid in enumerate(b.ids):
-                node = self.graph.factors[fid]
-                if b.lin_valid[i]:
-                    node.linearisation = StoredLinearisation(
-                        b.x0[i].copy(),
-                        GaussianInfo(b.eta[i].copy(), b.lam[i].copy()),
-                        float(b.weight[i]),
-                    )
 
     # -- evaluation ----------------------------------------------------------
 
@@ -369,13 +336,13 @@ class GbpEngine:
         ]
         n_dropped = sum(b.n - r.size for b, rows in zip(self.batches, sent) for r in rows)
         d = cfg.damping
-        self.transport.begin_sweep()
+        if self.transport is not None:
+            self.transport.begin_sweep()
         for b, rows in zip(self.batches, sent):
             msgs = self._factor_messages(b, rows, counters)
             for pos, (r, (new_eta, new_lam)) in enumerate(zip(rows, msgs)):
                 b.f2v_eta[pos][r] = (1.0 - d) * new_eta + d * b.f2v_eta[pos][r]
                 b.f2v_lam[pos][r] = (1.0 - d) * new_lam + d * b.f2v_lam[pos][r]
-                self.transport.count_delivery(b, pos)
 
         # beliefs: prior times product of incoming messages
         for dim, bank in self.banks.items():
@@ -387,15 +354,15 @@ class GbpEngine:
                 scatter @ np.concatenate(lam).reshape(-1, dim * dim)
             ).reshape(-1, dim, dim)
         for bank in self.banks.values():
-            if not bank.ids:
+            if not bank.ids.size:
                 continue
             try:
                 mean = np.linalg.solve(bank.belief_lam, bank.belief_eta[:, :, None])[:, :, 0]
                 bad = ~np.all(np.isfinite(mean), axis=1)
             except np.linalg.LinAlgError:
                 mean = np.empty_like(bank.mean)
-                bad = np.zeros(len(bank.ids), dtype=bool)
-                for i in range(len(bank.ids)):
+                bad = np.zeros(bank.ids.size, dtype=bool)
+                for i in range(bank.ids.size):
                     try:
                         mean[i] = np.linalg.solve(bank.belief_lam[i], bank.belief_eta[i])
                         if not np.all(np.isfinite(mean[i])):
@@ -408,12 +375,9 @@ class GbpEngine:
 
         # variable -> factor quotients
         for b in self.batches:
-            for pos in range(b.arity):
-                rows = self.transport.v2f_source_rows(b, pos)
-                bank = b.banks[pos]
+            for pos, (bank, rows) in enumerate(zip(b.banks, b.rows)):
                 b.v2f_eta[pos] = bank.belief_eta[rows] - b.f2v_eta[pos]
                 b.v2f_lam[pos] = bank.belief_lam[rows] - b.f2v_lam[pos]
-                self.transport.count_delivery(b, pos)
 
         energy, avg_px = self._metrics()
         report = IterationReport(

@@ -56,7 +56,7 @@ from .geometry import (
     transform_plane_jacobians_batch,
     transform_plane_min_batch,
 )
-from .graph import FACTOR_KINDS, FactorNode, StoredLinearisation
+from .graph import FACTOR_KINDS, FactorNode
 
 
 @dataclass
@@ -447,9 +447,7 @@ def graph_energy(graph, means: dict) -> float:
 
 
 def linearise(graph, factor: FactorNode, means: dict) -> GaussianInfo:
-    """Linearised Gaussian over the factor's joint support; stores X0."""
+    """Linearised Gaussian over the factor's joint support at the given means."""
     stack, x0 = _one(graph, factor, means)
-    eta, lam, w = linearise_batch(stack, graph.camera, x0[None])
-    g = GaussianInfo(eta[0], lam[0])
-    factor.linearisation = StoredLinearisation(x0.copy(), g, float(w[0]))
-    return g
+    eta, lam, _ = linearise_batch(stack, graph.camera, x0[None])
+    return GaussianInfo(eta[0], lam[0])

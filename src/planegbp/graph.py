@@ -3,7 +3,8 @@
 Variables and factors are typed nodes; every structural edit appends an
 event to a journal from which the graph can be replayed exactly. Edits are
 meant to happen between propagation sweeps (single writer); the engine keeps
-its own compiled view and is told about edits through the journal.
+its own compiled view, which holds all propagation state, and recompiles it
+after edits.
 """
 
 from __future__ import annotations
@@ -112,13 +113,6 @@ class VariableNode:
 
 
 @dataclass
-class StoredLinearisation:
-    x0: np.ndarray
-    gaussian: GaussianInfo
-    weight: float
-
-
-@dataclass
 class FactorNode:
     id: int
     kind: str
@@ -129,7 +123,6 @@ class FactorNode:
     robust: Optional[str] = None  # None or "tukey"
     robust_scale: float = 4.685
     created_iteration: int = 0
-    linearisation: Optional[StoredLinearisation] = None
 
     @property
     def arity(self) -> int:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .abstraction import AbstractionConfig, AbstractionManager
 from .engine import (
-    DirectTransport,
     GbpConfig,
     GbpEngine,
     IterationReport,
@@ -136,15 +135,14 @@ class _SlamState:
 
 
 def _packets_for(config: ExperimentConfig):
+    """(packets, camera) of a run: replayed from a packet file, or generated."""
     if config.replay_path is not None:
         doc = io_formats.read_json(config.replay_path, "packets")
         packets = [KeyframePacket.from_dict(p) for p in doc["packets"]]
-        camera = CameraModel(**doc["camera"])
-        return packets, camera, None
+        return packets, CameraModel(**doc["camera"])
     spec = dataclasses.replace(config.scene, seed=config.seed)
     scene = generate_scene(spec)
-    packets = [scene.emit_keyframe(k) for k in range(spec.n_keyframes)]
-    return packets, scene.camera, scene
+    return [scene.emit_keyframe(k) for k in range(spec.n_keyframes)], scene.camera
 
 
 def _default_budget(config: ExperimentConfig, n_packets: int) -> int:
@@ -157,36 +155,64 @@ def _default_budget(config: ExperimentConfig, n_packets: int) -> int:
     return budget + 10
 
 
-def _add_first_keyframe(graph, state, config, packet) -> int:
-    pose = Pose(packet.true_pose)  # gauge anchor: world frame := first camera
-    lam = np.eye(6) / config.priors.first_keyframe_sigma**2
-    kf = graph.add_variable(KEYFRAME, pose.r, GaussianInfo(lam @ pose.r, lam))
-    state.keyframe_vars.append(kf)
-    return kf
+def _add_keyframe_variable(graph, state, config, packet, pose: Pose | None = None):
+    """Add the next keyframe variable; returns (its id, its pose).
+
+    The first keyframe sits at its true pose: it anchors the gauge (world
+    frame := first camera). A later one sits at `pose`, by default the
+    constant-velocity prediction from the last two keyframes.
+    """
+    priors = config.priors
+    if not state.keyframe_vars:
+        pose, sig = Pose(packet.true_pose), priors.first_keyframe_sigma
+    else:
+        if pose is None:
+            prev = Pose(graph.variables[state.keyframe_vars[-1]].mean)
+            prev2 = (
+                Pose(graph.variables[state.keyframe_vars[-2]].mean)
+                if len(state.keyframe_vars) >= 2 else None
+            )
+            pose = constant_velocity_prediction(prev, prev2)
+        sig = priors.keyframe_sigma
+    lam = np.eye(6) / sig**2
+    kf_id = graph.add_variable(KEYFRAME, pose.r, GaussianInfo(lam @ pose.r, lam))
+    state.keyframe_vars.append(kf_id)
+    return kf_id, pose
+
+
+def _add_point(graph, state, config, pid: int, p, observations):
+    """Point variable of scene point `pid` at `p` with its reprojection
+    factors, one per (keyframe id, pixel); the first point also gets the
+    prior that fixes the monocular scale gauge."""
+    priors = config.priors
+    plam = np.eye(3) / priors.point_sigma**2
+    var = graph.add_variable(POINT, p, GaussianInfo(plam @ p, plam))
+    state.point_var[pid] = var
+    for kf_id, pixel in observations:
+        graph.add_factor(REPROJECTION, (kf_id, var), pixel, config.sigma_r,
+                         robust=config.robust)
+    if not state.scale_anchor_placed:
+        state.anchor_factor_id = graph.add_factor(PRIOR, (var,), p, priors.scale_anchor_sigma)
+        state.anchor_point_var = var
+        state.scale_anchor_placed = True
+
+
+def _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration):
+    """Hand the packet's plane proposals, over their live points, to the manager."""
+    for proposal in packet.hypotheses:
+        members = [
+            state.point_var[p] for p in proposal.member_ids
+            if p in state.point_var and state.point_var[p] in graph.variables
+        ]
+        manager.integrate_hypothesis(
+            kf_id, proposal.pi_z, members, iteration, proposal.true_plane
+        )
 
 
 def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                   pose_override: Pose | None = None):
     """Grow the graph with one keyframe packet; returns the keyframe id."""
-    priors = config.priors
-    first = not state.keyframe_vars
-    if first:
-        pose = Pose(packet.true_pose)  # gauge anchor: world frame := first camera
-        sig = priors.first_keyframe_sigma
-    elif pose_override is not None:
-        pose = pose_override
-        sig = priors.keyframe_sigma
-    else:
-        prev = Pose(graph.variables[state.keyframe_vars[-1]].mean)
-        prev2 = (
-            Pose(graph.variables[state.keyframe_vars[-2]].mean)
-            if len(state.keyframe_vars) >= 2 else None
-        )
-        pose = constant_velocity_prediction(prev, prev2)
-        sig = priors.keyframe_sigma
-    lam = np.eye(6) / sig**2
-    kf_id = graph.add_variable(KEYFRAME, pose.r, GaussianInfo(lam @ pose.r, lam))
-    state.keyframe_vars.append(kf_id)
+    kf_id, pose = _add_keyframe_variable(graph, state, config, packet, pose_override)
 
     existing = [
         graph.variables[v].mean for v in state.point_var.values()
@@ -194,7 +220,7 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
     ]
     depth = average_depth(
         pose, np.stack(existing) if existing else np.zeros((0, 3)),
-        priors.default_depth,
+        config.priors.default_depth,
     )
 
     for pid, pixel in zip(packet.point_ids, packet.pixels):
@@ -216,30 +242,10 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                     )
         else:
             p0 = backproject(camera, pose, pixel, depth)
-            plam = np.eye(3) / priors.point_sigma**2
-            var = graph.add_variable(POINT, p0, GaussianInfo(plam @ p0, plam))
-            state.point_var[pid] = var
-            graph.add_factor(
-                REPROJECTION, (kf_id, var), pixel, config.sigma_r,
-                robust=config.robust,
-            )
-            if not state.scale_anchor_placed:
-                # one anchored point fixes the monocular scale gauge
-                state.anchor_factor_id = graph.add_factor(
-                    PRIOR, (var,), p0, priors.scale_anchor_sigma
-                )
-                state.anchor_point_var = var
-                state.scale_anchor_placed = True
+            _add_point(graph, state, config, pid, p0, [(kf_id, pixel)])
 
     if config.planes and manager is not None:
-        for proposal in packet.hypotheses:
-            members = [
-                state.point_var[p] for p in proposal.member_ids
-                if p in state.point_var and state.point_var[p] in graph.variables
-            ]
-            manager.integrate_hypothesis(
-                kf_id, proposal.pi_z, members, iteration, proposal.true_plane
-            )
+        _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration)
     return kf_id
 
 
@@ -280,14 +286,11 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
         rng.normal(scale=priors.bootstrap_r_sigma, size=3),
     ])
     pose1 = Pose(rel_true.r + noise).compose(pose0)
-    klam = np.eye(6) / priors.keyframe_sigma**2
-    kf1 = graph.add_variable(KEYFRAME, pose1.r, GaussianInfo(klam @ pose1.r, klam))
-    state.keyframe_vars.append(kf1)
+    kf1, _ = _add_keyframe_variable(graph, state, config, packet1, pose1)
 
     pix0 = {int(pid): pix for pid, pix in zip(packet0.point_ids, packet0.pixels)}
     pix1 = {int(pid): pix for pid, pix in zip(packet1.point_ids, packet1.pixels)}
     kf0 = state.keyframe_vars[0]
-    created = []
     for pid in sorted(set(pix0) | set(pix1)):
         if pid in pix0 and pid in pix1:
             p, ok = triangulate_two_view(camera, pose0, pose1, pix0[pid], pix1[pid])
@@ -296,50 +299,30 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
         else:
             pose, pix = (pose0, pix0[pid]) if pid in pix0 else (pose1, pix1[pid])
             p = backproject(camera, pose, pix, priors.default_depth)
-        plam = np.eye(3) / priors.point_sigma**2
-        var = graph.add_variable(POINT, p, GaussianInfo(plam @ p, plam))
-        state.point_var[pid] = var
-        created.append(pid)
-        if pid in pix0:
-            graph.add_factor(REPROJECTION, (kf0, var), pix0[pid], config.sigma_r,
-                             robust=config.robust)
-        if pid in pix1:
-            graph.add_factor(REPROJECTION, (kf1, var), pix1[pid], config.sigma_r,
-                             robust=config.robust)
-        if not state.scale_anchor_placed:
-            state.anchor_factor_id = graph.add_factor(
-                PRIOR, (var,), p, priors.scale_anchor_sigma
-            )
-            state.anchor_point_var = var
-            state.scale_anchor_placed = True
+        observations = [(kf, pixels[pid]) for kf, pixels in ((kf0, pix0), (kf1, pix1))
+                        if pid in pixels]
+        _add_point(graph, state, config, pid, p, observations)
 
     if config.planes and manager is not None:
         for kf_id, packet in ((kf0, packet0), (kf1, packet1)):
-            for proposal in packet.hypotheses:
-                members = [
-                    state.point_var[p] for p in proposal.member_ids
-                    if p in state.point_var and state.point_var[p] in graph.variables
-                ]
-                manager.integrate_hypothesis(
-                    kf_id, proposal.pi_z, members, iteration, proposal.true_plane
-                )
+            _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration)
     return kf1
 
 
 def run(config: ExperimentConfig) -> RunResult:
-    packets, camera, scene = _packets_for(config)
+    packets, camera = _packets_for(config)
     if config.solver == "lm":
-        return _run_lm(config, packets, camera, scene)
+        return _run_lm(config, packets, camera)
 
     graph = FactorGraph(camera=camera)
     state = _SlamState()
     manager = AbstractionManager(graph, config.abstraction, config.seed)
     # The map proper appears with the second keyframe (two-view bootstrap);
     # until then the graph holds only the anchored first pose.
-    _add_first_keyframe(graph, state, config, packets[0])
+    _add_keyframe_variable(graph, state, config, packets[0])
 
     sim = None
-    transport = DirectTransport()
+    transport = None
     if config.solver == "gbp-routed":
         sim = _routing_sim_for(packets, graph)
         sim.bind_graph(graph)
@@ -379,7 +362,7 @@ def run(config: ExperimentConfig) -> RunResult:
         if events:
             if sim is not None:
                 sim.apply_edit(events)
-            engine.on_graph_edit(events)
+            engine.on_graph_edit()
             last_edit = it
             census_rows.append(_census_row(graph, next_kf))
 
@@ -397,7 +380,7 @@ def run(config: ExperimentConfig) -> RunResult:
     if out_dir is not None:
         _write_artifacts(
             config, graph, state, manager, reports, packets, census_rows,
-            summary, sim, camera, scene,
+            summary, sim, camera,
         )
     return RunResult(config, summary, reports, graph, manager, packets, out_dir)
 
@@ -526,7 +509,7 @@ def export_reconstruction(graph: FactorGraph) -> dict:
 
 
 def _write_artifacts(config, graph, state, manager, reports, packets,
-                     census_rows, summary, sim, camera, scene):
+                     census_rows, summary, sim, camera):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     io_formats.write_json(out / "config.json", "experiment-config", config.to_dict())
@@ -546,13 +529,10 @@ def _write_artifacts(config, graph, state, manager, reports, packets,
     io_formats.write_json(out / "reconstruction.json", "reconstruction",
                           export_reconstruction(graph))
     io_formats.write_json(out / "summary.json", "summary", summary)
-    if scene is not None:
-        cam = scene.camera
-        io_formats.write_json(out / "packets.json", "packets", {
-            "camera": {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-                       "width": cam.width, "height": cam.height},
-            "packets": [p.to_dict() for p in packets],
-        })
+    io_formats.write_json(out / "packets.json", "packets", {
+        "camera": dataclasses.asdict(camera),
+        "packets": [p.to_dict() for p in packets],
+    })
     if sim is not None:
         io_formats.write_cost_csv(out / "cost.csv", sim.cost_report())
 
@@ -602,7 +582,7 @@ def build_ba_graph(
     return graph, state
 
 
-def _run_lm(config: ExperimentConfig, packets, camera, scene) -> RunResult:
+def _run_lm(config: ExperimentConfig, packets, camera) -> RunResult:
     graph, state = build_ba_graph(config, packets, camera)
     result = lm_solve(graph, LmConfig())
     for vid, mean in result.means.items():
@@ -623,7 +603,7 @@ def _run_lm(config: ExperimentConfig, packets, camera, scene) -> RunResult:
     summary["lm_converged"] = result.converged
     if config.out_dir is not None:
         _write_artifacts(config, graph, state, None, reports, packets, [],
-                         summary, None, camera, scene)
+                         summary, None, camera)
     return RunResult(config, summary, reports, graph, None, packets, config.out_dir)
 
 

@@ -10,6 +10,7 @@ raise FormatError annotated with the byte offset (JSON) or line number
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -113,11 +114,7 @@ def graph_to_dict(graph: FactorGraph) -> dict:
             "robust": fac.robust,
             "robust_scale": fac.robust_scale,
         })
-    camera = None
-    if graph.camera is not None:
-        c = graph.camera
-        camera = {"fx": c.fx, "fy": c.fy, "cx": c.cx, "cy": c.cy,
-                  "width": c.width, "height": c.height}
+    camera = None if graph.camera is None else dataclasses.asdict(graph.camera)
     return {"camera": camera, "variables": variables, "factors": factors}
 
 

@@ -5,13 +5,17 @@ precompiled channel set: graph nodes occupy fixed-size slot pools per node
 type, and every factor-graph edge is realised as an entry in the routing
 node that mediates that (variable-kind, factor-kind) pair. Editing the graph
 only rewrites routing matrices and slot occupancy; the channel set (the
-communication pattern) never changes after construction.
+communication pattern: pool capacities, routing-node pairs and the per-variable
+edge limit) never changes after construction, and `apply_edit` checks that.
 
-The simulation is functional, not cycle-accurate: messages keep their
-numeric values from the engine, while delivery targets are resolved purely
-through the routing matrices (never through graph adjacency), so a wrong
-routing entry shows up as a wrong inference result. Costs are reported as
-hop counts and per-routing-node loads.
+The simulation is functional, not cycle-accurate. When the engine compiles,
+`RoutedTransport` resolves every routed edge through the routing matrices
+(never through graph adjacency) and writes the resulting bank rows into the
+engine's batches, which gather, scatter beliefs and send variable-to-factor
+messages along them only; so a wrong routing entry shows up as a wrong
+inference result. Each sweep's cost is read off the routing tables: every
+entry carries one factor-to-variable and one variable-to-factor message of
+2 hops each, reported as hops, deliveries and per-routing-node loads.
 
 Unary factors (priors) are core-local -- they are fused with their variable
 and need no transport. Combined reprojection factors share the routing type
@@ -22,7 +26,7 @@ identical, so the routing layer does not distinguish them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,24 +157,20 @@ class RoutingSimulator:
         # Fast shard index: (factor kind, slot, position) -> routing pair
         self._route_index: dict = {}
         self._edge_counts: dict = {}
-        self._comm_pattern = self._build_comm_pattern()
         self.graph: FactorGraph | None = None
         self.sweeps: list[dict] = []
-        self._current: dict | None = None
 
     # -- communication pattern -------------------------------------------------
 
-    def _build_comm_pattern(self):
-        desc = {
-            "variable_pools": {k: p.capacity for k, p in sorted(self.var_pools.items())},
-            "factor_pools": {k: p.capacity for k, p in sorted(self.factor_pools.items())},
-            "routing_pairs": sorted(self.routing_nodes),
-            "max_edges_per_variable": self.pools_config.max_edges_per_variable,
-        }
-        return desc
-
     def comm_pattern_hash(self) -> str:
-        return hashlib.sha256(repr(self._comm_pattern).encode()).hexdigest()
+        """Hash of the live pool capacities, routing-node pairs and edge limit."""
+        desc = (
+            sorted((k, p.capacity) for k, p in self.var_pools.items()),
+            sorted((k, p.capacity) for k, p in self.factor_pools.items()),
+            sorted(self.routing_nodes),
+            self.pools_config.max_edges_per_variable,
+        )
+        return hashlib.sha256(repr(desc).encode()).hexdigest()
 
     @property
     def n_routing_nodes(self) -> int:
@@ -307,19 +307,18 @@ class RoutingSimulator:
         return RoutedTransport(self)
 
     def begin_sweep(self):
-        self._current = {
+        """Record one sweep's cost from the routing tables: each entry carries
+        one message each way, 2 deliveries and 4 hops."""
+        loads = {pair: 2 * len(node.matrix) for pair, node in self.routing_nodes.items()}
+        for pair, n in loads.items():
+            self.routing_nodes[pair].delivered += n
+        deliveries = sum(loads.values())
+        self.sweeps.append({
             "sweep": len(self.sweeps),
-            "deliveries": 0,
-            "hops": 0,
-            "router_load": {pair: 0 for pair in self.routing_nodes},
-        }
-        self.sweeps.append(self._current)
-
-    def count(self, pair, n: int):
-        self._current["deliveries"] += n
-        self._current["hops"] += 2 * n
-        self._current["router_load"][pair] += n
-        self.routing_nodes[pair].delivered += n
+            "deliveries": deliveries,
+            "hops": 2 * deliveries,
+            "router_load": loads,
+        })
 
     def cost_report(self) -> list:
         out = []
@@ -344,48 +343,19 @@ def cost_model(sim: RoutingSimulator, sweep: int) -> dict:
 
 
 class RoutedTransport:
-    """Engine transport that resolves delivery targets via routing matrices."""
+    """Engine transport whose delivery rows come from the routing matrices."""
 
     def __init__(self, sim: RoutingSimulator):
         self.sim = sim
-        self.engine = None
-        self._rows: dict = {}
-        self._pairs: dict = {}
 
     def attach(self, engine):
-        self.engine = engine
-        self._rows = {}
-        self._pairs = {}
+        """Write each routed batch's rows, per position, from its routes."""
         for b in engine.batches:
-            group = ROUTED_GROUP.get(b.kind)
-            for pos in range(b.arity):
-                if group is None:
-                    # core-local factors deliver directly
-                    self._rows[(id(b), pos)] = b.rows[pos]
-                    self._pairs[(id(b), pos)] = None
-                    continue
-                rows = np.empty(b.n, dtype=int)
-                pair_counts: dict = {}
-                for i, fid in enumerate(b.ids):
-                    pair, vid = self.sim.route(b.kind, fid, pos)
-                    bank = b.banks[pos]
-                    rows[i] = bank.row[vid]
-                    pair_counts[pair] = pair_counts.get(pair, 0) + 1
-                self._rows[(id(b), pos)] = rows
-                self._pairs[(id(b), pos)] = pair_counts
-
-    def f2v_target_rows(self, batch, pos):
-        return self._rows[(id(batch), pos)]
-
-    def v2f_source_rows(self, batch, pos):
-        return self._rows[(id(batch), pos)]
+            if ROUTED_GROUP.get(b.kind) is None:
+                continue  # core-local factors deliver directly
+            for pos, bank in enumerate(b.banks):
+                b.rows[pos] = bank.rows_of([self.sim.route(b.kind, fid, pos)[1]
+                                            for fid in b.ids])
 
     def begin_sweep(self):
         self.sim.begin_sweep()
-
-    def count_delivery(self, batch, pos):
-        pairs = self._pairs.get((id(batch), pos))
-        if pairs is None:
-            return
-        for pair, n in pairs.items():
-            self.sim.count(pair, n)

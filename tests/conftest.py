@@ -158,7 +158,8 @@ def reference_sweep(eng):
     for b in eng.batches:
         eng._relinearise(b)
     masks = dropout_masks(eng)
-    eng.transport.begin_sweep()
+    if eng.transport is not None:
+        eng.transport.begin_sweep()
     staged = [reference_messages(b) for b in eng.batches]
     d = cfg.damping
     for b, msgs, keep in zip(eng.batches, staged, masks):
@@ -167,17 +168,15 @@ def reference_sweep(eng):
             mixed_lam = (1.0 - d) * new_lam + d * b.f2v_lam[pos]
             b.f2v_eta[pos] = np.where(keep[pos][:, None], b.f2v_eta[pos], mixed_eta)
             b.f2v_lam[pos] = np.where(keep[pos][:, None, None], b.f2v_lam[pos], mixed_lam)
-            eng.transport.count_delivery(b, pos)
     for bank in eng.banks.values():
         bank.belief_eta = bank.prior_eta.copy()
         bank.belief_lam = bank.prior_lam.copy()
     for b in eng.batches:
-        for pos in range(b.arity):
-            rows = eng.transport.f2v_target_rows(b, pos)
+        for pos, rows in enumerate(b.rows):
             np.add.at(b.banks[pos].belief_eta, rows, b.f2v_eta[pos])
             np.add.at(b.banks[pos].belief_lam, rows, b.f2v_lam[pos])
     for bank in eng.banks.values():
-        for i in range(len(bank.ids)):
+        for i in range(bank.ids.size):
             try:
                 mean = np.linalg.solve(bank.belief_lam[i], bank.belief_eta[i])
                 if np.all(np.isfinite(mean)):
@@ -185,9 +184,7 @@ def reference_sweep(eng):
             except np.linalg.LinAlgError:
                 pass  # under-constrained: hold previous mean
     for b in eng.batches:
-        for pos in range(b.arity):
-            rows = eng.transport.v2f_source_rows(b, pos)
+        for pos, rows in enumerate(b.rows):
             b.v2f_eta[pos] = b.banks[pos].belief_eta[rows] - b.f2v_eta[pos]
             b.v2f_lam[pos] = b.banks[pos].belief_lam[rows] - b.f2v_lam[pos]
-            eng.transport.count_delivery(b, pos)
     eng.iteration += 1

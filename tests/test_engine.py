@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from planegbp.engine import DirectTransport, GbpConfig, GbpEngine, run_gbp
+from planegbp.engine import GbpConfig, GbpEngine, run_gbp
 from planegbp.errors import ContractViolation
 from planegbp.gaussians import (
     BlockLayout,
@@ -222,10 +222,37 @@ def test_on_graph_edit_add_remove_restores_store(rng):
     m = g.variables[1].dim + g.variables[2].dim
     fid = g.add_factor(LINEAR, (1, 2), np.zeros(m), np.ones(m),
                        payload={"A": np.eye(m)})
-    eng.on_graph_edit(g.journal[-1:])
+    eng.on_graph_edit()
     g.remove_factor(fid)
-    eng.on_graph_edit(g.journal[-1:])
+    eng.on_graph_edit()
     assert snapshot() == before
+
+
+def test_edit_keeps_both_positions_of_a_factor_on_one_variable(rng):
+    # A linear factor on (a, a) has two positions on one variable, each with
+    # its own messages; a recompile carries them position by position.
+    g = build_linear_graph(rng, 2, [(0, 1)])
+    m = 2 * g.variables[0].dim
+    g.add_factor(LINEAR, (0, 0), rng.normal(size=m), np.ones(m),
+                 payload={"A": rng.normal(size=(m, m))})
+    eng = GbpEngine(g, GbpConfig(damping=0.4, dropout=0.0, seed=1))
+    for _ in range(5):
+        eng.iterate()
+
+    def messages():
+        return [[arr.copy() for arrs in (b.f2v_eta, b.f2v_lam, b.v2f_eta, b.v2f_lam)
+                 for arr in arrs] for b in eng.batches]
+
+    before = messages()
+    (loop,) = [b for b in eng.batches if (b.adjacency == 0).all(axis=1).any()]
+    i = int(np.flatnonzero((loop.adjacency == 0).all(axis=1))[0])
+    assert not np.array_equal(loop.f2v_eta[0][i], loop.f2v_eta[1][i])
+    v = g.add_variable(POINT, np.zeros(3))
+    g.add_factor(PRIOR, (v,), np.ones(3), 1.0)
+    eng.on_graph_edit()
+    for old, new in zip(before, messages()):
+        for a, b in zip(old, new):
+            assert np.array_equal(a, b)
 
 
 def test_new_variable_belief_from_initialisation(rng):
@@ -234,7 +261,7 @@ def test_new_variable_belief_from_initialisation(rng):
     eng.iterate()
     prior = random_info(rng, 3)
     v = g.add_variable(POINT, np.array([1.0, 2.0, 3.0]), prior)
-    eng.on_graph_edit(g.journal[-1:])
+    eng.on_graph_edit()
     assert eng.belief(v).allclose(prior)
     assert np.allclose(eng.mean(v), [1.0, 2.0, 3.0])
 
@@ -271,37 +298,40 @@ def _toy_ba_graph():
 
 def test_factor_relinearises_exactly_when_drift_exceeds_beta():
     # A reprojection factor is linearised again exactly when the L1 distance
-    # of its variables' means from its stored linearisation point exceeds
-    # beta; prior factors keep the linearisation made at build.
+    # of its variables' means from its linearisation point, kept in the
+    # engine's batches, exceeds beta; prior factors keep the linearisation
+    # made at build.
     g, _ = _toy_ba_graph()
     assert {f.kind for f in g.factors.values()} == {REPROJECTION, PRIOR}
     beta = 1e-3
     eng = GbpEngine(g, GbpConfig(damping=0.4, dropout=0.0, beta=beta, seed=0))
-    eng.sync_graph()
-    priors = {fid: f.linearisation.x0.copy()
-              for fid, f in g.factors.items() if f.kind == PRIOR}
+
+    def points():
+        """fid -> (linearisation point, linearised) from the engine's batches."""
+        return {fid: (b.x0[i].copy(), bool(b.lin_valid[i]))
+                for b in eng.batches for i, fid in enumerate(b.ids)}
+
+    def drift(fid, means, lin):
+        x = np.concatenate([means[v] for v in g.factors[fid].adjacency])
+        return np.sum(np.abs(x - lin[fid][0]))
+
+    priors = {fid: x0 for fid, (x0, _) in points().items() if g.factors[fid].kind == PRIOR}
     n_reproj = len(g.factors) - len(priors)
-
-    def drift(f, means):
-        return np.sum(np.abs(np.concatenate([means[v] for v in f.adjacency])
-                             - f.linearisation.x0))
-
     partial = 0
     for _ in range(30):
-        means = eng.means()
+        means, lin = eng.means(), points()
         expected = sum(
-            f.linearisation is None or drift(f, means) > beta
-            for fid, f in g.factors.items() if fid not in priors
+            not lin[fid][1] or drift(fid, means, lin) > beta
+            for fid in g.factors if fid not in priors
         )
         n = eng.iterate().n_relinearised
         assert n == expected
         partial += 0 < n < n_reproj
-        eng.sync_graph()
     assert partial > 0
-    means = eng.means()
+    means, lin = eng.means(), points()
     for fid, x0 in priors.items():
-        assert np.array_equal(g.factors[fid].linearisation.x0, x0)
-    assert any(drift(g.factors[fid], means) > beta for fid in priors)
+        assert lin[fid][1] and np.array_equal(lin[fid][0], x0)
+    assert any(drift(fid, means, lin) > beta for fid in priors)
 
 
 @pytest.mark.parametrize("routed", [False, True])
@@ -350,7 +380,7 @@ def test_sweep_matches_loop_reference(routed):
                 events = g.events_since(mark)
                 if sim is not None:
                     sim.apply_edit(events)
-                e.on_graph_edit(events)
+                e.on_graph_edit()
             added = fid if added is None else None
     # the first sweeps meet singular blocks (points seen once, zero incoming)
     assert regularised > 0

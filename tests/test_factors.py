@@ -276,7 +276,9 @@ def test_outlier_flag_yields_zero_information(rng):
     fid = g.add_factor(REPROJECTION, (kf, p), np.array([320.0, 240.0]), 2.0)
     out = linearise(g, g.factors[fid], {kf: np.zeros(6), p: np.array([0, 0, -3.0])})
     assert out.is_zero()
-    assert g.factors[fid].linearisation.weight == 0.0
+    stack = factor_stacks(g, [g.factors[fid]])[0]
+    _, _, w = linearise_batch(stack, CAM, np.array([[0.0] * 6 + [0.0, 0.0, -3.0]]))
+    assert w[0] == 0.0
 
 
 def test_tukey_zero_weight_factor(rng):
@@ -300,7 +302,7 @@ def test_needs_relinearisation_thresholds(rng):
     assert eng._relinearise(b) == 1  # never linearised
     assert eng._relinearise(b) == 0
     bank = eng.banks[3]
-    row = bank.row[pts[0]]
+    row = bank.rows_of([pts[0]])[0]
     bank.mean[row] = bank.mean[row] + np.array([0.5e-4, 0, 0])
     assert eng._relinearise(b) == 0
     bank.mean[row] = bank.mean[row] + np.array([1.5e-4, 0, 0])
@@ -315,7 +317,7 @@ def test_prior_never_needs_relinearisation():
     eng = GbpEngine(g, GbpConfig(beta=1e-4))
     (b,) = eng.batches
     x0, eta = b.x0.copy(), b.eta.copy()
-    eng.banks[3].mean[eng.banks[3].row[v]] = np.full(3, 100.0)
+    eng.banks[3].mean[eng.banks[3].rows_of([v])[0]] = np.full(3, 100.0)
     assert eng._relinearise(b) == 0
     assert np.array_equal(b.x0, x0) and np.array_equal(b.eta, eta)
 
@@ -511,4 +513,7 @@ def test_one_factor_linearise_is_the_batched_path(rng):
         ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means)
         assert_close(out.eta, ref_eta)
         assert_close(out.lam, ref_lam)
-        assert np.isclose(fac.linearisation.weight, ref_w, rtol=1e-12, atol=1e-12)
+        x0 = np.concatenate([means[v] for v in fac.adjacency])
+        eta, lam, w = linearise_batch(factor_stacks(g, [fac])[0], CAM, x0[None])
+        assert np.array_equal(out.eta, eta[0]) and np.array_equal(out.lam, lam[0])
+        assert np.isclose(w[0], ref_w, rtol=1e-12, atol=1e-12)

@@ -82,7 +82,7 @@ def test_replay_identity(tmp_path):
     )
     run(replay_cfg)
     for name in ("iterations.csv", "events.json", "trajectory_est.txt",
-                 "census.csv"):
+                 "census.csv", "packets.json"):
         a = (tmp_path / "a" / name).read_text()
         b = (tmp_path / "b" / name).read_text()
         assert a == b, f"{name} differs between generated and replayed runs"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
@@ -18,8 +20,8 @@ from planegbp.reference import (
     lm_solve,
     structure_cost_probe,
 )
-from planegbp.harness import ExperimentConfig, build_ba_graph, _packets_for
-from planegbp.frontend import PlaneSpec, SceneSpec
+from planegbp.harness import ExperimentConfig, build_ba_graph
+from planegbp.frontend import PlaneSpec, SceneSpec, generate_scene
 from planegbp.graph import (
     KEYFRAME,
     PLANE_HYPOTHESIS,
@@ -107,9 +109,16 @@ def _scene(seed=0):
     )
 
 
+def _scene_inputs(cfg):
+    """(packets, camera, scene) of the config's generated scene."""
+    scene = generate_scene(dataclasses.replace(cfg.scene, seed=cfg.seed))
+    return ([scene.emit_keyframe(k) for k in range(cfg.scene.n_keyframes)],
+            scene.camera, scene)
+
+
 def test_lm_zero_noise_ground_truth_init_converges_immediately():
     cfg = ExperimentConfig(scene=_scene(), solver="lm", seed=0, robust=None)
-    packets, camera, scene = _packets_for(cfg)
+    packets, camera, scene = _scene_inputs(cfg)
     graph, state = build_ba_graph(cfg, packets, camera, pose_noise=(0.0, 0.0),
                                   point_noise=0.0, scene=scene)
     result = lm_solve(graph, LmConfig(kernel="none"))
@@ -120,7 +129,7 @@ def test_lm_zero_noise_ground_truth_init_converges_immediately():
 def test_lm_cost_non_increasing_and_converges(rng):
     cfg = ExperimentConfig(scene=_scene(3), solver="lm", seed=3, robust=None)
     cfg.scene.pixel_sigma = 1.0
-    packets, camera, scene = _packets_for(cfg)
+    packets, camera, scene = _scene_inputs(cfg)
     graph, state = build_ba_graph(cfg, packets, camera, pose_noise=(0.05, 0.02),
                                   point_noise=0.05, scene=scene)
     result = lm_solve(graph, LmConfig(kernel="huber"))
@@ -210,7 +219,7 @@ def dense_lm_solve(graph, cfg):
 def noisy_ba_graph(seed=3):
     cfg = ExperimentConfig(scene=_scene(seed), solver="lm", seed=seed, robust=None)
     cfg.scene.pixel_sigma = 1.0
-    packets, camera, scene = _packets_for(cfg)
+    packets, camera, scene = _scene_inputs(cfg)
     graph, _ = build_ba_graph(cfg, packets, camera, pose_noise=(0.05, 0.02),
                               point_noise=0.05, scene=scene)
     return graph

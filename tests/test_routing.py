@@ -16,6 +16,7 @@ from planegbp.graph import (
 )
 from planegbp.routing import (
     PoolConfig,
+    RoutingNode,
     RoutingSimulator,
     cost_model,
     legal_type_pairs,
@@ -156,6 +157,23 @@ def test_replace_variables_updates_entries_not_pattern():
     assert sim.slot_conservation_ok()
 
 
+def test_edit_that_adds_a_routing_node_is_a_pattern_violation(monkeypatch):
+    g, kfs, pts = ba_graph(n_kf=1, n_pts=2)
+    sim = RoutingSimulator(default_pools())
+    sim.bind_graph(g)
+    apply_one = sim._apply_one
+
+    def growing(event):
+        apply_one(event)
+        sim.routing_nodes[(POINT, "extra")] = RoutingNode((POINT, "extra"))
+
+    monkeypatch.setattr(sim, "_apply_one", growing)
+    mark = len(g.journal)
+    g.add_factor(REPROJECTION, (kfs[0], pts[0]), np.zeros(2), 2.0)
+    with pytest.raises(ContractViolation, match="communication pattern"):
+        sim.apply_edit(g.events_since(mark))
+
+
 def test_stale_slot_is_integrity_fault():
     g, kfs, pts = ba_graph(n_kf=1, n_pts=1)
     sim = RoutingSimulator(default_pools())
@@ -208,7 +226,7 @@ def test_routed_equals_direct_with_dynamic_edits(rng):
                 events = graph.events_since(mark)
                 if s is not None:
                     s.apply_edit(events)
-                eng.on_graph_edit(events)
+                eng.on_graph_edit()
     assert sim.slot_conservation_ok()
 
 
