@@ -19,8 +19,11 @@ means back to the variable nodes.
 Each batch's `rows` give, per adjacency position, the bank row of each
 factor's variable: the only delivery map of gather, belief scatter and
 variable-to-factor messages. An optional transport (the routing simulator's)
-rewrites them from its routing matrices when the engine compiles, and records
-each sweep's transport cost; without one, rows follow graph adjacency.
+rewrites them when the engine compiles: it first applies the graph journal's
+new events to its own slot tables, then resolves the rows through its routing
+matrices. It also records each sweep's transport cost. Without a transport,
+rows follow graph adjacency. A variable whose belief is singular, or whose
+mean solve is not finite, keeps its previous mean.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import ContractViolation
-from .gaussians import GaussianInfo, solve_guarded
+from .gaussians import GaussianInfo, solve_blocks, solve_guarded
 from . import factors as _fm
 from .graph import VARIABLE_DIMS, FactorGraph
 
@@ -354,23 +357,10 @@ class GbpEngine:
                 scatter @ np.concatenate(lam).reshape(-1, dim * dim)
             ).reshape(-1, dim, dim)
         for bank in self.banks.values():
-            if not bank.ids.size:
-                continue
-            try:
-                mean = np.linalg.solve(bank.belief_lam, bank.belief_eta[:, :, None])[:, :, 0]
-                bad = ~np.all(np.isfinite(mean), axis=1)
-            except np.linalg.LinAlgError:
-                mean = np.empty_like(bank.mean)
-                bad = np.zeros(bank.ids.size, dtype=bool)
-                for i in range(bank.ids.size):
-                    try:
-                        mean[i] = np.linalg.solve(bank.belief_lam[i], bank.belief_eta[i])
-                        if not np.all(np.isfinite(mean[i])):
-                            bad[i] = True
-                    except np.linalg.LinAlgError:
-                        bad[i] = True
-            if np.any(bad):
-                mean[bad] = bank.mean[bad]  # under-constrained: hold previous mean
+            mean = solve_blocks(bank.belief_lam, bank.belief_eta[:, :, None])[:, :, 0]
+            # singular or non-finite (under-constrained): hold the previous mean
+            bad = ~np.all(np.isfinite(mean), axis=1)
+            mean[bad] = bank.mean[bad]
             bank.mean = mean
 
         # variable -> factor quotients

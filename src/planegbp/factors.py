@@ -120,15 +120,17 @@ def eval_plane_prediction_batch(cam, z, pi, c, want_jac=True):
 
 
 def eval_rigid_plane_prediction_batch(cam, z, pi_conv, r, c, want_jac=True):
+    valid = np.linalg.norm(pi_conv, axis=-1) > EPS_PLANE
+    pi_safe = np.where(valid[:, None], pi_conv, [[0.0, 0.0, 1.0]])
     Rr = so3_exp_batch(r[:, 3:])
     Rc = so3_exp_batch(c[:, 3:])
     if want_jac:
         m_world, dmw_dr, _ = transform_plane_jacobians_batch(
-            Rr, r[:, :3], r[:, 3:], pi_conv
+            Rr, r[:, :3], r[:, 3:], pi_safe
         )
     else:
-        m_world = transform_plane_min_batch(Rr, r[:, :3], pi_conv)
-    valid = np.linalg.norm(m_world, axis=-1) > EPS_PLANE
+        m_world = transform_plane_min_batch(Rr, r[:, :3], pi_safe)
+    valid &= np.linalg.norm(m_world, axis=-1) > EPS_PLANE
     mw_safe = np.where(valid[:, None], m_world, [[0.0, 0.0, 1.0]])
     if want_jac:
         m_cam, dmc_dc, dmc_dmw = transform_plane_jacobians_batch(

@@ -156,6 +156,19 @@ def quotient(numerator: GaussianInfo, denominator: GaussianInfo) -> GaussianInfo
     return GaussianInfo(numerator.eta - denominator.eta, numerator.lam - denominator.lam)
 
 
+def solve_blocks(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve S[i] x[i] = rhs[i] of small blocks, (n, d, d) and (n, d, k);
+    the solution of an exactly singular block is NaN."""
+    try:
+        return np.linalg.solve(S, rhs)
+    except np.linalg.LinAlgError:
+        # An exact zero pivot of the same LU is what makes `solve` raise.
+        ok = np.linalg.slogdet(S)[0] != 0
+        sol = np.full_like(rhs, np.nan)
+        sol[ok] = np.linalg.solve(S[ok], rhs[ok])
+        return sol
+
+
 def solve_guarded(S: np.ndarray, rhs: np.ndarray):
     """Batched solve S[i] x[i] = rhs[i] of small blocks, (n, d, d) and (n, d, k).
 
@@ -163,13 +176,7 @@ def solve_guarded(S: np.ndarray, rhs: np.ndarray):
     again with a Tikhonov term REG_LAMBDA_REL times its mean diagonal.
     Returns (solution, number of regularised blocks).
     """
-    try:
-        sol = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError:
-        # An exact zero pivot of the same LU is what makes `solve` raise.
-        ok = np.linalg.slogdet(S)[0] != 0
-        sol = np.full_like(rhs, np.nan)
-        sol[ok] = np.linalg.solve(S[ok], rhs[ok])
+    sol = solve_blocks(S, rhs)
     bad = ~np.all(np.isfinite(sol), axis=(1, 2))
     if not np.any(bad):
         return sol, 0

@@ -38,6 +38,7 @@ from .gaussians import GaussianInfo
 from .geometry import CameraModel, PlaneParams, Pose, transform_plane
 from .graph import (
     COMBINED_RIGID_REPROJECTION,
+    FACTOR_KINDS,
     KEYFRAME,
     POINT,
     PRIOR,
@@ -45,11 +46,12 @@ from .graph import (
     RIGID_BODY,
     RIGID_PLANE_PREDICTION,
     RIGID_REPROJECTION,
+    VARIABLE_DIMS,
     FactorGraph,
 )
 from . import io_formats
 from .reference import LmConfig, lm_solve
-from .routing import PoolConfig, RoutingSimulator
+from .routing import ROUTED_GROUP, PoolConfig, RoutedTransport, RoutingSimulator
 
 SOLVERS = ("gbp", "gbp-routed", "lm")
 
@@ -321,13 +323,8 @@ def run(config: ExperimentConfig) -> RunResult:
     # until then the graph holds only the anchored first pose.
     _add_keyframe_variable(graph, state, config, packets[0])
 
-    sim = None
-    transport = None
-    if config.solver == "gbp-routed":
-        sim = _routing_sim_for(packets, graph)
-        sim.bind_graph(graph)
-        transport = sim.make_transport()
-    engine = GbpEngine(graph, config.gbp, transport=transport)
+    sim = _routing_sim_for(packets) if config.solver == "gbp-routed" else None
+    engine = GbpEngine(graph, config.gbp, transport=sim and RoutedTransport(sim))
 
     max_iterations = config.max_iterations or _default_budget(config, len(packets))
     kf_interval = config.keyframe_interval_eff
@@ -360,8 +357,6 @@ def run(config: ExperimentConfig) -> RunResult:
 
         events = graph.events_since(mark)
         if events:
-            if sim is not None:
-                sim.apply_edit(events)
             engine.on_graph_edit()
             last_edit = it
             census_rows.append(_census_row(graph, next_kf))
@@ -385,33 +380,19 @@ def run(config: ExperimentConfig) -> RunResult:
     return RunResult(config, summary, reports, graph, manager, packets, out_dir)
 
 
-def _routing_sim_for(packets, graph) -> RoutingSimulator:
-    """Generous pools (2x a worst-case bound derived from the packet stream)."""
+def _routing_sim_for(packets) -> RoutingSimulator:
+    """Generous pools: every variable kind and every routed non-linear factor
+    kind gets twice a worst-case node count derived from the packet stream."""
     n_kf = len(packets)
-    all_points = set()
-    n_obs = 0
-    n_hyp = 0
-    max_kf_obs = 0
-    for p in packets:
-        all_points.update(int(i) for i in p.point_ids)
-        n_obs += len(p.point_ids)
-        n_hyp += len(p.hypotheses)
-        max_kf_obs = max(max_kf_obs, len(p.point_ids))
-    max_v = {
-        KEYFRAME: 2 * n_kf,
-        POINT: 2 * len(all_points) + 4,
-        "plane_hypothesis": 2 * n_hyp + 4,
-        RIGID_BODY: 2 * n_hyp + 4,
-    }
-    max_f = {
-        REPROJECTION: 2 * n_obs + 8,
-        "plane_point": 2 * n_obs + 8,
-        "plane_prediction": 2 * n_hyp + 4,
-        RIGID_REPROJECTION: 2 * n_obs + 8,
-        RIGID_PLANE_PREDICTION: 2 * n_hyp + 4,
-        COMBINED_RIGID_REPROJECTION: 2 * n_hyp * n_kf + 8,
-    }
-    return RoutingSimulator(PoolConfig(max_v, max_f, 2 * max_kf_obs + 32))
+    n_obs = sum(len(p.point_ids) for p in packets)
+    n_hyp = sum(len(p.hypotheses) for p in packets)
+    max_kf_obs = max(len(p.point_ids) for p in packets)
+    capacity = 2 * (n_obs + n_hyp * n_kf + n_kf) + 8
+    factor_kinds = [k for k, group in ROUTED_GROUP.items()
+                    if group is not None and not FACTOR_KINDS[k].linear]
+    return RoutingSimulator(PoolConfig(dict.fromkeys(VARIABLE_DIMS, capacity),
+                                       dict.fromkeys(factor_kinds, capacity),
+                                       2 * max_kf_obs + 32))
 
 
 def _census_row(graph, keyframes_added: int) -> dict:

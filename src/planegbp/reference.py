@@ -227,13 +227,12 @@ def _lm_cost(system: _System, x: np.ndarray, cfg: LmConfig) -> float:
     return cost
 
 
-def avg_reprojection_px(graph, means, system: _System | None = None) -> float:
-    """Mean pixel error over the valid pixel rows; NaN when there is none."""
-    system = system or _System(graph)
-    x = system.flat(means)
+def avg_reprojection_px(system: _System, x: np.ndarray) -> float:
+    """Mean pixel error at the flat means `x` over the valid pixel rows; NaN
+    when there is none."""
     total, count = 0.0, 0
     for stack, cols in zip(system.stacks, system.cols):
-        _, px, n = residual_sums(stack, graph.camera, x[cols])
+        _, px, n = residual_sums(stack, system.graph.camera, x[cols])
         total += px
         count += n
     return total / count if count else math.nan
@@ -261,7 +260,7 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
     lam_damp = cfg.lambda_init
     cost = _lm_cost(system, x, cfg)
     trace = [{"iteration": 0, "cost": cost,
-              "avg_reproj_px": avg_reprojection_px(graph, system.means(x), system)}]
+              "avg_reproj_px": avg_reprojection_px(system, x)}]
     converged = False
     hit_max = False
 
@@ -287,8 +286,7 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
                     accepted = True
                     trace.append({
                         "iteration": it, "cost": cost,
-                        "avg_reproj_px": avg_reprojection_px(
-                            graph, system.means(x), system),
+                        "avg_reproj_px": avg_reprojection_px(system, x),
                     })
                     if rel < cfg.cost_rel_tol:
                         converged = True

@@ -2,25 +2,37 @@
 
 Models inference hardware where cores exchange messages only along a
 precompiled channel set: graph nodes occupy fixed-size slot pools per node
-type, and every factor-graph edge is realised as an entry in the routing
-node that mediates that (variable-kind, factor-kind) pair. Editing the graph
-only rewrites routing matrices and slot occupancy; the channel set (the
-communication pattern: pool capacities, routing-node pairs and the per-variable
-edge limit) never changes after construction, and `apply_edit` checks that.
+kind, and every factor-graph edge is realised as an entry in the routing
+node that mediates that (variable-kind, factor-group) pair.
 
-The simulation is functional, not cycle-accurate. When the engine compiles,
-`RoutedTransport` resolves every routed edge through the routing matrices
-(never through graph adjacency) and writes the resulting bank rows into the
-engine's batches, which gather, scatter beliefs and send variable-to-factor
-messages along them only; so a wrong routing entry shows up as a wrong
-inference result. Each sweep's cost is read off the routing tables: every
-entry carries one factor-to-variable and one variable-to-factor message of
-2 hops each, reported as hops, deliveries and per-routing-node loads.
+All routing state lives in slot tables. Each pool maps a bound node id to
+its slot (`slot`) and each slot to its node id (`node`, -1 when free). Each
+factor pool's routing matrix holds, per slot and adjacency position, the
+(variable-kind index, variable slot) that the edge is routed to (-1 when
+none); each variable pool counts the entries routed to each of its slots,
+and each routing node counts its entries. An edit only rewrites these
+tables; the channel set (the communication pattern: pool capacities,
+routing-node pairs and the per-variable edge limit) never changes after
+construction, and `apply_edit` checks that.
 
-Unary factors (priors) are core-local -- they are fused with their variable
-and need no transport. Combined reprojection factors share the routing type
-of their constituents: the adjacency signature and slot shapes are
-identical, so the routing layer does not distinguish them.
+The simulator follows the graph journal itself: `follow` applies the events
+appended since its last call, once each. The simulation is functional, not
+cycle-accurate. Whenever the engine compiles, `RoutedTransport.attach`
+brings the tables up to the journal, then resolves every routed batch's
+rows through the routing matrices (never through graph adjacency), with one
+gather per batch and position, and writes them into the engine's batches,
+which gather, scatter beliefs and send variable-to-factor messages along
+them only; so a wrong routing entry shows up as a wrong inference result.
+Each sweep's cost is read off the entry counts: every entry carries one
+factor-to-variable and one variable-to-factor message of 2 hops each,
+reported as hops, deliveries and per-routing-node loads.
+
+A routed factor kind has a pool and routing nodes when the pool
+configuration lists it; a factor of an unlisted routed kind is a
+CapacityError. Unary factors (priors) are core-local -- they are fused with
+their variable and need no transport. Combined reprojection factors share
+the routing group of their constituents: the adjacency signature and slot
+shapes are identical, so the routing layer does not distinguish them.
 """
 
 from __future__ import annotations
@@ -74,7 +86,6 @@ class PoolConfig:
     max_variables: dict
     max_factors: dict
     max_edges_per_variable: int = 64
-    include_linear: bool = False
 
     def __post_init__(self):
         for name, table in (("variable", self.max_variables), ("factor", self.max_factors)):
@@ -91,38 +102,21 @@ class PoolConfig:
             for k, c in census["factors"].items()
             if ROUTED_GROUP.get(k) is not None
         }
-        has_linear = census["factors"].get(LINEAR, 0) > 0
         max_edges = 8
         for v in graph.variables.values():
             max_edges = max(max_edges, len(v.factor_ids))
-        return PoolConfig(max_v, max_f, int(max_edges * headroom) + 4, has_linear)
-
-
-class RoutingNode:
-    """Mediator for one (variable-kind, factor-group) pair."""
-
-    def __init__(self, pair):
-        self.pair = pair
-        # (factor-type, factor-slot, position) -> (variable-kind, variable-slot)
-        self.matrix: dict = {}
-        self.delivered = 0
-
-    def add_entry(self, key, target):
-        if key in self.matrix:
-            raise ContractViolation(f"routing entry {key} already present in {self.pair}")
-        self.matrix[key] = target
-
-    def remove_entry(self, key):
-        del self.matrix[key]
+        return PoolConfig(max_v, max_f, int(max_edges * headroom) + 4)
 
 
 class _Pool:
+    """The slots of one node kind."""
+
     def __init__(self, kind: str, capacity: int):
         self.kind = kind
         self.capacity = capacity
         self.free = list(range(capacity - 1, -1, -1))
-        self.bound: dict[int, int] = {}  # node id -> slot
-        self.of_slot: dict[int, int] = {}
+        self.slot: dict[int, int] = {}  # node id -> slot
+        self.node = np.full(capacity, -1, dtype=int)  # slot -> node id, -1 when free
 
     def allocate(self, node_id: int) -> int:
         if not self.free:
@@ -130,34 +124,46 @@ class _Pool:
                 f"pool '{self.kind}' exhausted (capacity {self.capacity})"
             )
         slot = self.free.pop()
-        self.bound[node_id] = slot
-        self.of_slot[slot] = node_id
+        self.slot[node_id] = slot
+        self.node[slot] = node_id
         return slot
 
-    def release(self, node_id: int):
-        slot = self.bound.pop(node_id)
-        del self.of_slot[slot]
+    def release(self, node_id: int) -> int:
+        slot = self.slot.pop(node_id)
+        self.node[slot] = -1
         self.free.append(slot)
+        return slot
+
+
+class _VariablePool(_Pool):
+    def __init__(self, kind: str, capacity: int, index: int):
+        super().__init__(kind, capacity)
+        self.index = index  # the variable-kind index routing entries name
+        self.edges = np.zeros(capacity, dtype=int)  # routing entries per slot
+
+
+class _FactorPool(_Pool):
+    def __init__(self, kind: str, capacity: int):
+        super().__init__(kind, capacity)
+        # per slot and position: (variable-kind index, variable slot)
+        arity = len(FACTOR_KINDS[kind].signature)
+        self.route = np.full((capacity, arity, 2), -1, dtype=int)
 
 
 class RoutingSimulator:
     def __init__(self, pools: PoolConfig):
         self.pools_config = pools
-        self.var_pools = {k: _Pool(k, pools.max_variables.get(k, 0)) for k in VARIABLE_DIMS}
-        factor_kinds = [k for k, g in ROUTED_GROUP.items() if g is not None]
-        if not pools.include_linear:
-            factor_kinds = [k for k in factor_kinds if k != LINEAR]
-        self.factor_pools = {
-            k: _Pool(k, pools.max_factors.get(k, 0)) for k in factor_kinds
-        }
-        pair_kinds = factor_kinds
-        self.routing_nodes = {
-            pair: RoutingNode(pair) for pair in sorted(legal_type_pairs(pair_kinds))
-        }
-        # Fast shard index: (factor kind, slot, position) -> routing pair
-        self._route_index: dict = {}
-        self._edge_counts: dict = {}
-        self.graph: FactorGraph | None = None
+        self.var_pools = {k: _VariablePool(k, pools.max_variables.get(k, 0), i)
+                          for i, k in enumerate(VARIABLE_DIMS)}
+        self._var_by_index = list(self.var_pools.values())
+        kinds = [k for k in pools.max_factors if ROUTED_GROUP.get(k) is not None]
+        self.factor_pools = {k: _FactorPool(k, pools.max_factors[k]) for k in kinds}
+        # entry count per routing node
+        self.routing_nodes = dict.fromkeys(sorted(legal_type_pairs(kinds)), 0)
+        # the pool of each bound variable and factor
+        self._variable_pool: dict[int, _VariablePool] = {}
+        self._factor_pool: dict[int, _FactorPool] = {}
+        self.journal_mark = 0  # journal events applied so far
         self.sweeps: list[dict] = []
 
     # -- communication pattern -------------------------------------------------
@@ -176,57 +182,15 @@ class RoutingSimulator:
     def n_routing_nodes(self) -> int:
         return len(self.routing_nodes)
 
-    # -- binding ----------------------------------------------------------------
+    # -- following the journal ---------------------------------------------------
 
-    def bind_graph(self, graph: FactorGraph):
-        self.graph = graph
-        for vid in sorted(graph.variables):
-            self._bind_variable(vid, graph.variables[vid].kind)
-        for fid in sorted(graph.factors):
-            fac = graph.factors[fid]
-            self._bind_factor(fid, fac.kind, fac.adjacency)
-
-    def _bind_variable(self, vid: int, kind: str):
-        self.var_pools[kind].allocate(vid)
-        self._edge_counts[vid] = 0
-
-    def _release_variable(self, vid: int, kind: str):
-        if self._edge_counts.get(vid, 0) != 0:
-            raise ContractViolation(f"variable {vid} still routed")
-        self.var_pools[kind].release(vid)
-        self._edge_counts.pop(vid, None)
-
-    def _bind_factor(self, fid: int, kind: str, adjacency):
-        group = ROUTED_GROUP.get(kind)
-        if group is None:
-            return
-        pool = self.factor_pools[kind]
-        slot = pool.allocate(fid)
-        for pos, vid in enumerate(adjacency):
-            vkind = self._kind_of_bound_variable(vid)
-            pair = (vkind, group)
-            node = self.routing_nodes.get(pair)
-            if node is None:
-                raise ContractViolation(f"no routing node for pair {pair}")
-            vslot = self.var_pools[vkind].bound[vid]
-            key = (kind, slot, pos)
-            node.add_entry(key, (vkind, vslot))
-            self._route_index[key] = pair
-            self._edge_counts[vid] += 1
-            if self._edge_counts[vid] > self.pools_config.max_edges_per_variable:
-                raise CapacityError(
-                    f"variable {vid} exceeds max edges "
-                    f"({self.pools_config.max_edges_per_variable})"
-                )
-
-    def _kind_of_bound_variable(self, vid: int) -> str:
-        for kind, pool in self.var_pools.items():
-            if vid in pool.bound:
-                return kind
-        raise ContractViolation(f"variable {vid} is not bound to any slot")
+    def follow(self, journal):
+        """Apply the journal's events since the last call."""
+        self.apply_edit(journal[self.journal_mark:])
+        self.journal_mark = len(journal)
 
     def apply_edit(self, events):
-        """Update routing matrices for journal events; the pattern is fixed."""
+        """Update the slot tables for journal events; the pattern is fixed."""
         before = self.comm_pattern_hash()
         for event in events:
             self._apply_one(event)
@@ -235,83 +199,105 @@ class RoutingSimulator:
 
     def _apply_one(self, event):
         if isinstance(event, AddVariable):
-            self._bind_variable(event.id, event.kind)
+            pool = self.var_pools[event.kind]
+            pool.allocate(event.id)
+            self._variable_pool[event.id] = pool
         elif isinstance(event, RemoveVariable):
-            kind = None
-            for k, pool in self.var_pools.items():
-                if event.id in pool.bound:
-                    kind = k
-                    break
-            if kind is None:
+            pool = self._variable_pool.get(event.id)
+            if pool is None:
                 raise ContractViolation(f"variable {event.id} was not bound")
-            self._release_variable(event.id, kind)
+            if pool.edges[pool.slot[event.id]]:
+                raise ContractViolation(f"variable {event.id} still routed")
+            pool.release(event.id)
+            del self._variable_pool[event.id]
         elif isinstance(event, AddFactor):
             self._bind_factor(event.id, event.kind, event.adjacency)
         elif isinstance(event, RemoveFactor):
-            # the factor is already gone from the graph; reconstruct its route
-            self._release_factor_by_id(event.id)
+            self._release_factor(event.id)
         elif isinstance(event, ReplaceVariables):
             for sub in event.events:
                 self._apply_one(sub)
         else:
             raise ContractViolation(f"unknown edit event {event!r}")
 
-    def _release_factor_by_id(self, fid: int):
-        for kind, pool in self.factor_pools.items():
-            if fid in pool.bound:
-                slot = pool.bound[fid]
-                pos = 0
-                while (kind, slot, pos) in self._route_index:
-                    key = (kind, slot, pos)
-                    pair = self._route_index.pop(key)
-                    vkind, vslot = self.routing_nodes[pair].matrix[key]
-                    vid = self.var_pools[vkind].of_slot[vslot]
-                    self._edge_counts[vid] -= 1
-                    self.routing_nodes[pair].remove_entry(key)
-                    pos += 1
-                pool.release(fid)
-                return
-        # unrouted kinds (priors) were never bound; nothing to release
+    def _bind_factor(self, fid: int, kind: str, adjacency):
+        group = ROUTED_GROUP.get(kind)
+        if group is None:
+            return
+        pool = self.factor_pools.get(kind)
+        if pool is None:
+            raise CapacityError(f"no pool for routed factor kind '{kind}'")
+        slot = pool.allocate(fid)
+        self._factor_pool[fid] = pool
+        for pos, vid in enumerate(adjacency):
+            vpool = self._variable_pool.get(vid)
+            if vpool is None:
+                raise ContractViolation(f"variable {vid} is not bound to any slot")
+            pair = (vpool.kind, group)
+            if pair not in self.routing_nodes:
+                raise ContractViolation(f"no routing node for pair {pair}")
+            vslot = vpool.slot[vid]
+            pool.route[slot, pos] = vpool.index, vslot
+            self.routing_nodes[pair] += 1
+            vpool.edges[vslot] += 1
+            if vpool.edges[vslot] > self.pools_config.max_edges_per_variable:
+                raise CapacityError(
+                    f"variable {vid} exceeds max edges "
+                    f"({self.pools_config.max_edges_per_variable})"
+                )
+
+    def _release_factor(self, fid: int):
+        pool = self._factor_pool.pop(fid, None)
+        if pool is None:
+            return  # unrouted kinds (priors) were never bound
+        slot = pool.release(fid)
+        group = ROUTED_GROUP[pool.kind]
+        for index, vslot in pool.route[slot]:
+            if index >= 0:
+                vpool = self._var_by_index[index]
+                vpool.edges[vslot] -= 1
+                self.routing_nodes[(vpool.kind, group)] -= 1
+        pool.route[slot] = -1
 
     # -- routing lookups ---------------------------------------------------------
 
-    def route(self, factor_kind: str, fid: int, pos: int):
-        """Resolve one edge through the routing matrices.
+    def routed_variables(self, kind: str, fids, arity: int) -> np.ndarray:
+        """(factor, position) ids of the variables that the factors `fids` of
+        one kind are routed to: one gather through the routing matrix.
 
-        Returns (pair, variable id). Raises on stale entries; this is the
-        integrity fault surface for the simulator tests.
+        Raises on an unbound factor, a missing entry or a freed slot; this is
+        the integrity fault surface for the simulator tests.
         """
-        pool = self.factor_pools[factor_kind]
-        if fid not in pool.bound:
-            raise ContractViolation(f"factor {fid} not bound to a slot")
-        slot = pool.bound[fid]
-        key = (factor_kind, slot, pos)
-        pair = self._route_index.get(key)
-        if pair is None:
-            raise ContractViolation(f"no routing entry for {key}")
-        vkind, vslot = self.routing_nodes[pair].matrix[key]
-        if vslot not in self.var_pools[vkind].of_slot:
-            raise ContractViolation(f"routing entry {key} references freed slot")
-        return pair, self.var_pools[vkind].of_slot[vslot]
+        pool = self.factor_pools[kind]
+        slots = np.array([pool.slot.get(fid, -1) for fid in fids], dtype=int)
+        if np.any(slots < 0):
+            fid = fids[np.argmin(slots)]
+            raise ContractViolation(f"{kind} factor {fid} not bound to a slot")
+        index, vslot = np.moveaxis(pool.route[slots, :arity], -1, 0)
+        if np.any(index < 0):
+            raise ContractViolation(f"no routing entry for a {kind} factor")
+        vids = np.empty_like(vslot)
+        for vpool in self._var_by_index:
+            at = index == vpool.index
+            vids[at] = vpool.node[vslot[at]]
+        if np.any(vids < 0):
+            raise ContractViolation(f"a {kind} routing entry references freed slot")
+        return vids
 
     def routing_entry_count(self) -> int:
-        return sum(len(n.matrix) for n in self.routing_nodes.values())
+        return sum(self.routing_nodes.values())
 
     def slot_conservation_ok(self) -> bool:
         pools = list(self.var_pools.values()) + list(self.factor_pools.values())
-        return all(len(p.bound) + len(p.free) == p.capacity for p in pools)
+        return all(len(p.slot) + len(p.free) == p.capacity
+                   and np.count_nonzero(p.node >= 0) == len(p.slot) for p in pools)
 
-    # -- transport + cost ----------------------------------------------------------
-
-    def make_transport(self) -> "RoutedTransport":
-        return RoutedTransport(self)
+    # -- cost ------------------------------------------------------------------------
 
     def begin_sweep(self):
         """Record one sweep's cost from the routing tables: each entry carries
         one message each way, 2 deliveries and 4 hops."""
-        loads = {pair: 2 * len(node.matrix) for pair, node in self.routing_nodes.items()}
-        for pair, n in loads.items():
-            self.routing_nodes[pair].delivered += n
+        loads = {pair: 2 * n for pair, n in self.routing_nodes.items()}
         deliveries = sum(loads.values())
         self.sweeps.append({
             "sweep": len(self.sweeps),
@@ -334,14 +320,6 @@ class RoutingSimulator:
         return out
 
 
-def cost_model(sim: RoutingSimulator, sweep: int) -> dict:
-    """Per-sweep transport cost; hops are twice the direct delivery count."""
-    report = sim.cost_report()
-    if not 0 <= sweep < len(report):
-        raise ContractViolation(f"no sweep {sweep} recorded")
-    return report[sweep]
-
-
 class RoutedTransport:
     """Engine transport whose delivery rows come from the routing matrices."""
 
@@ -349,13 +327,15 @@ class RoutedTransport:
         self.sim = sim
 
     def attach(self, engine):
-        """Write each routed batch's rows, per position, from its routes."""
+        """Bring the simulator up to the graph's journal, then write each
+        routed batch's rows, per position, from its routes."""
+        self.sim.follow(engine.graph.journal)
         for b in engine.batches:
             if ROUTED_GROUP.get(b.kind) is None:
                 continue  # core-local factors deliver directly
+            vids = self.sim.routed_variables(b.kind, b.ids, b.arity)
             for pos, bank in enumerate(b.banks):
-                b.rows[pos] = bank.rows_of([self.sim.route(b.kind, fid, pos)[1]
-                                            for fid in b.ids])
+                b.rows[pos] = bank.rows_of(vids[:, pos])
 
     def begin_sweep(self):
         self.sim.begin_sweep()

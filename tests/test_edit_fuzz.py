@@ -1,9 +1,11 @@
 """Random edit sequences against the engine's recompile and the routing tables.
 
 Twin graphs take the same edits: one is propagated with the routing
-simulator's transport, the other directly. Every edit must leave the state
-of the surviving factors and variables untouched, bit for bit, and the
-routed twin must keep equalling the direct one.
+simulator's transport, which follows the graph journal by itself, the other
+directly. The edits include rigid-body compression, factor combination and
+plane merges, whose replacements nest their primitive events. Every edit
+must leave the state of the surviving factors and variables untouched, bit
+for bit, and the routed twin must keep equalling the direct one.
 """
 
 import dataclasses
@@ -11,6 +13,7 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from planegbp.abstraction import AbstractionConfig, AbstractionManager
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel, Pose, project
@@ -23,9 +26,12 @@ from planegbp.graph import (
     POINT,
     PRIOR,
     REPROJECTION,
+    RIGID_BODY,
+    RIGID_PLANE_PREDICTION,
+    RIGID_REPROJECTION,
     FactorGraph,
 )
-from planegbp.routing import ROUTED_GROUP, PoolConfig, RoutingSimulator, cost_model
+from planegbp.routing import ROUTED_GROUP, PoolConfig, RoutedTransport, RoutingSimulator
 
 CAM = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 CFG = GbpConfig(damping=0.3, dropout=0.5, seed=3)
@@ -33,7 +39,7 @@ CFG = GbpConfig(damping=0.3, dropout=0.5, seed=3)
 FACTOR_STATE = ("x0", "eta", "lam", "weight", "lin_valid")
 MESSAGES = ("f2v_eta", "f2v_lam", "v2f_eta", "v2f_lam")
 OPS = ("add_reprojection", "add_linear", "remove_factor", "add_variable",
-       "remove_variable", "add_plane", "rigid")
+       "remove_variable", "add_plane", "rigid", "combine", "merge")
 
 
 def _live(g, *kinds):
@@ -61,6 +67,33 @@ def _add_plane(g, kf, members):
     return plane
 
 
+def _rigid_plane(g, manager, kf, shift):
+    """A rigid body over four points of the plane z = 4, seen from `kf`."""
+    pi = np.array([0.0, 0.0, 4.0])
+    rb = g.add_variable(RIGID_BODY, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6)))
+    members = []
+    for k, (u, v) in enumerate(((-0.3, -0.3), (0.3, -0.3), (0.3, 0.3), (-0.3, 0.3))):
+        p = np.array([u + shift, v, 4.0])
+        z = project(CAM, Pose(g.variables[kf].mean), p)
+        g.add_factor(RIGID_REPROJECTION, (kf, rb), z, 1.0, payload={"p_conv": p})
+        members.append((k, p))
+    g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), pi, 0.2, payload={"pi_conv": pi})
+    rp = manager.rigid_planes[rb] = manager._make_rigid_plane(rb, pi, members)
+    return rp
+
+
+def _merge_two_planes(g, kf, j):
+    """Build two coplanar, overlapping rigid planes, combine the first one's
+    factors and merge the two: a replacement whose events add combined and
+    plain rigid factors."""
+    manager = AbstractionManager(g, AbstractionConfig(), seed=j)
+    a = _rigid_plane(g, manager, kf, 0.0)
+    b = _rigid_plane(g, manager, kf, 0.05 * (j % 3))
+    manager.combine_rigid_factors(a.rigid_id)
+    means = {a.rigid_id: np.zeros(6), b.rigid_id: np.zeros(6)}
+    assert manager.merge_planes(a, b, means, iteration=0) is not None
+
+
 def base_graph():
     g = FactorGraph(camera=CAM)
     kfs = []
@@ -81,8 +114,8 @@ def edit(g, eng, op, i, j):
     """Apply one edit, chosen from the live graph by the integers i and j."""
     kfs, pts = _live(g, KEYFRAME), _live(g, POINT)
     # linear factors stay off planes, so that compression stays applicable
-    plain = _live(g, KEYFRAME, POINT, "rigid_body")
-    planes = _live(g, PLANE_HYPOTHESIS)
+    plain = _live(g, KEYFRAME, POINT, RIGID_BODY)
+    planes, bodies = _live(g, PLANE_HYPOTHESIS), _live(g, RIGID_BODY)
     if op == "add_reprojection" and kfs and pts:
         _add_reprojection(g, kfs[i % len(kfs)], pts[j % len(pts)], i)
     elif op == "add_linear" and plain:
@@ -120,6 +153,11 @@ def edit(g, eng, op, i, j):
             g.factors[fid].kind != LINEAR for fid in g.variables[p].factor_ids)]
         means = eng.means()
         g.replace_with_rigid_body(plane, members, {v: means[v] for v in [plane] + members})
+    elif op == "combine" and bodies:
+        AbstractionManager(g, AbstractionConfig()).combine_rigid_factors(
+            bodies[i % len(bodies)])
+    elif op == "merge" and kfs:
+        _merge_two_planes(g, kfs[i % len(kfs)], j)
 
 
 def engine_state(eng):
@@ -171,13 +209,12 @@ def test_random_edits_carry_state_and_keep_routed_equal_to_direct(ops):
     g = base_graph()
     g_ref = FactorGraph.replay(g.journal, camera=CAM)
     pools = PoolConfig(
-        max_variables={k: 64 for k in (KEYFRAME, POINT, PLANE_HYPOTHESIS, "rigid_body")},
+        max_variables={k: 64 for k in (KEYFRAME, POINT, PLANE_HYPOTHESIS, RIGID_BODY)},
         max_factors={k: 256 for k, group in ROUTED_GROUP.items() if group is not None},
-        max_edges_per_variable=128, include_linear=True,
+        max_edges_per_variable=128,
     )
     sim = RoutingSimulator(pools)
-    sim.bind_graph(g)
-    routed = GbpEngine(g, CFG, transport=sim.make_transport())
+    routed = GbpEngine(g, CFG, transport=RoutedTransport(sim))
     direct = GbpEngine(g_ref, CFG)
     for _ in range(3):
         routed.iterate()
@@ -186,11 +223,7 @@ def test_random_edits_carry_state_and_keep_routed_equal_to_direct(ops):
     for op, i, j in ops:
         before = [engine_state(e) for e in (routed, direct)]
         for graph, eng in ((g, routed), (g_ref, direct)):
-            mark = len(graph.journal)
             edit(graph, eng, op, i, j)
-            events = graph.events_since(mark)
-            if graph is g:
-                sim.apply_edit(events)
             eng.on_graph_edit()
         for eng, (factors, variables) in zip((routed, direct), before):
             new_factors, new_variables = engine_state(eng)
@@ -218,4 +251,4 @@ def test_random_edits_carry_state_and_keep_routed_equal_to_direct(ops):
             assert a[0].keys() == b[0].keys() and a[1].keys() == b[1].keys()
             assert_state_equal(*[s[0] for s in (a, b)])
             assert_state_equal(*[s[1] for s in (a, b)])
-            assert cost_model(sim, len(sim.sweeps) - 1)["hops"] == 4 * routed_entries(g)
+            assert sim.cost_report()[-1]["hops"] == 4 * routed_entries(g)

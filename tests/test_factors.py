@@ -281,6 +281,25 @@ def test_outlier_flag_yields_zero_information(rng):
     assert w[0] == 0.0
 
 
+def test_degenerate_baked_plane_yields_zero_information():
+    # a rigid plane-prediction factor baked from a plane at the origin is
+    # invalid: zero weight and finite, zero information, never NaN
+    g = FactorGraph(camera=CAM)
+    rb = g.add_variable(RIGID_BODY, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6)))
+    kf = g.add_variable(KEYFRAME, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6)))
+    fid = g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), np.array([0.0, 0.0, 3.0]), 0.2,
+                       payload={"pi_conv": np.zeros(3)})
+    stack = factor_stacks(g, [g.factors[fid]])[0]
+    eta, lam, w = linearise_batch(stack, CAM, np.zeros((1, 12)))
+    assert w[0] == 0.0
+    assert np.all(np.isfinite(eta)) and np.all(np.isfinite(lam))
+    eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0))
+    eng.iterate()
+    for vid in (rb, kf):
+        belief = eng.belief(vid)
+        assert np.all(np.isfinite(belief.eta)) and np.all(np.isfinite(belief.lam))
+
+
 def test_tukey_zero_weight_factor(rng):
     g = FactorGraph(camera=CAM)
     kf = g.add_variable(KEYFRAME, np.zeros(6))

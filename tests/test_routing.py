@@ -16,9 +16,8 @@ from planegbp.graph import (
 )
 from planegbp.routing import (
     PoolConfig,
-    RoutingNode,
+    RoutedTransport,
     RoutingSimulator,
-    cost_model,
     legal_type_pairs,
 )
 from planegbp.geometry import CameraModel
@@ -63,7 +62,7 @@ def test_zero_maximum_pool_has_no_slots():
     g = FactorGraph(camera=CAM)
     g.add_variable(RIGID_BODY, np.zeros(6))
     with pytest.raises(CapacityError, match="rigid_body"):
-        sim.bind_graph(g)
+        sim.follow(g.journal)
 
 
 def test_capacity_error_names_pool():
@@ -72,12 +71,12 @@ def test_capacity_error_names_pool():
     sim = RoutingSimulator(pools)
     g, _, _ = ba_graph(n_kf=2)
     with pytest.raises(CapacityError, match="keyframe"):
-        sim.bind_graph(g)
+        sim.follow(g.journal)
 
 
 def test_empty_graph_empty_matrices():
     sim = RoutingSimulator(default_pools())
-    sim.bind_graph(FactorGraph(camera=CAM))
+    sim.follow(FactorGraph(camera=CAM).journal)
     assert sim.routing_entry_count() == 0
     assert sim.slot_conservation_ok()
 
@@ -85,7 +84,7 @@ def test_empty_graph_empty_matrices():
 def test_pairwise_factor_creates_two_entries():
     g, kfs, pts = ba_graph(n_kf=1, n_pts=1)
     sim = RoutingSimulator(default_pools())
-    sim.bind_graph(g)
+    sim.follow(g.journal)
     assert sim.routing_entry_count() == 2
 
 
@@ -97,33 +96,38 @@ def test_entry_count_equals_sum_of_arities(seed):
     for p in pts[: int(r.integers(1, len(pts)))]:
         g.add_factor(PLANE_POINT, (plane, p), 0.0, 0.05)
     sim = RoutingSimulator(default_pools())
-    sim.bind_graph(g)
+    sim.follow(g.journal)
     expected = sum(f.arity for f in g.factors.values())
     assert sim.routing_entry_count() == expected
+
+
+def routing_tables(sim):
+    """Copies of every slot table of the simulator."""
+    return ([dict(p.slot) for p in sim.factor_pools.values()]
+            + [p.route.tobytes() for p in sim.factor_pools.values()]
+            + [p.edges.tobytes() for p in sim.var_pools.values()]
+            + [dict(sim.routing_nodes)])
 
 
 def test_add_then_remove_restores_matrices():
     g, kfs, pts = ba_graph()
     sim = RoutingSimulator(default_pools())
-    sim.bind_graph(g)
-    before = {pair: dict(n.matrix) for pair, n in sim.routing_nodes.items()}
-    mark = len(g.journal)
+    sim.follow(g.journal)
+    before = routing_tables(sim)
     fid = g.add_factor(REPROJECTION, (kfs[0], pts[0]), np.zeros(2), 2.0)
     g.remove_factor(fid)
-    sim.apply_edit(g.events_since(mark))
-    after = {pair: dict(n.matrix) for pair, n in sim.routing_nodes.items()}
-    assert before == after
+    sim.follow(g.journal)
+    assert routing_tables(sim) == before
     assert sim.slot_conservation_ok()
 
 
 def test_comm_pattern_hash_constant_across_edits(rng):
     g, kfs, pts = ba_graph(n_kf=3, n_pts=10)
     sim = RoutingSimulator(default_pools())
-    sim.bind_graph(g)
+    sim.follow(g.journal)
     h0 = sim.comm_pattern_hash()
     live_factors = list(g.factors)
     for step in range(1000):
-        mark = len(g.journal)
         if rng.random() < 0.5 and live_factors:
             victim = live_factors.pop(int(rng.integers(len(live_factors))))
             g.remove_factor(victim)
@@ -133,7 +137,7 @@ def test_comm_pattern_hash_constant_across_edits(rng):
             live_factors.append(
                 g.add_factor(REPROJECTION, (kf, p), np.zeros(2), 2.0)
             )
-        sim.apply_edit(g.events_since(mark))
+        sim.follow(g.journal)
         assert sim.comm_pattern_hash() == h0
     assert sim.slot_conservation_ok()
 
@@ -144,13 +148,12 @@ def test_replace_variables_updates_entries_not_pattern():
     for p in pts:
         g.add_factor(PLANE_POINT, (plane, p), 0.0, 0.05)
     sim = RoutingSimulator(default_pools())
-    sim.bind_graph(g)
+    sim.follow(g.journal)
     h0 = sim.comm_pattern_hash()
-    mark = len(g.journal)
     conv = {plane: np.array([0, 0, 3.0])}
     conv.update({p: np.array([0, 0, 3.0]) for p in pts})
     g.replace_with_rigid_body(plane, pts, conv)
-    sim.apply_edit(g.events_since(mark))
+    sim.follow(g.journal)
     assert sim.comm_pattern_hash() == h0
     expected = sum(f.arity for f in g.factors.values())
     assert sim.routing_entry_count() == expected
@@ -160,47 +163,86 @@ def test_replace_variables_updates_entries_not_pattern():
 def test_edit_that_adds_a_routing_node_is_a_pattern_violation(monkeypatch):
     g, kfs, pts = ba_graph(n_kf=1, n_pts=2)
     sim = RoutingSimulator(default_pools())
-    sim.bind_graph(g)
+    sim.follow(g.journal)
     apply_one = sim._apply_one
 
     def growing(event):
         apply_one(event)
-        sim.routing_nodes[(POINT, "extra")] = RoutingNode((POINT, "extra"))
+        sim.routing_nodes[(POINT, "extra")] = 0
 
     monkeypatch.setattr(sim, "_apply_one", growing)
-    mark = len(g.journal)
     g.add_factor(REPROJECTION, (kfs[0], pts[0]), np.zeros(2), 2.0)
     with pytest.raises(ContractViolation, match="communication pattern"):
-        sim.apply_edit(g.events_since(mark))
+        sim.follow(g.journal)
+
+
+def routed_twins(g, pools, cfg=GbpConfig(damping=0.0, dropout=0.0)):
+    """(simulator, routed engine on g, direct engine on a replay of g)."""
+    sim = RoutingSimulator(pools)
+    routed = GbpEngine(g, cfg, transport=RoutedTransport(sim))
+    return sim, routed, GbpEngine(FactorGraph.replay(g.journal, CAM), cfg)
 
 
 def test_stale_slot_is_integrity_fault():
     g, kfs, pts = ba_graph(n_kf=1, n_pts=1)
-    sim = RoutingSimulator(default_pools())
-    sim.bind_graph(g)
-    fid = next(iter(g.factors))
+    sim, routed, _ = routed_twins(g, default_pools())
     # forcibly free the variable slot behind the routing entry
     sim.var_pools[POINT].release(pts[0])
     with pytest.raises(ContractViolation, match="freed slot"):
-        sim.route(REPROJECTION, fid, 1)
+        routed.on_graph_edit()
 
 
-def linear_pools(graph):
-    cfg = PoolConfig.generous_for(graph)
-    cfg.include_linear = True
-    cfg.max_factors[LINEAR] = 4 * len(graph.factors) + 8
-    return cfg
+def test_missing_entry_and_unbound_factor_are_integrity_faults():
+    g, kfs, pts = ba_graph(n_kf=1, n_pts=1)
+    sim, routed, _ = routed_twins(g, default_pools())
+    pool = sim.factor_pools[REPROJECTION]
+    fid = next(iter(g.factors))
+    pool.route[pool.slot[fid], 1] = -1
+    with pytest.raises(ContractViolation, match="no routing entry"):
+        routed.on_graph_edit()
+    pool.release(fid)
+    with pytest.raises(ContractViolation, match="not bound"):
+        routed.on_graph_edit()
+
+
+def test_linear_factor_without_linear_pool_is_capacity_error(rng):
+    g = build_linear_graph(rng, 3, [(0, 1), (1, 2)])
+    with pytest.raises(CapacityError, match="linear"):
+        routed_twins(g, default_pools())
+
+
+def test_misrouted_entry_changes_beliefs():
+    # the routed engine delivers along the routing matrices only: pointing one
+    # live entry at another live variable's slot changes what it computes
+    g = FactorGraph(camera=CAM)
+    kfs = [g.add_variable(KEYFRAME, np.zeros(6)) for _ in range(2)]
+    pts = [g.add_variable(POINT, np.array([0.2 * i, -0.1 * i, 3.0 + 0.5 * i]))
+           for i in range(3)]
+    for kf in kfs:
+        for p in pts:
+            g.add_factor(REPROJECTION, (kf, p), np.array([320.0, 240.0]), 2.0)
+    sim, routed, direct = routed_twins(g, default_pools())
+
+    def same_beliefs():
+        for eng in (routed, direct):
+            eng.iterate()
+        return all(np.array_equal(routed.belief(v).lam, direct.belief(v).lam)
+                   for v in g.variables)
+
+    assert same_beliefs()
+    pool = sim.factor_pools[REPROJECTION]
+    fid = min(g.factors)
+    assert g.factors[fid].adjacency[1] != pts[2]
+    pool.route[pool.slot[fid], 1, 1] = sim.var_pools[POINT].slot[pts[2]]
+    routed.on_graph_edit()
+    assert not same_beliefs()
 
 
 def test_routed_equals_direct_with_dynamic_edits(rng):
     g = build_linear_graph(rng, 10, random_tree_edges(rng, 10) + [(0, 9)])
-    g_ref = FactorGraph.replay(g.journal)
-
-    sim = RoutingSimulator(linear_pools(g))
-    sim.bind_graph(g)
-    routed = GbpEngine(g, GbpConfig(damping=0.3, dropout=0.5, seed=4),
-                       transport=sim.make_transport())
-    direct = GbpEngine(g_ref, GbpConfig(damping=0.3, dropout=0.5, seed=4))
+    sim, routed, direct = routed_twins(g, PoolConfig.generous_for(g),
+                                       GbpConfig(damping=0.3, dropout=0.5, seed=4))
+    g_ref = direct.graph
 
     for step in range(30):
         rep_a = routed.iterate()
@@ -216,28 +258,21 @@ def test_routed_equals_direct_with_dynamic_edits(rng):
             m = g.variables[a].dim + g.variables[b].dim
             A = rr.normal(size=(m, m))
             z = rr.normal(size=m)
-            for graph, eng, s in ((g, routed, sim), (g_ref, direct, None)):
-                mark = len(graph.journal)
+            for graph, eng in ((g, routed), (g_ref, direct)):
                 if remove:
                     graph.remove_factor(victim)
                 else:
                     graph.add_factor(LINEAR, (a, b), z, np.ones(m),
                                      payload={"A": A})
-                events = graph.events_since(mark)
-                if s is not None:
-                    s.apply_edit(events)
                 eng.on_graph_edit()
     assert sim.slot_conservation_ok()
 
 
 def test_hop_count_is_twice_direct_deliveries(rng):
     g, kfs, pts = ba_graph(n_kf=2, n_pts=5)
-    sim = RoutingSimulator(default_pools())
-    sim.bind_graph(g)
-    eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0),
-                    transport=sim.make_transport())
+    sim, eng, _ = routed_twins(g, default_pools())
     eng.iterate()
-    report = cost_model(sim, 0)
+    report = sim.cost_report()[0]
     # 10 factors * arity 2, delivered in both phases
     direct_deliveries = 2 * sum(f.arity for f in g.factors.values())
     assert report["deliveries"] == direct_deliveries
@@ -247,12 +282,9 @@ def test_hop_count_is_twice_direct_deliveries(rng):
 
 
 def test_empty_sweep_zero_cost():
-    sim = RoutingSimulator(default_pools())
-    sim.bind_graph(FactorGraph(camera=CAM))
-    eng = GbpEngine(FactorGraph(camera=CAM), GbpConfig(),
-                    transport=sim.make_transport())
+    sim, eng, _ = routed_twins(FactorGraph(camera=CAM), default_pools(), GbpConfig())
     eng.iterate()
-    assert cost_model(sim, 0)["hops"] == 0
+    assert sim.cost_report()[0]["hops"] == 0
 
 
 def test_balanced_load_within_factor_of_mean(rng):
@@ -260,10 +292,7 @@ def test_balanced_load_within_factor_of_mean(rng):
     plane = g.add_variable(PLANE_HYPOTHESIS, np.array([0, 0, 3.0]))
     for p in pts:
         g.add_factor(PLANE_POINT, (plane, p), 0.0, 0.05)
-    sim = RoutingSimulator(default_pools())
-    sim.bind_graph(g)
-    eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0),
-                    transport=sim.make_transport())
+    sim, eng, _ = routed_twins(g, default_pools())
     eng.iterate()
-    loads = [n.delivered for n in sim.routing_nodes.values() if n.delivered > 0]
+    loads = [n for n in sim.sweeps[0]["router_load"].values() if n > 0]
     assert max(loads) <= 4 * (sum(loads) / len(loads))
