@@ -8,6 +8,11 @@ confirmed ones are compressed into a 6-DoF rigid-body node with converged
 parameters baked in, after which co-adjacent reprojection factors are
 combined per keyframe. Confirmed planes that describe the same surface are
 merged periodically.
+
+After compression the rigid body's factors are the only copy of a confirmed
+plane: `rigid_plane` reads its plane and points back from them. The manager
+keeps just the table that routes later observations of an absorbed point to
+its body, keyed by the point's variable id.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ContractViolation, DegeneratePlaneError
 from .gaussians import GaussianInfo
-from .geometry import PlaneParams, Pose, transform_plane
+from .geometry import EPS_PLANE, PlaneParams, Pose, transform_plane
 from .graph import (
     COMBINED_RIGID_REPROJECTION,
     PLANE_HYPOTHESIS,
@@ -30,7 +35,6 @@ from .graph import (
     RIGID_PLANE_PREDICTION,
     RIGID_REPROJECTION,
     FactorGraph,
-    ReplaceVariables,
 )
 from .frontend import plane_basis
 
@@ -93,7 +97,6 @@ class PlaneHypothesis:
     variable_id: int
     source_keyframe_id: int
     pi_z: np.ndarray
-    member_point_ids: list
     inserted_iteration: int
     status: str = PENDING
     rigid_id: int | None = None
@@ -103,25 +106,6 @@ class PlaneHypothesis:
 
     def age(self, iteration: int) -> int:
         return iteration - self.inserted_iteration
-
-
-@dataclass
-class RigidPlane:
-    rigid_id: int
-    pi_conv: np.ndarray  # plane in the body frame (world at bake time)
-    members: list  # (source point id, p_conv) pairs, body frame
-    basis: tuple  # (e1, e2) in-plane axes in the body frame
-    hull: np.ndarray | None  # 2D hull vertices in plane coordinates
-
-    def plane(self) -> PlaneParams:
-        return PlaneParams(self.pi_conv)
-
-    def world_plane(self, mean_r: np.ndarray) -> PlaneParams:
-        return transform_plane(Pose(mean_r), PlaneParams(self.pi_conv))
-
-    def world_points(self, mean_r: np.ndarray) -> np.ndarray:
-        body = np.stack([p for _, p in self.members])
-        return Pose(mean_r).apply(body)
 
 
 def point_plane_likelihood(point, plane_m, sigma_pp: float) -> float:
@@ -150,7 +134,42 @@ def bake_parameters(means: dict, plane_id: int, member_ids) -> tuple:
     return pi_conv, baked
 
 
+def rigid_plane(graph: FactorGraph, rigid_id: int):
+    """(pi_conv, body points) of a rigid body, read from its factors.
+
+    pi_conv is the first plane prediction's; the points are the baked
+    positions of its reprojections and their constituents, deduplicated in
+    factor order. None when the body has no plane or no point.
+    """
+    pi_conv = None
+    baked = {}
+    for fid in graph.variables[rigid_id].factor_ids:
+        fac = graph.factors[fid]
+        if fac.kind == RIGID_PLANE_PREDICTION and pi_conv is None:
+            pi_conv = fac.payload["pi_conv"]
+        elif fac.kind == RIGID_REPROJECTION:
+            p = fac.payload["p_conv"]
+            baked[tuple(np.round(p, 9))] = p
+        elif fac.kind == COMBINED_RIGID_REPROJECTION:
+            for _, p in fac.constituents():
+                baked[tuple(np.round(p, 9))] = p
+    if pi_conv is None or not baked:
+        return None
+    return np.asarray(pi_conv, float), np.stack(list(baked.values()))
+
+
 # -- hull helpers ------------------------------------------------------------
+
+def plane_hull(m, points: np.ndarray):
+    """(origin, e1, e2, hull) of points on the plane m: origin = normal *
+    distance, (e1, e2) the in-plane axes, hull the 2D hull of the points in
+    those coordinates (None if degenerate)."""
+    plane = PlaneParams(np.asarray(m, float))
+    e1, e2 = plane_basis(plane.normal)
+    origin = plane.normal * plane.distance
+    rel = points - origin
+    return origin, e1, e2, hull2d(np.stack([rel @ e1, rel @ e2], axis=1))
+
 
 def hull2d(points2d: np.ndarray):
     """CCW hull vertices of 2D points, or None if degenerate."""
@@ -200,25 +219,27 @@ def points_in_hull(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class AbstractionManager:
-    """Owns the hypothesis pool and rigid planes; edits the graph in place."""
+    """Owns the hypothesis pool and the absorbed-point table; edits the graph
+    in place."""
 
     def __init__(self, graph: FactorGraph, config: AbstractionConfig, seed: int = 0):
         self.graph = graph
         self.config = config
         self.rng = np.random.default_rng([seed, 23])
         self.hypotheses: dict[int, PlaneHypothesis] = {}
-        self.rigid_planes: dict[int, RigidPlane] = {}
+        # point variable id -> (rigid id, p_conv) for every absorbed point
+        self.absorbed: dict[int, tuple] = {}
         self.events: list[dict] = []
 
     # -- lifecycle ------------------------------------------------------------
 
     def integrate_hypothesis(
-        self, keyframe_id: int, pi_z, member_point_ids, iteration: int,
+        self, keyframe_id: int, pi_z, point_ids, iteration: int,
         true_plane: int = -1,
     ):
         """Insert one proposal; returns the hypothesis or None if filtered."""
         cfg = self.config
-        members = [p for p in member_point_ids if p in self.graph.variables]
+        members = [p for p in point_ids if p in self.graph.variables]
         if len(members) < cfg.min_members:
             return None
         pi_z = np.asarray(pi_z, float)
@@ -235,7 +256,6 @@ class AbstractionManager:
             variable_id=var_id,
             source_keyframe_id=keyframe_id,
             pi_z=pi_z.copy(),
-            member_point_ids=list(members),
             inserted_iteration=iteration,
             true_plane=true_plane,
         )
@@ -296,11 +316,18 @@ class AbstractionManager:
         self, hyp: PlaneHypothesis, means: dict, iteration: int, y: float,
         compress: bool = True,
     ):
-        """Bake converged parameters and compress into a rigid body.
+        """Bake converged parameters and compress into a rigid body; returns
+        the rigid id.
 
-        With compress=False the hypothesis merely changes status (the
-        no-compression ablation keeps plane variables and factors live).
+        A degenerate plane (through the origin) is rejected instead, with
+        reason "degenerate". With compress=False the hypothesis merely
+        changes status (the no-compression ablation keeps plane variables and
+        factors live). Both return None.
         """
+        if np.linalg.norm(means[hyp.variable_id]) <= EPS_PLANE:
+            self.reject_hypothesis(hyp, iteration, y)
+            self.events[-1]["reason"] = "degenerate"
+            return None
         if not compress:
             hyp.status = CONFIRMED
             del self.hypotheses[hyp.variable_id]
@@ -310,22 +337,15 @@ class AbstractionManager:
                 "true_plane": hyp.true_plane,
             })
             return None
-        cfg = self.config
-        members = self.live_members(hyp)
-        liks = {
-            pid: point_plane_likelihood(means[pid], means[hyp.variable_id], cfg.sigma_pp)
-            for pid in members
-        }
-        qualifying = [pid for pid in members if liks[pid] > cfg.l_thresh]
+        _, liks = self.evaluate_hypothesis(hyp, means)
+        qualifying = [pid for pid, lik in liks.items() if lik > self.config.l_thresh]
         pi_conv, baked = bake_parameters(means, hyp.variable_id, qualifying)
         conv = {hyp.variable_id: pi_conv}
-        conv.update({pid: p for pid, p in baked})
+        conv.update(baked)
         rigid_id, absorbed = self.graph.replace_with_rigid_body(
             hyp.variable_id, qualifying, conv
         )
-        body_points = [(pid, conv[pid]) for pid in absorbed]
-        rp = self._make_rigid_plane(rigid_id, pi_conv, body_points)
-        self.rigid_planes[rigid_id] = rp
+        self.absorbed.update({pid: (rigid_id, conv[pid]) for pid in absorbed})
         hyp.status = CONFIRMED
         hyp.rigid_id = rigid_id
         del self.hypotheses[hyp.variable_id]
@@ -334,20 +354,7 @@ class AbstractionManager:
             "hypothesis": hyp.variable_id, "y": y, "rigid_id": rigid_id,
             "n_absorbed": len(absorbed), "true_plane": hyp.true_plane,
         })
-        return rp
-
-    def _make_rigid_plane(self, rigid_id, pi_conv, body_points) -> RigidPlane:
-        plane = PlaneParams(np.asarray(pi_conv, float))
-        e1, e2 = plane_basis(plane.normal)
-        origin = plane.normal * plane.distance
-        if body_points:
-            pts = np.stack([p for _, p in body_points])
-            uv = np.stack([(pts - origin) @ e1, (pts - origin) @ e2], axis=1)
-            hull = hull2d(uv)
-        else:
-            hull = None
-        return RigidPlane(rigid_id, np.asarray(pi_conv, float).copy(),
-                          list(body_points), (e1, e2), hull)
+        return rigid_id
 
     def run_tests(self, means: dict, iteration: int, compress: bool = True):
         """Periodic confirm/reject pass over all pending hypotheses."""
@@ -358,9 +365,9 @@ class AbstractionManager:
             if verdict == "reject":
                 self.reject_hypothesis(hyp, iteration, y)
             elif verdict == "confirm":
-                rp = self.confirm_hypothesis(hyp, means, iteration, y, compress)
-                if rp is not None:
-                    self.combine_rigid_factors(rp.rigid_id)
+                rigid_id = self.confirm_hypothesis(hyp, means, iteration, y, compress)
+                if rigid_id is not None:
+                    self.combine_rigid_factors(rigid_id)
             outcomes.append((hyp.variable_id, verdict, y))
         return outcomes
 
@@ -399,46 +406,43 @@ class AbstractionManager:
 
     # -- merging ----------------------------------------------------------------
 
-    def _world_hull_samples(self, rp: RigidPlane, mean_r: np.ndarray, n: int):
-        if rp.hull is None:
-            return None
-        uv = sample_in_hull(self.rng, rp.hull, n)
-        e1, e2 = rp.basis
-        origin = rp.plane().normal * rp.plane().distance
-        body = origin[None] + uv[:, :1] * e1[None] + uv[:, 1:] * e2[None]
-        return Pose(mean_r).apply(body)
-
-    def _to_plane_coords(self, rp: RigidPlane, mean_r: np.ndarray, pts_world: np.ndarray):
-        body = Pose(mean_r).inverse().apply(pts_world)
-        e1, e2 = rp.basis
-        origin = rp.plane().normal * rp.plane().distance
-        rel = body - origin
-        return np.stack([rel @ e1, rel @ e2], axis=1)
-
-    def merge_planes(self, a: RigidPlane, b: RigidPlane, means: dict, iteration: int):
-        """Merge two confirmed planes when aligned, close and overlapping."""
+    def merge_planes(self, a: int, b: int, means: dict, iteration: int):
+        """Merge rigid bodies a and b when their planes are aligned, close and
+        overlapping; returns the merged body's id, or None."""
         cfg = self.config
-        mean_a = means[a.rigid_id]
-        mean_b = means[b.rigid_id]
+        reads = [rigid_plane(self.graph, rid) for rid in (a, b)]
+        if None in reads:
+            return None
+        poses = [Pose(means[rid]) for rid in (a, b)]
         try:
-            pa = a.world_plane(mean_a)
-            pb = b.world_plane(mean_b)
+            pa, pb = [transform_plane(pose, PlaneParams(pi_conv))
+                      for pose, (pi_conv, _) in zip(poses, reads)]
         except DegeneratePlaneError:
             return None
         cosang = abs(float(pa.normal @ pb.normal))
         if math.degrees(math.acos(min(cosang, 1.0))) > cfg.theta_merge_deg:
             return None
-        sa = self._world_hull_samples(a, mean_a, cfg.n_samples)
-        sb = self._world_hull_samples(b, mean_b, cfg.n_samples)
-        if sa is None or sb is None:
+        # n world samples inside each body's hull, drawn in its plane coordinates
+        frames = [plane_hull(pi_conv, body) for pi_conv, body in reads]
+        samples = []
+        for pose, (origin, e1, e2, hull) in zip(poses, frames):
+            if hull is not None:
+                uv = sample_in_hull(self.rng, hull, cfg.n_samples)
+                samples.append(pose.apply(origin + uv[:, :1] * e1 + uv[:, 1:] * e2))
+        if len(samples) < 2:
             return None
+        sa, sb = samples
         sep_ab = float(np.mean(np.abs(sa @ pb.normal - pb.distance)))
         sep_ba = float(np.mean(np.abs(sb @ pa.normal - pa.distance)))
         if max(sep_ab, sep_ba) > cfg.d_merge:
             return None
-        in_b = points_in_hull(b.hull, self._to_plane_coords(b, mean_b, sa))
-        in_a = points_in_hull(a.hull, self._to_plane_coords(a, mean_a, sb))
-        overlap = max(float(np.mean(in_b)), float(np.mean(in_a)))
+
+        def inside(pose, frame, world):
+            origin, e1, e2, hull = frame
+            rel = pose.inverse().apply(world) - origin
+            return float(np.mean(points_in_hull(hull, np.stack([rel @ e1, rel @ e2], axis=1))))
+
+        overlap = max(inside(poses[1], frames[1], sa), inside(poses[0], frames[0], sb))
         if overlap < cfg.o_merge:
             return None
 
@@ -448,85 +452,37 @@ class AbstractionManager:
         n_b = pb.normal if pa.normal @ pb.normal >= 0 else -pb.normal
         n_new = n_a + n_b
         n_new /= np.linalg.norm(n_new)
-        pts_a = a.world_points(mean_a)
-        pts_b = b.world_points(mean_b)
-        all_pts = np.concatenate([pts_a, pts_b], axis=0)
-        d_new = float(n_new @ all_pts.mean(axis=0))
-        pi_new = n_new * d_new
+        all_pts = np.concatenate([pose.apply(body) for pose, (_, body) in zip(poses, reads)])
+        pi_new = n_new * float(n_new @ all_pts.mean(axis=0))
 
-        graph = self.graph
-        mark = len(graph.journal)
-        rigid_id = graph.add_variable(
-            RIGID_BODY, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6))
-        )
-        for old, mean_old in ((a, mean_a), (b, mean_b)):
-            pose_old = Pose(mean_old)
-            for fid in list(graph.variables[old.rigid_id].factor_ids):
-                fac = graph.factors[fid]
-                if fac.kind == RIGID_REPROJECTION:
-                    graph.add_factor(
-                        RIGID_REPROJECTION, (fac.adjacency[0], rigid_id),
-                        fac.measurement, fac.sigma,
-                        payload={"p_conv": pose_old.apply(fac.payload["p_conv"])},
-                        robust=fac.robust, robust_scale=fac.robust_scale,
-                    )
-                elif fac.kind == COMBINED_RIGID_REPROJECTION:
-                    cons = [
-                        (z.copy(), pose_old.apply(p)) for z, p in fac.constituents()
-                    ]
-                    graph.add_factor(
-                        COMBINED_RIGID_REPROJECTION, (fac.adjacency[0], rigid_id),
-                        None, fac.sigma, payload={"constituents": cons},
-                        robust=fac.robust, robust_scale=fac.robust_scale,
-                    )
-                elif fac.kind == RIGID_PLANE_PREDICTION:
-                    graph.add_factor(
-                        RIGID_PLANE_PREDICTION, (rigid_id, fac.adjacency[1]),
-                        fac.measurement, fac.sigma,
-                        payload={"pi_conv": pi_new.copy()},
-                        robust=fac.robust, robust_scale=fac.robust_scale,
-                    )
-                else:
-                    raise ContractViolation(
-                        f"rigid body {old.rigid_id} has unexpected factor {fac.kind}"
-                    )
-                graph.remove_factor(fid)
-            graph.remove_variable(old.rigid_id)
-        primitives = tuple(graph.journal[mark:])
-        del graph.journal[mark:]
-        graph.journal.append(
-            ReplaceVariables((a.rigid_id, b.rigid_id), rigid_id, primitives)
-        )
-
-        members = [(pid, p) for (pid, _), p in zip(a.members, pts_a)]
-        members += [(pid, p) for (pid, _), p in zip(b.members, pts_b)]
-        rp = self._make_rigid_plane(rigid_id, pi_new, members)
-        del self.rigid_planes[a.rigid_id]
-        del self.rigid_planes[b.rigid_id]
-        self.rigid_planes[rigid_id] = rp
+        rigid_id = self.graph.merge_rigid_bodies(a, b, poses, pi_new)
+        pose_of = dict(zip((a, b), poses))
+        for pid, (rid, p_conv) in self.absorbed.items():
+            if rid in pose_of:
+                self.absorbed[pid] = (rigid_id, pose_of[rid].apply(p_conv))
         self.events.append({
             "event": "merge", "iteration": iteration,
-            "merged": [a.rigid_id, b.rigid_id], "rigid_id": rigid_id,
+            "merged": [a, b], "rigid_id": rigid_id,
             "overlap": overlap, "separation": max(sep_ab, sep_ba),
         })
-        return rp
+        return rigid_id
 
     def merge_pass(self, means: dict, iteration: int) -> int:
-        """Try all confirmed pairs once; returns the number of merges."""
+        """Try all pairs of the graph's rigid bodies once; returns the number
+        of merges."""
+        graph = self.graph
         merged = 0
         changed = True
         while changed:
             changed = False
-            ids = sorted(self.rigid_planes)
+            ids = sorted(v.id for v in graph.variables_of_kind(RIGID_BODY))
             for i, aid in enumerate(ids):
                 for bid in ids[i + 1:]:
-                    if aid not in self.rigid_planes or bid not in self.rigid_planes:
+                    if aid not in graph.variables or bid not in graph.variables:
                         continue
-                    rp = self.merge_planes(
-                        self.rigid_planes[aid], self.rigid_planes[bid], means, iteration
-                    )
-                    if rp is not None:
+                    rigid_id = self.merge_planes(aid, bid, means, iteration)
+                    if rigid_id is not None:
                         merged += 1
-                        means[rp.rigid_id] = np.zeros(6)
+                        means[rigid_id] = np.zeros(6)
                         changed = True
         return merged

@@ -5,6 +5,11 @@ event to a journal from which the graph can be replayed exactly. Edits are
 meant to happen between propagation sweeps (single writer); the engine keeps
 its own compiled view, which holds all propagation state, and recompiles it
 after edits.
+
+A confirmed plane lives here alone: compressing it into a rigid body, and
+merging two rigid bodies, move the factors onto the new body with the
+converged plane (`pi_conv`) and point positions (`p_conv`) baked into their
+payloads, and journal the move as one `ReplaceVariables` event.
 """
 
 from __future__ import annotations
@@ -364,12 +369,7 @@ class FactorGraph:
 
         mark = len(self.journal)
         pi_conv = np.asarray(converged_means[plane_id], dtype=float).copy()
-
-        rigid_id = self.add_variable(
-            RIGID_BODY,
-            np.zeros(6),
-            prior=GaussianInfo(np.zeros(6), np.eye(6) * 1.0),  # weak unit prior, gauge anchor
-        )
+        rigid_id = self._add_rigid_body()
 
         # Plane-point factors disappear for qualifying and non-qualifying
         # members alike; prediction factors transfer to the rigid body.
@@ -378,17 +378,8 @@ class FactorGraph:
             if fac.kind == PLANE_POINT:
                 self.remove_factor(fid)
             elif fac.kind == PLANE_PREDICTION:
-                keyframe_id = fac.adjacency[1]
-                self.add_factor(
-                    RIGID_PLANE_PREDICTION,
-                    (rigid_id, keyframe_id),
-                    fac.measurement,
-                    fac.sigma,
-                    payload={"pi_conv": pi_conv},
-                    robust=fac.robust,
-                    robust_scale=fac.robust_scale,
-                )
-                self.remove_factor(fid)
+                self._move_factor(fac, RIGID_PLANE_PREDICTION,
+                                  (rigid_id, fac.adjacency[1]), {"pi_conv": pi_conv})
             else:
                 raise ContractViolation(f"plane {plane_id} has unexpected factor {fac.kind}")
 
@@ -401,28 +392,60 @@ class FactorGraph:
                     raise ContractViolation(
                         f"absorbed point {pid} has unexpected factor kind {fac.kind}"
                     )
-                keyframe_id = fac.adjacency[0]
-                self.add_factor(
-                    RIGID_REPROJECTION,
-                    (keyframe_id, rigid_id),
-                    fac.measurement,
-                    fac.sigma,
-                    payload={"p_conv": p_conv},
-                    robust=fac.robust,
-                    robust_scale=fac.robust_scale,
-                )
-                self.remove_factor(fid)
+                self._move_factor(fac, RIGID_REPROJECTION,
+                                  (fac.adjacency[0], rigid_id), {"p_conv": p_conv})
 
         for pid in absorbed:
             self.remove_variable(pid)
         self.remove_variable(plane_id)
+        self._fold(mark, [plane_id] + absorbed, rigid_id)
+        return rigid_id, absorbed
 
+    def merge_rigid_bodies(self, a: int, b: int, poses, pi_new: np.ndarray) -> int:
+        """Replace rigid bodies a and b by one body at the identity pose.
+
+        `poses` holds the (Pose of a, Pose of b) the baked points are mapped
+        through, so each point keeps its world position; every plane
+        prediction carries `pi_new`. Returns the merged body's id.
+        """
+        mark = len(self.journal)
+        rigid_id = self._add_rigid_body()
+        for old, pose in zip((a, b), poses):
+            for fid in list(self._variable(old).factor_ids):
+                fac = self.factors[fid]
+                if fac.kind == RIGID_REPROJECTION:
+                    payload = {"p_conv": pose.apply(fac.payload["p_conv"])}
+                elif fac.kind == COMBINED_RIGID_REPROJECTION:
+                    payload = {"constituents": [
+                        (z.copy(), pose.apply(p)) for z, p in fac.constituents()]}
+                elif fac.kind == RIGID_PLANE_PREDICTION:
+                    payload = {"pi_conv": pi_new}
+                else:
+                    raise ContractViolation(
+                        f"rigid body {old} has unexpected factor {fac.kind}"
+                    )
+                adjacency = tuple(rigid_id if v == old else v for v in fac.adjacency)
+                self._move_factor(fac, fac.kind, adjacency, payload)
+            self.remove_variable(old)
+        self._fold(mark, [a, b], rigid_id)
+        return rigid_id
+
+    def _add_rigid_body(self) -> int:
+        # weak unit prior at the identity: the body's gauge anchor
+        return self.add_variable(RIGID_BODY, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6)))
+
+    def _move_factor(self, fac: FactorNode, kind: str, adjacency, payload: dict) -> None:
+        """Re-add `fac` as `kind` on `adjacency` with `payload`, keeping its
+        measurement, noise and robust setting, then remove it."""
+        self.add_factor(kind, adjacency, fac.measurement, fac.sigma, payload=payload,
+                        robust=fac.robust, robust_scale=fac.robust_scale)
+        self.remove_factor(fac.id)
+
+    def _fold(self, mark: int, old_ids, new_id: int) -> None:
+        """Fold the journal's events since `mark` into one ReplaceVariables."""
         primitives = tuple(self.journal[mark:])
         del self.journal[mark:]
-        self.journal.append(
-            ReplaceVariables(tuple([plane_id] + absorbed), rigid_id, primitives)
-        )
-        return rigid_id, absorbed
+        self.journal.append(ReplaceVariables(tuple(old_ids), new_id, primitives))
 
     # -- queries -------------------------------------------------------------
 

@@ -6,6 +6,11 @@ One logical clock drives everything: keyframes arrive every
 `keyframe_interval` iterations, hypothesis tests run every test period and
 merges every merge period, so each run is exactly reproducible from its
 config and seed (or from a recorded packet stream).
+
+A keyframe's view of a point that a confirmed plane has absorbed becomes a
+rigid reprojection on that plane's body, carrying the point's baked
+position; a keyframe's rigid reprojections are combined per body, as at
+confirmation. Exported planes are read from the rigid bodies' factors.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .abstraction import AbstractionConfig, AbstractionManager
+from .abstraction import AbstractionConfig, AbstractionManager, plane_hull, rigid_plane
 from .engine import (
     GbpConfig,
     GbpEngine,
@@ -37,14 +42,12 @@ from .frontend import (
 from .gaussians import GaussianInfo
 from .geometry import CameraModel, PlaneParams, Pose, transform_plane
 from .graph import (
-    COMBINED_RIGID_REPROJECTION,
     FACTOR_KINDS,
     KEYFRAME,
     POINT,
     PRIOR,
     REPROJECTION,
     RIGID_BODY,
-    RIGID_PLANE_PREDICTION,
     RIGID_REPROJECTION,
     VARIABLE_DIMS,
     FactorGraph,
@@ -215,6 +218,7 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                   pose_override: Pose | None = None):
     """Grow the graph with one keyframe packet; returns the keyframe id."""
     kf_id, pose = _add_keyframe_variable(graph, state, config, packet, pose_override)
+    bodies = set()  # rigid bodies this keyframe sees
 
     existing = [
         graph.variables[v].mean for v in state.point_var.values()
@@ -235,16 +239,19 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                     robust=config.robust,
                 )
             elif manager is not None:
-                hit = manager_lookup_absorbed(manager, pid)
+                hit = manager.absorbed.get(var)
                 if hit is not None:
                     rigid_id, p_conv = hit
                     graph.add_factor(
                         RIGID_REPROJECTION, (kf_id, rigid_id), pixel, config.sigma_r,
                         payload={"p_conv": p_conv.copy()}, robust=config.robust,
                     )
+                    bodies.add(rigid_id)
         else:
             p0 = backproject(camera, pose, pixel, depth)
             _add_point(graph, state, config, pid, p0, [(kf_id, pixel)])
+    for rigid_id in sorted(bodies):
+        manager.combine_rigid_factors(rigid_id)
 
     if config.planes and manager is not None:
         _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration)
@@ -259,15 +266,6 @@ def _current_means(engine: GbpEngine, graph: FactorGraph) -> dict:
         if vid not in means:
             means[vid] = node.mean.copy()
     return means
-
-
-def manager_lookup_absorbed(manager: AbstractionManager, scene_pid: int):
-    """(rigid_id, current baked position) of the point that absorbed scene_pid."""
-    for rp in manager.rigid_planes.values():
-        for pid, p_conv in rp.members:
-            if pid == scene_pid:
-                return rp.rigid_id, p_conv
-    return None
 
 
 def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
@@ -352,7 +350,7 @@ def run(config: ExperimentConfig) -> RunResult:
             manager.run_tests(_current_means(engine, graph), it,
                               compress=config.compression)
         if config.planes and config.compression and it % a.merge_period_eff == 0:
-            if len(manager.rigid_planes) > 1:
+            if len(graph.variables_of_kind(RIGID_BODY)) > 1:
                 manager.merge_pass(_current_means(engine, graph), it)
 
         events = graph.events_since(mark)
@@ -446,32 +444,15 @@ def _summarize(config, graph, state, manager, reports, packets) -> dict:
 
 def export_reconstruction(graph: FactorGraph) -> dict:
     """Confirmed planes with in-plane hulls, plus unabstracted raw points."""
-    from .abstraction import hull2d
-    from .frontend import plane_basis
-
     planes = []
     for node in graph.variables_of_kind(RIGID_BODY):
-        pi_conv = None
-        baked = {}
-        for fid in node.factor_ids:
-            fac = graph.factors[fid]
-            if fac.kind == RIGID_PLANE_PREDICTION and pi_conv is None:
-                pi_conv = fac.payload["pi_conv"]
-            elif fac.kind == RIGID_REPROJECTION:
-                p = fac.payload["p_conv"]
-                baked[tuple(np.round(p, 9))] = p
-            elif fac.kind == COMBINED_RIGID_REPROJECTION:
-                for _, p in fac.constituents():
-                    baked[tuple(np.round(p, 9))] = p
-        if pi_conv is None or not baked:
+        read = rigid_plane(graph, node.id)
+        if read is None:
             continue
+        pi_conv, body = read
         pose = Pose(node.mean)
-        plane_w = transform_plane(pose, PlaneParams(np.asarray(pi_conv, float)))
-        pts_w = pose.apply(np.stack(list(baked.values())))
-        e1, e2 = plane_basis(plane_w.normal)
-        origin = plane_w.normal * plane_w.distance
-        uv = np.stack([(pts_w - origin) @ e1, (pts_w - origin) @ e2], axis=1)
-        hull = hull2d(uv)
+        plane_w = transform_plane(pose, PlaneParams(pi_conv))
+        origin, e1, e2, hull = plane_hull(plane_w.m, pose.apply(body))
         hull3d = (
             [] if hull is None
             else (origin[None] + hull[:, :1] * e1[None] + hull[:, 1:] * e2[None]).tolist()
@@ -481,7 +462,7 @@ def export_reconstruction(graph: FactorGraph) -> dict:
             "normal": plane_w.normal.tolist(),
             "distance": plane_w.distance,
             "hull": hull3d,
-            "n_points": len(baked),
+            "n_points": len(body),
         })
     raw_points = [
         graph.variables[v.id].mean.tolist() for v in graph.variables_of_kind(POINT)

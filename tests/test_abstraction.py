@@ -8,8 +8,10 @@ from planegbp.abstraction import (
     AbstractionManager,
     bake_parameters,
     hull2d,
+    plane_hull,
     point_plane_likelihood,
     points_in_hull,
+    rigid_plane,
     sample_in_hull,
 )
 from planegbp.abstraction import test_hypothesis as decide_hypothesis
@@ -20,6 +22,7 @@ from planegbp.geometry import CameraModel, PlaneParams, Pose, project, transform
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
     KEYFRAME,
+    PLANE_HYPOTHESIS,
     PLANE_POINT,
     POINT,
     REPROJECTION,
@@ -114,7 +117,7 @@ def test_integrate_hypothesis_counts(rng):
     # one plane variable, two plane-point factors, one prediction factor
     assert after["n_variables"] == before["n_variables"] + 1
     assert after["n_factors"] == before["n_factors"] + 3
-    assert hyp.member_point_ids == pts[:2]
+    assert list(hyp.plane_point_factor_ids) == pts[:2]
 
 
 def test_integrate_rejects_small_membership(rng):
@@ -163,18 +166,18 @@ def test_confirm_census_and_energy_bookkeeping(rng):
     )
     e_before = graph_energy(g, means)
     census_before = g.snapshot_census()
-    rp = mgr.confirm_hypothesis(hyp, means, iteration=500, y=1.0)
+    rigid_id = mgr.confirm_hypothesis(hyp, means, iteration=500, y=1.0)
     census_after = g.snapshot_census()
     assert census_after["variables"][RIGID_BODY] == census_before["variables"][RIGID_BODY] + 1
     assert census_after["variables"]["plane_hypothesis"] == 0
 
     means_after = means_of(g)
-    means_after[rp.rigid_id] = np.zeros(6)  # identity body pose
+    means_after[rigid_id] = np.zeros(6)  # identity body pose
     e_after = graph_energy(g, means_after)
     assert abs(e_after - (e_before - removed)) < 1e-9
 
     # combination preserves the energy too
-    mgr.combine_rigid_factors(rp.rigid_id)
+    mgr.combine_rigid_factors(rigid_id)
     e_combined = graph_energy(g, means_after)
     assert abs(e_combined - e_after) < 1e-9
 
@@ -195,6 +198,44 @@ def test_confirm_without_compression_keeps_structure(rng):
     assert out is None
     assert g.snapshot_census() == before
     assert hyp.variable_id not in mgr.hypotheses  # no longer pending
+
+
+def test_confirm_refuses_degenerate_plane(rng):
+    g, kfs, pts, plane = planar_graph(rng)
+    baseline = g.snapshot_census()
+    mgr = AbstractionManager(g, config())
+    pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
+    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
+    means = means_of(g)
+    means[hyp.variable_id] = np.zeros(3)  # a plane through the origin
+    assert mgr.confirm_hypothesis(hyp, means, 500, 1.0) is None
+    assert mgr.events[-1]["event"] == "reject"
+    assert mgr.events[-1]["reason"] == "degenerate"
+    assert g.snapshot_census() == baseline  # no rigid body, hypothesis excised
+    assert not mgr.hypotheses and not mgr.absorbed
+    g.check_integrity()
+
+
+def test_confirmed_plane_is_read_from_the_graph(rng):
+    g, kfs, pts, plane = planar_graph(rng, extra_kf=1)
+    g.add_variable(PLANE_HYPOTHESIS, plane.m)  # shifts later ids off point ids
+    mgr = AbstractionManager(g, config())
+    pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
+    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
+    means = means_of(g)
+    rigid_id = mgr.confirm_hypothesis(hyp, means, 500, 1.0)
+    mgr.combine_rigid_factors(rigid_id)
+    assert set(mgr.absorbed) == set(pts)  # keyed by point variable id
+    for pid in pts:
+        body, p_conv = mgr.absorbed[pid]
+        assert body == rigid_id and np.array_equal(p_conv, means[pid])
+    pi_conv, points = rigid_plane(g, rigid_id)
+    assert np.array_equal(pi_conv, means[hyp.variable_id])
+    assert np.array_equal(points, np.stack([means[pid] for pid in pts]))
+    origin, e1, e2, hull = plane_hull(pi_conv, points)
+    assert np.allclose(origin, plane.m, atol=1e-9)
+    assert np.allclose([e1 @ plane.normal, e2 @ plane.normal, e1 @ e2], 0.0)
+    assert hull is not None and 3 <= len(hull) <= len(pts)
 
 
 def test_reject_restores_raw_graph(rng):
@@ -220,8 +261,8 @@ def test_run_tests_full_cycle(rng):
     assert outcomes[0][1] == "keep"
     outcomes = mgr.run_tests(means_of(g), iteration=500)
     assert outcomes[0][1] == "confirm"
-    assert len(mgr.rigid_planes) == 1
     census = g.snapshot_census()
+    assert census["variables"][RIGID_BODY] == 1
     assert census["factors"][COMBINED_RIGID_REPROJECTION] == 1  # one keyframe
     assert census["factors"][RIGID_REPROJECTION] == 0
 
@@ -239,7 +280,6 @@ def test_combine_counting(rng):
             g.add_factor(RIGID_REPROJECTION, (kf, rb), np.array([5.0, 5.0]), 2.0,
                          payload={"p_conv": np.array([0.01 * i, 0, 4.0])})
     mgr = AbstractionManager(g, config())
-    mgr.rigid_planes = {}
     created = mgr.combine_rigid_factors(rb)
     assert len(created) == K
     census = g.snapshot_census()
@@ -322,15 +362,20 @@ def test_bake_parameters_snapshot_immutable(rng):
 
 # -- merging ------------------------------------------------------------------------
 
-def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0):
+def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0, pose=None):
     """Two confirmed rigid planes over the same surface, with controllable
-    separation, relative tilt and in-plane shift of the second one."""
+    separation, relative tilt and in-plane shift of the second one. Both
+    bodies sit at `pose` (identity by default); their factors hold the body
+    frame, and `mgr.absorbed` lists 8 points of each. Returns the graph, the
+    manager, the body ids, the means and each point's world position."""
+    pose = pose or Pose.identity()
     g = FactorGraph(camera=CAM)
     kf = g.add_variable(KEYFRAME, np.zeros(6),
                         GaussianInfo(np.zeros(6) * 1e6, np.eye(6) * 1e6))
     mgr = AbstractionManager(g, config(min_members=3), seed=1)
-    planes = []
+    bodies = []
     means = {kf: np.zeros(6)}
+    world = {}
     for idx in range(2):
         base = PlaneParams.from_normal_distance([0, 0, 1.0], 3.0)
         n = base.normal
@@ -340,71 +385,95 @@ def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0):
             n = so3_exp(np.array([math.radians(angle_deg), 0, 0])) @ n
             n /= np.linalg.norm(n)
         d = base.distance + (offset if idx == 1 else 0.0)
-        rb = g.add_variable(RIGID_BODY, np.zeros(6),
-                            GaussianInfo(np.zeros(6), np.eye(6)))
-        members = []
+        rb = g.add_variable(RIGID_BODY, pose.r, GaussianInfo(np.zeros(6), np.eye(6)))
         for i in range(8):
             uv = rng.uniform(-1, 1, size=2)
             p = n * d + np.array([uv[0] + (shift if idx == 1 else 0.0), uv[1], 0.0])
             p -= n * (n @ p - d)  # exact incidence
-            members.append((100 * idx + i, p))
+            pid = 100 * idx + i
+            world[pid] = p
+            mgr.absorbed[pid] = (rb, pose.inverse().apply(p))
             try:
                 z = project(CAM, Pose.identity(), p)
             except Exception:
                 continue  # rejected-merge cases may place points off-camera
             g.add_factor(RIGID_REPROJECTION, (kf, rb), z, 2.0,
-                         payload={"p_conv": p})
-        g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), n * d, 20.0,
-                     payload={"pi_conv": n * d})
-        rp = mgr._make_rigid_plane(rb, n * d, members)
-        mgr.rigid_planes[rb] = rp
-        planes.append(rp)
-        means[rb] = np.zeros(6)
-    return g, mgr, planes, means
+                         payload={"p_conv": mgr.absorbed[pid][1]})
+        pi_body = transform_plane(pose.inverse(), PlaneParams(n * d)).m
+        g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), pi_body, 20.0,
+                     payload={"pi_conv": pi_body})
+        bodies.append(rb)
+        means[rb] = pose.r.copy()
+    return g, mgr, bodies, means, world
 
 
 def test_merge_identical_coplanar_planes(rng):
-    g, mgr, (a, b), means = rigid_plane_pair(rng)
+    g, mgr, (a, b), means, world = rigid_plane_pair(rng)
     merged = mgr.merge_planes(a, b, means, iteration=0)
     assert merged is not None
-    assert len(mgr.rigid_planes) == 1
-    assert len(merged.members) == len(a.members) + len(b.members)
-    # world positions of re-baked members are preserved
-    world_before = {pid: p for pid, p in a.members}
-    world_before.update({pid: p for pid, p in b.members})
-    for pid, p in merged.members:
-        assert np.allclose(p, world_before[pid], atol=1e-10)
+    assert [v.id for v in g.variables_of_kind(RIGID_BODY)] == [merged]
+    # every baked point moves to the merged body at its world position
+    pi_new, points = rigid_plane(g, merged)
+    assert len(points) == len(world)
+    for p in points:
+        assert min(np.linalg.norm(p - q) for q in world.values()) < 1e-10
     # merged-plane incidence within d_merge + 3 sigma_pp
-    plane = merged.plane()
+    plane = PlaneParams(pi_new)
     tol = mgr.config.d_merge + 3 * mgr.config.sigma_pp
-    for _, p in merged.members:
+    for p in points:
         assert abs(plane.normal @ p - plane.distance) < tol
     g.check_integrity()
 
 
+def test_merge_repoints_absorbed_points_at_their_world_positions(rng):
+    pose = Pose(np.array([0.2, -0.1, 0.3, 0.05, -0.02, 0.1]))
+    g, mgr, (a, b), means, world = rigid_plane_pair(rng, pose=pose)
+    before = dict(mgr.absorbed)
+    merged = mgr.merge_planes(a, b, means, iteration=0)
+    assert merged is not None
+    assert set(mgr.absorbed) == set(before)
+    for pid, (body, p_conv) in mgr.absorbed.items():
+        assert body == merged  # the merged body sits at the identity
+        assert np.allclose(p_conv, world[pid], atol=1e-10)
+        assert np.allclose(p_conv, pose.apply(before[pid][1]), atol=1e-12)
+    # the table and the merged body's factors agree on every point
+    _, points = rigid_plane(g, merged)
+    for p in points:
+        assert min(np.linalg.norm(p - q) for _, q in mgr.absorbed.values()) < 1e-12
+
+
 def test_merge_normal_is_average(rng):
-    g, mgr, (a, b), means = rigid_plane_pair(rng, angle_deg=4.0)
-    na = a.plane().normal
-    nb = b.plane().normal
+    g, mgr, (a, b), means, _ = rigid_plane_pair(rng, angle_deg=4.0)
+    na = PlaneParams(rigid_plane(g, a)[0]).normal
+    nb = PlaneParams(rigid_plane(g, b)[0]).normal
     merged = mgr.merge_planes(a, b, means, iteration=0)
     assert merged is not None
     avg = na + nb
     avg /= np.linalg.norm(avg)
-    assert np.allclose(merged.plane().normal, avg, atol=1e-12)
+    assert np.allclose(PlaneParams(rigid_plane(g, merged)[0]).normal, avg, atol=1e-12)
+
+
+def test_merge_pass_merges_the_graphs_rigid_bodies(rng):
+    g, mgr, (a, b), means, _ = rigid_plane_pair(rng)
+    assert mgr.merge_pass(means, iteration=0) == 1
+    (merged,) = g.variables_of_kind(RIGID_BODY)
+    assert mgr.events[-1]["merged"] == [a, b]
+    assert mgr.events[-1]["rigid_id"] == merged.id
+    assert mgr.merge_pass(means, iteration=0) == 0  # a single body is left
 
 
 def test_merge_rejects_perpendicular(rng):
-    g, mgr, (a, b), means = rigid_plane_pair(rng, angle_deg=90.0)
+    g, mgr, (a, b), means, _ = rigid_plane_pair(rng, angle_deg=90.0)
     assert mgr.merge_planes(a, b, means, iteration=0) is None
 
 
 def test_merge_rejects_separated(rng):
-    g, mgr, (a, b), means = rigid_plane_pair(rng, offset=1.0)
+    g, mgr, (a, b), means, _ = rigid_plane_pair(rng, offset=1.0)
     assert mgr.merge_planes(a, b, means, iteration=0) is None  # 1 m >> d_merge
 
 
 def test_merge_rejects_disjoint_extents(rng):
-    g, mgr, (a, b), means = rigid_plane_pair(rng, shift=10.0)
+    g, mgr, (a, b), means, _ = rigid_plane_pair(rng, shift=10.0)
     assert mgr.merge_planes(a, b, means, iteration=0) is None
 
 

@@ -67,19 +67,16 @@ def _add_plane(g, kf, members):
     return plane
 
 
-def _rigid_plane(g, manager, kf, shift):
+def _rigid_plane(g, kf, shift):
     """A rigid body over four points of the plane z = 4, seen from `kf`."""
     pi = np.array([0.0, 0.0, 4.0])
     rb = g.add_variable(RIGID_BODY, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6)))
-    members = []
-    for k, (u, v) in enumerate(((-0.3, -0.3), (0.3, -0.3), (0.3, 0.3), (-0.3, 0.3))):
+    for u, v in ((-0.3, -0.3), (0.3, -0.3), (0.3, 0.3), (-0.3, 0.3)):
         p = np.array([u + shift, v, 4.0])
         z = project(CAM, Pose(g.variables[kf].mean), p)
         g.add_factor(RIGID_REPROJECTION, (kf, rb), z, 1.0, payload={"p_conv": p})
-        members.append((k, p))
     g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), pi, 0.2, payload={"pi_conv": pi})
-    rp = manager.rigid_planes[rb] = manager._make_rigid_plane(rb, pi, members)
-    return rp
+    return rb
 
 
 def _merge_two_planes(g, kf, j):
@@ -87,10 +84,10 @@ def _merge_two_planes(g, kf, j):
     factors and merge the two: a replacement whose events add combined and
     plain rigid factors."""
     manager = AbstractionManager(g, AbstractionConfig(), seed=j)
-    a = _rigid_plane(g, manager, kf, 0.0)
-    b = _rigid_plane(g, manager, kf, 0.05 * (j % 3))
-    manager.combine_rigid_factors(a.rigid_id)
-    means = {a.rigid_id: np.zeros(6), b.rigid_id: np.zeros(6)}
+    a = _rigid_plane(g, kf, 0.0)
+    b = _rigid_plane(g, kf, 0.05 * (j % 3))
+    manager.combine_rigid_factors(a)
+    means = {a: np.zeros(6), b: np.zeros(6)}
     assert manager.merge_planes(a, b, means, iteration=0) is not None
 
 

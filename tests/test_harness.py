@@ -7,10 +7,18 @@ import pytest
 from jsonschema import validate
 
 from planegbp import harness, io_formats
+from planegbp.abstraction import AbstractionManager
 from planegbp.cli import main as cli_main
 from planegbp.errors import CapacityError
 from planegbp.harness import ExperimentConfig, compare_runs, export_reconstruction, run
 from planegbp.frontend import box_room_spec
+from planegbp.geometry import PlaneParams
+from planegbp.graph import (
+    COMBINED_RIGID_REPROJECTION,
+    FACTOR_KINDS,
+    RIGID_REPROJECTION,
+    FactorGraph,
+)
 from scenes import desk_config, wall_scene
 
 
@@ -154,6 +162,81 @@ def test_export_reconstruction_box_room(tmp_path):
         for v in plane["hull"]:
             # hull vertices satisfy the plane equation by construction
             assert abs(n @ np.asarray(v) - plane["distance"]) < 3 * 0.05
+
+
+def confirmed_map(seed=1):
+    """Keyframes 0 and 1 bootstrapped, then every plane hypothesis confirmed
+    at means that put its members on it; returns the harness pieces, the
+    confirmation means and the rigid id of each hypothesis."""
+    cfg = desk_config(wall_scene(seed, n_keyframes=4), seed)
+    packets, camera = harness._packets_for(cfg)
+    graph = FactorGraph(camera=camera)
+    state = harness._SlamState()
+    manager = AbstractionManager(graph, cfg.abstraction, cfg.seed)
+    harness._add_keyframe_variable(graph, state, cfg, packets[0])
+    harness._bootstrap_two_view(graph, state, manager, cfg, packets[0], packets[1],
+                                30, camera)
+    means = {vid: node.mean.copy() for vid, node in graph.variables.items()}
+    bodies = {}
+    for hyp in list(manager.hypotheses.values()):
+        plane = PlaneParams(means[hyp.variable_id])
+        for pid in hyp.plane_point_factor_ids:
+            means[pid] = means[pid] - plane.normal * (plane.normal @ means[pid]
+                                                      - plane.distance)
+        for pid in manager.live_members(hyp):
+            bodies[pid] = hyp
+        manager.confirm_hypothesis(hyp, means, 500, 1.0)
+    return cfg, packets, camera, graph, state, manager, means, bodies
+
+
+def keyframe_rows(graph, kf):
+    """(other variable, pixel, p_conv or None) of every pixel row on kf."""
+    rows = []
+    for fid in graph.variables[kf].factor_ids:
+        fac = graph.factors[fid]
+        if not FACTOR_KINDS[fac.kind].pixel:
+            continue
+        other = fac.adjacency[1]
+        if fac.kind == COMBINED_RIGID_REPROJECTION:
+            rows += [(other, z, p) for z, p in fac.constituents()]
+        else:
+            rows.append((other, fac.measurement, fac.payload.get("p_conv")))
+    return rows
+
+
+def test_later_views_of_absorbed_points_reach_their_rigid_body():
+    cfg, packets, camera, graph, state, manager, means, hyps = confirmed_map()
+    # point variable ids are not the scene's point ids
+    assert all(var != pid for pid, var in state.point_var.items())
+    packet = packets[2]
+    kf = harness._add_keyframe(graph, state, manager, cfg, packet, 60, camera)
+    rows = keyframe_rows(graph, kf)
+    assert len(rows) == len(packet.point_ids)  # no observation is dropped
+    seen = 0
+    for pid, pixel in zip(packet.point_ids, packet.pixels):
+        var = state.point_var[int(pid)]
+        if var in graph.variables:
+            continue
+        seen += 1
+        rigid_id = hyps[var].rigid_id
+        hits = [p for other, z, p in rows if other == rigid_id and np.array_equal(z, pixel)]
+        # this point's rigid body, this point's baked position
+        assert len(hits) == 1 and np.array_equal(hits[0], means[var])
+    assert seen >= 20
+
+
+def test_later_keyframe_combines_its_rigid_reprojections_per_body():
+    cfg, packets, camera, graph, state, manager, means, hyps = confirmed_map()
+    kf = harness._add_keyframe(graph, state, manager, cfg, packets[2], 60, camera)
+    per_body = {}
+    for fid in graph.variables[kf].factor_ids:
+        fac = graph.factors[fid]
+        if fac.kind in (RIGID_REPROJECTION, COMBINED_RIGID_REPROJECTION):
+            per_body.setdefault(fac.adjacency[1], []).append(fac)
+    assert len(per_body) >= 2
+    for body, facs in per_body.items():
+        assert [f.kind for f in facs] == [COMBINED_RIGID_REPROJECTION], body
+        assert len(facs[0].constituents()) >= 2
 
 
 def test_empty_reconstruction_without_confirmations(tmp_path):
