@@ -4,9 +4,12 @@ The engine compiles the (object-level) graph into stacked per-kind arrays so
 that one sweep is a handful of batched numpy operations rather than a Python
 loop over factors. Dropout is drawn first: a dropped factor does not send, so
 the factor-to-variable Schur marginals and damping are vectorised over the
-factors of a kind that send, and the others keep their previous message.
-Relinearisation and variable-to-factor quotients cover every factor; belief
-products are one compiled sparse scatter per variable bank.
+factors of a kind that send, and the others keep their previous message. A
+factor's linearisation is read only when it sends, so only the factors that
+send to at least one position are tested against beta and relinearised; a
+factor that sends nowhere keeps its stale linearisation until it next sends.
+Variable-to-factor quotients cover every factor; belief products are one
+compiled sparse scatter per variable bank.
 
 `rebuild` is the one compile path, at construction and after every edit. A
 variable's bank and a factor's batch never change, and both list their ids in
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -67,6 +71,9 @@ class IterationReport:
     position, sent or dropped: the structure-agnostic schedule that routed
     hop counts are checked against. `n_regularised` counts the eliminated
     blocks solved with a Tikhonov term, among the messages actually sent.
+    `n_relinearised` counts the factors linearised again this sweep: those
+    that send to at least one position and were never linearised or whose
+    variables drifted more than beta from their linearisation point.
     """
 
     iteration: int
@@ -188,7 +195,7 @@ class GbpEngine:
                 # exact factors: linearised once, about 0, when new
                 rows = np.flatnonzero(~b.lin_valid)
                 b.eta[rows], b.lam[rows], b.weight[rows] = _fm.linearise_batch(
-                    b, graph.camera, self._gather_x(b)[rows], rows
+                    b, graph.camera, self._gather_x(b, rows), rows
                 )
                 b.lin_valid[rows] = True
         self._attach()
@@ -263,21 +270,24 @@ class GbpEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _gather_x(self, b: _Batch) -> np.ndarray:
+    def _gather_x(self, b: _Batch, rows=slice(None)) -> np.ndarray:
+        """Stacked adjacency means of the batch's factors `rows` (all by default)."""
         return np.concatenate(
-            [bank.mean[rows] for bank, rows in zip(b.banks, b.rows)], axis=1
+            [bank.mean[r[rows]] for bank, r in zip(b.banks, b.rows)], axis=1
         )
 
-    def _relinearise(self, b: _Batch) -> int:
+    def _relinearise(self, b: _Batch, rows: np.ndarray) -> int:
+        """Relinearise the factors `rows` of the batch that were never
+        linearised or whose variables drifted more than beta (L1) from their
+        linearisation point; returns how many were."""
         if b.spec.linear:
             return 0
-        X = self._gather_x(b)
-        drift = np.sum(np.abs(X - b.x0), axis=1)
-        need = (~b.lin_valid) | (drift > self.config.beta)
-        rows = np.nonzero(need)[0]
+        X = self._gather_x(b, rows)
+        drift = np.sum(np.abs(X - b.x0[rows]), axis=1)
+        need = (~b.lin_valid[rows]) | (drift > self.config.beta)
+        rows, Xr = rows[need], X[need]
         if rows.size == 0:
             return 0
-        Xr = X[rows]
         b.eta[rows], b.lam[rows], b.weight[rows] = _fm.linearise_batch(
             b, self.graph.camera, Xr, rows
         )
@@ -326,18 +336,18 @@ class GbpEngine:
     def iterate(self) -> IterationReport:
         cfg = self.config
         counters = {"marginalisation_calls": 0, "regularised": 0}
-        n_relin = 0
-        for b in self.batches:
-            n_relin += self._relinearise(b)
 
-        # Dropout first: a dropped factor does not send, so only the rows
-        # that are sent are marginalised, damped and written.
+        # Dropout first: a dropped factor does not send, so only the factors
+        # that send are relinearised, and only the rows that are sent are
+        # marginalised, damped and written.
         rng = np.random.default_rng([cfg.seed, self.iteration])
         sent = [
             [np.flatnonzero(rng.uniform(size=b.n) >= cfg.dropout) for _ in range(b.arity)]
             for b in self.batches
         ]
         n_dropped = sum(b.n - r.size for b, rows in zip(self.batches, sent) for r in rows)
+        n_relin = sum(self._relinearise(b, reduce(np.union1d, rows))
+                      for b, rows in zip(self.batches, sent))
         d = cfg.damping
         if self.transport is not None:
             self.transport.begin_sweep()
@@ -405,23 +415,3 @@ def energy_converged(reports, rel_tol: float, window: int) -> bool:
     recent = [r.total_energy for r in reports[-(window + 1):]]
     base = max(abs(recent[0]), 1e-12)
     return abs(recent[-1] - recent[0]) / base < rel_tol
-
-
-def run_gbp(engine: GbpEngine, max_iterations: int, criterion: str = "energy"):
-    """Iterate until the named convergence criterion fires; returns reports."""
-    cfg = engine.config
-    reports = []
-    for _ in range(max_iterations):
-        reports.append(engine.iterate())
-        r = reports[-1]
-        if criterion == "pixel" and r.avg_reproj_px <= cfg.convergence_px:
-            break
-        if criterion == "energy" and energy_converged(
-            reports, cfg.energy_rel_tol, cfg.energy_window
-        ):
-            break
-        if criterion == "both" and r.avg_reproj_px <= cfg.convergence_px and (
-            energy_converged(reports, cfg.energy_rel_tol, cfg.energy_window)
-        ):
-            break
-    return reports

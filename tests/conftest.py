@@ -150,14 +150,16 @@ def dropout_masks(eng):
 def reference_sweep(eng):
     """One GBP sweep on `eng`'s state, every message computed and then masked.
 
-    New messages for every factor, dropout applied by keeping the previous
+    The factors that send to some position are relinearised, new messages
+    are computed for every factor, dropout is applied by keeping the previous
     message with `np.where`, beliefs accumulated with `np.add.at`, means
     solved per variable where the batched solve fails.
     """
     cfg = eng.config
-    for b in eng.batches:
-        eng._relinearise(b)
     masks = dropout_masks(eng)
+    for b, dropped in zip(eng.batches, masks):
+        # a factor that sends to no position keeps its stale linearisation
+        eng._relinearise(b, np.flatnonzero(~np.logical_and.reduce(dropped)))
     if eng.transport is not None:
         eng.transport.begin_sweep()
     staged = [reference_messages(b) for b in eng.batches]

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from planegbp.engine import GbpConfig, GbpEngine, run_gbp
+from planegbp.engine import GbpConfig, GbpEngine, energy_converged
 from planegbp.errors import ContractViolation
 from planegbp.gaussians import (
     BlockLayout,
@@ -33,6 +33,17 @@ from scenes import ba_scene, desk_config
 
 def undamped(seed=0):
     return GbpConfig(damping=0.0, dropout=0.0, seed=seed)
+
+
+def run_gbp(engine, max_iterations):
+    """Iterate until the energy criterion fires; returns the reports."""
+    cfg = engine.config
+    reports = []
+    for _ in range(max_iterations):
+        reports.append(engine.iterate())
+        if energy_converged(reports, cfg.energy_rel_tol, cfg.energy_window):
+            break
+    return reports
 
 
 def test_empty_graph_iterates_as_noop():
@@ -296,7 +307,7 @@ def test_run_gbp_energy_criterion(rng):
     g = build_linear_graph(rng, 6, random_tree_edges(rng, 6))
     eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0, seed=0,
                                  energy_rel_tol=1e-9, energy_window=5))
-    reports = run_gbp(eng, 200, criterion="energy")
+    reports = run_gbp(eng, 200)
     assert len(reports) < 200  # converged before the budget
 
 
@@ -345,6 +356,34 @@ def test_factor_relinearises_exactly_when_drift_exceeds_beta():
     for fid, x0 in priors.items():
         assert lin[fid][1] and np.array_equal(lin[fid][0], x0)
     assert any(drift(fid, means, lin) > beta for fid in priors)
+
+
+def test_only_factors_that_send_are_relinearised():
+    # A factor's linearisation is read only when it sends, so a sweep tests
+    # against beta and relinearises only the factors that send to some
+    # position; one that sends nowhere keeps its linearisation bit for bit,
+    # even when its variables have drifted past beta.
+    g, _ = _toy_ba_graph()
+    beta = 1e-3
+    eng = GbpEngine(g, GbpConfig(damping=0.4, dropout=0.7, beta=beta, seed=0))
+    state = ("x0", "eta", "lam", "weight", "lin_valid")
+    stale = 0
+    for _ in range(25):
+        idle = [np.logical_and.reduce(dropped) for dropped in dropout_masks(eng)]
+        before = [{name: getattr(b, name).copy() for name in state} for b in eng.batches]
+        expected = 0
+        for b, still, old in zip(eng.batches, idle, before):
+            if b.spec.linear:
+                continue
+            drift = np.sum(np.abs(eng._gather_x(b) - old["x0"]), axis=1)
+            due = ~old["lin_valid"] | (drift > beta)
+            expected += int(np.sum(due & ~still))
+            stale += int(np.sum(due & still))
+        assert eng.iterate().n_relinearised == expected
+        for b, still, old in zip(eng.batches, idle, before):
+            for name in state:
+                assert np.array_equal(getattr(b, name)[still], old[name][still])
+    assert stale > 0
 
 
 @pytest.mark.parametrize("routed", [False, True])

@@ -318,14 +318,14 @@ def test_needs_relinearisation_thresholds(rng):
     g, kfs, pts = ba_test_graph(rng, n_kf=1, n_pts=1)
     eng = GbpEngine(g, GbpConfig(beta=1e-4))
     (b,) = eng.batches
-    assert eng._relinearise(b) == 1  # never linearised
-    assert eng._relinearise(b) == 0
+    assert eng._relinearise(b, np.arange(b.n)) == 1  # never linearised
+    assert eng._relinearise(b, np.arange(b.n)) == 0
     bank = eng.banks[3]
     row = bank.rows_of([pts[0]])[0]
     bank.mean[row] = bank.mean[row] + np.array([0.5e-4, 0, 0])
-    assert eng._relinearise(b) == 0
+    assert eng._relinearise(b, np.arange(b.n)) == 0
     bank.mean[row] = bank.mean[row] + np.array([1.5e-4, 0, 0])
-    assert eng._relinearise(b) == 1
+    assert eng._relinearise(b, np.arange(b.n)) == 1
     assert np.array_equal(b.x0[0, 6:], bank.mean[row])
 
 
@@ -337,7 +337,7 @@ def test_prior_never_needs_relinearisation():
     (b,) = eng.batches
     x0, eta = b.x0.copy(), b.eta.copy()
     eng.banks[3].mean[eng.banks[3].rows_of([v])[0]] = np.full(3, 100.0)
-    assert eng._relinearise(b) == 0
+    assert eng._relinearise(b, np.arange(b.n)) == 0
     assert np.array_equal(b.x0, x0) and np.array_equal(b.eta, eta)
 
 
