@@ -38,11 +38,6 @@ from .graph import (
 )
 from .frontend import plane_basis
 
-PENDING = "pending"
-CONFIRMED = "confirmed"
-REJECTED = "rejected"
-
-
 @dataclass
 class AbstractionConfig:
     y_reject: float = 0.5
@@ -95,10 +90,8 @@ class AbstractionConfig:
 @dataclass
 class PlaneHypothesis:
     variable_id: int
-    source_keyframe_id: int
     pi_z: np.ndarray
     inserted_iteration: int
-    status: str = PENDING
     rigid_id: int | None = None
     prediction_factor_id: int | None = None
     plane_point_factor_ids: dict = field(default_factory=dict)
@@ -254,7 +247,6 @@ class AbstractionManager:
         )
         hyp = PlaneHypothesis(
             variable_id=var_id,
-            source_keyframe_id=keyframe_id,
             pi_z=pi_z.copy(),
             inserted_iteration=iteration,
             true_plane=true_plane,
@@ -304,7 +296,6 @@ class AbstractionManager:
         if hyp.prediction_factor_id in self.graph.factors:
             self.graph.remove_factor(hyp.prediction_factor_id)
         self.graph.remove_variable(hyp.variable_id)
-        hyp.status = REJECTED
         del self.hypotheses[hyp.variable_id]
         self.events.append({
             "event": "reject", "iteration": iteration,
@@ -320,16 +311,16 @@ class AbstractionManager:
         the rigid id.
 
         A degenerate plane (through the origin) is rejected instead, with
-        reason "degenerate". With compress=False the hypothesis merely
-        changes status (the no-compression ablation keeps plane variables and
-        factors live). Both return None.
+        reason "degenerate". With compress=False the hypothesis is only
+        logged as confirmed and leaves the manager's pending set; its plane
+        variable and factors stay live (the no-compression ablation). Both
+        return None.
         """
         if np.linalg.norm(means[hyp.variable_id]) <= EPS_PLANE:
             self.reject_hypothesis(hyp, iteration, y)
             self.events[-1]["reason"] = "degenerate"
             return None
         if not compress:
-            hyp.status = CONFIRMED
             del self.hypotheses[hyp.variable_id]
             self.events.append({
                 "event": "confirm", "iteration": iteration,
@@ -346,7 +337,6 @@ class AbstractionManager:
             hyp.variable_id, qualifying, conv
         )
         self.absorbed.update({pid: (rigid_id, conv[pid]) for pid in absorbed})
-        hyp.status = CONFIRMED
         hyp.rigid_id = rigid_id
         del self.hypotheses[hyp.variable_id]
         self.events.append({

@@ -392,7 +392,6 @@ class GbpEngine:
             n_regularised=counters["regularised"],
         )
         self.iteration += 1
-        self.graph.iteration = self.iteration
         return report
 
     def _metrics(self):

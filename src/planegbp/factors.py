@@ -30,9 +30,8 @@ weight, are summed into the factor. Linear kinds (priors, linear factors) are
 exact: they are expanded about X0 = 0, so that eta is not formed by
 cancellation, and they carry no robust weight.
 
-The single-instance wrappers (residual_*) expose the per-measurement
-contracts and raise the corresponding errors; `evaluate_factor` and
-`linearise` are the one-factor views of the batched path.
+`evaluate_factor`, `factor_energy` and `linearise` are the one-factor views
+of the batched path.
 """
 
 from __future__ import annotations
@@ -41,13 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, DegeneratePlaneError
 from .gaussians import GaussianInfo
 from .geometry import (
     EPS_PLANE,
     CameraModel,
-    PlaneParams,
-    Pose,
     proj_jacobian_cam_batch,
     project_cam_batch,
     so3_exp_batch,
@@ -174,68 +170,6 @@ def eval_linear_batch(cam, z, A, *xs, want_jac=True):
     X = np.concatenate(xs, axis=1)
     value = z - np.einsum("nmd,nd->nm", A, X)
     return value, -A if want_jac else None, np.ones(X.shape[0], dtype=bool)
-
-
-# ---------------------------------------------------------------------------
-# Single-instance residual API
-# ---------------------------------------------------------------------------
-
-def _single(result, names, dims, x0, error) -> Residual:
-    value, J, valid = result
-    if not valid[0]:
-        raise error
-    offsets = np.cumsum((0,) + dims)
-    jac = {name: J[0][:, a:b] for name, a, b in zip(names, offsets, offsets[1:])}
-    return Residual(value[0], jac, x0)
-
-
-def residual_reprojection(c: Pose, p, z, cam: CameraModel) -> Residual:
-    p = np.asarray(p, float)
-    return _single(
-        eval_reprojection_batch(cam, np.asarray(z, float)[None], c.r[None], p[None]),
-        ("pose", "point"), (6, 3), np.concatenate([c.r, p]),
-        BehindCameraError("point behind camera"),
-    )
-
-
-def residual_plane_point(p, pi: PlaneParams) -> Residual:
-    p = np.asarray(p, float)
-    return _single(
-        eval_plane_point_batch(None, np.zeros((1, 1)), pi.m[None], p[None]),
-        ("plane", "point"), (3, 3), np.concatenate([pi.m, p]),
-        DegeneratePlaneError("degenerate plane in plane-point residual"),
-    )
-
-
-def residual_plane_prediction(pi: PlaneParams, c: Pose, z_pi: PlaneParams) -> Residual:
-    return _single(
-        eval_plane_prediction_batch(None, z_pi.m[None], pi.m[None], c.r[None]),
-        ("plane", "pose"), (3, 6), np.concatenate([pi.m, c.r]),
-        DegeneratePlaneError("degenerate plane in prediction residual"),
-    )
-
-
-def residual_rigid_plane_prediction(
-    r: Pose, c: Pose, z_pi: PlaneParams, pi_conv: PlaneParams
-) -> Residual:
-    return _single(
-        eval_rigid_plane_prediction_batch(
-            None, z_pi.m[None], pi_conv.m[None], r.r[None], c.r[None]
-        ),
-        ("rigid", "pose"), (6, 6), np.concatenate([r.r, c.r]),
-        DegeneratePlaneError("degenerate plane in rigid prediction residual"),
-    )
-
-
-def residual_rigid_reprojection(c: Pose, r: Pose, z, p_conv, cam: CameraModel) -> Residual:
-    return _single(
-        eval_rigid_reprojection_batch(
-            cam, np.asarray(z, float)[None], np.asarray(p_conv, float)[None],
-            c.r[None], r.r[None],
-        ),
-        ("pose", "rigid"), (6, 6), np.concatenate([c.r, r.r]),
-        BehindCameraError("rigid point behind camera"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +376,6 @@ def factor_energy(graph, factor: FactorNode, means: dict) -> float:
     """Half squared Mahalanobis residual with the unrobustified noise."""
     stack, x0 = _one(graph, factor, means)
     return residual_sums(stack, graph.camera, x0[None])[0]
-
-
-def graph_energy(graph, means: dict) -> float:
-    return sum(factor_energy(graph, f, means) for f in graph.factors.values())
 
 
 def linearise(graph, factor: FactorNode, means: dict) -> GaussianInfo:

@@ -5,15 +5,14 @@ Products and quotients are componentwise sums/differences of the parameters;
 marginalisation is a Schur complement on the precision matrix. These three
 operations are the arithmetic behind every message in the propagation engine.
 
-All operations are pure and value-typed; nothing here holds shared state
-except the optional diagnostics counter passed into marginalisation.
+All operations are pure and value-typed; nothing here holds shared state.
 `solve_guarded` is the one guarded small-block elimination, used both by
 `marginalize` and, batched, by the propagation engine's Schur step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,14 +125,6 @@ class BlockLayout:
         raise ContractViolation(f"variable {variable_id} not in layout")
 
 
-@dataclass
-class MarginalizationDiagnostics:
-    """Counts regularised (near-singular) eliminations, for health monitoring."""
-
-    singular_regularized: int = 0
-    calls: int = 0
-
-
 # Tikhonov strength for singular eliminated blocks, relative to mean diagonal.
 REG_LAMBDA_REL = 1e-8
 
@@ -187,19 +178,7 @@ def solve_guarded(S: np.ndarray, rhs: np.ndarray):
     return sol, int(np.count_nonzero(bad))
 
 
-def _eliminate(lam_ee, rhs, diagnostics):
-    x, regularised = solve_guarded(lam_ee[None], rhs[None])
-    if diagnostics is not None:
-        diagnostics.singular_regularized += regularised
-    return x[0]
-
-
-def marginalize(
-    joint: GaussianInfo,
-    layout: BlockLayout,
-    keep,
-    diagnostics: MarginalizationDiagnostics | None = None,
-) -> GaussianInfo:
+def marginalize(joint: GaussianInfo, layout: BlockLayout, keep) -> GaussianInfo:
     """Marginal of `joint` onto the block `keep`, by Schur complement.
 
     eta' = eta_k - lam_ke lam_ee^-1 eta_e
@@ -209,8 +188,6 @@ def marginalize(
         raise ContractViolation(
             f"layout dim {layout.dim} does not match joint dim {joint.dim}"
         )
-    if diagnostics is not None:
-        diagnostics.calls += 1
 
     sk = layout.slice_of(keep)
     if sk.stop - sk.start == joint.dim:
@@ -226,45 +203,11 @@ def marginalize(
     eta_k = joint.eta[keep_idx]
     eta_e = joint.eta[elim_idx]
 
-    x = _eliminate(lam_ee, np.column_stack([eta_e[:, None], lam_ke.T]), diagnostics)
+    rhs = np.column_stack([eta_e[:, None], lam_ke.T])
+    x = solve_guarded(lam_ee[None], rhs[None])[0][0]
     eta_m = eta_k - lam_ke @ x[:, 0]
     lam_m = lam_kk - lam_ke @ x[:, 1:]
     return GaussianInfo(eta_m, lam_m)
-
-
-def marginalize_onto(
-    joint: GaussianInfo,
-    layout: BlockLayout,
-    keep_ids,
-    diagnostics: MarginalizationDiagnostics | None = None,
-) -> tuple[GaussianInfo, BlockLayout]:
-    """Marginal onto several kept blocks (in layout order); returns new layout."""
-    keep_ids = set(keep_ids)
-    kept = [(vid, width) for vid, _, width in layout.blocks if vid in keep_ids]
-    if not kept:
-        raise ContractViolation("must keep at least one block")
-    new_layout = BlockLayout.from_dims(kept)
-    if len(kept) == len(layout.blocks):
-        return joint, new_layout
-
-    if diagnostics is not None:
-        diagnostics.calls += 1
-
-    keep_idx, elim_idx = [], []
-    for vid, off, width in layout.blocks:
-        (keep_idx if vid in keep_ids else elim_idx).extend(range(off, off + width))
-    keep_idx = np.asarray(keep_idx)
-    elim_idx = np.asarray(elim_idx)
-
-    lam_kk = joint.lam[np.ix_(keep_idx, keep_idx)]
-    lam_ke = joint.lam[np.ix_(keep_idx, elim_idx)]
-    lam_ee = joint.lam[np.ix_(elim_idx, elim_idx)]
-    x = _eliminate(
-        lam_ee, np.column_stack([joint.eta[elim_idx][:, None], lam_ke.T]), diagnostics
-    )
-    eta_m = joint.eta[keep_idx] - lam_ke @ x[:, 0]
-    lam_m = lam_kk - lam_ke @ x[:, 1:]
-    return GaussianInfo(eta_m, lam_m), new_layout
 
 
 def to_moments(g: GaussianInfo) -> GaussianMoments:
@@ -281,16 +224,3 @@ def to_moments(g: GaussianInfo) -> GaussianMoments:
     mean = cov @ g.eta
     return GaussianMoments(mean, cov)
 
-
-def from_moments(m: GaussianMoments) -> GaussianInfo:
-    lam = np.linalg.inv(m.cov)
-    lam = _symmetrize(lam)
-    return GaussianInfo(lam @ m.mean, lam)
-
-
-def mean_of(g: GaussianInfo) -> np.ndarray:
-    """Mean lam^-1 eta without forming the covariance."""
-    try:
-        return np.linalg.solve(g.lam, g.eta)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGaussianError("cannot take mean of singular Gaussian") from exc

@@ -11,9 +11,10 @@ Conventions used throughout the package:
   origin distance). ``m`` determines the plane uniquely whenever it is not
   through the origin; the canonical split takes ``d = |m| > 0``.
 
-Functions with a ``_batch`` suffix operate on stacked leading axes and are
-the hot path for the message engine; the scalar wrappers define the
-single-instance contracts and are what the finite-difference tests exercise.
+Functions with a ``_batch`` suffix operate on stacked leading axes; they are
+what the factor kernels evaluate. The scalar ``Pose``, ``PlaneParams`` and
+``transform_plane`` serve scene generation and the plane lifecycle, and
+``project`` is the projection oracle of the tests.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ _SMALL_ANGLE = 1e-8
 # ---------------------------------------------------------------------------
 # SO(3)
 # ---------------------------------------------------------------------------
-
-def so3_hat(w: np.ndarray) -> np.ndarray:
-    wx, wy, wz = w
-    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-
 
 def so3_hat_batch(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
@@ -113,10 +109,6 @@ def so3_right_jacobian_batch(w: np.ndarray) -> np.ndarray:
     hat = so3_hat_batch(w)
     hat2 = hat @ hat
     return np.eye(3) - c1[:, None, None] * hat + c2[:, None, None] * hat2
-
-
-def so3_right_jacobian(w: np.ndarray) -> np.ndarray:
-    return so3_right_jacobian_batch(np.asarray(w, dtype=float)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +212,6 @@ class PlaneParams:
         if norm < 1e-14:
             raise DegeneratePlaneError("homogeneous plane with zero normal part")
         return PlaneParams(h[:3] / norm * (-h[3] / norm))
-
-
-def plane_boxminus(a: PlaneParams, b: PlaneParams) -> np.ndarray:
-    """Componentwise difference of the minimal parameters."""
-    return a.m - b.m
 
 
 def transform_plane_min_batch(R: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -336,18 +323,3 @@ def proj_jacobian_cam_batch(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:
     J[:, 1, 2] = -cam.fy * y / (z * z)
     return J
 
-
-def project_jacobians(cam: CameraModel, pose: Pose, p_world: np.ndarray):
-    """(pixel, d pixel/d pose (2,6), d pixel/d point (2,3))."""
-    p_world = np.asarray(p_world, dtype=float)
-    R = pose.R
-    p_cam = R @ p_world + pose.t
-    if p_cam[2] <= EPS_DEPTH:
-        raise BehindCameraError(f"depth {p_cam[2]:.4g} <= {EPS_DEPTH}")
-    pix, _ = project_cam_batch(cam, p_cam[None])
-    Jc = proj_jacobian_cam_batch(cam, p_cam[None])[0]
-    dp_dt = np.eye(3)
-    dp_dw = -(R @ so3_hat(p_world)) @ so3_right_jacobian(pose.w)
-    J_pose = Jc @ np.concatenate([dp_dt, dp_dw], axis=1)
-    J_point = Jc @ R
-    return pix[0], J_pose, J_point

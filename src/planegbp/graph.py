@@ -127,7 +127,6 @@ class FactorNode:
     payload: dict = field(default_factory=dict)
     robust: Optional[str] = None  # None or "tukey"
     robust_scale: float = 4.685
-    created_iteration: int = 0
 
     @property
     def arity(self) -> int:
@@ -196,7 +195,6 @@ class FactorGraph:
         self.variables: dict[int, VariableNode] = {}
         self.factors: dict[int, FactorNode] = {}
         self.journal: list = []
-        self.iteration = 0  # advanced by the harness; stamps new factors
         self._next_var_id = 0
         self._next_factor_id = 0
 
@@ -315,8 +313,7 @@ class FactorGraph:
             raise ContractViolation(f"factor id {fid} already live")
         self._next_factor_id = max(self._next_factor_id, fid) + 1
         node = FactorNode(
-            fid, kind, adjacency, measurement, sigma, payload,
-            robust, robust_scale, created_iteration=self.iteration,
+            fid, kind, adjacency, measurement, sigma, payload, robust, robust_scale
         )
         self.factors[fid] = node
         for vid in adjacency:

@@ -135,8 +135,6 @@ class _SlamState:
         self.point_var: dict[int, int] = {}  # scene point id -> variable id
         self.keyframe_vars: list[int] = []
         self.scale_anchor_placed = False
-        self.anchor_factor_id: int | None = None
-        self.anchor_point_var: int | None = None
 
 
 def _packets_for(config: ExperimentConfig):
@@ -197,8 +195,7 @@ def _add_point(graph, state, config, pid: int, p, observations):
         graph.add_factor(REPROJECTION, (kf_id, var), pixel, config.sigma_r,
                          robust=config.robust)
     if not state.scale_anchor_placed:
-        state.anchor_factor_id = graph.add_factor(PRIOR, (var,), p, priors.scale_anchor_sigma)
-        state.anchor_point_var = var
+        graph.add_factor(PRIOR, (var,), p, priors.scale_anchor_sigma)
         state.scale_anchor_placed = True
 
 
@@ -215,8 +212,12 @@ def _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration):
 
 
 def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
-                  pose_override: Pose | None = None):
-    """Grow the graph with one keyframe packet; returns the keyframe id."""
+                  pose_override: Pose | None = None, points: dict | None = None):
+    """Grow the graph with one keyframe packet; returns the keyframe id.
+
+    A new point starts at `points[scene id]` when given, else at the
+    average-depth backprojection of its pixel.
+    """
     kf_id, pose = _add_keyframe_variable(graph, state, config, packet, pose_override)
     bodies = set()  # rigid bodies this keyframe sees
 
@@ -248,7 +249,7 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                     )
                     bodies.add(rigid_id)
         else:
-            p0 = backproject(camera, pose, pixel, depth)
+            p0 = points[pid] if points else backproject(camera, pose, pixel, depth)
             _add_point(graph, state, config, pid, p0, [(kf_id, pixel)])
     for rigid_id in sorted(bodies):
         manager.combine_rigid_factors(rigid_id)
@@ -518,29 +519,27 @@ def build_ba_graph(
     true position perturbed by that sigma (a previously converged map that
     has drifted, the setup of convergence-time measurements). Propagation
     and direct solvers built from the same config share the initialisation.
+    All noise is drawn before the first edit, so every variable and prior
+    enters the graph at its start value and the journal replays the graph.
     """
     rng = np.random.default_rng([config.seed, 77])
+    overrides = [None]
+    for packet in packets[1:]:
+        r = np.asarray(packet.true_pose, float).copy()
+        r[:3] += rng.normal(scale=pose_noise[0], size=3)
+        r[3:] += rng.normal(scale=pose_noise[1], size=3)
+        overrides.append(Pose(r))
+    points = None
+    if point_noise is not None and scene is not None:
+        first_seen = dict.fromkeys(int(pid) for packet in packets for pid in packet.point_ids)
+        points = {pid: scene.points[pid] + rng.normal(scale=point_noise, size=3)
+                  for pid in first_seen}
     graph = FactorGraph(camera=camera)
     state = _SlamState()
     cfg = dataclasses.replace(config, planes=False)
-    for k, packet in enumerate(packets):
-        override = None
-        if k > 0:
-            r = np.asarray(packet.true_pose, float).copy()
-            r[:3] += rng.normal(scale=pose_noise[0], size=3)
-            r[3:] += rng.normal(scale=pose_noise[1], size=3)
-            override = Pose(r)
+    for packet, override in zip(packets, overrides):
         _add_keyframe(graph, state, None, cfg, packet, 0, camera,
-                      pose_override=override)
-    if point_noise is not None and scene is not None:
-        for pid, vid in state.point_var.items():
-            node = graph.variables[vid]
-            node.mean = scene.points[pid] + rng.normal(scale=point_noise, size=3)
-            lam = node.prior.lam
-            node.prior = GaussianInfo(lam @ node.mean, lam)
-            node.belief = node.prior
-            if vid == state.anchor_point_var:
-                graph.factors[state.anchor_factor_id].measurement = node.mean.copy()
+                      pose_override=override, points=points)
     return graph, state
 
 

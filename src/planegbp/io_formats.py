@@ -2,9 +2,9 @@
 
 Every JSON artefact carries a format name and integer version in its header;
 readers reject unknown names/versions. Floats go through Python's shortest
-round-trip repr, so write-then-read reproduces values exactly. Parse failures
-raise FormatError annotated with the byte offset (JSON) or line number
-(text formats).
+round-trip repr, so write-then-read reproduces values exactly. Malformed JSON
+raises FormatError annotated with its byte offset. TUM trajectories are
+written only, for external evaluation tools.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy.spatial.transform import Rotation
 
 from .errors import FormatError, SingularGaussianError
 from .gaussians import GaussianInfo, to_moments
-from .geometry import CameraModel, Pose
+from .geometry import CameraModel
 from .graph import FactorGraph
 
 FORMAT_VERSIONS = {
@@ -159,31 +159,6 @@ def write_tum(path, timestamps, poses_cw) -> None:
         vals = [t, *inv.t, *q]
         lines.append(" ".join(repr(float(v)) for v in vals))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_tum(path):
-    """Returns (timestamps, world-to-camera poses)."""
-    timestamps, poses = [], []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 8:
-            raise FormatError(
-                f"{path}:{lineno}: expected 8 fields (t tx ty tz qx qy qz qw), "
-                f"got {len(parts)}"
-            )
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        t, tx, ty, tz, qx, qy, qz, qw = vals
-        R_wc = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
-        pose_wc = Pose.from_rt(R_wc, np.array([tx, ty, tz]))
-        timestamps.append(t)
-        poses.append(pose_wc.inverse())
-    return timestamps, poses
 
 
 # ---------------------------------------------------------------------------

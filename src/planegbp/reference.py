@@ -27,7 +27,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ContractViolation, SingularGaussianError
 from .factors import (
-    evaluate_factor,  # noqa: F401  (part of this module's API)
+    evaluate_factor,  # noqa: F401  (bench/spans.py wraps reference.evaluate_factor)
     factor_stacks,
     linearise_batch,
     residual_rows,

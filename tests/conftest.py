@@ -72,6 +72,22 @@ def bipartite_diameter(graph) -> int:
     return diameter
 
 
+def graph_signature(g):
+    """Comparable structure of a graph: every node's kind, data and adjacency."""
+    def arr(x):
+        return None if x is None else np.asarray(x).tobytes()
+
+    variables = {vid: (v.kind, arr(v.mean), arr(v.prior.eta), arr(v.prior.lam),
+                       tuple(v.factor_ids)) for vid, v in g.variables.items()}
+    factors = {}
+    for fid, f in g.factors.items():
+        payload = sorted((k, repr(v) if k == "constituents" else arr(v))
+                         for k, v in f.payload.items())
+        factors[fid] = (f.kind, f.adjacency, arr(f.measurement), arr(f.sigma),
+                        payload, f.robust, f.robust_scale)
+    return variables, factors
+
+
 def fd_jacobian(fun, x0, eps=1e-6):
     """Central finite differences of fun: R^n -> R^m at x0."""
     x0 = np.asarray(x0, dtype=float)

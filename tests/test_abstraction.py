@@ -16,7 +16,7 @@ from planegbp.abstraction import (
 )
 from planegbp.abstraction import test_hypothesis as decide_hypothesis
 from planegbp.errors import ContractViolation
-from planegbp.factors import graph_energy
+from planegbp.factors import factor_energy
 from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel, PlaneParams, Pose, project, transform_plane
 from planegbp.graph import (
@@ -161,10 +161,10 @@ def test_confirm_census_and_energy_bookkeeping(rng):
     means = means_of(g)
 
     removed = sum(
-        graph_energy_of_factor(g, fid, means)
+        factor_energy(g, g.factors[fid], means)
         for fid in hyp.plane_point_factor_ids.values()
     )
-    e_before = graph_energy(g, means)
+    e_before = total_energy(g, means)
     census_before = g.snapshot_census()
     rigid_id = mgr.confirm_hypothesis(hyp, means, iteration=500, y=1.0)
     census_after = g.snapshot_census()
@@ -173,19 +173,17 @@ def test_confirm_census_and_energy_bookkeeping(rng):
 
     means_after = means_of(g)
     means_after[rigid_id] = np.zeros(6)  # identity body pose
-    e_after = graph_energy(g, means_after)
+    e_after = total_energy(g, means_after)
     assert abs(e_after - (e_before - removed)) < 1e-9
 
     # combination preserves the energy too
     mgr.combine_rigid_factors(rigid_id)
-    e_combined = graph_energy(g, means_after)
+    e_combined = total_energy(g, means_after)
     assert abs(e_combined - e_after) < 1e-9
 
 
-def graph_energy_of_factor(g, fid, means):
-    from planegbp.factors import factor_energy
-
-    return factor_energy(g, g.factors[fid], means)
+def total_energy(g, means):
+    return sum(factor_energy(g, f, means) for f in g.factors.values())
 
 
 def test_confirm_without_compression_keeps_structure(rng):

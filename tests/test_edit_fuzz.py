@@ -32,6 +32,7 @@ from planegbp.graph import (
     FactorGraph,
 )
 from planegbp.routing import ROUTED_GROUP, PoolConfig, RoutedTransport, RoutingSimulator
+from conftest import graph_signature
 
 CAM = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 CFG = GbpConfig(damping=0.3, dropout=0.5, seed=3)
@@ -177,22 +178,6 @@ def assert_state_equal(a, b):
     for key in a.keys() & b.keys():
         for x, y in zip(a[key], b[key]):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), key
-
-
-def graph_signature(g):
-    """Comparable structure of a graph: every node's kind, data and adjacency."""
-    def arr(x):
-        return None if x is None else np.asarray(x).tobytes()
-
-    variables = {vid: (v.kind, arr(v.mean), arr(v.prior.eta), arr(v.prior.lam),
-                       tuple(v.factor_ids)) for vid, v in g.variables.items()}
-    factors = {}
-    for fid, f in g.factors.items():
-        payload = sorted((k, repr(v) if k == "constituents" else arr(v))
-                         for k, v in f.payload.items())
-        factors[fid] = (f.kind, f.adjacency, arr(f.measurement), arr(f.sigma),
-                        payload, f.robust, f.robust_scale)
-    return variables, factors
 
 
 def routed_entries(g):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from planegbp import factors
 from planegbp.engine import GbpConfig, GbpEngine
-from planegbp.errors import BehindCameraError, DegeneratePlaneError
 from planegbp.gaussians import BlockLayout, GaussianInfo
 from planegbp.geometry import CameraModel, PlaneParams, Pose, project, transform_plane
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
+    FACTOR_KINDS,
     KEYFRAME,
     PLANE_HYPOTHESIS,
     PLANE_POINT,
@@ -25,11 +26,6 @@ from planegbp.factors import (
     factor_stacks,
     linearise,
     linearise_batch,
-    residual_plane_point,
-    residual_plane_prediction,
-    residual_reprojection,
-    residual_rigid_plane_prediction,
-    residual_rigid_reprojection,
     tukey_weight_batch,
 )
 from conftest import fd_jacobian
@@ -37,151 +33,130 @@ from conftest import fd_jacobian
 CAM = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
-# -- single-instance residuals -------------------------------------------------
+def row(kind, z, *variables, **payload):
+    """(value, joint Jacobian, valid) of one row of the kind's registered kernel."""
+    spec = FACTOR_KINDS[kind]
+    kernel = getattr(factors, spec.kernel)
+    args = [z, *(payload[key] for key, _ in spec.payload), *variables]
+    value, J, valid = kernel(CAM, *(np.asarray(a, float)[None] for a in args))
+    return value[0], J[0], bool(valid[0])
+
+
+# -- one-row residuals -----------------------------------------------------------
 
 def test_reprojection_zero_at_exact_projection(rng):
     c = Pose(rng.normal(size=6) * 0.2)
     p = np.array([0.3, -0.1, 4.0])
-    z = project(CAM, c, p)
-    res = residual_reprojection(c, p, z, CAM)
-    assert np.allclose(res.value, 0.0, atol=1e-12)
+    value, _, valid = row(REPROJECTION, project(CAM, c, p), c.r, p)
+    assert valid and np.allclose(value, 0.0, atol=1e-12)
 
 
 def test_reprojection_cheirality_flag():
-    with pytest.raises(BehindCameraError):
-        residual_reprojection(Pose.identity(), np.array([0, 0, -2.0]),
-                              np.array([320.0, 240.0]), CAM)
+    _, _, valid = row(REPROJECTION, [320.0, 240.0], np.zeros(6), [0, 0, -2.0])
+    assert not valid
 
 
 def test_plane_point_examples():
     plane = PlaneParams.from_normal_distance([0, 0, 1], 1.0)
-    on = residual_plane_point(np.array([5.0, 5.0, 1.0]), plane)
-    assert np.allclose(on.value, 0.0, atol=1e-12)
-    off = residual_plane_point(np.array([5.0, 5.0, 1.05]), plane)
-    assert np.isclose(off.value[0], 0.05)
+    on, _, _ = row(PLANE_POINT, [0.0], plane.m, [5.0, 5.0, 1.0])
+    assert np.allclose(on, 0.0, atol=1e-12)
+    off, _, _ = row(PLANE_POINT, [0.0], plane.m, [5.0, 5.0, 1.05])
+    assert np.isclose(off[0], 0.05)
 
 
 def test_plane_prediction_reductions(rng):
     plane = PlaneParams.from_normal_distance(rng.normal(size=3), 2.0)
     c = Pose(rng.normal(size=6) * 0.3)
     z = transform_plane(c, plane)  # exact measurement
-    res = residual_plane_prediction(plane, c, z)
-    assert np.allclose(res.value, 0.0, atol=1e-12)
-    # identity keyframe reduces to boxminus
+    value, _, _ = row(PLANE_PREDICTION, z.m, plane.m, c.r)
+    assert np.allclose(value, 0.0, atol=1e-12)
+    # identity keyframe reduces to the difference of the minimal parameters
     z2 = PlaneParams.from_normal_distance(rng.normal(size=3), 1.5)
-    res = residual_plane_prediction(plane, Pose.identity(), z2)
-    assert np.allclose(res.value, z2.m - plane.m, atol=1e-12)
+    value, _, _ = row(PLANE_PREDICTION, z2.m, plane.m, np.zeros(6))
+    assert np.allclose(value, z2.m - plane.m, atol=1e-12)
 
 
 def test_rigid_factors_reduce_to_plain_at_identity(rng):
     # Baking converged parameters and evaluating at the identity body pose
     # reproduces the original residuals exactly.
     for _ in range(20):
-        c = Pose(rng.normal(size=6) * 0.3)
+        c = rng.normal(size=6) * 0.3
         p_conv = rng.normal(size=3) + np.array([0, 0, 4.0])
         z = rng.uniform([0, 0], [CAM.width, CAM.height])
-        plain = residual_reprojection(c, p_conv, z, CAM)
-        rigid = residual_rigid_reprojection(c, Pose.identity(), z, p_conv, CAM)
-        assert np.allclose(rigid.value, plain.value, atol=1e-10)
+        plain, _, _ = row(REPROJECTION, z, c, p_conv)
+        rigid, _, _ = row(RIGID_REPROJECTION, z, c, np.zeros(6), p_conv=p_conv)
+        assert np.allclose(rigid, plain, atol=1e-10)
 
-        pi_conv = PlaneParams.from_normal_distance(rng.normal(size=3), 2.0)
-        z_pi = PlaneParams.from_normal_distance(rng.normal(size=3), 1.5)
-        plain_p = residual_plane_prediction(pi_conv, c, z_pi)
-        rigid_p = residual_rigid_plane_prediction(Pose.identity(), c, z_pi, pi_conv)
-        assert np.allclose(rigid_p.value, plain_p.value, atol=1e-10)
+        pi_conv = PlaneParams.from_normal_distance(rng.normal(size=3), 2.0).m
+        z_pi = PlaneParams.from_normal_distance(rng.normal(size=3), 1.5).m
+        plain, _, _ = row(PLANE_PREDICTION, z_pi, pi_conv, c)
+        rigid, _, _ = row(RIGID_PLANE_PREDICTION, z_pi, np.zeros(6), c, pi_conv=pi_conv)
+        assert np.allclose(rigid, plain, atol=1e-10)
 
 
 def test_rigid_reprojection_translation_shifts_point():
-    c = Pose.identity()
     p_conv = np.array([0.2, 0.1, 3.0])
     t = np.array([0.3, -0.2, 0.5])
-    r = Pose(np.concatenate([t, np.zeros(3)]))
-    z = np.zeros(2)
-    shifted = residual_rigid_reprojection(c, r, z, p_conv, CAM)
-    direct = residual_reprojection(c, p_conv + t, z, CAM)
-    assert np.allclose(shifted.value, direct.value, atol=1e-12)
+    r = np.concatenate([t, np.zeros(3)])
+    shifted, _, _ = row(RIGID_REPROJECTION, np.zeros(2), np.zeros(6), r, p_conv=p_conv)
+    direct, _, _ = row(REPROJECTION, np.zeros(2), np.zeros(6), p_conv + t)
+    assert np.allclose(shifted, direct, atol=1e-12)
 
 
 def test_rigid_plane_rotation_about_normal_preserves_distance(rng):
-    pi_conv = PlaneParams.from_normal_distance([0.0, 0.0, 1.0], 2.0)
-    z_pi = PlaneParams.from_normal_distance([0.1, 0.0, 1.0], 2.1)
-    c = Pose.identity()
-    base = residual_rigid_plane_prediction(Pose.identity(), c, z_pi, pi_conv)
-    spun = residual_rigid_plane_prediction(
-        Pose(np.array([0, 0, 0, 0, 0, 0.9])), c, z_pi, pi_conv
-    )
+    pi_conv = PlaneParams.from_normal_distance([0.0, 0.0, 1.0], 2.0).m
+    z_pi = PlaneParams.from_normal_distance([0.1, 0.0, 1.0], 2.1).m
+    c = np.zeros(6)
+    base, _, _ = row(RIGID_PLANE_PREDICTION, z_pi, np.zeros(6), c, pi_conv=pi_conv)
+    spun, _, _ = row(RIGID_PLANE_PREDICTION, z_pi, np.array([0, 0, 0, 0, 0, 0.9]), c,
+                     pi_conv=pi_conv)
     # rotating the body about the plane normal leaves the plane unchanged
-    assert np.allclose(spun.value, base.value, atol=1e-12)
+    assert np.allclose(spun, base, atol=1e-12)
 
 
 # -- Jacobian suite -------------------------------------------------------------
 
-def _check_jacobian(value_fun, x0, J, tol=1e-5):
-    Jf = fd_jacobian(value_fun, x0)
-    err = np.max(np.abs(J - Jf) / (np.abs(Jf) + 1.0))
-    return err
+def _plane(rng):
+    return PlaneParams.from_normal_distance(rng.normal(size=3), rng.uniform(1, 3)).m
 
+
+def _point(rng):
+    return rng.normal(size=3) + np.array([0, 0, 4.0])
+
+
+# Samplers per variable kind (adjacency slots) and per payload key.
+SAMPLE = {
+    KEYFRAME: lambda rng: rng.normal(size=6) * 0.3,
+    RIGID_BODY: lambda rng: rng.normal(size=6) * 0.3,
+    POINT: _point,
+    PLANE_HYPOTHESIS: _plane,
+    "p_conv": _point,
+    "pi_conv": _plane,
+}
 
 N_JAC = 250  # per-kind instances here; the acceptance suite runs 1000
 
 
 @pytest.mark.parametrize("kind", [
-    "reprojection", "plane_point", "plane_prediction",
-    "rigid_reprojection", "rigid_plane_prediction",
+    kind for kind, spec in FACTOR_KINDS.items() if not (spec.linear or spec.constituents)
 ])
 def test_analytic_jacobians_match_finite_differences(kind, rng):
+    # Every nonlinear kind's kernel against central differences of itself,
+    # at random valid rows; the measurement does not enter the Jacobian.
+    spec = FACTOR_KINDS[kind]
     worst = 0.0
     n = 0
     while n < N_JAC:
-        c = Pose(rng.normal(size=6) * 0.3)
-        r = Pose(rng.normal(size=6) * 0.3)
-        p = rng.normal(size=3) + np.array([0, 0, 4.0])
-        plane = PlaneParams.from_normal_distance(rng.normal(size=3), rng.uniform(1, 3))
-        z_pi = PlaneParams.from_normal_distance(rng.normal(size=3), rng.uniform(1, 3))
-        z = rng.uniform([0, 0], [CAM.width, CAM.height])
-        try:
-            if kind == "reprojection":
-                res = residual_reprojection(c, p, z, CAM)
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_reprojection(Pose(x), p, z, CAM).value,
-                    c.r, res.jacobians["pose"]))
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_reprojection(c, x, z, CAM).value,
-                    p, res.jacobians["point"]))
-            elif kind == "plane_point":
-                res = residual_plane_point(p, plane)
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_plane_point(p, PlaneParams(x)).value,
-                    plane.m, res.jacobians["plane"]))
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_plane_point(x, plane).value,
-                    p, res.jacobians["point"]))
-            elif kind == "plane_prediction":
-                res = residual_plane_prediction(plane, c, z_pi)
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_plane_prediction(PlaneParams(x), c, z_pi).value,
-                    plane.m, res.jacobians["plane"]))
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_plane_prediction(plane, Pose(x), z_pi).value,
-                    c.r, res.jacobians["pose"]))
-            elif kind == "rigid_reprojection":
-                res = residual_rigid_reprojection(c, r, z, p, CAM)
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_rigid_reprojection(Pose(x), r, z, p, CAM).value,
-                    c.r, res.jacobians["pose"]))
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_rigid_reprojection(c, Pose(x), z, p, CAM).value,
-                    r.r, res.jacobians["rigid"]))
-            else:
-                res = residual_rigid_plane_prediction(r, c, z_pi, plane)
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_rigid_plane_prediction(Pose(x), c, z_pi, plane).value,
-                    r.r, res.jacobians["rigid"]))
-                worst = max(worst, _check_jacobian(
-                    lambda x: residual_rigid_plane_prediction(r, Pose(x), z_pi, plane).value,
-                    c.r, res.jacobians["pose"]))
-        except (BehindCameraError, DegeneratePlaneError):
+        z = rng.normal(size=spec.mdim)
+        payload = {key: SAMPLE[key](rng) for key, _ in spec.payload}
+        variables = [SAMPLE[var_kind](rng) for var_kind in spec.signature]
+        x0 = np.concatenate(variables)
+        splits = np.cumsum([v.shape[0] for v in variables])[:-1]
+        _, J, valid = row(kind, z, *variables, **payload)
+        if not valid:
             continue
+        Jf = fd_jacobian(lambda x: row(kind, z, *np.split(x, splits), **payload)[0], x0)
+        worst = max(worst, np.max(np.abs(J - Jf) / (np.abs(Jf) + 1.0)))
         n += 1
     assert worst < 1e-5
 
@@ -391,43 +366,20 @@ def tukey_weight_loop(rho, c):
 
 
 def residual_rows_loop(g, fac, means):
-    """Per-row (value, J) through the single-instance API; None for an
+    """Per-row (value, J): one registered-kernel call per row; None for an
     invalid row. Linear kinds are written out directly."""
     p = [np.asarray(means[v], float) for v in fac.adjacency]
     z = fac.measurement
-    kind = fac.kind
-    try:
-        if kind == PRIOR:
-            return [(p[0] - z, np.eye(p[0].shape[0]))]
-        if kind == "linear":
-            A = fac.payload["A"]
-            return [(z - A @ np.concatenate(p), -A)]
-        if kind == REPROJECTION:
-            r = residual_reprojection(Pose(p[0]), p[1], z, CAM)
-            return [(r.value, np.hstack([r.jacobians["pose"], r.jacobians["point"]]))]
-        if kind == PLANE_POINT:
-            r = residual_plane_point(p[1], PlaneParams(p[0]))
-            return [(r.value, np.hstack([r.jacobians["plane"], r.jacobians["point"]]))]
-        if kind == PLANE_PREDICTION:
-            r = residual_plane_prediction(PlaneParams(p[0]), Pose(p[1]), PlaneParams(z))
-            return [(r.value, np.hstack([r.jacobians["plane"], r.jacobians["pose"]]))]
-        if kind == RIGID_PLANE_PREDICTION:
-            r = residual_rigid_plane_prediction(Pose(p[0]), Pose(p[1]), PlaneParams(z),
-                                                PlaneParams(fac.payload["pi_conv"]))
-            return [(r.value, np.hstack([r.jacobians["rigid"], r.jacobians["pose"]]))]
-        if kind == RIGID_REPROJECTION:
-            r = residual_rigid_reprojection(Pose(p[0]), Pose(p[1]), z,
-                                            fac.payload["p_conv"], CAM)
-            return [(r.value, np.hstack([r.jacobians["pose"], r.jacobians["rigid"]]))]
-    except (BehindCameraError, DegeneratePlaneError):
-        return [None]
+    if fac.kind == PRIOR:
+        return [(p[0] - z, np.eye(p[0].shape[0]))]
+    if fac.kind == "linear":
+        A = fac.payload["A"]
+        return [(z - A @ np.concatenate(p), -A)]
+    keys = [key for key, _ in FACTOR_KINDS[fac.kind].payload]
     rows = []
-    for zc, pc in fac.constituents():
-        try:
-            r = residual_rigid_reprojection(Pose(p[0]), Pose(p[1]), zc, pc, CAM)
-            rows.append((r.value, np.hstack([r.jacobians["pose"], r.jacobians["rigid"]])))
-        except BehindCameraError:
-            rows.append(None)
+    for zc, *payload in fac.constituents() or [(z, *(fac.payload[k] for k in keys))]:
+        value, J, valid = row(fac.kind, zc, *p, **dict(zip(keys, payload)))
+        rows.append((value, J) if valid else None)
     return rows
 
 

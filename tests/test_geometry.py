@@ -6,9 +6,7 @@ from planegbp.geometry import (
     CameraModel,
     PlaneParams,
     Pose,
-    plane_boxminus,
     project,
-    project_jacobians,
     so3_exp,
     so3_exp_batch,
     so3_log,
@@ -138,15 +136,6 @@ def test_degenerate_plane_raises(rng):
         PlaneParams(np.zeros(3)).normal
 
 
-def test_boxminus_examples():
-    a = PlaneParams.from_normal_distance([1, 0, 0], 2.0)
-    assert np.allclose(plane_boxminus(a, a), np.zeros(3))
-    b = PlaneParams.from_normal_distance([1, 0, 0], 1.0)
-    assert np.allclose(plane_boxminus(a, b), [1, 0, 0])
-    c = PlaneParams.from_normal_distance([0, 1, 0], 1.0)
-    assert np.allclose(plane_boxminus(b, c), [1, -1, 0])
-
-
 # -- projection ---------------------------------------------------------------
 
 def test_project_on_axis_hits_principal_point():
@@ -169,25 +158,6 @@ def test_camera_validation():
         CameraModel(fx=-1.0, fy=1.0, cx=0, cy=0, width=10, height=10)
     with pytest.raises(ContractViolation):
         CameraModel(fx=1.0, fy=1.0, cx=50, cy=0, width=10, height=10)
-
-
-def test_projection_jacobians_match_finite_differences(rng):
-    worst = 0.0
-    for _ in range(1000):
-        r = rng.normal(size=6) * 0.4
-        p = rng.normal(size=3) + np.array([0, 0, 4.0])
-        try:
-            _, J_pose, J_point = project_jacobians(CAM, Pose(r), p)
-        except BehindCameraError:
-            continue
-        Jf_pose = fd_jacobian(lambda x: project(CAM, Pose(x), p), r)
-        Jf_point = fd_jacobian(lambda x: project(CAM, Pose(r), x), p)
-        worst = max(
-            worst,
-            np.max(np.abs(J_pose - Jf_pose) / (np.abs(Jf_pose) + 1.0)),
-            np.max(np.abs(J_point - Jf_point) / (np.abs(Jf_point) + 1.0)),
-        )
-    assert worst < 1e-5
 
 
 def test_plane_transform_jacobians_match_finite_differences(rng):

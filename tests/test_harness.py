@@ -11,7 +11,7 @@ from planegbp.abstraction import AbstractionManager
 from planegbp.cli import main as cli_main
 from planegbp.errors import CapacityError
 from planegbp.harness import ExperimentConfig, compare_runs, export_reconstruction, run
-from planegbp.frontend import box_room_spec
+from planegbp.frontend import box_room_spec, generate_scene
 from planegbp.geometry import PlaneParams
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
@@ -19,7 +19,8 @@ from planegbp.graph import (
     RIGID_REPROJECTION,
     FactorGraph,
 )
-from scenes import desk_config, wall_scene
+from conftest import graph_signature
+from scenes import ba_scene, desk_config, wall_scene
 
 
 def small_config(seed=3, **kw):
@@ -27,6 +28,22 @@ def small_config(seed=3, **kw):
     cfg = desk_config(scene, seed, **kw)
     cfg.max_iterations = 250
     return cfg
+
+
+def test_build_ba_graph_replays_from_its_journal():
+    # The noisy starts of points, priors and the scale anchor are drawn
+    # before the first edit, so the journal replays the graph the solvers see.
+    spec = ba_scene(1, n_keyframes=3, points_per_plane=30, n_clutter=20)
+    scene = generate_scene(spec)
+    packets = [scene.emit_keyframe(k) for k in range(spec.n_keyframes)]
+    graph, _ = harness.build_ba_graph(desk_config(spec, 1, planes=False), packets,
+                                      scene.camera, point_noise=0.05, scene=scene)
+    replayed = FactorGraph.replay(graph.journal, scene.camera)
+    assert graph_signature(replayed) == graph_signature(graph)
+    for vid, node in graph.variables.items():
+        twin = replayed.variables[vid].belief
+        assert np.array_equal(twin.eta, node.belief.eta)
+        assert np.array_equal(twin.lam, node.belief.lam)
 
 
 def test_run_emits_all_artifacts(tmp_path):
