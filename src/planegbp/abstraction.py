@@ -5,20 +5,22 @@ Hypotheses enter the graph as plane variables tied to candidate member points
 test period the proportion y of members whose point-on-plane likelihood
 exceeds a threshold decides their fate: rejected hypotheses are excised,
 confirmed ones are compressed into a 6-DoF rigid-body node with converged
-parameters baked in, after which co-adjacent reprojection factors are
-combined per keyframe. Confirmed planes that describe the same surface are
-merged periodically.
+parameters baked in, each keyframe's views of the absorbed points becoming
+one combined reprojection factor. Confirmed planes that describe the same
+surface are merged periodically.
 
-After compression the rigid body's factors are the only copy of a confirmed
-plane: `rigid_plane` reads its plane and points back from them. The manager
-keeps just the table that routes later observations of an absorbed point to
-its body, keyed by the point's variable id.
+A pending hypothesis is its plane variable: its members are the points of
+that variable's plane-point factors. After compression the rigid body's
+factors are the only copy of a confirmed plane: `rigid_plane` reads its
+plane and points back from them. The manager keeps just the table that
+routes later observations of an absorbed point to its body, keyed by the
+point's variable id.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -33,7 +35,6 @@ from .graph import (
     PLANE_PREDICTION,
     RIGID_BODY,
     RIGID_PLANE_PREDICTION,
-    RIGID_REPROJECTION,
     FactorGraph,
 )
 from .frontend import plane_basis
@@ -90,11 +91,7 @@ class AbstractionConfig:
 @dataclass
 class PlaneHypothesis:
     variable_id: int
-    pi_z: np.ndarray
     inserted_iteration: int
-    rigid_id: int | None = None
-    prediction_factor_id: int | None = None
-    plane_point_factor_ids: dict = field(default_factory=dict)
     true_plane: int = -1  # evaluation bookkeeping only
 
     def age(self, iteration: int) -> int:
@@ -131,7 +128,7 @@ def rigid_plane(graph: FactorGraph, rigid_id: int):
     """(pi_conv, body points) of a rigid body, read from its factors.
 
     pi_conv is the first plane prediction's; the points are the baked
-    positions of its reprojections and their constituents, deduplicated in
+    positions of its combined reprojections' constituents, deduplicated in
     factor order. None when the body has no plane or no point.
     """
     pi_conv = None
@@ -140,9 +137,6 @@ def rigid_plane(graph: FactorGraph, rigid_id: int):
         fac = graph.factors[fid]
         if fac.kind == RIGID_PLANE_PREDICTION and pi_conv is None:
             pi_conv = fac.payload["pi_conv"]
-        elif fac.kind == RIGID_REPROJECTION:
-            p = fac.payload["p_conv"]
-            baked[tuple(np.round(p, 9))] = p
         elif fac.kind == COMBINED_RIGID_REPROJECTION:
             for _, p in fac.constituents():
                 baked[tuple(np.round(p, 9))] = p
@@ -245,18 +239,12 @@ class AbstractionManager:
         var_id = self.graph.add_variable(
             PLANE_HYPOTHESIS, pi_world.m, GaussianInfo(lam @ pi_world.m, lam)
         )
-        hyp = PlaneHypothesis(
-            variable_id=var_id,
-            pi_z=pi_z.copy(),
-            inserted_iteration=iteration,
-            true_plane=true_plane,
-        )
+        hyp = PlaneHypothesis(var_id, iteration, true_plane)
         for pid in members:
-            fid = self.graph.add_factor(
+            self.graph.add_factor(
                 PLANE_POINT, (var_id, pid), 0.0, cfg.sigma_pp, robust="tukey"
             )
-            hyp.plane_point_factor_ids[pid] = fid
-        hyp.prediction_factor_id = self.graph.add_factor(
+        self.graph.add_factor(
             PLANE_PREDICTION, (var_id, keyframe_id), pi_z, cfg.sigma_pi, robust="tukey"
         )
         self.hypotheses[var_id] = hyp
@@ -267,18 +255,20 @@ class AbstractionManager:
         })
         return hyp
 
-    def live_members(self, hyp: PlaneHypothesis) -> list:
-        """Members whose plane-point factor still exists."""
+    def members(self, hyp: PlaneHypothesis) -> list:
+        """The points of the plane variable's plane-point factors, in the
+        order they were added."""
+        graph = self.graph
         return [
-            pid
-            for pid, fid in hyp.plane_point_factor_ids.items()
-            if fid in self.graph.factors and pid in self.graph.variables
+            graph.factors[fid].adjacency[1]
+            for fid in graph.variables[hyp.variable_id].factor_ids
+            if graph.factors[fid].kind == PLANE_POINT
         ]
 
     def evaluate_hypothesis(self, hyp: PlaneHypothesis, means: dict):
         """(y, per-point likelihoods) at the given belief means."""
         cfg = self.config
-        members = self.live_members(hyp)
+        members = self.members(hyp)
         if not members:
             return 0.0, {}
         plane_m = means[hyp.variable_id]
@@ -290,11 +280,8 @@ class AbstractionManager:
         return y, liks
 
     def reject_hypothesis(self, hyp: PlaneHypothesis, iteration: int, y: float):
-        for fid in list(hyp.plane_point_factor_ids.values()):
-            if fid in self.graph.factors:
-                self.graph.remove_factor(fid)
-        if hyp.prediction_factor_id in self.graph.factors:
-            self.graph.remove_factor(hyp.prediction_factor_id)
+        for fid in list(self.graph.variables[hyp.variable_id].factor_ids):
+            self.graph.remove_factor(fid)
         self.graph.remove_variable(hyp.variable_id)
         del self.hypotheses[hyp.variable_id]
         self.events.append({
@@ -337,7 +324,6 @@ class AbstractionManager:
             hyp.variable_id, qualifying, conv
         )
         self.absorbed.update({pid: (rigid_id, conv[pid]) for pid in absorbed})
-        hyp.rigid_id = rigid_id
         del self.hypotheses[hyp.variable_id]
         self.events.append({
             "event": "confirm", "iteration": iteration,
@@ -355,44 +341,9 @@ class AbstractionManager:
             if verdict == "reject":
                 self.reject_hypothesis(hyp, iteration, y)
             elif verdict == "confirm":
-                rigid_id = self.confirm_hypothesis(hyp, means, iteration, y, compress)
-                if rigid_id is not None:
-                    self.combine_rigid_factors(rigid_id)
+                self.confirm_hypothesis(hyp, means, iteration, y, compress)
             outcomes.append((hyp.variable_id, verdict, y))
         return outcomes
-
-    # -- factor combination ----------------------------------------------------
-
-    def combine_rigid_factors(self, rigid_id: int):
-        """Merge co-adjacent rigid reprojection factors, one per keyframe."""
-        graph = self.graph
-        per_kf: dict[int, list] = {}
-        for fid in list(graph.variables[rigid_id].factor_ids):
-            fac = graph.factors[fid]
-            if fac.kind == RIGID_REPROJECTION:
-                per_kf.setdefault(fac.adjacency[0], []).append(fid)
-        created = []
-        for kf_id, fids in per_kf.items():
-            if len(fids) < 2:
-                continue
-            cons = []
-            first = graph.factors[fids[0]]
-            for fid in fids:
-                fac = graph.factors[fid]
-                cons.append((fac.measurement.copy(), fac.payload["p_conv"].copy()))
-            cid = graph.add_factor(
-                COMBINED_RIGID_REPROJECTION,
-                (kf_id, rigid_id),
-                None,
-                first.sigma,
-                payload={"constituents": cons},
-                robust=first.robust,
-                robust_scale=first.robust_scale,
-            )
-            for fid in fids:
-                graph.remove_factor(fid)
-            created.append(cid)
-        return created
 
     # -- merging ----------------------------------------------------------------
 

@@ -143,7 +143,7 @@ class SyntheticScene:
         self.camera = CameraModel(**spec.camera)
         rng = np.random.default_rng([spec.seed, 1])
 
-        planes, bases, extents, centers = [], [], [], []
+        planes = []
         pts, owner = [], []
         for idx, ps in enumerate(spec.planes):
             n = np.asarray(ps.normal, float)
@@ -161,9 +161,6 @@ class SyntheticScene:
             pts.append(p)
             owner.extend([idx] * ps.n_points)
             planes.append(plane)
-            bases.append((e1, e2))
-            extents.append(np.asarray(ps.extent, float))
-            centers.append(center)
 
         clutter = []
         low = np.asarray(spec.clutter_low, float)
@@ -186,9 +183,6 @@ class SyntheticScene:
         self.points = np.concatenate(pts, axis=0) if pts else np.zeros((0, 3))
         self.point_plane = np.asarray(owner, int)
         self.planes = planes
-        self.plane_bases = bases
-        self.plane_extents = extents
-        self.plane_centers = centers
         self.trajectory = self._make_trajectory()
         self._first_view_cache = None
 

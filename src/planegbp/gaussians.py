@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import ContractViolation, SingularGaussianError
 
-SYM_RTOL = 1e-12
-
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     # Halved-sum symmetrisation after every product/Schur step; keeps drift
@@ -114,9 +112,6 @@ class BlockLayout:
             return 0
         vid, off, width = self.blocks[-1]
         return off + width
-
-    def ids(self):
-        return [vid for vid, _, _ in self.blocks]
 
     def slice_of(self, variable_id) -> slice:
         for vid, off, width in self.blocks:

@@ -6,10 +6,13 @@ meant to happen between propagation sweeps (single writer); the engine keeps
 its own compiled view, which holds all propagation state, and recompiles it
 after edits.
 
-A confirmed plane lives here alone: compressing it into a rigid body, and
-merging two rigid bodies, move the factors onto the new body with the
-converged plane (`pi_conv`) and point positions (`p_conv`) baked into their
-payloads, and journal the move as one `ReplaceVariables` event.
+A confirmed plane lives here alone. Compressing it into a rigid body moves
+its plane predictions onto the body with the converged plane (`pi_conv`)
+baked in, and writes one combined rigid reprojection per keyframe whose
+constituents are that keyframe's views of the absorbed points, each with
+the point's converged position (`p_conv`). Merging two rigid bodies moves
+their factors onto the new body. Each is journalled as one
+`ReplaceVariables` event.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ VARIABLE_DIMS = {KEYFRAME: 6, POINT: 3, PLANE_HYPOTHESIS: 3, RIGID_BODY: 6}
 REPROJECTION = "reprojection"
 PLANE_POINT = "plane_point"
 PLANE_PREDICTION = "plane_prediction"
-RIGID_REPROJECTION = "rigid_reprojection"
 RIGID_PLANE_PREDICTION = "rigid_plane_prediction"
 COMBINED_RIGID_REPROJECTION = "combined_rigid_reprojection"
 PRIOR = "prior"
@@ -89,8 +91,6 @@ FACTOR_KINDS = {
                             kernel="eval_plane_point_batch"),
     PLANE_PREDICTION: FactorKind((PLANE_HYPOTHESIS, KEYFRAME), 3,
                                  kernel="eval_plane_prediction_batch"),
-    RIGID_REPROJECTION: FactorKind((KEYFRAME, RIGID_BODY), 2, (("p_conv", (3,)),),
-                                   "eval_rigid_reprojection_batch", pixel=True),
     RIGID_PLANE_PREDICTION: FactorKind((RIGID_BODY, KEYFRAME), 3, (("pi_conv", (3,)),),
                                        "eval_rigid_plane_prediction_batch"),
     COMBINED_RIGID_REPROJECTION: FactorKind(
@@ -275,10 +275,15 @@ class FactorGraph:
         payload = dict(payload or {})
         if spec.constituents:
             cons = payload.get("constituents")
-            if not cons or len(cons) < 2:
-                raise ContractViolation("combined factors need >= 2 constituents")
+            if not cons:
+                raise ContractViolation(f"{kind} factors need >= 1 constituent")
             measurement = None
             cons = [tuple(np.asarray(a, dtype=float) for a in c) for c in cons]
+            keys = [key for key, _ in spec.payload]
+            if any(len(c) != 1 + len(keys) for c in cons):
+                raise ContractViolation(
+                    f"{kind} constituents must be (z, {', '.join(keys)})"
+                )
             payload["constituents"] = cons
         else:
             measurement = np.asarray(measurement, dtype=float).reshape(-1)
@@ -380,17 +385,28 @@ class FactorGraph:
             else:
                 raise ContractViolation(f"plane {plane_id} has unexpected factor {fac.kind}")
 
-        # Re-type reprojection factors of absorbed points.
+        # The absorbed points' reprojections become one combined factor per
+        # keyframe, with the noise and robust setting of its first view.
+        views: dict[int, list] = {}
         for pid in absorbed:
             p_conv = np.asarray(converged_means[pid], dtype=float).copy()
-            for fid in list(self._variable(pid).factor_ids):
+            for fid in self._variable(pid).factor_ids:
                 fac = self.factors[fid]
                 if fac.kind != REPROJECTION:
                     raise ContractViolation(
                         f"absorbed point {pid} has unexpected factor kind {fac.kind}"
                     )
-                self._move_factor(fac, RIGID_REPROJECTION,
-                                  (fac.adjacency[0], rigid_id), {"p_conv": p_conv})
+                views.setdefault(fac.adjacency[0], []).append((fac, p_conv))
+        for kf_id, kf_views in views.items():
+            first = kf_views[0][0]
+            self.add_factor(
+                COMBINED_RIGID_REPROJECTION, (kf_id, rigid_id), None, first.sigma,
+                payload={"constituents": [(f.measurement.copy(), p) for f, p in kf_views]},
+                robust=first.robust, robust_scale=first.robust_scale,
+            )
+        for kf_views in views.values():
+            for fac, _ in kf_views:
+                self.remove_factor(fac.id)
 
         for pid in absorbed:
             self.remove_variable(pid)
@@ -410,9 +426,7 @@ class FactorGraph:
         for old, pose in zip((a, b), poses):
             for fid in list(self._variable(old).factor_ids):
                 fac = self.factors[fid]
-                if fac.kind == RIGID_REPROJECTION:
-                    payload = {"p_conv": pose.apply(fac.payload["p_conv"])}
-                elif fac.kind == COMBINED_RIGID_REPROJECTION:
+                if fac.kind == COMBINED_RIGID_REPROJECTION:
                     payload = {"constituents": [
                         (z.copy(), pose.apply(p)) for z, p in fac.constituents()]}
                 elif fac.kind == RIGID_PLANE_PREDICTION:

@@ -7,10 +7,10 @@ One logical clock drives everything: keyframes arrive every
 merges every merge period, so each run is exactly reproducible from its
 config and seed (or from a recorded packet stream).
 
-A keyframe's view of a point that a confirmed plane has absorbed becomes a
-rigid reprojection on that plane's body, carrying the point's baked
-position; a keyframe's rigid reprojections are combined per body, as at
-confirmation. Exported planes are read from the rigid bodies' factors.
+A keyframe's views of the points that a confirmed plane has absorbed become
+one combined rigid reprojection on that plane's body, each view carrying its
+point's baked position, as at confirmation. Exported planes are read from
+the rigid bodies' factors.
 """
 
 from __future__ import annotations
@@ -42,19 +42,19 @@ from .frontend import (
 from .gaussians import GaussianInfo
 from .geometry import CameraModel, PlaneParams, Pose, transform_plane
 from .graph import (
+    COMBINED_RIGID_REPROJECTION,
     FACTOR_KINDS,
     KEYFRAME,
     POINT,
     PRIOR,
     REPROJECTION,
     RIGID_BODY,
-    RIGID_REPROJECTION,
     VARIABLE_DIMS,
     FactorGraph,
 )
 from . import io_formats
 from .reference import LmConfig, lm_solve
-from .routing import ROUTED_GROUP, PoolConfig, RoutedTransport, RoutingSimulator
+from .routing import ROUTED, PoolConfig, RoutedTransport, RoutingSimulator
 
 SOLVERS = ("gbp", "gbp-routed", "lm")
 
@@ -219,7 +219,7 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
     average-depth backprojection of its pixel.
     """
     kf_id, pose = _add_keyframe_variable(graph, state, config, packet, pose_override)
-    bodies = set()  # rigid bodies this keyframe sees
+    views: dict[int, list] = {}  # rigid body id -> (pixel, p_conv) seen from here
 
     existing = [
         graph.variables[v].mean for v in state.point_var.values()
@@ -243,16 +243,14 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                 hit = manager.absorbed.get(var)
                 if hit is not None:
                     rigid_id, p_conv = hit
-                    graph.add_factor(
-                        RIGID_REPROJECTION, (kf_id, rigid_id), pixel, config.sigma_r,
-                        payload={"p_conv": p_conv.copy()}, robust=config.robust,
-                    )
-                    bodies.add(rigid_id)
+                    views.setdefault(rigid_id, []).append((pixel, p_conv.copy()))
         else:
             p0 = points[pid] if points else backproject(camera, pose, pixel, depth)
             _add_point(graph, state, config, pid, p0, [(kf_id, pixel)])
-    for rigid_id in sorted(bodies):
-        manager.combine_rigid_factors(rigid_id)
+    for rigid_id in sorted(views):
+        graph.add_factor(COMBINED_RIGID_REPROJECTION, (kf_id, rigid_id), None,
+                         config.sigma_r, payload={"constituents": views[rigid_id]},
+                         robust=config.robust)
 
     if config.planes and manager is not None:
         _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration)
@@ -387,8 +385,7 @@ def _routing_sim_for(packets) -> RoutingSimulator:
     n_hyp = sum(len(p.hypotheses) for p in packets)
     max_kf_obs = max(len(p.point_ids) for p in packets)
     capacity = 2 * (n_obs + n_hyp * n_kf + n_kf) + 8
-    factor_kinds = [k for k, group in ROUTED_GROUP.items()
-                    if group is not None and not FACTOR_KINDS[k].linear]
+    factor_kinds = [k for k in ROUTED if not FACTOR_KINDS[k].linear]
     return RoutingSimulator(PoolConfig(dict.fromkeys(VARIABLE_DIMS, capacity),
                                        dict.fromkeys(factor_kinds, capacity),
                                        2 * max_kf_obs + 32))

@@ -32,7 +32,6 @@ from .factors import (
     linearise_batch,
     residual_rows,
     residual_sums,
-    tukey_weight_batch,
 )
 from .gaussians import BlockLayout, GaussianMoments
 from .graph import KEYFRAME, PRIOR, FactorGraph
@@ -173,7 +172,7 @@ def dense_marginals(graph: FactorGraph, means: dict | None = None, robust: bool 
 @dataclass
 class LmConfig:
     max_iterations: int = 50
-    kernel: str = "huber"  # "huber" | "tukey" | "none"
+    kernel: str = "huber"  # "huber" | "none"
     kernel_scale: float = 1.345
     lambda_init: float = 1e-4
     lambda_factor: float = 3.0
@@ -194,9 +193,6 @@ def _kernel_cost(kind: str, s: np.ndarray, c: float) -> np.ndarray:
         return 0.5 * s * s
     if kind == "huber":
         return np.where(s <= c, 0.5 * s * s, c * s - 0.5 * c * c)
-    if kind == "tukey":
-        u = 1.0 - (s / c) ** 2
-        return np.where(s > c, c * c / 6.0, c * c / 6.0 * (1.0 - u**3))
     raise ContractViolation(f"unknown kernel {kind}")
 
 
@@ -205,8 +201,6 @@ def _kernel_weight(kind: str, s: np.ndarray, c: float) -> np.ndarray:
         return np.ones_like(s)
     if kind == "huber":
         return np.where(s <= c, 1.0, c / np.maximum(s, c))
-    if kind == "tukey":
-        return tukey_weight_batch(s, c)
     raise ContractViolation(f"unknown kernel {kind}")
 
 

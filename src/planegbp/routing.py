@@ -3,7 +3,7 @@
 Models inference hardware where cores exchange messages only along a
 precompiled channel set: graph nodes occupy fixed-size slot pools per node
 kind, and every factor-graph edge is realised as an entry in the routing
-node that mediates that (variable-kind, factor-group) pair.
+node that mediates that (variable-kind, factor-kind) pair.
 
 All routing state lives in slot tables. Each pool maps a bound node id to
 its slot (`slot`) and each slot to its node id (`node`, -1 when free). Each
@@ -30,9 +30,7 @@ reported as hops, deliveries and per-routing-node loads.
 A routed factor kind has a pool and routing nodes when the pool
 configuration lists it; a factor of an unlisted routed kind is a
 CapacityError. Unary factors (priors) are core-local -- they are fused with
-their variable and need no transport. Combined reprojection factors share
-the routing group of their constituents: the adjacency signature and slot
-shapes are identical, so the routing layer does not distinguish them.
+their variable and need no transport.
 """
 
 from __future__ import annotations
@@ -44,12 +42,10 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation
 from .graph import (
-    COMBINED_RIGID_REPROJECTION,
     ANY,
     FACTOR_KINDS,
     LINEAR,
     PRIOR,
-    RIGID_REPROJECTION,
     VARIABLE_DIMS,
     AddFactor,
     AddVariable,
@@ -59,25 +55,23 @@ from .graph import (
     ReplaceVariables,
 )
 
-# Routing group per factor kind; None means core-local (no transport).
-ROUTED_GROUP = {kind: kind for kind in FACTOR_KINDS}
-ROUTED_GROUP[COMBINED_RIGID_REPROJECTION] = RIGID_REPROJECTION
-ROUTED_GROUP[PRIOR] = None
+# The routed factor kinds, in FACTOR_KINDS order; the others are core-local
+# (no transport). A tuple, not a set: its order is the same in every process.
+ROUTED = tuple(kind for kind in FACTOR_KINDS if kind != PRIOR)
 
 
 def legal_type_pairs(factor_kinds=None) -> set:
-    """(variable-kind, routing-group) pairs derivable from the arity tables."""
+    """(variable-kind, factor-kind) pairs derivable from the arity tables."""
     kinds = factor_kinds if factor_kinds is not None else [
         k for k in FACTOR_KINDS if k != LINEAR
     ]
     pairs = set()
     for kind in kinds:
-        group = ROUTED_GROUP.get(kind)
-        if group is None:
+        if kind not in ROUTED:
             continue
         for vkind in FACTOR_KINDS[kind].signature:
             # generic slots may touch any variable kind
-            pairs.update((v, group) for v in (VARIABLE_DIMS if vkind is ANY else (vkind,)))
+            pairs.update((v, kind) for v in (VARIABLE_DIMS if vkind is ANY else (vkind,)))
     return pairs
 
 
@@ -100,7 +94,7 @@ class PoolConfig:
         max_f = {
             k: max(4, int(np.ceil(c * headroom)))
             for k, c in census["factors"].items()
-            if ROUTED_GROUP.get(k) is not None
+            if k in ROUTED
         }
         max_edges = 8
         for v in graph.variables.values():
@@ -156,7 +150,7 @@ class RoutingSimulator:
         self.var_pools = {k: _VariablePool(k, pools.max_variables.get(k, 0), i)
                           for i, k in enumerate(VARIABLE_DIMS)}
         self._var_by_index = list(self.var_pools.values())
-        kinds = [k for k in pools.max_factors if ROUTED_GROUP.get(k) is not None]
+        kinds = [k for k in pools.max_factors if k in ROUTED]
         self.factor_pools = {k: _FactorPool(k, pools.max_factors[k]) for k in kinds}
         # entry count per routing node
         self.routing_nodes = dict.fromkeys(sorted(legal_type_pairs(kinds)), 0)
@@ -221,8 +215,7 @@ class RoutingSimulator:
             raise ContractViolation(f"unknown edit event {event!r}")
 
     def _bind_factor(self, fid: int, kind: str, adjacency):
-        group = ROUTED_GROUP.get(kind)
-        if group is None:
+        if kind not in ROUTED:
             return
         pool = self.factor_pools.get(kind)
         if pool is None:
@@ -233,7 +226,7 @@ class RoutingSimulator:
             vpool = self._variable_pool.get(vid)
             if vpool is None:
                 raise ContractViolation(f"variable {vid} is not bound to any slot")
-            pair = (vpool.kind, group)
+            pair = (vpool.kind, kind)
             if pair not in self.routing_nodes:
                 raise ContractViolation(f"no routing node for pair {pair}")
             vslot = vpool.slot[vid]
@@ -251,12 +244,11 @@ class RoutingSimulator:
         if pool is None:
             return  # unrouted kinds (priors) were never bound
         slot = pool.release(fid)
-        group = ROUTED_GROUP[pool.kind]
         for index, vslot in pool.route[slot]:
             if index >= 0:
                 vpool = self._var_by_index[index]
                 vpool.edges[vslot] -= 1
-                self.routing_nodes[(vpool.kind, group)] -= 1
+                self.routing_nodes[(vpool.kind, pool.kind)] -= 1
         pool.route[slot] = -1
 
     # -- routing lookups ---------------------------------------------------------
@@ -331,7 +323,7 @@ class RoutedTransport:
         routed batch's rows, per position, from its routes."""
         self.sim.follow(engine.graph.journal)
         for b in engine.batches:
-            if ROUTED_GROUP.get(b.kind) is None:
+            if b.kind not in ROUTED:
                 continue  # core-local factors deliver directly
             vids = self.sim.routed_variables(b.kind, b.ids, b.arity)
             for pos, bank in enumerate(b.banks):

@@ -28,7 +28,6 @@ from planegbp.graph import (
     REPROJECTION,
     RIGID_BODY,
     RIGID_PLANE_PREDICTION,
-    RIGID_REPROJECTION,
     FactorGraph,
 )
 
@@ -117,7 +116,7 @@ def test_integrate_hypothesis_counts(rng):
     # one plane variable, two plane-point factors, one prediction factor
     assert after["n_variables"] == before["n_variables"] + 1
     assert after["n_factors"] == before["n_factors"] + 3
-    assert list(hyp.plane_point_factor_ids) == pts[:2]
+    assert mgr.members(hyp) == pts[:2]
 
 
 def test_integrate_rejects_small_membership(rng):
@@ -162,7 +161,8 @@ def test_confirm_census_and_energy_bookkeeping(rng):
 
     removed = sum(
         factor_energy(g, g.factors[fid], means)
-        for fid in hyp.plane_point_factor_ids.values()
+        for fid in g.variables[hyp.variable_id].factor_ids
+        if g.factors[fid].kind == PLANE_POINT
     )
     e_before = total_energy(g, means)
     census_before = g.snapshot_census()
@@ -175,11 +175,6 @@ def test_confirm_census_and_energy_bookkeeping(rng):
     means_after[rigid_id] = np.zeros(6)  # identity body pose
     e_after = total_energy(g, means_after)
     assert abs(e_after - (e_before - removed)) < 1e-9
-
-    # combination preserves the energy too
-    mgr.combine_rigid_factors(rigid_id)
-    e_combined = total_energy(g, means_after)
-    assert abs(e_combined - e_after) < 1e-9
 
 
 def total_energy(g, means):
@@ -222,7 +217,6 @@ def test_confirmed_plane_is_read_from_the_graph(rng):
     hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
     means = means_of(g)
     rigid_id = mgr.confirm_hypothesis(hyp, means, 500, 1.0)
-    mgr.combine_rigid_factors(rigid_id)
     assert set(mgr.absorbed) == set(pts)  # keyed by point variable id
     for pid in pts:
         body, p_conv = mgr.absorbed[pid]
@@ -262,40 +256,28 @@ def test_run_tests_full_cycle(rng):
     census = g.snapshot_census()
     assert census["variables"][RIGID_BODY] == 1
     assert census["factors"][COMBINED_RIGID_REPROJECTION] == 1  # one keyframe
-    assert census["factors"][RIGID_REPROJECTION] == 0
 
 
-# -- combination -------------------------------------------------------------------
+# -- combined factors ----------------------------------------------------------------
 
-def test_combine_counting(rng):
-    # K keyframes each observing P absorbed points: K*P factors -> K combined
+def test_confirm_writes_one_combined_factor_per_keyframe(rng):
+    # K keyframes each observing P absorbed points: K combined factors of P
     K, P = 5, 20
-    g = FactorGraph(camera=CAM)
-    kfs = [g.add_variable(KEYFRAME, np.zeros(6)) for _ in range(K)]
-    rb = g.add_variable(RIGID_BODY, np.zeros(6))
-    for kf in kfs:
-        for i in range(P):
-            g.add_factor(RIGID_REPROJECTION, (kf, rb), np.array([5.0, 5.0]), 2.0,
-                         payload={"p_conv": np.array([0.01 * i, 0, 4.0])})
+    g, kfs, pts, plane = planar_graph(rng, n_members=P, extra_kf=K - 1)
     mgr = AbstractionManager(g, config())
-    created = mgr.combine_rigid_factors(rb)
-    assert len(created) == K
+    pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
+    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
+    means = means_of(g)
+    rigid_id = mgr.confirm_hypothesis(hyp, means, 500, 1.0)
     census = g.snapshot_census()
-    assert census["factors"][RIGID_REPROJECTION] == 0
     assert census["factors"][COMBINED_RIGID_REPROJECTION] == K
-    for cid in created:
-        assert len(g.factors[cid].constituents()) == P
-
-
-def test_combine_single_factor_is_noop(rng):
-    g = FactorGraph(camera=CAM)
-    kf = g.add_variable(KEYFRAME, np.zeros(6))
-    rb = g.add_variable(RIGID_BODY, np.zeros(6))
-    fid = g.add_factor(RIGID_REPROJECTION, (kf, rb), np.array([5.0, 5.0]), 2.0,
-                       payload={"p_conv": np.array([0, 0, 4.0])})
-    mgr = AbstractionManager(g, config())
-    assert mgr.combine_rigid_factors(rb) == []
-    assert fid in g.factors
+    assert census["factors"][REPROJECTION] == 0
+    combined = [g.factors[fid] for fid in g.variables[rigid_id].factor_ids
+                if g.factors[fid].kind == COMBINED_RIGID_REPROJECTION]
+    assert [f.adjacency for f in combined] == [(kf, rigid_id) for kf in kfs]
+    for fac in combined:
+        baked = [p for _, p in fac.constituents()]
+        assert np.array_equal(baked, [means[pid] for pid in pts])  # member order
 
 
 def test_combined_factor_is_product_at_shared_linearisation_point(rng):
@@ -319,13 +301,9 @@ def test_combined_factor_is_product_at_shared_linearisation_point(rng):
             p = r.normal(size=3) * 0.3 + np.array([0, 0, 4.0])
             z = project(CAM, Pose.identity(), p) + r.normal(size=2)
             cons.append((z, p))
-        if combined:
+        for part in [cons] if combined else [[c] for c in cons]:
             g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
-                         payload={"constituents": cons})
-        else:
-            for z, p in cons:
-                g.add_factor(RIGID_REPROJECTION, (kf, rb), z, 2.0,
-                             payload={"p_conv": p})
+                         payload={"constituents": part})
         return g, kf, rb
 
     ga, kfa, rba = build(True)
@@ -364,8 +342,9 @@ def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0, pose=None):
     """Two confirmed rigid planes over the same surface, with controllable
     separation, relative tilt and in-plane shift of the second one. Both
     bodies sit at `pose` (identity by default); their factors hold the body
-    frame, and `mgr.absorbed` lists 8 points of each. Returns the graph, the
-    manager, the body ids, the means and each point's world position."""
+    frame in one combined factor each, and `mgr.absorbed` lists 8 points of
+    each. Returns the graph, the manager, the body ids, the means and each
+    point's world position."""
     pose = pose or Pose.identity()
     g = FactorGraph(camera=CAM)
     kf = g.add_variable(KEYFRAME, np.zeros(6),
@@ -384,6 +363,7 @@ def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0, pose=None):
             n /= np.linalg.norm(n)
         d = base.distance + (offset if idx == 1 else 0.0)
         rb = g.add_variable(RIGID_BODY, pose.r, GaussianInfo(np.zeros(6), np.eye(6)))
+        cons = []
         for i in range(8):
             uv = rng.uniform(-1, 1, size=2)
             p = n * d + np.array([uv[0] + (shift if idx == 1 else 0.0), uv[1], 0.0])
@@ -395,8 +375,10 @@ def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0, pose=None):
                 z = project(CAM, Pose.identity(), p)
             except Exception:
                 continue  # rejected-merge cases may place points off-camera
-            g.add_factor(RIGID_REPROJECTION, (kf, rb), z, 2.0,
-                         payload={"p_conv": mgr.absorbed[pid][1]})
+            cons.append((z, mgr.absorbed[pid][1]))
+        if cons:
+            g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+                         payload={"constituents": cons})
         pi_body = transform_plane(pose.inverse(), PlaneParams(n * d)).m
         g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), pi_body, 20.0,
                      payload={"pi_conv": pi_body})

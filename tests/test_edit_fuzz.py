@@ -2,10 +2,10 @@
 
 Twin graphs take the same edits: one is propagated with the routing
 simulator's transport, which follows the graph journal by itself, the other
-directly. The edits include rigid-body compression, factor combination and
-plane merges, whose replacements nest their primitive events. Every edit
-must leave the state of the surviving factors and variables untouched, bit
-for bit, and the routed twin must keep equalling the direct one.
+directly. The edits include rigid-body compression and plane merges, whose
+replacements nest their primitive events. Every edit must leave the state of
+the surviving factors and variables untouched, bit for bit, and the routed
+twin must keep equalling the direct one.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel, Pose, project
 from planegbp.graph import (
+    COMBINED_RIGID_REPROJECTION,
     KEYFRAME,
     LINEAR,
     PLANE_HYPOTHESIS,
@@ -28,10 +29,9 @@ from planegbp.graph import (
     REPROJECTION,
     RIGID_BODY,
     RIGID_PLANE_PREDICTION,
-    RIGID_REPROJECTION,
     FactorGraph,
 )
-from planegbp.routing import ROUTED_GROUP, PoolConfig, RoutedTransport, RoutingSimulator
+from planegbp.routing import ROUTED, PoolConfig, RoutedTransport, RoutingSimulator
 from conftest import graph_signature
 
 CAM = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
@@ -40,7 +40,7 @@ CFG = GbpConfig(damping=0.3, dropout=0.5, seed=3)
 FACTOR_STATE = ("x0", "eta", "lam", "weight", "lin_valid")
 MESSAGES = ("f2v_eta", "f2v_lam", "v2f_eta", "v2f_lam")
 OPS = ("add_reprojection", "add_linear", "remove_factor", "add_variable",
-       "remove_variable", "add_plane", "rigid", "combine", "merge")
+       "remove_variable", "add_plane", "rigid", "merge")
 
 
 def _live(g, *kinds):
@@ -68,26 +68,29 @@ def _add_plane(g, kf, members):
     return plane
 
 
-def _rigid_plane(g, kf, shift):
-    """A rigid body over four points of the plane z = 4, seen from `kf`."""
+def _rigid_plane(g, kf, shift, n_factors):
+    """A rigid body over four points of the plane z = 4, seen from `kf` in
+    `n_factors` combined factors."""
     pi = np.array([0.0, 0.0, 4.0])
     rb = g.add_variable(RIGID_BODY, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6)))
+    cons = []
     for u, v in ((-0.3, -0.3), (0.3, -0.3), (0.3, 0.3), (-0.3, 0.3)):
         p = np.array([u + shift, v, 4.0])
-        z = project(CAM, Pose(g.variables[kf].mean), p)
-        g.add_factor(RIGID_REPROJECTION, (kf, rb), z, 1.0, payload={"p_conv": p})
+        cons.append((project(CAM, Pose(g.variables[kf].mean), p), p))
+    for part in np.array_split(np.arange(4), n_factors):
+        g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 1.0,
+                     payload={"constituents": [cons[k] for k in part]})
     g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), pi, 0.2, payload={"pi_conv": pi})
     return rb
 
 
 def _merge_two_planes(g, kf, j):
-    """Build two coplanar, overlapping rigid planes, combine the first one's
-    factors and merge the two: a replacement whose events add combined and
-    plain rigid factors."""
+    """Build two coplanar, overlapping rigid planes, the first seen in one
+    combined factor and the second in four of one view each, and merge the
+    two."""
     manager = AbstractionManager(g, AbstractionConfig(), seed=j)
-    a = _rigid_plane(g, kf, 0.0)
-    b = _rigid_plane(g, kf, 0.05 * (j % 3))
-    manager.combine_rigid_factors(a)
+    a = _rigid_plane(g, kf, 0.0, 1)
+    b = _rigid_plane(g, kf, 0.05 * (j % 3), 4)
     means = {a: np.zeros(6), b: np.zeros(6)}
     assert manager.merge_planes(a, b, means, iteration=0) is not None
 
@@ -113,7 +116,7 @@ def edit(g, eng, op, i, j):
     kfs, pts = _live(g, KEYFRAME), _live(g, POINT)
     # linear factors stay off planes, so that compression stays applicable
     plain = _live(g, KEYFRAME, POINT, RIGID_BODY)
-    planes, bodies = _live(g, PLANE_HYPOTHESIS), _live(g, RIGID_BODY)
+    planes = _live(g, PLANE_HYPOTHESIS)
     if op == "add_reprojection" and kfs and pts:
         _add_reprojection(g, kfs[i % len(kfs)], pts[j % len(pts)], i)
     elif op == "add_linear" and plain:
@@ -151,9 +154,6 @@ def edit(g, eng, op, i, j):
             g.factors[fid].kind != LINEAR for fid in g.variables[p].factor_ids)]
         means = eng.means()
         g.replace_with_rigid_body(plane, members, {v: means[v] for v in [plane] + members})
-    elif op == "combine" and bodies:
-        AbstractionManager(g, AbstractionConfig()).combine_rigid_factors(
-            bodies[i % len(bodies)])
     elif op == "merge" and kfs:
         _merge_two_planes(g, kfs[i % len(kfs)], j)
 
@@ -181,7 +181,7 @@ def assert_state_equal(a, b):
 
 
 def routed_entries(g):
-    return sum(f.arity for f in g.factors.values() if ROUTED_GROUP[f.kind] is not None)
+    return sum(f.arity for f in g.factors.values() if f.kind in ROUTED)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -192,7 +192,7 @@ def test_random_edits_carry_state_and_keep_routed_equal_to_direct(ops):
     g_ref = FactorGraph.replay(g.journal, camera=CAM)
     pools = PoolConfig(
         max_variables={k: 64 for k in (KEYFRAME, POINT, PLANE_HYPOTHESIS, RIGID_BODY)},
-        max_factors={k: 256 for k, group in ROUTED_GROUP.items() if group is not None},
+        max_factors=dict.fromkeys(ROUTED, 256),
         max_edges_per_variable=128,
     )
     sim = RoutingSimulator(pools)

@@ -17,7 +17,6 @@ from planegbp.graph import (
     REPROJECTION,
     RIGID_BODY,
     RIGID_PLANE_PREDICTION,
-    RIGID_REPROJECTION,
     FactorGraph,
 )
 from planegbp.factors import (
@@ -84,7 +83,7 @@ def test_rigid_factors_reduce_to_plain_at_identity(rng):
         p_conv = rng.normal(size=3) + np.array([0, 0, 4.0])
         z = rng.uniform([0, 0], [CAM.width, CAM.height])
         plain, _, _ = row(REPROJECTION, z, c, p_conv)
-        rigid, _, _ = row(RIGID_REPROJECTION, z, c, np.zeros(6), p_conv=p_conv)
+        rigid, _, _ = row(COMBINED_RIGID_REPROJECTION, z, c, np.zeros(6), p_conv=p_conv)
         assert np.allclose(rigid, plain, atol=1e-10)
 
         pi_conv = PlaneParams.from_normal_distance(rng.normal(size=3), 2.0).m
@@ -98,7 +97,8 @@ def test_rigid_reprojection_translation_shifts_point():
     p_conv = np.array([0.2, 0.1, 3.0])
     t = np.array([0.3, -0.2, 0.5])
     r = np.concatenate([t, np.zeros(3)])
-    shifted, _, _ = row(RIGID_REPROJECTION, np.zeros(2), np.zeros(6), r, p_conv=p_conv)
+    shifted, _, _ = row(COMBINED_RIGID_REPROJECTION, np.zeros(2), np.zeros(6), r,
+                        p_conv=p_conv)
     direct, _, _ = row(REPROJECTION, np.zeros(2), np.zeros(6), p_conv + t)
     assert np.allclose(shifted, direct, atol=1e-12)
 
@@ -138,11 +138,12 @@ N_JAC = 250  # per-kind instances here; the acceptance suite runs 1000
 
 
 @pytest.mark.parametrize("kind", [
-    kind for kind, spec in FACTOR_KINDS.items() if not (spec.linear or spec.constituents)
+    kind for kind, spec in FACTOR_KINDS.items() if not spec.linear
 ])
 def test_analytic_jacobians_match_finite_differences(kind, rng):
     # Every nonlinear kind's kernel against central differences of itself,
-    # at random valid rows; the measurement does not enter the Jacobian.
+    # at random valid rows (a constituent's row for a combined kind); the
+    # measurement does not enter the Jacobian.
     spec = FACTOR_KINDS[kind]
     worst = 0.0
     n = 0
@@ -338,8 +339,9 @@ def test_combined_factor_matches_constituents(rng):
         z = rng.uniform([0, 0], [CAM.width, CAM.height])
         cons.append((z, p_conv))
     singles = [
-        g.add_factor(RIGID_REPROJECTION, (kf, rb), z, 2.0, payload={"p_conv": p})
-        for z, p in cons
+        g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+                     payload={"constituents": [c]})
+        for c in cons
     ]
     combined = g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
                             payload={"constituents": cons})
@@ -435,9 +437,9 @@ def every_kind_graph(rng):
         g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), rng.normal(size=3) * 0.1 + [0, 0, 4.0],
                      0.1, payload={"pi_conv": np.array([0.0, 0.1, 4.0])}, robust=robust)
         pc = rng.normal(size=3) * 0.3 + [0, 0, 4.0]
-        g.add_factor(RIGID_REPROJECTION, (kf2, rb),
-                     seen_from(g, kf2, rb, pc) + rng.normal(size=2) * 3.0, 2.0,
-                     payload={"p_conv": pc}, robust=robust)
+        g.add_factor(COMBINED_RIGID_REPROJECTION, (kf2, rb), None, 2.0, payload={
+            "constituents": [(seen_from(g, kf2, rb, pc) + rng.normal(size=2) * 3.0, pc)]
+        }, robust=robust)
         cons = [(seen_from(g, kf, rb, pc) + rng.normal(size=2) * 3.0, pc)
                 for pc in rng.normal(size=(4, 3)) * 0.3 + [0, 0, 4.0]]
         cons.append((np.array([320.0, 240.0]), np.array([0.0, 0.0, -6.0])))  # behind
@@ -473,7 +475,7 @@ def test_batched_linearisation_matches_loop_reference(rng):
         sub = linearise_batch(stack, CAM, X[rows], rows)
         for full, part in zip((eta, lam, w), sub):
             assert np.array_equal(full[rows], part)
-    assert len(kinds) == 14  # six measurement kinds with and without Tukey, prior, linear
+    assert len(kinds) == 12  # five measurement kinds with and without Tukey, prior, linear
 
 
 def test_one_factor_linearise_is_the_batched_path(rng):

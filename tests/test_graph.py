@@ -5,6 +5,7 @@ from planegbp.errors import ContractViolation
 from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel
 from planegbp.graph import (
+    COMBINED_RIGID_REPROJECTION,
     KEYFRAME,
     PLANE_HYPOTHESIS,
     PLANE_POINT,
@@ -14,7 +15,6 @@ from planegbp.graph import (
     REPROJECTION,
     RIGID_BODY,
     RIGID_PLANE_PREDICTION,
-    RIGID_REPROJECTION,
     FactorGraph,
 )
 
@@ -92,19 +92,27 @@ def test_add_factor_rejects_bad_robust_settings(robust, scale):
 def test_add_factor_checks_payload_against_the_registry():
     g, kf, pts = small_graph()
     rb = g.add_variable(RIGID_BODY, np.zeros(6))
-    with pytest.raises(ContractViolation, match="p_conv"):  # missing
-        g.add_factor(RIGID_REPROJECTION, (kf, rb), np.zeros(2), 2.0)
-    with pytest.raises(ContractViolation, match="p_conv"):  # wrong shape
-        g.add_factor(RIGID_REPROJECTION, (kf, rb), np.zeros(2), 2.0,
-                     payload={"p_conv": np.zeros(2)})
+    z, p = np.zeros(2), np.zeros(3)
+    for cons in ([(z,)],  # p_conv missing
+                 [(z, p), (z, p, p)],  # an extra array
+                 [(z, np.zeros(2))]):  # wrong shape
+        with pytest.raises(ContractViolation, match="p_conv"):
+            g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+                         payload={"constituents": cons})
+    with pytest.raises(ContractViolation, match="constituent"):
+        g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+                     payload={"constituents": []})
     with pytest.raises(ContractViolation, match="'A'"):  # A must be (m, joint)
         g.add_factor("linear", (kf, pts[0]), np.zeros(2), 1.0,
                      payload={"A": np.zeros((2, 6))})
     with pytest.raises(ContractViolation):  # prior measures the whole variable
         g.add_factor(PRIOR, (kf,), np.zeros(3), 1.0)
-    fid = g.add_factor(RIGID_REPROJECTION, (kf, rb), np.zeros(2), 2.0,
-                       payload={"p_conv": [0.0, 0.0, 3.0]})
-    assert g.factors[fid].payload["p_conv"].dtype == float
+    fid = g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), np.zeros(3), 2.0,
+                       payload={"pi_conv": [0.0, 0.0, 3.0]})
+    assert g.factors[fid].payload["pi_conv"].dtype == float
+    fid = g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+                       payload={"constituents": [([0, 0], [0.0, 0.0, 3.0])]})
+    assert [a.dtype for a in g.factors[fid].constituents()[0]] == [float, float]
 
 
 def test_empty_graph_census_all_zero():
@@ -143,7 +151,9 @@ def test_replace_with_rigid_body_counting():
     assert census["variables"][RIGID_BODY] == 1
     assert census["variables"][PLANE_HYPOTHESIS] == 0
     assert census["factors"][PLANE_POINT] == 0
-    assert census["factors"][RIGID_REPROJECTION] == 2
+    (fid,) = [f.id for f in g.factors.values() if f.kind == COMBINED_RIGID_REPROJECTION]
+    baked = [p for _, p in g.factors[fid].constituents()]
+    assert np.array_equal(baked, [conv[p] for p in pts[:2]])
     assert census["factors"][RIGID_PLANE_PREDICTION] == 1
     assert census["factors"][REPROJECTION] == 1  # the unabsorbed point keeps its
     g.check_integrity()

@@ -13,12 +13,7 @@ from planegbp.errors import CapacityError
 from planegbp.harness import ExperimentConfig, compare_runs, export_reconstruction, run
 from planegbp.frontend import box_room_spec, generate_scene
 from planegbp.geometry import PlaneParams
-from planegbp.graph import (
-    COMBINED_RIGID_REPROJECTION,
-    FACTOR_KINDS,
-    RIGID_REPROJECTION,
-    FactorGraph,
-)
+from planegbp.graph import COMBINED_RIGID_REPROJECTION, FACTOR_KINDS, FactorGraph
 from conftest import graph_signature
 from scenes import ba_scene, desk_config, wall_scene
 
@@ -184,7 +179,7 @@ def test_export_reconstruction_box_room(tmp_path):
 def confirmed_map(seed=1):
     """Keyframes 0 and 1 bootstrapped, then every plane hypothesis confirmed
     at means that put its members on it; returns the harness pieces, the
-    confirmation means and the rigid id of each hypothesis."""
+    confirmation means and the rigid id of each member point."""
     cfg = desk_config(wall_scene(seed, n_keyframes=4), seed)
     packets, camera = harness._packets_for(cfg)
     graph = FactorGraph(camera=camera)
@@ -197,12 +192,12 @@ def confirmed_map(seed=1):
     bodies = {}
     for hyp in list(manager.hypotheses.values()):
         plane = PlaneParams(means[hyp.variable_id])
-        for pid in hyp.plane_point_factor_ids:
+        members = manager.members(hyp)
+        for pid in members:
             means[pid] = means[pid] - plane.normal * (plane.normal @ means[pid]
                                                       - plane.distance)
-        for pid in manager.live_members(hyp):
-            bodies[pid] = hyp
-        manager.confirm_hypothesis(hyp, means, 500, 1.0)
+        rigid_id = manager.confirm_hypothesis(hyp, means, 500, 1.0)
+        bodies.update(dict.fromkeys(members, rigid_id))
     return cfg, packets, camera, graph, state, manager, means, bodies
 
 
@@ -222,7 +217,7 @@ def keyframe_rows(graph, kf):
 
 
 def test_later_views_of_absorbed_points_reach_their_rigid_body():
-    cfg, packets, camera, graph, state, manager, means, hyps = confirmed_map()
+    cfg, packets, camera, graph, state, manager, means, bodies = confirmed_map()
     # point variable ids are not the scene's point ids
     assert all(var != pid for pid, var in state.point_var.items())
     packet = packets[2]
@@ -235,25 +230,48 @@ def test_later_views_of_absorbed_points_reach_their_rigid_body():
         if var in graph.variables:
             continue
         seen += 1
-        rigid_id = hyps[var].rigid_id
-        hits = [p for other, z, p in rows if other == rigid_id and np.array_equal(z, pixel)]
+        hits = [p for other, z, p in rows
+                if other == bodies[var] and np.array_equal(z, pixel)]
         # this point's rigid body, this point's baked position
         assert len(hits) == 1 and np.array_equal(hits[0], means[var])
     assert seen >= 20
 
 
-def test_later_keyframe_combines_its_rigid_reprojections_per_body():
-    cfg, packets, camera, graph, state, manager, means, hyps = confirmed_map()
-    kf = harness._add_keyframe(graph, state, manager, cfg, packets[2], 60, camera)
+def rigid_factors_per_body(graph, kf):
     per_body = {}
     for fid in graph.variables[kf].factor_ids:
         fac = graph.factors[fid]
-        if fac.kind in (RIGID_REPROJECTION, COMBINED_RIGID_REPROJECTION):
+        if fac.kind == COMBINED_RIGID_REPROJECTION:
             per_body.setdefault(fac.adjacency[1], []).append(fac)
+    return per_body
+
+
+def test_later_keyframe_combines_its_rigid_reprojections_per_body():
+    cfg, packets, camera, graph, state, manager, means, bodies = confirmed_map()
+    kf = harness._add_keyframe(graph, state, manager, cfg, packets[2], 60, camera)
+    per_body = rigid_factors_per_body(graph, kf)
     assert len(per_body) >= 2
     for body, facs in per_body.items():
-        assert [f.kind for f in facs] == [COMBINED_RIGID_REPROJECTION], body
+        assert len(facs) == 1, body
         assert len(facs[0].constituents()) >= 2
+
+
+def test_later_keyframe_with_one_view_of_a_body_adds_a_one_constituent_factor():
+    cfg, packets, camera, graph, state, manager, means, bodies = confirmed_map()
+    packet = packets[2]
+    absorbed = [k for k, pid in enumerate(packet.point_ids)
+                if state.point_var[int(pid)] not in graph.variables]
+    # keep every view of a live point and one view of an absorbed point
+    keep = [k for k in range(len(packet.point_ids)) if k not in absorbed[1:]]
+    packet = dataclasses.replace(packet, point_ids=packet.point_ids[keep],
+                                 pixels=packet.pixels[keep], hypotheses=[])
+    kf = harness._add_keyframe(graph, state, manager, cfg, packet, 60, camera)
+    var = state.point_var[int(packets[2].point_ids[absorbed[0]])]
+    per_body = rigid_factors_per_body(graph, kf)
+    assert list(per_body) == [bodies[var]]
+    ((z, p_conv),) = per_body[bodies[var]][0].constituents()
+    assert np.array_equal(z, packets[2].pixels[absorbed[0]])
+    assert np.array_equal(p_conv, means[var])
 
 
 def test_empty_reconstruction_without_confirmations(tmp_path):

@@ -27,8 +27,8 @@ CAM = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 
 
 def test_ten_legal_pairs_for_slam_kinds():
-    # 4 variable kinds x 7 factor kinds, legal adjacency only: priors are
-    # core-local and combined factors share the rigid-reprojection type
+    # 4 variable kinds x 5 routed SLAM factor kinds, legal adjacency only:
+    # priors are core-local
     pairs = legal_type_pairs()
     assert len(pairs) == 10
 
@@ -37,8 +37,7 @@ def default_pools(**kw):
     base = dict(
         max_variables={KEYFRAME: 8, POINT: 64, PLANE_HYPOTHESIS: 8, RIGID_BODY: 8},
         max_factors={REPROJECTION: 256, PLANE_POINT: 64, "plane_prediction": 8,
-                     "rigid_reprojection": 64, "rigid_plane_prediction": 8,
-                     "combined_rigid_reprojection": 16},
+                     "rigid_plane_prediction": 8, "combined_rigid_reprojection": 64},
         max_edges_per_variable=128,
     )
     base.update(kw)
