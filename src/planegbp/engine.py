@@ -74,6 +74,8 @@ class IterationReport:
     `n_relinearised` counts the factors linearised again this sweep: those
     that send to at least one position and were never linearised or whose
     variables drifted more than beta from their linearisation point.
+
+    Each field is one column of iterations.csv, in this order.
     """
 
     iteration: int
@@ -228,24 +230,12 @@ class GbpEngine:
 
     # -- accessors -----------------------------------------------------------
 
-    def _row(self, vid: int):
-        bank = self.banks[self.graph.variables[vid].dim]
-        return bank, int(bank.rows_of([vid])[0])
-
-    def mean(self, vid: int) -> np.ndarray:
-        bank, i = self._row(vid)
-        return bank.mean[i].copy()
-
     def means(self) -> dict:
         out = {}
         for bank in self.banks.values():
             for i, vid in enumerate(bank.ids.tolist()):
                 out[vid] = bank.mean[i].copy()
         return out
-
-    def belief(self, vid: int) -> GaussianInfo:
-        bank, i = self._row(vid)
-        return GaussianInfo(bank.belief_eta[i].copy(), bank.belief_lam[i].copy())
 
     def edge_messages(self, fid: int, vid: int):
         """(factor->variable, variable->factor) messages for one edge."""

@@ -377,7 +377,7 @@ class AteResult:
     degenerate: bool
 
 
-def umeyama(src: np.ndarray, dst: np.ndarray, with_scale: bool = True):
+def umeyama(src: np.ndarray, dst: np.ndarray):
     """Similarity transform (s, R, t) minimising |dst - (s R src + t)|^2."""
     if src.shape != dst.shape or src.shape[0] < 3:
         raise ContractViolation("alignment needs >= 3 paired positions")
@@ -393,14 +393,14 @@ def umeyama(src: np.ndarray, dst: np.ndarray, with_scale: bool = True):
     R = U @ S @ Vt
     degenerate = bool(D[1] < 1e-12 * max(D[0], 1.0))
     var_s = float(np.mean(np.sum(X**2, axis=1)))
-    s = float(np.trace(np.diag(D) @ S) / var_s) if with_scale and var_s > 0 else 1.0
+    s = float(np.trace(np.diag(D) @ S) / var_s) if var_s > 0 else 1.0
     t = mu_d - s * R @ mu_s
     return s, R, t, degenerate
 
 
-def ate(estimated: np.ndarray, ground_truth: np.ndarray, with_scale: bool = True) -> AteResult:
+def ate(estimated: np.ndarray, ground_truth: np.ndarray) -> AteResult:
     """RMS translational error (cm) after similarity alignment."""
-    s, R, t, degenerate = umeyama(estimated, ground_truth, with_scale)
+    s, R, t, degenerate = umeyama(estimated, ground_truth)
     aligned = estimated @ (s * R).T + t
     rms = float(np.sqrt(np.mean(np.sum((aligned - ground_truth) ** 2, axis=1))))
     return AteResult(rms * 100.0, degenerate)

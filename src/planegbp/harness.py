@@ -64,7 +64,6 @@ class PriorConfig:
     first_keyframe_sigma: float = 1e-6
     keyframe_sigma: float = 10.0
     point_sigma: float = 100.0
-    plane_sigma: float = 100.0
     scale_anchor_sigma: float = 1e-3
     default_depth: float = 3.0
     # simulated two-view initialisation quality (front-end relative pose)
@@ -559,6 +558,7 @@ def _run_lm(config: ExperimentConfig, packets, camera) -> RunResult:
     ]
     summary = _summarize(config, graph, state, None, reports, packets)
     summary["lm_converged"] = result.converged
+    summary["lm_fill"] = result.fill
     if config.out_dir is not None:
         _write_artifacts(config, graph, state, None, reports, packets, [],
                          summary, None, camera)

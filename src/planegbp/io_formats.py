@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation
 
+from .engine import IterationReport
 from .errors import FormatError, SingularGaussianError
 from .gaussians import GaussianInfo, to_moments
 from .geometry import CameraModel
@@ -198,9 +199,8 @@ def read_csv(path) -> list:
         return rows
 
 
-ITERATION_FIELDS = ["iteration", "avg_reproj_px", "total_energy",
-                    "n_relinearised", "n_dropped", "n_factors", "n_variables",
-                    "marginalisation_calls", "n_regularised"]
+# One column per IterationReport field, in declaration order.
+ITERATION_FIELDS = [f.name for f in dataclasses.fields(IterationReport)]
 
 COST_FIELDS = ["sweep", "hops", "max_router_load", "n_routing_nodes"]
 

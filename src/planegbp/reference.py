@@ -10,10 +10,11 @@
   for the convergence-behaviour comparisons against propagation. It shares
   the assembly: with LM's loss weights, H is the Gauss-Newton Hessian and
   the gradient is H x - eta. H stays sparse, in a CSC pattern compiled once
-  per solve, and each damped step is factorised by SuperLU.
-* structure_cost_probe: symbolic elimination cost of a dense-Schur-style
-  solve, quantifying how heterogeneous factors erode the landmark-diagonal
-  sparsity that such solvers rely on.
+  per solve, and each damped step is factorised by SuperLU. The result
+  reports the fill of the first damped factorisation, the entries SuperLU
+  stores for L and U: the cost a direct solver pays for the graph's
+  structure, where GBP's per-sweep cost (the routing simulator's hops)
+  depends on the number of edges alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .factors import (
     residual_sums,
 )
 from .gaussians import BlockLayout, GaussianMoments
-from .graph import KEYFRAME, PRIOR, FactorGraph
+from .graph import PRIOR, FactorGraph
 
 
 def build_layout(graph: FactorGraph) -> BlockLayout:
@@ -186,6 +187,7 @@ class LmResult:
     trace: list
     converged: bool
     hit_lambda_max: bool = False
+    fill: int | None = None  # SuperLU.nnz of the first damped step, if any
 
 
 def _kernel_cost(kind: str, s: np.ndarray, c: float) -> np.ndarray:
@@ -233,12 +235,14 @@ def avg_reprojection_px(system: _System, x: np.ndarray) -> float:
 
 
 def _solve_step(damp: csc_matrix, rhs: np.ndarray):
-    """damp^-1 rhs by sparse LU, or None when the factorisation is singular."""
+    """(damp^-1 rhs, fill) by sparse LU, where fill is the number of entries
+    SuperLU stores for L and U; (None, None) when the factorisation is
+    singular."""
     try:
         lu = splu(damp)
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return None
-    return lu.solve(rhs)
+        return None, None
+    return lu.solve(rhs), lu.nnz
 
 
 def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
@@ -257,6 +261,7 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
               "avg_reproj_px": avg_reprojection_px(system, x)}]
     converged = False
     hit_max = False
+    fill = None
 
     for it in range(1, cfg.max_iterations + 1):
         # With J = dv/dx, the gradient of 1/2 w |v|^2 is w J^T S^-1 v = H x - eta.
@@ -268,7 +273,9 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
         while not accepted:
             damp = H.copy()
             damp.data[system.diag] += lam_damp * h_diag
-            delta = _solve_step(damp, -g)
+            delta, step_fill = _solve_step(damp, -g)
+            if fill is None:
+                fill = step_fill
             if delta is not None and np.all(np.isfinite(delta)):
                 cand = x + delta
                 cand_cost = _lm_cost(system, cand, cfg)
@@ -292,61 +299,5 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
         if hit_max or converged:
             break
 
-    return LmResult(system.means(x), trace, converged, hit_max)
+    return LmResult(system.means(x), trace, converged, hit_max, fill)
 
-
-# ---------------------------------------------------------------------------
-# Structure probe
-# ---------------------------------------------------------------------------
-
-def structure_cost_probe(graph: FactorGraph) -> dict:
-    """Symbolic cost of a dense-Schur-style solve on this graph.
-
-    Eliminates every non-keyframe variable (natural order) from the variable
-    adjacency graph, charging |clique|^2 block operations per elimination and
-    counting fill edges; also reports the density of the reduced keyframe
-    system. Heterogeneous factors couple landmarks to each other, so these
-    counts grow much faster than the factor count.
-    """
-    adj: dict[int, set] = {vid: set() for vid in graph.variables}
-    for factor in graph.factors.values():
-        ids = factor.adjacency
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    adj[a].add(b)
-    landmark_offdiag = sum(
-        1
-        for a in adj
-        for b in adj[a]
-        if a < b
-        and graph.variables[a].kind != KEYFRAME
-        and graph.variables[b].kind != KEYFRAME
-    )
-    block_ops = 0
-    fill_edges = 0
-    is_landmark = {vid: graph.variables[vid].kind != KEYFRAME for vid in adj}
-    order = sorted(vid for vid in adj if is_landmark[vid])
-    live = {vid: set(n) for vid, n in adj.items()}
-    for vid in order:
-        nbrs = [n for n in live[vid] if n != vid]
-        block_ops += len(nbrs) ** 2
-        for i, a in enumerate(nbrs):
-            live[a].discard(vid)
-            for b in nbrs[i + 1 :]:
-                if b not in live[a]:
-                    live[a].add(b)
-                    live[b].add(a)
-                    # keyframe-pair fill is the normal Schur-complement
-                    # densification; landmark-landmark fill is what the
-                    # block-diagonal trick of BA solvers relies on avoiding
-                    if is_landmark[a] and is_landmark[b]:
-                        fill_edges += 1
-        del live[vid]
-    reduced_nnz = sum(1 for a in live for b in live[a] if a < b and b in live)
-    return {
-        "landmark_offdiag_blocks": landmark_offdiag,
-        "elimination_block_ops": block_ops,
-        "fill_edges": fill_edges,
-        "reduced_camera_offdiag_blocks": reduced_nnz,
-    }

@@ -29,8 +29,9 @@ reported as hops, deliveries and per-routing-node loads.
 
 A routed factor kind has a pool and routing nodes when the pool
 configuration lists it; a factor of an unlisted routed kind is a
-CapacityError. Unary factors (priors) are core-local -- they are fused with
-their variable and need no transport.
+CapacityError, and a pool for a kind that is not a variable kind or a
+routed factor kind is a ContractViolation. Unary factors (priors) are
+core-local -- they are fused with their variable and need no transport.
 """
 
 from __future__ import annotations
@@ -146,14 +147,18 @@ class _FactorPool(_Pool):
 
 class RoutingSimulator:
     def __init__(self, pools: PoolConfig):
+        for name, table, known in (("variable", pools.max_variables, VARIABLE_DIMS),
+                                   ("factor", pools.max_factors, ROUTED)):
+            for kind in table:
+                if kind not in known:
+                    raise ContractViolation(f"{name} pool for unknown kind '{kind}'")
         self.pools_config = pools
         self.var_pools = {k: _VariablePool(k, pools.max_variables.get(k, 0), i)
                           for i, k in enumerate(VARIABLE_DIMS)}
         self._var_by_index = list(self.var_pools.values())
-        kinds = [k for k in pools.max_factors if k in ROUTED]
-        self.factor_pools = {k: _FactorPool(k, pools.max_factors[k]) for k in kinds}
+        self.factor_pools = {k: _FactorPool(k, cap) for k, cap in pools.max_factors.items()}
         # entry count per routing node
-        self.routing_nodes = dict.fromkeys(sorted(legal_type_pairs(kinds)), 0)
+        self.routing_nodes = dict.fromkeys(sorted(legal_type_pairs(self.factor_pools)), 0)
         # the pool of each bound variable and factor
         self._variable_pool: dict[int, _VariablePool] = {}
         self._factor_pool: dict[int, _FactorPool] = {}

@@ -6,8 +6,6 @@ cutoff of the reprojection model, total parallax wide enough that converged
 depth noise sits below the plane-membership likelihood gate.
 """
 
-import dataclasses
-
 from planegbp.abstraction import AbstractionConfig
 from planegbp.engine import GbpConfig
 from planegbp.frontend import PlaneSpec, SceneSpec

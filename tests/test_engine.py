@@ -13,7 +13,7 @@ from planegbp.gaussians import (
     quotient,
     to_moments,
 )
-from planegbp.graph import KEYFRAME, LINEAR, POINT, PRIOR, REPROJECTION, FactorGraph
+from planegbp.graph import LINEAR, POINT, PRIOR, REPROJECTION, FactorGraph
 from planegbp.harness import build_ba_graph
 from planegbp.frontend import generate_scene
 from planegbp.routing import PoolConfig, RoutedTransport, RoutingSimulator
@@ -73,7 +73,8 @@ def test_unary_factor_message_equals_factor():
     assert np.allclose(f2v.lam, np.eye(3) / 0.25)
     assert np.allclose(f2v.eta, z / 0.25)
     # one unary factor and a flat prior: belief equals the factor
-    assert np.allclose(eng.belief(v).eta, z / 0.25)
+    eng.sync_graph()
+    assert np.allclose(g.variables[v].belief.eta, z / 0.25)
 
 
 def test_pairwise_zero_incoming_is_plain_schur(rng):
@@ -103,13 +104,14 @@ def test_belief_is_prior_times_messages(rng):
     g = build_linear_graph(rng, 3, [(0, 1), (1, 2)])
     eng = GbpEngine(g, undamped())
     eng.iterate()
+    eng.sync_graph()
     for vid, node in g.variables.items():
         expected = node.prior
         for fid in node.factor_ids:
             f2v, _ = eng.edge_messages(fid, vid)
             expected = product(expected, f2v)
-        assert np.allclose(eng.belief(vid).eta, expected.eta, atol=1e-10)
-        assert np.allclose(eng.belief(vid).lam, expected.lam, atol=1e-10)
+        assert np.allclose(node.belief.eta, expected.eta, atol=1e-10)
+        assert np.allclose(node.belief.lam, expected.lam, atol=1e-10)
 
 
 def test_variable_with_no_factors_keeps_prior(rng):
@@ -118,7 +120,8 @@ def test_variable_with_no_factors_keeps_prior(rng):
                        random_info(rng, 3))
     eng = GbpEngine(g, undamped())
     eng.iterate()
-    assert eng.belief(v).allclose(g.variables[v].prior)
+    eng.sync_graph()
+    assert g.variables[v].belief.allclose(g.variables[v].prior)
 
 
 def test_singular_belief_holds_its_mean_beside_a_regular_one():
@@ -130,8 +133,9 @@ def test_singular_belief_holds_its_mean_beside_a_regular_one():
     solved = g.add_variable(POINT, np.zeros(3), GaussianInfo(lam @ np.ones(3), lam))
     eng = GbpEngine(g, undamped())
     eng.iterate()
-    assert np.array_equal(eng.mean(held), [1.0, 2.0, 3.0])
-    assert np.array_equal(eng.mean(solved), np.ones(3))
+    eng.sync_graph()
+    assert np.array_equal(g.variables[held].mean, [1.0, 2.0, 3.0])
+    assert np.array_equal(g.variables[solved].mean, np.ones(3))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -143,8 +147,9 @@ def test_tree_exactness(seed):
     for _ in range(bipartite_diameter(g)):
         eng.iterate()
     oracle = dense_marginals(g)
+    eng.sync_graph()
     for vid in g.variables:
-        mom = to_moments(eng.belief(vid))
+        mom = to_moments(g.variables[vid].belief)
         assert np.allclose(mom.mean, oracle[vid].mean, rtol=1e-8, atol=1e-8)
         assert np.allclose(mom.cov, oracle[vid].cov, rtol=1e-8, atol=1e-8)
 
@@ -156,8 +161,9 @@ def test_loopy_mean_exactness(rng):
     for _ in range(300):
         eng.iterate()
     oracle = dense_marginals(g)
+    eng.sync_graph()
     for vid in g.variables:
-        mean = to_moments(eng.belief(vid)).mean
+        mean = to_moments(g.variables[vid].belief).mean
         assert np.allclose(mean, oracle[vid].mean, atol=1e-8)
 
 
@@ -286,8 +292,9 @@ def test_new_variable_belief_from_initialisation(rng):
     prior = random_info(rng, 3)
     v = g.add_variable(POINT, np.array([1.0, 2.0, 3.0]), prior)
     eng.on_graph_edit()
-    assert eng.belief(v).allclose(prior)
-    assert np.allclose(eng.mean(v), [1.0, 2.0, 3.0])
+    eng.sync_graph()
+    assert g.variables[v].belief.allclose(prior)
+    assert np.allclose(g.variables[v].mean, [1.0, 2.0, 3.0])
 
 
 def test_marginalisation_count_is_structure_agnostic(rng):

@@ -271,8 +271,9 @@ def test_degenerate_baked_plane_yields_zero_information():
     assert np.all(np.isfinite(eta)) and np.all(np.isfinite(lam))
     eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0))
     eng.iterate()
+    eng.sync_graph()
     for vid in (rb, kf):
-        belief = eng.belief(vid)
+        belief = g.variables[vid].belief
         assert np.all(np.isfinite(belief.eta)) and np.all(np.isfinite(belief.lam))
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from planegbp.errors import ContractViolation
-from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,

@@ -3,14 +3,13 @@ import json
 import math
 
 import numpy as np
-import pytest
 from jsonschema import validate
 
 from planegbp import harness, io_formats
 from planegbp.abstraction import AbstractionManager
 from planegbp.cli import main as cli_main
 from planegbp.errors import CapacityError
-from planegbp.harness import ExperimentConfig, compare_runs, export_reconstruction, run
+from planegbp.harness import compare_runs, export_reconstruction, run
 from planegbp.frontend import box_room_spec, generate_scene
 from planegbp.geometry import PlaneParams
 from planegbp.graph import COMBINED_RIGID_REPROJECTION, FACTOR_KINDS, FactorGraph
@@ -314,6 +313,11 @@ def test_cli_config_error_exit_code(tmp_path):
         "format": "experiment-config", "version": 1, "solver": "warp-drive",
     }))
     assert cli_main(["run", "--config", str(missing_field),
+                     "--out", str(tmp_path)]) == 2
+    unknown_key = small_config().to_dict()
+    unknown_key["priors"]["plane_sigma"] = 100.0
+    io_formats.write_json(tmp_path / "unknown.json", "experiment-config", unknown_key)
+    assert cli_main(["run", "--config", str(tmp_path / "unknown.json"),
                      "--out", str(tmp_path)]) == 2
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
 
+from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import SingularGaussianError
 from planegbp.factors import linearise_batch
-from planegbp.gaussians import GaussianInfo, to_moments
+from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel
 from planegbp.graph import LINEAR, POINT, PRIOR, FactorGraph
 from planegbp.reference import (
@@ -16,10 +17,11 @@ from planegbp.reference import (
     _lm_kernel,
     _solve_step,
     _System,
+    assemble_dense,
     dense_marginals,
     lm_solve,
-    structure_cost_probe,
 )
+from planegbp.routing import ROUTED, PoolConfig, RoutedTransport, RoutingSimulator
 from planegbp.harness import ExperimentConfig, build_ba_graph
 from planegbp.frontend import PlaneSpec, SceneSpec, generate_scene
 from planegbp.graph import (
@@ -228,13 +230,7 @@ def noisy_ba_graph(seed=3):
 def planar_graph(rng):
     """Reprojection plus plane-point and plane-prediction factors, which couple
     landmarks, at perturbed means, with a prior on one keyframe."""
-    g = probe_graph(plane_members=20)
-    g.camera = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-    for node in g.variables.values():
-        node.mean = node.mean + rng.normal(scale=0.05, size=node.mean.shape)
-    kf = g.variables_of_kind(KEYFRAME)[0]
-    kf.prior = GaussianInfo(np.eye(6) @ kf.mean, np.eye(6))
-    return g
+    return kf_point_graph(rng, plane_members=20)
 
 
 @pytest.mark.parametrize("kind", ["ba", "planar"])
@@ -265,10 +261,11 @@ def test_lm_matches_dense_step_lm():
 
 def test_singular_step_is_rejected():
     rows = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
-    assert _solve_step(csc_matrix(rows), np.ones(3)) is None
+    assert _solve_step(csc_matrix(rows), np.ones(3)) == (None, None)
     rows[1, 1] = 4.0
-    delta = _solve_step(csc_matrix(rows), np.ones(3))
+    delta, fill = _solve_step(csc_matrix(rows), np.ones(3))
     assert np.allclose(delta, np.linalg.solve(rows, np.ones(3)), rtol=1e-14)
+    assert fill >= np.count_nonzero(rows)
 
 
 def test_lm_with_unconstrained_variable_terminates(rng):
@@ -292,10 +289,15 @@ def test_lm_without_factors_or_priors_converges():
     assert np.array_equal(result.means[v], [1.0, 2.0, 3.0])
 
 
-# -- structure probe -----------------------------------------------------------
+# -- structure: what a direct solver pays and GBP does not --------------------
 
-def probe_graph(n_kf=4, n_pts=30, plane_members=0):
-    g = FactorGraph()
+def kf_point_graph(rng, n_kf=4, n_pts=30, plane_members=0):
+    """Every keyframe observes every point. With `plane_members`, plane-point
+    factors tie that many points to one plane hypothesis, which a
+    plane-prediction factor ties to the first keyframe. Means are perturbed,
+    and the first keyframe has a prior."""
+    g = FactorGraph(camera=CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
+                                       width=640, height=480))
     kfs = [g.add_variable(KEYFRAME, np.zeros(6)) for _ in range(n_kf)]
     pts = [g.add_variable(POINT, np.array([0, 0, 3.0])) for _ in range(n_pts)]
     z = np.array([1.0, 1.0])
@@ -307,18 +309,50 @@ def probe_graph(n_kf=4, n_pts=30, plane_members=0):
         for p in pts[:plane_members]:
             g.add_factor(PLANE_POINT, (plane, p), 0.0, 0.05)
         g.add_factor(PLANE_PREDICTION, (plane, kfs[0]), np.array([0, 0, 1.0]), 20.0)
+    for node in g.variables.values():
+        node.mean = node.mean + rng.normal(scale=0.05, size=node.mean.shape)
+    kf = g.variables[kfs[0]]
+    kf.prior = GaussianInfo(np.eye(6) @ kf.mean, np.eye(6))
     return g
 
 
+def landmark_coupling(graph) -> np.ndarray:
+    """Entries of the joint precision, at the graph's means, that couple two
+    distinct non-keyframe variables."""
+    _, lam, layout = assemble_dense(graph, {vid: v.mean for vid, v in graph.variables.items()})
+    owner = np.empty(layout.dim, dtype=int)
+    for vid, off, width in layout.blocks:
+        owner[off:off + width] = vid
+    landmark = np.array([graph.variables[vid].kind != KEYFRAME for vid in owner])
+    return lam[landmark[:, None] & landmark[None, :] & (owner[:, None] != owner[None, :])]
+
+
 def test_pure_ba_landmarks_are_uncoupled():
-    probe = structure_cost_probe(probe_graph())
-    assert probe["landmark_offdiag_blocks"] == 0
-    assert probe["fill_edges"] == 0  # camera-arrow structure has no landmark fill
+    coupling = landmark_coupling(noisy_ba_graph())
+    assert coupling.size > 0
+    assert np.all(coupling == 0)
 
 
-def test_heterogeneous_factors_erode_zero_blocks():
-    base = structure_cost_probe(probe_graph())
-    planar = structure_cost_probe(probe_graph(plane_members=20))
-    assert base["landmark_offdiag_blocks"] == 0
-    assert planar["landmark_offdiag_blocks"] > 0
-    assert planar["elimination_block_ops"] > base["elimination_block_ops"]
+def test_heterogeneous_factors_erode_zero_blocks(rng):
+    assert np.all(landmark_coupling(kf_point_graph(rng)) == 0)
+    assert np.any(landmark_coupling(planar_graph(rng)) != 0)
+
+
+def test_gbp_sweep_cost_is_structure_agnostic_direct_fill_is_not(rng):
+    # 140 factors each: 5 keyframes x 28 points, against 4 keyframes x 30
+    # points with 19 of them on one plane that the first keyframe predicts.
+    graphs = {"points": kf_point_graph(rng, n_kf=5, n_pts=28),
+              "planar": kf_point_graph(rng, n_kf=4, n_pts=30, plane_members=19)}
+    hops, fill = {}, {}
+    for name, g in graphs.items():
+        entries = sum(len(f.adjacency) for f in g.factors.values() if f.kind in ROUTED)
+        assert (len(g.factors), entries) == (140, 280)
+        sim = RoutingSimulator(PoolConfig.generous_for(g))
+        GbpEngine(g, GbpConfig(), transport=RoutedTransport(sim)).iterate()
+        (sweep,) = sim.cost_report()
+        assert sweep["hops"] == 4 * entries
+        hops[name] = sweep["hops"]
+        fill[name] = lm_solve(g, LmConfig(max_iterations=1)).fill
+    assert hops["points"] == hops["planar"]
+    assert all(isinstance(f, int) and f > 0 for f in fill.values())
+    assert fill["points"] != fill["planar"]

@@ -3,7 +3,6 @@ import pytest
 
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import CapacityError, ContractViolation
-from planegbp.gaussians import GaussianInfo
 from planegbp.graph import (
     KEYFRAME,
     LINEAR,
@@ -62,6 +61,15 @@ def test_zero_maximum_pool_has_no_slots():
     g.add_variable(RIGID_BODY, np.zeros(6))
     with pytest.raises(CapacityError, match="rigid_body"):
         sim.follow(g.journal)
+
+
+@pytest.mark.parametrize("table, kind", [("max_factors", "rigid_reprojection"),
+                                         ("max_variables", "landmark")])
+def test_pool_for_unknown_kind_is_refused(table, kind):
+    pools = default_pools()
+    getattr(pools, table)[kind] = 8
+    with pytest.raises(ContractViolation, match=kind):
+        RoutingSimulator(pools)
 
 
 def test_capacity_error_names_pool():
@@ -225,7 +233,9 @@ def test_misrouted_entry_changes_beliefs():
     def same_beliefs():
         for eng in (routed, direct):
             eng.iterate()
-        return all(np.array_equal(routed.belief(v).lam, direct.belief(v).lam)
+            eng.sync_graph()
+        return all(np.array_equal(g.variables[v].belief.lam,
+                                  direct.graph.variables[v].belief.lam)
                    for v in g.variables)
 
     assert same_beliefs()
