@@ -11,6 +11,14 @@ factor that sends nowhere keeps its stale linearisation until it next sends.
 Variable-to-factor quotients cover every factor; belief products are one
 compiled sparse scatter per variable bank.
 
+A sweep rotates each pose once, not once per factor row: the rotations of
+the pose bank's means (with their right Jacobians for relinearisation) are
+computed once for the relinearisation and once for the metrics, and every
+batch's pose slots gather theirs through `rows` (`factors.evaluate_rows`).
+Messages are updated in place: damping and the variable-to-factor quotients
+write into the batch's existing message arrays, in the same floating-point
+operations and order as a fresh computation.
+
 `rebuild` is the one compile path, at construction and after every edit. A
 variable's bank and a factor's batch never change, and both list their ids in
 ascending order, so the rows that survive an edit are found with one
@@ -41,7 +49,8 @@ from scipy.sparse import csr_matrix
 from .errors import ContractViolation
 from .gaussians import GaussianInfo, solve_blocks, solve_guarded
 from . import factors as _fm
-from .graph import VARIABLE_DIMS, FactorGraph
+from .geometry import pose_rotations_batch
+from .graph import KEYFRAME, VARIABLE_DIMS, FactorGraph
 
 
 @dataclass
@@ -194,10 +203,11 @@ class GbpEngine:
             if b.key in old_batches:
                 _carry(b, old_batches[b.key], _Batch.STATE)
             if b.spec.linear:
-                # exact factors: linearised once, about 0, when new
+                # exact factors: linearised once, about 0, when new; they
+                # have no pose slots
                 rows = np.flatnonzero(~b.lin_valid)
                 b.eta[rows], b.lam[rows], b.weight[rows] = _fm.linearise_batch(
-                    b, graph.camera, self._gather_x(b, rows), rows
+                    b, graph.camera, self._gather_x(b, rows), None, b.rows, rows
                 )
                 b.lin_valid[rows] = True
         self._attach()
@@ -266,10 +276,17 @@ class GbpEngine:
             [bank.mean[r[rows]] for bank, r in zip(b.banks, b.rows)], axis=1
         )
 
-    def _relinearise(self, b: _Batch, rows: np.ndarray) -> int:
+    def _rotations(self, want_jac: bool):
+        """Rotations (and right Jacobians) of the pose bank's means, computed
+        once per sweep phase; a batch's pose slots gather theirs through
+        `rows`. Keyframes and rigid bodies share the 6-dim bank."""
+        return pose_rotations_batch(self.banks[VARIABLE_DIMS[KEYFRAME]].mean, want_jac)
+
+    def _relinearise(self, b: _Batch, rows: np.ndarray, rot) -> int:
         """Relinearise the factors `rows` of the batch that were never
         linearised or whose variables drifted more than beta (L1) from their
-        linearisation point; returns how many were."""
+        linearisation point; returns how many were. `rot` is `_rotations`
+        with Jacobians at the current means."""
         if b.spec.linear:
             return 0
         X = self._gather_x(b, rows)
@@ -279,7 +296,7 @@ class GbpEngine:
         if rows.size == 0:
             return 0
         b.eta[rows], b.lam[rows], b.weight[rows] = _fm.linearise_batch(
-            b, self.graph.camera, Xr, rows
+            b, self.graph.camera, Xr, rot, [r[rows] for r in b.rows], rows
         )
         b.x0[rows] = Xr
         b.lin_valid[rows] = True
@@ -331,21 +348,21 @@ class GbpEngine:
         # that send are relinearised, and only the rows that are sent are
         # marginalised, damped and written.
         rng = np.random.default_rng([cfg.seed, self.iteration])
-        sent = [
-            [np.flatnonzero(rng.uniform(size=b.n) >= cfg.dropout) for _ in range(b.arity)]
-            for b in self.batches
-        ]
+        sends = [[rng.uniform(size=b.n) >= cfg.dropout for _ in range(b.arity)]
+                 for b in self.batches]
+        sent = [[np.flatnonzero(s) for s in masks] for masks in sends]
         n_dropped = sum(b.n - r.size for b, rows in zip(self.batches, sent) for r in rows)
-        n_relin = sum(self._relinearise(b, reduce(np.union1d, rows))
-                      for b, rows in zip(self.batches, sent))
+        rot = self._rotations(want_jac=True)
+        n_relin = sum(self._relinearise(b, np.flatnonzero(reduce(np.logical_or, masks)), rot)
+                      for b, masks in zip(self.batches, sends))
         d = cfg.damping
         if self.transport is not None:
             self.transport.begin_sweep()
         for b, rows in zip(self.batches, sent):
             msgs = self._factor_messages(b, rows, counters)
             for pos, (r, (new_eta, new_lam)) in enumerate(zip(rows, msgs)):
-                b.f2v_eta[pos][r] = (1.0 - d) * new_eta + d * b.f2v_eta[pos][r]
-                b.f2v_lam[pos][r] = (1.0 - d) * new_lam + d * b.f2v_lam[pos][r]
+                _damp(b.f2v_eta[pos], r, new_eta, d)
+                _damp(b.f2v_lam[pos], r, new_lam, d)
 
         # beliefs: prior times product of incoming messages
         for dim, bank in self.banks.items():
@@ -363,11 +380,11 @@ class GbpEngine:
             mean[bad] = bank.mean[bad]
             bank.mean = mean
 
-        # variable -> factor quotients
+        # variable -> factor quotients, written into the batch's arrays
         for b in self.batches:
             for pos, (bank, rows) in enumerate(zip(b.banks, b.rows)):
-                b.v2f_eta[pos] = bank.belief_eta[rows] - b.f2v_eta[pos]
-                b.v2f_lam[pos] = bank.belief_lam[rows] - b.f2v_lam[pos]
+                _quotient(b.v2f_eta[pos], bank.belief_eta, rows, b.f2v_eta[pos])
+                _quotient(b.v2f_lam[pos], bank.belief_lam, rows, b.f2v_lam[pos])
 
         energy, avg_px = self._metrics()
         report = IterationReport(
@@ -385,17 +402,36 @@ class GbpEngine:
         return report
 
     def _metrics(self):
+        rot = self._rotations(want_jac=False)
         total_energy = 0.0
         px_sum = 0.0
         px_count = 0
         for b in self.batches:
-            energy, px, count = _fm.residual_sums(b, self.graph.camera, self._gather_x(b))
+            energy, px, count = _fm.residual_sums(
+                b, self.graph.camera, self._gather_x(b), rot, b.rows)
             total_energy += energy
             px_sum += px
             px_count += count
         # NaN, not 0, while no pixel row has been measured
         avg_px = px_sum / px_count if px_count else math.nan
         return total_energy, avg_px
+
+
+def _damp(msg, rows, new, d):
+    """msg[rows] = (1 - d) new + d msg[rows], using `new` as scratch."""
+    old = msg[rows]
+    old *= d
+    new *= 1.0 - d
+    new += old
+    msg[rows] = new
+
+
+def _quotient(out, belief, rows, f2v):
+    """out = belief[rows] - f2v, in place."""
+    # "clip" writes straight into `out` ("raise" would buffer); bank rows
+    # are always in range
+    np.take(belief, rows, axis=0, out=out, mode="clip")
+    out -= f2v
 
 
 def energy_converged(reports, rel_tol: float, window: int) -> bool:

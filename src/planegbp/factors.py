@@ -7,7 +7,13 @@ Each kind in `graph.FACTOR_KINDS` names one batched kernel here,
 which evaluates n rows at once and returns the residual values (n, m), the
 joint Jacobian (n, m, D) over the adjacency in order (None without want_jac)
 and a validity mask: cheirality or plane-degeneracy failures flag a row as an
-outlier for the current iteration rather than raising.
+outlier for the current iteration rather than raising. A pose slot arrives
+as `PoseRows`: its translations, its rotations R = exp(w) and, with
+want_jac, its right Jacobians Jr(w). No kernel exponentiates a rotation
+vector. The caller of `evaluate_rows` computes the rotations once over the
+distinct poses it holds (`geometry.pose_rotations_batch`) and names each
+row's pose among them; `evaluate_rows` gathers them per row. So a sweep
+rotates each pose once, not once per factor row.
 
 `FactorStack` stacks the factors of one kind and adjacency shape row-wise for
 their kernel. The propagation engine, the dense oracle and Levenberg-Marquardt
@@ -31,12 +37,13 @@ exact: they are expanded about X0 = 0, so that eta is not formed by
 cancellation, and they carry no robust weight.
 
 `evaluate_factor`, `factor_energy` and `linearise` are the one-factor views
-of the batched path.
+of the batched path; `own_poses` poses their rows by their own slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,11 +51,10 @@ from .gaussians import GaussianInfo
 from .geometry import (
     EPS_PLANE,
     CameraModel,
+    pose_rotations_batch,
     proj_jacobian_cam_batch,
     project_cam_batch,
-    so3_exp_batch,
     so3_hat_batch,
-    so3_right_jacobian_batch,
     transform_plane_jacobians_batch,
     transform_plane_min_batch,
 )
@@ -65,13 +71,23 @@ class Residual:
     valid: bool = True
 
 
+class PoseRows(NamedTuple):
+    """One pose slot's rows as a kernel receives them: translations t (n, 3),
+    rotations R = exp(w) (n, 3, 3) and the right Jacobians Jr(w) (n, 3, 3),
+    None without want_jac."""
+
+    t: np.ndarray
+    R: np.ndarray
+    Jr: np.ndarray | None
+
+
 # ---------------------------------------------------------------------------
-# Batched kernels (hot path). Parameter stacks are (n, dim) arrays.
+# Batched kernels (hot path). Parameter stacks are (n, dim) arrays; pose
+# slots are PoseRows.
 # ---------------------------------------------------------------------------
 
 def eval_reprojection_batch(cam: CameraModel, z, c, p, want_jac=True):
-    R = so3_exp_batch(c[:, 3:])
-    p_cam = (R @ p[:, :, None])[:, :, 0] + c[:, :3]
+    p_cam = (c.R @ p[:, :, None])[:, :, 0] + c.t
     pix, valid = project_cam_batch(cam, p_cam)
     value = z - pix
     if not want_jac:
@@ -79,8 +95,8 @@ def eval_reprojection_batch(cam: CameraModel, z, c, p, want_jac=True):
     safe = p_cam.copy()
     safe[~valid, 2] = 1.0
     Jproj = proj_jacobian_cam_batch(cam, safe)
-    dp_dw = -(R @ so3_hat_batch(p)) @ so3_right_jacobian_batch(c[:, 3:])
-    return value, np.concatenate([-Jproj, -Jproj @ dp_dw, -Jproj @ R], axis=2), valid
+    dp_dw = -(c.R @ so3_hat_batch(p)) @ c.Jr
+    return value, np.concatenate([-Jproj, -Jproj @ dp_dw, -Jproj @ c.R], axis=2), valid
 
 
 def eval_plane_point_batch(cam, z, m, p, want_jac=True):
@@ -101,13 +117,10 @@ def eval_plane_prediction_batch(cam, z, pi, c, want_jac=True):
     d_in = np.linalg.norm(pi, axis=-1)
     valid = d_in > EPS_PLANE
     pi_safe = np.where(valid[:, None], pi, [[0.0, 0.0, 1.0]])
-    R = so3_exp_batch(c[:, 3:])
     if want_jac:
-        m_cam, dm_dpose, dm_dm = transform_plane_jacobians_batch(
-            R, c[:, :3], c[:, 3:], pi_safe
-        )
+        m_cam, dm_dpose, dm_dm = transform_plane_jacobians_batch(c.R, c.t, c.Jr, pi_safe)
     else:
-        m_cam = transform_plane_min_batch(R, c[:, :3], pi_safe)
+        m_cam = transform_plane_min_batch(c.R, c.t, pi_safe)
     valid &= np.linalg.norm(m_cam, axis=-1) > EPS_PLANE
     value = z - m_cam
     if not want_jac:
@@ -118,22 +131,16 @@ def eval_plane_prediction_batch(cam, z, pi, c, want_jac=True):
 def eval_rigid_plane_prediction_batch(cam, z, pi_conv, r, c, want_jac=True):
     valid = np.linalg.norm(pi_conv, axis=-1) > EPS_PLANE
     pi_safe = np.where(valid[:, None], pi_conv, [[0.0, 0.0, 1.0]])
-    Rr = so3_exp_batch(r[:, 3:])
-    Rc = so3_exp_batch(c[:, 3:])
     if want_jac:
-        m_world, dmw_dr, _ = transform_plane_jacobians_batch(
-            Rr, r[:, :3], r[:, 3:], pi_safe
-        )
+        m_world, dmw_dr, _ = transform_plane_jacobians_batch(r.R, r.t, r.Jr, pi_safe)
     else:
-        m_world = transform_plane_min_batch(Rr, r[:, :3], pi_safe)
+        m_world = transform_plane_min_batch(r.R, r.t, pi_safe)
     valid &= np.linalg.norm(m_world, axis=-1) > EPS_PLANE
     mw_safe = np.where(valid[:, None], m_world, [[0.0, 0.0, 1.0]])
     if want_jac:
-        m_cam, dmc_dc, dmc_dmw = transform_plane_jacobians_batch(
-            Rc, c[:, :3], c[:, 3:], mw_safe
-        )
+        m_cam, dmc_dc, dmc_dmw = transform_plane_jacobians_batch(c.R, c.t, c.Jr, mw_safe)
     else:
-        m_cam = transform_plane_min_batch(Rc, c[:, :3], mw_safe)
+        m_cam = transform_plane_min_batch(c.R, c.t, mw_safe)
     valid &= np.linalg.norm(m_cam, axis=-1) > EPS_PLANE
     value = z - m_cam
     if not want_jac:
@@ -142,10 +149,8 @@ def eval_rigid_plane_prediction_batch(cam, z, pi_conv, r, c, want_jac=True):
 
 
 def eval_rigid_reprojection_batch(cam: CameraModel, z, p_conv, c, r, want_jac=True):
-    Rr = so3_exp_batch(r[:, 3:])
-    Rc = so3_exp_batch(c[:, 3:])
-    p_world = (Rr @ p_conv[:, :, None])[:, :, 0] + r[:, :3]
-    p_cam = (Rc @ p_world[:, :, None])[:, :, 0] + c[:, :3]
+    p_world = (r.R @ p_conv[:, :, None])[:, :, 0] + r.t
+    p_cam = (c.R @ p_world[:, :, None])[:, :, 0] + c.t
     pix, valid = project_cam_batch(cam, p_cam)
     value = z - pix
     if not want_jac:
@@ -153,9 +158,9 @@ def eval_rigid_reprojection_batch(cam: CameraModel, z, p_conv, c, r, want_jac=Tr
     safe = p_cam.copy()
     safe[~valid, 2] = 1.0
     Jproj = proj_jacobian_cam_batch(cam, safe)
-    dpc_dwc = -(Rc @ so3_hat_batch(p_world)) @ so3_right_jacobian_batch(c[:, 3:])
-    dpw_dwr = -(Rr @ so3_hat_batch(p_conv)) @ so3_right_jacobian_batch(r[:, 3:])
-    JR = -Jproj @ Rc
+    dpc_dwc = -(c.R @ so3_hat_batch(p_world)) @ c.Jr
+    dpw_dwr = -(r.R @ so3_hat_batch(p_conv)) @ r.Jr
+    JR = -Jproj @ c.R
     J = np.concatenate([-Jproj, -Jproj @ dpc_dwc, JR, JR @ dpw_dwr], axis=2)
     return value, J, valid
 
@@ -189,6 +194,11 @@ def tukey_weight_batch(rho: np.ndarray, c) -> np.ndarray:
 
 def _take(a, sel):
     return a if sel is None else a[sel]
+
+
+def _take_each(at, sel):
+    """Each slot's pose index `at[pos]` at `sel`; None stays None."""
+    return [None if a is None else a[sel] for a in at]
 
 
 class FactorStack:
@@ -254,24 +264,33 @@ def factor_stacks(graph, factors=None) -> list:
             for (kind, dims, _), nodes in group_factors(graph, factors)]
 
 
-def evaluate_rows(stack: FactorStack, cam, X, sel=None, want_jac=True):
+def evaluate_rows(stack: FactorStack, cam, X, rot, at, sel=None, want_jac=True):
     """(value, J, valid) of the stack's rows `sel` (all when None) at X.
 
     X holds the stacked adjacency means of those rows, (rows, joint_dim).
+    `rot` is `geometry.pose_rotations_batch` of the distinct poses the
+    caller holds, with Jr when want_jac, and `at[pos]` gives, for each pose
+    slot, each row's pose among them; other slots' entries are not read.
     """
     kernel = globals()[stack.spec.kernel]  # looked up per call, so it can be wrapped
     payload = [_take(stack.payload[key], sel) for key, _ in stack.spec.payload]
     params = [X[:, o:o + d] for o, d in zip(stack.offsets, stack.dims)]
+    for pos in stack.spec.pose_slots:
+        R, Jr = rot
+        i = at[pos]
+        params[pos] = PoseRows(params[pos][:, :3], R[i], Jr[i] if want_jac else None)
     return kernel(cam, _take(stack.z, sel), *payload, *params, want_jac=want_jac)
 
 
-def linearise_batch(stack: FactorStack, cam, X, rows=None, weight=None):
+def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, weight=None):
     """(eta, lam, weight) of the stack's factors `rows` (all when None).
 
-    X holds the factors' stacked adjacency means, (len(rows), joint_dim).
-    `weight` maps each row's Mahalanobis residual norm to its weight; by
-    default it is the factor's own robust setting (Tukey or none). Invalid
-    rows get weight 0. A factor's weight is the mean over its rows.
+    X holds the factors' stacked adjacency means, (len(rows), joint_dim),
+    and `at` their pose slots' poses among the rotations `rot` (see
+    `evaluate_rows`). `weight` maps each row's Mahalanobis residual norm to
+    its weight; by default it is the factor's own robust setting (Tukey or
+    none). Invalid rows get weight 0. A factor's weight is the mean over its
+    rows.
     """
     owner = stack.owner
     sel, Xr = rows, X
@@ -283,7 +302,8 @@ def linearise_batch(stack: FactorStack, cam, X, rows=None, weight=None):
         sel = local >= 0
         local = local[sel]
         Xr = X[local]
-    value, J, valid = evaluate_rows(stack, cam, Xr, sel)
+        at = _take_each(at, local)
+    value, J, valid = evaluate_rows(stack, cam, Xr, rot, at, sel)
     inv_var = 1.0 / (_take(stack.sigma, sel) ** 2)
     rho = np.sqrt(np.sum(value**2 * inv_var, axis=1))
     if weight is None:
@@ -294,7 +314,8 @@ def linearise_batch(stack: FactorStack, cam, X, rows=None, weight=None):
     w = np.where(valid, w, 0.0)
     D = inv_var * w[:, None]
     if stack.spec.linear:
-        t = -evaluate_rows(stack, cam, np.zeros_like(Xr), sel, want_jac=False)[0]
+        # exact kinds have no pose slots
+        t = -evaluate_rows(stack, cam, np.zeros_like(Xr), None, at, sel, want_jac=False)[0]
     else:
         t = (J @ Xr[:, :, None])[:, :, 0] - value
     JD = J * D[:, :, None]
@@ -314,23 +335,26 @@ def linearise_batch(stack: FactorStack, cam, X, rows=None, weight=None):
     return eta, 0.5 * (lam + np.transpose(lam, (0, 2, 1))), w
 
 
-def residual_rows(stack: FactorStack, cam, X):
-    """(values, valid) of every row at the factors' stacked means X.
+def residual_rows(stack: FactorStack, cam, X, rot, at):
+    """(values, valid) of every row at the factors' stacked means X, whose
+    pose slots' poses `at` index the rotations `rot` (Jr not needed).
 
     Invalid rows come back zeroed.
     """
-    Xr = X if stack.owner is None else X[stack.owner]
-    value, _, valid = evaluate_rows(stack, cam, Xr, want_jac=False)
+    if stack.owner is not None:
+        X, at = X[stack.owner], _take_each(at, stack.owner)
+    value, _, valid = evaluate_rows(stack, cam, X, rot, at, want_jac=False)
     return np.where(valid[:, None], value, 0.0), valid
 
 
-def residual_sums(stack: FactorStack, cam, X):
-    """(energy, pixel-error sum, pixel rows) of a stack at its factors' means X.
+def residual_sums(stack: FactorStack, cam, X, rot, at):
+    """(energy, pixel-error sum, pixel rows) of a stack at its factors' means
+    X, posed as in `residual_rows`.
 
     The energy is half the squared Mahalanobis residual with the
     unrobustified noise; invalid rows count zero and no pixel error.
     """
-    value, valid = residual_rows(stack, cam, X)
+    value, valid = residual_rows(stack, cam, X, rot, at)
     energy = float(0.5 * np.sum((value / stack.sigma) ** 2))
     if not stack.spec.pixel:
         return energy, 0.0, 0
@@ -341,6 +365,18 @@ def residual_sums(stack: FactorStack, cam, X):
 # ---------------------------------------------------------------------------
 # One-factor views (tests, reference checks)
 # ---------------------------------------------------------------------------
+
+def own_poses(stack: FactorStack, X, want_jac=True):
+    """(rot, at) that pose each row of X by its own pose slots: one rotation
+    per row and slot, none shared between rows. The one-factor views use it;
+    callers that hold many rows of few poses name the distinct poses."""
+    n, slots = X.shape[0], stack.spec.pose_slots
+    poses = [X[:, stack.offsets[pos]:][:, :stack.dims[pos]] for pos in slots]
+    rot = pose_rotations_batch(np.concatenate([np.zeros((0, 6))] + poses), want_jac)
+    at = [np.arange(n) + slots.index(pos) * n if pos in slots else None
+          for pos in range(stack.arity)]
+    return rot, at
+
 
 def _one(graph, factor: FactorNode, means: dict):
     stack = factor_stacks(graph, [factor])[0]
@@ -358,7 +394,8 @@ def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Re
     """
     stack, x0 = _one(graph, factor, means)
     rows = 1 if stack.owner is None else stack.owner.size
-    value, J, valid = evaluate_rows(stack, graph.camera, np.repeat(x0[None], rows, axis=0),
+    X = np.repeat(x0[None], rows, axis=0)
+    value, J, valid = evaluate_rows(stack, graph.camera, X, *own_poses(stack, X, want_jac),
                                     want_jac=want_jac)
     value = np.where(valid[:, None], value, 0.0).reshape(-1)
     jac = {}
@@ -375,11 +412,11 @@ def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Re
 def factor_energy(graph, factor: FactorNode, means: dict) -> float:
     """Half squared Mahalanobis residual with the unrobustified noise."""
     stack, x0 = _one(graph, factor, means)
-    return residual_sums(stack, graph.camera, x0[None])[0]
+    return residual_sums(stack, graph.camera, x0[None], *own_poses(stack, x0[None], False))[0]
 
 
 def linearise(graph, factor: FactorNode, means: dict) -> GaussianInfo:
     """Linearised Gaussian over the factor's joint support at the given means."""
     stack, x0 = _one(graph, factor, means)
-    eta, lam, _ = linearise_batch(stack, graph.camera, x0[None])
+    eta, lam, _ = linearise_batch(stack, graph.camera, x0[None], *own_poses(stack, x0[None]))
     return GaussianInfo(eta[0], lam[0])

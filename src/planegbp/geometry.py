@@ -111,6 +111,18 @@ def so3_right_jacobian_batch(w: np.ndarray) -> np.ndarray:
     return np.eye(3) - c1[:, None, None] * hat + c2[:, None, None] * hat2
 
 
+def pose_rotations_batch(poses: np.ndarray, want_jac: bool = True):
+    """(R, Jr) of poses [t, w] (n, 6): exp(w) and, with want_jac, the right
+    Jacobian Jr(w), else None.
+
+    The factor kernels take these instead of the rotation vectors: a caller
+    computes them once over the distinct poses it holds, and
+    `factors.evaluate_rows` gathers them for every pose slot's rows.
+    """
+    w = poses[:, 3:]
+    return so3_exp_batch(w), so3_right_jacobian_batch(w) if want_jac else None
+
+
 # ---------------------------------------------------------------------------
 # Poses
 # ---------------------------------------------------------------------------
@@ -237,12 +249,12 @@ def transform_plane(T: Pose, pi: PlaneParams) -> PlaneParams:
 
 
 def transform_plane_jacobians_batch(
-    R: np.ndarray, t: np.ndarray, w: np.ndarray, m: np.ndarray
+    R: np.ndarray, t: np.ndarray, Jr: np.ndarray, m: np.ndarray
 ):
     """Batched (m', dm'/dpose (n,3,6), dm'/dm (n,3,3)).
 
     Pose coordinates are [t, w] with R = exp(w); the rotational block uses
-    the right Jacobian of SO(3).
+    the right Jacobian Jr(w) of SO(3), which the caller supplies with R.
     """
     d = np.linalg.norm(m, axis=-1)
     n = m / d[..., None]
@@ -261,7 +273,7 @@ def transform_plane_jacobians_batch(
     # translation part: d m'/d t = u u^T
     dm_dt = u[:, :, None] * u[:, None, :]
     # rotation part: du/dw = -R hat(n) Jr(w); chain through u and s
-    du_dw = -(R @ so3_hat_batch(n)) @ so3_right_jacobian_batch(w)
+    du_dw = -(R @ so3_hat_batch(n)) @ Jr
     ds_dw = np.einsum("ni,nij->nj", t, du_dw)
     dm_dw = u[:, :, None] * ds_dw[:, None, :] + s[:, None, None] * du_dw
 

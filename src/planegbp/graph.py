@@ -34,6 +34,9 @@ PLANE_HYPOTHESIS = "plane_hypothesis"
 RIGID_BODY = "rigid_body"
 
 VARIABLE_DIMS = {KEYFRAME: 6, POINT: 3, PLANE_HYPOTHESIS: 3, RIGID_BODY: 6}
+# Kinds whose state is a pose [t, w]; a kernel receives their slots with
+# their rotations.
+POSE_KINDS = (KEYFRAME, RIGID_BODY)
 
 # Factor kinds; FACTOR_KINDS below describes each.
 REPROJECTION = "reprojection"
@@ -60,6 +63,9 @@ class FactorKind:
     A new kind needs one entry in FACTOR_KINDS and one batched kernel in
     `planegbp.factors`; graph validation, the propagation engine, the dense
     oracle, Levenberg-Marquardt and serialisation all work from the entry.
+    The kernel receives each pose slot (a POSE_KINDS slot of the signature)
+    as `factors.PoseRows`, with its rotation already computed, and every
+    other slot as its (n, dim) means.
     """
 
     # Variable kind per adjacency slot, in order (ANY takes every kind).
@@ -82,6 +88,11 @@ class FactorKind:
     # Rows are the (z, *payload) constituents listed in the payload; the
     # factor is their product.
     constituents: bool = False
+
+    @property
+    def pose_slots(self) -> tuple:
+        """Adjacency slots that hold a pose: the POSE_KINDS slots."""
+        return tuple(i for i, kind in enumerate(self.signature) if kind in POSE_KINDS)
 
 
 FACTOR_KINDS = {

@@ -35,24 +35,24 @@ FORMAT_VERSIONS = {
 }
 
 
-def _jsonable(obj):
+def _numpy_json(obj):
+    """What `json` cannot encode itself: arrays as lists, numpy scalars as
+    Python scalars."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
 def write_json(path, format_name: str, body: dict) -> None:
+    """Write a compact JSON artefact; arrays and numpy scalars are converted
+    as the encoder meets them, so the document is walked once."""
     if format_name not in FORMAT_VERSIONS:
         raise FormatError(f"unknown format {format_name!r}")
     doc = {"format": format_name, "version": FORMAT_VERSIONS[format_name]}
-    doc.update(_jsonable(body))
-    Path(path).write_text(json.dumps(doc, indent=1))
+    doc.update(body)
+    Path(path).write_text(json.dumps(doc, default=_numpy_json))
 
 
 def read_json(path, format_name: str) -> dict:
@@ -111,7 +111,7 @@ def graph_to_dict(graph: FactorGraph) -> dict:
             "adjacency": list(fac.adjacency),
             "measurement": None if fac.measurement is None else fac.measurement.tolist(),
             "sigma": fac.sigma.tolist(),
-            "payload": _jsonable(fac.payload),
+            "payload": fac.payload,  # arrays: write_json converts them
             "robust": fac.robust,
             "robust_scale": fac.robust_scale,
         })

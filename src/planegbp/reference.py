@@ -35,7 +35,8 @@ from .factors import (
     residual_sums,
 )
 from .gaussians import BlockLayout, GaussianMoments
-from .graph import PRIOR, FactorGraph
+from .geometry import pose_rotations_batch
+from .graph import POSE_KINDS, PRIOR, FactorGraph
 
 
 def build_layout(graph: FactorGraph) -> BlockLayout:
@@ -49,7 +50,10 @@ class _System:
 
     Means are flat vectors in layout order; `cols[k]` holds, per factor of
     stack k, the columns of its adjacency, so that x[cols[k]] stacks the
-    factors' means and (cols, cols) addresses their joint block.
+    factors' means and (cols, cols) addresses their joint block. The pose
+    variables' columns are `pose_cols`, and `at[k]` gives, per pose slot of
+    stack k, each factor's pose among them: `rotations(x)` rotates each pose
+    once for every stack.
 
     The joint precision's sparsity is compiled here: every prior and factor
     block entry, priors first and then the stacks in order, maps to its slot
@@ -66,6 +70,16 @@ class _System:
                 [np.array([offset[v] for v in s.adjacency[:, pos]])[:, None] + np.arange(d)
                  for pos, d in enumerate(s.dims)], axis=1,
             )
+            for s in self.stacks
+        ]
+        poses = [(vid, off, width) for vid, off, width in self.layout.blocks
+                 if graph.variables[vid].kind in POSE_KINDS]
+        self.pose_cols = np.array(
+            [off + np.arange(width) for _, off, width in poses], dtype=int).reshape(-1, 6)
+        pose_of = {vid: i for i, (vid, _, _) in enumerate(poses)}
+        self.at = [
+            [np.array([pose_of[v] for v in s.adjacency[:, pos]], dtype=int)
+             if pos in s.spec.pose_slots else None for pos in range(s.arity)]
             for s in self.stacks
         ]
         # Variables with a prior, grouped by dimension: (cols, eta, lam).
@@ -104,6 +118,10 @@ class _System:
     def means(self, x: np.ndarray) -> dict:
         return {vid: x[off:off + width].copy() for vid, off, width in self.layout.blocks}
 
+    def rotations(self, x: np.ndarray, want_jac: bool):
+        """Rotations (and right Jacobians) of the pose variables at x."""
+        return pose_rotations_batch(x[self.pose_cols], want_jac)
+
     def assemble(self, x: np.ndarray, weights=None):
         """Joint (eta, lam) at x: priors plus every stack's linearisation.
 
@@ -116,9 +134,10 @@ class _System:
         etas = [p_eta for _, p_eta, _ in self.priors]
         lams = [p_lam for _, _, p_lam in self.priors]
         cam = self.graph.camera
-        for stack, cols in zip(self.stacks, self.cols):
+        rot = self.rotations(x, want_jac=True)
+        for stack, cols, at in zip(self.stacks, self.cols, self.at):
             f_eta, f_lam, _ = linearise_batch(
-                stack, cam, x[cols], weight=None if weights is None else weights(stack)
+                stack, cam, x[cols], rot, at, weight=None if weights is None else weights(stack)
             )
             etas.append(f_eta)
             lams.append(f_lam)
@@ -213,8 +232,9 @@ def _lm_kernel(stack, cfg: LmConfig) -> str:
 
 def _lm_cost(system: _System, x: np.ndarray, cfg: LmConfig) -> float:
     cost = 0.0
-    for stack, cols in zip(system.stacks, system.cols):
-        value, _ = residual_rows(stack, system.graph.camera, x[cols])
+    rot = system.rotations(x, want_jac=False)
+    for stack, cols, at in zip(system.stacks, system.cols, system.at):
+        value, _ = residual_rows(stack, system.graph.camera, x[cols], rot, at)
         s = np.sqrt(np.sum((value / stack.sigma) ** 2, axis=1))
         cost += float(np.sum(_kernel_cost(_lm_kernel(stack, cfg), s, cfg.kernel_scale)))
     for (cols, _, p_lam), mean in zip(system.priors, system.prior_means):
@@ -227,8 +247,9 @@ def avg_reprojection_px(system: _System, x: np.ndarray) -> float:
     """Mean pixel error at the flat means `x` over the valid pixel rows; NaN
     when there is none."""
     total, count = 0.0, 0
-    for stack, cols in zip(system.stacks, system.cols):
-        _, px, n = residual_sums(stack, system.graph.camera, x[cols])
+    rot = system.rotations(x, want_jac=False)
+    for stack, cols, at in zip(system.stacks, system.cols, system.at):
+        _, px, n = residual_sums(stack, system.graph.camera, x[cols], rot, at)
         total += px
         count += n
     return total / count if count else math.nan

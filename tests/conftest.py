@@ -173,9 +173,10 @@ def reference_sweep(eng):
     """
     cfg = eng.config
     masks = dropout_masks(eng)
+    rot = eng._rotations(want_jac=True)
     for b, dropped in zip(eng.batches, masks):
         # a factor that sends to no position keeps its stale linearisation
-        eng._relinearise(b, np.flatnonzero(~np.logical_and.reduce(dropped)))
+        eng._relinearise(b, np.flatnonzero(~np.logical_and.reduce(dropped)), rot)
     if eng.transport is not None:
         eng.transport.begin_sweep()
     staged = [reference_messages(b) for b in eng.batches]

@@ -13,11 +13,25 @@ from planegbp.gaussians import (
     quotient,
     to_moments,
 )
-from planegbp.graph import LINEAR, POINT, PRIOR, REPROJECTION, FactorGraph
+from planegbp.geometry import CameraModel, PlaneParams, Pose, project, transform_plane
+from planegbp.graph import (
+    COMBINED_RIGID_REPROJECTION,
+    KEYFRAME,
+    LINEAR,
+    PLANE_HYPOTHESIS,
+    PLANE_POINT,
+    PLANE_PREDICTION,
+    POINT,
+    PRIOR,
+    REPROJECTION,
+    RIGID_BODY,
+    RIGID_PLANE_PREDICTION,
+    FactorGraph,
+)
 from planegbp.harness import build_ba_graph
 from planegbp.frontend import generate_scene
 from planegbp.routing import PoolConfig, RoutedTransport, RoutingSimulator
-from planegbp.factors import linearise
+from planegbp.factors import linearise, linearise_batch, own_poses, residual_sums
 from planegbp.reference import dense_marginals
 from conftest import (
     bipartite_diameter,
@@ -435,3 +449,89 @@ def test_sweep_matches_loop_reference(routed):
             added = fid if added is None else None
     # the first sweeps meet singular blocks (points seen once, zero incoming)
     assert regularised > 0
+
+
+CAM = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+def _weak(kind, mean, sigma):
+    """(kind, mean, prior): a weak prior at the initial mean."""
+    lam = np.eye(mean.shape[0]) / sigma**2
+    return kind, mean, GaussianInfo(lam @ mean, lam)
+
+
+def _add_views(g, rng, kf, pts, rb, conv):
+    """A keyframe's reprojections of `pts` and one combined factor of its
+    views of the rigid body's points `conv`."""
+    pose = Pose(g.variables[kf].mean)
+    for i, p in enumerate(pts):
+        z = project(CAM, pose, g.variables[p].mean) + rng.normal(size=2)
+        g.add_factor(REPROJECTION, (kf, p), z, 1.0, robust="tukey" if i % 2 else None)
+    body = Pose(g.variables[rb].mean).apply(conv)
+    cons = [(project(CAM, pose, q) + rng.normal(size=2), pc) for q, pc in zip(body, conv)]
+    g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 1.0,
+                 payload={"constituents": cons}, robust="tukey")
+
+
+def _posed_graph(rng):
+    """Keyframes, points, a plane hypothesis with a prediction, and a rigid
+    body seen through multi-constituent combined factors and a plane; the
+    measurements are consistent with the initial means up to noise."""
+    g = FactorGraph(camera=CAM)
+    kfs = [g.add_variable(*_weak(KEYFRAME, np.concatenate(
+        [[0.15 * k, 0.0, 0.0], rng.normal(size=3) * 0.05]), 0.1)) for k in range(3)]
+    g.add_factor(PRIOR, (kfs[0],), g.variables[kfs[0]].mean, 0.01)
+    on_plane = [np.array([x, y, 4.0]) for x, y in rng.normal(size=(4, 2)) * 0.5]
+    off_plane = list(rng.normal(size=(4, 3)) * 0.5 + [0, 0, 4.0])
+    pts = [g.add_variable(*_weak(POINT, p + rng.normal(size=3) * 0.01, 1.0))
+           for p in on_plane + off_plane]
+    plane = PlaneParams(np.array([0.0, 0.0, 4.0]))
+    hyp = g.add_variable(*_weak(PLANE_HYPOTHESIS, plane.m + rng.normal(size=3) * 0.01, 1.0))
+    for p in pts[:4]:
+        g.add_factor(PLANE_POINT, (hyp, p), 0.0, 0.1)
+    g.add_factor(PLANE_PREDICTION, (hyp, kfs[1]),
+                 transform_plane(Pose(g.variables[kfs[1]].mean), plane).m, 0.05)
+    rb = g.add_variable(*_weak(RIGID_BODY, rng.normal(size=6) * 0.02, 0.1))
+    pi_conv = PlaneParams(np.array([0.0, 0.1, 5.0]))
+    seen = transform_plane(Pose(g.variables[rb].mean), pi_conv)
+    g.add_factor(RIGID_PLANE_PREDICTION, (rb, kfs[2]),
+                 transform_plane(Pose(g.variables[kfs[2]].mean), seen).m, 0.05,
+                 payload={"pi_conv": pi_conv.m})
+    conv = rng.normal(size=(4, 3)) * 0.4 + [0, 0, 5.0]
+    for kf in kfs:
+        _add_views(g, rng, kf, pts, rb, conv)
+    return g, pts, rb, conv
+
+
+def test_linearisation_and_metrics_equal_per_row_rotations(rng):
+    # The engine rotates each pose once per sweep and gathers the rotations
+    # by row. Every stored linearisation must equal, bit for bit, the one
+    # computed at its x0 with each row's own rotations, and every report's
+    # metrics the residual sums at the means with each row's own rotations.
+    g, pts, rb, conv = _posed_graph(rng)
+    eng = GbpEngine(g, GbpConfig(damping=0.4, dropout=0.5, seed=3))
+    kinds = set()
+    for sweep in range(12):
+        if sweep == 5:
+            kf = g.add_variable(*_weak(KEYFRAME, np.concatenate(
+                [[0.3, 0.1, 0.0], rng.normal(size=3) * 0.05]), 0.1))
+            _add_views(g, rng, kf, pts, rb, conv)
+            eng.on_graph_edit()
+        report = eng.iterate()
+        means = eng.means()
+        energy, px, count = 0.0, 0.0, 0
+        for b in eng.batches:
+            done = np.flatnonzero(b.lin_valid)
+            x0 = b.x0[done]
+            eta, lam, weight = linearise_batch(b, CAM, x0, *own_poses(b, x0), done)
+            assert np.array_equal(eta, b.eta[done])
+            assert np.array_equal(lam, b.lam[done])
+            assert np.array_equal(weight, b.weight[done])
+            X = np.stack([np.concatenate([means[v] for v in adj]) for adj in b.adjacency])
+            e, p, c = residual_sums(b, CAM, X, *own_poses(b, X, want_jac=False))
+            energy, px, count = energy + e, px + p, count + c
+            kinds.add(b.kind)
+        assert report.total_energy == energy
+        assert report.avg_reproj_px == px / count
+    assert kinds >= {REPROJECTION, PLANE_PREDICTION, RIGID_PLANE_PREDICTION,
+                     COMBINED_RIGID_REPROJECTION}

@@ -1,10 +1,21 @@
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
-from planegbp import factors
+from planegbp import factors, geometry
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.gaussians import BlockLayout, GaussianInfo
-from planegbp.geometry import CameraModel, PlaneParams, Pose, project, transform_plane
+from planegbp.geometry import (
+    CameraModel,
+    PlaneParams,
+    Pose,
+    pose_rotations_batch,
+    project,
+    transform_plane,
+)
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
     FACTOR_KINDS,
@@ -25,6 +36,7 @@ from planegbp.factors import (
     factor_stacks,
     linearise,
     linearise_batch,
+    own_poses,
     tukey_weight_batch,
 )
 from conftest import fd_jacobian
@@ -33,11 +45,18 @@ CAM = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
 def row(kind, z, *variables, **payload):
-    """(value, joint Jacobian, valid) of one row of the kind's registered kernel."""
+    """(value, joint Jacobian, valid) of one row of the kind's registered kernel.
+
+    Each pose slot is passed as the kernel takes it: as PoseRows, with the
+    rotation and right Jacobian of the pose's own rotation vector.
+    """
     spec = FACTOR_KINDS[kind]
     kernel = getattr(factors, spec.kernel)
-    args = [z, *(payload[key] for key, _ in spec.payload), *variables]
-    value, J, valid = kernel(CAM, *(np.asarray(a, float)[None] for a in args))
+    params = [np.asarray(v, float)[None] for v in variables]
+    for pos in spec.pose_slots:
+        params[pos] = factors.PoseRows(params[pos][:, :3], *pose_rotations_batch(params[pos]))
+    args = [z, *(payload[key] for key, _ in spec.payload)]
+    value, J, valid = kernel(CAM, *(np.asarray(a, float)[None] for a in args), *params)
     return value[0], J[0], bool(valid[0])
 
 
@@ -162,6 +181,25 @@ def test_analytic_jacobians_match_finite_differences(kind, rng):
     assert worst < 1e-5
 
 
+def test_no_kernel_computes_a_rotation():
+    # Kernels receive each pose slot's rotation and right Jacobian from the
+    # caller of evaluate_rows, which computes them once per pose: nothing in
+    # the factors module, nor the plane-transform Jacobian the kernels call,
+    # names the SO(3) exponential or its right Jacobian.
+    banned = {"so3_exp_batch", "so3_right_jacobian_batch"}
+    for source in (inspect.getsource(factors),
+                   inspect.getsource(geometry.transform_plane_jacobians_batch)):
+        names = set()
+        for node in ast.walk(ast.parse(textwrap.dedent(source))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & banned
+
+
 # -- robust loss -----------------------------------------------------------------
 
 def test_tukey_weight_examples():
@@ -253,7 +291,8 @@ def test_outlier_flag_yields_zero_information(rng):
     out = linearise(g, g.factors[fid], {kf: np.zeros(6), p: np.array([0, 0, -3.0])})
     assert out.is_zero()
     stack = factor_stacks(g, [g.factors[fid]])[0]
-    _, _, w = linearise_batch(stack, CAM, np.array([[0.0] * 6 + [0.0, 0.0, -3.0]]))
+    X = np.array([[0.0] * 6 + [0.0, 0.0, -3.0]])
+    _, _, w = linearise_batch(stack, CAM, X, *own_poses(stack, X))
     assert w[0] == 0.0
 
 
@@ -266,7 +305,8 @@ def test_degenerate_baked_plane_yields_zero_information():
     fid = g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), np.array([0.0, 0.0, 3.0]), 0.2,
                        payload={"pi_conv": np.zeros(3)})
     stack = factor_stacks(g, [g.factors[fid]])[0]
-    eta, lam, w = linearise_batch(stack, CAM, np.zeros((1, 12)))
+    eta, lam, w = linearise_batch(stack, CAM, np.zeros((1, 12)),
+                                  *own_poses(stack, np.zeros((1, 12))))
     assert w[0] == 0.0
     assert np.all(np.isfinite(eta)) and np.all(np.isfinite(lam))
     eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0))
@@ -295,14 +335,15 @@ def test_needs_relinearisation_thresholds(rng):
     g, kfs, pts = ba_test_graph(rng, n_kf=1, n_pts=1)
     eng = GbpEngine(g, GbpConfig(beta=1e-4))
     (b,) = eng.batches
-    assert eng._relinearise(b, np.arange(b.n)) == 1  # never linearised
-    assert eng._relinearise(b, np.arange(b.n)) == 0
+    rot = eng._rotations(want_jac=True)
+    assert eng._relinearise(b, np.arange(b.n), rot) == 1  # never linearised
+    assert eng._relinearise(b, np.arange(b.n), rot) == 0
     bank = eng.banks[3]
     row = bank.rows_of([pts[0]])[0]
     bank.mean[row] = bank.mean[row] + np.array([0.5e-4, 0, 0])
-    assert eng._relinearise(b, np.arange(b.n)) == 0
+    assert eng._relinearise(b, np.arange(b.n), rot) == 0
     bank.mean[row] = bank.mean[row] + np.array([1.5e-4, 0, 0])
-    assert eng._relinearise(b, np.arange(b.n)) == 1
+    assert eng._relinearise(b, np.arange(b.n), rot) == 1
     assert np.array_equal(b.x0[0, 6:], bank.mean[row])
 
 
@@ -314,7 +355,7 @@ def test_prior_never_needs_relinearisation():
     (b,) = eng.batches
     x0, eta = b.x0.copy(), b.eta.copy()
     eng.banks[3].mean[eng.banks[3].rows_of([v])[0]] = np.full(3, 100.0)
-    assert eng._relinearise(b, np.arange(b.n)) == 0
+    assert eng._relinearise(b, np.arange(b.n), eng._rotations(want_jac=True)) == 0
     assert np.array_equal(b.x0, x0) and np.array_equal(b.eta, eta)
 
 
@@ -464,7 +505,7 @@ def test_batched_linearisation_matches_loop_reference(rng):
     kinds = set()
     for stack in factor_stacks(g):
         X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
-        eta, lam, w = linearise_batch(stack, CAM, X)
+        eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X))
         for i, fac in enumerate(stack.nodes):
             ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means)
             assert_close(eta[i], ref_eta)
@@ -473,7 +514,7 @@ def test_batched_linearisation_matches_loop_reference(rng):
             kinds.add((fac.kind, fac.robust))
         # a subset of the factors, as the engine relinearises them
         rows = np.arange(stack.n)[::2]
-        sub = linearise_batch(stack, CAM, X[rows], rows)
+        sub = linearise_batch(stack, CAM, X[rows], *own_poses(stack, X[rows]), rows)
         for full, part in zip((eta, lam, w), sub):
             assert np.array_equal(full[rows], part)
     assert len(kinds) == 12  # five measurement kinds with and without Tukey, prior, linear
@@ -488,6 +529,7 @@ def test_one_factor_linearise_is_the_batched_path(rng):
         assert_close(out.eta, ref_eta)
         assert_close(out.lam, ref_lam)
         x0 = np.concatenate([means[v] for v in fac.adjacency])
-        eta, lam, w = linearise_batch(factor_stacks(g, [fac])[0], CAM, x0[None])
+        stack = factor_stacks(g, [fac])[0]
+        eta, lam, w = linearise_batch(stack, CAM, x0[None], *own_poses(stack, x0[None]))
         assert np.array_equal(out.eta, eta[0]) and np.array_equal(out.lam, lam[0])
         assert np.isclose(w[0], ref_w, rtol=1e-12, atol=1e-12)

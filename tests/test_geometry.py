@@ -9,6 +9,7 @@ from planegbp.geometry import (
     project,
     so3_exp,
     so3_exp_batch,
+    so3_right_jacobian_batch,
     so3_log,
     transform_plane,
     transform_plane_jacobians_batch,
@@ -171,7 +172,8 @@ def test_plane_transform_jacobians_match_finite_differences(rng):
         if np.linalg.norm(tmin(r, m)) < 0.05:
             continue  # keep clear of the degenerate manifold for differencing
         _, J_pose, J_m = transform_plane_jacobians_batch(
-            so3_exp_batch(r[None, 3:]), r[None, :3], r[None, 3:], m[None]
+            so3_exp_batch(r[None, 3:]), r[None, :3], so3_right_jacobian_batch(r[None, 3:]),
+            m[None]
         )
         Jf_pose = fd_jacobian(lambda x: tmin(x, m), r)
         Jf_m = fd_jacobian(lambda x: tmin(r, x), m)

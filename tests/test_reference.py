@@ -6,7 +6,7 @@ from scipy.sparse import csc_matrix
 
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import SingularGaussianError
-from planegbp.factors import linearise_batch
+from planegbp.factors import linearise_batch, own_poses
 from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel
 from planegbp.graph import LINEAR, POINT, PRIOR, FactorGraph
@@ -165,8 +165,10 @@ def dense_assemble(system, x, weights=None):
         np.add.at(lam, (cols[:, :, None], cols[:, None, :]), p_lam)
     cam = system.graph.camera
     for stack, cols in zip(system.stacks, system.cols):
+        # each factor rotates its own poses, where the system shares them
         f_eta, f_lam, _ = linearise_batch(
-            stack, cam, x[cols], weight=None if weights is None else weights(stack)
+            stack, cam, x[cols], *own_poses(stack, x[cols]),
+            weight=None if weights is None else weights(stack)
         )
         np.add.at(eta, cols, f_eta)
         np.add.at(lam, (cols[:, :, None], cols[:, None, :]), f_lam)
