@@ -13,13 +13,17 @@ Conventions used throughout the package:
 
 Functions with a ``_batch`` suffix operate on stacked leading axes; they are
 what the factor kernels evaluate. The scalar ``Pose``, ``PlaneParams`` and
-``transform_plane`` serve scene generation and the plane lifecycle, and
-``project`` is the projection oracle of the tests.
+``transform_plane`` serve scene generation, graph growth and the plane
+lifecycle, and ``project`` is the projection oracle of the tests. A ``Pose``
+copies its vector and computes its rotation and its inverse once, so
+backprojecting a keyframe's new points exponentiates once per keyframe, not
+once per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,14 +133,21 @@ def pose_rotations_batch(poses: np.ndarray, want_jac: bool = True):
 
 @dataclass(frozen=True)
 class Pose:
-    """Minimal pose vector [t, w] with cached rotation matrix."""
+    """Minimal pose vector [t, w] with cached rotation matrix and inverse.
+
+    `r` is a read-only copy of the vector the pose is built from, so neither
+    cache can go stale when the caller's array changes later. `R` is
+    exp(w), computed on first use and read-only; `inverse()` is computed
+    on first use and returns the same Pose afterwards.
+    """
 
     r: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float).reshape(-1)
+        r = np.array(self.r, dtype=float).reshape(-1)
         if r.shape[0] != 6:
             raise ContractViolation(f"pose vector must have 6 components, got {r.shape}")
+        r.flags.writeable = False
         object.__setattr__(self, "r", r)
 
     @staticmethod
@@ -155,9 +166,11 @@ class Pose:
     def w(self) -> np.ndarray:
         return self.r[3:]
 
-    @property
+    @cached_property
     def R(self) -> np.ndarray:
-        return so3_exp(self.r[3:])
+        R = so3_exp(self.r[3:])
+        R.flags.writeable = False
+        return R
 
     @property
     def T(self) -> np.ndarray:
@@ -171,6 +184,10 @@ class Pose:
         return p @ self.R.T + self.t
 
     def inverse(self) -> "Pose":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "Pose":
         R = self.R
         return Pose(np.concatenate([-R.T @ self.t, -self.w]))
 

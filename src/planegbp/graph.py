@@ -13,10 +13,14 @@ constituents are that keyframe's views of the absorbed points, each with
 the point's converged position (`p_conv`). Merging two rigid bodies moves
 their factors onto the new body. Each is journalled as one
 `ReplaceVariables` event.
+
+`add_variable` and `add_factor` check every insertion in plain Python;
+`add_factor` also rejects non-finite noise, measurements and payloads.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -189,15 +193,28 @@ class ReplaceVariables:
     events: tuple  # the primitive events realising the replacement
 
 
+def _finite(arr: np.ndarray) -> bool:
+    return all(map(math.isfinite, arr.ravel().tolist()))
+
+
 def _as_sigma(sigma, mdim: int) -> np.ndarray:
-    arr = np.asarray(sigma, dtype=float).reshape(-1)
-    if arr.shape[0] == 1:
-        arr = np.full(mdim, arr[0])
-    if arr.shape[0] != mdim:
-        raise ContractViolation(f"sigma has {arr.shape[0]} components, expected {mdim}")
-    if np.any(arr <= 0):
-        raise ContractViolation("noise sigma must be positive")
-    return arr
+    """Per-component noise std of an mdim-row factor; a single value is
+    repeated for every component."""
+    if isinstance(sigma, float):
+        vals, arr = [float(sigma)] * mdim, None
+    else:
+        arr = np.asarray(sigma, dtype=float).reshape(-1)
+        vals = arr.tolist()
+        if len(vals) == 1:
+            vals, arr = vals * mdim, None
+    if len(vals) != mdim:
+        raise ContractViolation(f"sigma has {len(vals)} components, expected {mdim}")
+    for s in vals:
+        if s <= 0:
+            raise ContractViolation("noise sigma must be positive")
+        if not s < math.inf:
+            raise ContractViolation(f"noise sigma must be finite, got {s}")
+    return np.array(vals) if arr is None else arr
 
 
 class FactorGraph:
@@ -259,10 +276,21 @@ class FactorGraph:
         robust_scale: float = 4.685,
         _fixed_id: Optional[int] = None,
     ) -> int:
+        """Insert one factor; replay and every edit insert through here.
+
+        Raises ContractViolation, before any change, for an unknown kind, a
+        dead or wrongly typed adjacent variable, a wrong arity, a bad robust
+        setting, a missing or misshapen constituent or payload, a measurement
+        of the wrong dimension, a sigma with the wrong number of components
+        or one that is not positive and finite, a non-finite measurement,
+        constituent or payload entry, and a live `_fixed_id`. The checks are
+        scalar Python: on arrays of a few entries a numpy reduction costs
+        more than the scan.
+        """
         spec = FACTOR_KINDS.get(kind)
         if spec is None:
             raise ContractViolation(f"unknown factor kind {kind!r}")
-        adjacency = tuple(int(v) for v in adjacency)
+        adjacency = tuple(map(int, adjacency))
         for vid in adjacency:
             if vid not in self.variables:
                 raise ContractViolation(f"factor adjacency references dead variable {vid}")
@@ -313,6 +341,8 @@ class FactorGraph:
                 raise ContractViolation(
                     f"{kind} measurement must have dim {mdim}, got {row[0].shape}"
                 )
+            if not _finite(row[0]):
+                raise ContractViolation(f"{kind} measurement must be finite")
             for (key, shape), arr in zip(spec.payload, row[1:]):
                 want = tuple(
                     mdim if d == "m" else self._joint_dim(adjacency) if d == JOINT else d
@@ -322,6 +352,8 @@ class FactorGraph:
                     raise ContractViolation(
                         f"{kind} payload {key!r} must have shape {want}, got {arr.shape}"
                     )
+                if not _finite(arr):
+                    raise ContractViolation(f"{kind} payload {key!r} must be finite")
         sigma = _as_sigma(sigma, mdim)
 
         fid = self._next_factor_id if _fixed_id is None else _fixed_id

@@ -215,19 +215,12 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
     """Grow the graph with one keyframe packet; returns the keyframe id.
 
     A new point starts at `points[scene id]` when given, else at the
-    average-depth backprojection of its pixel.
+    backprojection of its pixel to the average depth of the points the graph
+    held before this keyframe; that depth is computed at the first such point.
     """
     kf_id, pose = _add_keyframe_variable(graph, state, config, packet, pose_override)
     views: dict[int, list] = {}  # rigid body id -> (pixel, p_conv) seen from here
-
-    existing = [
-        graph.variables[v].mean for v in state.point_var.values()
-        if v in graph.variables
-    ]
-    depth = average_depth(
-        pose, np.stack(existing) if existing else np.zeros((0, 3)),
-        config.priors.default_depth,
-    )
+    depth = None
 
     for pid, pixel in zip(packet.point_ids, packet.pixels):
         pid = int(pid)
@@ -244,6 +237,14 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                     rigid_id, p_conv = hit
                     views.setdefault(rigid_id, []).append((pixel, p_conv.copy()))
         else:
+            if not points and depth is None:
+                # No point was added yet: this is the map the keyframe arrived to.
+                existing = [graph.variables[v].mean for v in state.point_var.values()
+                            if v in graph.variables]
+                depth = average_depth(
+                    pose, np.stack(existing) if existing else np.zeros((0, 3)),
+                    config.priors.default_depth,
+                )
             p0 = points[pid] if points else backproject(camera, pose, pixel, depth)
             _add_point(graph, state, config, pid, p0, [(kf_id, pixel)])
     for rigid_id in sorted(views):

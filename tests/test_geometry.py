@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from planegbp.errors import BehindCameraError, ContractViolation, DegeneratePlaneError
+from planegbp.frontend import backproject
 from planegbp.geometry import (
     CameraModel,
     PlaneParams,
@@ -79,6 +80,36 @@ def test_compose_group_action(rng):
     p = rng.normal(size=3)
     assert np.allclose(a.compose(b).apply(p), a.apply(b.apply(p)), atol=1e-12)
     assert np.allclose(a.compose(a.inverse()).T, np.eye(4), atol=1e-9)
+
+
+def test_pose_caches_cannot_go_stale(rng):
+    r = rng.normal(size=6)
+    before = r.copy()
+    pose = Pose(r)
+    R = pose.R.copy()
+    r[:] = rng.normal(size=6)  # the caller's array changes after R was read
+    assert np.array_equal(pose.r, before)
+    assert np.array_equal(pose.R, R) and np.array_equal(pose.R, so3_exp(before[3:]))
+    with pytest.raises(ValueError):  # nor can a caller write through the pose
+        pose.r[0] = 1.0
+    with pytest.raises(ValueError):
+        pose.R[0, 0] = 1.0
+
+
+def test_cached_rotation_inverse_and_backprojection_equal_the_formulas(rng):
+    for _ in range(20):
+        r = rng.normal(size=6)
+        pose = Pose(r)
+        t, w = r[:3], r[3:]
+        R = so3_exp(w)
+        inv_r = np.concatenate([-R.T @ t, -w])
+        assert np.array_equal(pose.R, R)
+        assert pose.inverse() is pose.inverse()
+        assert np.array_equal(pose.inverse().r, inv_r)
+        u, v, depth = rng.uniform(0, 640), rng.uniform(0, 640), rng.uniform(0.5, 8.0)
+        ray = np.array([(u - CAM.cx) / CAM.fx, (v - CAM.cy) / CAM.fy, 1.0])
+        want = (ray * depth) @ so3_exp(-w).T + inv_r[:3]
+        assert np.array_equal(backproject(CAM, pose, (u, v), depth), want)
 
 
 # -- planes -------------------------------------------------------------------

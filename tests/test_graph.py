@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from planegbp.errors import ContractViolation
+from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
     KEYFRAME,
+    LINEAR,
     PLANE_HYPOTHESIS,
     PLANE_POINT,
     PLANE_PREDICTION,
@@ -112,6 +114,101 @@ def test_add_factor_checks_payload_against_the_registry():
     fid = g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
                        payload={"constituents": [([0, 0], [0.0, 0.0, 3.0])]})
     assert [a.dtype for a in g.factors[fid].constituents()[0]] == [float, float]
+
+
+NAN, INF = float("nan"), float("inf")
+Z, P = np.array([320.0, 240.0]), np.array([0.0, 0.0, 3.0])
+
+# (invalid call on small_graph() plus a rigid body rb, ContractViolation message)
+INVALID_INSERTIONS = {
+    "unknown variable kind": (
+        lambda g, kf, pts, rb: g.add_variable("landmark", P), "unknown variable kind"),
+    "mean dimension": (
+        lambda g, kf, pts, rb: g.add_variable(POINT, np.zeros(6)),
+        "point mean must have dim 3"),
+    "prior dimension": (
+        lambda g, kf, pts, rb: g.add_variable(POINT, P, GaussianInfo.zero(6)),
+        "prior dimension does not match"),
+    "duplicate variable id": (
+        lambda g, kf, pts, rb: g.add_variable(POINT, P, _fixed_id=pts[0]),
+        "variable id 1 already live"),
+    "unknown factor kind": (
+        lambda g, kf, pts, rb: g.add_factor("edge", (kf, pts[0]), Z, 2.0),
+        "unknown factor kind"),
+    "dead variable": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, 999), Z, 2.0),
+        "dead variable 999"),
+    "arity": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf,), Z, 2.0),
+        "expects arity 2..2, got 1"),
+    "slot kind": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (pts[0], pts[1]), Z, 2.0),
+        "slot expects keyframe"),
+    "duplicate factor id": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, 2.0,
+                                            _fixed_id=0),
+        "factor id 0 already live"),
+    "missing payload": (
+        lambda g, kf, pts, rb: g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), P, 2.0),
+        "need payload 'pi_conv'"),
+    "sigma components": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, [1.0, 2.0, 3.0]),
+        "sigma has 3 components, expected 2"),
+    "sigma zero": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, 0.0),
+        "noise sigma must be positive"),
+    "sigma component negative": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, [1.0, -2.0]),
+        "noise sigma must be positive"),
+    "sigma nan": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, NAN),
+        "noise sigma must be finite"),
+    "sigma inf": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, INF),
+        "noise sigma must be finite"),
+    "sigma component nan": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z,
+                                            np.array([1.0, NAN])),
+        "noise sigma must be finite"),
+    "measurement dimension": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), np.zeros(3), 2.0),
+        "reprojection measurement must have dim 2"),
+    "measurement nan": (
+        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), [320.0, NAN], 2.0),
+        "reprojection measurement must be finite"),
+    "measurement inf": (
+        lambda g, kf, pts, rb: g.add_factor(PRIOR, (pts[0],), [0.0, -INF, 3.0], 1.0),
+        "prior measurement must be finite"),
+    "constituent z nan": (
+        lambda g, kf, pts, rb: g.add_factor(
+            COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+            payload={"constituents": [(Z, P), ([NAN, 240.0], P)]}),
+        "combined_rigid_reprojection measurement must be finite"),
+    "constituent payload inf": (
+        lambda g, kf, pts, rb: g.add_factor(
+            COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+            payload={"constituents": [(Z, [0.0, INF, 3.0])]}),
+        "payload 'p_conv' must be finite"),
+    "payload nan": (
+        lambda g, kf, pts, rb: g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), P, 2.0,
+                                            payload={"pi_conv": [0.0, NAN, 3.0]}),
+        "payload 'pi_conv' must be finite"),
+    "matrix payload inf": (
+        lambda g, kf, pts, rb: g.add_factor(LINEAR, (pts[0],), np.zeros(2), 1.0,
+                                            payload={"A": [[1.0, 0, 0], [0, INF, 0]]}),
+        "payload 'A' must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_INSERTIONS)
+def test_invalid_insertions_are_rejected_and_leave_the_graph_unchanged(case):
+    call, message = INVALID_INSERTIONS[case]
+    g, kf, pts = small_graph()
+    rb = g.add_variable(RIGID_BODY, np.zeros(6))
+    census, n_events = g.snapshot_census(), len(g.journal)
+    with pytest.raises(ContractViolation, match=message):
+        call(g, kf, pts, rb)
+    assert g.snapshot_census() == census and len(g.journal) == n_events
 
 
 def test_empty_graph_census_all_zero():

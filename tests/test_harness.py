@@ -5,7 +5,7 @@ import math
 import numpy as np
 from jsonschema import validate
 
-from planegbp import harness, io_formats
+from planegbp import geometry, harness, io_formats
 from planegbp.abstraction import AbstractionManager
 from planegbp.cli import main as cli_main
 from planegbp.errors import CapacityError
@@ -38,6 +38,31 @@ def test_build_ba_graph_replays_from_its_journal():
         twin = replayed.variables[vid].belief
         assert np.array_equal(twin.eta, node.belief.eta)
         assert np.array_equal(twin.lam, node.belief.lam)
+
+
+def test_ba_graph_growth_exponentiates_per_keyframe_not_per_point(monkeypatch):
+    # Building the lm_ba graph (points backprojected, not given) computes a
+    # bounded number of rotations per keyframe, however many points it adds.
+    exp_batch = geometry.so3_exp_batch
+    calls = []
+
+    def counted(w):
+        calls.append(len(w))
+        return exp_batch(w)
+
+    monkeypatch.setattr(geometry, "so3_exp_batch", counted)
+    counts = []
+    for points_per_plane in (10, 40):
+        spec = ba_scene(2, n_keyframes=4, points_per_plane=points_per_plane,
+                        n_clutter=points_per_plane)
+        scene = generate_scene(spec)
+        packets = [scene.emit_keyframe(k) for k in range(spec.n_keyframes)]
+        calls.clear()
+        graph, _ = harness.build_ba_graph(desk_config(spec, 2, planes=False), packets,
+                                          scene.camera)
+        assert len(graph.variables) > 4 * points_per_plane  # the points were added
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * spec.n_keyframes
 
 
 def test_run_emits_all_artifacts(tmp_path):
