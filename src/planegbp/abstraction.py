@@ -15,6 +15,13 @@ factors are the only copy of a confirmed plane: `rigid_plane` reads its
 plane and points back from them. The manager keeps just the table that
 routes later observations of an absorbed point to its body, keyed by the
 point's variable id.
+
+Fixed thresholds and noise: a member counts toward y when its likelihood
+under the plane-point noise SIGMA_PP exceeds L_THRESH. A hypothesis enters
+with a prior of PLANE_PRIOR_SIGMA and a prediction factor of SIGMA_PI. Two
+rigid bodies merge when their normals are within THETA_MERGE_DEG, N_SAMPLES
+points sampled in each hull lie within D_MERGE of the other plane on
+average, and at least O_MERGE of one body's samples fall in the other's hull.
 """
 
 from __future__ import annotations
@@ -39,23 +46,19 @@ from .graph import (
 )
 from .frontend import plane_basis
 
+L_THRESH, SIGMA_PP, SIGMA_PI, PLANE_PRIOR_SIGMA = 0.8, 0.05, 20.0, 100.0
+THETA_MERGE_DEG, D_MERGE, O_MERGE, N_SAMPLES = 10.0, 0.05, 0.3, 100
+
+
 @dataclass
 class AbstractionConfig:
     y_reject: float = 0.5
     y_conf: float = 0.8
-    l_thresh: float = 0.8
     t_min: int = 4000
     t_max: int = 6000
     test_period: int = 1000
     merge_period: int = 1000
-    theta_merge_deg: float = 10.0
-    d_merge: float = 0.05
-    o_merge: float = 0.3
-    n_samples: int = 100
     min_members: int = 4
-    sigma_pp: float = 0.05
-    sigma_pi: float = 20.0
-    plane_prior_sigma: float = 100.0
     # All iteration thresholds/periods are multiplied by this factor so that
     # desk-scale runs can use proportionally shorter budgets.
     iteration_scale: float = 1.0
@@ -98,14 +101,14 @@ class PlaneHypothesis:
         return iteration - self.inserted_iteration
 
 
-def point_plane_likelihood(point, plane_m, sigma_pp: float) -> float:
+def point_plane_likelihood(point, plane_m) -> float:
     """Unnormalised plane-point density, peak value 1 at zero residual."""
     m = np.asarray(plane_m, float)
     d = np.linalg.norm(m)
     if d <= 1e-12:
         return 0.0
     resid = float(m / d @ np.asarray(point, float) - d)
-    return math.exp(-0.5 * (resid / sigma_pp) ** 2)
+    return math.exp(-0.5 * (resid / SIGMA_PP) ** 2)
 
 
 def test_hypothesis(y: float, t: int, config: AbstractionConfig) -> str:
@@ -235,17 +238,17 @@ class AbstractionManager:
             pi_world = transform_plane(Pose(kf_mean).inverse(), PlaneParams(pi_z))
         except DegeneratePlaneError:
             return None
-        lam = np.eye(3) / cfg.plane_prior_sigma**2
+        lam = np.eye(3) / PLANE_PRIOR_SIGMA**2
         var_id = self.graph.add_variable(
             PLANE_HYPOTHESIS, pi_world.m, GaussianInfo(lam @ pi_world.m, lam)
         )
         hyp = PlaneHypothesis(var_id, iteration, true_plane)
         for pid in members:
             self.graph.add_factor(
-                PLANE_POINT, (var_id, pid), 0.0, cfg.sigma_pp, robust="tukey"
+                PLANE_POINT, (var_id, pid), 0.0, SIGMA_PP, robust="tukey"
             )
         self.graph.add_factor(
-            PLANE_PREDICTION, (var_id, keyframe_id), pi_z, cfg.sigma_pi, robust="tukey"
+            PLANE_PREDICTION, (var_id, keyframe_id), pi_z, SIGMA_PI, robust="tukey"
         )
         self.hypotheses[var_id] = hyp
         self.events.append({
@@ -267,16 +270,12 @@ class AbstractionManager:
 
     def evaluate_hypothesis(self, hyp: PlaneHypothesis, means: dict):
         """(y, per-point likelihoods) at the given belief means."""
-        cfg = self.config
         members = self.members(hyp)
         if not members:
             return 0.0, {}
         plane_m = means[hyp.variable_id]
-        liks = {
-            pid: point_plane_likelihood(means[pid], plane_m, cfg.sigma_pp)
-            for pid in members
-        }
-        y = sum(1 for v in liks.values() if v > cfg.l_thresh) / len(liks)
+        liks = {pid: point_plane_likelihood(means[pid], plane_m) for pid in members}
+        y = sum(1 for v in liks.values() if v > L_THRESH) / len(liks)
         return y, liks
 
     def reject_hypothesis(self, hyp: PlaneHypothesis, iteration: int, y: float):
@@ -316,7 +315,7 @@ class AbstractionManager:
             })
             return None
         _, liks = self.evaluate_hypothesis(hyp, means)
-        qualifying = [pid for pid, lik in liks.items() if lik > self.config.l_thresh]
+        qualifying = [pid for pid, lik in liks.items() if lik > L_THRESH]
         pi_conv, baked = bake_parameters(means, hyp.variable_id, qualifying)
         conv = {hyp.variable_id: pi_conv}
         conv.update(baked)
@@ -350,7 +349,6 @@ class AbstractionManager:
     def merge_planes(self, a: int, b: int, means: dict, iteration: int):
         """Merge rigid bodies a and b when their planes are aligned, close and
         overlapping; returns the merged body's id, or None."""
-        cfg = self.config
         reads = [rigid_plane(self.graph, rid) for rid in (a, b)]
         if None in reads:
             return None
@@ -361,21 +359,21 @@ class AbstractionManager:
         except DegeneratePlaneError:
             return None
         cosang = abs(float(pa.normal @ pb.normal))
-        if math.degrees(math.acos(min(cosang, 1.0))) > cfg.theta_merge_deg:
+        if math.degrees(math.acos(min(cosang, 1.0))) > THETA_MERGE_DEG:
             return None
-        # n world samples inside each body's hull, drawn in its plane coordinates
+        # N_SAMPLES world samples inside each body's hull, drawn in its plane coordinates
         frames = [plane_hull(pi_conv, body) for pi_conv, body in reads]
         samples = []
         for pose, (origin, e1, e2, hull) in zip(poses, frames):
             if hull is not None:
-                uv = sample_in_hull(self.rng, hull, cfg.n_samples)
+                uv = sample_in_hull(self.rng, hull, N_SAMPLES)
                 samples.append(pose.apply(origin + uv[:, :1] * e1 + uv[:, 1:] * e2))
         if len(samples) < 2:
             return None
         sa, sb = samples
         sep_ab = float(np.mean(np.abs(sa @ pb.normal - pb.distance)))
         sep_ba = float(np.mean(np.abs(sb @ pa.normal - pa.distance)))
-        if max(sep_ab, sep_ba) > cfg.d_merge:
+        if max(sep_ab, sep_ba) > D_MERGE:
             return None
 
         def inside(pose, frame, world):
@@ -384,7 +382,7 @@ class AbstractionManager:
             return float(np.mean(points_in_hull(hull, np.stack([rel @ e1, rel @ e2], axis=1))))
 
         overlap = max(inside(poses[1], frames[1], sa), inside(poses[0], frames[0], sb))
-        if overlap < cfg.o_merge:
+        if overlap < O_MERGE:
             return None
 
         # Merged plane: averaged (sign-aligned) normals, distance through the

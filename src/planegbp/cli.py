@@ -5,6 +5,8 @@
     planegbp compare DIR [DIR ...] [--out FILE]
     planegbp export --graph graph.json [--out FILE]
 
+`--seed N` sets the run's, the GBP engine's and the scene's seed.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime contract violation.
 """
 
@@ -51,7 +53,9 @@ def _cmd_run(args) -> int:
         if args.solver:
             config.solver = args.solver
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = config.gbp.seed = args.seed
+            if config.scene is not None:
+                config.scene.seed = args.seed
         if args.out:
             config.out_dir = args.out
         if args.no_planes:

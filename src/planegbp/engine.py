@@ -59,9 +59,6 @@ class GbpConfig:
     dropout: float = 0.7
     beta: float = 1e-4
     seed: int = 0
-    convergence_px: float = 1.5
-    energy_rel_tol: float = 1e-6
-    energy_window: int = 10
 
     def __post_init__(self):
         if not (0.0 <= self.damping < 1.0):

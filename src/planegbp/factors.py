@@ -28,8 +28,10 @@ X0 with robust-rescaled noise S' = S / w:
 
     lam = J^T S'^-1 J        eta = J^T S'^-1 (J X0 - v(X0))
 
-which is invariant to the sign convention of v. A Tukey weight w is computed
-per row from the Mahalanobis norm of its unrobustified residual at X0; w = 0
+which is invariant to the sign convention of v. A robust weight w is computed
+per row from the Mahalanobis norm of its unrobustified residual at X0 by
+`robust_weight`, every solver's one robust loss: Tukey (c = TUKEY_C) for
+factors marked "tukey", Huber (c = HUBER_C) for LM, or none. Tukey's w = 0
 turns the row into zero information until beliefs move again. A combined
 factor is the product of its constituents: their rows, each with its own
 weight, are summed into the factor. Linear kinds (priors, linear factors) are
@@ -47,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ContractViolation
 from .gaussians import GaussianInfo
 from .geometry import (
     EPS_PLANE,
@@ -181,11 +184,23 @@ def eval_linear_batch(cam, z, A, *xs, want_jac=True):
 # Robust loss
 # ---------------------------------------------------------------------------
 
-def tukey_weight_batch(rho: np.ndarray, c) -> np.ndarray:
-    """Covariance-rescaling weight (1 - (rho/c)^2)^2; hard zero beyond c."""
-    x = np.clip(rho / c, 0.0, 1.0)
-    w = (1.0 - x * x) ** 2
-    return np.where(rho > c, 0.0, w)
+# Each kernel's c gives 95% efficiency on Gaussian noise.
+TUKEY_C = 4.685
+HUBER_C = 1.345
+
+
+def robust_weight(kernel: str, rho: np.ndarray) -> np.ndarray:
+    """Covariance-rescaling weight of Mahalanobis residual norms `rho` under
+    `kernel`: "tukey" (1 - (rho/TUKEY_C)^2)^2 with a hard zero beyond
+    TUKEY_C, "huber" min(1, HUBER_C / rho), and "none" 1."""
+    if kernel == "tukey":
+        x = np.clip(rho / TUKEY_C, 0.0, 1.0)
+        return np.where(rho > TUKEY_C, 0.0, (1.0 - x * x) ** 2)
+    if kernel == "huber":
+        return np.where(rho <= HUBER_C, 1.0, HUBER_C / np.maximum(rho, HUBER_C))
+    if kernel == "none":
+        return np.ones_like(rho)
+    raise ContractViolation(f"unknown kernel {kernel}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +219,10 @@ def _take_each(at, sel):
 class FactorStack:
     """Factors of one kind and adjacency shape, stacked row-wise for their kernel.
 
-    Row arrays: z (rows, m), sigma (rows, m), payload[key], robust and
-    robust_scale (rows,). `owner` (rows,) gives each row's factor for kinds
-    with constituents and is None when rows are the factors themselves.
+    Row arrays: z (rows, m), sigma (rows, m), payload[key] and robust
+    (rows,), true where the row takes Tukey's weight. `owner` (rows,) gives
+    each row's factor for kinds with constituents and is None when rows are
+    the factors themselves.
     """
 
     def __init__(self, kind: str, dims: tuple, nodes: list):
@@ -233,12 +249,10 @@ class FactorStack:
         self.payload = {k: np.stack([r[i + 1] for r in rows]) for i, k in enumerate(keys)}
         sigma = np.stack([f.sigma for f in nodes])
         robust = np.array([f.robust == "tukey" and not spec.linear for f in nodes])
-        scale = np.array([f.robust_scale for f in nodes], dtype=float)
         if self.owner is not None:
-            sigma, robust, scale = sigma[self.owner], robust[self.owner], scale[self.owner]
+            sigma, robust = sigma[self.owner], robust[self.owner]
         self.sigma = sigma
         self.robust = robust
-        self.robust_scale = scale
 
     @property
     def n(self) -> int:
@@ -307,8 +321,7 @@ def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, weight=None)
     inv_var = 1.0 / (_take(stack.sigma, sel) ** 2)
     rho = np.sqrt(np.sum(value**2 * inv_var, axis=1))
     if weight is None:
-        w = np.where(_take(stack.robust, sel),
-                     tukey_weight_batch(rho, _take(stack.robust_scale, sel)), 1.0)
+        w = np.where(_take(stack.robust, sel), robust_weight("tukey", rho), 1.0)
     else:
         w = weight(rho)
     w = np.where(valid, w, 0.0)
@@ -389,8 +402,7 @@ def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Re
 
     Invalid rows (cheirality/degeneracy) come back zeroed, with zeroed
     Jacobians, instead of raising, matching the engine's outlier handling.
-    A combined factor stacks its constituents' rows; `constituent_valid`
-    flags each of them.
+    A combined factor stacks its constituents' rows.
     """
     stack, x0 = _one(graph, factor, means)
     rows = 1 if stack.owner is None else stack.owner.size
@@ -403,10 +415,7 @@ def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Re
         J = np.where(valid[:, None, None], J, 0.0).reshape(-1, stack.joint_dim)
         for vid, o, d in zip(factor.adjacency, stack.offsets, stack.dims):
             jac[vid] = J[:, o:o + d]
-    res = Residual(value, jac, x0, valid=bool(np.all(valid)))
-    if stack.owner is not None:
-        res.constituent_valid = valid
-    return res
+    return Residual(value, jac, x0, valid=bool(np.all(valid)))
 
 
 def factor_energy(graph, factor: FactorNode, means: dict) -> float:

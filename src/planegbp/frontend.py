@@ -59,7 +59,6 @@ class SceneSpec:
     spurious_rate: float = 0.0
     spurious_members: int = 6
     spurious_min_distance: float = 0.3
-    hypothesis_emission: str = "first_view"  # or "every_view"
     min_hypothesis_members: int = 4
     seed: int = 0
 
@@ -260,11 +259,10 @@ class SyntheticScene:
         hypotheses = []
         first_view = self.first_view_of_plane()
         for idx, plane in enumerate(self.planes):
+            # proposed once, by the first keyframe that sees enough members
+            if first_view.get(idx) != index:
+                continue
             members = ids[self.point_plane[ids] == idx]
-            if members.size < spec.min_hypothesis_members:
-                continue
-            if spec.hypothesis_emission == "first_view" and first_view.get(idx) != index:
-                continue
             pi_cam = transform_plane(T, plane)
             angle = rng.normal(scale=math.radians(spec.hyp_angle_sigma_deg))
             axis = rng.normal(size=3)

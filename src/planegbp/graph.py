@@ -140,8 +140,7 @@ class FactorNode:
     measurement: Optional[np.ndarray]
     sigma: np.ndarray  # per-residual-component noise std
     payload: dict = field(default_factory=dict)
-    robust: Optional[str] = None  # None or "tukey"
-    robust_scale: float = 4.685
+    robust: Optional[str] = None  # None or "tukey" (c = factors.TUKEY_C)
 
     @property
     def arity(self) -> int:
@@ -176,7 +175,6 @@ class AddFactor:
     sigma: np.ndarray
     payload: dict
     robust: Optional[str]
-    robust_scale: float
 
 
 @dataclass(frozen=True)
@@ -273,7 +271,6 @@ class FactorGraph:
         sigma,
         payload: Optional[dict] = None,
         robust: Optional[str] = None,
-        robust_scale: float = 4.685,
         _fixed_id: Optional[int] = None,
     ) -> int:
         """Insert one factor; replay and every edit insert through here.
@@ -308,8 +305,6 @@ class FactorGraph:
                 )
         if robust not in (None, "tukey"):
             raise ContractViolation(f"robust must be None or 'tukey', got {robust!r}")
-        if not robust_scale > 0:
-            raise ContractViolation(f"robust_scale must be positive, got {robust_scale}")
 
         payload = dict(payload or {})
         if spec.constituents:
@@ -360,14 +355,12 @@ class FactorGraph:
         if fid in self.factors:
             raise ContractViolation(f"factor id {fid} already live")
         self._next_factor_id = max(self._next_factor_id, fid) + 1
-        node = FactorNode(
-            fid, kind, adjacency, measurement, sigma, payload, robust, robust_scale
-        )
+        node = FactorNode(fid, kind, adjacency, measurement, sigma, payload, robust)
         self.factors[fid] = node
         for vid in adjacency:
             self.variables[vid].factor_ids.append(fid)
         self.journal.append(
-            AddFactor(fid, kind, adjacency, measurement, sigma, payload, robust, robust_scale)
+            AddFactor(fid, kind, adjacency, measurement, sigma, payload, robust)
         )
         return fid
 
@@ -445,7 +438,7 @@ class FactorGraph:
             self.add_factor(
                 COMBINED_RIGID_REPROJECTION, (kf_id, rigid_id), None, first.sigma,
                 payload={"constituents": [(f.measurement.copy(), p) for f, p in kf_views]},
-                robust=first.robust, robust_scale=first.robust_scale,
+                robust=first.robust,
             )
         for kf_views in views.values():
             for fac, _ in kf_views:
@@ -492,7 +485,7 @@ class FactorGraph:
         """Re-add `fac` as `kind` on `adjacency` with `payload`, keeping its
         measurement, noise and robust setting, then remove it."""
         self.add_factor(kind, adjacency, fac.measurement, fac.sigma, payload=payload,
-                        robust=fac.robust, robust_scale=fac.robust_scale)
+                        robust=fac.robust)
         self.remove_factor(fac.id)
 
     def _fold(self, mark: int, old_ids, new_id: int) -> None:
@@ -560,8 +553,7 @@ class FactorGraph:
             elif isinstance(event, AddFactor):
                 g.add_factor(
                     event.kind, event.adjacency, event.measurement, event.sigma,
-                    payload=event.payload, robust=event.robust,
-                    robust_scale=event.robust_scale, _fixed_id=event.id,
+                    payload=event.payload, robust=event.robust, _fixed_id=event.id,
                 )
             elif isinstance(event, RemoveFactor):
                 g.remove_factor(event.id)

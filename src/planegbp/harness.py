@@ -11,6 +11,13 @@ A keyframe's views of the points that a confirmed plane has absorbed become
 one combined rigid reprojection on that plane's body, each view carrying its
 point's baked position, as at confirmation. Exported planes are read from
 the rigid bodies' factors.
+
+Fixed noise model: reprojections have SIGMA_R px; the first keyframe's prior
+has FIRST_KEYFRAME_SIGMA (the gauge), a later keyframe's KEYFRAME_SIGMA, a
+point's POINT_SIGMA, and the first point's prior SCALE_ANCHOR_SIGMA (the
+monocular scale). A GBP run stops once its energy changes by less than
+ENERGY_REL_TOL over ENERGY_WINDOW sweeps, and converged_iteration_px is the
+first sweep at or below CONVERGENCE_PX.
 """
 
 from __future__ import annotations
@@ -58,13 +65,14 @@ from .routing import ROUTED, PoolConfig, RoutedTransport, RoutingSimulator
 
 SOLVERS = ("gbp", "gbp-routed", "lm")
 
+SIGMA_R = 2.0
+FIRST_KEYFRAME_SIGMA, KEYFRAME_SIGMA, POINT_SIGMA = 1e-6, 10.0, 100.0
+SCALE_ANCHOR_SIGMA = 1e-3
+ENERGY_REL_TOL, ENERGY_WINDOW, CONVERGENCE_PX = 1e-6, 10, 1.5
+
 
 @dataclass
 class PriorConfig:
-    first_keyframe_sigma: float = 1e-6
-    keyframe_sigma: float = 10.0
-    point_sigma: float = 100.0
-    scale_anchor_sigma: float = 1e-3
     default_depth: float = 3.0
     # simulated two-view initialisation quality (front-end relative pose)
     bootstrap_t_sigma: float = 0.01
@@ -79,7 +87,6 @@ class ExperimentConfig:
     planes: bool = True
     compression: bool = True
     seed: int = 0
-    sigma_r: float = 2.0
     robust: str | None = "tukey"
     keyframe_interval: int = 300
     max_iterations: int | None = None
@@ -157,16 +164,15 @@ def _default_budget(config: ExperimentConfig, n_packets: int) -> int:
     return budget + 10
 
 
-def _add_keyframe_variable(graph, state, config, packet, pose: Pose | None = None):
+def _add_keyframe_variable(graph, state, packet, pose: Pose | None = None):
     """Add the next keyframe variable; returns (its id, its pose).
 
     The first keyframe sits at its true pose: it anchors the gauge (world
     frame := first camera). A later one sits at `pose`, by default the
     constant-velocity prediction from the last two keyframes.
     """
-    priors = config.priors
     if not state.keyframe_vars:
-        pose, sig = Pose(packet.true_pose), priors.first_keyframe_sigma
+        pose, sig = Pose(packet.true_pose), FIRST_KEYFRAME_SIGMA
     else:
         if pose is None:
             prev = Pose(graph.variables[state.keyframe_vars[-1]].mean)
@@ -175,7 +181,7 @@ def _add_keyframe_variable(graph, state, config, packet, pose: Pose | None = Non
                 if len(state.keyframe_vars) >= 2 else None
             )
             pose = constant_velocity_prediction(prev, prev2)
-        sig = priors.keyframe_sigma
+        sig = KEYFRAME_SIGMA
     lam = np.eye(6) / sig**2
     kf_id = graph.add_variable(KEYFRAME, pose.r, GaussianInfo(lam @ pose.r, lam))
     state.keyframe_vars.append(kf_id)
@@ -186,15 +192,14 @@ def _add_point(graph, state, config, pid: int, p, observations):
     """Point variable of scene point `pid` at `p` with its reprojection
     factors, one per (keyframe id, pixel); the first point also gets the
     prior that fixes the monocular scale gauge."""
-    priors = config.priors
-    plam = np.eye(3) / priors.point_sigma**2
+    plam = np.eye(3) / POINT_SIGMA**2
     var = graph.add_variable(POINT, p, GaussianInfo(plam @ p, plam))
     state.point_var[pid] = var
     for kf_id, pixel in observations:
-        graph.add_factor(REPROJECTION, (kf_id, var), pixel, config.sigma_r,
+        graph.add_factor(REPROJECTION, (kf_id, var), pixel, SIGMA_R,
                          robust=config.robust)
     if not state.scale_anchor_placed:
-        graph.add_factor(PRIOR, (var,), p, priors.scale_anchor_sigma)
+        graph.add_factor(PRIOR, (var,), p, SCALE_ANCHOR_SIGMA)
         state.scale_anchor_placed = True
 
 
@@ -218,7 +223,7 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
     backprojection of its pixel to the average depth of the points the graph
     held before this keyframe; that depth is computed at the first such point.
     """
-    kf_id, pose = _add_keyframe_variable(graph, state, config, packet, pose_override)
+    kf_id, pose = _add_keyframe_variable(graph, state, packet, pose_override)
     views: dict[int, list] = {}  # rigid body id -> (pixel, p_conv) seen from here
     depth = None
 
@@ -227,10 +232,8 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
         if pid in state.point_var:
             var = state.point_var[pid]
             if var in graph.variables:
-                graph.add_factor(
-                    REPROJECTION, (kf_id, var), pixel, config.sigma_r,
-                    robust=config.robust,
-                )
+                graph.add_factor(REPROJECTION, (kf_id, var), pixel, SIGMA_R,
+                                 robust=config.robust)
             elif manager is not None:
                 hit = manager.absorbed.get(var)
                 if hit is not None:
@@ -249,7 +252,7 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
             _add_point(graph, state, config, pid, p0, [(kf_id, pixel)])
     for rigid_id in sorted(views):
         graph.add_factor(COMBINED_RIGID_REPROJECTION, (kf_id, rigid_id), None,
-                         config.sigma_r, payload={"constituents": views[rigid_id]},
+                         SIGMA_R, payload={"constituents": views[rigid_id]},
                          robust=config.robust)
 
     if config.planes and manager is not None:
@@ -285,7 +288,7 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
         rng.normal(scale=priors.bootstrap_r_sigma, size=3),
     ])
     pose1 = Pose(rel_true.r + noise).compose(pose0)
-    kf1, _ = _add_keyframe_variable(graph, state, config, packet1, pose1)
+    kf1, _ = _add_keyframe_variable(graph, state, packet1, pose1)
 
     pix0 = {int(pid): pix for pid, pix in zip(packet0.point_ids, packet0.pixels)}
     pix1 = {int(pid): pix for pid, pix in zip(packet1.point_ids, packet1.pixels)}
@@ -318,7 +321,7 @@ def run(config: ExperimentConfig) -> RunResult:
     manager = AbstractionManager(graph, config.abstraction, config.seed)
     # The map proper appears with the second keyframe (two-view bootstrap);
     # until then the graph holds only the anchored first pose.
-    _add_keyframe_variable(graph, state, config, packets[0])
+    _add_keyframe_variable(graph, state, packets[0])
 
     sim = _routing_sim_for(packets) if config.solver == "gbp-routed" else None
     engine = GbpEngine(graph, config.gbp, transport=sim and RoutedTransport(sim))
@@ -344,7 +347,6 @@ def run(config: ExperimentConfig) -> RunResult:
                 _add_keyframe(graph, state, manager, config, packets[next_kf],
                               it, camera)
             next_kf += 1
-            census_rows.append(_census_row(graph, next_kf))
         if config.planes and it % a.test_period_eff == 0 and manager.hypotheses:
             manager.run_tests(_current_means(engine, graph), it,
                               compress=config.compression)
@@ -362,7 +364,7 @@ def run(config: ExperimentConfig) -> RunResult:
             next_kf >= len(packets)
             and not manager.hypotheses
             and it > last_edit + a.test_period_eff
-            and energy_converged(reports, config.gbp.energy_rel_tol, config.gbp.energy_window)
+            and energy_converged(reports, ENERGY_REL_TOL, ENERGY_WINDOW)
         ):
             break
 
@@ -418,7 +420,7 @@ def _summarize(config, graph, state, manager, reports, packets) -> dict:
         )
         ate_cm, degenerate = res.rms_cm, res.degenerate
     conv_px = next(
-        (r.iteration for r in reports if r.avg_reproj_px <= config.gbp.convergence_px),
+        (r.iteration for r in reports if r.avg_reproj_px <= CONVERGENCE_PX),
         None,
     )
     events = manager.events if manager else []

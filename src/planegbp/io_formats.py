@@ -19,6 +19,7 @@ from scipy.spatial.transform import Rotation
 
 from .engine import IterationReport
 from .errors import FormatError, SingularGaussianError
+from .factors import TUKEY_C
 from .gaussians import GaussianInfo, to_moments
 from .geometry import CameraModel
 from .graph import FactorGraph
@@ -113,7 +114,6 @@ def graph_to_dict(graph: FactorGraph) -> dict:
             "sigma": fac.sigma.tolist(),
             "payload": fac.payload,  # arrays: write_json converts them
             "robust": fac.robust,
-            "robust_scale": fac.robust_scale,
         })
     camera = None if graph.camera is None else dataclasses.asdict(graph.camera)
     return {"camera": camera, "variables": variables, "factors": factors}
@@ -129,12 +129,15 @@ def graph_from_dict(doc: dict) -> FactorGraph:
         node.belief = GaussianInfo(np.asarray(v["belief_eta"]), np.asarray(v["belief_lam"]))
     # add_factor turns the payload lists back into arrays, per FACTOR_KINDS
     for f in doc["factors"]:
+        # a file may name Tukey's c per factor; only TUKEY_C can be read
+        if f.get("robust_scale", TUKEY_C) != TUKEY_C:
+            raise FormatError(f"factor {f['id']}: robust_scale {f['robust_scale']} "
+                              f"is not Tukey's c = {TUKEY_C}, the only one supported")
         graph.add_factor(
             f["kind"], tuple(f["adjacency"]),
             None if f["measurement"] is None else np.asarray(f["measurement"]),
             np.asarray(f["sigma"]),
-            payload=f["payload"], robust=f["robust"], robust_scale=f["robust_scale"],
-            _fixed_id=f["id"],
+            payload=f["payload"], robust=f["robust"], _fixed_id=f["id"],
         )
     return graph
 
@@ -177,8 +180,7 @@ def write_csv(path, fieldnames, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow([_fmt(row[k]) if isinstance(row, dict) else _fmt(row[i])
-                             for i, k in enumerate(fieldnames)])
+            writer.writerow([_fmt(row[k]) for k in fieldnames])
 
 
 def read_csv(path) -> list:

@@ -14,13 +14,17 @@
   reports the fill of the first damped factorisation, the entries SuperLU
   stores for L and U: the cost a direct solver pays for the graph's
   structure, where GBP's per-sweep cost (the routing simulator's hops)
-  depends on the number of edges alone.
+  depends on the number of edges alone. The damping starts at LAMBDA_INIT
+  and is divided by LAMBDA_FACTOR after an accepted step, multiplied after a
+  rejected one; LM stops past LAMBDA_MAX or when a step gains less than
+  COST_REL_TOL of the cost. Its kernel's weight is `factors.robust_weight`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -28,11 +32,13 @@ from scipy.sparse.linalg import splu
 
 from .errors import ContractViolation, SingularGaussianError
 from .factors import (
+    HUBER_C,
     evaluate_factor,  # noqa: F401  (bench/spans.py wraps reference.evaluate_factor)
     factor_stacks,
     linearise_batch,
     residual_rows,
     residual_sums,
+    robust_weight,
 )
 from .gaussians import BlockLayout, GaussianMoments
 from .geometry import pose_rotations_batch
@@ -154,14 +160,11 @@ def _sum_into(slots: np.ndarray, blocks: list, size: int) -> np.ndarray:
     return np.bincount(slots, values, minlength=size).astype(float, copy=False)
 
 
-def _unit(rho):
-    return np.ones_like(rho)
-
-
 def assemble_dense(graph: FactorGraph, means: dict, robust: bool = True):
     """Global information form (eta, lam, layout) at the given means."""
     system = _System(graph)
-    eta, lam = system.assemble(system.flat(means), None if robust else (lambda s: _unit))
+    eta, lam = system.assemble(
+        system.flat(means), None if robust else (lambda s: partial(robust_weight, "none")))
     return eta, lam.toarray(), system.layout
 
 
@@ -189,15 +192,14 @@ def dense_marginals(graph: FactorGraph, means: dict | None = None, robust: bool 
 # Levenberg-Marquardt
 # ---------------------------------------------------------------------------
 
+LAMBDA_INIT, LAMBDA_FACTOR, LAMBDA_MAX = 1e-4, 3.0, 1e10
+COST_REL_TOL = 1e-10
+
+
 @dataclass
 class LmConfig:
     max_iterations: int = 50
     kernel: str = "huber"  # "huber" | "none"
-    kernel_scale: float = 1.345
-    lambda_init: float = 1e-4
-    lambda_factor: float = 3.0
-    lambda_max: float = 1e10
-    cost_rel_tol: float = 1e-10
 
 
 @dataclass
@@ -209,19 +211,12 @@ class LmResult:
     fill: int | None = None  # SuperLU.nnz of the first damped step, if any
 
 
-def _kernel_cost(kind: str, s: np.ndarray, c: float) -> np.ndarray:
+def _kernel_cost(kind: str, s: np.ndarray) -> np.ndarray:
     if kind == "none":
         return 0.5 * s * s
     if kind == "huber":
+        c = HUBER_C
         return np.where(s <= c, 0.5 * s * s, c * s - 0.5 * c * c)
-    raise ContractViolation(f"unknown kernel {kind}")
-
-
-def _kernel_weight(kind: str, s: np.ndarray, c: float) -> np.ndarray:
-    if kind == "none":
-        return np.ones_like(s)
-    if kind == "huber":
-        return np.where(s <= c, 1.0, c / np.maximum(s, c))
     raise ContractViolation(f"unknown kernel {kind}")
 
 
@@ -236,7 +231,7 @@ def _lm_cost(system: _System, x: np.ndarray, cfg: LmConfig) -> float:
     for stack, cols, at in zip(system.stacks, system.cols, system.at):
         value, _ = residual_rows(stack, system.graph.camera, x[cols], rot, at)
         s = np.sqrt(np.sum((value / stack.sigma) ** 2, axis=1))
-        cost += float(np.sum(_kernel_cost(_lm_kernel(stack, cfg), s, cfg.kernel_scale)))
+        cost += float(np.sum(_kernel_cost(_lm_kernel(stack, cfg), s)))
     for (cols, _, p_lam), mean in zip(system.priors, system.prior_means):
         d = x[cols] - mean
         cost += 0.5 * float(np.einsum("ni,nij,nj->", d, p_lam, d))
@@ -273,10 +268,9 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
     x = system.flat({vid: node.mean for vid, node in graph.variables.items()})
 
     def weights(stack):
-        kind = _lm_kernel(stack, cfg)
-        return lambda rho: _kernel_weight(kind, rho, cfg.kernel_scale)
+        return partial(robust_weight, _lm_kernel(stack, cfg))
 
-    lam_damp = cfg.lambda_init
+    lam_damp = LAMBDA_INIT
     cost = _lm_cost(system, x, cfg)
     trace = [{"iteration": 0, "cost": cost,
               "avg_reproj_px": avg_reprojection_px(system, x)}]
@@ -304,17 +298,17 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
                     x = cand
                     rel = (cost - cand_cost) / max(cost, 1e-300)
                     cost = cand_cost
-                    lam_damp = max(lam_damp / cfg.lambda_factor, 1e-12)
+                    lam_damp = max(lam_damp / LAMBDA_FACTOR, 1e-12)
                     accepted = True
                     trace.append({
                         "iteration": it, "cost": cost,
                         "avg_reproj_px": avg_reprojection_px(system, x),
                     })
-                    if rel < cfg.cost_rel_tol:
+                    if rel < COST_REL_TOL:
                         converged = True
                     break
-            lam_damp *= cfg.lambda_factor
-            if lam_damp > cfg.lambda_max:
+            lam_damp *= LAMBDA_FACTOR
+            if lam_damp > LAMBDA_MAX:
                 hit_max = True
                 break
         if hit_max or converged:

@@ -84,7 +84,7 @@ def graph_signature(g):
         payload = sorted((k, repr(v) if k == "constituents" else arr(v))
                          for k, v in f.payload.items())
         factors[fid] = (f.kind, f.adjacency, arr(f.measurement), arr(f.sigma),
-                        payload, f.robust, f.robust_scale)
+                        payload, f.robust)
     return variables, factors
 
 

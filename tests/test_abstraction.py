@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from planegbp.abstraction import (
+    D_MERGE,
+    SIGMA_PP,
     AbstractionConfig,
     AbstractionManager,
     bake_parameters,
@@ -94,13 +96,12 @@ def test_decision_rule_paper_defaults():
 
 def test_likelihood_threshold_analytically_inverted():
     # l > 0.8 iff |n.p - d| < sigma * sqrt(-2 ln 0.8)
-    sigma = 0.05
-    cutoff = sigma * math.sqrt(-2.0 * math.log(0.8))
+    cutoff = SIGMA_PP * math.sqrt(-2.0 * math.log(0.8))
     assert np.isclose(cutoff, 0.0334, atol=1e-4)
     plane_m = np.array([0.0, 0.0, 1.0])
     for eps in (0.9, 0.999, 1.001, 1.1):
         pt = np.array([0.2, -0.1, 1.0 + cutoff * eps])
-        lik = point_plane_likelihood(pt, plane_m, sigma)
+        lik = point_plane_likelihood(pt, plane_m)
         assert (lik > 0.8) == (eps < 1.0)
 
 
@@ -145,7 +146,7 @@ def test_evaluate_hypothesis_y_values(rng):
     assert y == 1.0 and all(l > 0.99 for l in liks.values())
     # push half the members 10 sigma off the plane
     for pid in pts[:4]:
-        means[pid] = means[pid] + plane.normal * (10 * mgr.config.sigma_pp)
+        means[pid] = means[pid] + plane.normal * (10 * SIGMA_PP)
     y, _ = mgr.evaluate_hypothesis(hyp, means)
     assert y == 0.5
 
@@ -397,9 +398,9 @@ def test_merge_identical_coplanar_planes(rng):
     assert len(points) == len(world)
     for p in points:
         assert min(np.linalg.norm(p - q) for q in world.values()) < 1e-10
-    # merged-plane incidence within d_merge + 3 sigma_pp
+    # merged-plane incidence within D_MERGE + 3 SIGMA_PP
     plane = PlaneParams(pi_new)
-    tol = mgr.config.d_merge + 3 * mgr.config.sigma_pp
+    tol = D_MERGE + 3 * SIGMA_PP
     for p in points:
         assert abs(plane.normal @ p - plane.distance) < tol
     g.check_integrity()
@@ -449,7 +450,7 @@ def test_merge_rejects_perpendicular(rng):
 
 def test_merge_rejects_separated(rng):
     g, mgr, (a, b), means, _ = rigid_plane_pair(rng, offset=1.0)
-    assert mgr.merge_planes(a, b, means, iteration=0) is None  # 1 m >> d_merge
+    assert mgr.merge_planes(a, b, means, iteration=0) is None  # 1 m >> D_MERGE
 
 
 def test_merge_rejects_disjoint_extents(rng):

@@ -49,13 +49,12 @@ def undamped(seed=0):
     return GbpConfig(damping=0.0, dropout=0.0, seed=seed)
 
 
-def run_gbp(engine, max_iterations):
+def run_gbp(engine, max_iterations, rel_tol, window):
     """Iterate until the energy criterion fires; returns the reports."""
-    cfg = engine.config
     reports = []
     for _ in range(max_iterations):
         reports.append(engine.iterate())
-        if energy_converged(reports, cfg.energy_rel_tol, cfg.energy_window):
+        if energy_converged(reports, rel_tol, window):
             break
     return reports
 
@@ -326,9 +325,8 @@ def test_marginalisation_count_is_structure_agnostic(rng):
 
 def test_run_gbp_energy_criterion(rng):
     g = build_linear_graph(rng, 6, random_tree_edges(rng, 6))
-    eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0, seed=0,
-                                 energy_rel_tol=1e-9, energy_window=5))
-    reports = run_gbp(eng, 200)
+    eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0, seed=0))
+    reports = run_gbp(eng, 200, 1e-9, 5)
     assert len(reports) < 200  # converged before the budget
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from planegbp import factors, geometry
 from planegbp.engine import GbpConfig, GbpEngine
+from planegbp.errors import ContractViolation
 from planegbp.gaussians import BlockLayout, GaussianInfo
 from planegbp.geometry import (
     CameraModel,
@@ -31,13 +32,15 @@ from planegbp.graph import (
     FactorGraph,
 )
 from planegbp.factors import (
+    HUBER_C,
+    TUKEY_C,
     evaluate_factor,
     factor_energy,
     factor_stacks,
     linearise,
     linearise_batch,
     own_poses,
-    tukey_weight_batch,
+    robust_weight,
 )
 from conftest import fd_jacobian
 
@@ -202,12 +205,21 @@ def test_no_kernel_computes_a_rotation():
 
 # -- robust loss -----------------------------------------------------------------
 
-def test_tukey_weight_examples():
-    c = 4.685
-    w = tukey_weight_batch(np.array([0.0, c * 1.01, c / 2]), c)
+def test_robust_weight_examples():
+    c = TUKEY_C
+    w = robust_weight("tukey", np.array([0.0, c * 1.01, c / 2, c]))
     assert w[0] == 1.0
     assert w[1] == 0.0
     assert np.isclose(w[2], 0.5625)
+    assert w[3] == 0.0
+    c = HUBER_C
+    w = robust_weight("huber", np.array([0.0, c, 2 * c, 4 * c]))
+    assert np.array_equal(w, [1.0, 1.0, 0.5, 0.25])
+    rho = np.array([0.0, 1.0, 1e6])
+    assert np.array_equal(robust_weight("none", rho), np.ones(3))
+    for kernel in (None, "cauchy"):
+        with pytest.raises(ContractViolation, match="kernel"):
+            robust_weight(kernel, rho)
 
 
 # -- linearisation ----------------------------------------------------------------
@@ -443,7 +455,7 @@ def linearise_loop(g, fac, means):
         rho = float(np.sqrt(np.sum(v**2 * inv_var)))
         w = 1.0
         if fac.robust == "tukey" and not linear:
-            w = tukey_weight_loop(rho, fac.robust_scale)
+            w = tukey_weight_loop(rho, TUKEY_C)
         Jw = J * (inv_var * w)[:, None]
         lam += J.T @ Jw
         eta += Jw.T @ (J @ x0 - v)

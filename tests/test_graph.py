@@ -77,16 +77,12 @@ def test_factor_arity_and_kind_validation():
     assert g.factors[fid].adjacency == (plane, pts[0])
 
 
-@pytest.mark.parametrize("robust, scale", [
-    ("huber", 4.685), ("Tukey", 4.685), ("tukey", 0.0), ("tukey", -1.0),
-    ("tukey", float("nan")),
-])
-def test_add_factor_rejects_bad_robust_settings(robust, scale):
+@pytest.mark.parametrize("robust", ["huber", "Tukey"])
+def test_add_factor_rejects_bad_robust_settings(robust):
     g, kf, pts = small_graph()
     n_events = len(g.journal)
     with pytest.raises(ContractViolation, match="robust"):
-        g.add_factor(REPROJECTION, (kf, pts[0]), np.zeros(2), 2.0,
-                     robust=robust, robust_scale=scale)
+        g.add_factor(REPROJECTION, (kf, pts[0]), np.zeros(2), 2.0, robust=robust)
     assert len(g.journal) == n_events  # nothing was added
 
 

@@ -8,6 +8,7 @@ from jsonschema import validate
 from planegbp import geometry, harness, io_formats
 from planegbp.abstraction import AbstractionManager
 from planegbp.cli import main as cli_main
+from planegbp.engine import GbpEngine
 from planegbp.errors import CapacityError
 from planegbp.harness import compare_runs, export_reconstruction, run
 from planegbp.frontend import box_room_spec, generate_scene
@@ -102,6 +103,22 @@ def test_routed_run_emits_cost_csv(tmp_path):
         assert cost["hops"] == 4 * sweep["marginalisation_calls"]
         assert (cost["hops"] > 0) == (sweep["n_factors"] > 0)
     assert any(r["hops"] > 0 for r in rows)
+
+
+def test_census_has_one_row_at_start_and_one_per_edit_pass(tmp_path, monkeypatch):
+    on_graph_edit = GbpEngine.on_graph_edit
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return on_graph_edit(self)
+
+    monkeypatch.setattr(GbpEngine, "on_graph_edit", counted)
+    cfg = small_config()
+    cfg.out_dir = str(tmp_path / "run")
+    run(cfg)
+    rows = io_formats.read_csv(tmp_path / "run" / "census.csv")
+    assert calls and len(rows) == 1 + len(calls)
 
 
 def test_converged_iteration_px_ignores_unmeasured_sweeps():
@@ -209,7 +226,7 @@ def confirmed_map(seed=1):
     graph = FactorGraph(camera=camera)
     state = harness._SlamState()
     manager = AbstractionManager(graph, cfg.abstraction, cfg.seed)
-    harness._add_keyframe_variable(graph, state, cfg, packets[0])
+    harness._add_keyframe_variable(graph, state, packets[0])
     harness._bootstrap_two_view(graph, state, manager, cfg, packets[0], packets[1],
                                 30, camera)
     means = {vid: node.mean.copy() for vid, node in graph.variables.items()}
@@ -339,11 +356,23 @@ def test_cli_config_error_exit_code(tmp_path):
     }))
     assert cli_main(["run", "--config", str(missing_field),
                      "--out", str(tmp_path)]) == 2
-    unknown_key = small_config().to_dict()
-    unknown_key["priors"]["plane_sigma"] = 100.0
-    io_formats.write_json(tmp_path / "unknown.json", "experiment-config", unknown_key)
-    assert cli_main(["run", "--config", str(tmp_path / "unknown.json"),
-                     "--out", str(tmp_path)]) == 2
+    # an unknown key, and keys whose values are now constants
+    for section, key, value in (("priors", "plane_sigma", 100.0),
+                                ("abstraction", "l_thresh", 0.8),
+                                ("gbp", "energy_window", 10)):
+        unknown_key = small_config().to_dict()
+        unknown_key[section][key] = value
+        io_formats.write_json(tmp_path / "unknown.json", "experiment-config", unknown_key)
+        assert cli_main(["run", "--config", str(tmp_path / "unknown.json"),
+                         "--out", str(tmp_path)]) == 2, key
+
+
+def test_cli_seed_sets_every_seed(tmp_path):
+    path = write_config(tmp_path, small_config(seed=3))
+    assert cli_main(["run", "--config", path, "--seed", "9",
+                     "--out", str(tmp_path / "r")]) == 0
+    doc = io_formats.read_json(tmp_path / "r" / "config.json", "experiment-config")
+    assert (doc["seed"], doc["gbp"]["seed"], doc["scene"]["seed"]) == (9, 9, 9)
 
 
 def test_cli_missing_replay_file_is_config_error(tmp_path):

@@ -171,3 +171,8 @@ def test_golden_graph_file_stable(rng):
     assert g.snapshot_census()["n_variables"] == 3
     assert g.snapshot_census()["n_factors"] == 2
     assert np.isclose(g.variables[1].mean[2], 4.0)
+    # each factor names Tukey's c; any other scale is refused
+    assert [f["robust_scale"] for f in doc["factors"]] == [4.685, 4.685]
+    doc["factors"][1]["robust_scale"] = 3.0
+    with pytest.raises(FormatError, match="robust_scale"):
+        io_formats.graph_from_dict(doc)

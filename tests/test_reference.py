@@ -6,13 +6,16 @@ from scipy.sparse import csc_matrix
 
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import SingularGaussianError
-from planegbp.factors import linearise_batch, own_poses
+from planegbp.factors import linearise_batch, own_poses, robust_weight
 from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel
 from planegbp.graph import LINEAR, POINT, PRIOR, FactorGraph
 from planegbp.reference import (
+    COST_REL_TOL,
+    LAMBDA_FACTOR,
+    LAMBDA_INIT,
+    LAMBDA_MAX,
     LmConfig,
-    _kernel_weight,
     _lm_cost,
     _lm_kernel,
     _solve_step,
@@ -178,7 +181,7 @@ def dense_assemble(system, x, weights=None):
 def lm_weights(cfg):
     def weights(stack):
         kind = _lm_kernel(stack, cfg)
-        return lambda rho: _kernel_weight(kind, rho, cfg.kernel_scale)
+        return lambda rho: robust_weight(kind, rho)
     return weights
 
 
@@ -188,7 +191,7 @@ def dense_lm_solve(graph, cfg):
     system = _System(graph)
     x = system.flat({vid: node.mean for vid, node in graph.variables.items()})
     weights = lm_weights(cfg)
-    lam_damp = cfg.lambda_init
+    lam_damp = LAMBDA_INIT
     cost = _lm_cost(system, x, cfg)
     costs = [cost]
     for _ in range(cfg.max_iterations):
@@ -208,11 +211,11 @@ def dense_lm_solve(graph, cfg):
                     rel = (cost - cand_cost) / max(cost, 1e-300)
                     cost = cand_cost
                     costs.append(cost)
-                    lam_damp = max(lam_damp / cfg.lambda_factor, 1e-12)
-                    converged = rel < cfg.cost_rel_tol
+                    lam_damp = max(lam_damp / LAMBDA_FACTOR, 1e-12)
+                    converged = rel < COST_REL_TOL
                     break
-            lam_damp *= cfg.lambda_factor
-            if lam_damp > cfg.lambda_max:
+            lam_damp *= LAMBDA_FACTOR
+            if lam_damp > LAMBDA_MAX:
                 hit_max = True
                 break
         if hit_max or converged:
