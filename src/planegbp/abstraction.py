@@ -244,12 +244,8 @@ class AbstractionManager:
         )
         hyp = PlaneHypothesis(var_id, iteration, true_plane)
         for pid in members:
-            self.graph.add_factor(
-                PLANE_POINT, (var_id, pid), 0.0, SIGMA_PP, robust="tukey"
-            )
-        self.graph.add_factor(
-            PLANE_PREDICTION, (var_id, keyframe_id), pi_z, SIGMA_PI, robust="tukey"
-        )
+            self.graph.add_factor(PLANE_POINT, (var_id, pid), 0.0, SIGMA_PP)
+        self.graph.add_factor(PLANE_PREDICTION, (var_id, keyframe_id), pi_z, SIGMA_PI)
         self.hypotheses[var_id] = hyp
         self.events.append({
             "event": "integrate", "iteration": iteration, "hypothesis": var_id,

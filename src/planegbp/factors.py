@@ -30,13 +30,15 @@ X0 with robust-rescaled noise S' = S / w:
 
 which is invariant to the sign convention of v. A robust weight w is computed
 per row from the Mahalanobis norm of its unrobustified residual at X0 by
-`robust_weight`, every solver's one robust loss: Tukey (c = TUKEY_C) for
-factors marked "tukey", Huber (c = HUBER_C) for LM, or none. Tukey's w = 0
-turns the row into zero information until beliefs move again. A combined
-factor is the product of its constituents: their rows, each with its own
-weight, are summed into the factor. Linear kinds (priors, linear factors) are
-exact: they are expanded about X0 = 0, so that eta is not formed by
-cancellation, and they carry no robust weight.
+`robust_weight`, every solver's one robust loss: Tukey (c = TUKEY_C),
+Huber (c = HUBER_C) or none. The loss is a property of the factor kind:
+by default `linearise_batch` gives every non-linear kind Tukey's weight and
+every linear kind (priors, linear factors) none; LM and the dense oracle
+pass their own. Tukey's w = 0 turns the row into zero information until
+beliefs move again. A combined factor is the product of its constituents:
+their rows, each with its own weight, are summed into the factor. Linear
+kinds are exact: they are expanded about X0 = 0, so that eta is not formed
+by cancellation.
 
 `evaluate_factor`, `factor_energy` and `linearise` are the one-factor views
 of the batched path; `own_poses` poses their rows by their own slots.
@@ -219,10 +221,9 @@ def _take_each(at, sel):
 class FactorStack:
     """Factors of one kind and adjacency shape, stacked row-wise for their kernel.
 
-    Row arrays: z (rows, m), sigma (rows, m), payload[key] and robust
-    (rows,), true where the row takes Tukey's weight. `owner` (rows,) gives
-    each row's factor for kinds with constituents and is None when rows are
-    the factors themselves.
+    Row arrays: z (rows, m), sigma (rows, m) and payload[key]. `owner`
+    (rows,) gives each row's factor for kinds with constituents and is None
+    when rows are the factors themselves.
     """
 
     def __init__(self, kind: str, dims: tuple, nodes: list):
@@ -248,11 +249,7 @@ class FactorStack:
         self.z = np.stack([r[0] for r in rows])
         self.payload = {k: np.stack([r[i + 1] for r in rows]) for i, k in enumerate(keys)}
         sigma = np.stack([f.sigma for f in nodes])
-        robust = np.array([f.robust == "tukey" and not spec.linear for f in nodes])
-        if self.owner is not None:
-            sigma, robust = sigma[self.owner], robust[self.owner]
-        self.sigma = sigma
-        self.robust = robust
+        self.sigma = sigma if self.owner is None else sigma[self.owner]
 
     @property
     def n(self) -> int:
@@ -302,9 +299,9 @@ def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, weight=None)
     X holds the factors' stacked adjacency means, (len(rows), joint_dim),
     and `at` their pose slots' poses among the rotations `rot` (see
     `evaluate_rows`). `weight` maps each row's Mahalanobis residual norm to
-    its weight; by default it is the factor's own robust setting (Tukey or
-    none). Invalid rows get weight 0. A factor's weight is the mean over its
-    rows.
+    its weight; by default it is the kind's loss, none for a linear kind and
+    Tukey's for every other. Invalid rows get weight 0. A factor's weight is
+    the mean over its rows.
     """
     owner = stack.owner
     sel, Xr = rows, X
@@ -321,7 +318,7 @@ def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, weight=None)
     inv_var = 1.0 / (_take(stack.sigma, sel) ** 2)
     rho = np.sqrt(np.sum(value**2 * inv_var, axis=1))
     if weight is None:
-        w = np.where(_take(stack.robust, sel), robust_weight("tukey", rho), 1.0)
+        w = robust_weight("none" if stack.spec.linear else "tukey", rho)
     else:
         w = weight(rho)
     w = np.where(valid, w, 0.0)

@@ -11,8 +11,8 @@ its plane predictions onto the body with the converged plane (`pi_conv`)
 baked in, and writes one combined rigid reprojection per keyframe whose
 constituents are that keyframe's views of the absorbed points, each with
 the point's converged position (`p_conv`). Merging two rigid bodies moves
-their factors onto the new body. Each is journalled as one
-`ReplaceVariables` event.
+their factors onto the new body. Both are journalled as the primitive events
+they consist of, each applied once by replay and by the routing simulator.
 
 `add_variable` and `add_factor` check every insertion in plain Python;
 `add_factor` also rejects non-finite noise, measurements and payloads.
@@ -86,8 +86,8 @@ class FactorKind:
     min_arity: int = 0
     # Rows are pixel errors; they define the average reprojection error.
     pixel: bool = False
-    # Exact linear-Gaussian: linearised once, about 0; the factor's own
-    # robust setting does not apply.
+    # Exact linear-Gaussian: linearised once, about 0, with no robust loss.
+    # Every other kind takes Tukey's weight (c = factors.TUKEY_C).
     linear: bool = False
     # Rows are the (z, *payload) constituents listed in the payload; the
     # factor is their product.
@@ -140,7 +140,6 @@ class FactorNode:
     measurement: Optional[np.ndarray]
     sigma: np.ndarray  # per-residual-component noise std
     payload: dict = field(default_factory=dict)
-    robust: Optional[str] = None  # None or "tukey" (c = factors.TUKEY_C)
 
     @property
     def arity(self) -> int:
@@ -174,21 +173,11 @@ class AddFactor:
     measurement: Optional[np.ndarray]
     sigma: np.ndarray
     payload: dict
-    robust: Optional[str]
 
 
 @dataclass(frozen=True)
 class RemoveFactor:
     id: int
-
-
-@dataclass(frozen=True)
-class ReplaceVariables:
-    """Atomic rigid-body compression: old variables collapse into one."""
-
-    old_variable_ids: tuple
-    new_variable_id: int
-    events: tuple  # the primitive events realising the replacement
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -270,17 +259,16 @@ class FactorGraph:
         measurement,
         sigma,
         payload: Optional[dict] = None,
-        robust: Optional[str] = None,
         _fixed_id: Optional[int] = None,
     ) -> int:
         """Insert one factor; replay and every edit insert through here.
 
         Raises ContractViolation, before any change, for an unknown kind, a
-        dead or wrongly typed adjacent variable, a wrong arity, a bad robust
-        setting, a missing or misshapen constituent or payload, a measurement
-        of the wrong dimension, a sigma with the wrong number of components
-        or one that is not positive and finite, a non-finite measurement,
-        constituent or payload entry, and a live `_fixed_id`. The checks are
+        dead or wrongly typed adjacent variable, a wrong arity, a missing or
+        misshapen constituent or payload, a measurement of the wrong
+        dimension, a sigma with the wrong number of components or one that
+        is not positive and finite, a non-finite measurement, constituent or
+        payload entry, and a live `_fixed_id`. The checks are
         scalar Python: on arrays of a few entries a numpy reduction costs
         more than the scan.
         """
@@ -303,8 +291,6 @@ class FactorGraph:
                 raise ContractViolation(
                     f"{kind} adjacency slot expects {want}, variable {vid} is {have}"
                 )
-        if robust not in (None, "tukey"):
-            raise ContractViolation(f"robust must be None or 'tukey', got {robust!r}")
 
         payload = dict(payload or {})
         if spec.constituents:
@@ -355,13 +341,11 @@ class FactorGraph:
         if fid in self.factors:
             raise ContractViolation(f"factor id {fid} already live")
         self._next_factor_id = max(self._next_factor_id, fid) + 1
-        node = FactorNode(fid, kind, adjacency, measurement, sigma, payload, robust)
+        node = FactorNode(fid, kind, adjacency, measurement, sigma, payload)
         self.factors[fid] = node
         for vid in adjacency:
             self.variables[vid].factor_ids.append(fid)
-        self.journal.append(
-            AddFactor(fid, kind, adjacency, measurement, sigma, payload, robust)
-        )
+        self.journal.append(AddFactor(fid, kind, adjacency, measurement, sigma, payload))
         return fid
 
     def _joint_dim(self, adjacency) -> int:
@@ -405,7 +389,6 @@ class FactorGraph:
             if not other_plane and not anchored:
                 absorbed.append(pid)
 
-        mark = len(self.journal)
         pi_conv = np.asarray(converged_means[plane_id], dtype=float).copy()
         rigid_id = self._add_rigid_body()
 
@@ -422,7 +405,7 @@ class FactorGraph:
                 raise ContractViolation(f"plane {plane_id} has unexpected factor {fac.kind}")
 
         # The absorbed points' reprojections become one combined factor per
-        # keyframe, with the noise and robust setting of its first view.
+        # keyframe, with the noise of its first view.
         views: dict[int, list] = {}
         for pid in absorbed:
             p_conv = np.asarray(converged_means[pid], dtype=float).copy()
@@ -434,11 +417,9 @@ class FactorGraph:
                     )
                 views.setdefault(fac.adjacency[0], []).append((fac, p_conv))
         for kf_id, kf_views in views.items():
-            first = kf_views[0][0]
             self.add_factor(
-                COMBINED_RIGID_REPROJECTION, (kf_id, rigid_id), None, first.sigma,
+                COMBINED_RIGID_REPROJECTION, (kf_id, rigid_id), None, kf_views[0][0].sigma,
                 payload={"constituents": [(f.measurement.copy(), p) for f, p in kf_views]},
-                robust=first.robust,
             )
         for kf_views in views.values():
             for fac, _ in kf_views:
@@ -447,7 +428,6 @@ class FactorGraph:
         for pid in absorbed:
             self.remove_variable(pid)
         self.remove_variable(plane_id)
-        self._fold(mark, [plane_id] + absorbed, rigid_id)
         return rigid_id, absorbed
 
     def merge_rigid_bodies(self, a: int, b: int, poses, pi_new: np.ndarray) -> int:
@@ -457,7 +437,6 @@ class FactorGraph:
         through, so each point keeps its world position; every plane
         prediction carries `pi_new`. Returns the merged body's id.
         """
-        mark = len(self.journal)
         rigid_id = self._add_rigid_body()
         for old, pose in zip((a, b), poses):
             for fid in list(self._variable(old).factor_ids):
@@ -474,7 +453,6 @@ class FactorGraph:
                 adjacency = tuple(rigid_id if v == old else v for v in fac.adjacency)
                 self._move_factor(fac, fac.kind, adjacency, payload)
             self.remove_variable(old)
-        self._fold(mark, [a, b], rigid_id)
         return rigid_id
 
     def _add_rigid_body(self) -> int:
@@ -483,16 +461,9 @@ class FactorGraph:
 
     def _move_factor(self, fac: FactorNode, kind: str, adjacency, payload: dict) -> None:
         """Re-add `fac` as `kind` on `adjacency` with `payload`, keeping its
-        measurement, noise and robust setting, then remove it."""
-        self.add_factor(kind, adjacency, fac.measurement, fac.sigma, payload=payload,
-                        robust=fac.robust)
+        measurement and noise, then remove it."""
+        self.add_factor(kind, adjacency, fac.measurement, fac.sigma, payload=payload)
         self.remove_factor(fac.id)
-
-    def _fold(self, mark: int, old_ids, new_id: int) -> None:
-        """Fold the journal's events since `mark` into one ReplaceVariables."""
-        primitives = tuple(self.journal[mark:])
-        del self.journal[mark:]
-        self.journal.append(ReplaceVariables(tuple(old_ids), new_id, primitives))
 
     # -- queries -------------------------------------------------------------
 
@@ -509,9 +480,6 @@ class FactorGraph:
 
     def variables_of_kind(self, kind: str):
         return [v for v in self.variables.values() if v.kind == kind]
-
-    def events_since(self, mark: int):
-        return self.journal[mark:]
 
     def check_integrity(self) -> None:
         """Bipartite structure, live adjacency, arity tables."""
@@ -544,26 +512,17 @@ class FactorGraph:
     @staticmethod
     def replay(journal, camera: Optional[CameraModel] = None) -> "FactorGraph":
         g = FactorGraph(camera=camera)
-
-        def apply(event):
+        for event in journal:
             if isinstance(event, AddVariable):
                 g.add_variable(event.kind, event.mean, event.prior, _fixed_id=event.id)
             elif isinstance(event, RemoveVariable):
                 g.remove_variable(event.id)
             elif isinstance(event, AddFactor):
-                g.add_factor(
-                    event.kind, event.adjacency, event.measurement, event.sigma,
-                    payload=event.payload, robust=event.robust, _fixed_id=event.id,
-                )
+                g.add_factor(event.kind, event.adjacency, event.measurement, event.sigma,
+                             payload=event.payload, _fixed_id=event.id)
             elif isinstance(event, RemoveFactor):
                 g.remove_factor(event.id)
-            elif isinstance(event, ReplaceVariables):
-                for sub in event.events:
-                    apply(sub)
             else:
                 raise ContractViolation(f"unknown journal event {event!r}")
-
-        for event in journal:
-            apply(event)
         g.journal = list(journal)
         return g

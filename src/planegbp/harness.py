@@ -87,7 +87,6 @@ class ExperimentConfig:
     planes: bool = True
     compression: bool = True
     seed: int = 0
-    robust: str | None = "tukey"
     keyframe_interval: int = 300
     max_iterations: int | None = None
     gbp: GbpConfig = field(default_factory=GbpConfig)
@@ -100,6 +99,8 @@ class ExperimentConfig:
             raise ContractViolation(f"solver must be one of {SOLVERS}")
         if self.scene is None and self.replay_path is None:
             raise ContractViolation("config needs a scene spec or a replay path")
+        if self.scene is not None and self.scene.seed != self.seed:
+            raise ContractViolation(f"scene.seed {self.scene.seed} is not seed {self.seed}")
 
     @property
     def keyframe_interval_eff(self) -> int:
@@ -149,9 +150,8 @@ def _packets_for(config: ExperimentConfig):
         doc = io_formats.read_json(config.replay_path, "packets")
         packets = [KeyframePacket.from_dict(p) for p in doc["packets"]]
         return packets, CameraModel(**doc["camera"])
-    spec = dataclasses.replace(config.scene, seed=config.seed)
-    scene = generate_scene(spec)
-    return [scene.emit_keyframe(k) for k in range(spec.n_keyframes)], scene.camera
+    scene = generate_scene(config.scene)
+    return [scene.emit_keyframe(k) for k in range(config.scene.n_keyframes)], scene.camera
 
 
 def _default_budget(config: ExperimentConfig, n_packets: int) -> int:
@@ -188,7 +188,7 @@ def _add_keyframe_variable(graph, state, packet, pose: Pose | None = None):
     return kf_id, pose
 
 
-def _add_point(graph, state, config, pid: int, p, observations):
+def _add_point(graph, state, pid: int, p, observations):
     """Point variable of scene point `pid` at `p` with its reprojection
     factors, one per (keyframe id, pixel); the first point also gets the
     prior that fixes the monocular scale gauge."""
@@ -196,8 +196,7 @@ def _add_point(graph, state, config, pid: int, p, observations):
     var = graph.add_variable(POINT, p, GaussianInfo(plam @ p, plam))
     state.point_var[pid] = var
     for kf_id, pixel in observations:
-        graph.add_factor(REPROJECTION, (kf_id, var), pixel, SIGMA_R,
-                         robust=config.robust)
+        graph.add_factor(REPROJECTION, (kf_id, var), pixel, SIGMA_R)
     if not state.scale_anchor_placed:
         graph.add_factor(PRIOR, (var,), p, SCALE_ANCHOR_SIGMA)
         state.scale_anchor_placed = True
@@ -232,8 +231,7 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
         if pid in state.point_var:
             var = state.point_var[pid]
             if var in graph.variables:
-                graph.add_factor(REPROJECTION, (kf_id, var), pixel, SIGMA_R,
-                                 robust=config.robust)
+                graph.add_factor(REPROJECTION, (kf_id, var), pixel, SIGMA_R)
             elif manager is not None:
                 hit = manager.absorbed.get(var)
                 if hit is not None:
@@ -249,11 +247,10 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                     config.priors.default_depth,
                 )
             p0 = points[pid] if points else backproject(camera, pose, pixel, depth)
-            _add_point(graph, state, config, pid, p0, [(kf_id, pixel)])
+            _add_point(graph, state, pid, p0, [(kf_id, pixel)])
     for rigid_id in sorted(views):
         graph.add_factor(COMBINED_RIGID_REPROJECTION, (kf_id, rigid_id), None,
-                         SIGMA_R, payload={"constituents": views[rigid_id]},
-                         robust=config.robust)
+                         SIGMA_R, payload={"constituents": views[rigid_id]})
 
     if config.planes and manager is not None:
         _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration)
@@ -303,7 +300,7 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
             p = backproject(camera, pose, pix, priors.default_depth)
         observations = [(kf, pixels[pid]) for kf, pixels in ((kf0, pix0), (kf1, pix1))
                         if pid in pixels]
-        _add_point(graph, state, config, pid, p, observations)
+        _add_point(graph, state, pid, p, observations)
 
     if config.planes and manager is not None:
         for kf_id, packet in ((kf0, packet0), (kf1, packet1)):
@@ -354,8 +351,7 @@ def run(config: ExperimentConfig) -> RunResult:
             if len(graph.variables_of_kind(RIGID_BODY)) > 1:
                 manager.merge_pass(_current_means(engine, graph), it)
 
-        events = graph.events_since(mark)
-        if events:
+        if len(graph.journal) > mark:
             engine.on_graph_edit()
             last_edit = it
             census_rows.append(_census_row(graph, next_kf))

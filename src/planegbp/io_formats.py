@@ -22,7 +22,7 @@ from .errors import FormatError, SingularGaussianError
 from .factors import TUKEY_C
 from .gaussians import GaussianInfo, to_moments
 from .geometry import CameraModel
-from .graph import FactorGraph
+from .graph import FACTOR_KINDS, FactorGraph
 
 FORMAT_VERSIONS = {
     "factor-graph": 1,
@@ -113,7 +113,6 @@ def graph_to_dict(graph: FactorGraph) -> dict:
             "measurement": None if fac.measurement is None else fac.measurement.tolist(),
             "sigma": fac.sigma.tolist(),
             "payload": fac.payload,  # arrays: write_json converts them
-            "robust": fac.robust,
         })
     camera = None if graph.camera is None else dataclasses.asdict(graph.camera)
     return {"camera": camera, "variables": variables, "factors": factors}
@@ -129,15 +128,21 @@ def graph_from_dict(doc: dict) -> FactorGraph:
         node.belief = GaussianInfo(np.asarray(v["belief_eta"]), np.asarray(v["belief_lam"]))
     # add_factor turns the payload lists back into arrays, per FACTOR_KINDS
     for f in doc["factors"]:
-        # a file may name Tukey's c per factor; only TUKEY_C can be read
+        # A file may name each factor's loss and Tukey's c; only the kind's
+        # own loss and TUKEY_C can be read.
         if f.get("robust_scale", TUKEY_C) != TUKEY_C:
             raise FormatError(f"factor {f['id']}: robust_scale {f['robust_scale']} "
                               f"is not Tukey's c = {TUKEY_C}, the only one supported")
+        spec = FACTOR_KINDS.get(f["kind"])
+        loss = None if spec is None or spec.linear else "tukey"
+        if f.get("robust", loss) != loss:
+            raise FormatError(f"factor {f['id']}: robust {f['robust']!r} is not "
+                              f"{f['kind']}'s loss {loss!r}")
         graph.add_factor(
             f["kind"], tuple(f["adjacency"]),
             None if f["measurement"] is None else np.asarray(f["measurement"]),
             np.asarray(f["sigma"]),
-            payload=f["payload"], robust=f["robust"], _fixed_id=f["id"],
+            payload=f["payload"], _fixed_id=f["id"],
         )
     return graph
 

@@ -17,7 +17,8 @@
   depends on the number of edges alone. The damping starts at LAMBDA_INIT
   and is divided by LAMBDA_FACTOR after an accepted step, multiplied after a
   rejected one; LM stops past LAMBDA_MAX or when a step gains less than
-  COST_REL_TOL of the cost. Its kernel's weight is `factors.robust_weight`.
+  COST_REL_TOL of the cost. Its kernel's weight is `factors.robust_weight`:
+  LmConfig.kernel for the kinds GBP robustifies, none for linear kinds.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .factors import (
 )
 from .gaussians import BlockLayout, GaussianMoments
 from .geometry import pose_rotations_batch
-from .graph import POSE_KINDS, PRIOR, FactorGraph
+from .graph import POSE_KINDS, FactorGraph
 
 
 def build_layout(graph: FactorGraph) -> BlockLayout:
@@ -132,10 +133,10 @@ class _System:
         """Joint (eta, lam) at x: priors plus every stack's linearisation.
 
         lam is a CSC matrix in the compiled pattern. `weights(stack)` gives
-        the row weight function for linearise_batch; None keeps each
-        factor's own robust setting. Each quantity is one bincount over the
-        block entries in priors-then-stacks order, which adds them in the
-        order a sequential scatter would.
+        the row weight function for linearise_batch; None keeps each kind's
+        own loss. Each quantity is one bincount over the block entries in
+        priors-then-stacks order, which adds them in the order a sequential
+        scatter would.
         """
         etas = [p_eta for _, p_eta, _ in self.priors]
         lams = [p_lam for _, _, p_lam in self.priors]
@@ -221,8 +222,9 @@ def _kernel_cost(kind: str, s: np.ndarray) -> np.ndarray:
 
 
 def _lm_kernel(stack, cfg: LmConfig) -> str:
-    # LM does not robustify priors: they carry the gauge.
-    return "none" if stack.kind == PRIOR else cfg.kernel
+    # LM robustifies the kinds GBP does; linear kinds (the gauge priors
+    # among them) stay exact.
+    return "none" if stack.spec.linear else cfg.kernel
 
 
 def _lm_cost(system: _System, x: np.ndarray, cfg: LmConfig) -> float:

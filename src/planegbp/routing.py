@@ -16,7 +16,8 @@ routing-node pairs and the per-variable edge limit) never changes after
 construction, and `apply_edit` checks that.
 
 The simulator follows the graph journal itself: `follow` applies the events
-appended since its last call, once each. The simulation is functional, not
+appended since its last call, once each; a compression or merge arrives as
+the primitive events it consists of. The simulation is functional, not
 cycle-accurate. Whenever the engine compiles, `RoutedTransport.attach`
 brings the tables up to the journal, then resolves every routed batch's
 rows through the routing matrices (never through graph adjacency), with one
@@ -53,7 +54,6 @@ from .graph import (
     FactorGraph,
     RemoveFactor,
     RemoveVariable,
-    ReplaceVariables,
 )
 
 # The routed factor kinds, in FACTOR_KINDS order; the others are core-local
@@ -213,9 +213,6 @@ class RoutingSimulator:
             self._bind_factor(event.id, event.kind, event.adjacency)
         elif isinstance(event, RemoveFactor):
             self._release_factor(event.id)
-        elif isinstance(event, ReplaceVariables):
-            for sub in event.events:
-                self._apply_one(sub)
         else:
             raise ContractViolation(f"unknown edit event {event!r}")
 

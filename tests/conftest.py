@@ -83,8 +83,7 @@ def graph_signature(g):
     for fid, f in g.factors.items():
         payload = sorted((k, repr(v) if k == "constituents" else arr(v))
                          for k, v in f.payload.items())
-        factors[fid] = (f.kind, f.adjacency, arr(f.measurement), arr(f.sigma),
-                        payload, f.robust)
+        factors[fid] = (f.kind, f.adjacency, arr(f.measurement), arr(f.sigma), payload)
     return variables, factors
 
 

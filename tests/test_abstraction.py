@@ -66,7 +66,7 @@ def planar_graph(rng, n_members=6, plane=None, kf_pose=None, extra_kf=0):
         for kf in kfs:
             pose = Pose(g.variables[kf].mean)
             z = project(CAM, pose, p)
-            g.add_factor(REPROJECTION, (kf, pid), z, 2.0, robust="tukey")
+            g.add_factor(REPROJECTION, (kf, pid), z, 2.0)
     return g, kfs, pts, plane
 
 

@@ -462,13 +462,13 @@ def _add_views(g, rng, kf, pts, rb, conv):
     """A keyframe's reprojections of `pts` and one combined factor of its
     views of the rigid body's points `conv`."""
     pose = Pose(g.variables[kf].mean)
-    for i, p in enumerate(pts):
+    for p in pts:
         z = project(CAM, pose, g.variables[p].mean) + rng.normal(size=2)
-        g.add_factor(REPROJECTION, (kf, p), z, 1.0, robust="tukey" if i % 2 else None)
+        g.add_factor(REPROJECTION, (kf, p), z, 1.0)
     body = Pose(g.variables[rb].mean).apply(conv)
     cons = [(project(CAM, pose, q) + rng.normal(size=2), pc) for q, pc in zip(body, conv)]
     g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 1.0,
-                 payload={"constituents": cons}, robust="tukey")
+                 payload={"constituents": cons})
 
 
 def _posed_graph(rng):

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import textwrap
+from functools import partial
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def test_robust_weight_examples():
 
 # -- linearisation ----------------------------------------------------------------
 
-def ba_test_graph(rng, n_kf=2, n_pts=5, robust=None):
+def ba_test_graph(rng, n_kf=2, n_pts=5):
     g = FactorGraph(camera=CAM)
     kfs, pts = [], []
     for k in range(n_kf):
@@ -237,7 +238,7 @@ def ba_test_graph(rng, n_kf=2, n_pts=5, robust=None):
         for p in pts:
             pose = Pose(g.variables[kf].mean)
             z = project(CAM, pose, g.variables[p].mean) + rng.normal(size=2)
-            g.add_factor(REPROJECTION, (kf, p), z, 2.0, robust=robust)
+            g.add_factor(REPROJECTION, (kf, p), z, 2.0)
     return g, kfs, pts
 
 
@@ -263,7 +264,8 @@ def test_linear_factor_independent_of_linearisation_point(rng):
 
 
 def test_gauss_newton_assembly_matches_dense_oracle(rng):
-    # scatter of per-factor linearisations == hand-rolled J^T S^-1 J assembly
+    # scatter of per-factor linearisations == hand-rolled J^T S^-1 J assembly,
+    # each reprojection with Tukey's weight
     g, kfs, pts = ba_test_graph(rng)
     means = {vid: v.mean.copy() for vid, v in g.variables.items()}
     layout = BlockLayout.from_dims(
@@ -286,7 +288,8 @@ def test_gauss_newton_assembly_matches_dense_oracle(rng):
     for fac in g.factors.values():
         res = evaluate_factor(g, fac, means)
         J = np.concatenate([res.jacobians[v] for v in fac.adjacency], axis=1)
-        S_inv = np.eye(2) / fac.sigma[0] ** 2
+        rho = np.sqrt(np.sum((res.value / fac.sigma) ** 2))
+        S_inv = np.eye(2) * tukey_weight_loop(rho, TUKEY_C) / fac.sigma[0] ** 2
         idx = np.concatenate([np.arange(s.start, s.stop)
                               for s in (layout.slice_of(v) for v in fac.adjacency)])
         lam_o[np.ix_(idx, idx)] += J.T @ S_inv @ J
@@ -334,7 +337,7 @@ def test_tukey_zero_weight_factor(rng):
     kf = g.add_variable(KEYFRAME, np.zeros(6))
     p = g.add_variable(POINT, np.array([0.0, 0.0, 4.0]))
     z_true = project(CAM, Pose.identity(), np.array([0, 0, 4.0]))
-    fid = g.add_factor(REPROJECTION, (kf, p), z_true + 200.0, 2.0, robust="tukey")
+    fid = g.add_factor(REPROJECTION, (kf, p), z_true + 200.0, 2.0)
     out = linearise(g, g.factors[fid], {kf: np.zeros(6), p: np.array([0, 0, 4.0])})
     assert out.is_zero()
 
@@ -390,7 +393,8 @@ def test_combined_factor_matches_constituents(rng):
     cons = []
     for _ in range(4):
         p_conv = rng.normal(size=3) + np.array([0, 0, 4.0])
-        z = rng.uniform([0, 0], [CAM.width, CAM.height])
+        # near the projection, so that Tukey's weight is not zero
+        z = seen_from(g, kf, rb, p_conv) + rng.normal(size=2) * 3.0
         cons.append((z, p_conv))
     singles = [
         g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
@@ -401,6 +405,7 @@ def test_combined_factor_matches_constituents(rng):
                             payload={"constituents": cons})
     means = {kf: g.variables[kf].mean, rb: g.variables[rb].mean}
     lin_c = linearise(g, g.factors[combined], means)
+    assert not lin_c.is_zero()
     total = GaussianInfo.zero(12)
     for fid in singles:
         lin = linearise(g, g.factors[fid], means)
@@ -439,23 +444,23 @@ def residual_rows_loop(g, fac, means):
     return rows
 
 
-def linearise_loop(g, fac, means):
+def linearise_loop(g, fac, means, kernel=None):
     """Reference (eta, lam, weight): one factor at a time, one row at a time,
-    with the scalar Tukey weight; a combined factor sums its constituents."""
+    with the scalar `kernel` weight, by default the kind's (Tukey, or none for
+    a linear kind); a combined factor sums its constituents."""
     x0 = np.concatenate([np.asarray(means[v], float) for v in fac.adjacency])
     D = x0.shape[0]
     eta, lam, wsum = np.zeros(D), np.zeros((D, D)), 0.0
     rows = residual_rows_loop(g, fac, means)
-    linear = fac.kind in (PRIOR, "linear")
+    if kernel is None:
+        kernel = "none" if fac.kind in (PRIOR, "linear") else "tukey"
     for row in rows:
         if row is None:
             continue
         v, J = row
         inv_var = 1.0 / fac.sigma**2
         rho = float(np.sqrt(np.sum(v**2 * inv_var)))
-        w = 1.0
-        if fac.robust == "tukey" and not linear:
-            w = tukey_weight_loop(rho, TUKEY_C)
+        w = tukey_weight_loop(rho, TUKEY_C) if kernel == "tukey" else 1.0
         Jw = J * (inv_var * w)[:, None]
         lam += J.T @ Jw
         eta += Jw.T @ (J @ x0 - v)
@@ -477,28 +482,24 @@ def every_kind_graph(rng):
     behind = g.add_variable(POINT, np.array([0.1, 0.0, -3.0]))
     plane = g.add_variable(PLANE_HYPOTHESIS, np.array([0.05, -0.02, 4.0]))
     rb = g.add_variable(RIGID_BODY, rng.normal(size=6) * 0.05)
-    for robust in (None, "tukey"):
-        for p in pts:
-            z = project(CAM, Pose(g.variables[kf].mean), g.variables[p].mean)
-            g.add_factor(REPROJECTION, (kf, p), z + rng.normal(size=2) * 6.0, 2.0,
-                         robust=robust)
-        g.add_factor(REPROJECTION, (kf, behind), np.array([320.0, 240.0]), 2.0,
-                     robust=robust)
-        for p in pts[:3]:
-            g.add_factor(PLANE_POINT, (plane, p), 0.0, 0.3, robust=robust)
-        g.add_factor(PLANE_PREDICTION, (plane, kf2), rng.normal(size=3) * 0.1 + [0, 0, 4.0],
-                     0.5, robust=robust)
-        g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), rng.normal(size=3) * 0.1 + [0, 0, 4.0],
-                     0.1, payload={"pi_conv": np.array([0.0, 0.1, 4.0])}, robust=robust)
-        pc = rng.normal(size=3) * 0.3 + [0, 0, 4.0]
-        g.add_factor(COMBINED_RIGID_REPROJECTION, (kf2, rb), None, 2.0, payload={
-            "constituents": [(seen_from(g, kf2, rb, pc) + rng.normal(size=2) * 3.0, pc)]
-        }, robust=robust)
-        cons = [(seen_from(g, kf, rb, pc) + rng.normal(size=2) * 3.0, pc)
-                for pc in rng.normal(size=(4, 3)) * 0.3 + [0, 0, 4.0]]
-        cons.append((np.array([320.0, 240.0]), np.array([0.0, 0.0, -6.0])))  # behind
-        g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
-                     payload={"constituents": cons}, robust=robust)
+    for p in pts:
+        z = project(CAM, Pose(g.variables[kf].mean), g.variables[p].mean)
+        g.add_factor(REPROJECTION, (kf, p), z + rng.normal(size=2) * 6.0, 2.0)
+    g.add_factor(REPROJECTION, (kf, behind), np.array([320.0, 240.0]), 2.0)
+    for p in pts[:3]:
+        g.add_factor(PLANE_POINT, (plane, p), 0.0, 0.3)
+    g.add_factor(PLANE_PREDICTION, (plane, kf2), rng.normal(size=3) * 0.1 + [0, 0, 4.0], 0.5)
+    g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), rng.normal(size=3) * 0.1 + [0, 0, 4.0],
+                 0.1, payload={"pi_conv": np.array([0.0, 0.1, 4.0])})
+    pc = rng.normal(size=3) * 0.3 + [0, 0, 4.0]
+    g.add_factor(COMBINED_RIGID_REPROJECTION, (kf2, rb), None, 2.0, payload={
+        "constituents": [(seen_from(g, kf2, rb, pc) + rng.normal(size=2) * 3.0, pc)]
+    })
+    cons = [(seen_from(g, kf, rb, pc) + rng.normal(size=2) * 3.0, pc)
+            for pc in rng.normal(size=(4, 3)) * 0.3 + [0, 0, 4.0]]
+    cons.append((np.array([320.0, 240.0]), np.array([0.0, 0.0, -6.0])))  # behind
+    g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+                 payload={"constituents": cons})
     g.add_factor(PRIOR, (pts[0],), rng.normal(size=3), 0.5)
     A = rng.normal(size=(4, 9))
     g.add_factor("linear", (kf, pts[1]), rng.normal(size=4), 0.7, payload={"A": A})
@@ -512,24 +513,34 @@ def assert_close(a, b, tol=1e-12):
 
 
 def test_batched_linearisation_matches_loop_reference(rng):
+    # kernel None: each kind's own loss (Tukey, none for linear kinds); "none":
+    # the unweighted path that the dense oracle and LM's "none" kernel take
     g = every_kind_graph(rng)
     means = {vid: v.mean for vid, v in g.variables.items()}
-    kinds = set()
-    for stack in factor_stacks(g):
-        X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
-        eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X))
-        for i, fac in enumerate(stack.nodes):
-            ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means)
-            assert_close(eta[i], ref_eta)
-            assert_close(lam[i], ref_lam)
-            assert np.isclose(w[i], ref_w, rtol=1e-12, atol=1e-12)
-            kinds.add((fac.kind, fac.robust))
-        # a subset of the factors, as the engine relinearises them
-        rows = np.arange(stack.n)[::2]
-        sub = linearise_batch(stack, CAM, X[rows], *own_poses(stack, X[rows]), rows)
-        for full, part in zip((eta, lam, w), sub):
-            assert np.array_equal(full[rows], part)
-    assert len(kinds) == 12  # five measurement kinds with and without Tukey, prior, linear
+    for kernel in (None, "none"):
+        weight = None if kernel is None else partial(robust_weight, kernel)
+        kinds, weights = set(), []
+        for stack in factor_stacks(g):
+            X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
+            eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X), weight=weight)
+            for i, fac in enumerate(stack.nodes):
+                ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means, kernel)
+                assert_close(eta[i], ref_eta)
+                assert_close(lam[i], ref_lam)
+                assert np.isclose(w[i], ref_w, rtol=1e-12, atol=1e-12)
+                kinds.add(fac.kind)
+            if stack.owner is None:
+                weights.append(w)
+            # a subset of the factors, as the engine relinearises them
+            rows = np.arange(stack.n)[::2]
+            sub = linearise_batch(stack, CAM, X[rows], *own_poses(stack, X[rows]), rows,
+                                  weight=weight)
+            for full, part in zip((eta, lam, w), sub):
+                assert np.array_equal(full[rows], part)
+        assert len(kinds) == 7  # five measurement kinds, prior, linear
+        # Tukey scales some one-row factors down; unweighted, each weighs 0 or 1
+        w = np.concatenate(weights)
+        assert np.any((w > 0) & (w < 1)) == (kernel is None)
 
 
 def test_one_factor_linearise_is_the_batched_path(rng):

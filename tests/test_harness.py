@@ -3,13 +3,14 @@ import json
 import math
 
 import numpy as np
+import pytest
 from jsonschema import validate
 
 from planegbp import geometry, harness, io_formats
 from planegbp.abstraction import AbstractionManager
 from planegbp.cli import main as cli_main
 from planegbp.engine import GbpEngine
-from planegbp.errors import CapacityError
+from planegbp.errors import CapacityError, ContractViolation
 from planegbp.harness import compare_runs, export_reconstruction, run
 from planegbp.frontend import box_room_spec, generate_scene
 from planegbp.geometry import PlaneParams
@@ -179,7 +180,6 @@ def test_compare_run_with_itself_zero_differences(tmp_path):
 
 def test_lm_solver_path(tmp_path):
     cfg = small_config(solver="lm")
-    cfg.robust = None
     cfg.out_dir = str(tmp_path / "lm")
     result = run(cfg)
     assert result.summary["solver"] == "lm"
@@ -356,12 +356,14 @@ def test_cli_config_error_exit_code(tmp_path):
     }))
     assert cli_main(["run", "--config", str(missing_field),
                      "--out", str(tmp_path)]) == 2
-    # an unknown key, and keys whose values are now constants
+    # an unknown key, and keys whose values are now constants or, for the
+    # robust loss, the factor kind's
     for section, key, value in (("priors", "plane_sigma", 100.0),
                                 ("abstraction", "l_thresh", 0.8),
-                                ("gbp", "energy_window", 10)):
+                                ("gbp", "energy_window", 10),
+                                (None, "robust", "tukey")):
         unknown_key = small_config().to_dict()
-        unknown_key[section][key] = value
+        (unknown_key[section] if section else unknown_key)[key] = value
         io_formats.write_json(tmp_path / "unknown.json", "experiment-config", unknown_key)
         assert cli_main(["run", "--config", str(tmp_path / "unknown.json"),
                          "--out", str(tmp_path)]) == 2, key
@@ -373,6 +375,20 @@ def test_cli_seed_sets_every_seed(tmp_path):
                      "--out", str(tmp_path / "r")]) == 0
     doc = io_formats.read_json(tmp_path / "r" / "config.json", "experiment-config")
     assert (doc["seed"], doc["gbp"]["seed"], doc["scene"]["seed"]) == (9, 9, 9)
+
+
+def test_scene_seed_other_than_seed_is_refused(tmp_path):
+    # the scene is generated from scene.seed as given, so it must be the seed
+    # that config.json records; `--seed` sets both (test_cli_seed_sets_every_seed)
+    with pytest.raises(ContractViolation, match="scene.seed"):
+        harness.ExperimentConfig(scene=wall_scene(4), seed=3)
+    doc = small_config(seed=3).to_dict()
+    doc["scene"]["seed"] = 4
+    io_formats.write_json(tmp_path / "cfg.json", "experiment-config", doc)
+    for extra in ([], ["--seed", "9"]):
+        assert cli_main(["run", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path / "r"), *extra]) == 2
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_missing_replay_file_is_config_error(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -34,7 +35,7 @@ def rich_graph(rng, n_points=30):
         lam = np.eye(3) * rng.uniform(0.5, 2.0)
         pid = g.add_variable(POINT, p, GaussianInfo(lam @ p, lam))
         g.add_factor(REPROJECTION, (kf, pid),
-                     rng.uniform([0, 0], [640, 480]), 2.0, robust="tukey")
+                     rng.uniform([0, 0], [640, 480]), 2.0)
         pts.append(pid)
     g.add_factor(PRIOR, (pts[0],), rng.normal(size=3), 1e-3)
     g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0, payload={
@@ -176,3 +177,12 @@ def test_golden_graph_file_stable(rng):
     doc["factors"][1]["robust_scale"] = 3.0
     with pytest.raises(FormatError, match="robust_scale"):
         io_formats.graph_from_dict(doc)
+    doc["factors"][1]["robust_scale"] = 4.685
+    # each factor names its kind's loss; any other loss is refused
+    assert [(f["kind"], f["robust"]) for f in doc["factors"]] == [
+        ("reprojection", "tukey"), ("prior", None)]
+    for i, loss in ((0, None), (1, "tukey")):
+        changed = copy.deepcopy(doc)
+        changed["factors"][i]["robust"] = loss
+        with pytest.raises(FormatError, match="robust"):
+            io_formats.graph_from_dict(changed)

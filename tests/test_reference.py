@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -116,13 +115,13 @@ def _scene(seed=0):
 
 def _scene_inputs(cfg):
     """(packets, camera, scene) of the config's generated scene."""
-    scene = generate_scene(dataclasses.replace(cfg.scene, seed=cfg.seed))
+    scene = generate_scene(cfg.scene)
     return ([scene.emit_keyframe(k) for k in range(cfg.scene.n_keyframes)],
             scene.camera, scene)
 
 
 def test_lm_zero_noise_ground_truth_init_converges_immediately():
-    cfg = ExperimentConfig(scene=_scene(), solver="lm", seed=0, robust=None)
+    cfg = ExperimentConfig(scene=_scene(), solver="lm", seed=0)
     packets, camera, scene = _scene_inputs(cfg)
     graph, state = build_ba_graph(cfg, packets, camera, pose_noise=(0.0, 0.0),
                                   point_noise=0.0, scene=scene)
@@ -132,7 +131,7 @@ def test_lm_zero_noise_ground_truth_init_converges_immediately():
 
 
 def test_lm_cost_non_increasing_and_converges(rng):
-    cfg = ExperimentConfig(scene=_scene(3), solver="lm", seed=3, robust=None)
+    cfg = ExperimentConfig(scene=_scene(3), solver="lm", seed=3)
     cfg.scene.pixel_sigma = 1.0
     packets, camera, scene = _scene_inputs(cfg)
     graph, state = build_ba_graph(cfg, packets, camera, pose_noise=(0.05, 0.02),
@@ -224,7 +223,7 @@ def dense_lm_solve(graph, cfg):
 
 
 def noisy_ba_graph(seed=3):
-    cfg = ExperimentConfig(scene=_scene(seed), solver="lm", seed=seed, robust=None)
+    cfg = ExperimentConfig(scene=_scene(seed), solver="lm", seed=seed)
     cfg.scene.pixel_sigma = 1.0
     packets, camera, scene = _scene_inputs(cfg)
     graph, _ = build_ba_graph(cfg, packets, camera, pose_noise=(0.05, 0.02),
@@ -244,7 +243,9 @@ def test_sparse_assembly_equals_dense_scatter(kind, rng):
     system = _System(graph)
     assert system.priors and len(system.stacks) >= (1 if kind == "ba" else 3)
     x = system.flat({vid: v.mean for vid, v in graph.variables.items()})
-    for weights in (None, lm_weights(LmConfig(kernel="huber"))):
+    # each kind's loss, LM's Huber, and unweighted: Tukey zeroes most of the
+    # planar graph's far-off rows
+    for weights in (None, *(lm_weights(LmConfig(kernel=k)) for k in ("huber", "none"))):
         eta, H = system.assemble(x, weights)
         eta_ref, lam_ref = dense_assemble(system, x, weights)
         assert H.format == "csc"
@@ -323,8 +324,10 @@ def kf_point_graph(rng, n_kf=4, n_pts=30, plane_members=0):
 
 def landmark_coupling(graph) -> np.ndarray:
     """Entries of the joint precision, at the graph's means, that couple two
-    distinct non-keyframe variables."""
-    _, lam, layout = assemble_dense(graph, {vid: v.mean for vid, v in graph.variables.items()})
+    distinct non-keyframe variables. Unweighted: this is the structure, and
+    Tukey's weight would zero the far-off plane rows."""
+    means = {vid: v.mean for vid, v in graph.variables.items()}
+    _, lam, layout = assemble_dense(graph, means, robust=False)
     owner = np.empty(layout.dim, dtype=int)
     for vid, off, width in layout.blocks:
         owner[off:off + width] = vid
