@@ -470,7 +470,10 @@ def _write_artifacts(config, graph, state, manager, reports, packets,
                      census_rows, summary, sim, camera):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    io_formats.write_json(out / "config.json", "experiment-config", config.to_dict())
+    # Where the run's files sit is not part of its configuration: leaving
+    # out_dir out keeps config.json the same wherever the run is written.
+    written = {k: v for k, v in config.to_dict().items() if k != "out_dir"}
+    io_formats.write_json(out / "config.json", "experiment-config", written)
     io_formats.write_iteration_csv(out / "iterations.csv", reports)
     fields = sorted({k for row in census_rows for k in row})
     fields = ["keyframes_added", "n_factors", "n_variables"] + [
@@ -540,7 +543,8 @@ def build_ba_graph(
 
 def _run_lm(config: ExperimentConfig, packets, camera) -> RunResult:
     graph, state = build_ba_graph(config, packets, camera)
-    result = lm_solve(graph, LmConfig())
+    lm_config = LmConfig()
+    result = lm_solve(graph, lm_config)
     for vid, mean in result.means.items():
         graph.variables[vid].mean = mean
     reports = [
@@ -556,7 +560,10 @@ def _run_lm(config: ExperimentConfig, packets, camera) -> RunResult:
         for row in result.trace
     ]
     summary = _summarize(config, graph, state, None, reports, packets)
+    summary["lm_kernel"] = lm_config.kernel
+    summary["lm_max_iterations"] = lm_config.max_iterations
     summary["lm_converged"] = result.converged
+    summary["lm_hit_lambda_max"] = result.hit_lambda_max
     summary["lm_fill"] = result.fill
     if config.out_dir is not None:
         _write_artifacts(config, graph, state, None, reports, packets, [],

@@ -10,14 +10,16 @@
   for the convergence-behaviour comparisons against propagation. It shares
   the assembly: with LM's loss weights, H is the Gauss-Newton Hessian and
   the gradient is H x - eta. H stays sparse, in a CSC pattern compiled once
-  per solve, and each damped step is factorised by SuperLU. The result
-  reports the fill of the first damped factorisation, the entries SuperLU
-  stores for L and U: the cost a direct solver pays for the graph's
-  structure, where GBP's per-sweep cost (the routing simulator's hops)
-  depends on the number of edges alone. The damping starts at LAMBDA_INIT
-  and is divided by LAMBDA_FACTOR after an accepted step, multiplied after a
-  rejected one; LM stops past LAMBDA_MAX or when a step gains less than
-  COST_REL_TOL of the cost. Its kernel's weight is `factors.robust_weight`:
+  per solve, and each damped step is factorised by SuperLU as the symmetric
+  positive-definite system it is: symmetric mode, diagonal pivots and the
+  COLAMD ordering. The result reports the fill of the first damped
+  factorisation, the entries that factorisation stores for L and U: the
+  cost a direct solver pays for the graph's structure, where GBP's
+  per-sweep cost (the routing simulator's hops) depends on the number of
+  edges alone. The damping starts at LAMBDA_INIT and is divided by
+  LAMBDA_FACTOR after an accepted step, multiplied after a rejected one; LM
+  stops past LAMBDA_MAX or when a step gains less than COST_REL_TOL of the
+  cost. Its kernel's weight is `factors.robust_weight`:
   LmConfig.kernel for the kinds GBP robustifies, none for linear kinds.
 """
 
@@ -209,7 +211,8 @@ class LmResult:
     trace: list
     converged: bool
     hit_lambda_max: bool = False
-    fill: int | None = None  # SuperLU.nnz of the first damped step, if any
+    # entries of the first damped step's SPD factorisation (SuperLU.nnz), if any
+    fill: int | None = None
 
 
 def _kernel_cost(kind: str, s: np.ndarray) -> np.ndarray:
@@ -255,9 +258,16 @@ def avg_reprojection_px(system: _System, x: np.ndarray) -> float:
 def _solve_step(damp: csc_matrix, rhs: np.ndarray):
     """(damp^-1 rhs, fill) by sparse LU, where fill is the number of entries
     SuperLU stores for L and U; (None, None) when the factorisation is
-    singular."""
+    singular.
+
+    The damped Gauss-Newton Hessian is symmetric positive definite, so it is
+    factorised as such: symmetric mode, diagonal pivots (threshold 0) and
+    COLAMD, SuperLU's default ordering. The fill then follows from the
+    sparsity pattern. General LU's partial pivoting and unsymmetric ordering
+    store more entries, and how many depends on the values.
+    """
     try:
-        lu = splu(damp)
+        lu = splu(damp, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
         return None, None
     return lu.solve(rhs), lu.nnz

@@ -193,11 +193,30 @@ def test_lm_solver_path(tmp_path):
     validate(json.loads((out / "events.json").read_text()), io_formats.EVENT_LOG_SCHEMA)
     validate(json.loads((out / "reconstruction.json").read_text()),
              io_formats.RECONSTRUCTION_SCHEMA)
-    validate(json.loads((out / "summary.json").read_text()), io_formats.SUMMARY_SCHEMA)
+    summary = json.loads((out / "summary.json").read_text())
+    validate(summary, io_formats.SUMMARY_SCHEMA)
+    # how LM was set, and why it stopped
+    assert (summary["lm_kernel"], summary["lm_max_iterations"]) == ("huber", 50)
+    assert summary["lm_converged"] and summary["lm_hit_lambda_max"] is False
     assert io_formats.read_csv(out / "census.csv") == []
     rows = io_formats.read_csv(out / "iterations.csv")
     assert len(rows) >= 2
     assert len(rows) == len(result.reports)
+
+
+def test_config_json_does_not_depend_on_the_output_path(tmp_path):
+    texts = []
+    for out in (tmp_path / "a", tmp_path / "a_much_longer_directory" / "b"):
+        cfg = small_config(solver="lm")
+        cfg.out_dir = str(out)
+        run(cfg)
+        texts.append((out / "config.json").read_bytes())
+    assert texts[0] == texts[1]
+    doc = io_formats.read_json(tmp_path / "a" / "config.json", "experiment-config")
+    assert "out_dir" not in doc
+    assert harness.ExperimentConfig.from_dict(doc).out_dir is None
+    # a config file may still name its output directory
+    assert harness.ExperimentConfig.from_dict({**doc, "out_dir": "x"}).out_dir == "x"
 
 
 def test_export_reconstruction_box_room(tmp_path):

@@ -1,8 +1,12 @@
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
 
+import planegbp
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import SingularGaussianError
 from planegbp.factors import linearise_batch, own_poses, robust_weight
@@ -272,6 +276,59 @@ def test_singular_step_is_rejected():
     delta, fill = _solve_step(csc_matrix(rows), np.ones(3))
     assert np.allclose(delta, np.linalg.solve(rows, np.ones(3)), rtol=1e-14)
     assert fill >= np.count_nonzero(rows)
+
+
+def test_step_solves_an_spd_system_and_rejects_a_singular_psd_one(rng):
+    # sparse SPD: M M^T + I for a sparse M
+    n = 40
+    m = np.where(rng.random((n, n)) < 0.08, rng.normal(size=(n, n)), 0.0)
+    spd = m @ m.T + np.eye(n)
+    rhs = rng.normal(size=n)
+    delta, fill = _solve_step(csc_matrix(spd), rhs)
+    ref = np.linalg.solve(spd, rhs)
+    assert np.max(np.abs(delta - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert fill >= np.count_nonzero(spd)
+    # PSD with the null direction (1, -1, 0), as an unanchored gauge gives
+    psd = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    assert _solve_step(csc_matrix(psd), np.ones(3)) == (None, None)
+
+
+def test_damped_step_fill_stays_near_the_hessian():
+    # In pure BA the points' blocks are uncoupled, so an elimination order
+    # that takes the points first fills at most the dense pose block. SuperLU
+    # stores the diagonal in both L and U.
+    graph = noisy_ba_graph()
+    system = _System(graph)
+    _, H = system.assemble(system.flat({vid: v.mean for vid, v in graph.variables.items()}))
+    dim = system.layout.dim
+    P = system.pose_cols.size
+    assert (dim, H.nnz, P) == (174, 7794, 24)
+    assert lm_solve(graph, LmConfig(max_iterations=1)).fill <= H.nnz + P**2 + dim
+
+
+def test_sparse_lu_is_called_only_by_the_step_solve():
+    # One factorisation site: every LM solve goes through _solve_step's
+    # symmetric-mode LU, and no general-LU path sits beside it.
+    lu_names = {"splu", "spilu", "spsolve", "factorized"}
+
+    def lu_calls(node, where):
+        """(innermost enclosing function, or None) of each sparse-LU call."""
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in lu_names:
+                    yield where
+            yield from lu_calls(child, inner)
+
+    calls = []
+    for path in sorted(Path(planegbp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += [(path.stem, where) for where in lu_calls(tree, None)]
+        # no entry point is imported under another name
+        assert not any(a.name in lu_names and a.asname for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for a in node.names)
+    assert calls == [("reference", "_solve_step")]
 
 
 def test_lm_with_unconstrained_variable_terminates(rng):
