@@ -244,19 +244,6 @@ class GbpEngine:
                 out[vid] = bank.mean[i].copy()
         return out
 
-    def edge_messages(self, fid: int, vid: int):
-        """(factor->variable, variable->factor) messages for one edge."""
-        for b in self.batches:
-            if fid in b.ids:
-                i = b.ids.index(fid)
-                for pos in range(b.arity):
-                    if int(b.adjacency[i, pos]) == vid:
-                        return (
-                            GaussianInfo(b.f2v_eta[pos][i].copy(), b.f2v_lam[pos][i].copy()),
-                            GaussianInfo(b.v2f_eta[pos][i].copy(), b.v2f_lam[pos][i].copy()),
-                        )
-        raise ContractViolation(f"no edge ({fid}, {vid})")
-
     def sync_graph(self):
         """Write beliefs and means back to the variable nodes."""
         for bank in self.banks.values():

@@ -15,10 +15,6 @@ class DegeneratePlaneError(Exception):
     normal-times-distance parametrisation collapses."""
 
 
-class BehindCameraError(Exception):
-    """Point to be projected has non-positive depth in the camera frame."""
-
-
 class CapacityError(Exception):
     """A routing pool ran out of slots; message names the exhausted pool."""
 

@@ -40,8 +40,10 @@ their rows, each with its own weight, are summed into the factor. Linear
 kinds are exact: they are expanded about X0 = 0, so that eta is not formed
 by cancellation.
 
-`evaluate_factor`, `factor_energy` and `linearise` are the one-factor views
-of the batched path; `own_poses` poses their rows by their own slots.
+`evaluate_factor` is the one-factor view of the batched path, and
+`own_poses` poses a stack's rows by their own slots. No solver calls them:
+they stay because the benchmark's span tracer (`bench/spans.py`) wraps
+`evaluate_factor` by name, here and as re-exported by `reference`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .gaussians import GaussianInfo
 from .geometry import (
     EPS_PLANE,
     CameraModel,
@@ -373,12 +374,12 @@ def residual_sums(stack: FactorStack, cam, X, rot, at):
 
 
 # ---------------------------------------------------------------------------
-# One-factor views (tests, reference checks)
+# One-factor view (tests; bench/spans.py wraps evaluate_factor)
 # ---------------------------------------------------------------------------
 
 def own_poses(stack: FactorStack, X, want_jac=True):
     """(rot, at) that pose each row of X by its own pose slots: one rotation
-    per row and slot, none shared between rows. The one-factor views use it;
+    per row and slot, none shared between rows. `evaluate_factor` uses it;
     callers that hold many rows of few poses name the distinct poses."""
     n, slots = X.shape[0], stack.spec.pose_slots
     poses = [X[:, stack.offsets[pos]:][:, :stack.dims[pos]] for pos in slots]
@@ -413,16 +414,3 @@ def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Re
         for vid, o, d in zip(factor.adjacency, stack.offsets, stack.dims):
             jac[vid] = J[:, o:o + d]
     return Residual(value, jac, x0, valid=bool(np.all(valid)))
-
-
-def factor_energy(graph, factor: FactorNode, means: dict) -> float:
-    """Half squared Mahalanobis residual with the unrobustified noise."""
-    stack, x0 = _one(graph, factor, means)
-    return residual_sums(stack, graph.camera, x0[None], *own_poses(stack, x0[None], False))[0]
-
-
-def linearise(graph, factor: FactorNode, means: dict) -> GaussianInfo:
-    """Linearised Gaussian over the factor's joint support at the given means."""
-    stack, x0 = _one(graph, factor, means)
-    eta, lam, _ = linearise_batch(stack, graph.camera, x0[None], *own_poses(stack, x0[None]))
-    return GaussianInfo(eta[0], lam[0])

@@ -29,6 +29,16 @@ from .geometry import (
 )
 
 
+# Camera height above the look-at point, metres.
+TRAJ_HEIGHT = 0.0
+# A proposed plane's noise: normal tilt (degrees) and distance (metres), sd.
+HYP_ANGLE_SIGMA_DEG, HYP_D_SIGMA = 5.0, 0.05
+# A spurious plane keeps at least this distance (metres) from its members.
+SPURIOUS_MIN_DISTANCE = 0.3
+# A plane is proposed by the first keyframe that sees this many of its points.
+MIN_HYPOTHESIS_MEMBERS = 4
+
+
 @dataclass
 class PlaneSpec:
     normal: list
@@ -47,19 +57,14 @@ class SceneSpec:
     clutter_min_plane_distance: float = 0.25
     n_keyframes: int = 5
     traj_radius: float = 4.0
-    traj_height: float = 0.0
     traj_span_deg: float = 50.0
     lookat: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
     camera: dict = field(default_factory=lambda: dict(
         fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480))
     pixel_sigma: float = 1.0
     outlier_rate: float = 0.0
-    hyp_angle_sigma_deg: float = 5.0
-    hyp_d_sigma: float = 0.05
     spurious_rate: float = 0.0
     spurious_members: int = 6
-    spurious_min_distance: float = 0.3
-    min_hypothesis_members: int = 4
     seed: int = 0
 
     def to_dict(self) -> dict:
@@ -70,24 +75,6 @@ class SceneSpec:
         d = dict(d)
         d["planes"] = [PlaneSpec(**p) if isinstance(p, dict) else p for p in d.get("planes", [])]
         return SceneSpec(**d)
-
-
-def box_room_spec(size=4.0, points_per_plane=40, **overrides) -> SceneSpec:
-    """Fully planar box room: 4 walls, floor and ceiling, viewed from inside."""
-    h = size / 2.0
-    planes = [
-        PlaneSpec([1, 0, 0], -h, [-h, 0, 0], [h * 0.9, h * 0.9], points_per_plane),
-        PlaneSpec([1, 0, 0], h, [h, 0, 0], [h * 0.9, h * 0.9], points_per_plane),
-        PlaneSpec([0, 1, 0], -h, [0, -h, 0], [h * 0.9, h * 0.9], points_per_plane),
-        PlaneSpec([0, 1, 0], h, [0, h, 0], [h * 0.9, h * 0.9], points_per_plane),
-        PlaneSpec([0, 0, 1], -h, [0, 0, -h], [h * 0.9, h * 0.9], points_per_plane),
-        PlaneSpec([0, 0, 1], h, [0, 0, h], [h * 0.9, h * 0.9], points_per_plane),
-    ]
-    spec = SceneSpec(planes=planes, traj_radius=h * 0.45, lookat=[h * 0.55, 0, 0],
-                     traj_span_deg=40.0)
-    for k, v in overrides.items():
-        setattr(spec, k, v)
-    return spec
 
 
 @dataclass
@@ -195,7 +182,7 @@ class SyntheticScene:
             pos = lookat + np.array(
                 [-spec.traj_radius * math.cos(ang),
                  spec.traj_radius * math.sin(ang),
-                 spec.traj_height]
+                 TRAJ_HEIGHT]
             )
             forward = lookat - pos
             forward = forward / np.linalg.norm(forward)
@@ -232,7 +219,7 @@ class SyntheticScene:
                     if idx in first:
                         continue
                     members = np.nonzero(mask & (self.point_plane == idx))[0]
-                    if members.size >= self.spec.min_hypothesis_members:
+                    if members.size >= MIN_HYPOTHESIS_MEMBERS:
                         first[idx] = k
             self._first_view_cache = first
         return self._first_view_cache
@@ -264,11 +251,11 @@ class SyntheticScene:
                 continue
             members = ids[self.point_plane[ids] == idx]
             pi_cam = transform_plane(T, plane)
-            angle = rng.normal(scale=math.radians(spec.hyp_angle_sigma_deg))
+            angle = rng.normal(scale=math.radians(HYP_ANGLE_SIGMA_DEG))
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             n_noisy = so3_exp(axis * angle) @ pi_cam.normal
-            d_noisy = pi_cam.distance + rng.normal(scale=spec.hyp_d_sigma)
+            d_noisy = pi_cam.distance + rng.normal(scale=HYP_D_SIGMA)
             hypotheses.append(HypothesisProposal(
                 members.tolist(), n_noisy * d_noisy, idx))
 
@@ -302,7 +289,7 @@ class SyntheticScene:
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
             d = rng.uniform(0.5, 3.0)
-            if np.all(np.abs(member_points @ n - d) > self.spec.spurious_min_distance):
+            if np.all(np.abs(member_points @ n - d) > SPURIOUS_MIN_DISTANCE):
                 return PlaneParams.from_normal_distance(n, d)
         return None
 

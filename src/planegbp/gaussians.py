@@ -1,13 +1,13 @@
-"""Canonical-form Gaussian algebra.
+"""Canonical-form Gaussians and the guarded small-block solves.
 
 Gaussians are carried in information form (eta, lam) = (Sigma^-1 mu, Sigma^-1).
-Products and quotients are componentwise sums/differences of the parameters;
-marginalisation is a Schur complement on the precision matrix. These three
-operations are the arithmetic behind every message in the propagation engine.
+A product of densities adds their parameters, a quotient subtracts them and
+a marginal is a Schur complement on the precision matrix; the propagation
+engine computes all three on its batched arrays, not on the value types here.
 
 All operations are pure and value-typed; nothing here holds shared state.
-`solve_guarded` is the one guarded small-block elimination, used both by
-`marginalize` and, batched, by the propagation engine's Schur step.
+`solve_guarded` is the one guarded small-block elimination, the engine's
+batched Schur step; `solve_blocks` is the engine's belief-mean solve.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import ContractViolation, SingularGaussianError
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    # Halved-sum symmetrisation after every product/Schur step; keeps drift
-    # from accumulating over thousands of iterations.
+    # Halved-sum symmetrisation, so that rounding never leaves a stored
+    # precision or covariance asymmetric.
     return 0.5 * (m + m.T)
 
 
@@ -125,24 +125,6 @@ class BlockLayout:
 REG_LAMBDA_REL = 1e-8
 
 
-def product(a: GaussianInfo, b: GaussianInfo) -> GaussianInfo:
-    """Multiply two densities over the same support: parameters add."""
-    if a.dim != b.dim:
-        raise ContractViolation(f"product dims {a.dim} != {b.dim}")
-    return GaussianInfo(a.eta + b.eta, a.lam + b.lam)
-
-
-def quotient(numerator: GaussianInfo, denominator: GaussianInfo) -> GaussianInfo:
-    """Divide densities: parameters subtract.
-
-    The result may be improper (indefinite precision); it is returned as-is,
-    since message subtraction legitimately produces such intermediates.
-    """
-    if numerator.dim != denominator.dim:
-        raise ContractViolation(f"quotient dims {numerator.dim} != {denominator.dim}")
-    return GaussianInfo(numerator.eta - denominator.eta, numerator.lam - denominator.lam)
-
-
 def solve_blocks(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched solve S[i] x[i] = rhs[i] of small blocks, (n, d, d) and (n, d, k);
     the solution of an exactly singular block is NaN."""
@@ -172,38 +154,6 @@ def solve_guarded(S: np.ndarray, rhs: np.ndarray):
     reg = REG_LAMBDA_REL * np.where(tr > 0, tr / d, 1.0)
     sol[bad] = np.linalg.solve(S[bad] + reg[:, None, None] * np.eye(d), rhs[bad])
     return sol, int(np.count_nonzero(bad))
-
-
-def marginalize(joint: GaussianInfo, layout: BlockLayout, keep) -> GaussianInfo:
-    """Marginal of `joint` onto the block `keep`, by Schur complement.
-
-    eta' = eta_k - lam_ke lam_ee^-1 eta_e
-    lam' = lam_kk - lam_ke lam_ee^-1 lam_ek
-    """
-    if layout.dim != joint.dim:
-        raise ContractViolation(
-            f"layout dim {layout.dim} does not match joint dim {joint.dim}"
-        )
-
-    sk = layout.slice_of(keep)
-    if sk.stop - sk.start == joint.dim:
-        return joint
-
-    idx = np.arange(joint.dim)
-    keep_idx = idx[sk]
-    elim_idx = np.concatenate([idx[: sk.start], idx[sk.stop :]])
-
-    lam_kk = joint.lam[np.ix_(keep_idx, keep_idx)]
-    lam_ke = joint.lam[np.ix_(keep_idx, elim_idx)]
-    lam_ee = joint.lam[np.ix_(elim_idx, elim_idx)]
-    eta_k = joint.eta[keep_idx]
-    eta_e = joint.eta[elim_idx]
-
-    rhs = np.column_stack([eta_e[:, None], lam_ke.T])
-    x = solve_guarded(lam_ee[None], rhs[None])[0][0]
-    eta_m = eta_k - lam_ke @ x[:, 0]
-    lam_m = lam_kk - lam_ke @ x[:, 1:]
-    return GaussianInfo(eta_m, lam_m)
 
 
 def to_moments(g: GaussianInfo) -> GaussianMoments:

@@ -12,12 +12,12 @@ Conventions used throughout the package:
   through the origin; the canonical split takes ``d = |m| > 0``.
 
 Functions with a ``_batch`` suffix operate on stacked leading axes; they are
-what the factor kernels evaluate. The scalar ``Pose``, ``PlaneParams`` and
+what the factor kernels evaluate, and ``project_cam_batch`` is the one
+pinhole projection. The scalar ``Pose``, ``PlaneParams`` and
 ``transform_plane`` serve scene generation, graph growth and the plane
-lifecycle, and ``project`` is the projection oracle of the tests. A ``Pose``
-copies its vector and computes its rotation and its inverse once, so
-backprojecting a keyframe's new points exponentiates once per keyframe, not
-once per point.
+lifecycle. A ``Pose`` copies its vector and computes its rotation and its
+inverse once, so backprojecting a keyframe's new points exponentiates once
+per keyframe, not once per point.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BehindCameraError, ContractViolation, DegeneratePlaneError
+from .errors import ContractViolation, DegeneratePlaneError
 
 EPS_PLANE = 1e-6  # |m| at or below this is a degenerate (through-origin) plane
 EPS_DEPTH = 1e-3  # cheirality threshold, metres
@@ -230,18 +230,6 @@ class PlaneParams:
             raise DegeneratePlaneError("plane through origin has no canonical normal")
         return self.m / d
 
-    def homogeneous(self) -> np.ndarray:
-        """Homogeneous 4-vector (n, -d): (p,1) . h == 0 for points on the plane."""
-        return np.concatenate([self.normal, [-self.distance]])
-
-    @staticmethod
-    def from_homogeneous(h: np.ndarray) -> "PlaneParams":
-        h = np.asarray(h, dtype=float)
-        norm = np.linalg.norm(h[:3])
-        if norm < 1e-14:
-            raise DegeneratePlaneError("homogeneous plane with zero normal part")
-        return PlaneParams(h[:3] / norm * (-h[3] / norm))
-
 
 def transform_plane_min_batch(R: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Minimal form of the inverse-transpose homogeneous plane transform.
@@ -316,19 +304,6 @@ class CameraModel:
             raise ContractViolation("focal lengths must be positive")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ContractViolation("principal point must lie inside the image")
-
-
-def project(cam: CameraModel, pose: Pose, p_world: np.ndarray) -> np.ndarray:
-    """Pixel of a world point; raises BehindCameraError at depth <= EPS_DEPTH."""
-    p_cam = pose.R @ np.asarray(p_world, dtype=float) + pose.t
-    if p_cam[2] <= EPS_DEPTH:
-        raise BehindCameraError(f"depth {p_cam[2]:.4g} <= {EPS_DEPTH}")
-    return np.array(
-        [
-            cam.fx * p_cam[0] / p_cam[2] + cam.cx,
-            cam.fy * p_cam[1] / p_cam[2] + cam.cy,
-        ]
-    )
 
 
 def project_cam_batch(cam: CameraModel, p_cam: np.ndarray):

@@ -23,6 +23,7 @@ from .factors import TUKEY_C
 from .gaussians import GaussianInfo, to_moments
 from .geometry import CameraModel
 from .graph import FACTOR_KINDS, FactorGraph
+from .routing import COST_FIELDS
 
 FORMAT_VERSIONS = {
     "factor-graph": 1,
@@ -208,8 +209,6 @@ def read_csv(path) -> list:
 
 # One column per IterationReport field, in declaration order.
 ITERATION_FIELDS = [f.name for f in dataclasses.fields(IterationReport)]
-
-COST_FIELDS = ["sweep", "hops", "max_router_load", "n_routing_nodes"]
 
 
 def write_iteration_csv(path, reports) -> None:

@@ -171,11 +171,11 @@ def assemble_dense(graph: FactorGraph, means: dict, robust: bool = True):
     return eta, lam.toarray(), system.layout
 
 
-def dense_marginals(graph: FactorGraph, means: dict | None = None, robust: bool = True):
+def dense_marginals(graph: FactorGraph, means: dict | None = None):
     """Exact per-variable moments by full inversion of the joint precision."""
     if means is None:
         means = {vid: v.mean for vid, v in graph.variables.items()}
-    eta, lam, layout = assemble_dense(graph, means, robust=robust)
+    eta, lam, layout = assemble_dense(graph, means)
     try:
         cov = np.linalg.inv(lam)
     except np.linalg.LinAlgError as exc:

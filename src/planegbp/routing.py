@@ -46,12 +46,10 @@ from .errors import CapacityError, ContractViolation
 from .graph import (
     ANY,
     FACTOR_KINDS,
-    LINEAR,
     PRIOR,
     VARIABLE_DIMS,
     AddFactor,
     AddVariable,
-    FactorGraph,
     RemoveFactor,
     RemoveVariable,
 )
@@ -60,14 +58,15 @@ from .graph import (
 # (no transport). A tuple, not a set: its order is the same in every process.
 ROUTED = tuple(kind for kind in FACTOR_KINDS if kind != PRIOR)
 
+# The keys of each `cost_report` record, in cost.csv's column order.
+COST_FIELDS = ("sweep", "hops", "deliveries", "max_router_load", "n_routing_nodes")
 
-def legal_type_pairs(factor_kinds=None) -> set:
-    """(variable-kind, factor-kind) pairs derivable from the arity tables."""
-    kinds = factor_kinds if factor_kinds is not None else [
-        k for k in FACTOR_KINDS if k != LINEAR
-    ]
+
+def legal_type_pairs(factor_kinds) -> set:
+    """(variable-kind, factor-kind) pairs of the routed `factor_kinds`,
+    derived from the arity tables."""
     pairs = set()
-    for kind in kinds:
+    for kind in factor_kinds:
         if kind not in ROUTED:
             continue
         for vkind in FACTOR_KINDS[kind].signature:
@@ -87,20 +86,6 @@ class PoolConfig:
             for kind, cap in table.items():
                 if cap < 0:
                     raise ContractViolation(f"{name} pool {kind}: capacity must be >= 0")
-
-    @staticmethod
-    def generous_for(graph: FactorGraph, headroom: float = 2.0) -> "PoolConfig":
-        census = graph.snapshot_census()
-        max_v = {k: max(4, int(np.ceil(c * headroom))) for k, c in census["variables"].items()}
-        max_f = {
-            k: max(4, int(np.ceil(c * headroom)))
-            for k, c in census["factors"].items()
-            if k in ROUTED
-        }
-        max_edges = 8
-        for v in graph.variables.values():
-            max_edges = max(max_edges, len(v.factor_ids))
-        return PoolConfig(max_v, max_f, int(max_edges * headroom) + 4)
 
 
 class _Pool:
@@ -301,17 +286,11 @@ class RoutingSimulator:
         })
 
     def cost_report(self) -> list:
-        out = []
-        for rec in self.sweeps:
-            loads = rec["router_load"]
-            out.append({
-                "sweep": rec["sweep"],
-                "hops": rec["hops"],
-                "deliveries": rec["deliveries"],
-                "max_router_load": max(loads.values()) if loads else 0,
-                "n_routing_nodes": self.n_routing_nodes,
-            })
-        return out
+        """One record per sweep, keyed by COST_FIELDS (cost.csv's columns)."""
+        return [dict(zip(COST_FIELDS, (
+            rec["sweep"], rec["hops"], rec["deliveries"],
+            max(rec["router_load"].values(), default=0), self.n_routing_nodes,
+        ))) for rec in self.sweeps]
 
 
 class RoutedTransport:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from planegbp.factors import factor_stacks, linearise_batch, own_poses, residual_sums
 from planegbp.gaussians import REG_LAMBDA_REL, GaussianInfo
-from planegbp.graph import KEYFRAME, LINEAR, POINT, FactorGraph
+from planegbp.geometry import project_cam_batch
+from planegbp.graph import KEYFRAME, LINEAR, POINT, VARIABLE_DIMS, FactorGraph
+from planegbp.routing import ROUTED, PoolConfig
 
 
 @pytest.fixture
@@ -17,6 +20,34 @@ def random_spd(rng, dim, strength=1.0):
 
 def random_info(rng, dim, strength=1.0) -> GaussianInfo:
     return GaussianInfo(rng.normal(size=dim), random_spd(rng, dim, strength))
+
+
+def pixel(cam, pose, p):
+    """Pixel of the world point `p` seen from `pose`, by the kernels' projection."""
+    pix, valid = project_cam_batch(cam, (pose.R @ np.asarray(p, dtype=float) + pose.t)[None])
+    assert valid[0], "point behind the camera"
+    return pix[0]
+
+
+def one_factor(g, fac, means, want_jac=True):
+    """(stack, camera, X, rot, at) of `fac` alone in a stack, at `means`, posed
+    by its own slots: the arguments of `linearise_batch` and `residual_sums`."""
+    stack = factor_stacks(g, [fac])[0]
+    X = np.concatenate([np.asarray(means[v], dtype=float) for v in fac.adjacency])[None]
+    return (stack, g.camera, X, *own_poses(stack, X, want_jac))
+
+
+def linearise_one(g, fac, means) -> GaussianInfo:
+    eta, lam, _ = linearise_batch(*one_factor(g, fac, means))
+    return GaussianInfo(eta[0], lam[0])
+
+
+def energy_one(g, fac, means) -> float:
+    return residual_sums(*one_factor(g, fac, means, want_jac=False))[0]
+
+
+# Routing pools for every variable and routed factor kind, larger than any test graph.
+GENEROUS_POOLS = PoolConfig(dict.fromkeys(VARIABLE_DIMS, 1024), dict.fromkeys(ROUTED, 1024), 256)
 
 
 def build_linear_graph(rng, n_vars, edges, prior_lam=0.5, noise=0.7):

@@ -39,6 +39,29 @@ def wall_scene(seed, n_keyframes=6, spurious_rate=0.0, pixel_sigma=0.5,
     )
 
 
+def merge_scene(seed):
+    """The toy wall scene with its x = 1 wall as two overlapping patches
+    (centres 0.6 m apart, 1.2 m wide) and no y-plane: on seeds 1, 2, 4 and
+    7 both patches are confirmed and then merged into one rigid body."""
+    spec = wall_scene(seed, n_keyframes=4, points_per_plane=10, n_clutter=8)
+    spec.planes = [PlaneSpec([1, 0, 0], 1.0, [1.0, y, 0], [0.6, 0.6], 10)
+                   for y in (-0.3, 0.3)] + spec.planes[2:]
+    return spec
+
+
+def box_room_spec(size=4.0, points_per_plane=40, **overrides) -> SceneSpec:
+    """Fully planar box room: 4 walls, floor and ceiling, viewed from inside."""
+    h = size / 2.0
+    extent = [h * 0.9, h * 0.9]
+    planes = [PlaneSpec(normal, d, [d * a for a in normal], extent, points_per_plane)
+              for normal in ([1, 0, 0], [0, 1, 0], [0, 0, 1]) for d in (-h, h)]
+    spec = SceneSpec(planes=planes, traj_radius=h * 0.45, lookat=[h * 0.55, 0, 0],
+                     traj_span_deg=40.0)
+    for k, v in overrides.items():
+        setattr(spec, k, v)
+    return spec
+
+
 def desk_config(scene, seed, solver="gbp", planes=True, compression=True,
                 **overrides):
     cfg = ExperimentConfig(

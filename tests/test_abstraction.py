@@ -18,9 +18,8 @@ from planegbp.abstraction import (
 )
 from planegbp.abstraction import test_hypothesis as decide_hypothesis
 from planegbp.errors import ContractViolation
-from planegbp.factors import factor_energy
 from planegbp.gaussians import GaussianInfo
-from planegbp.geometry import CameraModel, PlaneParams, Pose, project, transform_plane
+from planegbp.geometry import CameraModel, PlaneParams, Pose, transform_plane
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
     KEYFRAME,
@@ -32,6 +31,7 @@ from planegbp.graph import (
     RIGID_PLANE_PREDICTION,
     FactorGraph,
 )
+from conftest import energy_one, linearise_one, pixel
 
 CAM = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -65,7 +65,7 @@ def planar_graph(rng, n_members=6, plane=None, kf_pose=None, extra_kf=0):
         pts.append(pid)
         for kf in kfs:
             pose = Pose(g.variables[kf].mean)
-            z = project(CAM, pose, p)
+            z = pixel(CAM, pose, p)
             g.add_factor(REPROJECTION, (kf, pid), z, 2.0)
     return g, kfs, pts, plane
 
@@ -161,7 +161,7 @@ def test_confirm_census_and_energy_bookkeeping(rng):
     means = means_of(g)
 
     removed = sum(
-        factor_energy(g, g.factors[fid], means)
+        energy_one(g, g.factors[fid], means)
         for fid in g.variables[hyp.variable_id].factor_ids
         if g.factors[fid].kind == PLANE_POINT
     )
@@ -179,7 +179,7 @@ def test_confirm_census_and_energy_bookkeeping(rng):
 
 
 def total_energy(g, means):
-    return sum(factor_energy(g, f, means) for f in g.factors.values())
+    return sum(energy_one(g, f, means) for f in g.factors.values())
 
 
 def test_confirm_without_compression_keeps_structure(rng):
@@ -287,7 +287,6 @@ def test_combined_factor_is_product_at_shared_linearisation_point(rng):
     # combined and the split graphs are identical. (Per-edge marginals differ:
     # marginalisation does not distribute over the product, which is exactly
     # why combining parallel factors removes loops.)
-    from planegbp.factors import linearise
     from planegbp.reference import dense_marginals
 
     def build(combined):
@@ -300,7 +299,7 @@ def test_combined_factor_is_product_at_shared_linearisation_point(rng):
         r = np.random.default_rng(3)
         for i in range(4):
             p = r.normal(size=3) * 0.3 + np.array([0, 0, 4.0])
-            z = project(CAM, Pose.identity(), p) + r.normal(size=2)
+            z = pixel(CAM, Pose.identity(), p) + r.normal(size=2)
             cons.append((z, p))
         for part in [cons] if combined else [[c] for c in cons]:
             g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
@@ -312,10 +311,10 @@ def test_combined_factor_is_product_at_shared_linearisation_point(rng):
     means_a = {kfa: np.zeros(6), rba: np.zeros(6)}
     means_b = {kfb: np.zeros(6), rbb: np.zeros(6)}
 
-    lin_combined = linearise(ga, next(iter(ga.factors.values())), means_a)
+    lin_combined = linearise_one(ga, next(iter(ga.factors.values())), means_a)
     total = GaussianInfo.zero(12)
     for fac in gb.factors.values():
-        lin = linearise(gb, fac, means_b)
+        lin = linearise_one(gb, fac, means_b)
         total = GaussianInfo(total.eta + lin.eta, total.lam + lin.lam)
     assert np.allclose(lin_combined.eta, total.eta, atol=1e-10)
     assert np.allclose(lin_combined.lam, total.lam, atol=1e-10)
@@ -373,7 +372,7 @@ def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0, pose=None):
             world[pid] = p
             mgr.absorbed[pid] = (rb, pose.inverse().apply(p))
             try:
-                z = project(CAM, Pose.identity(), p)
+                z = pixel(CAM, Pose.identity(), p)
             except Exception:
                 continue  # rejected-merge cases may place points off-camera
             cons.append((z, mgr.absorbed[pid][1]))

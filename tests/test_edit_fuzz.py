@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from planegbp.abstraction import AbstractionConfig, AbstractionManager
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.gaussians import GaussianInfo
-from planegbp.geometry import CameraModel, Pose, project
+from planegbp.geometry import CameraModel, Pose
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
     KEYFRAME,
@@ -32,7 +32,7 @@ from planegbp.graph import (
     FactorGraph,
 )
 from planegbp.routing import ROUTED, PoolConfig, RoutedTransport, RoutingSimulator
-from conftest import graph_signature
+from conftest import graph_signature, pixel
 
 CAM = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 CFG = GbpConfig(damping=0.3, dropout=0.5, seed=3)
@@ -54,7 +54,7 @@ def _add_point(g, x, y):
 
 
 def _add_reprojection(g, kf, pt, i):
-    z = project(CAM, Pose(g.variables[kf].mean), g.variables[pt].mean)
+    z = pixel(CAM, Pose(g.variables[kf].mean), g.variables[pt].mean)
     return g.add_factor(REPROJECTION, (kf, pt), z + np.array([0.3, -0.2]) * (i % 5), 1.0)
 
 
@@ -76,7 +76,7 @@ def _rigid_plane(g, kf, shift, n_factors):
     cons = []
     for u, v in ((-0.3, -0.3), (0.3, -0.3), (0.3, 0.3), (-0.3, 0.3)):
         p = np.array([u + shift, v, 4.0])
-        cons.append((project(CAM, Pose(g.variables[kf].mean), p), p))
+        cons.append((pixel(CAM, Pose(g.variables[kf].mean), p), p))
     for part in np.array_split(np.arange(4), n_factors):
         g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 1.0,
                      payload={"constituents": [cons[k] for k in part]})

@@ -3,17 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from planegbp.engine import GbpConfig, GbpEngine, energy_converged
+from planegbp.engine import GbpConfig, GbpEngine, _quotient, energy_converged
 from planegbp.errors import ContractViolation
-from planegbp.gaussians import (
-    BlockLayout,
-    GaussianInfo,
-    marginalize,
-    product,
-    quotient,
-    to_moments,
-)
-from planegbp.geometry import CameraModel, PlaneParams, Pose, project, transform_plane
+from planegbp.gaussians import GaussianInfo, to_moments
+from planegbp.geometry import CameraModel, PlaneParams, Pose, transform_plane
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
     KEYFRAME,
@@ -30,13 +23,16 @@ from planegbp.graph import (
 )
 from planegbp.harness import build_ba_graph
 from planegbp.frontend import generate_scene
-from planegbp.routing import PoolConfig, RoutedTransport, RoutingSimulator
-from planegbp.factors import linearise, linearise_batch, own_poses, residual_sums
+from planegbp.routing import RoutedTransport, RoutingSimulator
+from planegbp.factors import linearise_batch, own_poses, residual_sums
 from planegbp.reference import dense_marginals
 from conftest import (
+    GENEROUS_POOLS,
     bipartite_diameter,
     build_linear_graph,
     dropout_masks,
+    linearise_one,
+    pixel,
     random_info,
     random_tree_edges,
     reference_messages,
@@ -47,6 +43,15 @@ from scenes import ba_scene, desk_config
 
 def undamped(seed=0):
     return GbpConfig(damping=0.0, dropout=0.0, seed=seed)
+
+
+def edge(eng, fid, vid):
+    """(factor->variable, variable->factor) messages of one edge, from the batch arrays."""
+    (b,) = [b for b in eng.batches if fid in b.ids]
+    i = b.ids.index(fid)
+    pos = b.adjacency[i].tolist().index(vid)
+    return (GaussianInfo(b.f2v_eta[pos][i], b.f2v_lam[pos][i]),
+            GaussianInfo(b.v2f_eta[pos][i], b.v2f_lam[pos][i]))
 
 
 def run_gbp(engine, max_iterations, rel_tol, window):
@@ -82,7 +87,7 @@ def test_unary_factor_message_equals_factor():
     fid = g.add_factor(PRIOR, (v,), z, 0.5)
     eng = GbpEngine(g, undamped())
     eng.iterate()
-    f2v, _ = eng.edge_messages(fid, v)
+    f2v, _ = edge(eng, fid, v)
     assert np.allclose(f2v.lam, np.eye(3) / 0.25)
     assert np.allclose(f2v.eta, z / 0.25)
     # one unary factor and a flat prior: belief equals the factor
@@ -97,20 +102,22 @@ def test_pairwise_zero_incoming_is_plain_schur(rng):
     eng.iterate()
     fac = g.factors[fid]
     means = {vid: v.mean for vid, v in g.variables.items()}
-    joint = linearise(g, fac, means)
-    layout = BlockLayout.from_dims((v, g.variables[v].dim) for v in fac.adjacency)
-    for vid in fac.adjacency:
-        oracle = marginalize(joint, layout, vid)
-        f2v, _ = eng.edge_messages(fid, vid)
-        assert np.allclose(f2v.eta, oracle.eta, atol=1e-12)
-        assert np.allclose(f2v.lam, oracle.lam, atol=1e-12)
+    joint = linearise_one(g, fac, means)
+    L, d0 = joint.lam, g.variables[fac.adjacency[0]].dim
+    halves = (slice(0, d0), slice(d0, None))
+    for vid, k, e in zip(fac.adjacency, halves, halves[::-1]):
+        # Schur complement onto k: eta_k - L_ke L_ee^-1 eta_e, L_kk - L_ke L_ee^-1 L_ek
+        x = np.linalg.solve(L[e, e], np.column_stack([joint.eta[e], L[e, k]]))
+        f2v, _ = edge(eng, fid, vid)
+        assert np.allclose(f2v.eta, joint.eta[k] - L[k, e] @ x[:, 0], atol=1e-12)
+        assert np.allclose(f2v.lam, L[k, k] - L[k, e] @ x[:, 1:], atol=1e-12)
 
 
 def test_variable_to_factor_quotient_example():
-    belief = GaussianInfo([3.0], [[4.0]])
-    incoming = GaussianInfo([2.0], [[3.0]])
-    out = quotient(belief, incoming)
-    assert out.eta[0] == 1.0 and out.lam[0, 0] == 1.0
+    # the engine's quotient writes belief[rows] - f2v into the v2f array
+    out = np.zeros((2, 1))
+    _quotient(out, np.array([[3.0], [4.0]]), np.array([1, 0]), np.array([[3.0], [2.0]]))
+    assert out[0, 0] == 1.0 and out[1, 0] == 1.0
 
 
 def test_belief_is_prior_times_messages(rng):
@@ -121,8 +128,8 @@ def test_belief_is_prior_times_messages(rng):
     for vid, node in g.variables.items():
         expected = node.prior
         for fid in node.factor_ids:
-            f2v, _ = eng.edge_messages(fid, vid)
-            expected = product(expected, f2v)
+            f2v, _ = edge(eng, fid, vid)
+            expected = GaussianInfo(expected.eta + f2v.eta, expected.lam + f2v.lam)
         assert np.allclose(node.belief.eta, expected.eta, atol=1e-10)
         assert np.allclose(node.belief.lam, expected.lam, atol=1e-10)
 
@@ -185,11 +192,11 @@ def test_damping_dropout_zero_stores_new_messages(rng):
     e1 = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0, seed=0))
     e1.iterate()
     fid = next(iter(g.factors))
-    msg_plain, _ = e1.edge_messages(fid, 0)
+    msg_plain, _ = edge(e1, fid, 0)
 
     e2 = GbpEngine(g, GbpConfig(damping=0.5, dropout=0.0, seed=0))
     e2.iterate()
-    msg_damped, _ = e2.edge_messages(fid, 0)
+    msg_damped, _ = edge(e2, fid, 0)
     # starting from zero messages, one damped step is (1-d) of the new message
     assert np.allclose(msg_damped.eta, 0.5 * msg_plain.eta, atol=1e-12)
     assert np.allclose(msg_damped.lam, 0.5 * msg_plain.lam, atol=1e-12)
@@ -257,7 +264,7 @@ def test_on_graph_edit_add_remove_restores_store(rng):
             for i, fid in enumerate(b.ids):
                 for pos in range(b.arity):
                     vid = int(b.adjacency[i, pos])
-                    f2v, v2f = eng.edge_messages(fid, vid)
+                    f2v, v2f = edge(eng, fid, vid)
                     out[(fid, vid)] = (f2v.eta.tobytes(), f2v.lam.tobytes(),
                                        v2f.eta.tobytes(), v2f.lam.tobytes())
         return out
@@ -414,7 +421,7 @@ def test_sweep_matches_loop_reference(routed):
     graphs, engines = [], []
     for _ in range(2):
         g, state = _toy_ba_graph()
-        sim = RoutingSimulator(PoolConfig.generous_for(g)) if routed else None
+        sim = RoutingSimulator(GENEROUS_POOLS) if routed else None
         graphs.append(g)
         engines.append(GbpEngine(g, cfg, transport=sim and RoutedTransport(sim)))
     eng, ref = engines
@@ -463,10 +470,10 @@ def _add_views(g, rng, kf, pts, rb, conv):
     views of the rigid body's points `conv`."""
     pose = Pose(g.variables[kf].mean)
     for p in pts:
-        z = project(CAM, pose, g.variables[p].mean) + rng.normal(size=2)
+        z = pixel(CAM, pose, g.variables[p].mean) + rng.normal(size=2)
         g.add_factor(REPROJECTION, (kf, p), z, 1.0)
     body = Pose(g.variables[rb].mean).apply(conv)
-    cons = [(project(CAM, pose, q) + rng.normal(size=2), pc) for q, pc in zip(body, conv)]
+    cons = [(pixel(CAM, pose, q) + rng.normal(size=2), pc) for q, pc in zip(body, conv)]
     g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 1.0,
                  payload={"constituents": cons})
 

@@ -15,7 +15,6 @@ from planegbp.geometry import (
     PlaneParams,
     Pose,
     pose_rotations_batch,
-    project,
     transform_plane,
 )
 from planegbp.graph import (
@@ -36,14 +35,12 @@ from planegbp.factors import (
     HUBER_C,
     TUKEY_C,
     evaluate_factor,
-    factor_energy,
     factor_stacks,
-    linearise,
     linearise_batch,
     own_poses,
     robust_weight,
 )
-from conftest import fd_jacobian
+from conftest import energy_one, fd_jacobian, linearise_one, one_factor, pixel
 
 CAM = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -69,7 +66,7 @@ def row(kind, z, *variables, **payload):
 def test_reprojection_zero_at_exact_projection(rng):
     c = Pose(rng.normal(size=6) * 0.2)
     p = np.array([0.3, -0.1, 4.0])
-    value, _, valid = row(REPROJECTION, project(CAM, c, p), c.r, p)
+    value, _, valid = row(REPROJECTION, pixel(CAM, c, p), c.r, p)
     assert valid and np.allclose(value, 0.0, atol=1e-12)
 
 
@@ -237,7 +234,7 @@ def ba_test_graph(rng, n_kf=2, n_pts=5):
     for kf in kfs:
         for p in pts:
             pose = Pose(g.variables[kf].mean)
-            z = project(CAM, pose, g.variables[p].mean) + rng.normal(size=2)
+            z = pixel(CAM, pose, g.variables[p].mean) + rng.normal(size=2)
             g.add_factor(REPROJECTION, (kf, p), z, 2.0)
     return g, kfs, pts
 
@@ -247,7 +244,7 @@ def test_prior_factor_linearisation():
     v = g.add_variable(POINT, np.zeros(3))
     z = np.array([1.0, 2.0, 3.0])
     fid = g.add_factor(PRIOR, (v,), z, 0.5)
-    out = linearise(g, g.factors[fid], {v: np.array([9.0, 9.0, 9.0])})
+    out = linearise_one(g, g.factors[fid], {v: np.array([9.0, 9.0, 9.0])})
     assert np.allclose(out.lam, np.eye(3) / 0.25)
     assert np.allclose(out.eta, z / 0.25)
 
@@ -258,8 +255,8 @@ def test_linear_factor_independent_of_linearisation_point(rng):
     A = rng.normal(size=(2, 3))
     fid = g.add_factor("linear", (a,), rng.normal(size=2), [1.0, 1.0],
                        payload={"A": A})
-    out1 = linearise(g, g.factors[fid], {a: rng.normal(size=3)})
-    out2 = linearise(g, g.factors[fid], {a: rng.normal(size=3)})
+    out1 = linearise_one(g, g.factors[fid], {a: rng.normal(size=3)})
+    out2 = linearise_one(g, g.factors[fid], {a: rng.normal(size=3)})
     assert out1.allclose(out2)
 
 
@@ -275,7 +272,7 @@ def test_gauss_newton_assembly_matches_dense_oracle(rng):
     eta_a = np.zeros(dim)
     lam_a = np.zeros((dim, dim))
     for fac in g.factors.values():
-        lin = linearise(g, fac, means)
+        lin = linearise_one(g, fac, means)
         sls = [layout.slice_of(v) for v in fac.adjacency]
         offs = np.cumsum([0] + [g.variables[v].dim for v in fac.adjacency])
         for i, si in enumerate(sls):
@@ -303,7 +300,7 @@ def test_outlier_flag_yields_zero_information(rng):
     kf = g.add_variable(KEYFRAME, np.zeros(6))
     p = g.add_variable(POINT, np.array([0.0, 0.0, -3.0]))  # behind the camera
     fid = g.add_factor(REPROJECTION, (kf, p), np.array([320.0, 240.0]), 2.0)
-    out = linearise(g, g.factors[fid], {kf: np.zeros(6), p: np.array([0, 0, -3.0])})
+    out = linearise_one(g, g.factors[fid], {kf: np.zeros(6), p: np.array([0, 0, -3.0])})
     assert out.is_zero()
     stack = factor_stacks(g, [g.factors[fid]])[0]
     X = np.array([[0.0] * 6 + [0.0, 0.0, -3.0]])
@@ -336,9 +333,9 @@ def test_tukey_zero_weight_factor(rng):
     g = FactorGraph(camera=CAM)
     kf = g.add_variable(KEYFRAME, np.zeros(6))
     p = g.add_variable(POINT, np.array([0.0, 0.0, 4.0]))
-    z_true = project(CAM, Pose.identity(), np.array([0, 0, 4.0]))
+    z_true = pixel(CAM, Pose.identity(), np.array([0, 0, 4.0]))
     fid = g.add_factor(REPROJECTION, (kf, p), z_true + 200.0, 2.0)
-    out = linearise(g, g.factors[fid], {kf: np.zeros(6), p: np.array([0, 0, 4.0])})
+    out = linearise_one(g, g.factors[fid], {kf: np.zeros(6), p: np.array([0, 0, 4.0])})
     assert out.is_zero()
 
 
@@ -381,9 +378,9 @@ def test_factor_energy_examples(rng):
     fid = g.add_factor(PLANE_POINT, (plane, p), 0.0, 0.05)
     means = {plane: np.array([0, 0, 1.0]), p: np.array([0.0, 0.0, 1.05])}
     # deviation 0.05 m at sigma 0.05 m: energy is half of one squared sigma
-    assert np.isclose(factor_energy(g, g.factors[fid], means), 0.5)
+    assert np.isclose(energy_one(g, g.factors[fid], means), 0.5)
     means[p] = np.array([0.0, 0.0, 1.0])
-    assert np.isclose(factor_energy(g, g.factors[fid], means), 0.0)
+    assert np.isclose(energy_one(g, g.factors[fid], means), 0.0)
 
 
 def test_combined_factor_matches_constituents(rng):
@@ -404,16 +401,16 @@ def test_combined_factor_matches_constituents(rng):
     combined = g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
                             payload={"constituents": cons})
     means = {kf: g.variables[kf].mean, rb: g.variables[rb].mean}
-    lin_c = linearise(g, g.factors[combined], means)
+    lin_c = linearise_one(g, g.factors[combined], means)
     assert not lin_c.is_zero()
     total = GaussianInfo.zero(12)
     for fid in singles:
-        lin = linearise(g, g.factors[fid], means)
+        lin = linearise_one(g, g.factors[fid], means)
         total = GaussianInfo(total.eta + lin.eta, total.lam + lin.lam)
     assert np.allclose(lin_c.eta, total.eta, rtol=1e-10, atol=1e-10)
     assert np.allclose(lin_c.lam, total.lam, rtol=1e-10, atol=1e-10)
-    e_c = factor_energy(g, g.factors[combined], means)
-    e_s = sum(factor_energy(g, g.factors[fid], means) for fid in singles)
+    e_c = energy_one(g, g.factors[combined], means)
+    e_s = sum(energy_one(g, g.factors[fid], means) for fid in singles)
     assert np.isclose(e_c, e_s, rtol=1e-12)
 
 
@@ -470,7 +467,7 @@ def linearise_loop(g, fac, means, kernel=None):
 
 def seen_from(g, kf, rb, p_conv):
     body = Pose(g.variables[rb].mean).apply(p_conv[None])[0]
-    return project(CAM, Pose(g.variables[kf].mean), body)
+    return pixel(CAM, Pose(g.variables[kf].mean), body)
 
 
 def every_kind_graph(rng):
@@ -483,7 +480,7 @@ def every_kind_graph(rng):
     plane = g.add_variable(PLANE_HYPOTHESIS, np.array([0.05, -0.02, 4.0]))
     rb = g.add_variable(RIGID_BODY, rng.normal(size=6) * 0.05)
     for p in pts:
-        z = project(CAM, Pose(g.variables[kf].mean), g.variables[p].mean)
+        z = pixel(CAM, Pose(g.variables[kf].mean), g.variables[p].mean)
         g.add_factor(REPROJECTION, (kf, p), z + rng.normal(size=2) * 6.0, 2.0)
     g.add_factor(REPROJECTION, (kf, behind), np.array([320.0, 240.0]), 2.0)
     for p in pts[:3]:
@@ -544,15 +541,19 @@ def test_batched_linearisation_matches_loop_reference(rng):
 
 
 def test_one_factor_linearise_is_the_batched_path(rng):
+    # a factor alone in its stack, posed by its own slots, linearises as the
+    # loop reference does and as its row of the graph's stack does
     g = every_kind_graph(rng)
     means = {vid: v.mean for vid, v in g.variables.items()}
+    rows = {}
+    for stack in factor_stacks(g):
+        X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
+        eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X))
+        rows.update((fac.id, (eta[i], lam[i], w[i])) for i, fac in enumerate(stack.nodes))
     for fac in g.factors.values():
-        out = linearise(g, fac, means)
+        eta, lam, w = linearise_batch(*one_factor(g, fac, means))
         ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means)
-        assert_close(out.eta, ref_eta)
-        assert_close(out.lam, ref_lam)
-        x0 = np.concatenate([means[v] for v in fac.adjacency])
-        stack = factor_stacks(g, [fac])[0]
-        eta, lam, w = linearise_batch(stack, CAM, x0[None], *own_poses(stack, x0[None]))
-        assert np.array_equal(out.eta, eta[0]) and np.array_equal(out.lam, lam[0])
+        assert_close(eta[0], ref_eta)
+        assert_close(lam[0], ref_lam)
         assert np.isclose(w[0], ref_w, rtol=1e-12, atol=1e-12)
+        assert all(np.array_equal(a[0], b) for a, b in zip((eta, lam, w), rows[fac.id]))

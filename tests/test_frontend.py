@@ -5,17 +5,19 @@ from planegbp.errors import ContractViolation
 from planegbp.frontend import (
     KeyframePacket,
     PlaneSpec,
+    SPURIOUS_MIN_DISTANCE,
     SceneSpec,
     ate,
     average_depth,
     backproject,
-    box_room_spec,
     constant_velocity_prediction,
     generate_scene,
     triangulate_two_view,
     umeyama,
 )
-from planegbp.geometry import Pose, project, project_cam_batch
+from planegbp.geometry import Pose, project_cam_batch
+from conftest import pixel
+from scenes import box_room_spec
 
 
 def simple_spec(seed=0, **overrides):
@@ -61,7 +63,7 @@ def test_zero_noise_observations_exactly_consistent():
         packet = scene.emit_keyframe(k)
         T = scene.trajectory[k]
         for pid, pix in zip(packet.point_ids, packet.pixels):
-            exact = project(scene.camera, T, scene.points[pid])
+            exact = pixel(scene.camera, T, scene.points[pid])
             assert np.allclose(pix, exact, atol=1e-9)
 
 
@@ -122,7 +124,7 @@ def test_spurious_members_far_from_their_plane():
         plane_w = transform_plane(T.inverse(), PlaneParams(hyp.pi_z))
         pts = scene.points[hyp.member_ids]
         dists = np.abs(pts @ plane_w.normal - plane_w.distance)
-        assert np.all(dists > spec.spurious_min_distance * 0.5)
+        assert np.all(dists > SPURIOUS_MIN_DISTANCE * 0.5)
 
 
 def test_box_room_spec_is_fully_planar():
@@ -152,10 +154,10 @@ def test_backprojection_reprojects_to_source_pixel(rng):
     scene = generate_scene(simple_spec(1))
     cam = scene.camera
     pose = scene.trajectory[0]
-    pixel = np.array([200.0, 150.0])
-    p = backproject(cam, pose, pixel, 4.2)
-    back = project(cam, pose, p)
-    assert np.linalg.norm(back - pixel) < 1e-6
+    source = np.array([200.0, 150.0])
+    p = backproject(cam, pose, source, 4.2)
+    back = pixel(cam, pose, p)
+    assert np.linalg.norm(back - source) < 1e-6
 
 
 def test_average_depth():
@@ -170,8 +172,8 @@ def test_triangulation_recovers_exact_point(rng):
     cam = scene.camera
     a, b = scene.trajectory[0], scene.trajectory[2]
     p_true = scene.points[0]
-    pix_a = project(cam, a, p_true)
-    pix_b = project(cam, b, p_true)
+    pix_a = pixel(cam, a, p_true)
+    pix_b = pixel(cam, b, p_true)
     p, ok = triangulate_two_view(cam, a, b, pix_a, pix_b)
     assert ok and np.allclose(p, p_true, atol=1e-8)
 

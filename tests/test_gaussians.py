@@ -1,24 +1,24 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from planegbp.engine import GbpConfig, GbpEngine, _quotient
 from planegbp.errors import ContractViolation, SingularGaussianError
 from planegbp.gaussians import (
     BlockLayout,
     GaussianInfo,
     GaussianMoments,
-    marginalize,
-    product,
-    quotient,
     solve_guarded,
     to_moments,
 )
+from planegbp.graph import POINT, PRIOR, FactorGraph
 from conftest import random_info, random_spd, solve_guarded_loop
 
 
 def dense_marginal_oracle(joint: GaussianInfo, layout: BlockLayout, keep):
     """Independent marginalisation: invert the full precision, read off the
-    block, convert back. Used to check the Schur-complement path."""
+    block, convert back. Used to check the engine's Schur step."""
     cov = np.linalg.inv(joint.lam)
     mu = cov @ joint.eta
     sl = layout.slice_of(keep)
@@ -27,79 +27,67 @@ def dense_marginal_oracle(joint: GaussianInfo, layout: BlockLayout, keep):
     return GaussianInfo(lam_k @ mu[sl], lam_k)
 
 
-# -- product / quotient -------------------------------------------------------
+# -- the engine's products, quotients and Schur step ---------------------------
 
-def test_product_identity_element(rng):
-    g = random_info(rng, 4)
-    zero = GaussianInfo.zero(4)
-    assert product(zero, g).allclose(g)
-    assert product(g, zero).allclose(g)
+def engine_belief(prior: GaussianInfo, z, sigma) -> GaussianInfo:
+    """A point's belief after one sweep: its prior times the message of a prior factor."""
+    g = FactorGraph()
+    g.add_factor(PRIOR, (g.add_variable(POINT, np.zeros(3), prior),), z, sigma)
+    eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0))
+    eng.iterate()
+    return GaussianInfo(eng.banks[3].belief_eta[0], eng.banks[3].belief_lam[0])
+
+
+def schur_marginal(joint: GaussianInfo, layout: BlockLayout, keep):
+    """(message, regularised blocks) of the engine's factor-to-variable Schur
+    step on `joint` as one factor, to the block `keep`, with zero incoming."""
+    sk = layout.slice_of(keep)
+    order = np.r_[np.arange(joint.dim)[sk], np.delete(np.arange(joint.dim), sk)]
+    dims = (sk.stop - sk.start, joint.dim - sk.stop + sk.start)
+    b = SimpleNamespace(dims=dims, arity=1 + (dims[1] > 0), n=1, weight=np.ones(1),
+                        eta=joint.eta[order][None], lam=joint.lam[np.ix_(order, order)][None],
+                        v2f_eta=[np.zeros((1, d)) for d in dims],
+                        v2f_lam=[np.zeros((1, d, d)) for d in dims])
+    counters = {"marginalisation_calls": 0, "regularised": 0}
+    (eta, lam), *_ = GbpEngine(FactorGraph(), GbpConfig())._factor_messages(
+        b, [np.zeros(1, int), np.zeros(0, int)], counters)
+    return GaussianInfo(eta[0], lam[0]), counters["regularised"]
 
 
 def test_product_componentwise_sum():
-    a = GaussianInfo([1.0], [[1.0]])
-    b = GaussianInfo([2.0], [[3.0]])
-    out = product(a, b)
-    assert out.eta[0] == 3.0 and out.lam[0, 0] == 4.0
+    out = engine_belief(GaussianInfo(np.full(3, 2.0), 3.0 * np.eye(3)), np.ones(3), 1.0)
+    assert np.all(out.eta == 3.0) and np.array_equal(out.lam, 4.0 * np.eye(3))
 
 
 def test_product_matches_moment_form_oracle():
-    # product of N(0, 1) and N(2, 1) via the moment-form formulas:
+    # product of N(0, 1) and N(2, 1) per axis via the moment-form formulas:
     # var = (1/v1 + 1/v2)^-1, mean = var * (m1/v1 + m2/v2)
-    def info_1d(mean, var):
-        return GaussianInfo([mean / var], [[1.0 / var]])
-
-    out = to_moments(product(info_1d(0.0, 1.0), info_1d(2.0, 1.0)))
+    out = to_moments(engine_belief(GaussianInfo(np.zeros(3), np.eye(3)), np.full(3, 2.0), 1.0))
     v = 1.0 / (1.0 / 1.0 + 1.0 / 1.0)
     m = v * (0.0 / 1.0 + 2.0 / 1.0)
-    assert np.isclose(out.mean[0], m) and np.isclose(out.cov[0, 0], v)
-    assert np.isclose(out.mean[0], 1.0) and np.isclose(out.cov[0, 0], 0.5)
-
-
-def test_product_commutative_associative(rng):
-    a, b, c = (random_info(rng, 3) for _ in range(3))
-    assert product(a, b).allclose(product(b, a))
-    assert product(product(a, b), c).allclose(product(a, product(b, c)), rtol=1e-12)
+    assert np.allclose(out.mean, m) and np.allclose(out.cov, v * np.eye(3))
+    assert np.allclose(out.mean, 1.0) and np.allclose(out.cov, 0.5 * np.eye(3))
 
 
 def test_quotient_identity_and_componentwise():
-    g = GaussianInfo([3.0], [[4.0]])
-    assert quotient(g, GaussianInfo.zero(1)).allclose(g)
-    out = quotient(g, GaussianInfo([2.0], [[3.0]]))
-    assert out.eta[0] == 1.0 and out.lam[0, 0] == 1.0
+    # the engine's variable-to-factor quotient: belief[rows] - f2v
+    out, belief = np.empty((2, 1)), np.array([[3.0], [4.0]])
+    _quotient(out, belief, np.array([0, 1]), np.zeros((2, 1)))
+    assert np.array_equal(out, belief)
+    _quotient(out, belief, np.array([0, 1]), np.array([[2.0], [3.0]]))
+    assert np.array_equal(out, [[1.0], [1.0]])
 
 
 def test_quotient_returns_improper_gaussian():
-    weak = GaussianInfo([0.0], [[1.0]])
-    strong = GaussianInfo([0.0], [[5.0]])
-    out = quotient(weak, strong)
-    assert out.lam[0, 0] == -4.0  # indefinite, still returned
+    out = np.empty((1, 1, 1))
+    _quotient(out, np.array([[[1.0]]]), np.array([0]), np.array([[[5.0]]]))
+    assert out[0, 0, 0] == -4.0  # indefinite, still returned
 
-
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=40, deadline=None)
-def test_product_quotient_inverse_law(dim, seed):
-    r = np.random.default_rng(seed)
-    a = random_info(r, dim)
-    b = random_info(r, dim)
-    back = quotient(product(a, b), b)
-    assert np.allclose(back.eta, a.eta, atol=1e-12)
-    assert np.allclose(back.lam, a.lam, atol=1e-12)
-
-
-def test_dimension_mismatch_raises(rng):
-    with pytest.raises(ContractViolation):
-        product(random_info(rng, 2), random_info(rng, 3))
-    with pytest.raises(ContractViolation):
-        quotient(random_info(rng, 2), random_info(rng, 3))
-
-
-# -- marginalisation ----------------------------------------------------------
 
 def test_marginalize_two_dim_example():
     joint = GaussianInfo([1.0, 1.0], [[2.0, 1.0], [1.0, 2.0]])
     layout = BlockLayout.from_dims([(0, 1), (1, 1)])
-    out = marginalize(joint, layout, 0)
+    out, _ = schur_marginal(joint, layout, 0)
     oracle = dense_marginal_oracle(joint, layout, 0)
     assert np.allclose(out.eta, oracle.eta) and np.allclose(out.lam, oracle.lam)
     assert np.isclose(out.lam[0, 0], 1.5) and np.isclose(out.eta[0], 0.5)
@@ -113,14 +101,14 @@ def test_marginalize_block_diagonal_is_projection(rng):
     lam[3:, 3:] = b.lam
     joint = GaussianInfo(np.concatenate([a.eta, b.eta]), lam)
     layout = BlockLayout.from_dims([("a", 3), ("b", 2)])
-    out = marginalize(joint, layout, "a")
+    out, _ = schur_marginal(joint, layout, "a")
     assert out.allclose(a)
 
 
 def test_marginalize_single_block_is_identity(rng):
     g = random_info(rng, 4)
     layout = BlockLayout.from_dims([("only", 4)])
-    assert marginalize(g, layout, "only").allclose(g)
+    assert schur_marginal(g, layout, "only")[0].allclose(g)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -133,21 +121,22 @@ def test_marginalize_matches_dense_oracle_to_dim_30(seed):
     joint = GaussianInfo(r.normal(size=dim), random_spd(r, dim))
     layout = BlockLayout.from_dims(list(enumerate(widths)))
     for keep in range(len(widths)):
-        out = marginalize(joint, layout, keep)
+        out, _ = schur_marginal(joint, layout, keep)
         oracle = dense_marginal_oracle(joint, layout, keep)
         assert np.allclose(out.eta, oracle.eta, rtol=1e-9, atol=1e-9)
         assert np.allclose(out.lam, oracle.lam, rtol=1e-9, atol=1e-9)
 
 
 def test_singular_elimination_regularised_and_flagged():
-    # eliminated block is exactly zero information; the count of regularised
-    # blocks is checked on solve_guarded below
+    # eliminated block is exactly zero information: solved with a Tikhonov
+    # term and counted
     lam = np.zeros((2, 2))
     lam[0, 0] = 2.0
     joint = GaussianInfo(np.array([1.0, 0.0]), lam)
     layout = BlockLayout.from_dims([("keep", 1), ("gone", 1)])
-    out = marginalize(joint, layout, "keep")
+    out, regularised = schur_marginal(joint, layout, "keep")
     assert np.isfinite(out.eta).all() and np.isfinite(out.lam).all()
+    assert regularised == 1
 
 
 def _guarded_batch(rng, d, singular=True, overflow=True):

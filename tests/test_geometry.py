@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from planegbp.errors import BehindCameraError, ContractViolation, DegeneratePlaneError
+from planegbp.errors import ContractViolation, DegeneratePlaneError
 from planegbp.frontend import backproject
 from planegbp.geometry import (
     CameraModel,
     PlaneParams,
     Pose,
-    project,
+    project_cam_batch,
     so3_exp,
     so3_exp_batch,
     so3_right_jacobian_batch,
@@ -127,9 +127,9 @@ def test_transform_plane_translation_along_normal():
     # homogeneous-transform oracle: T^-T applied to (n, -d), then renormalise
     T = np.eye(4)
     T[2, 3] = 1.0
-    h = np.linalg.inv(T).T @ pl.homogeneous()
-    oracle = PlaneParams.from_homogeneous(h)
-    assert np.allclose(out.m, oracle.m, atol=1e-12)
+    h = np.linalg.inv(T).T @ np.append(pl.normal, -pl.distance)
+    scale = np.linalg.norm(h[:3])
+    assert np.allclose(out.m, h[:3] / scale * (-h[3] / scale), atol=1e-12)
     assert np.isclose(out.distance, 3.0)
     assert np.allclose(out.normal, [0, 0, 1])
 
@@ -171,18 +171,19 @@ def test_degenerate_plane_raises(rng):
 # -- projection ---------------------------------------------------------------
 
 def test_project_on_axis_hits_principal_point():
-    pix = project(CAM, Pose.identity(), np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(pix, [CAM.cx, CAM.cy])
+    pix, valid = project_cam_batch(CAM, np.array([[0.0, 0.0, 1.0]]))
+    assert valid[0] and np.allclose(pix[0], [CAM.cx, CAM.cy])
 
 
 def test_project_direct_evaluation():
-    pix = project(CAM, Pose.identity(), np.array([1.0, 0.0, 2.0]))
-    assert np.allclose(pix, [570.0, 320.0])
+    pix, valid = project_cam_batch(CAM, np.array([[1.0, 0.0, 2.0]]))
+    assert valid[0] and np.allclose(pix[0], [570.0, 320.0])
 
 
-def test_project_behind_camera_raises():
-    with pytest.raises(BehindCameraError):
-        project(CAM, Pose.identity(), np.array([0.0, 0.0, -1.0]))
+def test_project_behind_camera_is_flagged():
+    # at or behind the cheirality depth a row is flagged, with a finite pixel
+    pix, valid = project_cam_batch(CAM, np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1e-3]]))
+    assert not valid.any() and np.all(np.isfinite(pix))
 
 
 def test_camera_validation():

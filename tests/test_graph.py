@@ -18,8 +18,8 @@ from planegbp.graph import (
     RIGID_PLANE_PREDICTION,
     FactorGraph,
 )
-from planegbp.routing import ROUTED, PoolConfig, RoutingSimulator
-from conftest import graph_signature
+from planegbp.routing import ROUTED, RoutingSimulator
+from conftest import GENEROUS_POOLS, graph_signature
 
 CAM = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 
@@ -271,7 +271,7 @@ def test_journal_replay_reconstructs_graph():
             g.add_factor(PLANE_POINT, (plane, p), 0.0, 0.05)
         g.add_factor(PLANE_PREDICTION, (plane, kf), np.array([0, 0, 3.0]), 20.0)
         planes.append((plane, members))
-    sim = RoutingSimulator(PoolConfig.generous_for(g))
+    sim = RoutingSimulator(GENEROUS_POOLS)
     bodies = []
     for plane, members in planes:
         conv = {plane: np.array([0, 0, 3.0]), **{p: g.variables[p].mean for p in members}}

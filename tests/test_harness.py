@@ -12,11 +12,12 @@ from planegbp.cli import main as cli_main
 from planegbp.engine import GbpEngine
 from planegbp.errors import CapacityError, ContractViolation
 from planegbp.harness import compare_runs, export_reconstruction, run
-from planegbp.frontend import box_room_spec, generate_scene
+from planegbp.frontend import generate_scene
 from planegbp.geometry import PlaneParams
-from planegbp.graph import COMBINED_RIGID_REPROJECTION, FACTOR_KINDS, FactorGraph
+from planegbp.graph import COMBINED_RIGID_REPROJECTION, FACTOR_KINDS, RIGID_BODY, FactorGraph
+from planegbp.routing import ROUTED, RoutingSimulator
 from conftest import graph_signature
-from scenes import ba_scene, desk_config, wall_scene
+from scenes import ba_scene, box_room_spec, desk_config, merge_scene, wall_scene
 
 
 def small_config(seed=3, **kw):
@@ -88,13 +89,23 @@ def test_run_emits_all_artifacts(tmp_path):
     assert any(r["marginalisation_calls"] > 0 for r in rows)
 
 
-def test_routed_run_emits_cost_csv(tmp_path):
+def test_routed_run_emits_cost_csv(tmp_path, monkeypatch):
+    reported = []
+    cost_report = RoutingSimulator.cost_report
+
+    def recorded(sim):
+        reported.extend(cost_report(sim))
+        return reported
+
+    monkeypatch.setattr(RoutingSimulator, "cost_report", recorded)
     cfg = small_config(solver="gbp-routed")
     cfg.out_dir = str(tmp_path / "run")
     run(cfg)
     rows = io_formats.read_csv(tmp_path / "run" / "cost.csv")
     sweeps = io_formats.read_csv(tmp_path / "run" / "iterations.csv")
-    assert list(rows[0]) == io_formats.COST_FIELDS
+    # every key of the simulator's records is a column, values as reported
+    assert rows == reported and tuple(rows[0]) == io_formats.COST_FIELDS
+    assert all(r["deliveries"] * 2 == r["hops"] for r in rows)
     assert all(r["n_routing_nodes"] == 10 for r in rows)
     assert len(rows) == len(sweeps)
     # Each routed (pairwise) edge carries one f2v and one v2f message per
@@ -104,6 +115,32 @@ def test_routed_run_emits_cost_csv(tmp_path):
         assert cost["hops"] == 4 * sweep["marginalisation_calls"]
         assert (cost["hops"] > 0) == (sweep["n_factors"] > 0)
     assert any(r["hops"] > 0 for r in rows)
+
+
+def test_overlapping_coplanar_patches_merge_in_a_run_routed_as_direct(monkeypatch):
+    # Two overlapping patches of one wall are confirmed as two bodies; the
+    # run's merge pass, fed the engine's current means, merges them, and the
+    # routed engine follows the merge's journal events to the same result.
+    sims = []
+    routing_sim_for = harness._routing_sim_for
+
+    def recorded(packets):
+        sims.append(routing_sim_for(packets))
+        return sims[-1]
+
+    monkeypatch.setattr(harness, "_routing_sim_for", recorded)
+    direct = run(desk_config(merge_scene(1), 1))
+    routed = run(desk_config(merge_scene(1), 1, solver="gbp-routed"))
+    s = direct.summary
+    assert (s["n_confirmed"], s["n_rejected"], s["n_merged"]) == (3, 0, 1)
+    assert s["final_census"]["variables"][RIGID_BODY] == 2
+    assert routed.summary == {**s, "solver": "gbp-routed"}
+    (sim,) = sims
+    for result in (direct, routed):
+        result.graph.check_integrity()
+    assert sim.slot_conservation_ok()
+    assert sim.routing_entry_count() == sum(
+        len(f.adjacency) for f in routed.graph.factors.values() if f.kind in ROUTED)
 
 
 def test_census_has_one_row_at_start_and_one_per_edit_pass(tmp_path, monkeypatch):
@@ -380,7 +417,12 @@ def test_cli_config_error_exit_code(tmp_path):
     for section, key, value in (("priors", "plane_sigma", 100.0),
                                 ("abstraction", "l_thresh", 0.8),
                                 ("gbp", "energy_window", 10),
-                                (None, "robust", "tukey")):
+                                (None, "robust", "tukey"),
+                                ("scene", "traj_height", 0.0),
+                                ("scene", "hyp_angle_sigma_deg", 5.0),
+                                ("scene", "hyp_d_sigma", 0.05),
+                                ("scene", "spurious_min_distance", 0.3),
+                                ("scene", "min_hypothesis_members", 4)):
         unknown_key = small_config().to_dict()
         (unknown_key[section] if section else unknown_key)[key] = value
         io_formats.write_json(tmp_path / "unknown.json", "experiment-config", unknown_key)

@@ -27,7 +27,7 @@ from planegbp.reference import (
     dense_marginals,
     lm_solve,
 )
-from planegbp.routing import ROUTED, PoolConfig, RoutedTransport, RoutingSimulator
+from planegbp.routing import ROUTED, RoutedTransport, RoutingSimulator
 from planegbp.harness import ExperimentConfig, build_ba_graph
 from planegbp.frontend import PlaneSpec, SceneSpec, generate_scene
 from planegbp.graph import (
@@ -37,6 +37,7 @@ from planegbp.graph import (
     PLANE_PREDICTION,
     REPROJECTION,
 )
+from conftest import GENEROUS_POOLS
 
 
 def test_dense_marginals_single_unary_variable():
@@ -412,7 +413,7 @@ def test_gbp_sweep_cost_is_structure_agnostic_direct_fill_is_not(rng):
     for name, g in graphs.items():
         entries = sum(len(f.adjacency) for f in g.factors.values() if f.kind in ROUTED)
         assert (len(g.factors), entries) == (140, 280)
-        sim = RoutingSimulator(PoolConfig.generous_for(g))
+        sim = RoutingSimulator(GENEROUS_POOLS)
         GbpEngine(g, GbpConfig(), transport=RoutedTransport(sim)).iterate()
         (sweep,) = sim.cost_report()
         assert sweep["hops"] == 4 * entries

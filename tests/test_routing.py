@@ -20,7 +20,7 @@ from planegbp.routing import (
     legal_type_pairs,
 )
 from planegbp.geometry import CameraModel
-from conftest import build_linear_graph, random_tree_edges
+from conftest import GENEROUS_POOLS, build_linear_graph, random_tree_edges
 
 CAM = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 
@@ -28,7 +28,7 @@ CAM = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 def test_ten_legal_pairs_for_slam_kinds():
     # 4 variable kinds x 5 routed SLAM factor kinds, legal adjacency only:
     # priors are core-local
-    pairs = legal_type_pairs()
+    pairs = legal_type_pairs(default_pools().max_factors)
     assert len(pairs) == 10
 
 
@@ -249,7 +249,7 @@ def test_misrouted_entry_changes_beliefs():
 
 def test_routed_equals_direct_with_dynamic_edits(rng):
     g = build_linear_graph(rng, 10, random_tree_edges(rng, 10) + [(0, 9)])
-    sim, routed, direct = routed_twins(g, PoolConfig.generous_for(g),
+    sim, routed, direct = routed_twins(g, GENEROUS_POOLS,
                                        GbpConfig(damping=0.3, dropout=0.5, seed=4))
     g_ref = direct.graph
 
