@@ -174,21 +174,18 @@ def hull2d(points2d: np.ndarray):
 
 def sample_in_hull(rng, vertices: np.ndarray, n: int) -> np.ndarray:
     """Uniform samples inside a convex polygon (fan triangulation)."""
+    # triangle t is (v0, vertices[t + 1], vertices[t + 2])
     v0 = vertices[0]
-    tris = [(v0, vertices[i], vertices[i + 1]) for i in range(1, len(vertices) - 1)]
-    areas = np.array([
-        abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]) / 2 for a, b, c in tris
-    ])
+    b, c = vertices[1:-1] - v0, vertices[2:] - v0
+    areas = np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]) / 2
     if areas.sum() <= 0:
         return np.repeat(v0[None], n, axis=0)
-    choice = rng.choice(len(tris), size=n, p=areas / areas.sum())
+    choice = rng.choice(len(areas), size=n, p=areas / areas.sum())
     r1 = np.sqrt(rng.uniform(size=n))
     r2 = rng.uniform(size=n)
-    out = np.empty((n, 2))
-    for i, t in enumerate(choice):
-        a, b, c = tris[t]
-        out[i] = (1 - r1[i]) * a + r1[i] * (1 - r2[i]) * b + r1[i] * r2[i] * c
-    return out
+    b, c = vertices[choice + 1], vertices[choice + 2]
+    return ((1 - r1)[:, None] * v0 + (r1 * (1 - r2))[:, None] * b
+            + (r1 * r2)[:, None] * c)
 
 
 def points_in_hull(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:

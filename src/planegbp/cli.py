@@ -5,7 +5,8 @@
     planegbp compare DIR [DIR ...] [--out FILE]
     planegbp export --graph graph.json [--out FILE]
 
-`--seed N` sets the run's, the GBP engine's and the scene's seed.
+`--seed N` sets the run's, the GBP engine's and the scene's seed. A config
+whose `gbp.seed` or `scene.seed` is not its `seed` is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime contract violation.
 """

@@ -49,6 +49,7 @@ they stay because the benchmark's span tracer (`bench/spans.py`) wraps
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +65,7 @@ from .geometry import (
     transform_plane_jacobians_batch,
     transform_plane_min_batch,
 )
-from .graph import FACTOR_KINDS, FactorNode
+from .graph import FACTOR_KINDS, VARIABLE_DIMS, FactorNode
 
 
 @dataclass
@@ -243,13 +244,14 @@ class FactorStack:
         if spec.constituents:
             counts = [len(f.constituents()) for f in nodes]
             self.owner = np.repeat(np.arange(len(nodes)), counts)
-            rows = [c for f in nodes for c in f.constituents()]
+            fields = list(zip(*[c for f in nodes for c in f.constituents()]))
         else:
             self.owner = None
-            rows = [(f.measurement, *(f.payload[k] for k in keys)) for f in nodes]
-        self.z = np.stack([r[0] for r in rows])
-        self.payload = {k: np.stack([r[i + 1] for r in rows]) for i, k in enumerate(keys)}
-        sigma = np.stack([f.sigma for f in nodes])
+            fields = [[f.measurement for f in nodes],
+                      *([f.payload[k] for f in nodes] for k in keys)]
+        self.z = np.array(fields[0], dtype=float)
+        self.payload = {k: np.array(col, dtype=float) for k, col in zip(keys, fields[1:])}
+        sigma = np.array([f.sigma for f in nodes], dtype=float)
         self.sigma = sigma if self.owner is None else sigma[self.owner]
 
     @property
@@ -262,12 +264,14 @@ class FactorStack:
 
 
 def group_factors(graph, factors=None) -> list:
-    """((kind, dims, row dim), nodes) groups in sorted key order, nodes by id."""
+    """((kind, dims, row dim), nodes) groups in sorted key order, nodes by id;
+    `dims` are the VARIABLE_DIMS of the adjacent variables' kinds."""
     groups: dict = {}
+    dim_of = {vid: VARIABLE_DIMS[v.kind] for vid, v in graph.variables.items()}.__getitem__
     factors = graph.factors.values() if factors is None else factors
-    for fac in sorted(factors, key=lambda f: f.id):
-        dims = tuple(graph.variables[v].dim for v in fac.adjacency)
-        groups.setdefault((fac.kind, dims, fac.sigma.shape[0]), []).append(fac)
+    for fac in sorted(factors, key=attrgetter("id")):
+        dims = tuple(map(dim_of, fac.adjacency))
+        groups.setdefault((fac.kind, dims, len(fac.sigma)), []).append(fac)
     return [(key, groups[key]) for key in sorted(groups)]
 
 

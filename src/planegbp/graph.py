@@ -1,9 +1,11 @@
 """Editable heterogeneous factor graph: the master scene representation.
 
-Variables and factors are typed nodes; every structural edit appends an
-event to a journal from which the graph can be replayed exactly. Edits are
-meant to happen between propagation sweeps (single writer); the engine keeps
-its own compiled view, which holds all propagation state, and recompiles it
+Variables and factors are typed nodes; every structural edit appends a
+record to a journal from which the graph can be replayed exactly. A factor
+never changes after insertion (an edit removes it and adds a new one), so
+the journal records an inserted factor by its `FactorNode`. Edits are meant
+to happen between propagation sweeps (single writer); the engine keeps its
+own compiled view, which holds all propagation state, and recompiles it
 after edits.
 
 A confirmed plane lives here alone. Compressing it into a rigid body moves
@@ -134,6 +136,8 @@ class VariableNode:
 
 @dataclass
 class FactorNode:
+    """A factor; fixed once inserted, it is also its insertion's journal record."""
+
     id: int
     kind: str
     adjacency: tuple
@@ -150,7 +154,7 @@ class FactorNode:
         return self.payload.get("constituents", [])
 
 
-# --- Edit journal ----------------------------------------------------------
+# --- Edit journal (a factor's insertion is recorded by its FactorNode) ------
 
 @dataclass(frozen=True)
 class AddVariable:
@@ -163,16 +167,6 @@ class AddVariable:
 @dataclass(frozen=True)
 class RemoveVariable:
     id: int
-
-
-@dataclass(frozen=True)
-class AddFactor:
-    id: int
-    kind: str
-    adjacency: tuple
-    measurement: Optional[np.ndarray]
-    sigma: np.ndarray
-    payload: dict
 
 
 @dataclass(frozen=True)
@@ -345,7 +339,7 @@ class FactorGraph:
         self.factors[fid] = node
         for vid in adjacency:
             self.variables[vid].factor_ids.append(fid)
-        self.journal.append(AddFactor(fid, kind, adjacency, measurement, sigma, payload))
+        self.journal.append(node)
         return fid
 
     def _joint_dim(self, adjacency) -> int:
@@ -517,12 +511,11 @@ class FactorGraph:
                 g.add_variable(event.kind, event.mean, event.prior, _fixed_id=event.id)
             elif isinstance(event, RemoveVariable):
                 g.remove_variable(event.id)
-            elif isinstance(event, AddFactor):
+            elif isinstance(event, FactorNode):
                 g.add_factor(event.kind, event.adjacency, event.measurement, event.sigma,
                              payload=event.payload, _fixed_id=event.id)
             elif isinstance(event, RemoveFactor):
                 g.remove_factor(event.id)
             else:
                 raise ContractViolation(f"unknown journal event {event!r}")
-        g.journal = list(journal)
         return g

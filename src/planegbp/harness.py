@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ContractViolation("config needs a scene spec or a replay path")
         if self.scene is not None and self.scene.seed != self.seed:
             raise ContractViolation(f"scene.seed {self.scene.seed} is not seed {self.seed}")
+        if self.gbp.seed != self.seed:
+            raise ContractViolation(f"gbp.seed {self.gbp.seed} is not seed {self.seed}")
 
     @property
     def keyframe_interval_eff(self) -> int:

@@ -15,18 +15,20 @@ tables; the channel set (the communication pattern: pool capacities,
 routing-node pairs and the per-variable edge limit) never changes after
 construction, and `apply_edit` checks that.
 
-The simulator follows the graph journal itself: `follow` applies the events
-appended since its last call, once each; a compression or merge arrives as
-the primitive events it consists of. The simulation is functional, not
-cycle-accurate. Whenever the engine compiles, `RoutedTransport.attach`
-brings the tables up to the journal, then resolves every routed batch's
-rows through the routing matrices (never through graph adjacency), with one
-gather per batch and position, and writes them into the engine's batches,
-which gather, scatter beliefs and send variable-to-factor messages along
-them only; so a wrong routing entry shows up as a wrong inference result.
-Each sweep's cost is read off the entry counts: every entry carries one
-factor-to-variable and one variable-to-factor message of 2 hops each,
-reported as hops, deliveries and per-routing-node loads.
+The simulator follows the graph journal itself: `follow` applies the records
+(`AddVariable`, `RemoveVariable`, an inserted factor's `FactorNode` and
+`RemoveFactor`) appended since its last call, once each; a compression or
+merge arrives as the primitive records it consists of. The simulation is
+functional, not cycle-accurate. Whenever the engine compiles,
+`RoutedTransport.attach` brings the tables up to the journal, then resolves
+every routed batch's rows through the routing matrices (never through graph
+adjacency), with one gather per batch and position, and writes them into
+the engine's batches, which gather, scatter beliefs and send
+variable-to-factor messages along them only; so a wrong routing entry shows
+up as a wrong inference result. Each sweep's cost is read off the entry
+counts: every entry carries one factor-to-variable and one
+variable-to-factor message of 2 hops each, reported as hops, deliveries and
+per-routing-node loads.
 
 A routed factor kind has a pool and routing nodes when the pool
 configuration lists it; a factor of an unlisted routed kind is a
@@ -48,8 +50,8 @@ from .graph import (
     FACTOR_KINDS,
     PRIOR,
     VARIABLE_DIMS,
-    AddFactor,
     AddVariable,
+    FactorNode,
     RemoveFactor,
     RemoveVariable,
 )
@@ -194,7 +196,7 @@ class RoutingSimulator:
                 raise ContractViolation(f"variable {event.id} still routed")
             pool.release(event.id)
             del self._variable_pool[event.id]
-        elif isinstance(event, AddFactor):
+        elif isinstance(event, FactorNode):
             self._bind_factor(event.id, event.kind, event.adjacency)
         elif isinstance(event, RemoveFactor):
             self._release_factor(event.id)

@@ -467,6 +467,19 @@ def test_hull_sampling_and_containment(rng):
     outside = np.array([[2.0, 2.0], [-1.0, 0.5]])
     assert not np.any(points_in_hull(hull, outside))
 
+    # The same draws and, per sample, the same arithmetic as a loop over the
+    # fan's triangles, so the merge gate sees the same bits.
+    polygon = hull2d(rng.normal(size=(12, 2)))
+    draw = np.random.default_rng(5)
+    a = polygon[0]
+    areas = [abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]) / 2
+             for b, c in zip(polygon[1:-1], polygon[2:])]
+    choice = draw.choice(len(areas), size=50, p=np.array(areas) / np.sum(areas))
+    r1, r2 = np.sqrt(draw.uniform(size=50)), draw.uniform(size=50)
+    loop = np.array([(1 - r1[i]) * a + r1[i] * (1 - r2[i]) * polygon[t + 1]
+                     + r1[i] * r2[i] * polygon[t + 2] for i, t in enumerate(choice)])
+    assert np.array_equal(sample_in_hull(np.random.default_rng(5), polygon, 50), loop)
+
 
 def test_hull_degenerate_collinear():
     line = np.stack([np.linspace(0, 1, 5), np.zeros(5)], axis=1)

@@ -34,8 +34,10 @@ from planegbp.graph import (
 from planegbp.factors import (
     HUBER_C,
     TUKEY_C,
+    FactorStack,
     evaluate_factor,
     factor_stacks,
+    group_factors,
     linearise_batch,
     own_poses,
     robust_weight,
@@ -503,6 +505,45 @@ def every_kind_graph(rng):
     g.add_factor("linear", (pts[2],), rng.normal(size=3), 0.7,
                  payload={"A": rng.normal(size=(3, 3))})
     return g
+
+
+def test_stacks_hold_each_field_of_their_nodes(rng):
+    # Every stacked field equals np.stack over its group's nodes, in dtype and
+    # shape too; a row of a combined factor is one of its constituents.
+    g = every_kind_graph(rng)
+    groups = group_factors(g)
+    assert sorted(f.id for _, nodes in groups for f in nodes) == sorted(g.factors)
+    shapes = set()
+    for (kind, dims, m), nodes in groups:
+        for f in nodes:
+            assert (kind, dims, m) == (
+                f.kind, tuple(g.variables[v].dim for v in f.adjacency), f.sigma.shape[0])
+        spec = FACTOR_KINDS[kind]
+        keys = [key for key, _ in spec.payload]
+        if spec.constituents:
+            rows = [(i, c) for i, f in enumerate(nodes) for c in f.constituents()]
+        else:
+            rows = [(i, (f.measurement, *(f.payload[k] for k in keys)))
+                    for i, f in enumerate(nodes)]
+        stack = FactorStack(kind, dims, nodes)
+        fields = {"adjacency": (stack.adjacency, [np.array(f.adjacency) for f in nodes]),
+                  "z": (stack.z, [r[0] for _, r in rows]),
+                  "sigma": (stack.sigma, [nodes[i].sigma for i, _ in rows])}
+        fields.update({k: (stack.payload[k], [r[1 + j] for _, r in rows])
+                       for j, k in enumerate(keys)})
+        if spec.constituents:
+            fields["owner"] = (stack.owner, [i for i, _ in rows])
+        else:
+            assert stack.owner is None
+        assert sorted(stack.payload) == sorted(keys)
+        for name, (have, parts) in fields.items():
+            want = np.stack(parts)
+            assert (have.dtype, have.shape) == (want.dtype, want.shape), (kind, name)
+            assert np.array_equal(have, want), (kind, name)
+        shapes.update((kind, name, have.shape) for name, (have, _) in fields.items())
+    assert {kind for kind, _, _ in shapes} == set(FACTOR_KINDS)
+    assert ("linear", "A", (1, 4, 9)) in shapes and ("linear", "A", (1, 3, 3)) in shapes
+    assert (COMBINED_RIGID_REPROJECTION, "owner", (6,)) in shapes
 
 
 def assert_close(a, b, tol=1e-12):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from planegbp.graph import (
     RIGID_BODY,
     RIGID_PLANE_PREDICTION,
     FactorGraph,
+    FactorNode,
 )
 from planegbp.routing import ROUTED, RoutingSimulator
 from conftest import GENEROUS_POOLS, graph_signature
@@ -284,6 +287,57 @@ def test_journal_replay_reconstructs_graph():
     replayed = FactorGraph.replay(g.journal, camera=CAM)
     assert graph_signature(replayed) == graph_signature(g)
     replayed.check_integrity()
+    sim.follow(g.journal)
+    assert sim.slot_conservation_ok()
+    assert sim.routing_entry_count() == sum(
+        len(f.adjacency) for f in g.factors.values() if f.kind in ROUTED)
+
+
+def test_journal_records_each_inserted_factor_by_its_node():
+    # A factor never changes after insertion, so its node is the journal's
+    # record of it, and the record stays as inserted after the factor goes.
+    g = FactorGraph(camera=CAM)
+
+    def add(*args, **kwargs):
+        fid = g.add_factor(*args, **kwargs)
+        assert g.journal[-1] is g.factors[fid]
+
+    kf = g.add_variable(KEYFRAME, np.zeros(6))
+    pts = [g.add_variable(POINT, np.array([0.1 * i, 0, 3.0])) for i in range(4)]
+    for p in pts:
+        add(REPROJECTION, (kf, p), np.array([320.0 + p, 240.0]), 2.0)
+    planes = []
+    for members in (pts[:2], pts[2:]):
+        plane = g.add_variable(PLANE_HYPOTHESIS, np.array([0, 0, 3.0]))
+        for p in members:
+            add(PLANE_POINT, (plane, p), 0.0, 0.05)
+        add(PLANE_PREDICTION, (plane, kf), np.array([0, 0, 3.0]), 20.0)
+        planes.append((plane, members))
+    inserted = graph_signature(g)[1]
+    bodies = []
+    for plane, members in planes:
+        conv = {plane: np.array([0, 0, 3.0]), **{p: g.variables[p].mean for p in members}}
+        bodies.append(g.replace_with_rigid_body(plane, members, conv)[0])
+        inserted.update(graph_signature(g)[1])
+    poses = (Pose(np.array([0.1, 0, 0, 0, 0, 0.05])), Pose(np.array([0, 0.2, 0, 0.03, 0, 0])))
+    g.merge_rigid_bodies(*bodies, poses, np.array([0, 0, 3.1]))
+    inserted.update(graph_signature(g)[1])
+
+    records = [r for r in g.journal if isinstance(r, FactorNode)]
+    assert len(records) == len({r.id for r in records}) == len(inserted)
+    removed = set(inserted) - set(g.factors)
+    assert {inserted[fid][0] for fid in removed} == {
+        REPROJECTION, PLANE_POINT, PLANE_PREDICTION, RIGID_PLANE_PREDICTION,
+        COMBINED_RIGID_REPROJECTION}
+    recorded = graph_signature(SimpleNamespace(variables={}, factors={r.id: r for r in records}))
+    assert recorded[1] == inserted
+
+    replayed = FactorGraph.replay(g.journal, camera=CAM)
+    assert graph_signature(replayed) == graph_signature(g)
+    assert len(replayed.journal) == len(g.journal)
+    assert all(r is replayed.factors[r.id] for r in replayed.journal
+               if isinstance(r, FactorNode) and r.id in replayed.factors)
+    sim = RoutingSimulator(GENEROUS_POOLS)
     sim.follow(g.journal)
     assert sim.slot_conservation_ok()
     assert sim.routing_entry_count() == sum(

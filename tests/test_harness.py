@@ -452,6 +452,21 @@ def test_scene_seed_other_than_seed_is_refused(tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+def test_gbp_seed_other_than_seed_is_refused(tmp_path):
+    # the engine draws its dropout from gbp.seed, so a config that left it at
+    # its default would share every draw with the runs of all other seeds
+    doc = small_config(seed=7).to_dict()
+    del doc["gbp"]
+    with pytest.raises(ContractViolation, match="gbp.seed 0 is not seed 7"):
+        harness.ExperimentConfig.from_dict(doc)
+    doc["gbp"] = {"seed": 4}
+    io_formats.write_json(tmp_path / "cfg.json", "experiment-config", doc)
+    for extra in ([], ["--seed", "9"]):
+        assert cli_main(["run", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path / "r"), *extra]) == 2
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_missing_replay_file_is_config_error(tmp_path):
     cfg = small_config(solver="gbp-routed")
     # the replay file is missing only once the config has been parsed

@@ -19,7 +19,7 @@ import pytest
 import planegbp
 from planegbp import io_formats
 from planegbp.cli import main as cli_main
-from planegbp.engine import GbpEngine
+from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.frontend import generate_scene
 from planegbp.harness import ExperimentConfig, build_ba_graph
 from scenes import desk_config, merge_scene, wall_scene
@@ -80,7 +80,8 @@ def toy_runs(tmp_path):
     # seed 2: one plane rejected, two confirmed and merged
     cli("run", "--config", config(desk_config(merge_scene(2), 2)), "--solver", "gbp-routed",
         "--out", gbp)
-    replay = ExperimentConfig(replay_path=str(gbp / "packets.json"), solver="lm", seed=2)
+    replay = ExperimentConfig(replay_path=str(gbp / "packets.json"), solver="lm", seed=2,
+                              gbp=GbpConfig(seed=2))
     cli("run", "--config", config(replay), "--out", lm)
     cli("compare", gbp, lm, "--out", tmp_path / "compare.json")
     cli("export", "--graph", gbp / "graph.json")

@@ -136,7 +136,7 @@ def test_lm_zero_noise_ground_truth_init_converges_immediately():
 
 
 def test_lm_cost_non_increasing_and_converges(rng):
-    cfg = ExperimentConfig(scene=_scene(3), solver="lm", seed=3)
+    cfg = ExperimentConfig(scene=_scene(3), solver="lm", seed=3, gbp=GbpConfig(seed=3))
     cfg.scene.pixel_sigma = 1.0
     packets, camera, scene = _scene_inputs(cfg)
     graph, state = build_ba_graph(cfg, packets, camera, pose_noise=(0.05, 0.02),
@@ -228,7 +228,8 @@ def dense_lm_solve(graph, cfg):
 
 
 def noisy_ba_graph(seed=3):
-    cfg = ExperimentConfig(scene=_scene(seed), solver="lm", seed=seed)
+    cfg = ExperimentConfig(scene=_scene(seed), solver="lm", seed=seed,
+                           gbp=GbpConfig(seed=seed))
     cfg.scene.pixel_sigma = 1.0
     packets, camera, scene = _scene_inputs(cfg)
     graph, _ = build_ba_graph(cfg, packets, camera, pose_noise=(0.05, 0.02),
