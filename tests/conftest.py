@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.factors import factor_stacks, linearise_batch, own_poses, residual_sums
 from planegbp.gaussians import REG_LAMBDA_REL, GaussianInfo
 from planegbp.geometry import project_cam_batch
-from planegbp.graph import KEYFRAME, LINEAR, POINT, VARIABLE_DIMS, FactorGraph
+from planegbp.graph import KEYFRAME, LINEAR, POINT, PRIOR, VARIABLE_DIMS, FactorGraph
 from planegbp.routing import ROUTED, PoolConfig
 
 
@@ -151,11 +152,40 @@ def solve_guarded_loop(S, rhs):
     return sol, regularised
 
 
+def reference_v2f(b, pos):
+    """(eta, lam) of every factor's variable->factor message at `pos`: zero
+    before the factor's first sweep, else its variable's belief minus the
+    factor's own message to it."""
+    rows, bank = b.rows[pos], b.banks[pos]
+    eta = np.where(b.fresh[:, None], 0.0, bank.belief_eta[rows] - b.f2v_eta[pos])
+    lam = np.where(b.fresh[:, None, None], 0.0, bank.belief_lam[rows] - b.f2v_lam[pos])
+    return eta, lam
+
+
+def engine_quotient(belief_eta, belief_lam, var_of, f2v_eta, f2v_lam):
+    """(eta, lam) of the engine's variable->factor messages (`_Batch.v2f`) of
+    one prior factor per entry of `var_of`, on that point, with the points'
+    beliefs and the factors' own messages set to the given stacks."""
+    g = FactorGraph()
+    pts = [g.add_variable(POINT, np.zeros(3)) for _ in range(len(belief_eta))]
+    for v in var_of:
+        g.add_factor(PRIOR, (pts[v],), np.zeros(3), 1.0)
+    eng = GbpEngine(g, GbpConfig())
+    (b,) = eng.batches
+    eng.banks[3].belief_eta = np.asarray(belief_eta, dtype=float)
+    eng.banks[3].belief_lam = np.asarray(belief_lam, dtype=float)
+    b.f2v_eta[0][:] = f2v_eta
+    b.f2v_lam[0][:] = f2v_lam
+    b.fresh[:] = False
+    return b.v2f(0)
+
+
 def reference_messages(b):
     """A batch's new factor->variable messages for every factor and position.
 
     The Schur step of the engine's sweep, computed for all factors whether
-    they send or not, with the per-block solve of `solve_guarded_loop`.
+    they send or not, with the per-block solve of `solve_guarded_loop` and
+    the incoming messages of `reference_v2f`.
     """
     if b.arity == 1:
         return [(b.eta.copy(), b.lam.copy())]
@@ -165,11 +195,12 @@ def reference_messages(b):
         other = 1 - target
         st, so = (slice(0, d0), slice(d0, d0 + d1)) if target == 0 else (
             slice(d0, d0 + d1), slice(0, d0))
+        in_eta, in_lam = reference_v2f(b, other)
         Ltt = b.lam[:, st, st]
         Lto = b.lam[:, st, so]
-        Loo = b.lam[:, so, so] + b.v2f_lam[other]
+        Loo = b.lam[:, so, so] + in_lam
         eta_t = b.eta[:, st]
-        eta_o = b.eta[:, so] + b.v2f_eta[other]
+        eta_o = b.eta[:, so] + in_eta
         zero = b.weight == 0.0
         rhs = np.concatenate([eta_o[:, :, None], np.transpose(Lto, (0, 2, 1))], axis=2)
         if np.all(zero):
@@ -199,7 +230,8 @@ def reference_sweep(eng):
     The factors that send to some position are relinearised, new messages
     are computed for every factor, dropout is applied by keeping the previous
     message with `np.where`, beliefs accumulated with `np.add.at`, means
-    solved per variable where the batched solve fails.
+    solved per variable where the batched solve fails. Afterwards no factor
+    is fresh.
     """
     cfg = eng.config
     masks = dropout_masks(eng)
@@ -233,7 +265,5 @@ def reference_sweep(eng):
             except np.linalg.LinAlgError:
                 pass  # under-constrained: hold previous mean
     for b in eng.batches:
-        for pos, rows in enumerate(b.rows):
-            b.v2f_eta[pos] = b.banks[pos].belief_eta[rows] - b.f2v_eta[pos]
-            b.v2f_lam[pos] = b.banks[pos].belief_lam[rows] - b.f2v_lam[pos]
+        b.fresh[:] = False
     eng.iteration += 1

@@ -36,9 +36,9 @@ from conftest import graph_signature, pixel
 
 CAM = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 CFG = GbpConfig(damping=0.3, dropout=0.5, seed=3)
-# a factor's engine state, and its per-position messages
-FACTOR_STATE = ("x0", "eta", "lam", "weight", "lin_valid")
-MESSAGES = ("f2v_eta", "f2v_lam", "v2f_eta", "v2f_lam")
+# a factor's engine state, and its per-position factor->variable messages
+FACTOR_STATE = ("x0", "eta", "lam", "weight", "lin_valid", "fresh")
+MESSAGES = ("f2v_eta", "f2v_lam")
 OPS = ("add_reprojection", "add_linear", "remove_factor", "add_variable",
        "remove_variable", "add_plane", "rigid", "merge")
 
@@ -159,12 +159,15 @@ def edit(g, eng, op, i, j):
 
 
 def engine_state(eng):
-    """fid -> per-factor state and both positions' messages; vid -> belief and mean."""
+    """fid -> per-factor state and both positions' messages, each way; vid ->
+    belief and mean."""
     factors = {}
     for b in eng.batches:
+        messages = [arr for name in MESSAGES for arr in getattr(b, name)] + [
+            arr for pos in range(b.arity) for arr in b.v2f(pos)]
         for i, fid in enumerate(b.ids):
             factors[fid] = [getattr(b, name)[i].copy() for name in FACTOR_STATE] + [
-                arr[i].copy() for name in MESSAGES for arr in getattr(b, name)]
+                arr[i].copy() for arr in messages]
     variables = {}
     for bank in eng.banks.values():
         for i, vid in enumerate(bank.ids.tolist()):

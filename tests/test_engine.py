@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from planegbp.engine import GbpConfig, GbpEngine, _quotient, energy_converged
+from planegbp import engine
+from planegbp.engine import GbpConfig, GbpEngine, energy_converged
 from planegbp.errors import ContractViolation
 from planegbp.gaussians import GaussianInfo, to_moments
 from planegbp.geometry import CameraModel, PlaneParams, Pose, transform_plane
@@ -31,12 +33,14 @@ from conftest import (
     bipartite_diameter,
     build_linear_graph,
     dropout_masks,
+    engine_quotient,
     linearise_one,
     pixel,
     random_info,
     random_tree_edges,
     reference_messages,
     reference_sweep,
+    reference_v2f,
 )
 from scenes import ba_scene, desk_config
 
@@ -50,8 +54,9 @@ def edge(eng, fid, vid):
     (b,) = [b for b in eng.batches if fid in b.ids]
     i = b.ids.index(fid)
     pos = b.adjacency[i].tolist().index(vid)
+    v2f_eta, v2f_lam = b.v2f(pos, [i])
     return (GaussianInfo(b.f2v_eta[pos][i], b.f2v_lam[pos][i]),
-            GaussianInfo(b.v2f_eta[pos][i], b.v2f_lam[pos][i]))
+            GaussianInfo(v2f_eta[0], v2f_lam[0]))
 
 
 def run_gbp(engine, max_iterations, rel_tol, window):
@@ -114,9 +119,10 @@ def test_pairwise_zero_incoming_is_plain_schur(rng):
 
 
 def test_variable_to_factor_quotient_example():
-    # the engine's quotient writes belief[rows] - f2v into the v2f array
-    out = np.zeros((2, 1))
-    _quotient(out, np.array([[3.0], [4.0]]), np.array([1, 0]), np.array([[3.0], [2.0]]))
+    # the engine's quotient forms belief[rows] - f2v where it is read
+    belief = np.array([[3.0], [4.0]]) * np.ones(3)
+    out, _ = engine_quotient(belief, np.stack([np.eye(3)] * 2), [1, 0],
+                             np.array([[3.0], [2.0]]) * np.ones(3), np.zeros((2, 3, 3)))
     assert out[0, 0] == 1.0 and out[1, 0] == 1.0
 
 
@@ -145,17 +151,28 @@ def test_variable_with_no_factors_keeps_prior(rng):
 
 
 def test_singular_belief_holds_its_mean_beside_a_regular_one():
-    # a zero prior and no factors: the bank's batched solve meets an exactly
-    # singular block, which keeps its mean while its neighbour is solved
+    # A zero prior and no factors: the bank's batched solve meets an exactly
+    # singular block, which keeps its mean while its neighbour is solved.
+    # Every sweep counts the held means, one per bank here; a prior factor
+    # added on the held point constrains it, and the count drops.
     g = FactorGraph()
     held = g.add_variable(POINT, np.array([1.0, 2.0, 3.0]))
+    pose = g.add_variable(KEYFRAME, np.arange(6.0) / 10.0)
     lam = np.diag([2.0, 4.0, 8.0])
     solved = g.add_variable(POINT, np.zeros(3), GaussianInfo(lam @ np.ones(3), lam))
     eng = GbpEngine(g, undamped())
-    eng.iterate()
+    for _ in range(3):
+        assert eng.iterate().n_held_means == 2
+        eng.sync_graph()
+        assert np.array_equal(g.variables[held].mean, [1.0, 2.0, 3.0])
+        assert np.array_equal(g.variables[pose].mean, np.arange(6.0) / 10.0)
+        assert np.array_equal(g.variables[solved].mean, np.ones(3))
+    g.add_factor(PRIOR, (held,), np.full(3, 5.0), 0.5)
+    eng.on_graph_edit()
+    assert eng.iterate().n_held_means == 1
     eng.sync_graph()
-    assert np.array_equal(g.variables[held].mean, [1.0, 2.0, 3.0])
-    assert np.array_equal(g.variables[solved].mean, np.ones(3))
+    assert np.allclose(g.variables[held].mean, 5.0)
+    assert np.array_equal(g.variables[pose].mean, np.arange(6.0) / 10.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -290,8 +307,9 @@ def test_edit_keeps_both_positions_of_a_factor_on_one_variable(rng):
         eng.iterate()
 
     def messages():
-        return [[arr.copy() for arrs in (b.f2v_eta, b.f2v_lam, b.v2f_eta, b.v2f_lam)
-                 for arr in arrs] for b in eng.batches]
+        v2f = [[b.v2f(pos) for pos in range(b.arity)] for b in eng.batches]
+        return [[arr.copy() for arrs in (b.f2v_eta, b.f2v_lam, *zip(*quotients))
+                 for arr in arrs] for b, quotients in zip(eng.batches, v2f)]
 
     before = messages()
     (loop,) = [b for b in eng.batches if (b.adjacency == 0).all(axis=1).any()]
@@ -436,8 +454,10 @@ def test_sweep_matches_loop_reference(routed):
             for pos in range(b.arity):
                 assert np.array_equal(b.f2v_eta[pos], rb.f2v_eta[pos])
                 assert np.array_equal(b.f2v_lam[pos], rb.f2v_lam[pos])
-                assert np.array_equal(b.v2f_eta[pos], rb.v2f_eta[pos])
-                assert np.array_equal(b.v2f_lam[pos], rb.v2f_lam[pos])
+                v2f_eta, v2f_lam = b.v2f(pos)
+                ref_eta, ref_lam = reference_v2f(rb, pos)
+                assert np.array_equal(v2f_eta, ref_eta)
+                assert np.array_equal(v2f_lam, ref_lam)
         for dim, bank in eng.banks.items():
             rbank = ref.banks[dim]
             assert np.array_equal(bank.belief_eta, rbank.belief_eta)
@@ -540,3 +560,85 @@ def test_linearisation_and_metrics_equal_per_row_rotations(rng):
         assert report.avg_reproj_px == px / count
     assert kinds >= {REPROJECTION, PLANE_PREDICTION, RIGID_PLANE_PREDICTION,
                      COMBINED_RIGID_REPROJECTION}
+
+
+def _state(eng):
+    """Every state array of the engine's banks and batches, with each
+    position's variable->factor messages as the engine forms them."""
+    out = []
+    for bank in eng.banks.values():
+        out += [getattr(bank, name) for name in engine._VarBank.STATE]
+    for b in eng.batches:
+        for name in engine._Batch.STATE:
+            arr = getattr(b, name)
+            out += arr if isinstance(arr, list) else [arr]
+        for pos in range(b.arity):
+            out += b.v2f(pos)
+    return out
+
+
+def test_sweep_does_not_depend_on_the_block_size(monkeypatch):
+    # The per-factor half of a sweep runs one block of factors at a time.
+    # Blocks of 1 and 7 factors and the default block must give the same
+    # reports and leave every state array bit for bit equal, to one another
+    # and to the loop reference, which computes every message before it
+    # damps any: routed, on combined rigid reprojections, across an edit.
+    sizes = (1, 7, engine.BLOCK)
+    twins = []
+    for _ in range(len(sizes) + 1):
+        g, pts, rb, conv = _posed_graph(np.random.default_rng(5))
+        eng = GbpEngine(g, GbpConfig(damping=0.4, dropout=0.5, seed=3),
+                        transport=RoutedTransport(RoutingSimulator(GENEROUS_POOLS)))
+        twins.append((g, pts, rb, conv, eng))
+    engines = [twin[-1] for twin in twins]
+    assert max(b.n for b in engines[0].batches) > 2 * 7
+    assert any(b.kind == COMBINED_RIGID_REPROJECTION and b.n > 1 for b in engines[0].batches)
+    regularised = 0
+    for sweep in range(12):
+        if sweep == 5:
+            for g, pts, rb, conv, eng in twins:
+                r = np.random.default_rng(6)
+                kf = g.add_variable(*_weak(KEYFRAME, np.array([0.3, 0.1, 0.0, 0.0, 0.02, 0.0]),
+                                           0.1))
+                _add_views(g, r, kf, pts, rb, conv)
+                eng.on_graph_edit()
+        reports = []
+        for size, eng in zip(sizes, engines):
+            monkeypatch.setattr(engine, "BLOCK", size)
+            reports.append(eng.iterate())
+        reference_sweep(engines[-1])
+        for report in reports[1:]:
+            np.testing.assert_equal(dataclasses.astuple(report), dataclasses.astuple(reports[0]))
+        regularised += reports[0].n_regularised
+        first = _state(engines[0])
+        for eng in engines[1:]:
+            state = _state(eng)
+            assert len(state) == len(first)
+            for a, b in zip(first, state):
+                assert np.array_equal(a, b)
+    # the count of regularised solves is summed over blocks, and is exercised
+    assert regularised > 0
+
+
+def test_sweep_working_set_is_bounded_by_one_block():
+    # A sweep's temporaries are the size of a block, not of the graph: on a
+    # static BA graph of 15k reprojections, what one sweep allocates at its
+    # peak above what it leaves allocated stays below the reprojection
+    # batch's lam stack, n D^2 float64s.
+    spec = ba_scene(1, n_keyframes=10, points_per_plane=400, n_clutter=300)
+    scene = generate_scene(spec)
+    cfg = desk_config(spec, 1, planes=False)
+    g, _ = build_ba_graph(cfg, [scene.emit_keyframe(k) for k in range(spec.n_keyframes)],
+                          scene.camera, point_noise=0.05, scene=scene)
+    eng = GbpEngine(g, cfg.gbp)
+    b = max(eng.batches, key=lambda b: b.n)
+    assert b.kind == REPROJECTION and b.n == 15000
+    bound = b.lam.nbytes
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            eng.iterate()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < bound

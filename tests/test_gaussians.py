@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from planegbp.engine import GbpConfig, GbpEngine, _quotient
+from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import ContractViolation, SingularGaussianError
 from planegbp.gaussians import (
     BlockLayout,
@@ -13,7 +13,7 @@ from planegbp.gaussians import (
     to_moments,
 )
 from planegbp.graph import POINT, PRIOR, FactorGraph
-from conftest import random_info, random_spd, solve_guarded_loop
+from conftest import engine_quotient, random_info, random_spd, solve_guarded_loop
 
 
 def dense_marginal_oracle(joint: GaussianInfo, layout: BlockLayout, keep):
@@ -44,14 +44,18 @@ def schur_marginal(joint: GaussianInfo, layout: BlockLayout, keep):
     sk = layout.slice_of(keep)
     order = np.r_[np.arange(joint.dim)[sk], np.delete(np.arange(joint.dim), sk)]
     dims = (sk.stop - sk.start, joint.dim - sk.stop + sk.start)
-    b = SimpleNamespace(dims=dims, arity=1 + (dims[1] > 0), n=1, weight=np.ones(1),
+    arity = 1 + (dims[1] > 0)
+    b = SimpleNamespace(dims=dims, arity=arity, n=1, weight=np.ones(1),
+                        spec=SimpleNamespace(linear=True),
                         eta=joint.eta[order][None], lam=joint.lam[np.ix_(order, order)][None],
-                        v2f_eta=[np.zeros((1, d)) for d in dims],
-                        v2f_lam=[np.zeros((1, d, d)) for d in dims])
-    counters = {"marginalisation_calls": 0, "regularised": 0}
-    (eta, lam), *_ = GbpEngine(FactorGraph(), GbpConfig())._factor_messages(
-        b, [np.zeros(1, int), np.zeros(0, int)], counters)
-    return GaussianInfo(eta[0], lam[0]), counters["regularised"]
+                        f2v_eta=[np.zeros((1, d)) for d in dims],
+                        f2v_lam=[np.zeros((1, d, d)) for d in dims],
+                        v2f=lambda pos, rows: (np.zeros((len(rows), dims[pos])),
+                                               np.zeros((len(rows), dims[pos], dims[pos]))))
+    # undamped, so the stored message is the new one; position 1 does not send
+    sends = [np.ones(1, bool), np.zeros(1, bool)][:arity]
+    _, regularised = GbpEngine(FactorGraph(), GbpConfig(damping=0.0))._send(b, sends, None)
+    return GaussianInfo(b.f2v_eta[0][0], b.f2v_lam[0][0]), regularised
 
 
 def test_product_componentwise_sum():
@@ -71,16 +75,17 @@ def test_product_matches_moment_form_oracle():
 
 def test_quotient_identity_and_componentwise():
     # the engine's variable-to-factor quotient: belief[rows] - f2v
-    out, belief = np.empty((2, 1)), np.array([[3.0], [4.0]])
-    _quotient(out, belief, np.array([0, 1]), np.zeros((2, 1)))
+    belief, lam = np.array([[3.0], [4.0]]) * np.ones(3), np.stack([np.eye(3)] * 2)
+    out, _ = engine_quotient(belief, lam, [0, 1], np.zeros((2, 3)), np.zeros((2, 3, 3)))
     assert np.array_equal(out, belief)
-    _quotient(out, belief, np.array([0, 1]), np.array([[2.0], [3.0]]))
-    assert np.array_equal(out, [[1.0], [1.0]])
+    f2v = np.array([[2.0], [3.0]]) * np.ones(3)
+    out, _ = engine_quotient(belief, lam, [0, 1], f2v, np.zeros((2, 3, 3)))
+    assert np.array_equal(out, np.ones((2, 3)))
 
 
 def test_quotient_returns_improper_gaussian():
-    out = np.empty((1, 1, 1))
-    _quotient(out, np.array([[[1.0]]]), np.array([0]), np.array([[[5.0]]]))
+    _, out = engine_quotient(np.zeros((1, 3)), np.eye(3)[None], [0], np.zeros((1, 3)),
+                             5.0 * np.eye(3)[None])
     assert out[0, 0, 0] == -4.0  # indefinite, still returned
 
 

@@ -85,7 +85,7 @@ def test_run_emits_all_artifacts(tmp_path):
     rows = io_formats.read_csv(out / "iterations.csv")
     assert len(rows) == result.summary["n_iterations"]
     assert list(rows[0]) == io_formats.ITERATION_FIELDS
-    assert {"marginalisation_calls", "n_regularised"} <= set(rows[0])
+    assert {"marginalisation_calls", "n_regularised", "n_held_means"} <= set(rows[0])
     assert any(r["marginalisation_calls"] > 0 for r in rows)
 
 
