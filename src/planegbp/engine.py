@@ -44,6 +44,12 @@ new events to its own slot tables, then resolves the rows through its routing
 matrices. It also records each sweep's transport cost. Without a transport,
 rows follow graph adjacency. A variable whose belief is singular, or whose
 mean solve is not finite, keeps its previous mean; the report counts them.
+
+Both small-block solves of a sweep, the Schur step's eliminated blocks and
+the belief means, go through `gaussians.solve_blocks`: each block is
+factorised as symmetric positive definite by a batched LDL^T, and a block
+with a pivot that is not positive is solved by LU instead. Those pivots also
+count the beliefs that are not positive definite.
 """
 
 from __future__ import annotations
@@ -96,6 +102,10 @@ class IterationReport:
     variables drifted more than beta from their linearisation point.
     `n_held_means` counts the variables that kept their previous mean
     because their belief is singular or its mean solve is not finite.
+    `n_non_pd_beliefs` counts the variables whose belief precision is not
+    positive definite: its LDL^T has a pivot that is not positive. A
+    singular belief counts, and so does an indefinite one whose mean LU
+    solves and which is not held.
 
     Each field is one column of iterations.csv, in this order.
     """
@@ -110,6 +120,7 @@ class IterationReport:
     marginalisation_calls: int = 0
     n_regularised: int = 0
     n_held_means: int = 0
+    n_non_pd_beliefs: int = 0
 
 
 class _VarBank:
@@ -375,14 +386,16 @@ class GbpEngine:
             bank.belief_lam = (
                 scatter @ np.concatenate(lam).reshape(-1, dim * dim)
             ).reshape(-1, dim, dim)
-        n_held = 0
+        n_held = n_non_pd = 0
         for bank in self.banks.values():
-            mean = solve_blocks(bank.belief_lam, bank.belief_eta[:, :, None])[:, :, 0]
+            mean, pd = solve_blocks(bank.belief_lam, bank.belief_eta[:, :, None])
+            mean = mean[:, :, 0]
             # singular or non-finite (under-constrained): hold the previous mean
             bad = ~np.all(np.isfinite(mean), axis=1)
             mean[bad] = bank.mean[bad]
             bank.mean = mean
             n_held += int(np.count_nonzero(bad))
+            n_non_pd += int(np.count_nonzero(~pd))
         for b in self.batches:
             b.fresh[:] = False
 
@@ -399,6 +412,7 @@ class GbpEngine:
             marginalisation_calls=sum(2 * b.n for b in self.batches if b.arity == 2),
             n_regularised=n_regularised,
             n_held_means=n_held,
+            n_non_pd_beliefs=n_non_pd,
         )
         self.iteration += 1
         return report

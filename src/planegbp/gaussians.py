@@ -7,7 +7,11 @@ engine computes all three on its batched arrays, not on the value types here.
 
 All operations are pure and value-typed; nothing here holds shared state.
 `solve_guarded` is the one guarded small-block elimination, the engine's
-batched Schur step; `solve_blocks` is the engine's belief-mean solve.
+batched Schur step; `solve_blocks`, which it calls, is the engine's
+belief-mean solve and LM's prior-mean solve. Both factorise each block as the
+symmetric positive-definite (PD) system it usually is, by one unpivoted
+LDL^T batched across the blocks, and solve the blocks that are not PD
+(singular, indefinite or not finite) by pivoted LU.
 """
 
 from __future__ import annotations
@@ -125,9 +129,8 @@ class BlockLayout:
 REG_LAMBDA_REL = 1e-8
 
 
-def solve_blocks(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched solve S[i] x[i] = rhs[i] of small blocks, (n, d, d) and (n, d, k);
-    the solution of an exactly singular block is NaN."""
+def _solve_lu(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Pivoted-LU solve of blocks; an exactly singular block's solution is NaN."""
     try:
         return np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError:
@@ -138,14 +141,53 @@ def solve_blocks(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return sol
 
 
+def solve_blocks(S: np.ndarray, rhs: np.ndarray):
+    """Batched solve S[i] x[i] = rhs[i] of small symmetric blocks, (n, d, d)
+    and (n, d, k). Returns (solution, mask of the positive-definite blocks).
+
+    Every block is factorised as S = L D L^T, unpivoted, from its lower
+    triangle, on component-major copies so that each step is one elementwise
+    operation across the batch; the right-hand sides are then solved by
+    forward and back substitution. A block with a pivot that is not positive
+    (singular, indefinite or not finite) is not positive definite: it is
+    solved again by pivoted LU, and its solution is NaN if it is exactly
+    singular.
+    """
+    d = S.shape[1]
+    A = np.array(S.transpose(1, 2, 0), dtype=float, order="C")  # A[i, j] = S[:, i, j]
+    Y = np.array(rhs.transpose(1, 2, 0), dtype=float, order="C")  # Y[i, c] = rhs[:, i, c]
+    pivots = np.diagonal(A).T  # a view: pivots[k] = A[k, k]
+    # A block that is not PD is solved again below, and a solution that is not
+    # finite is the caller's to guard, so neither warns here.
+    with np.errstate(all="ignore"):
+        # Step k divides column k of L by pivot k, then takes its outer
+        # product with that column times the pivot from the trailing block;
+        # each entry is updated in ascending k, and the forward substitution
+        # follows the same steps.
+        for k in range(d - 1):
+            A[k + 1:, k] /= pivots[k]
+            A[k + 1:, k + 1:] -= A[k + 1:, k, None] * (A[k + 1:, k] * pivots[k])
+            Y[k + 1:] -= A[k + 1:, k, None] * Y[k]
+        Y /= pivots[:, None]
+        for k in range(d - 1, 0, -1):
+            Y[:k] -= A[k, :k, None] * Y[k]
+    pd = np.all(pivots > 0.0, axis=0)
+    sol = np.ascontiguousarray(Y.transpose(2, 0, 1))
+    if not np.all(pd):
+        sol[~pd] = _solve_lu(S[~pd], rhs[~pd])
+    return sol, pd
+
+
 def solve_guarded(S: np.ndarray, rhs: np.ndarray):
-    """Batched solve S[i] x[i] = rhs[i] of small blocks, (n, d, d) and (n, d, k).
+    """Batched solve S[i] x[i] = rhs[i] of small symmetric blocks, (n, d, d)
+    and (n, d, k), by `solve_blocks`: LDL^T for positive-definite blocks, LU
+    for the others.
 
     A block that is singular, or whose solution is not finite, is solved
     again with a Tikhonov term REG_LAMBDA_REL times its mean diagonal.
     Returns (solution, number of regularised blocks).
     """
-    sol = solve_blocks(S, rhs)
+    sol, _ = solve_blocks(S, rhs)
     bad = ~np.all(np.isfinite(sol), axis=(1, 2))
     if not np.any(bad):
         return sol, 0

@@ -43,7 +43,7 @@ from .factors import (
     residual_sums,
     robust_weight,
 )
-from .gaussians import BlockLayout, GaussianMoments
+from .gaussians import BlockLayout, GaussianMoments, solve_blocks
 from .geometry import pose_rotations_batch
 from .graph import POSE_KINDS, FactorGraph
 
@@ -103,7 +103,7 @@ class _System:
             for g in groups.values()
         ]
         self.prior_means = [
-            np.linalg.solve(p_lam, p_eta[:, :, None])[:, :, 0]
+            solve_blocks(p_lam, p_eta[:, :, None])[0][:, :, 0]
             for _, p_eta, p_lam in self.priors
         ]
 

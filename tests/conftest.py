@@ -133,18 +133,52 @@ def fd_jacobian(fun, x0, eps=1e-6):
     return J
 
 
+def solve_block_loop(S, r):
+    """(x, positive definite) of S x = r for one symmetric (d, d) block and
+    (d, k) or (d,) right-hand side, in scalar Python.
+
+    Reference for `gaussians.solve_blocks`: an unpivoted LDL^T of the lower
+    triangle, stopped at the first pivot that is not positive, then forward
+    substitution, division by the pivots and back substitution, each entry
+    updated in the same order as the batched solve. A block that is not
+    positive definite is solved by pivoted LU; NaN if exactly singular.
+    """
+    d = S.shape[0]
+    L = [[0.0] * d for _ in range(d)]
+    D = [0.0] * d
+    for j in range(d):
+        for i in range(j, d):
+            acc = float(S[i, j])
+            for k in range(j):
+                acc = acc - L[i][k] * (L[j][k] * D[k])
+            if i == j:
+                if not acc > 0.0:
+                    try:
+                        return np.linalg.solve(S, r), False
+                    except np.linalg.LinAlgError:
+                        return np.full_like(r, np.nan, dtype=float), False
+                D[j] = acc
+            else:
+                L[i][j] = acc / D[j]
+    y = np.array(r, dtype=float).reshape(d, -1).tolist()
+    for k in range(d - 1):
+        for i in range(k + 1, d):
+            y[i] = [a - L[i][k] * b for a, b in zip(y[i], y[k])]
+    y = [[a / D[i] for a in y[i]] for i in range(d)]
+    for k in range(d - 1, 0, -1):
+        for i in range(k):
+            y[i] = [a - L[k][i] * b for a, b in zip(y[i], y[k])]
+    return np.array(y).reshape(np.shape(r)), True
+
+
 def solve_guarded_loop(S, rhs):
     """Per-block reference for `gaussians.solve_guarded`."""
     n, d = S.shape[0], S.shape[1]
     sol = np.empty_like(rhs)
     regularised = 0
     for i in range(n):
-        try:
-            x = np.linalg.solve(S[i], rhs[i])
-            if not np.all(np.isfinite(x)):
-                raise np.linalg.LinAlgError
-            sol[i] = x
-        except np.linalg.LinAlgError:
+        sol[i], _ = solve_block_loop(S[i], rhs[i])
+        if not np.all(np.isfinite(sol[i])):
             tr = np.trace(S[i])
             reg = REG_LAMBDA_REL * (tr / d if tr > 0 else 1.0)
             sol[i] = np.linalg.solve(S[i] + reg * np.eye(d), rhs[i])
@@ -230,8 +264,8 @@ def reference_sweep(eng):
     The factors that send to some position are relinearised, new messages
     are computed for every factor, dropout is applied by keeping the previous
     message with `np.where`, beliefs accumulated with `np.add.at`, means
-    solved per variable where the batched solve fails. Afterwards no factor
-    is fresh.
+    solved per variable by `solve_block_loop`. Afterwards no factor is
+    fresh.
     """
     cfg = eng.config
     masks = dropout_masks(eng)
@@ -258,12 +292,9 @@ def reference_sweep(eng):
             np.add.at(b.banks[pos].belief_lam, rows, b.f2v_lam[pos])
     for bank in eng.banks.values():
         for i in range(bank.ids.size):
-            try:
-                mean = np.linalg.solve(bank.belief_lam[i], bank.belief_eta[i])
-                if np.all(np.isfinite(mean)):
-                    bank.mean[i] = mean
-            except np.linalg.LinAlgError:
-                pass  # under-constrained: hold previous mean
+            mean, _ = solve_block_loop(bank.belief_lam[i], bank.belief_eta[i])
+            if np.all(np.isfinite(mean)):
+                bank.mean[i] = mean  # else under-constrained: hold previous mean
     for b in eng.batches:
         b.fresh[:] = False
     eng.iteration += 1

@@ -154,22 +154,29 @@ def test_singular_belief_holds_its_mean_beside_a_regular_one():
     # A zero prior and no factors: the bank's batched solve meets an exactly
     # singular block, which keeps its mean while its neighbour is solved.
     # Every sweep counts the held means, one per bank here; a prior factor
-    # added on the held point constrains it, and the count drops.
+    # added on the held point constrains it, and the count drops. Both
+    # singular beliefs are counted as not PD, and so is a point whose prior
+    # is indefinite: LU solves its mean, which is not held.
     g = FactorGraph()
     held = g.add_variable(POINT, np.array([1.0, 2.0, 3.0]))
     pose = g.add_variable(KEYFRAME, np.arange(6.0) / 10.0)
     lam = np.diag([2.0, 4.0, 8.0])
     solved = g.add_variable(POINT, np.zeros(3), GaussianInfo(lam @ np.ones(3), lam))
+    lam = np.diag([2.0, -1.0, 4.0])
+    indefinite = g.add_variable(POINT, np.zeros(3), GaussianInfo(lam @ [1.0, 2.0, 3.0], lam))
     eng = GbpEngine(g, undamped())
     for _ in range(3):
-        assert eng.iterate().n_held_means == 2
+        report = eng.iterate()
+        assert (report.n_held_means, report.n_non_pd_beliefs) == (2, 3)
         eng.sync_graph()
         assert np.array_equal(g.variables[held].mean, [1.0, 2.0, 3.0])
         assert np.array_equal(g.variables[pose].mean, np.arange(6.0) / 10.0)
         assert np.array_equal(g.variables[solved].mean, np.ones(3))
+        assert np.array_equal(g.variables[indefinite].mean, [1.0, 2.0, 3.0])
     g.add_factor(PRIOR, (held,), np.full(3, 5.0), 0.5)
     eng.on_graph_edit()
-    assert eng.iterate().n_held_means == 1
+    report = eng.iterate()
+    assert (report.n_held_means, report.n_non_pd_beliefs) == (1, 2)
     eng.sync_graph()
     assert np.allclose(g.variables[held].mean, 5.0)
     assert np.array_equal(g.variables[pose].mean, np.arange(6.0) / 10.0)

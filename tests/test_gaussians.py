@@ -9,6 +9,7 @@ from planegbp.gaussians import (
     BlockLayout,
     GaussianInfo,
     GaussianMoments,
+    solve_blocks,
     solve_guarded,
     to_moments,
 )
@@ -144,17 +145,29 @@ def test_singular_elimination_regularised_and_flagged():
     assert regularised == 1
 
 
+# Blocks of `_guarded_batch` that are not positive definite but regular, or
+# are singular or overflow; the others are random SPD blocks.
+INDEFINITE, RANK_DEFICIENT, SINGULAR, OVERFLOW = 1, 5, (3, 7, 11, 15), (19, 23)
+
+
 def _guarded_batch(rng, d, singular=True, overflow=True):
     S = np.stack([random_spd(rng, d) for _ in range(24)])
     rhs = rng.normal(size=(24, d, d + 1))
+    S[INDEFINITE] = np.diag([2.0, -1.0] + [1.0] * (d - 2))  # regular, not PD
     if singular:
         S[3] = 0.0                                # no information at all
         S[7] = np.ones((d, d))                    # rank one, exact zero pivot
         S[11] = -np.ones((d, d))                  # negative trace
         S[15, :, 0] = S[15, 0, :] = 0.0           # one unconstrained direction
+        J = rng.normal(size=(2, d))               # a fresh factor's block:
+        S[RANK_DEFICIENT] = J.T @ J               # PSD, rank 2, rounding decides
     if overflow:
         S[19] = np.diag([1e-300] + [1.0] * (d - 1))
-        rhs[19] = 1e300                           # regular, but x overflows
+        rhs[19] = 1e300                           # PD, but x overflows
+        S[23] = 0.0                               # PD; the last x overflows,
+        S[23, :-1, :-1] = random_spd(rng, d - 1)  # and back substitution
+        S[23, -1, -1] = 1e-300                    # spreads it (0 * inf)
+        rhs[23, -1] = 1e300
     return S, rhs
 
 
@@ -165,8 +178,60 @@ def test_solve_guarded_matches_loop_reference(d, singular, overflow):
     sol, regularised = solve_guarded(S, rhs)
     ref, ref_regularised = solve_guarded_loop(S, rhs)
     assert np.array_equal(sol, ref)
-    assert regularised == ref_regularised == 4 * singular + overflow
+    # the rank-deficient block is regularised or solved huge, as rounding falls
+    fixed = 4 * singular + 2 * overflow
+    assert regularised == ref_regularised
+    assert fixed <= regularised <= fixed + singular
     assert np.all(np.isfinite(sol))
+    # the scalar reference is itself a solve of the regular blocks
+    regular = np.setdiff1d(np.arange(24), (RANK_DEFICIENT,) + SINGULAR + OVERFLOW)
+    lu = np.linalg.solve(S[regular], rhs[regular])
+    assert np.all(np.abs(ref[regular] - lu) <= 1e-12 * np.abs(lu).max(axis=(1, 2))[:, None, None])
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_only_blocks_with_a_non_positive_pivot_take_the_lu_path(d, monkeypatch):
+    S, rhs = _guarded_batch(np.random.default_rng(d), d)
+    sol, pd = solve_blocks(S, rhs)
+    not_pd = np.flatnonzero(~pd)
+    assert set(not_pd) >= {INDEFINITE, *SINGULAR} and set(not_pd) <= {
+        INDEFINITE, RANK_DEFICIENT, *SINGULAR}
+    assert pd[list(OVERFLOW)].all()
+    # the indefinite block is regular: solved exactly by LU, not regularised
+    assert np.array_equal(sol[INDEFINITE], np.linalg.solve(S[INDEFINITE], rhs[INDEFINITE]))
+    assert np.array_equal(sol[INDEFINITE, 1], -rhs[INDEFINITE, 1])
+    assert solve_guarded(S[[INDEFINITE]], rhs[[INDEFINITE]])[1] == 0
+    # the LU path sees the blocks that are not PD and no other
+    seen = []
+    real_solve = np.linalg.solve
+
+    def spy(a, b):
+        seen.append(a.copy())
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    solve_blocks(S, rhs)
+    assert np.array_equal(seen[0], S[not_pd])
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_solve_blocks_backward_error_is_a_few_ulps(d):
+    # Random SPD blocks with condition numbers up to 1e12. A backward-stable
+    # solve keeps ||S x - r|| <= 10 eps ||S|| ||x|| per right-hand side; an
+    # explicit inverse exceeds it on these blocks. The residual is formed in
+    # extended precision so that its own rounding does not count.
+    rng = np.random.default_rng(100 + d)
+    n = 1000
+    Q, _ = np.linalg.qr(rng.normal(size=(n, d, d)))
+    S = (Q * 10.0 ** rng.uniform(-12, 0, size=(n, 1, d))) @ Q.transpose(0, 2, 1)
+    S = 0.5 * (S + S.transpose(0, 2, 1))
+    rhs = rng.normal(size=(n, d, 2))
+    x, pd = solve_blocks(S, rhs)
+    assert pd.all()
+    residual = S.astype(np.longdouble) @ x.astype(np.longdouble) - rhs
+    residual = np.linalg.norm(residual.astype(float), axis=1)
+    bound = 10 * np.finfo(float).eps * np.linalg.norm(S, ord=2, axis=(1, 2))[:, None]
+    assert np.all(residual <= bound * np.linalg.norm(x, axis=1))
 
 
 # -- moments ------------------------------------------------------------------

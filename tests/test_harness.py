@@ -85,7 +85,8 @@ def test_run_emits_all_artifacts(tmp_path):
     rows = io_formats.read_csv(out / "iterations.csv")
     assert len(rows) == result.summary["n_iterations"]
     assert list(rows[0]) == io_formats.ITERATION_FIELDS
-    assert {"marginalisation_calls", "n_regularised", "n_held_means"} <= set(rows[0])
+    assert {"marginalisation_calls", "n_regularised", "n_held_means",
+            "n_non_pd_beliefs"} <= set(rows[0])
     assert any(r["marginalisation_calls"] > 0 for r in rows)
 
 
@@ -239,6 +240,8 @@ def test_lm_solver_path(tmp_path):
     rows = io_formats.read_csv(out / "iterations.csv")
     assert len(rows) >= 2
     assert len(rows) == len(result.reports)
+    # LM solves no belief: the GBP health counters read 0
+    assert all(r["n_held_means"] == r["n_non_pd_beliefs"] == 0 for r in rows)
 
 
 def test_config_json_does_not_depend_on_the_output_path(tmp_path):

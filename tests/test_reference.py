@@ -308,29 +308,55 @@ def test_damped_step_fill_stays_near_the_hessian():
     assert lm_solve(graph, LmConfig(max_iterations=1)).fill <= H.nnz + P**2 + dim
 
 
-def test_sparse_lu_is_called_only_by_the_step_solve():
-    # One factorisation site: every LM solve goes through _solve_step's
-    # symmetric-mode LU, and no general-LU path sits beside it.
-    lu_names = {"splu", "spilu", "spsolve", "factorized"}
+def call_sites(names):
+    """(module, innermost enclosing function or None, dotted callee) of every
+    call in `planegbp` whose callee's last name is in `names`, in file order.
+    No such name is imported under another name."""
 
-    def lu_calls(node, where):
-        """(innermost enclosing function, or None) of each sparse-LU call."""
+    def dotted(f):
+        parts = []
+        while isinstance(f, ast.Attribute):
+            parts.append(f.attr)
+            f = f.value
+        return ".".join([getattr(f, "id", "?")] + parts[::-1])
+
+    def calls(node, where):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
             if isinstance(child, ast.Call):
                 f = child.func
-                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in lu_names:
-                    yield where
-            yield from lu_calls(child, inner)
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in names:
+                    yield where, dotted(f)
+            yield from calls(child, inner)
 
-    calls = []
+    sites = []
     for path in sorted(Path(planegbp.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        calls += [(path.stem, where) for where in lu_calls(tree, None)]
-        # no entry point is imported under another name
-        assert not any(a.name in lu_names and a.asname for node in ast.walk(tree)
+        sites += [(path.stem, where, callee) for where, callee in calls(tree, None)]
+        assert not any(a.name in names and a.asname for node in ast.walk(tree)
                        if isinstance(node, ast.ImportFrom) for a in node.names)
-    assert calls == [("reference", "_solve_step")]
+    return sites
+
+
+def test_sparse_lu_is_called_only_by_the_step_solve():
+    # One factorisation site: every LM solve goes through _solve_step's
+    # symmetric-mode LU, and no general-LU path sits beside it.
+    sites = call_sites({"splu", "spilu", "spsolve", "factorized"})
+    assert [(module, where) for module, where, _ in sites] == [("reference", "_solve_step")]
+
+
+def test_small_blocks_are_solved_only_in_gaussians():
+    # One small-block elimination: every dense solve or inverse of the
+    # program is in `gaussians`, apart from the dense oracle's one inverse of
+    # the joint precision. LM's prior means go through `solve_blocks` too.
+    sites = call_sites({"solve", "inv"})
+    dense = [(module, where, callee) for module, where, callee in sites
+             if callee.split(".")[-2:-1] == ["linalg"]]
+    assert [site for site in dense if site[0] != "gaussians"] == [
+        ("reference", "dense_marginals", "np.linalg.inv")]
+    # nothing reaches numpy.linalg except through `np.linalg`
+    for path in Path(planegbp.__file__).parent.glob("*.py"):
+        assert "numpy.linalg" not in path.read_text()
 
 
 def test_lm_with_unconstrained_variable_terminates(rng):
