@@ -240,8 +240,8 @@ class AbstractionManager:
             PLANE_HYPOTHESIS, pi_world.m, GaussianInfo(lam @ pi_world.m, lam)
         )
         hyp = PlaneHypothesis(var_id, iteration, true_plane)
-        for pid in members:
-            self.graph.add_factor(PLANE_POINT, (var_id, pid), 0.0, SIGMA_PP)
+        self.graph.add_factors(PLANE_POINT, [(var_id, pid) for pid in members],
+                               np.zeros((len(members), 1)), SIGMA_PP)
         self.graph.add_factor(PLANE_PREDICTION, (var_id, keyframe_id), pi_z, SIGMA_PI)
         self.hypotheses[var_id] = hyp
         self.events.append({

@@ -16,8 +16,12 @@ the point's converged position (`p_conv`). Merging two rigid bodies moves
 their factors onto the new body. Both are journalled as the primitive events
 they consist of, each applied once by replay and by the routing simulator.
 
-`add_variable` and `add_factor` check every insertion in plain Python;
-`add_factor` also rejects non-finite noise, measurements and payloads.
+Nodes enter in batches of one kind: `add_variables` and `add_factors` check
+a batch as a whole, in plain Python, and insert all of it or, on any bad
+row, nothing. A keyframe packet enters as such batches, the way an
+incremental smoother takes one step's new factors at once. `add_variable` and
+`add_factor` are their one-row calls. Non-finite means, priors, noise,
+measurements and payloads are refused.
 """
 
 from __future__ import annotations
@@ -216,24 +220,75 @@ class FactorGraph:
         prior: Optional[GaussianInfo] = None,
         _fixed_id: Optional[int] = None,
     ) -> int:
+        """Insert one variable: a one-row `add_variables`."""
+        return self.add_variables(
+            kind, np.asarray(mean, dtype=float).reshape(1, -1),
+            None if prior is None else (prior,),
+            None if _fixed_id is None else (_fixed_id,))[0]
+
+    def add_variables(self, kind: str, means, priors=None, _fixed_ids=None):
+        """Insert n variables of one kind; returns their ids, in order.
+
+        `means` stacks to (n, dim); `priors` holds n GaussianInfo or None
+        (no prior), or is None for none. The batch is checked as a whole and
+        raises ContractViolation, before any change, for an unknown kind, a
+        mean of the wrong dimension or not finite, a prior of the wrong
+        dimension or not finite, and a live or repeated `_fixed_ids` entry.
+        """
         if kind not in VARIABLE_DIMS:
             raise ContractViolation(f"unknown variable kind {kind!r}")
         dim = VARIABLE_DIMS[kind]
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        if mean.shape[0] != dim:
+        means = np.array(means, dtype=float)  # a copy: the journal keeps its rows
+        n = len(means)
+        if not n:
+            return []
+        means = means.reshape(n, -1)
+        if means.shape[1] != dim:
             raise ContractViolation(f"{kind} mean must have dim {dim}")
-        if prior is None:
-            prior = GaussianInfo.zero(dim)
-        if prior.dim != dim:
-            raise ContractViolation("prior dimension does not match variable kind")
-        vid = self._next_var_id if _fixed_id is None else _fixed_id
-        if vid in self.variables:
-            raise ContractViolation(f"variable id {vid} already live")
-        self._next_var_id = max(self._next_var_id, vid) + 1
-        belief = prior if not prior.is_zero() else GaussianInfo.zero(dim)
-        self.variables[vid] = VariableNode(vid, kind, belief, prior, mean.copy())
-        self.journal.append(AddVariable(vid, kind, mean.copy(), prior))
-        return vid
+        if not _finite(means):
+            raise ContractViolation(f"{kind} mean must be finite")
+        if priors is None:
+            priors = (None,) * n
+        elif len(priors) != n:
+            raise ContractViolation(f"{len(priors)} priors for {n} {kind} means")
+        checked = []
+        for prior in priors:
+            if prior is None:
+                prior = GaussianInfo.zero(dim)
+            elif prior.dim != dim:
+                raise ContractViolation("prior dimension does not match variable kind")
+            elif not (_finite(prior.eta) and _finite(prior.lam)):
+                raise ContractViolation(f"{kind} prior must be finite")
+            checked.append(prior)
+        if _fixed_ids is None:
+            ids = range(self._next_var_id, self._next_var_id + n)
+            self._next_var_id += n
+        else:
+            ids, self._next_var_id = self._fixed_ids(
+                self.variables, self._next_var_id, n, _fixed_ids, "variable")
+
+        node_means = means.copy()
+        for i, vid in enumerate(ids):
+            prior = checked[i]
+            belief = prior if not prior.is_zero() else GaussianInfo.zero(dim)
+            self.variables[vid] = VariableNode(vid, kind, belief, prior, node_means[i])
+            self.journal.append(AddVariable(vid, kind, means[i], prior))
+        return ids
+
+    @staticmethod
+    def _fixed_ids(live: dict, next_id: int, n: int, fixed, what: str) -> tuple:
+        """(the n given ids, the next free id after them); each must be
+        neither live nor repeated."""
+        ids = list(map(int, fixed))
+        if len(ids) != n:
+            raise ContractViolation(f"{len(ids)} fixed ids for {n} {what}s")
+        for i in ids:
+            if i in live:
+                raise ContractViolation(f"{what} id {i} already live")
+            next_id = max(next_id, i) + 1
+        if len(set(ids)) != n:
+            raise ContractViolation(f"{what} ids repeat within the batch")
+        return ids, next_id
 
     def remove_variable(self, variable_id: int) -> None:
         node = self._variable(variable_id)
@@ -255,92 +310,143 @@ class FactorGraph:
         payload: Optional[dict] = None,
         _fixed_id: Optional[int] = None,
     ) -> int:
-        """Insert one factor; replay and every edit insert through here.
+        """Insert one factor: a one-row `add_factors`. Replay, `read_graph`
+        and the abstraction edits insert through here."""
+        return self.add_factors(
+            kind, (adjacency,), np.asarray(measurement, dtype=float).reshape(1, -1), sigma,
+            None if payload is None else (payload,),
+            None if _fixed_id is None else (_fixed_id,))[0]
 
-        Raises ContractViolation, before any change, for an unknown kind, a
-        dead or wrongly typed adjacent variable, a wrong arity, a missing or
-        misshapen constituent or payload, a measurement of the wrong
-        dimension, a sigma with the wrong number of components or one that
-        is not positive and finite, a non-finite measurement, constituent or
-        payload entry, and a live `_fixed_id`. The checks are
-        scalar Python: on arrays of a few entries a numpy reduction costs
-        more than the scan.
+    def add_factors(self, kind: str, adjacency, measurements, sigma, payloads=None,
+                    _fixed_ids=None):
+        """Insert n factors of one kind with one noise `sigma`; returns their
+        ids, in order.
+
+        Row i is `adjacency[i]`, `measurements[i]` (`measurements` stacks to
+        (n, m); a kind whose rows are constituents ignores it) and
+        `payloads[i]` (`payloads` None for none). The batch is checked as a
+        whole and raises ContractViolation, before any change, for an
+        unknown kind, a dead or wrongly typed adjacent variable, a wrong
+        arity, a missing or misshapen constituent or payload, a measurement
+        of the wrong dimension, a sigma with the wrong number of components
+        or one that is not positive and finite, a non-finite measurement,
+        constituent or payload entry, and a live or repeated `_fixed_ids`
+        entry. The kind is looked up once, each distinct variable once, the
+        stacked measurements are scanned at once and sigma is checked once.
+        The checks are scalar Python over `tolist()`: on the few entries of
+        one row a numpy reduction costs more than the scan, and one-row
+        batches (replay, `read_graph`, edits) must stay cheap.
         """
         spec = FACTOR_KINDS.get(kind)
         if spec is None:
             raise ContractViolation(f"unknown factor kind {kind!r}")
-        adjacency = tuple(map(int, adjacency))
-        for vid in adjacency:
-            if vid not in self.variables:
-                raise ContractViolation(f"factor adjacency references dead variable {vid}")
-        arity = len(spec.signature)
-        if not (spec.min_arity or arity) <= len(adjacency) <= arity:
-            raise ContractViolation(
-                f"{kind} expects arity {spec.min_arity or arity}..{arity}, "
-                f"got {len(adjacency)}"
-            )
-        for vid, want in zip(adjacency, spec.signature):
-            have = self.variables[vid].kind
-            if want is not ANY and have != want:
+        variables = self.variables
+        signature = spec.signature
+        arity = len(signature)
+        kinds = {}  # kind of each distinct adjacent variable
+        checked = []
+        for adj in adjacency:
+            adj = tuple(map(int, adj))
+            checked.append(adj)
+            for vid in adj:
+                if vid not in kinds:
+                    node = variables.get(vid)
+                    if node is None:
+                        raise ContractViolation(
+                            f"factor adjacency references dead variable {vid}")
+                    kinds[vid] = node.kind
+            if not (spec.min_arity or arity) <= len(adj) <= arity:
                 raise ContractViolation(
-                    f"{kind} adjacency slot expects {want}, variable {vid} is {have}"
+                    f"{kind} expects arity {spec.min_arity or arity}..{arity}, got {len(adj)}"
                 )
-
-        payload = dict(payload or {})
-        if spec.constituents:
-            cons = payload.get("constituents")
-            if not cons:
-                raise ContractViolation(f"{kind} factors need >= 1 constituent")
-            measurement = None
-            cons = [tuple(np.asarray(a, dtype=float) for a in c) for c in cons]
-            keys = [key for key, _ in spec.payload]
-            if any(len(c) != 1 + len(keys) for c in cons):
-                raise ContractViolation(
-                    f"{kind} constituents must be (z, {', '.join(keys)})"
-                )
-            payload["constituents"] = cons
-        else:
-            measurement = np.asarray(measurement, dtype=float).reshape(-1)
-            for key, _ in spec.payload:
-                if key not in payload:
-                    raise ContractViolation(f"{kind} factors need payload {key!r}")
-                payload[key] = np.asarray(payload[key], dtype=float)
-            cons = [(measurement, *(payload[key] for key, _ in spec.payload))]
-        mdim = spec.mdim
-        if mdim is JOINT:
-            mdim = self._joint_dim(adjacency)
-        elif mdim is None:
-            mdim = measurement.shape[0]
-        for row in cons:
-            if row[0].shape != (mdim,):
-                raise ContractViolation(
-                    f"{kind} measurement must have dim {mdim}, got {row[0].shape}"
-                )
-            if not _finite(row[0]):
-                raise ContractViolation(f"{kind} measurement must be finite")
-            for (key, shape), arr in zip(spec.payload, row[1:]):
-                want = tuple(
-                    mdim if d == "m" else self._joint_dim(adjacency) if d == JOINT else d
-                    for d in shape
-                )
-                if arr.shape != want:
+            for vid, want in zip(adj, signature):
+                if want is not ANY and kinds[vid] != want:
                     raise ContractViolation(
-                        f"{kind} payload {key!r} must have shape {want}, got {arr.shape}"
+                        f"{kind} adjacency slot expects {want}, variable {vid} is {kinds[vid]}"
                     )
-                if not _finite(arr):
-                    raise ContractViolation(f"{kind} payload {key!r} must be finite")
-        sigma = _as_sigma(sigma, mdim)
+        adjacency, n = checked, len(checked)
+        if not n:
+            return []
 
-        fid = self._next_factor_id if _fixed_id is None else _fixed_id
-        if fid in self.factors:
-            raise ContractViolation(f"factor id {fid} already live")
-        self._next_factor_id = max(self._next_factor_id, fid) + 1
-        node = FactorNode(fid, kind, adjacency, measurement, sigma, payload)
-        self.factors[fid] = node
-        for vid in adjacency:
-            self.variables[vid].factor_ids.append(fid)
-        self.journal.append(node)
-        return fid
+        if payloads is not None:
+            if len(payloads) != n:
+                raise ContractViolation(f"{len(payloads)} payloads for {n} {kind} factors")
+            payloads = [dict(p or {}) for p in payloads]
+        if spec.constituents:
+            mdim, stacked = spec.mdim, None
+            rows = []  # each factor's (z, *payload) constituents
+            for payload in payloads or ({},):
+                cons = payload.get("constituents")
+                if not cons:
+                    raise ContractViolation(f"{kind} factors need >= 1 constituent")
+                cons = [tuple(np.asarray(a, dtype=float) for a in c) for c in cons]
+                for c in cons:
+                    if len(c) != 1 + len(spec.payload):
+                        raise ContractViolation(
+                            f"{kind} constituents must be "
+                            f"(z, {', '.join(key for key, _ in spec.payload)})"
+                        )
+                    if c[0].shape != (mdim,):
+                        raise ContractViolation(
+                            f"{kind} measurement must have dim {mdim}, got {c[0].shape}"
+                        )
+                    if not _finite(c[0]):
+                        raise ContractViolation(f"{kind} measurement must be finite")
+                payload["constituents"] = cons
+                rows.append(cons)
+        else:
+            if spec.payload:
+                for payload in payloads or ({},):
+                    for key, _ in spec.payload:
+                        if key not in payload:
+                            raise ContractViolation(f"{kind} factors need payload {key!r}")
+                        payload[key] = np.asarray(payload[key], dtype=float)
+                rows = [[(None, *(payload[key] for key, _ in spec.payload))]
+                        for payload in payloads]
+            stacked = np.asarray(measurements, dtype=float).reshape(n, -1)
+            mdim = stacked.shape[1]
+            wants = ({self._joint_dim(adj) for adj in adjacency} if spec.mdim is JOINT
+                     else (spec.mdim or mdim,))
+            for want in wants:
+                if want != mdim:
+                    raise ContractViolation(
+                        f"{kind} measurement must have dim {want}, got {(mdim,)}"
+                    )
+            if not _finite(stacked):
+                raise ContractViolation(f"{kind} measurement must be finite")
+        if spec.payload:
+            for adj, cons in zip(adjacency, rows):
+                for _, *arrs in cons:
+                    for (key, shape), arr in zip(spec.payload, arrs):
+                        want = tuple(
+                            mdim if d == "m" else self._joint_dim(adj) if d == JOINT else d
+                            for d in shape
+                        )
+                        if arr.shape != want:
+                            raise ContractViolation(
+                                f"{kind} payload {key!r} must have shape {want}, "
+                                f"got {arr.shape}"
+                            )
+                        if not _finite(arr):
+                            raise ContractViolation(f"{kind} payload {key!r} must be finite")
+        sigma = _as_sigma(sigma, mdim)
+        if _fixed_ids is None:
+            ids = range(self._next_factor_id, self._next_factor_id + n)
+            self._next_factor_id += n
+        else:
+            ids, self._next_factor_id = self._fixed_ids(
+                self.factors, self._next_factor_id, n, _fixed_ids, "factor")
+
+        factors, journal = self.factors, self.journal
+        for i, adj in enumerate(adjacency):
+            fid = ids[i]
+            node = FactorNode(fid, kind, adj, None if stacked is None else stacked[i], sigma,
+                              payloads[i] if payloads else {})
+            factors[fid] = node
+            for vid in adj:
+                variables[vid].factor_ids.append(fid)
+            journal.append(node)
+        return ids
 
     def _joint_dim(self, adjacency) -> int:
         return sum(self.variables[v].dim for v in adjacency)

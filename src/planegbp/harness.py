@@ -190,18 +190,30 @@ def _add_keyframe_variable(graph, state, packet, pose: Pose | None = None):
     return kf_id, pose
 
 
-def _add_point(graph, state, pid: int, p, observations):
-    """Point variable of scene point `pid` at `p` with its reprojection
-    factors, one per (keyframe id, pixel); the first point also gets the
-    prior that fixes the monocular scale gauge."""
+def _add_points(graph, state, new: dict) -> None:
+    """Point variables of `new` (scene point id -> start position), added in
+    its order as one batch, each with its weak prior."""
     plam = np.eye(3) / POINT_SIGMA**2
-    var = graph.add_variable(POINT, p, GaussianInfo(plam @ p, plam))
-    state.point_var[pid] = var
-    for kf_id, pixel in observations:
-        graph.add_factor(REPROJECTION, (kf_id, var), pixel, SIGMA_R)
-    if not state.scale_anchor_placed:
-        graph.add_factor(PRIOR, (var,), p, SCALE_ANCHOR_SIGMA)
-        state.scale_anchor_placed = True
+    starts = list(new.values())
+    ids = graph.add_variables(POINT, starts, [GaussianInfo(plam @ p, plam) for p in starts])
+    state.point_var.update(zip(new, ids))
+
+
+def _add_reprojections(graph, state, adjacency: list, pixels, anchor_after: int) -> None:
+    """Reprojection factors on `adjacency` [(keyframe id, point id)] with
+    `pixels` (n, 2) as one batch. Until the scale anchor is placed, the prior
+    that fixes the monocular scale goes on the point of row `anchor_after - 1`
+    (0: none here), at its start position, and splits the batch after that
+    row: there the point-by-point insertion put it, so that every factor id
+    stays."""
+    if state.scale_anchor_placed or not anchor_after:
+        graph.add_factors(REPROJECTION, adjacency, pixels, SIGMA_R)
+        return
+    graph.add_factors(REPROJECTION, adjacency[:anchor_after], pixels[:anchor_after], SIGMA_R)
+    var = adjacency[anchor_after - 1][1]
+    graph.add_factor(PRIOR, (var,), graph.variables[var].mean, SCALE_ANCHOR_SIGMA)
+    state.scale_anchor_placed = True
+    graph.add_factors(REPROJECTION, adjacency[anchor_after:], pixels[anchor_after:], SIGMA_R)
 
 
 def _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration):
@@ -220,39 +232,48 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                   pose_override: Pose | None = None, points: dict | None = None):
     """Grow the graph with one keyframe packet; returns the keyframe id.
 
-    A new point starts at `points[scene id]` when given, else at the
-    backprojection of its pixel to the average depth of the points the graph
-    held before this keyframe; that depth is computed at the first such point.
+    The packet enters as a batch: one insertion for its new points, one for
+    its reprojections and one for its views of rigid bodies. A new point
+    starts at `points[scene id]` when given, else at the backprojection of
+    its pixel to the average depth of the points the graph held before this
+    keyframe.
     """
     kf_id, pose = _add_keyframe_variable(graph, state, packet, pose_override)
-    views: dict[int, list] = {}  # rigid body id -> (pixel, p_conv) seen from here
+    pids = packet.point_ids.tolist()
+    new: dict = {}  # scene id -> start position of each point seen first here
     depth = None
+    for i, pid in enumerate(pids):
+        if pid in state.point_var or pid in new:
+            continue
+        if not points and depth is None:
+            existing = [graph.variables[v].mean for v in state.point_var.values()
+                        if v in graph.variables]
+            depth = average_depth(
+                pose, np.stack(existing) if existing else np.zeros((0, 3)),
+                config.priors.default_depth,
+            )
+        new[pid] = points[pid] if points else backproject(camera, pose, packet.pixels[i],
+                                                          depth)
+    _add_points(graph, state, new)
 
-    for pid, pixel in zip(packet.point_ids, packet.pixels):
-        pid = int(pid)
-        if pid in state.point_var:
-            var = state.point_var[pid]
-            if var in graph.variables:
-                graph.add_factor(REPROJECTION, (kf_id, var), pixel, SIGMA_R)
-            elif manager is not None:
-                hit = manager.absorbed.get(var)
-                if hit is not None:
-                    rigid_id, p_conv = hit
-                    views.setdefault(rigid_id, []).append((pixel, p_conv.copy()))
-        else:
-            if not points and depth is None:
-                # No point was added yet: this is the map the keyframe arrived to.
-                existing = [graph.variables[v].mean for v in state.point_var.values()
-                            if v in graph.variables]
-                depth = average_depth(
-                    pose, np.stack(existing) if existing else np.zeros((0, 3)),
-                    config.priors.default_depth,
-                )
-            p0 = points[pid] if points else backproject(camera, pose, pixel, depth)
-            _add_point(graph, state, pid, p0, [(kf_id, pixel)])
-    for rigid_id in sorted(views):
-        graph.add_factor(COMBINED_RIGID_REPROJECTION, (kf_id, rigid_id), None,
-                         SIGMA_R, payload={"constituents": views[rigid_id]})
+    adjacency, rows, anchor_after = [], [], 0
+    views: dict[int, list] = {}  # rigid body id -> (pixel, p_conv) seen from here
+    for i, pid in enumerate(pids):
+        var = state.point_var[pid]
+        if var in graph.variables:
+            adjacency.append((kf_id, var))
+            rows.append(i)
+            if not anchor_after and pid in new:
+                anchor_after = len(rows)
+        elif manager is not None:
+            hit = manager.absorbed.get(var)
+            if hit is not None:
+                rigid_id, p_conv = hit
+                views.setdefault(rigid_id, []).append((packet.pixels[i], p_conv.copy()))
+    _add_reprojections(graph, state, adjacency, packet.pixels[rows], anchor_after)
+    bodies = sorted(views)
+    graph.add_factors(COMBINED_RIGID_REPROJECTION, [(kf_id, b) for b in bodies], None,
+                      SIGMA_R, [{"constituents": views[b]} for b in bodies])
 
     if config.planes and manager is not None:
         _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration)
@@ -276,7 +297,8 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
     Mirrors a monocular front-end's two-view initialisation: the second
     pose comes from the (noise-corrupted) true relative motion, and points
     matched in both views are triangulated; single-view points fall back
-    to the average-depth policy.
+    to the average-depth policy. The two packets' points enter as one batch
+    and their reprojections as another.
     """
     priors = config.priors
     rng = np.random.default_rng([config.seed, 41])
@@ -292,6 +314,7 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
     pix0 = {int(pid): pix for pid, pix in zip(packet0.point_ids, packet0.pixels)}
     pix1 = {int(pid): pix for pid, pix in zip(packet1.point_ids, packet1.pixels)}
     kf0 = state.keyframe_vars[0]
+    new = {}
     for pid in sorted(set(pix0) | set(pix1)):
         if pid in pix0 and pid in pix1:
             p, ok = triangulate_two_view(camera, pose0, pose1, pix0[pid], pix1[pid])
@@ -300,9 +323,16 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
         else:
             pose, pix = (pose0, pix0[pid]) if pid in pix0 else (pose1, pix1[pid])
             p = backproject(camera, pose, pix, priors.default_depth)
-        observations = [(kf, pixels[pid]) for kf, pixels in ((kf0, pix0), (kf1, pix1))
-                        if pid in pixels]
-        _add_point(graph, state, pid, p, observations)
+        new[pid] = p
+    _add_points(graph, state, new)
+    adjacency, rows, anchor_after = [], [], 0
+    for pid in new:
+        for kf, pixels in ((kf0, pix0), (kf1, pix1)):
+            if pid in pixels:
+                adjacency.append((kf, state.point_var[pid]))
+                rows.append(pixels[pid])
+        anchor_after = anchor_after or len(rows)
+    _add_reprojections(graph, state, adjacency, np.array(rows), anchor_after)
 
     if config.planes and manager is not None:
         for kf_id, packet in ((kf0, packet0), (kf1, packet1)):
@@ -521,6 +551,7 @@ def build_ba_graph(
     and direct solvers built from the same config share the initialisation.
     All noise is drawn before the first edit, so every variable and prior
     enters the graph at its start value and the journal replays the graph.
+    Each packet is inserted as a batch (`_add_keyframe`).
     """
     rng = np.random.default_rng([config.seed, 77])
     overrides = [None]

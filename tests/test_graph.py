@@ -21,6 +21,7 @@ from planegbp.graph import (
     FactorGraph,
     FactorNode,
 )
+from planegbp.io_formats import graph_to_dict
 from planegbp.routing import ROUTED, RoutingSimulator
 from conftest import GENEROUS_POOLS, graph_signature
 
@@ -111,85 +112,145 @@ def test_add_factor_checks_payload_against_the_registry():
 NAN, INF = float("nan"), float("inf")
 Z, P = np.array([320.0, 240.0]), np.array([0.0, 0.0, 3.0])
 
-# (invalid call on small_graph() plus a rigid body rb, ContractViolation message)
+# (invalid insertion on small_graph() plus a rigid body rb, ContractViolation message);
+# `ins` inserts the row alone (`Rows`) or in the middle of a valid batch (`Batch`)
 INVALID_INSERTIONS = {
     "unknown variable kind": (
-        lambda g, kf, pts, rb: g.add_variable("landmark", P), "unknown variable kind"),
+        lambda ins, kf, pts, rb: ins.variable("landmark", P), "unknown variable kind"),
     "mean dimension": (
-        lambda g, kf, pts, rb: g.add_variable(POINT, np.zeros(6)),
+        lambda ins, kf, pts, rb: ins.variable(POINT, np.zeros(6)),
         "point mean must have dim 3"),
     "prior dimension": (
-        lambda g, kf, pts, rb: g.add_variable(POINT, P, GaussianInfo.zero(6)),
+        lambda ins, kf, pts, rb: ins.variable(POINT, P, GaussianInfo.zero(6)),
         "prior dimension does not match"),
     "duplicate variable id": (
-        lambda g, kf, pts, rb: g.add_variable(POINT, P, _fixed_id=pts[0]),
+        lambda ins, kf, pts, rb: ins.variable(POINT, P, _fixed_id=pts[0]),
         "variable id 1 already live"),
     "unknown factor kind": (
-        lambda g, kf, pts, rb: g.add_factor("edge", (kf, pts[0]), Z, 2.0),
+        lambda ins, kf, pts, rb: ins.factor("edge", (kf, pts[0]), Z, 2.0),
         "unknown factor kind"),
     "dead variable": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, 999), Z, 2.0),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, 999), Z, 2.0),
         "dead variable 999"),
     "arity": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf,), Z, 2.0),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf,), Z, 2.0),
         "expects arity 2..2, got 1"),
     "slot kind": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (pts[0], pts[1]), Z, 2.0),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (pts[0], pts[1]), Z, 2.0),
         "slot expects keyframe"),
     "duplicate factor id": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, 2.0,
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), Z, 2.0,
                                             _fixed_id=0),
         "factor id 0 already live"),
     "missing payload": (
-        lambda g, kf, pts, rb: g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), P, 2.0),
+        lambda ins, kf, pts, rb: ins.factor(RIGID_PLANE_PREDICTION, (rb, kf), P, 2.0),
         "need payload 'pi_conv'"),
     "sigma components": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, [1.0, 2.0, 3.0]),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), Z, [1.0, 2.0, 3.0]),
         "sigma has 3 components, expected 2"),
     "sigma zero": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, 0.0),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), Z, 0.0),
         "noise sigma must be positive"),
     "sigma component negative": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, [1.0, -2.0]),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), Z, [1.0, -2.0]),
         "noise sigma must be positive"),
     "sigma nan": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, NAN),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), Z, NAN),
         "noise sigma must be finite"),
     "sigma inf": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z, INF),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), Z, INF),
         "noise sigma must be finite"),
     "sigma component nan": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), Z,
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), Z,
                                             np.array([1.0, NAN])),
         "noise sigma must be finite"),
     "measurement dimension": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), np.zeros(3), 2.0),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), np.zeros(3), 2.0),
         "reprojection measurement must have dim 2"),
     "measurement nan": (
-        lambda g, kf, pts, rb: g.add_factor(REPROJECTION, (kf, pts[0]), [320.0, NAN], 2.0),
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), [320.0, NAN], 2.0),
         "reprojection measurement must be finite"),
     "measurement inf": (
-        lambda g, kf, pts, rb: g.add_factor(PRIOR, (pts[0],), [0.0, -INF, 3.0], 1.0),
+        lambda ins, kf, pts, rb: ins.factor(PRIOR, (pts[0],), [0.0, -INF, 3.0], 1.0),
         "prior measurement must be finite"),
     "constituent z nan": (
-        lambda g, kf, pts, rb: g.add_factor(
+        lambda ins, kf, pts, rb: ins.factor(
             COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
             payload={"constituents": [(Z, P), ([NAN, 240.0], P)]}),
         "combined_rigid_reprojection measurement must be finite"),
     "constituent payload inf": (
-        lambda g, kf, pts, rb: g.add_factor(
+        lambda ins, kf, pts, rb: ins.factor(
             COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
             payload={"constituents": [(Z, [0.0, INF, 3.0])]}),
         "payload 'p_conv' must be finite"),
     "payload nan": (
-        lambda g, kf, pts, rb: g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), P, 2.0,
+        lambda ins, kf, pts, rb: ins.factor(RIGID_PLANE_PREDICTION, (rb, kf), P, 2.0,
                                             payload={"pi_conv": [0.0, NAN, 3.0]}),
         "payload 'pi_conv' must be finite"),
     "matrix payload inf": (
-        lambda g, kf, pts, rb: g.add_factor(LINEAR, (pts[0],), np.zeros(2), 1.0,
+        lambda ins, kf, pts, rb: ins.factor(LINEAR, (pts[0],), np.zeros(2), 1.0,
                                             payload={"A": [[1.0, 0, 0], [0, INF, 0]]}),
         "payload 'A' must be finite"),
+    "mean nan": (
+        lambda ins, kf, pts, rb: ins.variable(POINT, [0.0, NAN, 3.0]),
+        "point mean must be finite"),
+    "prior lam inf": (
+        lambda ins, kf, pts, rb: ins.variable(
+            POINT, P, GaussianInfo(np.zeros(3), np.diag([1.0, INF, 1.0]))),
+        "point prior must be finite"),
 }
+
+
+class Rows:
+    """Inserts one row with the one-row calls."""
+
+    def __init__(self, g, kf, pts, rb):
+        self.g = g
+
+    def variable(self, *args, **kwargs):
+        return self.g.add_variable(*args, **kwargs)
+
+    def factor(self, *args, **kwargs):
+        return self.g.add_factor(*args, **kwargs)
+
+
+class Batch:
+    """Inserts the row between two valid rows of its kind, as one batch.
+
+    A batch has one kind and one sigma, and its measurements and means stack
+    to one (n, m) array, so the valid rows take the bad row's measurement or
+    mean shape: a fault in those is the batch's own."""
+
+    def __init__(self, g, kf, pts, rb):
+        self.g = g
+        self.valid = {  # kind -> (adjacency, measurement, payload) of a valid row
+            REPROJECTION: ((kf, pts[1]), Z, None),
+            PRIOR: ((pts[1],), P, None),
+            RIGID_PLANE_PREDICTION: ((rb, kf), P, {"pi_conv": P}),
+            COMBINED_RIGID_REPROJECTION: ((kf, rb), None, {"constituents": [(Z, P)]}),
+            LINEAR: ((pts[1],), np.zeros(2), {"A": np.ones((2, 3))}),
+        }
+
+    def variable(self, kind, mean, prior=None, _fixed_id=None):
+        mean = np.asarray(mean, dtype=float)
+        return self.g.add_variables(
+            kind, [np.zeros_like(mean), mean, np.ones_like(mean)], [None, prior, None],
+            None if _fixed_id is None else [100, _fixed_id, 101])
+
+    def factor(self, kind, adjacency, measurement, sigma, payload=None, _fixed_id=None):
+        adj, z, ok = self.valid.get(kind, self.valid[REPROJECTION])
+        if measurement is not None:
+            measurement = np.asarray(measurement, dtype=float).reshape(-1)
+            if z is None or z.shape != measurement.shape:
+                z = np.zeros_like(measurement)
+        return self.g.add_factors(
+            kind, [adj, adjacency, adj], None if measurement is None else [z, measurement, z],
+            sigma, [ok, payload, ok], None if _fixed_id is None else [100, _fixed_id, 101])
+
+
+def graph_state(g):
+    return (g.snapshot_census(), len(g.journal), g._next_factor_id, g._next_var_id,
+            {vid: list(v.factor_ids) for vid, v in g.variables.items()})
 
 
 @pytest.mark.parametrize("case", INVALID_INSERTIONS)
@@ -199,8 +260,32 @@ def test_invalid_insertions_are_rejected_and_leave_the_graph_unchanged(case):
     rb = g.add_variable(RIGID_BODY, np.zeros(6))
     census, n_events = g.snapshot_census(), len(g.journal)
     with pytest.raises(ContractViolation, match=message):
-        call(g, kf, pts, rb)
+        call(Rows(g, kf, pts, rb), kf, pts, rb)
     assert g.snapshot_census() == census and len(g.journal) == n_events
+
+
+@pytest.mark.parametrize("case", INVALID_INSERTIONS)
+def test_a_batch_with_one_invalid_row_is_refused_whole(case):
+    # The bad row sits between two valid ones: the batch raises the one-row
+    # message and changes nothing, not even the next free ids.
+    call, message = INVALID_INSERTIONS[case]
+    g, kf, pts = small_graph()
+    rb = g.add_variable(RIGID_BODY, np.zeros(6))
+    before = graph_state(g)
+    with pytest.raises(ContractViolation, match=message):
+        call(Batch(g, kf, pts, rb), kf, pts, rb)
+    assert graph_state(g) == before
+
+
+def test_the_valid_rows_of_the_batch_cases_are_valid():
+    g, kf, pts = small_graph()
+    rb = g.add_variable(RIGID_BODY, np.zeros(6))
+    batch = Batch(g, kf, pts, rb)
+    for kind, (adj, z, payload) in batch.valid.items():
+        assert len(g.add_factors(kind, [adj, adj], None if z is None else [z, z], 2.0,
+                                 [payload, payload])) == 2
+    assert len(batch.variable(POINT, P)) == 3
+    g.check_integrity()
 
 
 def test_empty_graph_census_all_zero():
@@ -362,3 +447,65 @@ def test_bipartite_integrity_check():
     g.variables[kf].factor_ids.append(98765)
     with pytest.raises(ContractViolation):
         g.check_integrity()
+
+
+def random_packets(rng, n_keyframes=3, n_points=12):
+    """Per keyframe: its pose, the start positions and priors of the points
+    seen first there, and its (point index, pixel) observations."""
+    packets, seen = [], 0
+    for k in range(n_keyframes):
+        n_new = n_points // n_keyframes
+        means = rng.normal(size=(n_new, 3))
+        lam = np.eye(3) * rng.uniform(0.5, 2.0)
+        priors = [GaussianInfo(lam @ p, lam) for p in means]
+        seen += n_new
+        obs = [(int(i), rng.normal(320.0, 50.0, size=2))
+               for i in rng.choice(seen, size=seen - 1, replace=False)]
+        packets.append((rng.normal(size=6), means, priors, obs))
+    return packets
+
+
+def grow(g, packets, batched):
+    points = []
+    for pose, means, priors, obs in packets:
+        kf = g.add_variable(KEYFRAME, pose)
+        if batched:
+            points.extend(g.add_variables(POINT, means, priors))
+            adjacency = [(kf, points[i]) for i, _ in obs]
+            g.add_factors(REPROJECTION, adjacency, np.array([z for _, z in obs]), 2.0)
+        else:
+            points.extend(g.add_variable(POINT, m, q) for m, q in zip(means, priors))
+            for i, z in obs:
+                g.add_factor(REPROJECTION, (kf, points[i]), z, 2.0)
+        g.add_factor(PRIOR, (points[-1],), means[-1], 1e-3)
+    return g
+
+
+def journal_signature(g):
+    def arr(x):
+        return None if x is None else np.asarray(x).tobytes()
+
+    out = []
+    for r in g.journal:
+        if isinstance(r, FactorNode):
+            out.append((r.id, r.kind, r.adjacency, arr(r.measurement), arr(r.sigma),
+                        sorted(r.payload)))
+        else:
+            out.append((type(r).__name__, r.id, r.kind, arr(r.mean), arr(r.prior.eta),
+                        arr(r.prior.lam)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batches_insert_what_one_row_calls_insert(seed):
+    packets = random_packets(np.random.default_rng(seed))
+    batched = grow(FactorGraph(camera=CAM), packets, batched=True)
+    rows = grow(FactorGraph(camera=CAM), packets, batched=False)
+    # Nodes (id, kind, adjacency, data, factor_ids lists), journal and next ids.
+    assert graph_signature(batched) == graph_signature(rows)
+    assert journal_signature(batched) == journal_signature(rows)
+    assert (batched._next_var_id, batched._next_factor_id) == (
+        rows._next_var_id, rows._next_factor_id)
+    batched.check_integrity()
+    replayed = FactorGraph.replay(batched.journal, camera=CAM)
+    assert graph_to_dict(replayed) == graph_to_dict(batched)

@@ -14,7 +14,15 @@ from planegbp.errors import CapacityError, ContractViolation
 from planegbp.harness import compare_runs, export_reconstruction, run
 from planegbp.frontend import generate_scene
 from planegbp.geometry import PlaneParams
-from planegbp.graph import COMBINED_RIGID_REPROJECTION, FACTOR_KINDS, RIGID_BODY, FactorGraph
+from planegbp.graph import (
+    COMBINED_RIGID_REPROJECTION,
+    FACTOR_KINDS,
+    PRIOR,
+    REPROJECTION,
+    RIGID_BODY,
+    FactorGraph,
+    FactorNode,
+)
 from planegbp.routing import ROUTED, RoutingSimulator
 from conftest import graph_signature
 from scenes import ba_scene, box_room_spec, desk_config, merge_scene, wall_scene
@@ -488,3 +496,91 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     path = write_config(tmp_path, small_config(solver="gbp-routed"))
     code = cli_main(["run", "--config", path, "--out", str(tmp_path / "x")])
     assert code == 3
+
+
+class InsertionSpy:
+    """Records (packet, kind, rows) of every batch insertion; `packet`
+    counts the calls that insert keyframe packets, and hypotheses are
+    recorded apart."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.context = [], None
+        for name in ("add_variables", "add_factors"):
+            monkeypatch.setattr(FactorGraph, name, self.spy(getattr(FactorGraph, name), name))
+        for owner, name in ((harness, "_add_keyframe"), (harness, "_bootstrap_two_view"),
+                            (AbstractionManager, "integrate_hypothesis")):
+            monkeypatch.setattr(owner, name, self.scope(getattr(owner, name), name))
+        self.n_packets = self.n_hypotheses = 0
+
+    def spy(self, method, name):
+        def spied(graph, kind, rows, *args, **kwargs):
+            self.calls.append((self.context, name, kind, len(rows)))
+            return method(graph, kind, rows, *args, **kwargs)
+        return spied
+
+    def scope(self, fn, name):
+        def scoped(*args, **kwargs):
+            outer = self.context
+            if name == "integrate_hypothesis":
+                self.n_hypotheses += 1
+                self.context = ("hypothesis", self.n_hypotheses)
+            else:
+                self.n_packets += 1
+                self.context = ("packet", self.n_packets)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.context = outer
+        return scoped
+
+    def per_scope(self, kind_of_scope):
+        counts = {}
+        for context, name, kind, _ in self.calls:
+            if context is not None and context[0] == kind_of_scope:
+                key = (context[1], name, kind)
+                counts[key] = counts.get(key, 0) + 1
+        return counts
+
+
+def assert_one_batch_per_kind_per_packet(spy, graph):
+    # One insertion per variable kind and factor kind per packet; the scale
+    # anchor, the one prior, splits its packet's reprojections in two.
+    counts = spy.per_scope("packet")
+    assert spy.n_packets >= 2 and counts
+    anchors = [k for k, n in counts.items() if k[1:] == ("add_factors", PRIOR)]
+    assert len(anchors) == 1 and counts[anchors[0]] == 1
+    for (packet, name, kind), n in counts.items():
+        split = kind == REPROJECTION and packet == anchors[0][0]
+        assert n <= 1 + split, (packet, name, kind, n)
+    assert all(n <= 1 for n in spy.per_scope("hypothesis").values())
+    # The batches hold every observation: nothing went in row by row.
+    rows = sum(n for context, name, kind, n in spy.calls
+               if context and context[0] == "packet" and kind == REPROJECTION)
+    assert rows == sum(1 for f in graph.journal
+                       if isinstance(f, FactorNode) and f.kind == REPROJECTION)
+
+
+def test_build_ba_graph_inserts_each_packet_as_one_batch_per_kind(monkeypatch):
+    spy = InsertionSpy(monkeypatch)
+    spec = ba_scene(4, n_keyframes=3, points_per_plane=20, n_clutter=10)
+    scene = generate_scene(spec)
+    packets = [scene.emit_keyframe(k) for k in range(spec.n_keyframes)]
+    graph, _ = harness.build_ba_graph(desk_config(spec, 4, planes=False), packets,
+                                      scene.camera)
+    assert spy.n_packets == 3
+    assert_one_batch_per_kind_per_packet(spy, graph)
+
+
+def test_a_run_inserts_each_packet_as_one_batch_per_kind(monkeypatch):
+    spy = InsertionSpy(monkeypatch)
+    result = run(desk_config(merge_scene(2), 2))
+    assert spy.n_packets == 3 and spy.n_hypotheses > 0  # the bootstrap takes two
+    assert_one_batch_per_kind_per_packet(spy, result.graph)
+
+
+def test_a_packet_views_its_rigid_bodies_in_one_batch(monkeypatch):
+    cfg, packets, camera, graph, state, manager, _, bodies = confirmed_map()
+    spy = InsertionSpy(monkeypatch)
+    harness._add_keyframe(graph, state, manager, cfg, packets[2], 60, camera)
+    combined = [n for _, _, kind, n in spy.calls if kind == COMBINED_RIGID_REPROJECTION]
+    assert combined == [len(set(bodies.values()))] and combined[0] > 1
