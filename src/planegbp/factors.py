@@ -15,6 +15,12 @@ distinct poses it holds (`geometry.pose_rotations_batch`) and names each
 row's pose among them; `evaluate_rows` gathers them per row. So a sweep
 rotates each pose once, not once per factor row.
 
+Each measurement model is written once: a rigid reprojection reprojects the
+body's baked point moved by the body's pose, and a rigid plane prediction
+predicts the body's plane so moved. Both call the private bodies `_reproject`
+and `_moved_plane`, not a public `eval_*_batch`, which the benchmark's span
+tracer wraps: a nested public call would count its rows twice.
+
 `FactorStack` stacks the factors of one kind and adjacency shape row-wise for
 their kernel. The propagation engine, the dense oracle and Levenberg-Marquardt
 all evaluate through it: `evaluate_rows` calls the kernel, `linearise_batch`
@@ -62,8 +68,7 @@ from .geometry import (
     proj_jacobian_cam_batch,
     project_cam_batch,
     so3_hat_batch,
-    transform_plane_jacobians_batch,
-    transform_plane_min_batch,
+    transform_plane_batch,
 )
 from .graph import FACTOR_KINDS, VARIABLE_DIMS, FactorNode
 
@@ -93,7 +98,7 @@ class PoseRows(NamedTuple):
 # slots are PoseRows.
 # ---------------------------------------------------------------------------
 
-def eval_reprojection_batch(cam: CameraModel, z, c, p, want_jac=True):
+def _reproject(cam: CameraModel, z, c, p, want_jac):
     p_cam = (c.R @ p[:, :, None])[:, :, 0] + c.t
     pix, valid = project_cam_batch(cam, p_cam)
     value = z - pix
@@ -104,6 +109,10 @@ def eval_reprojection_batch(cam: CameraModel, z, c, p, want_jac=True):
     Jproj = proj_jacobian_cam_batch(cam, safe)
     dp_dw = -(c.R @ so3_hat_batch(p)) @ c.Jr
     return value, np.concatenate([-Jproj, -Jproj @ dp_dw, -Jproj @ c.R], axis=2), valid
+
+
+def eval_reprojection_batch(cam: CameraModel, z, c, p, want_jac=True):
+    return _reproject(cam, z, c, p, want_jac)
 
 
 def eval_plane_point_batch(cam, z, m, p, want_jac=True):
@@ -120,35 +129,30 @@ def eval_plane_point_batch(cam, z, m, p, want_jac=True):
     return value, np.concatenate([Jm, n[:, None, :]], axis=2), valid
 
 
-def eval_plane_prediction_batch(cam, z, pi, c, want_jac=True):
-    d_in = np.linalg.norm(pi, axis=-1)
-    valid = d_in > EPS_PLANE
+def _moved_plane(pose, pi):
+    """(valid, m, dm/dpi, dm/dpose) of planes pi moved by `pose`, Jacobians None
+    without its Jr. A plane degenerate before or after the move is invalid,
+    and a degenerate pi moves as [0, 0, 1]."""
+    valid = np.linalg.norm(pi, axis=-1) > EPS_PLANE
     pi_safe = np.where(valid[:, None], pi, [[0.0, 0.0, 1.0]])
-    if want_jac:
-        m_cam, dm_dpose, dm_dm = transform_plane_jacobians_batch(c.R, c.t, c.Jr, pi_safe)
-    else:
-        m_cam = transform_plane_min_batch(c.R, c.t, pi_safe)
-    valid &= np.linalg.norm(m_cam, axis=-1) > EPS_PLANE
+    m, dm_dpose, dm_dpi = transform_plane_batch(pose.R, pose.t, pi_safe, pose.Jr)
+    valid &= np.linalg.norm(m, axis=-1) > EPS_PLANE
+    return valid, m, dm_dpi, dm_dpose
+
+
+def eval_plane_prediction_batch(cam, z, pi, c, want_jac=True):
+    valid, m_cam, dm_dpi, dm_dc = _moved_plane(c, pi)
     value = z - m_cam
     if not want_jac:
         return value, None, valid
-    return value, np.concatenate([-dm_dm, -dm_dpose], axis=2), valid
+    return value, np.concatenate([-dm_dpi, -dm_dc], axis=2), valid
 
 
 def eval_rigid_plane_prediction_batch(cam, z, pi_conv, r, c, want_jac=True):
-    valid = np.linalg.norm(pi_conv, axis=-1) > EPS_PLANE
-    pi_safe = np.where(valid[:, None], pi_conv, [[0.0, 0.0, 1.0]])
-    if want_jac:
-        m_world, dmw_dr, _ = transform_plane_jacobians_batch(r.R, r.t, r.Jr, pi_safe)
-    else:
-        m_world = transform_plane_min_batch(r.R, r.t, pi_safe)
-    valid &= np.linalg.norm(m_world, axis=-1) > EPS_PLANE
-    mw_safe = np.where(valid[:, None], m_world, [[0.0, 0.0, 1.0]])
-    if want_jac:
-        m_cam, dmc_dc, dmc_dmw = transform_plane_jacobians_batch(c.R, c.t, c.Jr, mw_safe)
-    else:
-        m_cam = transform_plane_min_batch(c.R, c.t, mw_safe)
-    valid &= np.linalg.norm(m_cam, axis=-1) > EPS_PLANE
+    # A plane the body's move made invalid goes on as 0, flagged again.
+    valid, m_world, _, dmw_dr = _moved_plane(r, pi_conv)
+    seen, m_cam, dmc_dmw, dmc_dc = _moved_plane(c, np.where(valid[:, None], m_world, 0.0))
+    valid &= seen
     value = z - m_cam
     if not want_jac:
         return value, None, valid
@@ -157,19 +161,12 @@ def eval_rigid_plane_prediction_batch(cam, z, pi_conv, r, c, want_jac=True):
 
 def eval_rigid_reprojection_batch(cam: CameraModel, z, p_conv, c, r, want_jac=True):
     p_world = (r.R @ p_conv[:, :, None])[:, :, 0] + r.t
-    p_cam = (c.R @ p_world[:, :, None])[:, :, 0] + c.t
-    pix, valid = project_cam_batch(cam, p_cam)
-    value = z - pix
+    value, J, valid = _reproject(cam, z, c, p_world, want_jac)
     if not want_jac:
         return value, None, valid
-    safe = p_cam.copy()
-    safe[~valid, 2] = 1.0
-    Jproj = proj_jacobian_cam_batch(cam, safe)
-    dpc_dwc = -(c.R @ so3_hat_batch(p_world)) @ c.Jr
     dpw_dwr = -(r.R @ so3_hat_batch(p_conv)) @ r.Jr
-    JR = -Jproj @ c.R
-    J = np.concatenate([-Jproj, -Jproj @ dpc_dwc, JR, JR @ dpw_dwr], axis=2)
-    return value, J, valid
+    # J[:, :, 6:9] is d value / d p_world
+    return value, np.concatenate([J, J[:, :, 6:9] @ dpw_dwr], axis=2), valid
 
 
 def eval_prior_batch(cam, z, x, want_jac=True):

@@ -12,12 +12,14 @@ Conventions used throughout the package:
   through the origin; the canonical split takes ``d = |m| > 0``.
 
 Functions with a ``_batch`` suffix operate on stacked leading axes; they are
-what the factor kernels evaluate, and ``project_cam_batch`` is the one
-pinhole projection. The scalar ``Pose``, ``PlaneParams`` and
-``transform_plane`` serve scene generation, graph growth and the plane
-lifecycle. A ``Pose`` copies its vector and computes its rotation and its
-inverse once, so backprojecting a keyframe's new points exponentiates once
-per keyframe, not once per point.
+what the factor kernels evaluate. ``project_cam_batch`` is the one pinhole
+projection, ``transform_plane_batch`` the one plane transform (with its
+Jacobians when given the rotation's right Jacobian), and ``_so3`` the one
+SO(3) routine, behind ``so3_exp_batch`` and ``pose_rotations_batch``. The
+scalar ``Pose``, ``PlaneParams`` and ``transform_plane`` serve scene
+generation, graph growth and the plane lifecycle. A ``Pose`` copies its
+vector and computes its rotation and its inverse once, so backprojecting a
+keyframe's new points exponentiates once per keyframe, not once per point.
 """
 
 from __future__ import annotations
@@ -51,15 +53,23 @@ def so3_hat_batch(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_coeffs(theta: np.ndarray):
-    """(sin t / t, (1 - cos t) / t^2) with Taylor fallbacks near zero."""
-    theta = np.asarray(theta, dtype=float)
+def _so3(w: np.ndarray, want_jac: bool):
+    """(exp(w), Jr(w) or None) of rotation vectors w (n, 3), with Taylor
+    fallbacks near zero. Jr is the right Jacobian:
+    exp(w + dw) ~ exp(w) exp(Jr(w) dw)."""
+    theta = np.linalg.norm(w, axis=-1)
     t2 = theta * theta
     small = theta < _SMALL_ANGLE
     safe = np.where(small, 1.0, theta)
     a = np.where(small, 1.0 - t2 / 6.0, np.sin(safe) / safe)
     b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
-    return a, b
+    hat = so3_hat_batch(w)
+    hat2 = hat @ hat
+    R = np.eye(3) + a[:, None, None] * hat + b[:, None, None] * hat2
+    if not want_jac:
+        return R, None
+    c = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - np.sin(safe)) / (safe**3))
+    return R, np.eye(3) - b[:, None, None] * hat + c[:, None, None] * hat2
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
@@ -67,12 +77,7 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
 
 
 def so3_exp_batch(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w, axis=-1)
-    a, b = _exp_coeffs(theta)
-    hat = so3_hat_batch(w)
-    hat2 = hat @ hat
-    return np.eye(3) + a[:, None, None] * hat + b[:, None, None] * hat2
+    return _so3(np.asarray(w, dtype=float), False)[0]
 
 
 def so3_log(R: np.ndarray) -> np.ndarray:
@@ -101,20 +106,6 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     return vee * theta / np.sin(theta)
 
 
-def so3_right_jacobian_batch(w: np.ndarray) -> np.ndarray:
-    """Right Jacobian Jr(w): exp(w + dw) ~ exp(w) exp(Jr(w) dw)."""
-    w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w, axis=-1)
-    t2 = theta * theta
-    small = theta < _SMALL_ANGLE
-    safe = np.where(small, 1.0, theta)
-    c1 = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
-    c2 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - np.sin(safe)) / (safe**3))
-    hat = so3_hat_batch(w)
-    hat2 = hat @ hat
-    return np.eye(3) - c1[:, None, None] * hat + c2[:, None, None] * hat2
-
-
 def pose_rotations_batch(poses: np.ndarray, want_jac: bool = True):
     """(R, Jr) of poses [t, w] (n, 6): exp(w) and, with want_jac, the right
     Jacobian Jr(w), else None.
@@ -123,8 +114,7 @@ def pose_rotations_batch(poses: np.ndarray, want_jac: bool = True):
     computes them once over the distinct poses it holds, and
     `factors.evaluate_rows` gathers them for every pose slot's rows.
     """
-    w = poses[:, 3:]
-    return so3_exp_batch(w), so3_right_jacobian_batch(w) if want_jac else None
+    return _so3(poses[:, 3:], want_jac)
 
 
 # ---------------------------------------------------------------------------
@@ -231,42 +221,33 @@ class PlaneParams:
         return self.m / d
 
 
-def transform_plane_min_batch(R: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Minimal form of the inverse-transpose homogeneous plane transform.
-
-    For p' = R p + t, planes map as m' = (R n) (d + t . (R n)).
-    """
-    d = np.linalg.norm(m, axis=-1)
-    n = m / d[..., None]
-    u = (R @ n[..., None])[..., 0]
-    s = d + np.einsum("...i,...i->...", t, u)
-    return u * s[..., None]
-
-
 def transform_plane(T: Pose, pi: PlaneParams) -> PlaneParams:
     """Plane incident to T.apply(p) for every p incident to pi."""
     if pi.distance <= EPS_PLANE:
         raise DegeneratePlaneError("input plane is degenerate (through origin)")
-    m_out = transform_plane_min_batch(T.R, T.t, pi.m[None])[0]
+    m_out = transform_plane_batch(T.R[None], T.t[None], pi.m[None])[0][0]
     if np.linalg.norm(m_out) <= EPS_PLANE:
         raise DegeneratePlaneError("transformed plane passes through the origin")
     return PlaneParams(m_out)
 
 
-def transform_plane_jacobians_batch(
-    R: np.ndarray, t: np.ndarray, Jr: np.ndarray, m: np.ndarray
-):
-    """Batched (m', dm'/dpose (n,3,6), dm'/dm (n,3,3)).
+def transform_plane_batch(R: np.ndarray, t: np.ndarray, m: np.ndarray, Jr=None):
+    """Minimal form of the inverse-transpose homogeneous plane transform.
+
+    For p' = R p + t, planes map as m' = (R n) (d + t . (R n)). Returns
+    (m' (n,3), dm'/dpose (n,3,6), dm'/dm (n,3,3)), both Jacobians None
+    without `Jr`.
 
     Pose coordinates are [t, w] with R = exp(w); the rotational block uses
     the right Jacobian Jr(w) of SO(3), which the caller supplies with R.
     """
     d = np.linalg.norm(m, axis=-1)
-    n = m / d[..., None]
-    u = (R @ n[..., None])[..., 0]
-    tu = np.einsum("ni,ni->n", t, u)
-    s = d + tu
+    n = m / d[:, None]
+    u = (R @ n[:, :, None])[:, :, 0]
+    s = d + np.einsum("ni,ni->n", t, u)
     m_out = u * s[:, None]
+    if Jr is None:
+        return m_out, None, None
 
     # d u / d m = R (I - n n^T) / |m|
     proj = (np.eye(3)[None] - n[:, :, None] * n[:, None, :]) / d[:, None, None]

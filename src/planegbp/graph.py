@@ -268,10 +268,8 @@ class FactorGraph:
                 self.variables, self._next_var_id, n, _fixed_ids, "variable")
 
         node_means = means.copy()
-        for i, vid in enumerate(ids):
-            prior = checked[i]
-            belief = prior if not prior.is_zero() else GaussianInfo.zero(dim)
-            self.variables[vid] = VariableNode(vid, kind, belief, prior, node_means[i])
+        for i, (vid, prior) in enumerate(zip(ids, checked)):
+            self.variables[vid] = VariableNode(vid, kind, prior, prior, node_means[i])
             self.journal.append(AddVariable(vid, kind, means[i], prior))
         return ids
 

@@ -143,7 +143,6 @@ class _SlamState:
     def __init__(self):
         self.point_var: dict[int, int] = {}  # scene point id -> variable id
         self.keyframe_vars: list[int] = []
-        self.scale_anchor_placed = False
 
 
 def _packets_for(config: ExperimentConfig):
@@ -192,28 +191,15 @@ def _add_keyframe_variable(graph, state, packet, pose: Pose | None = None):
 
 def _add_points(graph, state, new: dict) -> None:
     """Point variables of `new` (scene point id -> start position), added in
-    its order as one batch, each with its weak prior."""
+    its order as one batch, each with its weak prior. The map's first batch
+    also places the prior that fixes the monocular scale, on its first point
+    at its start position."""
     plam = np.eye(3) / POINT_SIGMA**2
     starts = list(new.values())
     ids = graph.add_variables(POINT, starts, [GaussianInfo(plam @ p, plam) for p in starts])
+    if ids and not state.point_var:
+        graph.add_factor(PRIOR, (ids[0],), graph.variables[ids[0]].mean, SCALE_ANCHOR_SIGMA)
     state.point_var.update(zip(new, ids))
-
-
-def _add_reprojections(graph, state, adjacency: list, pixels, anchor_after: int) -> None:
-    """Reprojection factors on `adjacency` [(keyframe id, point id)] with
-    `pixels` (n, 2) as one batch. Until the scale anchor is placed, the prior
-    that fixes the monocular scale goes on the point of row `anchor_after - 1`
-    (0: none here), at its start position, and splits the batch after that
-    row: there the point-by-point insertion put it, so that every factor id
-    stays."""
-    if state.scale_anchor_placed or not anchor_after:
-        graph.add_factors(REPROJECTION, adjacency, pixels, SIGMA_R)
-        return
-    graph.add_factors(REPROJECTION, adjacency[:anchor_after], pixels[:anchor_after], SIGMA_R)
-    var = adjacency[anchor_after - 1][1]
-    graph.add_factor(PRIOR, (var,), graph.variables[var].mean, SCALE_ANCHOR_SIGMA)
-    state.scale_anchor_placed = True
-    graph.add_factors(REPROJECTION, adjacency[anchor_after:], pixels[anchor_after:], SIGMA_R)
 
 
 def _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration):
@@ -256,21 +242,19 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                                                           depth)
     _add_points(graph, state, new)
 
-    adjacency, rows, anchor_after = [], [], 0
+    adjacency, rows = [], []
     views: dict[int, list] = {}  # rigid body id -> (pixel, p_conv) seen from here
     for i, pid in enumerate(pids):
         var = state.point_var[pid]
         if var in graph.variables:
             adjacency.append((kf_id, var))
             rows.append(i)
-            if not anchor_after and pid in new:
-                anchor_after = len(rows)
         elif manager is not None:
             hit = manager.absorbed.get(var)
             if hit is not None:
                 rigid_id, p_conv = hit
                 views.setdefault(rigid_id, []).append((packet.pixels[i], p_conv.copy()))
-    _add_reprojections(graph, state, adjacency, packet.pixels[rows], anchor_after)
+    graph.add_factors(REPROJECTION, adjacency, packet.pixels[rows], SIGMA_R)
     bodies = sorted(views)
     graph.add_factors(COMBINED_RIGID_REPROJECTION, [(kf_id, b) for b in bodies], None,
                       SIGMA_R, [{"constituents": views[b]} for b in bodies])
@@ -325,14 +309,13 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
             p = backproject(camera, pose, pix, priors.default_depth)
         new[pid] = p
     _add_points(graph, state, new)
-    adjacency, rows, anchor_after = [], [], 0
+    adjacency, rows = [], []
     for pid in new:
         for kf, pixels in ((kf0, pix0), (kf1, pix1)):
             if pid in pixels:
                 adjacency.append((kf, state.point_var[pid]))
                 rows.append(pixels[pid])
-        anchor_after = anchor_after or len(rows)
-    _add_reprojections(graph, state, adjacency, np.array(rows), anchor_after)
+    graph.add_factors(REPROJECTION, adjacency, np.array(rows), SIGMA_R)
 
     if config.planes and manager is not None:
         for kf_id, packet in ((kf0, packet0), (kf1, packet1)):
@@ -507,11 +490,7 @@ def _write_artifacts(config, graph, state, manager, reports, packets,
     written = {k: v for k, v in config.to_dict().items() if k != "out_dir"}
     io_formats.write_json(out / "config.json", "experiment-config", written)
     io_formats.write_iteration_csv(out / "iterations.csv", reports)
-    fields = sorted({k for row in census_rows for k in row})
-    fields = ["keyframes_added", "n_factors", "n_variables"] + [
-        f for f in fields if f.startswith("f_")
-    ]
-    io_formats.write_csv(out / "census.csv", fields, census_rows)
+    io_formats.write_csv(out / "census.csv", io_formats.CENSUS_FIELDS, census_rows)
     io_formats.write_json(out / "events.json", "event-log",
                           {"events": manager.events if manager else []})
     io_formats.write_graph(out / "graph.json", graph)

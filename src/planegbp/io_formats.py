@@ -209,6 +209,9 @@ def read_csv(path) -> list:
 
 # One column per IterationReport field, in declaration order.
 ITERATION_FIELDS = [f.name for f in dataclasses.fields(IterationReport)]
+# census.csv's columns: a census row's totals and one count per factor kind.
+CENSUS_FIELDS = ("keyframes_added", "n_factors", "n_variables") + tuple(
+    sorted(f"f_{kind}" for kind in FACTOR_KINDS))
 
 
 def write_iteration_csv(path, reports) -> None:

@@ -99,20 +99,36 @@ def test_plane_prediction_reductions(rng):
 
 def test_rigid_factors_reduce_to_plain_at_identity(rng):
     # Baking converged parameters and evaluating at the identity body pose
-    # reproduces the original residuals exactly.
-    for _ in range(20):
-        c = rng.normal(size=6) * 0.3
-        p_conv = rng.normal(size=3) + np.array([0, 0, 4.0])
-        z = rng.uniform([0, 0], [CAM.width, CAM.height])
-        plain, _, _ = row(REPROJECTION, z, c, p_conv)
-        rigid, _, _ = row(COMBINED_RIGID_REPROJECTION, z, c, np.zeros(6), p_conv=p_conv)
-        assert np.allclose(rigid, plain, atol=1e-10)
+    # reproduces the original rows: the rigid reprojection bit for bit, with
+    # a body-rotation block of d value / d point @ -hat(p), and the rigid
+    # plane prediction to rounding, with the same validity. Points behind the
+    # camera and planes degenerate before or after the camera's move included.
+    n = 200
+    c = rng.normal(size=(n, 6)) * 0.3
+    p_conv = rng.normal(size=(n, 3)) + np.array([0, 0, 4.0])
+    p_conv[::5, 2] *= -1.0
+    z = rng.uniform([0, 0], [CAM.width, CAM.height], size=(n, 2))
+    pi_conv = rng.normal(size=(n, 3)) * 2.0
+    pi_conv[::7] = 0.0
+    c[1::9, 3:] = 0.0
+    c[1::9, :3] = -pi_conv[1::9]
+    z_pi = rng.normal(size=(n, 3))
+    cam_rows = factors.PoseRows(c[:, :3], *pose_rotations_batch(c))
+    body = factors.PoseRows(np.zeros((n, 3)), *pose_rotations_batch(np.zeros((n, 6))))
 
-        pi_conv = PlaneParams.from_normal_distance(rng.normal(size=3), 2.0).m
-        z_pi = PlaneParams.from_normal_distance(rng.normal(size=3), 1.5).m
-        plain, _, _ = row(PLANE_PREDICTION, z_pi, pi_conv, c)
-        rigid, _, _ = row(RIGID_PLANE_PREDICTION, z_pi, np.zeros(6), c, pi_conv=pi_conv)
-        assert np.allclose(rigid, plain, atol=1e-10)
+    value, J, valid = factors.eval_reprojection_batch(CAM, z, cam_rows, p_conv)
+    value_r, J_r, valid_r = factors.eval_rigid_reprojection_batch(CAM, z, p_conv, cam_rows, body)
+    assert not valid.all() and valid.any()
+    assert np.array_equal(value_r, value) and np.array_equal(valid_r, valid)
+    assert np.array_equal(J_r[:, :, :9], J)
+    assert np.array_equal(J_r[:, :, 9:], J[:, :, 6:9] @ -geometry.so3_hat_batch(p_conv))
+
+    value, J, valid = factors.eval_plane_prediction_batch(CAM, z_pi, pi_conv, cam_rows)
+    value_r, J_r, valid_r = factors.eval_rigid_plane_prediction_batch(
+        CAM, z_pi, pi_conv, body, cam_rows)
+    assert not valid.all() and valid.any() and not valid[1::9].any()
+    assert np.array_equal(valid_r, valid)
+    assert np.allclose(value_r, value, rtol=0.0, atol=1e-12)
 
 
 def test_rigid_reprojection_translation_shifts_point():
@@ -187,11 +203,11 @@ def test_analytic_jacobians_match_finite_differences(kind, rng):
 def test_no_kernel_computes_a_rotation():
     # Kernels receive each pose slot's rotation and right Jacobian from the
     # caller of evaluate_rows, which computes them once per pose: nothing in
-    # the factors module, nor the plane-transform Jacobian the kernels call,
+    # the factors module, nor the plane transform the kernels call,
     # names the SO(3) exponential or its right Jacobian.
-    banned = {"so3_exp_batch", "so3_right_jacobian_batch"}
+    banned = {"so3_exp", "so3_exp_batch", "_so3"}
     for source in (inspect.getsource(factors),
-                   inspect.getsource(geometry.transform_plane_jacobians_batch)):
+                   inspect.getsource(geometry.transform_plane_batch)):
         names = set()
         for node in ast.walk(ast.parse(textwrap.dedent(source))):
             if isinstance(node, ast.Name):

@@ -17,6 +17,7 @@ from planegbp.geometry import PlaneParams
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
     FACTOR_KINDS,
+    POINT,
     PRIOR,
     REPROJECTION,
     RIGID_BODY,
@@ -166,6 +167,7 @@ def test_census_has_one_row_at_start_and_one_per_edit_pass(tmp_path, monkeypatch
     run(cfg)
     rows = io_formats.read_csv(tmp_path / "run" / "census.csv")
     assert calls and len(rows) == 1 + len(calls)
+    assert tuple(rows[0]) == io_formats.CENSUS_FIELDS
 
 
 def test_converged_iteration_px_ignores_unmeasured_sweeps():
@@ -245,6 +247,7 @@ def test_lm_solver_path(tmp_path):
     assert (summary["lm_kernel"], summary["lm_max_iterations"]) == ("huber", 50)
     assert summary["lm_converged"] and summary["lm_hit_lambda_max"] is False
     assert io_formats.read_csv(out / "census.csv") == []
+    assert (out / "census.csv").read_text().split() == [",".join(io_formats.CENSUS_FIELDS)]
     rows = io_formats.read_csv(out / "iterations.csv")
     assert len(rows) >= 2
     assert len(rows) == len(result.reports)
@@ -544,14 +547,14 @@ class InsertionSpy:
 
 def assert_one_batch_per_kind_per_packet(spy, graph):
     # One insertion per variable kind and factor kind per packet; the scale
-    # anchor, the one prior, splits its packet's reprojections in two.
+    # anchor, the one prior, goes in with the first packet's points.
     counts = spy.per_scope("packet")
     assert spy.n_packets >= 2 and counts
-    anchors = [k for k, n in counts.items() if k[1:] == ("add_factors", PRIOR)]
-    assert len(anchors) == 1 and counts[anchors[0]] == 1
+    anchors = [k for k in counts if k[1:] == ("add_factors", PRIOR)]
+    first_points = min(p for p, name, kind in counts if kind == POINT)
+    assert len(anchors) == 1 and anchors[0][0] == first_points
     for (packet, name, kind), n in counts.items():
-        split = kind == REPROJECTION and packet == anchors[0][0]
-        assert n <= 1 + split, (packet, name, kind, n)
+        assert n <= 1, (packet, name, kind, n)
     assert all(n <= 1 for n in spy.per_scope("hypothesis").values())
     # The batches hold every observation: nothing went in row by row.
     rows = sum(n for context, name, kind, n in spy.calls
