@@ -17,7 +17,12 @@ routes later observations of an absorbed point to its body, keyed by the
 point's variable id.
 
 Fixed thresholds and noise: a member counts toward y when its likelihood
-under the plane-point noise SIGMA_PP exceeds L_THRESH. A hypothesis enters
+exceeds L_THRESH, the likelihood being exp(-r²/2 SIGMA_PP²) of the
+plane-point factor's own residual r, and 0 where that factor is invalid (a
+degenerate plane). A hypothesis is rejected once y < Y_REJECT or its age
+exceeds T_MAX, and confirmed once y > Y_CONF and its age exceeds T_MIN
+(both ages scaled by `AbstractionConfig.iteration_scale`); a proposal with
+fewer than MIN_MEMBERS live points is not inserted. A hypothesis enters
 with a prior of PLANE_PRIOR_SIGMA and a prediction factor of SIGMA_PI. Two
 rigid bodies merge when their normals are within THETA_MERGE_DEG, N_SAMPLES
 points sampled in each hull lie within D_MERGE of the other plane on
@@ -33,6 +38,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ContractViolation, DegeneratePlaneError
+from .factors import eval_plane_point_batch
 from .gaussians import GaussianInfo
 from .geometry import EPS_PLANE, PlaneParams, Pose, transform_plane
 from .graph import (
@@ -47,27 +53,19 @@ from .graph import (
 from .frontend import plane_basis
 
 L_THRESH, SIGMA_PP, SIGMA_PI, PLANE_PRIOR_SIGMA = 0.8, 0.05, 20.0, 100.0
+Y_REJECT, Y_CONF, T_MIN, T_MAX, MIN_MEMBERS = 0.5, 0.8, 4000, 6000, 4
 THETA_MERGE_DEG, D_MERGE, O_MERGE, N_SAMPLES = 10.0, 0.05, 0.3, 100
 
 
 @dataclass
 class AbstractionConfig:
-    y_reject: float = 0.5
-    y_conf: float = 0.8
-    t_min: int = 4000
-    t_max: int = 6000
     test_period: int = 1000
     merge_period: int = 1000
-    min_members: int = 4
     # All iteration thresholds/periods are multiplied by this factor so that
     # desk-scale runs can use proportionally shorter budgets.
     iteration_scale: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.y_reject < self.y_conf <= 1.0):
-            raise ContractViolation("need 0 <= y_reject < y_conf <= 1")
-        if self.t_min >= self.t_max:
-            raise ContractViolation("need t_min < t_max")
         if self.iteration_scale <= 0:
             raise ContractViolation("iteration_scale must be positive")
 
@@ -76,11 +74,11 @@ class AbstractionConfig:
 
     @property
     def t_min_eff(self) -> int:
-        return self._scaled(self.t_min)
+        return self._scaled(T_MIN)
 
     @property
     def t_max_eff(self) -> int:
-        return self._scaled(self.t_max)
+        return self._scaled(T_MAX)
 
     @property
     def test_period_eff(self) -> int:
@@ -101,30 +99,13 @@ class PlaneHypothesis:
         return iteration - self.inserted_iteration
 
 
-def point_plane_likelihood(point, plane_m) -> float:
-    """Unnormalised plane-point density, peak value 1 at zero residual."""
-    m = np.asarray(plane_m, float)
-    d = np.linalg.norm(m)
-    if d <= 1e-12:
-        return 0.0
-    resid = float(m / d @ np.asarray(point, float) - d)
-    return math.exp(-0.5 * (resid / SIGMA_PP) ** 2)
-
-
-def test_hypothesis(y: float, t: int, config: AbstractionConfig) -> str:
+def decide(y: float, t: int, config: AbstractionConfig) -> str:
     """'reject' | 'confirm' | 'keep'; rejection is checked first."""
-    if y < config.y_reject or t > config.t_max_eff:
+    if y < Y_REJECT or t > config.t_max_eff:
         return "reject"
-    if y > config.y_conf and t > config.t_min_eff:
+    if y > Y_CONF and t > config.t_min_eff:
         return "confirm"
     return "keep"
-
-
-def bake_parameters(means: dict, plane_id: int, member_ids) -> tuple:
-    """Immutable snapshot (pi_conv, [(pid, p_conv), ...]) of belief means."""
-    pi_conv = np.asarray(means[plane_id], float).copy()
-    baked = [(pid, np.asarray(means[pid], float).copy()) for pid in member_ids]
-    return pi_conv, baked
 
 
 def rigid_plane(graph: FactorGraph, rigid_id: int):
@@ -225,9 +206,8 @@ class AbstractionManager:
         true_plane: int = -1,
     ):
         """Insert one proposal; returns the hypothesis or None if filtered."""
-        cfg = self.config
         members = [p for p in point_ids if p in self.graph.variables]
-        if len(members) < cfg.min_members:
+        if len(members) < MIN_MEMBERS:
             return None
         pi_z = np.asarray(pi_z, float)
         kf_mean = self.graph.variables[keyframe_id].mean
@@ -262,12 +242,16 @@ class AbstractionManager:
         ]
 
     def evaluate_hypothesis(self, hyp: PlaneHypothesis, means: dict):
-        """(y, per-point likelihoods) at the given belief means."""
+        """(y, per-point likelihoods) at the given belief means, from one
+        call of the plane-point kernel over the members."""
         members = self.members(hyp)
         if not members:
             return 0.0, {}
-        plane_m = means[hyp.variable_id]
-        liks = {pid: point_plane_likelihood(means[pid], plane_m) for pid in members}
+        m = np.broadcast_to(means[hyp.variable_id], (len(members), 3))
+        p = np.stack([means[pid] for pid in members])
+        r, _, valid = eval_plane_point_batch(None, None, m, p, want_jac=False)
+        lik = np.where(valid, np.exp(-0.5 * (r[:, 0] / SIGMA_PP) ** 2), 0.0)
+        liks = dict(zip(members, lik.tolist()))
         y = sum(1 for v in liks.values() if v > L_THRESH) / len(liks)
         return y, liks
 
@@ -309,9 +293,9 @@ class AbstractionManager:
             return None
         _, liks = self.evaluate_hypothesis(hyp, means)
         qualifying = [pid for pid, lik in liks.items() if lik > L_THRESH]
-        pi_conv, baked = bake_parameters(means, hyp.variable_id, qualifying)
-        conv = {hyp.variable_id: pi_conv}
-        conv.update(baked)
+        # An immutable snapshot: later changes to `means` leave the bakes alone.
+        conv = {vid: np.asarray(means[vid], float).copy()
+                for vid in (hyp.variable_id, *qualifying)}
         rigid_id, absorbed = self.graph.replace_with_rigid_body(
             hyp.variable_id, qualifying, conv
         )
@@ -329,7 +313,7 @@ class AbstractionManager:
         outcomes = []
         for hyp in list(self.hypotheses.values()):
             y, _ = self.evaluate_hypothesis(hyp, means)
-            verdict = test_hypothesis(y, hyp.age(iteration), self.config)
+            verdict = decide(y, hyp.age(iteration), self.config)
             if verdict == "reject":
                 self.reject_hypothesis(hyp, iteration, y)
             elif verdict == "confirm":

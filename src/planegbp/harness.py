@@ -202,13 +202,11 @@ def _add_points(graph, state, new: dict) -> None:
     state.point_var.update(zip(new, ids))
 
 
-def _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration):
-    """Hand the packet's plane proposals, over their live points, to the manager."""
+def _integrate_hypotheses(state, manager, kf_id, packet, iteration):
+    """Hand the packet's plane proposals to the manager, which keeps their
+    live points."""
     for proposal in packet.hypotheses:
-        members = [
-            state.point_var[p] for p in proposal.member_ids
-            if p in state.point_var and state.point_var[p] in graph.variables
-        ]
+        members = [state.point_var[p] for p in proposal.member_ids if p in state.point_var]
         manager.integrate_hypothesis(
             kf_id, proposal.pi_z, members, iteration, proposal.true_plane
         )
@@ -260,7 +258,7 @@ def _add_keyframe(graph, state, manager, config, packet, iteration, camera,
                       SIGMA_R, [{"constituents": views[b]} for b in bodies])
 
     if config.planes and manager is not None:
-        _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration)
+        _integrate_hypotheses(state, manager, kf_id, packet, iteration)
     return kf_id
 
 
@@ -319,7 +317,7 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
 
     if config.planes and manager is not None:
         for kf_id, packet in ((kf0, packet0), (kf1, packet1)):
-            _integrate_hypotheses(graph, state, manager, kf_id, packet, iteration)
+            _integrate_hypotheses(state, manager, kf_id, packet, iteration)
     return kf1
 
 

@@ -5,21 +5,21 @@ import pytest
 
 from planegbp.abstraction import (
     D_MERGE,
+    MIN_MEMBERS,
     SIGMA_PP,
     AbstractionConfig,
     AbstractionManager,
-    bake_parameters,
+    decide,
     hull2d,
     plane_hull,
-    point_plane_likelihood,
     points_in_hull,
     rigid_plane,
     sample_in_hull,
 )
-from planegbp.abstraction import test_hypothesis as decide_hypothesis
 from planegbp.errors import ContractViolation
+from planegbp.factors import eval_plane_point_batch
 from planegbp.gaussians import GaussianInfo
-from planegbp.geometry import CameraModel, PlaneParams, Pose, transform_plane
+from planegbp.geometry import EPS_PLANE, CameraModel, PlaneParams, Pose, transform_plane
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
     KEYFRAME,
@@ -36,11 +36,9 @@ from conftest import energy_one, linearise_one, pixel
 CAM = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
-def config(**kw):
-    base = dict(test_period=100, merge_period=100, t_min=400, t_max=600,
-                min_members=4)
-    base.update(kw)
-    return AbstractionConfig(**base)
+def config():
+    # T_MIN 4000 -> 400 and T_MAX 6000 -> 600 iterations
+    return AbstractionConfig(test_period=100, merge_period=100, iteration_scale=0.1)
 
 
 def planar_graph(rng, n_members=6, plane=None, kf_pose=None, extra_kf=0):
@@ -78,53 +76,57 @@ def means_of(graph):
 
 def test_config_validation():
     with pytest.raises(ContractViolation):
-        AbstractionConfig(y_reject=0.9, y_conf=0.8)
-    with pytest.raises(ContractViolation):
-        AbstractionConfig(t_min=500, t_max=500)
-    with pytest.raises(ContractViolation):
         AbstractionConfig(iteration_scale=0.0)
 
 
 def test_decision_rule_paper_defaults():
-    cfg = AbstractionConfig()  # y_reject 0.5, y_conf 0.8, t_min 4000, t_max 6000
-    assert decide_hypothesis(0.4, 100, cfg) == "reject"
-    assert decide_hypothesis(0.85, 4500, cfg) == "confirm"
-    assert decide_hypothesis(0.7, 7000, cfg) == "reject"
-    assert decide_hypothesis(0.7, 4500, cfg) == "keep"
-    assert decide_hypothesis(0.85, 3000, cfg) == "keep"
+    cfg = AbstractionConfig()  # Y_REJECT 0.5, Y_CONF 0.8, T_MIN 4000, T_MAX 6000
+    assert decide(0.4, 100, cfg) == "reject"
+    assert decide(0.85, 4500, cfg) == "confirm"
+    assert decide(0.7, 7000, cfg) == "reject"
+    assert decide(0.7, 4500, cfg) == "keep"
+    assert decide(0.85, 3000, cfg) == "keep"
 
 
-def test_likelihood_threshold_analytically_inverted():
+def test_likelihood_threshold_analytically_inverted(rng):
     # l > 0.8 iff |n.p - d| < sigma * sqrt(-2 ln 0.8)
     cutoff = SIGMA_PP * math.sqrt(-2.0 * math.log(0.8))
     assert np.isclose(cutoff, 0.0334, atol=1e-4)
-    plane_m = np.array([0.0, 0.0, 1.0])
-    for eps in (0.9, 0.999, 1.001, 1.1):
-        pt = np.array([0.2, -0.1, 1.0 + cutoff * eps])
-        lik = point_plane_likelihood(pt, plane_m)
-        assert (lik > 0.8) == (eps < 1.0)
+    epsilons = (0.9, 0.999, 1.001, 1.1)
+    g, kfs, pts, plane = planar_graph(rng, n_members=len(epsilons))
+    mgr = AbstractionManager(g, config())
+    pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
+    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
+    means = means_of(g)
+    means[hyp.variable_id] = np.array([0.0, 0.0, 1.0])
+    for pid, eps in zip(pts, epsilons):
+        means[pid] = np.array([0.2, -0.1, 1.0 + cutoff * eps])
+    y, liks = mgr.evaluate_hypothesis(hyp, means)
+    for pid, eps in zip(pts, epsilons):
+        assert (liks[pid] > 0.8) == (eps < 1.0)
+    assert y == 0.5
 
 
 # -- integrate / evaluate ----------------------------------------------------------
 
 def test_integrate_hypothesis_counts(rng):
     g, kfs, pts, plane = planar_graph(rng)
-    mgr = AbstractionManager(g, config(min_members=2))
+    mgr = AbstractionManager(g, config())
     before = g.snapshot_census()
     pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
-    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts[:2], iteration=0)
+    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts[:MIN_MEMBERS], iteration=0)
     after = g.snapshot_census()
-    # one plane variable, two plane-point factors, one prediction factor
+    # one plane variable, MIN_MEMBERS plane-point factors, one prediction factor
     assert after["n_variables"] == before["n_variables"] + 1
-    assert after["n_factors"] == before["n_factors"] + 3
-    assert mgr.members(hyp) == pts[:2]
+    assert after["n_factors"] == before["n_factors"] + MIN_MEMBERS + 1
+    assert mgr.members(hyp) == pts[:MIN_MEMBERS]
 
 
 def test_integrate_rejects_small_membership(rng):
     g, kfs, pts, plane = planar_graph(rng)
-    mgr = AbstractionManager(g, config(min_members=4))
+    mgr = AbstractionManager(g, config())
     pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
-    assert mgr.integrate_hypothesis(kfs[0], pi_z.m, pts[:3], 0) is None
+    assert mgr.integrate_hypothesis(kfs[0], pi_z.m, pts[:MIN_MEMBERS - 1], 0) is None
     assert mgr.integrate_hypothesis(kfs[0], pi_z.m, [], 0) is None
 
 
@@ -149,6 +151,49 @@ def test_evaluate_hypothesis_y_values(rng):
         means[pid] = means[pid] + plane.normal * (10 * SIGMA_PP)
     y, _ = mgr.evaluate_hypothesis(hyp, means)
     assert y == 0.5
+
+
+def test_evaluate_hypothesis_is_the_plane_point_kernel(rng):
+    # Each likelihood is exp(-r²/2σ²) of the plane-point kernel's residual,
+    # bit for bit, and 0 where the kernel marks the plane degenerate.
+    n = 8
+    g, kfs, pts, plane = planar_graph(rng, n_members=n)
+    mgr = AbstractionManager(g, config())
+    pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
+    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
+    means = means_of(g)
+    n_invalid = 0
+    for scale in (0.0, 1e-9, 1e-7, EPS_PLANE, 2 * EPS_PLANE, 1e-3, 1.0, 4.0):
+        for _ in range(5):
+            normal = rng.normal(size=3)
+            normal /= np.linalg.norm(normal)
+            m = normal * scale
+            p = rng.normal(size=(n, 3))
+            p += normal * (scale - p @ normal + rng.normal(scale=2 * SIGMA_PP, size=n))[:, None]
+            means[hyp.variable_id] = m
+            means.update(zip(pts, p))
+            _, liks = mgr.evaluate_hypothesis(hyp, means)
+            r, _, valid = eval_plane_point_batch(None, None, np.tile(m, (n, 1)), p,
+                                                 want_jac=False)
+            want = np.where(valid, np.exp(-0.5 * (r[:, 0] / SIGMA_PP) ** 2), 0.0)
+            assert np.array_equal([liks[pid] for pid in pts], want)
+            n_invalid += int(not valid.any())
+    assert n_invalid >= 15  # the planes at and below EPS_PLANE
+
+
+def test_degenerate_plane_reads_zero_and_is_rejected_at_its_test(rng):
+    g, kfs, pts, plane = planar_graph(rng)
+    mgr = AbstractionManager(g, config())
+    pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
+    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
+    means = means_of(g)
+    means[hyp.variable_id] = 1e-9 * np.array([0.0, 0.0, 1.0])
+    for pid in pts:
+        means[pid] = means[pid] * [1.0, 1.0, 0.0]  # on z = 0, residual ~1e-9
+    y, liks = mgr.evaluate_hypothesis(hyp, means)
+    assert y == 0.0 and all(v == 0.0 for v in liks.values())
+    assert mgr.run_tests(means, iteration=500) == [(hyp.variable_id, "reject", 0.0)]
+    assert "reason" not in mgr.events[-1]
 
 
 # -- confirmation -----------------------------------------------------------------
@@ -328,12 +373,22 @@ def test_combined_factor_is_product_at_shared_linearisation_point(rng):
 # -- baking -------------------------------------------------------------------------
 
 def test_bake_parameters_snapshot_immutable(rng):
-    means = {0: np.array([0.0, 0.0, 3.0]), 1: np.array([1.0, 0.0, 3.0])}
-    pi, baked = bake_parameters(means, 0, [1])
-    assert np.array_equal(pi, [0, 0, 3.0])
-    means[0][2] = 99.0
-    means[1][0] = 99.0
-    assert pi[2] == 3.0 and baked[0][1][0] == 1.0  # drift does not alter bakes
+    g, kfs, pts, plane = planar_graph(rng)
+    mgr = AbstractionManager(g, config())
+    pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
+    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
+    means = means_of(g)
+    bakes = {vid: v.copy() for vid, v in means.items()}
+    rigid_id = mgr.confirm_hypothesis(hyp, means, 500, 1.0)
+    means[hyp.variable_id][2] = 99.0
+    for pid in pts:
+        means[pid][0] = 99.0
+    # drift does not alter bakes: the body's pi_conv and p_conv, and the table's
+    pi_conv, points = rigid_plane(g, rigid_id)
+    assert np.array_equal(pi_conv, bakes[hyp.variable_id])
+    assert np.array_equal(points, np.stack([bakes[pid] for pid in pts]))
+    for pid in pts:
+        assert np.array_equal(mgr.absorbed[pid][1], bakes[pid])
 
 
 # -- merging ------------------------------------------------------------------------
@@ -349,7 +404,7 @@ def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0, pose=None):
     g = FactorGraph(camera=CAM)
     kf = g.add_variable(KEYFRAME, np.zeros(6),
                         GaussianInfo(np.zeros(6) * 1e6, np.eye(6) * 1e6))
-    mgr = AbstractionManager(g, config(min_members=3), seed=1)
+    mgr = AbstractionManager(g, config(), seed=1)
     bodies = []
     means = {kf: np.zeros(6)}
     world = {}

@@ -25,6 +25,7 @@ from planegbp.graph import (
     FactorNode,
 )
 from planegbp.routing import ROUTED, RoutingSimulator
+import schemas
 from conftest import graph_signature
 from scenes import ba_scene, box_room_spec, desk_config, merge_scene, wall_scene
 
@@ -86,11 +87,11 @@ def test_run_emits_all_artifacts(tmp_path):
                  "graph.json", "trajectory_est.txt", "trajectory_gt.txt",
                  "reconstruction.json", "summary.json", "packets.json"):
         assert (out / name).exists(), name
-    validate(json.loads((out / "graph.json").read_text()), io_formats.GRAPH_SCHEMA)
-    validate(json.loads((out / "events.json").read_text()), io_formats.EVENT_LOG_SCHEMA)
+    validate(json.loads((out / "graph.json").read_text()), schemas.GRAPH_SCHEMA)
+    validate(json.loads((out / "events.json").read_text()), schemas.EVENT_LOG_SCHEMA)
     validate(json.loads((out / "reconstruction.json").read_text()),
-             io_formats.RECONSTRUCTION_SCHEMA)
-    validate(json.loads((out / "summary.json").read_text()), io_formats.SUMMARY_SCHEMA)
+             schemas.RECONSTRUCTION_SCHEMA)
+    validate(json.loads((out / "summary.json").read_text()), schemas.SUMMARY_SCHEMA)
     rows = io_formats.read_csv(out / "iterations.csv")
     assert len(rows) == result.summary["n_iterations"]
     assert list(rows[0]) == io_formats.ITERATION_FIELDS
@@ -238,11 +239,11 @@ def test_lm_solver_path(tmp_path):
         "trajectory_est.txt", "trajectory_gt.txt", "reconstruction.json",
         "summary.json", "packets.json",
     ])
-    validate(json.loads((out / "events.json").read_text()), io_formats.EVENT_LOG_SCHEMA)
+    validate(json.loads((out / "events.json").read_text()), schemas.EVENT_LOG_SCHEMA)
     validate(json.loads((out / "reconstruction.json").read_text()),
-             io_formats.RECONSTRUCTION_SCHEMA)
+             schemas.RECONSTRUCTION_SCHEMA)
     summary = json.loads((out / "summary.json").read_text())
-    validate(summary, io_formats.SUMMARY_SCHEMA)
+    validate(summary, schemas.SUMMARY_SCHEMA)
     # how LM was set, and why it stopped
     assert (summary["lm_kernel"], summary["lm_max_iterations"]) == ("huber", 50)
     assert summary["lm_converged"] and summary["lm_hit_lambda_max"] is False
@@ -430,6 +431,11 @@ def test_cli_config_error_exit_code(tmp_path):
     # robust loss, the factor kind's
     for section, key, value in (("priors", "plane_sigma", 100.0),
                                 ("abstraction", "l_thresh", 0.8),
+                                ("abstraction", "y_reject", 0.5),
+                                ("abstraction", "y_conf", 0.8),
+                                ("abstraction", "t_min", 4000),
+                                ("abstraction", "t_max", 6000),
+                                ("abstraction", "min_members", 4),
                                 ("gbp", "energy_window", 10),
                                 (None, "robust", "tukey"),
                                 ("scene", "traj_height", 0.0),

@@ -19,6 +19,7 @@ from planegbp.graph import (
     RIGID_BODY,
     FactorGraph,
 )
+import schemas
 
 CAM = CameraModel(fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -95,7 +96,7 @@ def test_graph_schema_validates(rng, tmp_path):
     g = rich_graph(rng)
     path = tmp_path / "graph.json"
     io_formats.write_graph(path, g)
-    validate(json.loads(path.read_text()), io_formats.GRAPH_SCHEMA)
+    validate(json.loads(path.read_text()), schemas.GRAPH_SCHEMA)
 
 
 def test_graph_to_dict_singular_belief_has_no_covariance(rng, monkeypatch):
@@ -167,7 +168,7 @@ def test_golden_graph_file_stable(rng):
 
     golden = pathlib.Path(__file__).parent / "golden" / "graph_v1.json"
     doc = json.loads(golden.read_text())
-    validate(doc, io_formats.GRAPH_SCHEMA)
+    validate(doc, schemas.GRAPH_SCHEMA)
     g = io_formats.graph_from_dict(doc)
     assert g.snapshot_census()["n_variables"] == 3
     assert g.snapshot_census()["n_factors"] == 2
