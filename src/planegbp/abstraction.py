@@ -268,10 +268,11 @@ class AbstractionManager:
 
     def confirm_hypothesis(
         self, hyp: PlaneHypothesis, means: dict, iteration: int, y: float,
-        compress: bool = True,
+        compress: bool = True, liks: dict | None = None,
     ):
         """Bake converged parameters and compress into a rigid body; returns
-        the rigid id.
+        the rigid id. `liks` are the members' likelihoods at `means`, as
+        `evaluate_hypothesis` gives them; they are evaluated when not given.
 
         A degenerate plane (through the origin) is rejected instead, with
         reason "degenerate". With compress=False the hypothesis is only
@@ -291,7 +292,8 @@ class AbstractionManager:
                 "true_plane": hyp.true_plane,
             })
             return None
-        _, liks = self.evaluate_hypothesis(hyp, means)
+        if liks is None:
+            _, liks = self.evaluate_hypothesis(hyp, means)
         qualifying = [pid for pid, lik in liks.items() if lik > L_THRESH]
         # An immutable snapshot: later changes to `means` leave the bakes alone.
         conv = {vid: np.asarray(means[vid], float).copy()
@@ -312,12 +314,12 @@ class AbstractionManager:
         """Periodic confirm/reject pass over all pending hypotheses."""
         outcomes = []
         for hyp in list(self.hypotheses.values()):
-            y, _ = self.evaluate_hypothesis(hyp, means)
+            y, liks = self.evaluate_hypothesis(hyp, means)
             verdict = decide(y, hyp.age(iteration), self.config)
             if verdict == "reject":
                 self.reject_hypothesis(hyp, iteration, y)
             elif verdict == "confirm":
-                self.confirm_hypothesis(hyp, means, iteration, y, compress)
+                self.confirm_hypothesis(hyp, means, iteration, y, compress, liks)
             outcomes.append((hyp.variable_id, verdict, y))
         return outcomes
 

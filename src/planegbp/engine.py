@@ -285,12 +285,15 @@ class GbpEngine:
         return out
 
     def sync_graph(self):
-        """Write beliefs and means back to the variable nodes."""
+        """Write beliefs and means back to the variable nodes, as rows of one
+        copy per bank (the beliefs by `GaussianInfo.rows`)."""
+        variables = self.graph.variables
         for bank in self.banks.values():
-            for i, vid in enumerate(bank.ids.tolist()):
-                node = self.graph.variables[vid]
-                node.belief = GaussianInfo(bank.belief_eta[i].copy(), bank.belief_lam[i].copy())
-                node.mean = bank.mean[i].copy()
+            beliefs = GaussianInfo.rows(bank.belief_eta, bank.belief_lam)
+            for vid, belief, mean in zip(bank.ids.tolist(), beliefs, bank.mean.copy()):
+                node = variables[vid]
+                node.belief = belief
+                node.mean = mean
 
     # -- evaluation ----------------------------------------------------------
 

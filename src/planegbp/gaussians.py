@@ -29,24 +29,50 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _info_stack(eta, lam):
+    """Stacks eta (n, d) and lam (n, d, d) as float arrays of their own, lam
+    symmetrised; ContractViolation if the shapes do not match."""
+    eta = np.array(eta, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 3 or lam.shape[1] != lam.shape[2]:
+        raise ContractViolation(f"lam must be square, got shape {lam.shape[1:]}")
+    if eta.shape != lam.shape[:2]:
+        raise ContractViolation(
+            f"eta shape {eta.shape} does not match lam shape {lam.shape}")
+    return eta, 0.5 * (lam + lam.transpose(0, 2, 1))
+
+
 @dataclass(frozen=True)
 class GaussianInfo:
-    """Gaussian over a d-dimensional block in information form."""
+    """Gaussian over a d-dimensional block in information form.
+
+    `GaussianInfo(eta, lam)` makes one; `GaussianInfo.rows` makes one per row
+    of a stack. Both check shapes and symmetrise lam in `_info_stack`, and
+    each keeps arrays of its own (row views of one new stack for `rows`).
+    """
 
     eta: np.ndarray
     lam: np.ndarray
 
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float).reshape(-1)
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-            raise ContractViolation(f"lam must be square, got shape {lam.shape}")
-        if eta.shape[0] != lam.shape[0]:
-            raise ContractViolation(
-                f"eta length {eta.shape[0]} != lam side {lam.shape[0]}"
-            )
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "lam", _symmetrize(lam))
+        eta, lam = _info_stack(np.asarray(self.eta, dtype=float).reshape(1, -1),
+                               np.asarray(self.lam, dtype=float)[None])
+        object.__setattr__(self, "eta", eta[0])
+        object.__setattr__(self, "lam", lam[0])
+
+    @classmethod
+    def rows(cls, eta, lam) -> list:
+        """One GaussianInfo per row of eta (n, d) and lam (n, d, d), equal bit
+        for bit to `GaussianInfo(eta[i], lam[i])`; the stacks are checked and
+        symmetrised once."""
+        eta, lam = _info_stack(eta, lam)
+        out = []
+        for e, m in zip(eta, lam):
+            g = object.__new__(cls)
+            object.__setattr__(g, "eta", e)
+            object.__setattr__(g, "lam", m)
+            out.append(g)
+        return out
 
     @property
     def dim(self) -> int:

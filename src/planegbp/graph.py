@@ -17,11 +17,16 @@ their factors onto the new body. Both are journalled as the primitive events
 they consist of, each applied once by replay and by the routing simulator.
 
 Nodes enter in batches of one kind: `add_variables` and `add_factors` check
-a batch as a whole, in plain Python, and insert all of it or, on any bad
-row, nothing. A keyframe packet enters as such batches, the way an
-incremental smoother takes one step's new factors at once. `add_variable` and
-`add_factor` are their one-row calls. Non-finite means, priors, noise,
-measurements and payloads are refused.
+a batch as a whole and insert all of it or, on any bad row, nothing. A
+keyframe packet enters as such batches, the way an incremental smoother
+takes one step's new factors at once. A batch's checks are made per stack,
+not per row: its means, priors and measurements are each one stack, whose
+shape is checked once and whose finiteness is one scan; arity is checked
+once per distinct row length, and liveness and kind once per distinct
+variable in each adjacency slot. A batch's variable priors are rows of one
+symmetrised stack (`GaussianInfo.rows`). `add_variable` and `add_factor` are
+the one-row calls. Non-finite means, priors, noise, measurements and
+payloads are refused.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -124,7 +130,7 @@ FACTOR_KINDS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class VariableNode:
     id: int
     kind: str
@@ -138,7 +144,7 @@ class VariableNode:
         return VARIABLE_DIMS[self.kind]
 
 
-@dataclass
+@dataclass(slots=True)
 class FactorNode:
     """A factor; fixed once inserted, it is also its insertion's journal record."""
 
@@ -176,6 +182,10 @@ class RemoveVariable:
 @dataclass(frozen=True)
 class RemoveFactor:
     id: int
+
+
+# The types of an adjacency batch stored as given: tuples of ints.
+_ROW_TYPES = {tuple, int}
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -220,21 +230,33 @@ class FactorGraph:
         prior: Optional[GaussianInfo] = None,
         _fixed_id: Optional[int] = None,
     ) -> int:
-        """Insert one variable: a one-row `add_variables`."""
-        return self.add_variables(
+        """Insert one variable: a one-row `add_variables` whose node keeps
+        `prior` itself (a GaussianInfo is checked and symmetrised when made)."""
+        return self._add_variables(
             kind, np.asarray(mean, dtype=float).reshape(1, -1),
-            None if prior is None else (prior,),
+            None if prior is None else (prior.eta, prior.lam, (prior,)),
             None if _fixed_id is None else (_fixed_id,))[0]
 
     def add_variables(self, kind: str, means, priors=None, _fixed_ids=None):
         """Insert n variables of one kind; returns their ids, in order.
 
-        `means` stacks to (n, dim); `priors` holds n GaussianInfo or None
-        (no prior), or is None for none. The batch is checked as a whole and
-        raises ContractViolation, before any change, for an unknown kind, a
-        mean of the wrong dimension or not finite, a prior of the wrong
-        dimension or not finite, and a live or repeated `_fixed_ids` entry.
+        `means` stacks to (n, dim). `priors` is the stacked pair (eta (n, dim),
+        lam (n, dim, dim)), or None for zero priors; each node's prior is a
+        row of one symmetrised copy (`GaussianInfo.rows`). The batch is
+        checked as a whole and raises ContractViolation, before any change,
+        for an unknown kind, a mean of the wrong dimension or not finite, a
+        prior stack of the wrong shape or not finite, and a live or repeated
+        `_fixed_ids` entry. Each stack's shape is checked once and its
+        finiteness by one scan.
         """
+        if priors is not None:
+            eta, lam = (np.asarray(a, dtype=float) for a in priors)
+            priors = eta, lam, GaussianInfo.rows(eta, lam)
+        return self._add_variables(kind, means, priors, _fixed_ids)
+
+    def _add_variables(self, kind, means, priors, _fixed_ids):
+        """`add_variables` with its priors as (eta, lam, their GaussianInfo
+        rows), eta and lam the arrays whose entries the rows hold."""
         if kind not in VARIABLE_DIMS:
             raise ContractViolation(f"unknown variable kind {kind!r}")
         dim = VARIABLE_DIMS[kind]
@@ -248,18 +270,15 @@ class FactorGraph:
         if not _finite(means):
             raise ContractViolation(f"{kind} mean must be finite")
         if priors is None:
-            priors = (None,) * n
-        elif len(priors) != n:
-            raise ContractViolation(f"{len(priors)} priors for {n} {kind} means")
-        checked = []
-        for prior in priors:
-            if prior is None:
-                prior = GaussianInfo.zero(dim)
-            elif prior.dim != dim:
+            rows = GaussianInfo.rows(np.zeros((n, dim)), np.zeros((n, dim, dim)))
+        else:
+            eta, lam, rows = priors
+            if len(rows) != n:
+                raise ContractViolation(f"{len(rows)} priors for {n} {kind} means")
+            if rows[0].dim != dim:
                 raise ContractViolation("prior dimension does not match variable kind")
-            elif not (_finite(prior.eta) and _finite(prior.lam)):
+            if not (_finite(eta) and _finite(lam)):
                 raise ContractViolation(f"{kind} prior must be finite")
-            checked.append(prior)
         if _fixed_ids is None:
             ids = range(self._next_var_id, self._next_var_id + n)
             self._next_var_id += n
@@ -267,10 +286,10 @@ class FactorGraph:
             ids, self._next_var_id = self._fixed_ids(
                 self.variables, self._next_var_id, n, _fixed_ids, "variable")
 
-        node_means = means.copy()
-        for i, (vid, prior) in enumerate(zip(ids, checked)):
-            self.variables[vid] = VariableNode(vid, kind, prior, prior, node_means[i])
-            self.journal.append(AddVariable(vid, kind, means[i], prior))
+        variables, journal = self.variables, self.journal
+        for vid, mean, node_mean, prior in zip(ids, means, means.copy(), rows):
+            variables[vid] = VariableNode(vid, kind, prior, prior, node_mean)
+            journal.append(AddVariable(vid, kind, mean, prior))
         return ids
 
     @staticmethod
@@ -311,7 +330,7 @@ class FactorGraph:
         """Insert one factor: a one-row `add_factors`. Replay, `read_graph`
         and the abstraction edits insert through here."""
         return self.add_factors(
-            kind, (adjacency,), np.asarray(measurement, dtype=float).reshape(1, -1), sigma,
+            kind, (adjacency,), measurement, sigma,
             None if payload is None else (payload,),
             None if _fixed_id is None else (_fixed_id,))[0]
 
@@ -329,42 +348,49 @@ class FactorGraph:
         of the wrong dimension, a sigma with the wrong number of components
         or one that is not positive and finite, a non-finite measurement,
         constituent or payload entry, and a live or repeated `_fixed_ids`
-        entry. The kind is looked up once, each distinct variable once, the
-        stacked measurements are scanned at once and sigma is checked once.
-        The checks are scalar Python over `tolist()`: on the few entries of
-        one row a numpy reduction costs more than the scan, and one-row
-        batches (replay, `read_graph`, edits) must stay cheap.
+        entry. The kind is looked up once, the arity once per distinct row
+        length, each distinct variable once per adjacency slot, the stacked
+        measurements are scanned at once and sigma is checked once. Rows that
+        are already tuples of ints are stored as given. Constituents and
+        payloads, whose shapes follow each row, are checked row by row.
         """
         spec = FACTOR_KINDS.get(kind)
         if spec is None:
             raise ContractViolation(f"unknown factor kind {kind!r}")
-        variables = self.variables
-        signature = spec.signature
-        arity = len(signature)
-        kinds = {}  # kind of each distinct adjacent variable
-        checked = []
-        for adj in adjacency:
-            adj = tuple(map(int, adj))
-            checked.append(adj)
-            for vid in adj:
-                if vid not in kinds:
-                    node = variables.get(vid)
-                    if node is None:
-                        raise ContractViolation(
-                            f"factor adjacency references dead variable {vid}")
-                    kinds[vid] = node.kind
-            if not (spec.min_arity or arity) <= len(adj) <= arity:
-                raise ContractViolation(
-                    f"{kind} expects arity {spec.min_arity or arity}..{arity}, got {len(adj)}"
-                )
-            for vid, want in zip(adj, signature):
-                if want is not ANY and kinds[vid] != want:
-                    raise ContractViolation(
-                        f"{kind} adjacency slot expects {want}, variable {vid} is {kinds[vid]}"
-                    )
-        adjacency, n = checked, len(checked)
+        adjacency = list(adjacency)
+        n = len(adjacency)
         if not n:
             return []
+        # Rows are stored as tuples of ints. Each distinct row length and each
+        # slot's distinct variables are checked once; one row is its own.
+        if n == 1:
+            row = tuple(map(int, adjacency[0]))
+            adjacency, lengths, slots = [row], (len(row),), zip(row)
+        else:
+            if not _ROW_TYPES.issuperset(map(type, chain(adjacency, *adjacency))):
+                adjacency = [tuple(map(int, adj)) for adj in adjacency]
+            lengths = {*map(len, adjacency)}
+            slots = (map(set, zip(*adjacency)) if len(lengths) == 1 else
+                     ({adj[pos] for adj in adjacency if len(adj) > pos}
+                      for pos in range(len(spec.signature))))
+        signature = spec.signature
+        arity = len(signature)
+        for length in lengths:
+            if not (spec.min_arity or arity) <= length <= arity:
+                raise ContractViolation(
+                    f"{kind} expects arity {spec.min_arity or arity}..{arity}, got {length}"
+                )
+        variables = self.variables
+        for want, column in zip(signature, slots):
+            for vid in column:
+                node = variables.get(vid)
+                if node is None:
+                    raise ContractViolation(
+                        f"factor adjacency references dead variable {vid}")
+                if want is not ANY and node.kind != want:
+                    raise ContractViolation(
+                        f"{kind} adjacency slot expects {want}, variable {vid} is {node.kind}"
+                    )
 
         if payloads is not None:
             if len(payloads) != n:
@@ -436,14 +462,13 @@ class FactorGraph:
                 self.factors, self._next_factor_id, n, _fixed_ids, "factor")
 
         factors, journal = self.factors, self.journal
-        for i, adj in enumerate(adjacency):
-            fid = ids[i]
-            node = FactorNode(fid, kind, adj, None if stacked is None else stacked[i], sigma,
-                              payloads[i] if payloads else {})
-            factors[fid] = node
+        for fid, adj, z, payload in zip(ids, adjacency,
+                                        repeat(None) if stacked is None else stacked,
+                                        payloads or repeat(None)):
+            node = factors[fid] = FactorNode(fid, kind, adj, z, sigma, payload or {})
+            journal.append(node)
             for vid in adj:
                 variables[vid].factor_ids.append(fid)
-            journal.append(node)
         return ids
 
     def _joint_dim(self, adjacency) -> int:

@@ -195,8 +195,9 @@ def _add_points(graph, state, new: dict) -> None:
     also places the prior that fixes the monocular scale, on its first point
     at its start position."""
     plam = np.eye(3) / POINT_SIGMA**2
-    starts = list(new.values())
-    ids = graph.add_variables(POINT, starts, [GaussianInfo(plam @ p, plam) for p in starts])
+    starts = np.array(list(new.values()), dtype=float).reshape(-1, 3)
+    ids = graph.add_variables(POINT, starts, (starts @ plam.T,
+                                              np.broadcast_to(plam, (len(starts), 3, 3))))
     if ids and not state.point_var:
         graph.add_factor(PRIOR, (ids[0],), graph.variables[ids[0]].mean, SCALE_ANCHOR_SIGMA)
     state.point_var.update(zip(new, ids))
@@ -539,9 +540,11 @@ def build_ba_graph(
         overrides.append(Pose(r))
     points = None
     if point_noise is not None and scene is not None:
-        first_seen = dict.fromkeys(int(pid) for packet in packets for pid in packet.point_ids)
-        points = {pid: scene.points[pid] + rng.normal(scale=point_noise, size=3)
-                  for pid in first_seen}
+        first_seen = list(dict.fromkeys(
+            np.concatenate([packet.point_ids for packet in packets]).tolist()))
+        noisy = scene.points[first_seen] + rng.normal(scale=point_noise,
+                                                      size=(len(first_seen), 3))
+        points = dict(zip(first_seen, noisy))
     graph = FactorGraph(camera=camera)
     state = _SlamState()
     cfg = dataclasses.replace(config, planes=False)

@@ -297,8 +297,12 @@ def test_run_tests_full_cycle(rng):
     # too young to confirm
     outcomes = mgr.run_tests(means, iteration=100)
     assert outcomes[0][1] == "keep"
+    calls = []
+    evaluate = mgr.evaluate_hypothesis
+    mgr.evaluate_hypothesis = lambda *args: calls.append(args) or evaluate(*args)
     outcomes = mgr.run_tests(means_of(g), iteration=500)
     assert outcomes[0][1] == "confirm"
+    assert len(calls) == 1  # the decision's likelihoods also choose the members
     census = g.snapshot_census()
     assert census["variables"][RIGID_BODY] == 1
     assert census["factors"][COMBINED_RIGID_REPROJECTION] == 1  # one keyframe

@@ -234,6 +234,35 @@ def test_solve_blocks_backward_error_is_a_few_ulps(d):
     assert np.all(residual <= bound * np.linalg.norm(x, axis=1))
 
 
+# -- construction -------------------------------------------------------------
+
+def test_rows_equal_one_row_construction_bit_for_bit(rng):
+    eta = rng.normal(size=(7, 4))
+    lam = rng.normal(size=(7, 4, 4))  # asymmetric: rows symmetrise it
+    want = [GaussianInfo(e, m) for e, m in zip(eta, lam)]
+    rows = GaussianInfo.rows(eta, lam)
+    eta[:], lam[:] = 0.0, 0.0  # each row keeps arrays of its own
+    assert len(rows) == 7
+    for g, w in zip(rows, want):
+        assert g.eta.tobytes() == w.eta.tobytes() and g.lam.tobytes() == w.lam.tobytes()
+        assert g.lam.shape == (4, 4) and np.array_equal(g.lam, g.lam.T)
+
+
+@pytest.mark.parametrize("eta,lam,one_row", [
+    (np.zeros((3, 2)), np.zeros((3, 2, 3)), True),  # lam not square
+    (np.zeros((3, 2)), np.zeros((3, 3, 3)), True),  # eta of another dim
+    (np.zeros((3, 2)), np.zeros((3, 2)), True),  # lam rows not matrices
+    (np.zeros((2, 2)), np.zeros((3, 2, 2)), False),  # fewer eta rows
+    (np.zeros(3), np.zeros((3, 1, 1)), False),  # eta not a stack
+])
+def test_rows_and_one_row_construction_refuse_shapes_that_do_not_match(eta, lam, one_row):
+    with pytest.raises(ContractViolation):
+        GaussianInfo.rows(eta, lam)
+    if one_row:
+        with pytest.raises(ContractViolation):
+            GaussianInfo(eta[0], lam[0])
+
+
 # -- moments ------------------------------------------------------------------
 
 def test_moments_scalar_example():

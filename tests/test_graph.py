@@ -198,6 +198,9 @@ INVALID_INSERTIONS = {
         lambda ins, kf, pts, rb: ins.variable(
             POINT, P, GaussianInfo(np.zeros(3), np.diag([1.0, INF, 1.0]))),
         "point prior must be finite"),
+    "prior eta nan": (
+        lambda ins, kf, pts, rb: ins.variable(POINT, P, GaussianInfo([0.0, NAN, 0.0], np.eye(3))),
+        "point prior must be finite"),
 }
 
 
@@ -217,9 +220,10 @@ class Rows:
 class Batch:
     """Inserts the row between two valid rows of its kind, as one batch.
 
-    A batch has one kind and one sigma, and its measurements and means stack
-    to one (n, m) array, so the valid rows take the bad row's measurement or
-    mean shape: a fault in those is the batch's own."""
+    A batch has one kind and one sigma, and its measurements, means and
+    priors stack to one array each, so the valid rows take the bad row's
+    measurement, mean or prior shape (zero priors): a fault in those is the
+    batch's own."""
 
     def __init__(self, g, kf, pts, rb):
         self.g = g
@@ -233,8 +237,12 @@ class Batch:
 
     def variable(self, kind, mean, prior=None, _fixed_id=None):
         mean = np.asarray(mean, dtype=float)
+        if prior is not None:  # the valid rows take zero priors of the bad prior's dim
+            eta, lam = np.zeros((3, prior.dim)), np.zeros((3, prior.dim, prior.dim))
+            eta[1], lam[1] = prior.eta, prior.lam
+            prior = (eta, lam)
         return self.g.add_variables(
-            kind, [np.zeros_like(mean), mean, np.ones_like(mean)], [None, prior, None],
+            kind, [np.zeros_like(mean), mean, np.ones_like(mean)], prior,
             None if _fixed_id is None else [100, _fixed_id, 101])
 
     def factor(self, kind, adjacency, measurement, sigma, payload=None, _fixed_id=None):
@@ -275,6 +283,55 @@ def test_a_batch_with_one_invalid_row_is_refused_whole(case):
     with pytest.raises(ContractViolation, match=message):
         call(Batch(g, kf, pts, rb), kf, pts, rb)
     assert graph_state(g) == before
+
+
+def prior_stack(n=3, dim=3):
+    return np.ones((n, dim)), np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
+
+
+def stack_with(row, value, part):
+    eta, lam = prior_stack()
+    (eta if part == "eta" else lam)[1][row] = value
+    return eta, lam
+
+
+# (stacked priors for three point means, ContractViolation message)
+INVALID_PRIOR_STACKS = {
+    "eta of another dim": ((np.ones((3, 4)), prior_stack()[1]), "does not match"),
+    "lam not square": ((np.ones((3, 3)), np.ones((3, 3, 4))), "lam must be square"),
+    "lam of one row": ((np.ones((3, 3)), np.eye(3)), "lam must be square"),
+    "eta flat": ((np.ones(3), prior_stack()[1]), "does not match"),
+    "two priors": (prior_stack(n=2), "2 priors for 3 point means"),
+    "prior of a pose": (prior_stack(dim=6), "prior dimension does not match"),
+    "eta nan": (stack_with(2, NAN, "eta"), "point prior must be finite"),
+    "eta inf": (stack_with(0, -INF, "eta"), "point prior must be finite"),
+    "lam nan": (stack_with((1, 2), NAN, "lam"), "point prior must be finite"),
+    "lam inf": (stack_with((0, 0), INF, "lam"), "point prior must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_PRIOR_STACKS)
+def test_a_prior_stack_of_the_wrong_shape_or_not_finite_is_refused_whole(case):
+    priors, message = INVALID_PRIOR_STACKS[case]
+    g, kf, pts = small_graph()
+    before = graph_state(g)
+    with pytest.raises(ContractViolation, match=message):
+        g.add_variables(POINT, np.zeros((3, 3)), priors)
+    assert graph_state(g) == before
+
+
+def test_stacked_priors_are_rows_of_one_symmetrised_copy():
+    eta, lam = prior_stack()
+    lam[:, 0, 1] = 0.5  # asymmetric
+    expected = [GaussianInfo(e, m) for e, m in zip(eta, lam)]
+    g = FactorGraph()
+    ids = g.add_variables(POINT, np.zeros((3, 3)), (eta, lam))
+    eta[:], lam[:] = 7.0, 7.0  # the caller's stacks are not the graph's
+    for vid, want in zip(ids, expected):
+        prior = g.variables[vid].prior
+        assert g.variables[vid].belief is prior and g.journal[vid].prior is prior
+        assert prior.eta.tobytes() == want.eta.tobytes()
+        assert prior.lam.tobytes() == want.lam.tobytes()
 
 
 def test_the_valid_rows_of_the_batch_cases_are_valid():
@@ -470,7 +527,8 @@ def grow(g, packets, batched):
     for pose, means, priors, obs in packets:
         kf = g.add_variable(KEYFRAME, pose)
         if batched:
-            points.extend(g.add_variables(POINT, means, priors))
+            points.extend(g.add_variables(POINT, means, (np.stack([q.eta for q in priors]),
+                                                         np.stack([q.lam for q in priors]))))
             adjacency = [(kf, points[i]) for i, _ in obs]
             g.add_factors(REPROJECTION, adjacency, np.array([z for _, z in obs]), 2.0)
         else:
@@ -509,3 +567,4 @@ def test_batches_insert_what_one_row_calls_insert(seed):
     batched.check_integrity()
     replayed = FactorGraph.replay(batched.journal, camera=CAM)
     assert graph_to_dict(replayed) == graph_to_dict(batched)
+    assert journal_signature(replayed) == journal_signature(batched)

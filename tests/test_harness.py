@@ -13,6 +13,7 @@ from planegbp.engine import GbpEngine
 from planegbp.errors import CapacityError, ContractViolation
 from planegbp.harness import compare_runs, export_reconstruction, run
 from planegbp.frontend import generate_scene
+from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import PlaneParams
 from planegbp.graph import (
     COMBINED_RIGID_REPROJECTION,
@@ -571,6 +572,12 @@ def assert_one_batch_per_kind_per_packet(spy, graph):
 
 def test_build_ba_graph_inserts_each_packet_as_one_batch_per_kind(monkeypatch):
     spy = InsertionSpy(monkeypatch)
+    # Priors are built one by one only for keyframes: points take theirs as
+    # rows of one stack per packet (`GaussianInfo.rows`).
+    one_row = []
+    post_init = GaussianInfo.__post_init__
+    monkeypatch.setattr(GaussianInfo, "__post_init__",
+                        lambda g: one_row.append(g) or post_init(g))
     spec = ba_scene(4, n_keyframes=3, points_per_plane=20, n_clutter=10)
     scene = generate_scene(spec)
     packets = [scene.emit_keyframe(k) for k in range(spec.n_keyframes)]
@@ -578,6 +585,8 @@ def test_build_ba_graph_inserts_each_packet_as_one_batch_per_kind(monkeypatch):
                                       scene.camera)
     assert spy.n_packets == 3
     assert_one_batch_per_kind_per_packet(spy, graph)
+    assert len(one_row) == spy.n_packets
+    assert sum(v.kind == POINT for v in graph.variables.values()) > 10 * spy.n_packets
 
 
 def test_a_run_inserts_each_packet_as_one_batch_per_kind(monkeypatch):
