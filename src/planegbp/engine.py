@@ -28,13 +28,13 @@ Messages are updated in place: damping writes into the batch's existing
 message arrays, in the same floating-point operations and order as a fresh
 computation.
 
-`rebuild` is the one compile path, at construction and after every edit. A
-variable's bank and a factor's batch never change, and both list their ids in
-ascending order, so the rows that survive an edit are found with one
-`searchsorted` per bank and per batch, and their beliefs, linearisations and
-per-position messages are copied with one fancy index per array. The engine
-is the only holder of propagation state; `sync_graph` writes beliefs and
-means back to the variable nodes.
+`rebuild` compiles by `factors.compile_graph`, at construction and after each
+edit. A variable's bank and a factor's batch never change, and both list
+their ids in ascending order, so the rows that survive an edit are found
+with one `searchsorted` per bank and per batch, and their beliefs,
+linearisations and per-position messages are copied with one fancy index
+per array. The engine is the only holder of propagation state; `sync_graph`
+writes beliefs and means back to the variable nodes.
 
 Each batch's `rows` give, per adjacency position, the bank row of each
 factor's variable: the only delivery map of gather, belief scatter and
@@ -54,7 +54,6 @@ count the beliefs that are not positive definite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -123,42 +122,20 @@ class IterationReport:
     n_non_pd_beliefs: int = 0
 
 
-class _VarBank:
-    """Stacked priors, beliefs and means of all variables of one dimension."""
+class _VarBank(_fm.VariableBank):
+    """A variable bank with its beliefs; they start as the priors."""
 
     STATE = ("belief_eta", "belief_lam", "mean")
 
     def __init__(self, dim: int, nodes: list):
-        self.dim = dim
-        self.ids = np.array([v.id for v in nodes], dtype=int)
-        self.prior_eta = np.array([v.prior.eta for v in nodes], dtype=float).reshape(-1, dim)
-        self.prior_lam = np.array(
-            [v.prior.lam for v in nodes], dtype=float).reshape(-1, dim, dim)
-        self.belief_eta = self.prior_eta.copy()
-        self.belief_lam = self.prior_lam.copy()
-        self.mean = np.array([v.mean for v in nodes], dtype=float).reshape(-1, dim)
-
-    def rows_of(self, vids) -> np.ndarray:
-        """Bank rows of the variable ids `vids`."""
-        vids = np.asarray(vids, dtype=int)
-        found, rows = _find(self.ids, vids)
-        if found.size != vids.size:
-            raise ContractViolation(f"variables {vids} are not all in the {self.dim}-dim bank")
-        return rows
-
-
-def _find(ids, keys):
-    """(indices into `keys`, rows of `ids`) of the keys the ascending `ids` hold."""
-    at = np.searchsorted(ids, keys)
-    hit = at < ids.size
-    hit[hit] = ids[at[hit]] == keys[hit]
-    return np.flatnonzero(hit), at[hit]
+        super().__init__(dim, nodes)
+        self.belief_eta, self.belief_lam = self.prior_eta.copy(), self.prior_lam.copy()
 
 
 def _carry(new, old, names):
     """Copy the arrays `names` (or lists of them, one per position) of the ids
     both compiled views hold from `old` to `new`; both list ids ascending."""
-    new_rows, old_rows = _find(np.asarray(old.ids, dtype=int), np.asarray(new.ids, dtype=int))
+    new_rows, old_rows = _fm._find(np.asarray(old.ids, dtype=int), np.asarray(new.ids, dtype=int))
     for name in names:
         dst, src = getattr(new, name), getattr(old, name)
         for d, s in zip(dst, src) if isinstance(dst, list) else [(dst, src)]:
@@ -166,20 +143,14 @@ def _carry(new, old, names):
 
 
 class _Batch(_fm.FactorStack):
-    """All factors of one kind and adjacency shape, with their engine state."""
+    """A factor stack with its engine state."""
 
     # per-factor arrays, then the messages: per-position lists of them
     STATE = ("x0", "eta", "lam", "weight", "lin_valid", "fresh", "f2v_eta", "f2v_lam")
 
     def __init__(self, key: tuple, nodes: list, banks: dict):
-        kind, dims, _ = key
-        super().__init__(kind, dims, nodes)
-        self.key = key
+        super().__init__(key, nodes, banks)
         n, D = self.n, self.joint_dim
-        self.banks = [banks[d] for d in dims]
-        # per position: rows into the bank
-        self.rows = [bank.rows_of(self.adjacency[:, pos])
-                     for pos, bank in enumerate(self.banks)]
         # linearisation state
         self.x0 = np.zeros((n, D))
         self.eta = np.zeros((n, D))
@@ -189,8 +160,8 @@ class _Batch(_fm.FactorStack):
         # no sweep has reached the factor yet: it sees zero incoming
         self.fresh = np.ones(n, dtype=bool)
         # factor->variable messages per position
-        self.f2v_eta = [np.zeros((n, d)) for d in dims]
-        self.f2v_lam = [np.zeros((n, d, d)) for d in dims]
+        self.f2v_eta = [np.zeros((n, d)) for d in self.dims]
+        self.f2v_lam = [np.zeros((n, d, d)) for d in self.dims]
 
     def v2f(self, pos: int, rows=slice(None)):
         """(eta, lam) of the variable->factor messages at position `pos` of
@@ -218,24 +189,18 @@ class GbpEngine:
     # -- compilation ---------------------------------------------------------
 
     def rebuild(self):
-        """Compile the graph, carrying the state of surviving nodes by id.
+        """Compile the graph (`factors.compile_graph`) into the engine's banks
+        and batches, carrying the state of surviving nodes by id.
 
         New variables start from their prior and node mean, new factors with
         zero messages; exact (linear) factors are linearised once, when new.
         """
         graph = self.graph
-        nodes: dict = {d: [] for d in sorted(set(VARIABLE_DIMS.values()))}
-        for vid in sorted(graph.variables):
-            node = graph.variables[vid]
-            nodes[node.dim].append(node)
-        banks = {d: _VarBank(d, n) for d, n in nodes.items()}
-        for d, bank in banks.items():
-            if d in self.banks:
-                _carry(bank, self.banks[d], _VarBank.STATE)
-
+        banks, batches = _fm.compile_graph(graph, bank=_VarBank, stack=_Batch)
+        for d, old in self.banks.items():
+            _carry(banks[d], old, _VarBank.STATE)
         old_batches = {b.key: b for b in self.batches}
-        self.banks = banks
-        self.batches = [_Batch(key, n, banks) for key, n in _fm.group_factors(graph)]
+        self.banks, self.batches = banks, batches
         for b in self.batches:
             if b.key in old_batches:
                 _carry(b, old_batches[b.key], _Batch.STATE)
@@ -421,19 +386,10 @@ class GbpEngine:
         return report
 
     def _metrics(self):
-        rot = self._rotations(want_jac=False)
-        total_energy = 0.0
-        px_sum = 0.0
-        px_count = 0
-        for b in self.batches:
-            energy, px, count = _fm.residual_sums(
-                b, self.graph.camera, self._gather_x(b), rot, b.rows)
-            total_energy += energy
-            px_sum += px
-            px_count += count
-        # NaN, not 0, while no pixel row has been measured
-        avg_px = px_sum / px_count if px_count else math.nan
-        return total_energy, avg_px
+        """`factors.residual_totals` at the banks' means."""
+        return _fm.residual_totals(self.batches, self.graph.camera,
+                                   map(self._gather_x, self.batches),
+                                   self._rotations(want_jac=False))
 
 
 def _schur(b: _Batch, target: int, rows):

@@ -21,13 +21,14 @@ predicts the body's plane so moved. Both call the private bodies `_reproject`
 and `_moved_plane`, not a public `eval_*_batch`, which the benchmark's span
 tracer wraps: a nested public call would count its rows twice.
 
-`FactorStack` stacks the factors of one kind and adjacency shape row-wise for
-their kernel. The propagation engine, the dense oracle and Levenberg-Marquardt
-all evaluate through it: `evaluate_rows` calls the kernel, `linearise_batch`
-turns rows into information form and `residual_sums` gives the energy and
-pixel-error sums behind the convergence metrics. A row is one kernel
-evaluation: the factor itself, or for kinds with constituents (combined
-factors) one constituent, `owner` mapping it to its factor.
+`compile_graph` compiles the graph once for the propagation engine, the dense
+oracle and Levenberg-Marquardt: a `VariableBank` per dimension and a
+`FactorStack` per kind and adjacency shape. Every solver evaluates through
+the stacks: `evaluate_rows` calls the kernel, `linearise_batch` turns rows
+into information form and `residual_totals` gives the energy and pixel error
+behind the convergence metrics. A row is one kernel evaluation: the factor
+itself, or for kinds with constituents (combined factors) one constituent,
+`owner` mapping it to its factor.
 
 Linearisation follows the first-order expansion of the residual v(X) around
 X0 with robust-rescaled noise S' = S / w:
@@ -54,6 +55,7 @@ they stay because the benchmark's span tracer (`bench/spans.py`) wraps
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -224,16 +226,47 @@ def _stack(rows) -> np.ndarray:
     return np.concatenate(rows, dtype=float).reshape(len(rows), *np.shape(rows[0]))
 
 
+def _find(ids, keys):
+    """(indices into `keys`, rows of `ids`) of the keys the ascending `ids` hold."""
+    at = np.searchsorted(ids, keys)
+    hit = at < ids.size
+    hit[hit] = ids[at[hit]] == keys[hit]
+    return np.flatnonzero(hit), at[hit]
+
+
+class VariableBank:
+    """Ids, means and priors of all variables of one dimension, in id order."""
+
+    def __init__(self, dim: int, nodes: list):
+        self.dim = dim
+        self.ids = np.array([v.id for v in nodes], dtype=int)
+        self.prior_eta = np.array([v.prior.eta for v in nodes], dtype=float).reshape(-1, dim)
+        self.prior_lam = np.array(
+            [v.prior.lam for v in nodes], dtype=float).reshape(-1, dim, dim)
+        self.mean = np.array([v.mean for v in nodes], dtype=float).reshape(-1, dim)
+
+    def rows_of(self, vids) -> np.ndarray:
+        """Bank rows of the variable ids `vids`."""
+        vids = np.asarray(vids, dtype=int)
+        found, rows = _find(self.ids, vids)
+        if found.size != vids.size:
+            raise ContractViolation(f"variables {vids} are not all in the {self.dim}-dim bank")
+        return rows
+
+
 class FactorStack:
     """Factors of one kind and adjacency shape, stacked row-wise for their kernel.
 
     Row arrays: z (rows, m), sigma (rows, m) and payload[key]. `owner`
     (rows,) gives each row's factor for kinds with constituents and is None
-    when rows are the factors themselves.
+    when rows are the factors themselves. `rows[pos]` holds each factor's
+    row in the bank `banks[pos]`.
     """
 
-    def __init__(self, kind: str, dims: tuple, nodes: list):
+    def __init__(self, key: tuple, nodes: list, banks: dict):
+        kind, dims, _ = key
         spec = FACTOR_KINDS[kind]
+        self.key = key
         self.kind = kind
         self.spec = spec
         self.dims = dims
@@ -244,6 +277,8 @@ class FactorStack:
         self.adjacency = np.fromiter(
             chain.from_iterable([f.adjacency for f in nodes]), dtype=int,
             count=len(nodes) * len(dims)).reshape(len(nodes), len(dims))
+        self.banks = [banks[d] for d in dims]
+        self.rows = [bank.rows_of(vids) for bank, vids in zip(self.banks, self.adjacency.T)]
         keys = [key for key, _ in spec.payload]
         if spec.constituents:
             counts = [len(f.constituents()) for f in nodes]
@@ -291,9 +326,16 @@ def group_factors(graph, factors=None) -> list:
     return [(key, groups[key]) for key in sorted(groups)]
 
 
-def factor_stacks(graph, factors=None) -> list:
-    return [FactorStack(kind, dims, nodes)
-            for (kind, dims, _), nodes in group_factors(graph, factors)]
+def compile_graph(graph, factors=None, bank=VariableBank, stack=FactorStack) -> tuple:
+    """({dim: bank(dim, variables in id order)}, [stack(key, nodes, banks)
+    per `group_factors` group of `factors`]); the engine passes its classes,
+    which add propagation state. The 6-dim bank holds the POSE_KINDS."""
+    nodes: dict = {d: [] for d in sorted(set(VARIABLE_DIMS.values()))}
+    for vid in sorted(graph.variables):
+        node = graph.variables[vid]
+        nodes[node.dim].append(node)
+    banks = {d: bank(d, group) for d, group in nodes.items()}
+    return banks, [stack(key, group, banks) for key, group in group_factors(graph, factors)]
 
 
 def evaluate_rows(stack: FactorStack, cam, X, rot, at, sel=None, want_jac=True):
@@ -393,6 +435,16 @@ def residual_sums(stack: FactorStack, cam, X, rot, at):
     return energy, float(np.sum(norms[valid])), int(np.count_nonzero(valid))
 
 
+def residual_totals(stacks, cam, Xs, rot):
+    """(energy, average pixel error, NaN without a valid pixel row) of the
+    stacks at their stacked means `Xs`, posed as in `residual_sums` by their
+    `rows`: the one metrics pass of the engine and of LM."""
+    sums = [residual_sums(s, cam, X, rot, s.rows) for s, X in zip(stacks, Xs)]
+    count = sum(n for _, _, n in sums)
+    return (sum((e for e, _, _ in sums), 0.0),
+            sum(px for _, px, _ in sums) / count if count else math.nan)
+
+
 # ---------------------------------------------------------------------------
 # One-factor view (tests; bench/spans.py wraps evaluate_factor)
 # ---------------------------------------------------------------------------
@@ -409,12 +461,6 @@ def own_poses(stack: FactorStack, X, want_jac=True):
     return rot, at
 
 
-def _one(graph, factor: FactorNode, means: dict):
-    stack = factor_stacks(graph, [factor])[0]
-    x0 = np.concatenate([np.asarray(means[vid], dtype=float) for vid in factor.adjacency])
-    return stack, x0
-
-
 def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Residual:
     """Residual of one factor at the given variable means.
 
@@ -422,7 +468,8 @@ def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Re
     Jacobians, instead of raising, matching the engine's outlier handling.
     A combined factor stacks its constituents' rows.
     """
-    stack, x0 = _one(graph, factor, means)
+    stack = compile_graph(graph, [factor])[1][0]
+    x0 = np.concatenate([np.asarray(means[vid], dtype=float) for vid in factor.adjacency])
     rows = 1 if stack.owner is None else stack.owner.size
     X = np.repeat(x0[None], rows, axis=0)
     value, J, valid = evaluate_rows(stack, graph.camera, X, *own_poses(stack, X, want_jac),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, FormatError
 from .geometry import (
     CameraModel,
     PlaneParams,
@@ -109,17 +109,34 @@ class KeyframePacket:
 
     @staticmethod
     def from_dict(d: dict) -> "KeyframePacket":
+        """The packet `to_dict` wrote; FormatError names a missing or malformed field:
+        n integer `point_ids`, (n, 2) `pixels`, n `outlier_mask`, 6 `true_pose`."""
+        def get(key, convert):
+            if not isinstance(d, dict) or key not in d:
+                raise FormatError(f"missing field {key!r}")
+            try:
+                return convert(d[key])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"field {key!r}: {type(exc).__name__} {exc}") from None
+
+        ids = get("point_ids", np.asarray)
+        n = ids.size
+        if ids.ndim != 1 or (n and ids.dtype.kind not in "iu"):
+            raise FormatError("field 'point_ids' must be a list of integers")
+        arrays = {}
+        for key, dtype, shape in (("true_pose", float, (6,)), ("pixels", float, (n, 2)),
+                                  ("outlier_mask", bool, (n,))):
+            a = get(key, lambda v: np.asarray(v, dtype))
+            if a.shape != shape and not a.size == math.prod(shape) == 0:  # [] is (0,)
+                raise FormatError(f"field {key!r} has shape {a.shape}, expected {shape}")
+            arrays[key] = a.reshape(shape)
         return KeyframePacket(
-            index=int(d["index"]),
-            true_pose=np.asarray(d["true_pose"], float),
-            point_ids=np.asarray(d["point_ids"], int),
-            pixels=np.asarray(d["pixels"], float),
-            outlier_mask=np.asarray(d["outlier_mask"], int).astype(bool),
-            hypotheses=[
+            index=get("index", int), point_ids=ids.astype(int), **arrays,
+            hypotheses=get("hypotheses", lambda hs: [
                 HypothesisProposal(list(h["member_ids"]), np.asarray(h["pi_z"], float),
                                    int(h["true_plane"]))
-                for h in d["hypotheses"]
-            ],
+                for h in hs
+            ]),
         )
 
 

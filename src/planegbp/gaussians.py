@@ -78,14 +78,6 @@ class GaussianInfo:
     def dim(self) -> int:
         return self.eta.shape[0]
 
-    @staticmethod
-    def zero(dim: int) -> "GaussianInfo":
-        return GaussianInfo(np.zeros(dim), np.zeros((dim, dim)))
-
-    def is_zero(self) -> bool:
-        # Plain Python on the few entries: np.any costs more than the scan.
-        return not (any(self.eta.tolist()) or any(self.lam.ravel().tolist()))
-
     def allclose(self, other: "GaussianInfo", rtol=1e-9, atol=1e-12) -> bool:
         return np.allclose(self.eta, other.eta, rtol=rtol, atol=atol) and np.allclose(
             self.lam, other.lam, rtol=rtol, atol=atol

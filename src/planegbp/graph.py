@@ -24,14 +24,15 @@ not per row: its means, priors and measurements are each one stack, whose
 shape is checked once and whose finiteness is one scan; arity is checked
 once per distinct row length, and liveness and kind once per distinct
 variable in each adjacency slot. A batch's variable priors are rows of one
-symmetrised stack (`GaussianInfo.rows`). `add_variable` and `add_factor` are
-the one-row calls. Non-finite means, priors, noise, measurements and
-payloads are refused.
+symmetrised stack (`GaussianInfo.rows`). `add_variable` and `add_factor`
+insert batches of one. Non-finite means, priors, noise, measurements and
+payloads are refused, and so are ids that are not integers, not truncated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -223,18 +224,11 @@ class FactorGraph:
 
     # -- variables ----------------------------------------------------------
 
-    def add_variable(
-        self,
-        kind: str,
-        mean: np.ndarray,
-        prior: Optional[GaussianInfo] = None,
-        _fixed_id: Optional[int] = None,
-    ) -> int:
-        """Insert one variable: a one-row `add_variables` whose node keeps
-        `prior` itself (a GaussianInfo is checked and symmetrised when made)."""
-        return self._add_variables(
-            kind, np.asarray(mean, dtype=float).reshape(1, -1),
-            None if prior is None else (prior.eta, prior.lam, (prior,)),
+    def add_variable(self, kind: str, mean: np.ndarray, prior: Optional[GaussianInfo] = None,
+                     _fixed_id: Optional[int] = None) -> int:
+        """Insert one variable: `add_variables` on a batch of one."""
+        return self.add_variables(
+            kind, (mean,), None if prior is None else (prior.eta[None], prior.lam[None]),
             None if _fixed_id is None else (_fixed_id,))[0]
 
     def add_variables(self, kind: str, means, priors=None, _fixed_ids=None):
@@ -245,18 +239,9 @@ class FactorGraph:
         row of one symmetrised copy (`GaussianInfo.rows`). The batch is
         checked as a whole and raises ContractViolation, before any change,
         for an unknown kind, a mean of the wrong dimension or not finite, a
-        prior stack of the wrong shape or not finite, and a live or repeated
-        `_fixed_ids` entry. Each stack's shape is checked once and its
-        finiteness by one scan.
+        prior stack of the wrong shape or not finite, and a live, repeated
+        or non-integer `_fixed_ids` entry. Each stack is checked once.
         """
-        if priors is not None:
-            eta, lam = (np.asarray(a, dtype=float) for a in priors)
-            priors = eta, lam, GaussianInfo.rows(eta, lam)
-        return self._add_variables(kind, means, priors, _fixed_ids)
-
-    def _add_variables(self, kind, means, priors, _fixed_ids):
-        """`add_variables` with its priors as (eta, lam, their GaussianInfo
-        rows), eta and lam the arrays whose entries the rows hold."""
         if kind not in VARIABLE_DIMS:
             raise ContractViolation(f"unknown variable kind {kind!r}")
         dim = VARIABLE_DIMS[kind]
@@ -269,16 +254,15 @@ class FactorGraph:
             raise ContractViolation(f"{kind} mean must have dim {dim}")
         if not _finite(means):
             raise ContractViolation(f"{kind} mean must be finite")
-        if priors is None:
-            rows = GaussianInfo.rows(np.zeros((n, dim)), np.zeros((n, dim, dim)))
-        else:
-            eta, lam, rows = priors
-            if len(rows) != n:
-                raise ContractViolation(f"{len(rows)} priors for {n} {kind} means")
-            if rows[0].dim != dim:
-                raise ContractViolation("prior dimension does not match variable kind")
-            if not (_finite(eta) and _finite(lam)):
-                raise ContractViolation(f"{kind} prior must be finite")
+        eta, lam = ((np.zeros((n, dim)), np.zeros((n, dim, dim))) if priors is None else
+                    (np.asarray(a, dtype=float) for a in priors))
+        rows = GaussianInfo.rows(eta, lam)
+        if len(rows) != n:
+            raise ContractViolation(f"{len(rows)} priors for {n} {kind} means")
+        if rows[0].dim != dim:
+            raise ContractViolation("prior dimension does not match variable kind")
+        if priors is not None and not (_finite(eta) and _finite(lam)):
+            raise ContractViolation(f"{kind} prior must be finite")
         if _fixed_ids is None:
             ids = range(self._next_var_id, self._next_var_id + n)
             self._next_var_id += n
@@ -296,7 +280,10 @@ class FactorGraph:
     def _fixed_ids(live: dict, next_id: int, n: int, fixed, what: str) -> tuple:
         """(the n given ids, the next free id after them); each must be
         neither live nor repeated."""
-        ids = list(map(int, fixed))
+        try:
+            ids = list(map(operator.index, fixed))
+        except TypeError:
+            raise ContractViolation(f"{what} ids must be integers, got {list(fixed)}") from None
         if len(ids) != n:
             raise ContractViolation(f"{len(ids)} fixed ids for {n} {what}s")
         for i in ids:
@@ -327,8 +314,8 @@ class FactorGraph:
         payload: Optional[dict] = None,
         _fixed_id: Optional[int] = None,
     ) -> int:
-        """Insert one factor: a one-row `add_factors`. Replay, `read_graph`
-        and the abstraction edits insert through here."""
+        """Insert one factor: `add_factors` on a batch of one. Replay,
+        `read_graph` and the abstraction edits insert through here."""
         return self.add_factors(
             kind, (adjacency,), measurement, sigma,
             None if payload is None else (payload,),
@@ -347,12 +334,12 @@ class FactorGraph:
         arity, a missing or misshapen constituent or payload, a measurement
         of the wrong dimension, a sigma with the wrong number of components
         or one that is not positive and finite, a non-finite measurement,
-        constituent or payload entry, and a live or repeated `_fixed_ids`
-        entry. The kind is looked up once, the arity once per distinct row
-        length, each distinct variable once per adjacency slot, the stacked
-        measurements are scanned at once and sigma is checked once. Rows that
-        are already tuples of ints are stored as given. Constituents and
-        payloads, whose shapes follow each row, are checked row by row.
+        constituent or payload entry, an id that is not an integer and a
+        live or repeated `_fixed_ids` entry. The kind is looked up once, the
+        arity once per distinct row length, each distinct variable once per
+        adjacency slot, the stacked measurements are scanned at once and
+        sigma is checked once. Rows already tuples of ints are stored as
+        given. Constituents and payloads are checked row by row.
         """
         spec = FACTOR_KINDS.get(kind)
         if spec is None:
@@ -362,17 +349,17 @@ class FactorGraph:
         if not n:
             return []
         # Rows are stored as tuples of ints. Each distinct row length and each
-        # slot's distinct variables are checked once; one row is its own.
-        if n == 1:
-            row = tuple(map(int, adjacency[0]))
-            adjacency, lengths, slots = [row], (len(row),), zip(row)
-        else:
-            if not _ROW_TYPES.issuperset(map(type, chain(adjacency, *adjacency))):
-                adjacency = [tuple(map(int, adj)) for adj in adjacency]
-            lengths = {*map(len, adjacency)}
-            slots = (map(set, zip(*adjacency)) if len(lengths) == 1 else
-                     ({adj[pos] for adj in adjacency if len(adj) > pos}
-                      for pos in range(len(spec.signature))))
+        # slot's distinct variables are checked once.
+        if not _ROW_TYPES.issuperset(map(type, chain(adjacency, *adjacency))):
+            try:
+                adjacency = [tuple(map(operator.index, adj)) for adj in adjacency]
+            except TypeError:
+                raise ContractViolation(
+                    f"{kind} adjacency must hold integer variable ids") from None
+        lengths = {*map(len, adjacency)}
+        slots = (map(set, zip(*adjacency)) if len(lengths) == 1 else
+                 ({adj[pos] for adj in adjacency if len(adj) > pos}
+                  for pos in range(len(spec.signature))))
         signature = spec.signature
         arity = len(signature)
         for length in lengths:

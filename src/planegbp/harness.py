@@ -35,7 +35,7 @@ from .engine import (
     IterationReport,
     energy_converged,
 )
-from .errors import ContractViolation
+from .errors import ContractViolation, FormatError
 from .frontend import (
     KeyframePacket,
     SceneSpec,
@@ -148,9 +148,19 @@ class _SlamState:
 def _packets_for(config: ExperimentConfig):
     """(packets, camera) of a run: replayed from a packet file, or generated."""
     if config.replay_path is not None:
-        doc = io_formats.read_json(config.replay_path, "packets")
-        packets = [KeyframePacket.from_dict(p) for p in doc["packets"]]
-        return packets, CameraModel(**doc["camera"])
+        path = config.replay_path
+        doc = io_formats.read_json(path, "packets")
+        io_formats.require_fields(doc, ("camera", "packets"), path)
+        packets = []
+        for i, p in enumerate(doc["packets"]):
+            try:
+                packets.append(KeyframePacket.from_dict(p))
+            except FormatError as exc:
+                raise FormatError(f"{path}: packet {i}: {exc}") from None
+        try:
+            return packets, CameraModel(**doc["camera"])
+        except TypeError as exc:
+            raise FormatError(f"{path}: field 'camera': {exc}") from None
     scene = generate_scene(config.scene)
     return [scene.emit_keyframe(k) for k in range(config.scene.n_keyframes)], scene.camera
 

@@ -118,16 +118,32 @@ def graph_to_dict(graph: FactorGraph) -> dict:
     return {"camera": camera, "variables": variables, "factors": factors}
 
 
+def require_fields(doc, keys, where) -> None:
+    """FormatError naming `where` and the first of `keys` the object `doc` lacks."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: not an object")
+    for key in keys:
+        if key not in doc:
+            raise FormatError(f"{where}: missing field {key!r}")
+
+
 def graph_from_dict(doc: dict) -> FactorGraph:
+    """The graph `graph_to_dict` wrote; FormatError names the node and the
+    field that is missing."""
+    require_fields(doc, ("variables", "factors"), "graph")
     camera = CameraModel(**doc["camera"]) if doc.get("camera") else None
     graph = FactorGraph(camera=camera)
-    for v in doc["variables"]:
-        prior = GaussianInfo(np.asarray(v["prior_eta"]), np.asarray(v["prior_lam"]))
-        graph.add_variable(v["kind"], np.asarray(v["mean_cache"]), prior, _fixed_id=v["id"])
-        node = graph.variables[v["id"]]
-        node.belief = GaussianInfo(np.asarray(v["belief_eta"]), np.asarray(v["belief_lam"]))
+    for i, v in enumerate(doc["variables"]):
+        require_fields(v, ("id", "kind", "mean_cache", "prior_eta", "prior_lam",
+                           "belief_eta", "belief_lam"), f"variables[{i}]")
+        graph.add_variables(v["kind"], [v["mean_cache"]], ([v["prior_eta"]], [v["prior_lam"]]),
+                            [v["id"]])
+        graph.variables[v["id"]].belief = GaussianInfo(np.asarray(v["belief_eta"]),
+                                                       np.asarray(v["belief_lam"]))
     # add_factor turns the payload lists back into arrays, per FACTOR_KINDS
-    for f in doc["factors"]:
+    for i, f in enumerate(doc["factors"]):
+        require_fields(f, ("id", "kind", "adjacency", "measurement", "sigma", "payload"),
+                       f"factors[{i}]")
         # A file may name each factor's loss and Tukey's c; only the kind's
         # own loss and TUKEY_C can be read.
         if f.get("robust_scale", TUKEY_C) != TUKEY_C:

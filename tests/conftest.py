@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from planegbp.engine import GbpConfig, GbpEngine
-from planegbp.factors import factor_stacks, linearise_batch, own_poses, residual_sums
+from planegbp.factors import compile_graph, linearise_batch, own_poses, residual_sums
 from planegbp.gaussians import REG_LAMBDA_REL, GaussianInfo
 from planegbp.geometry import project_cam_batch
 from planegbp.graph import KEYFRAME, LINEAR, POINT, PRIOR, VARIABLE_DIMS, FactorGraph
@@ -33,7 +33,7 @@ def pixel(cam, pose, p):
 def one_factor(g, fac, means, want_jac=True):
     """(stack, camera, X, rot, at) of `fac` alone in a stack, at `means`, posed
     by its own slots: the arguments of `linearise_batch` and `residual_sums`."""
-    stack = factor_stacks(g, [fac])[0]
+    stack = compile_graph(g, [fac])[1][0]
     X = np.concatenate([np.asarray(means[v], dtype=float) for v in fac.adjacency])[None]
     return (stack, g.camera, X, *own_poses(stack, X, want_jac))
 

@@ -361,7 +361,7 @@ def test_combined_factor_is_product_at_shared_linearisation_point(rng):
     means_b = {kfb: np.zeros(6), rbb: np.zeros(6)}
 
     lin_combined = linearise_one(ga, next(iter(ga.factors.values())), means_a)
-    total = GaussianInfo.zero(12)
+    total = GaussianInfo(np.zeros(12), np.zeros((12, 12)))
     for fac in gb.factors.values():
         lin = linearise_one(gb, fac, means_b)
         total = GaussianInfo(total.eta + lin.eta, total.lam + lin.lam)

@@ -35,8 +35,8 @@ from planegbp.factors import (
     HUBER_C,
     TUKEY_C,
     FactorStack,
+    compile_graph,
     evaluate_factor,
-    factor_stacks,
     group_factors,
     linearise_batch,
     own_poses,
@@ -319,8 +319,8 @@ def test_outlier_flag_yields_zero_information(rng):
     p = g.add_variable(POINT, np.array([0.0, 0.0, -3.0]))  # behind the camera
     fid = g.add_factor(REPROJECTION, (kf, p), np.array([320.0, 240.0]), 2.0)
     out = linearise_one(g, g.factors[fid], {kf: np.zeros(6), p: np.array([0, 0, -3.0])})
-    assert out.is_zero()
-    stack = factor_stacks(g, [g.factors[fid]])[0]
+    assert not (np.any(out.eta) or np.any(out.lam))
+    stack = compile_graph(g, [g.factors[fid]])[1][0]
     X = np.array([[0.0] * 6 + [0.0, 0.0, -3.0]])
     _, _, w = linearise_batch(stack, CAM, X, *own_poses(stack, X))
     assert w[0] == 0.0
@@ -334,7 +334,7 @@ def test_degenerate_baked_plane_yields_zero_information():
     kf = g.add_variable(KEYFRAME, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6)))
     fid = g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), np.array([0.0, 0.0, 3.0]), 0.2,
                        payload={"pi_conv": np.zeros(3)})
-    stack = factor_stacks(g, [g.factors[fid]])[0]
+    stack = compile_graph(g, [g.factors[fid]])[1][0]
     eta, lam, w = linearise_batch(stack, CAM, np.zeros((1, 12)),
                                   *own_poses(stack, np.zeros((1, 12))))
     assert w[0] == 0.0
@@ -354,7 +354,7 @@ def test_tukey_zero_weight_factor(rng):
     z_true = pixel(CAM, Pose.identity(), np.array([0, 0, 4.0]))
     fid = g.add_factor(REPROJECTION, (kf, p), z_true + 200.0, 2.0)
     out = linearise_one(g, g.factors[fid], {kf: np.zeros(6), p: np.array([0, 0, 4.0])})
-    assert out.is_zero()
+    assert not (np.any(out.eta) or np.any(out.lam))
 
 
 # -- relinearisation and energy ----------------------------------------------------
@@ -420,8 +420,8 @@ def test_combined_factor_matches_constituents(rng):
                             payload={"constituents": cons})
     means = {kf: g.variables[kf].mean, rb: g.variables[rb].mean}
     lin_c = linearise_one(g, g.factors[combined], means)
-    assert not lin_c.is_zero()
-    total = GaussianInfo.zero(12)
+    assert np.any(lin_c.eta) or np.any(lin_c.lam)
+    total = GaussianInfo(np.zeros(12), np.zeros((12, 12)))
     for fid in singles:
         lin = linearise_one(g, g.factors[fid], means)
         total = GaussianInfo(total.eta + lin.eta, total.lam + lin.lam)
@@ -528,6 +528,7 @@ def test_stacks_hold_each_field_of_their_nodes(rng):
     # shape too; a row of a combined factor is one of its constituents.
     g = every_kind_graph(rng)
     groups = group_factors(g)
+    banks = compile_graph(g)[0]
     assert sorted(f.id for _, nodes in groups for f in nodes) == sorted(g.factors)
     shapes = set()
     for (kind, dims, m), nodes in groups:
@@ -541,7 +542,10 @@ def test_stacks_hold_each_field_of_their_nodes(rng):
         else:
             rows = [(i, (f.measurement, *(f.payload[k] for k in keys)))
                     for i, f in enumerate(nodes)]
-        stack = FactorStack(kind, dims, nodes)
+        stack = FactorStack((kind, dims, m), nodes, banks)
+        for pos, d in enumerate(dims):  # each position's variables are its bank rows
+            assert stack.banks[pos] is banks[d]
+            assert np.array_equal(banks[d].ids[stack.rows[pos]], stack.adjacency[:, pos])
         fields = {"adjacency": (stack.adjacency, [np.array(f.adjacency) for f in nodes]),
                   "z": (stack.z, [r[0] for _, r in rows]),
                   "sigma": (stack.sigma, [nodes[i].sigma for i, _ in rows])}
@@ -574,7 +578,7 @@ def test_batched_linearisation_matches_loop_reference(rng):
     for kernel in (None, "none"):
         weight = None if kernel is None else partial(robust_weight, kernel)
         kinds, weights = set(), []
-        for stack in factor_stacks(g):
+        for stack in compile_graph(g)[1]:
             X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
             eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X), weight=weight)
             for i, fac in enumerate(stack.nodes):
@@ -603,7 +607,7 @@ def test_one_factor_linearise_is_the_batched_path(rng):
     g = every_kind_graph(rng)
     means = {vid: v.mean for vid, v in g.variables.items()}
     rows = {}
-    for stack in factor_stacks(g):
+    for stack in compile_graph(g)[1]:
         X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
         eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X))
         rows.update((fac.id, (eta[i], lam[i], w[i])) for i, fac in enumerate(stack.nodes))

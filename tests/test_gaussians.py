@@ -278,7 +278,7 @@ def test_moments_identity_precision(rng):
 
 def test_moments_singular_raises():
     with pytest.raises(SingularGaussianError):
-        to_moments(GaussianInfo.zero(2))
+        to_moments(GaussianInfo(np.zeros(2), np.zeros((2, 2))))
 
 
 def test_moments_cov_shape_validation():

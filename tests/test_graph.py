@@ -121,7 +121,8 @@ INVALID_INSERTIONS = {
         lambda ins, kf, pts, rb: ins.variable(POINT, np.zeros(6)),
         "point mean must have dim 3"),
     "prior dimension": (
-        lambda ins, kf, pts, rb: ins.variable(POINT, P, GaussianInfo.zero(6)),
+        lambda ins, kf, pts, rb: ins.variable(
+            POINT, P, GaussianInfo(np.zeros(6), np.zeros((6, 6)))),
         "prior dimension does not match"),
     "duplicate variable id": (
         lambda ins, kf, pts, rb: ins.variable(POINT, P, _fixed_id=pts[0]),
@@ -201,6 +202,21 @@ INVALID_INSERTIONS = {
     "prior eta nan": (
         lambda ins, kf, pts, rb: ins.variable(POINT, P, GaussianInfo([0.0, NAN, 0.0], np.eye(3))),
         "point prior must be finite"),
+    # ids are refused, not truncated: 0.7 would attach to the keyframe 0,
+    # 1.9 to the point 1, and a fixed id 7.8 would create id 7
+    "adjacency id fraction": (
+        lambda ins, kf, pts, rb: ins.factor(PRIOR, (kf + 0.7,), P, 1.0),
+        "prior adjacency must hold integer variable ids"),
+    "adjacency id numpy float": (
+        lambda ins, kf, pts, rb: ins.factor(PRIOR, (np.float64(pts[0]) + 0.9,), P, 1.0),
+        "prior adjacency must hold integer variable ids"),
+    "fixed variable id fraction": (
+        lambda ins, kf, pts, rb: ins.variable(POINT, P, _fixed_id=7.8),
+        "variable ids must be integers"),
+    "fixed factor id fraction": (
+        lambda ins, kf, pts, rb: ins.factor(REPROJECTION, (kf, pts[0]), Z, 2.0,
+                                            _fixed_id=7.8),
+        "factor ids must be integers"),
 }
 
 
@@ -282,6 +298,19 @@ def test_a_batch_with_one_invalid_row_is_refused_whole(case):
     before = graph_state(g)
     with pytest.raises(ContractViolation, match=message):
         call(Batch(g, kf, pts, rb), kf, pts, rb)
+    assert graph_state(g) == before
+
+
+@pytest.mark.parametrize("case", [c for c in INVALID_INSERTIONS
+                                  if c.startswith(("adjacency id", "fixed variable id",
+                                                   "fixed factor id"))])
+def test_a_one_row_call_with_a_non_integer_id_changes_nothing(case):
+    call, message = INVALID_INSERTIONS[case]
+    g, kf, pts = small_graph()
+    rb = g.add_variable(RIGID_BODY, np.zeros(6))
+    before = graph_state(g)
+    with pytest.raises(ContractViolation, match=message):
+        call(Rows(g, kf, pts, rb), kf, pts, rb)
     assert graph_state(g) == before
 
 

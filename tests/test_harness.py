@@ -498,6 +498,93 @@ def test_cli_missing_replay_file_is_config_error(tmp_path):
     assert code == 2  # missing inputs are configuration errors
 
 
+# (packet field, how packet 1 is malformed: None drops the field, message)
+MALFORMED_PACKETS = {
+    "missing key": ("hypotheses", None, "packet 1: missing field 'hypotheses'"),
+    "pixel rows lost": ("pixels", lambda v: v[:-3], "packet 1: field 'pixels' has shape"),
+    "pixels not pairs": ("pixels", lambda v: [row + [0.0] for row in v],
+                         "packet 1: field 'pixels' has shape"),
+    "point ids not integers": ("point_ids", lambda v: [i + 0.5 for i in v],
+                               "packet 1: field 'point_ids' must be a list of integers"),
+    "point ids not 1-D": ("point_ids", lambda v: [[i] for i in v],
+                          "packet 1: field 'point_ids' must be a list of integers"),
+    "outlier mask length": ("outlier_mask", lambda v: v + [0],
+                            "packet 1: field 'outlier_mask' has shape"),
+    "true pose length": ("true_pose", lambda v: v[:5], "packet 1: field 'true_pose' has shape"),
+    "true pose not numbers": ("true_pose", lambda v: ["x"] * 6,
+                              "packet 1: field 'true_pose': ValueError"),
+}
+
+
+@pytest.fixture(scope="module")
+def replay_packets(tmp_path_factory):
+    """The packets.json document of a short run."""
+    out = tmp_path_factory.mktemp("replay")
+    cfg = small_config(planes=False)
+    cfg.max_iterations, cfg.out_dir = 60, str(out)
+    run(cfg)
+    return json.loads((out / "packets.json").read_text())
+
+
+def replay_refused(doc, tmp_path, capsys) -> str:
+    """Replays the packet document `doc` by the CLI, which must exit 2 and
+    write no summary; returns its error output."""
+    (tmp_path / "packets.json").write_text(json.dumps(doc))
+    cfg = small_config(solver="lm")
+    cfg.scene, cfg.replay_path = None, str(tmp_path / "packets.json")
+    assert cli_main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert not (tmp_path / "r" / "summary.json").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", MALFORMED_PACKETS)
+def test_cli_refuses_a_malformed_packet_file(case, replay_packets, tmp_path, capsys):
+    # A replayed packet file is checked field by field before the run starts.
+    key, change, message = MALFORMED_PACKETS[case]
+    doc = json.loads(json.dumps(replay_packets))
+    packet = doc["packets"][1]
+    if change is None:
+        del packet[key]
+    else:
+        packet[key] = change(packet[key])
+    assert message in replay_refused(doc, tmp_path, capsys)
+
+
+def test_cli_refuses_a_packet_file_whose_camera_lacks_a_field(replay_packets, tmp_path,
+                                                              capsys):
+    doc = json.loads(json.dumps(replay_packets))
+    del doc["camera"]["fx"]
+    assert "field 'camera'" in replay_refused(doc, tmp_path, capsys)
+
+
+def test_replayed_packets_read_back_as_written(replay_packets):
+    from planegbp.frontend import KeyframePacket
+
+    for p in replay_packets["packets"]:
+        assert KeyframePacket.from_dict(p).to_dict() == p
+
+
+@pytest.mark.parametrize("section, index, key", [
+    (None, None, "factors"), (None, None, "variables"),
+    ("factors", 3, "sigma"), ("variables", 2, "prior_lam"),
+])
+def test_cli_export_refuses_a_graph_file_with_a_missing_field(section, index, key, tmp_path,
+                                                              capsys):
+    cfg = small_config(planes=False)
+    cfg.max_iterations, cfg.out_dir = 30, str(tmp_path / "r")
+    run(cfg)
+    graph_path = tmp_path / "r" / "graph.json"
+    doc = json.loads(graph_path.read_text())
+    del (doc if section is None else doc[section][index])[key]
+    graph_path.write_text(json.dumps(doc))
+    out = tmp_path / "recon.json"
+    assert cli_main(["export", "--graph", str(graph_path), "--out", str(out)]) == 2
+    where = "graph" if section is None else f"{section}[{index}]"
+    assert f"{where}: missing field {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     def exhausted(config):
         raise CapacityError("pool 'reprojection' exhausted (capacity 0)")

@@ -35,7 +35,6 @@ VALUE = "a small value-type convenience"
 
 UNREACHED = {
     "factors.evaluate_factor": PIN,
-    "factors._one": PIN + " (evaluate_factor's stack)",
     "factors.own_poses": PIN + " (evaluate_factor's poses)",
     "gaussians.BlockLayout.slice_of": PIN,
     "factors.eval_linear_batch": ORACLE + " (the linear kind's kernel)",
@@ -46,7 +45,6 @@ UNREACHED = {
     "routing.RoutingSimulator.routing_entry_count": INVARIANT,
     "routing.RoutingSimulator.slot_conservation_ok": INVARIANT,
     "gaussians.GaussianInfo.allclose": VALUE,
-    "gaussians.GaussianInfo.zero": VALUE,
     "gaussians.GaussianMoments.dim": VALUE,
     "geometry.Pose.identity": VALUE,
     "geometry.Pose.T": VALUE,

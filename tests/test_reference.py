@@ -12,7 +12,7 @@ from planegbp.errors import SingularGaussianError
 from planegbp.factors import linearise_batch, own_poses, robust_weight
 from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel
-from planegbp.graph import LINEAR, POINT, PRIOR, FactorGraph
+from planegbp.graph import FACTOR_KINDS, LINEAR, POINT, PRIOR, FactorGraph
 from planegbp.reference import (
     COST_REL_TOL,
     LAMBDA_FACTOR,
@@ -24,6 +24,7 @@ from planegbp.reference import (
     _solve_step,
     _System,
     assemble_dense,
+    avg_reprojection_px,
     dense_marginals,
     lm_solve,
 )
@@ -357,6 +358,34 @@ def test_small_blocks_are_solved_only_in_gaussians():
     # nothing reaches numpy.linalg except through `np.linalg`
     for path in Path(planegbp.__file__).parent.glob("*.py"):
         assert "numpy.linalg" not in path.read_text()
+
+
+def test_only_the_compile_groups_factors():
+    # One compile: the engine, LM and the dense oracle all index the stacks
+    # and banks of `factors.compile_graph`, and nothing else groups factors.
+    assert call_sites({"group_factors"}) == [("factors", "compile_graph", "group_factors")]
+
+
+def test_lm_system_indexes_the_engines_compile(rng):
+    # On a graph with every kind, each of LM's stacks has the key and bank
+    # rows of the engine's batch for that key, and gathers the same means;
+    # both measure the pixel error by the same pass, bit for bit.
+    from test_factors import every_kind_graph
+
+    g = every_kind_graph(rng)
+    system = _System(g)
+    eng = GbpEngine(g, GbpConfig())
+    x = system.flat(eng.means())
+    assert [s.key for s in system.stacks] == [b.key for b in eng.batches]
+    for stack, cols, b in zip(system.stacks, system.cols, eng.batches):
+        assert len(stack.rows) == len(b.rows) == b.arity
+        for mine, theirs in zip(stack.rows, b.rows):
+            assert np.array_equal(mine, theirs)
+        assert np.array_equal(x[cols], eng._gather_x(b))
+    assert {b.kind for b in eng.batches} == set(FACTOR_KINDS)
+    px = avg_reprojection_px(system, x)
+    assert np.isfinite(px) and px.hex() == eng._metrics()[1].hex()
+    assert np.array_equal(x[system.pose_cols], eng.banks[6].mean)
 
 
 def test_lm_with_unconstrained_variable_terminates(rng):
