@@ -40,7 +40,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import ContractViolation, DegeneratePlaneError
 from .factors import eval_plane_point_batch
 from .gaussians import GaussianInfo
-from .geometry import EPS_PLANE, PlaneParams, Pose, transform_plane
+from .geometry import PlaneParams, Pose, transform_plane
 from .graph import (
     COMBINED_RIGID_REPROJECTION,
     PLANE_HYPOTHESIS,
@@ -274,16 +274,10 @@ class AbstractionManager:
         the rigid id. `liks` are the members' likelihoods at `means`, as
         `evaluate_hypothesis` gives them; they are evaluated when not given.
 
-        A degenerate plane (through the origin) is rejected instead, with
-        reason "degenerate". With compress=False the hypothesis is only
-        logged as confirmed and leaves the manager's pending set; its plane
-        variable and factors stay live (the no-compression ablation). Both
-        return None.
+        With compress=False the hypothesis is only logged as confirmed and
+        leaves the manager's pending set; its plane variable and factors stay
+        live (the no-compression ablation), and it returns None.
         """
-        if np.linalg.norm(means[hyp.variable_id]) <= EPS_PLANE:
-            self.reject_hypothesis(hyp, iteration, y)
-            self.events[-1]["reason"] = "degenerate"
-            return None
         if not compress:
             del self.hypotheses[hyp.variable_id]
             self.events.append({

@@ -425,11 +425,3 @@ def _damp(msg, rows, new, d):
     new *= 1.0 - d
     new += old
     msg[rows] = new
-
-
-def energy_converged(reports, rel_tol: float, window: int) -> bool:
-    if len(reports) < window + 1:
-        return False
-    recent = [r.total_energy for r in reports[-(window + 1):]]
-    base = max(abs(recent[0]), 1e-12)
-    return abs(recent[-1] - recent[0]) / base < rel_tol

@@ -38,14 +38,15 @@ X0 with robust-rescaled noise S' = S / w:
 which is invariant to the sign convention of v. A robust weight w is computed
 per row from the Mahalanobis norm of its unrobustified residual at X0 by
 `robust_weight`, every solver's one robust loss: Tukey (c = TUKEY_C),
-Huber (c = HUBER_C) or none. The loss is a property of the factor kind:
-by default `linearise_batch` gives every non-linear kind Tukey's weight and
-every linear kind (priors, linear factors) none; LM and the dense oracle
-pass their own. Tukey's w = 0 turns the row into zero information until
-beliefs move again. A combined factor is the product of its constituents:
-their rows, each with its own weight, are summed into the factor. Linear
-kinds are exact: they are expanded about X0 = 0, so that eta is not formed
-by cancellation.
+Huber (c = HUBER_C) or none; `robust_cost` is the cost LM minimises under
+Huber or none. A solver names a kernel, Tukey's for GBP and the dense
+oracle by default and Huber's for LM, and `FactorKind.loss` gives each
+kind's loss under it: none for a linear kind (priors, linear factors), the
+named kernel for every other. Tukey's w = 0 turns the row into zero
+information until beliefs move again. A combined factor is the product of
+its constituents: their rows, each with its own weight, are summed into the
+factor. Linear kinds are exact: they are expanded about X0 = 0, so that eta
+is not formed by cancellation.
 
 `evaluate_factor` is the one-factor view of the batched path, and
 `own_poses` poses a stack's rows by their own slots. No solver calls them:
@@ -207,6 +208,18 @@ def robust_weight(kernel: str, rho: np.ndarray) -> np.ndarray:
     raise ContractViolation(f"unknown kernel {kernel}")
 
 
+def robust_cost(kernel: str, rho: np.ndarray) -> np.ndarray:
+    """Cost of Mahalanobis residual norms `rho` under `kernel`: "huber"
+    rho^2/2 up to HUBER_C and HUBER_C rho - HUBER_C^2/2 beyond, "none"
+    rho^2/2."""
+    if kernel == "none":
+        return 0.5 * rho * rho
+    if kernel == "huber":
+        c = HUBER_C
+        return np.where(rho <= c, 0.5 * rho * rho, c * rho - 0.5 * c * c)
+    raise ContractViolation(f"unknown kernel {kernel}")
+
+
 # ---------------------------------------------------------------------------
 # Stacks: the batched path shared by the engine, the dense oracle and LM
 # ---------------------------------------------------------------------------
@@ -356,15 +369,15 @@ def evaluate_rows(stack: FactorStack, cam, X, rot, at, sel=None, want_jac=True):
     return kernel(cam, _take(stack.z, sel), *payload, *params, want_jac=want_jac)
 
 
-def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, weight=None):
+def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, kernel="tukey"):
     """(eta, lam, weight) of the stack's factors `rows` (all when None).
 
     X holds the factors' stacked adjacency means, (len(rows), joint_dim),
     and `at` their pose slots' poses among the rotations `rot` (see
-    `evaluate_rows`). `weight` maps each row's Mahalanobis residual norm to
-    its weight; by default it is the kind's loss, none for a linear kind and
-    Tukey's for every other. Invalid rows get weight 0. A factor's weight is
-    the mean over its rows.
+    `evaluate_rows`). Each row is weighted by `robust_weight` of the kind's
+    loss under `kernel` (`FactorKind.loss`) at its Mahalanobis residual
+    norm. Invalid rows get weight 0. A factor's weight is the mean over its
+    rows.
     """
     owner = stack.owner
     sel, Xr = rows, X
@@ -380,11 +393,7 @@ def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, weight=None)
     value, J, valid = evaluate_rows(stack, cam, Xr, rot, at, sel)
     inv_var = 1.0 / (_take(stack.sigma, sel) ** 2)
     rho = np.sqrt(np.sum(value**2 * inv_var, axis=1))
-    if weight is None:
-        w = robust_weight("none" if stack.spec.linear else "tukey", rho)
-    else:
-        w = weight(rho)
-    w = np.where(valid, w, 0.0)
+    w = np.where(valid, robust_weight(stack.spec.loss(kernel), rho), 0.0)
     D = inv_var * w[:, None]
     if stack.spec.linear:
         # exact kinds have no pose slots

@@ -99,12 +99,17 @@ class FactorKind:
     min_arity: int = 0
     # Rows are pixel errors; they define the average reprojection error.
     pixel: bool = False
-    # Exact linear-Gaussian: linearised once, about 0, with no robust loss.
-    # Every other kind takes Tukey's weight (c = factors.TUKEY_C).
+    # Exact linear-Gaussian: linearised once, about 0, with no robust loss
+    # (see `loss`).
     linear: bool = False
     # Rows are the (z, *payload) constituents listed in the payload; the
     # factor is their product.
     constituents: bool = False
+
+    def loss(self, kernel: str) -> str:
+        """The robust kernel this kind's rows take when a solver names
+        `kernel`: "none" for a linear kind, `kernel` for every other."""
+        return "none" if self.linear else kernel
 
     @property
     def pose_slots(self) -> tuple:
@@ -334,8 +339,9 @@ class FactorGraph:
         arity, a missing or misshapen constituent or payload, a measurement
         of the wrong dimension, a sigma with the wrong number of components
         or one that is not positive and finite, a non-finite measurement,
-        constituent or payload entry, an id that is not an integer and a
-        live or repeated `_fixed_ids` entry. The kind is looked up once, the
+        constituent or payload entry, an adjacency row that is not a
+        sequence, an id that is not an integer and a live or repeated
+        `_fixed_ids` entry. The kind is looked up once, the
         arity once per distinct row length, each distinct variable once per
         adjacency slot, the stacked measurements are scanned at once and
         sigma is checked once. Rows already tuples of ints are stored as
@@ -350,12 +356,12 @@ class FactorGraph:
             return []
         # Rows are stored as tuples of ints. Each distinct row length and each
         # slot's distinct variables are checked once.
-        if not _ROW_TYPES.issuperset(map(type, chain(adjacency, *adjacency))):
-            try:
+        try:
+            if not _ROW_TYPES.issuperset(map(type, chain(adjacency, *adjacency))):
                 adjacency = [tuple(map(operator.index, adj)) for adj in adjacency]
-            except TypeError:
-                raise ContractViolation(
-                    f"{kind} adjacency must hold integer variable ids") from None
+        except TypeError:
+            raise ContractViolation(
+                f"{kind} adjacency must hold integer variable ids") from None
         lengths = {*map(len, adjacency)}
         slots = (map(set, zip(*adjacency)) if len(lengths) == 1 else
                  ({adj[pos] for adj in adjacency if len(adj) > pos}

@@ -29,12 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .abstraction import AbstractionConfig, AbstractionManager, plane_hull, rigid_plane
-from .engine import (
-    GbpConfig,
-    GbpEngine,
-    IterationReport,
-    energy_converged,
-)
+from .engine import GbpConfig, GbpEngine, IterationReport
 from .errors import ContractViolation, FormatError
 from .frontend import (
     KeyframePacket,
@@ -60,7 +55,7 @@ from .graph import (
     FactorGraph,
 )
 from . import io_formats
-from .reference import LmConfig, lm_solve
+from .reference import LM_KERNEL, LM_MAX_ITERATIONS, lm_solve
 from .routing import ROUTED, PoolConfig, RoutedTransport, RoutingSimulator
 
 SOLVERS = ("gbp", "gbp-routed", "lm")
@@ -332,6 +327,16 @@ def _bootstrap_two_view(graph, state, manager, config, packet0, packet1,
     return kf1
 
 
+def energy_converged(reports) -> bool:
+    """Whether the energy of the last ENERGY_WINDOW sweeps of `reports`
+    changed by less than ENERGY_REL_TOL of its value before them."""
+    if len(reports) < ENERGY_WINDOW + 1:
+        return False
+    recent = [r.total_energy for r in reports[-(ENERGY_WINDOW + 1):]]
+    base = max(abs(recent[0]), 1e-12)
+    return abs(recent[-1] - recent[0]) / base < ENERGY_REL_TOL
+
+
 def run(config: ExperimentConfig) -> RunResult:
     packets, camera = _packets_for(config)
     if config.solver == "lm":
@@ -384,7 +389,7 @@ def run(config: ExperimentConfig) -> RunResult:
             next_kf >= len(packets)
             and not manager.hypotheses
             and it > last_edit + a.test_period_eff
-            and energy_converged(reports, ENERGY_REL_TOL, ENERGY_WINDOW)
+            and energy_converged(reports)
         ):
             break
 
@@ -566,8 +571,7 @@ def build_ba_graph(
 
 def _run_lm(config: ExperimentConfig, packets, camera) -> RunResult:
     graph, state = build_ba_graph(config, packets, camera)
-    lm_config = LmConfig()
-    result = lm_solve(graph, lm_config)
+    result = lm_solve(graph)
     for vid, mean in result.means.items():
         graph.variables[vid].mean = mean
     reports = [
@@ -583,8 +587,8 @@ def _run_lm(config: ExperimentConfig, packets, camera) -> RunResult:
         for row in result.trace
     ]
     summary = _summarize(config, graph, state, None, reports, packets)
-    summary["lm_kernel"] = lm_config.kernel
-    summary["lm_max_iterations"] = lm_config.max_iterations
+    summary["lm_kernel"] = LM_KERNEL
+    summary["lm_max_iterations"] = LM_MAX_ITERATIONS
     summary["lm_converged"] = result.converged
     summary["lm_hit_lambda_max"] = result.hit_lambda_max
     summary["lm_fill"] = result.fill

@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .engine import IterationReport
-from .errors import FormatError, SingularGaussianError
+from .errors import ContractViolation, FormatError, SingularGaussianError
 from .factors import TUKEY_C
 from .gaussians import GaussianInfo, to_moments
 from .geometry import CameraModel
@@ -127,39 +128,54 @@ def require_fields(doc, keys, where) -> None:
             raise FormatError(f"{where}: missing field {key!r}")
 
 
+@contextmanager
+def _refused(where):
+    """FormatError naming `where` for a value the graph or the camera refuses."""
+    try:
+        yield
+    except (ContractViolation, TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 def graph_from_dict(doc: dict) -> FactorGraph:
-    """The graph `graph_to_dict` wrote; FormatError names the node and the
-    field that is missing."""
+    """The graph `graph_to_dict` wrote; FormatError names the node or the
+    camera and the field that is missing or the value that is refused."""
     require_fields(doc, ("variables", "factors"), "graph")
-    camera = CameraModel(**doc["camera"]) if doc.get("camera") else None
+    with _refused("camera"):
+        camera = CameraModel(**doc["camera"]) if doc.get("camera") else None
     graph = FactorGraph(camera=camera)
     for i, v in enumerate(doc["variables"]):
+        where = f"variables[{i}]"
         require_fields(v, ("id", "kind", "mean_cache", "prior_eta", "prior_lam",
-                           "belief_eta", "belief_lam"), f"variables[{i}]")
-        graph.add_variables(v["kind"], [v["mean_cache"]], ([v["prior_eta"]], [v["prior_lam"]]),
-                            [v["id"]])
-        graph.variables[v["id"]].belief = GaussianInfo(np.asarray(v["belief_eta"]),
-                                                       np.asarray(v["belief_lam"]))
+                           "belief_eta", "belief_lam"), where)
+        with _refused(where):
+            graph.add_variables(v["kind"], [v["mean_cache"]],
+                                ([v["prior_eta"]], [v["prior_lam"]]), [v["id"]])
+            graph.variables[v["id"]].belief = GaussianInfo(np.asarray(v["belief_eta"]),
+                                                           np.asarray(v["belief_lam"]))
     # add_factor turns the payload lists back into arrays, per FACTOR_KINDS
     for i, f in enumerate(doc["factors"]):
+        where = f"factors[{i}]"
         require_fields(f, ("id", "kind", "adjacency", "measurement", "sigma", "payload"),
-                       f"factors[{i}]")
-        # A file may name each factor's loss and Tukey's c; only the kind's
-        # own loss and TUKEY_C can be read.
+                       where)
+        # A file may name each factor's loss (null for none) and Tukey's c;
+        # only the kind's own loss under Tukey's kernel and TUKEY_C can be read.
         if f.get("robust_scale", TUKEY_C) != TUKEY_C:
             raise FormatError(f"factor {f['id']}: robust_scale {f['robust_scale']} "
                               f"is not Tukey's c = {TUKEY_C}, the only one supported")
         spec = FACTOR_KINDS.get(f["kind"])
-        loss = None if spec is None or spec.linear else "tukey"
-        if f.get("robust", loss) != loss:
-            raise FormatError(f"factor {f['id']}: robust {f['robust']!r} is not "
-                              f"{f['kind']}'s loss {loss!r}")
-        graph.add_factor(
-            f["kind"], tuple(f["adjacency"]),
-            None if f["measurement"] is None else np.asarray(f["measurement"]),
-            np.asarray(f["sigma"]),
-            payload=f["payload"], _fixed_id=f["id"],
-        )
+        if spec is not None and "robust" in f:
+            loss = spec.loss("tukey")
+            if ("none" if f["robust"] is None else f["robust"]) != loss:
+                raise FormatError(f"factor {f['id']}: robust {f['robust']!r} is not "
+                                  f"{f['kind']}'s loss {loss!r}")
+        with _refused(where):
+            graph.add_factor(
+                f["kind"], tuple(f["adjacency"]),
+                None if f["measurement"] is None else np.asarray(f["measurement"]),
+                np.asarray(f["sigma"]),
+                payload=f["payload"], _fixed_id=f["id"],
+            )
     return graph
 
 

@@ -2,13 +2,14 @@
 
 * dense_marginals: exact Gaussian inference by assembling the full joint
   information form and inverting it. The assembly linearises every factor
-  with the same batched kernels as the message engine, one call per factor
-  stack, and sums the blocks into the joint precision; it does not go
-  through message passing, which makes it an independent check of
-  propagation results. It is the only place the joint precision is dense.
+  with the same batched kernels and the same loss as the message engine
+  (Tukey's kernel), one call per factor stack, and sums the blocks into the
+  joint precision; it does not go through message passing, which makes it
+  an independent check of propagation results. It is the only place the
+  joint precision is dense.
 * lm_solve: a plain Levenberg-Marquardt loop over the same factor energies,
   for the convergence-behaviour comparisons against propagation. It shares
-  the assembly: with LM's loss weights, H is the Gauss-Newton Hessian and
+  the assembly under LM_KERNEL, Huber's: H is the Gauss-Newton Hessian and
   the gradient is H x - eta. H stays sparse, in a CSC pattern compiled once
   per solve, and each damped step is factorised by SuperLU as the symmetric
   positive-definite system it is: symmetric mode, diagonal pivots and the
@@ -18,29 +19,28 @@
   per-sweep cost (the routing simulator's hops) depends on the number of
   edges alone. The damping starts at LAMBDA_INIT and is divided by
   LAMBDA_FACTOR after an accepted step, multiplied after a rejected one; LM
-  stops past LAMBDA_MAX or when a step gains less than COST_REL_TOL of the
-  cost. Its kernel's weight is `factors.robust_weight`:
-  LmConfig.kernel for the kinds GBP robustifies, none for linear kinds.
+  stops after LM_MAX_ITERATIONS steps, past LAMBDA_MAX or when a step gains
+  less than COST_REL_TOL of the cost. Each kind's loss under LM_KERNEL is
+  `FactorKind.loss`, as in the engine: its weight is
+  `factors.robust_weight` and its cost `factors.robust_cost`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .errors import ContractViolation, SingularGaussianError
+from .errors import SingularGaussianError
 from .factors import (
-    HUBER_C,
     compile_graph,
     evaluate_factor,  # noqa: F401  (bench/spans.py wraps reference.evaluate_factor)
     linearise_batch,
     residual_rows,
     residual_totals,
-    robust_weight,
+    robust_cost,
 )
 from .gaussians import BlockLayout, GaussianMoments, solve_blocks
 from .geometry import pose_rotations_batch
@@ -107,24 +107,20 @@ class _System:
         """Rotations (and right Jacobians) of the pose variables at x."""
         return pose_rotations_batch(x[self.pose_cols], want_jac)
 
-    def assemble(self, x: np.ndarray, weights=None):
-        """Joint (eta, lam) at x: priors plus every stack's linearisation.
+    def assemble(self, x: np.ndarray, kernel="tukey"):
+        """Joint (eta, lam) at x: priors plus every stack's linearisation
+        under `kernel` (see `factors.linearise_batch`).
 
-        lam is a CSC matrix in the compiled pattern. `weights(stack)` gives
-        the row weight function for linearise_batch; None keeps each kind's
-        own loss. Each quantity is one bincount over the block entries in
-        priors-then-stacks order, which adds them in the order a sequential
-        scatter would.
+        lam is a CSC matrix in the compiled pattern. Each quantity is one
+        bincount over the block entries in priors-then-stacks order, which
+        adds them in the order a sequential scatter would.
         """
         etas = [p_eta for _, p_eta, _ in self.priors]
         lams = [p_lam for _, _, p_lam in self.priors]
         cam = self.graph.camera
         rot = self.rotations(x, want_jac=True)
         for stack, cols in zip(self.stacks, self.cols):
-            f_eta, f_lam, _ = linearise_batch(
-                stack, cam, x[cols], rot, stack.rows,
-                weight=None if weights is None else weights(stack)
-            )
+            f_eta, f_lam, _ = linearise_batch(stack, cam, x[cols], rot, stack.rows, kernel=kernel)
             etas.append(f_eta)
             lams.append(f_lam)
         dim = self.layout.dim
@@ -140,21 +136,14 @@ def _sum_into(slots: np.ndarray, blocks: list, size: int) -> np.ndarray:
     return np.bincount(slots, values, minlength=size).astype(float, copy=False)
 
 
-def assemble_dense(graph: FactorGraph, means: dict, robust: bool = True):
-    """Global information form (eta, lam, layout) at the given means."""
-    system = _System(graph)
-    eta, lam = system.assemble(
-        system.flat(means), None if robust else (lambda s: partial(robust_weight, "none")))
-    return eta, lam.toarray(), system.layout
-
-
 def dense_marginals(graph: FactorGraph, means: dict | None = None):
     """Exact per-variable moments by full inversion of the joint precision."""
     if means is None:
         means = {vid: v.mean for vid, v in graph.variables.items()}
-    eta, lam, layout = assemble_dense(graph, means)
+    system = _System(graph)
+    eta, lam = system.assemble(system.flat(means))
     try:
-        cov = np.linalg.inv(lam)
+        cov = np.linalg.inv(lam.toarray())
     except np.linalg.LinAlgError as exc:
         raise SingularGaussianError(
             "joint precision is singular; the graph is gauge-deficient "
@@ -162,7 +151,7 @@ def dense_marginals(graph: FactorGraph, means: dict | None = None):
         ) from exc
     mu = cov @ eta
     out = {}
-    for vid, off, width in layout.blocks:
+    for vid, off, width in system.layout.blocks:
         sl = slice(off, off + width)
         out[vid] = GaussianMoments(mu[sl], 0.5 * (cov[sl, sl] + cov[sl, sl].T))
     return out
@@ -174,12 +163,7 @@ def dense_marginals(graph: FactorGraph, means: dict | None = None):
 
 LAMBDA_INIT, LAMBDA_FACTOR, LAMBDA_MAX = 1e-4, 3.0, 1e10
 COST_REL_TOL = 1e-10
-
-
-@dataclass
-class LmConfig:
-    max_iterations: int = 50
-    kernel: str = "huber"  # "huber" | "none"
+LM_KERNEL, LM_MAX_ITERATIONS = "huber", 50
 
 
 @dataclass
@@ -192,28 +176,13 @@ class LmResult:
     fill: int | None = None
 
 
-def _kernel_cost(kind: str, s: np.ndarray) -> np.ndarray:
-    if kind == "none":
-        return 0.5 * s * s
-    if kind == "huber":
-        c = HUBER_C
-        return np.where(s <= c, 0.5 * s * s, c * s - 0.5 * c * c)
-    raise ContractViolation(f"unknown kernel {kind}")
-
-
-def _lm_kernel(stack, cfg: LmConfig) -> str:
-    # LM robustifies the kinds GBP does; linear kinds (the gauge priors
-    # among them) stay exact.
-    return "none" if stack.spec.linear else cfg.kernel
-
-
-def _lm_cost(system: _System, x: np.ndarray, cfg: LmConfig) -> float:
+def _lm_cost(system: _System, x: np.ndarray) -> float:
     cost = 0.0
     rot = system.rotations(x, want_jac=False)
     for stack, cols in zip(system.stacks, system.cols):
         value, _ = residual_rows(stack, system.graph.camera, x[cols], rot, stack.rows)
         s = np.sqrt(np.sum((value / stack.sigma) ** 2, axis=1))
-        cost += float(np.sum(_kernel_cost(_lm_kernel(stack, cfg), s)))
+        cost += float(np.sum(robust_cost(stack.spec.loss(LM_KERNEL), s)))
     for (cols, _, p_lam), mean in zip(system.priors, system.prior_means):
         d = x[cols] - mean
         cost += 0.5 * float(np.einsum("ni,nij,nj->", d, p_lam, d))
@@ -246,26 +215,21 @@ def _solve_step(damp: csc_matrix, rhs: np.ndarray):
     return lu.solve(rhs), lu.nnz
 
 
-def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
+def lm_solve(graph: FactorGraph) -> LmResult:
     """Levenberg-Marquardt over all factor energies plus variable priors."""
-    cfg = config or LmConfig()
     system = _System(graph)
     x = system.flat({vid: node.mean for vid, node in graph.variables.items()})
-
-    def weights(stack):
-        return partial(robust_weight, _lm_kernel(stack, cfg))
-
     lam_damp = LAMBDA_INIT
-    cost = _lm_cost(system, x, cfg)
+    cost = _lm_cost(system, x)
     trace = [{"iteration": 0, "cost": cost,
               "avg_reproj_px": avg_reprojection_px(system, x)}]
     converged = False
     hit_max = False
     fill = None
 
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, LM_MAX_ITERATIONS + 1):
         # With J = dv/dx, the gradient of 1/2 w |v|^2 is w J^T S^-1 v = H x - eta.
-        eta, H = system.assemble(x, weights)
+        eta, H = system.assemble(x, LM_KERNEL)
         g = H @ x - eta
         h_diag = np.maximum(H.data[system.diag], 1e-12)
 
@@ -278,7 +242,7 @@ def lm_solve(graph: FactorGraph, config: LmConfig | None = None) -> LmResult:
                 fill = step_fill
             if delta is not None and np.all(np.isfinite(delta)):
                 cand = x + delta
-                cand_cost = _lm_cost(system, cand, cfg)
+                cand_cost = _lm_cost(system, cand)
                 if cand_cost <= cost:
                     x = cand
                     rel = (cost - cand_cost) / max(cost, 1e-300)

@@ -239,22 +239,6 @@ def test_confirm_without_compression_keeps_structure(rng):
     assert hyp.variable_id not in mgr.hypotheses  # no longer pending
 
 
-def test_confirm_refuses_degenerate_plane(rng):
-    g, kfs, pts, plane = planar_graph(rng)
-    baseline = g.snapshot_census()
-    mgr = AbstractionManager(g, config())
-    pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
-    hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
-    means = means_of(g)
-    means[hyp.variable_id] = np.zeros(3)  # a plane through the origin
-    assert mgr.confirm_hypothesis(hyp, means, 500, 1.0) is None
-    assert mgr.events[-1]["event"] == "reject"
-    assert mgr.events[-1]["reason"] == "degenerate"
-    assert g.snapshot_census() == baseline  # no rigid body, hypothesis excised
-    assert not mgr.hypotheses and not mgr.absorbed
-    g.check_integrity()
-
-
 def test_confirmed_plane_is_read_from_the_graph(rng):
     g, kfs, pts, plane = planar_graph(rng, extra_kf=1)
     g.add_variable(PLANE_HYPOTHESIS, plane.m)  # shifts later ids off point ids

@@ -1,7 +1,6 @@
 import ast
 import inspect
 import textwrap
-from functools import partial
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from planegbp.factors import (
     group_factors,
     linearise_batch,
     own_poses,
+    robust_cost,
     robust_weight,
 )
 from conftest import energy_one, fd_jacobian, linearise_one, one_factor, pixel
@@ -236,6 +236,13 @@ def test_robust_weight_examples():
     for kernel in (None, "cauchy"):
         with pytest.raises(ContractViolation, match="kernel"):
             robust_weight(kernel, rho)
+    # LM's costs: Huber's is quadratic up to c and linear beyond, with one slope
+    assert np.allclose(robust_cost("huber", np.array([0.0, c, 2 * c])),
+                       [0.0, 0.5 * c * c, 1.5 * c * c], rtol=1e-15, atol=0)
+    assert np.array_equal(robust_cost("none", rho), 0.5 * rho * rho)
+    for kernel in (None, "tukey"):
+        with pytest.raises(ContractViolation, match="kernel"):
+            robust_cost(kernel, rho)
 
 
 # -- linearisation ----------------------------------------------------------------
@@ -459,16 +466,16 @@ def residual_rows_loop(g, fac, means):
     return rows
 
 
-def linearise_loop(g, fac, means, kernel=None):
+def linearise_loop(g, fac, means, kernel="tukey"):
     """Reference (eta, lam, weight): one factor at a time, one row at a time,
-    with the scalar `kernel` weight, by default the kind's (Tukey, or none for
-    a linear kind); a combined factor sums its constituents."""
+    with the scalar `kernel` weight ("tukey" or "none"), none for a linear
+    kind; a combined factor sums its constituents."""
     x0 = np.concatenate([np.asarray(means[v], float) for v in fac.adjacency])
     D = x0.shape[0]
     eta, lam, wsum = np.zeros(D), np.zeros((D, D)), 0.0
     rows = residual_rows_loop(g, fac, means)
-    if kernel is None:
-        kernel = "none" if fac.kind in (PRIOR, "linear") else "tukey"
+    if fac.kind in (PRIOR, "linear"):
+        kernel = "none"
     for row in rows:
         if row is None:
             continue
@@ -571,16 +578,15 @@ def assert_close(a, b, tol=1e-12):
 
 
 def test_batched_linearisation_matches_loop_reference(rng):
-    # kernel None: each kind's own loss (Tukey, none for linear kinds); "none":
-    # the unweighted path that the dense oracle and LM's "none" kernel take
+    # "tukey": each kind's loss under GBP's kernel (none for linear kinds);
+    # "none": the unweighted path
     g = every_kind_graph(rng)
     means = {vid: v.mean for vid, v in g.variables.items()}
-    for kernel in (None, "none"):
-        weight = None if kernel is None else partial(robust_weight, kernel)
+    for kernel in ("tukey", "none"):
         kinds, weights = set(), []
         for stack in compile_graph(g)[1]:
             X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
-            eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X), weight=weight)
+            eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X), kernel=kernel)
             for i, fac in enumerate(stack.nodes):
                 ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means, kernel)
                 assert_close(eta[i], ref_eta)
@@ -592,13 +598,13 @@ def test_batched_linearisation_matches_loop_reference(rng):
             # a subset of the factors, as the engine relinearises them
             rows = np.arange(stack.n)[::2]
             sub = linearise_batch(stack, CAM, X[rows], *own_poses(stack, X[rows]), rows,
-                                  weight=weight)
+                                  kernel)
             for full, part in zip((eta, lam, w), sub):
                 assert np.array_equal(full[rows], part)
         assert len(kinds) == 7  # five measurement kinds, prior, linear
         # Tukey scales some one-row factors down; unweighted, each weighs 0 or 1
         w = np.concatenate(weights)
-        assert np.any((w > 0) & (w < 1)) == (kernel is None)
+        assert np.any((w > 0) & (w < 1)) == (kernel == "tukey")
 
 
 def test_one_factor_linearise_is_the_batched_path(rng):

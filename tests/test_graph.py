@@ -210,6 +210,10 @@ INVALID_INSERTIONS = {
     "adjacency id numpy float": (
         lambda ins, kf, pts, rb: ins.factor(PRIOR, (np.float64(pts[0]) + 0.9,), P, 1.0),
         "prior adjacency must hold integer variable ids"),
+    # a bare id, not a row of ids
+    "adjacency row not a sequence": (
+        lambda ins, kf, pts, rb: ins.factor(PRIOR, pts[0], P, 1.0),
+        "prior adjacency must hold integer variable ids"),
     "fixed variable id fraction": (
         lambda ins, kf, pts, rb: ins.variable(POINT, P, _fixed_id=7.8),
         "variable ids must be integers"),

@@ -585,6 +585,41 @@ def test_cli_export_refuses_a_graph_file_with_a_missing_field(section, index, ke
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def graph_doc(tmp_path_factory):
+    cfg = small_config(planes=False)
+    out_dir = tmp_path_factory.mktemp("r")
+    cfg.max_iterations, cfg.out_dir = 30, str(out_dir)
+    run(cfg)
+    return json.loads((out_dir / "graph.json").read_text())
+
+
+@pytest.mark.parametrize("section, index, key, change", [
+    ("variables", 0, "id", lambda v: 0.5),
+    ("variables", 2, "prior_eta", lambda v: v[:2]),
+    ("variables", 1, "mean_cache", lambda v: [math.nan] + v[1:]),
+    ("factors", 3, "adjacency", lambda v: [v[0] + 0.5] + v[1:]),
+    ("camera", None, "fx", None),
+], ids=["fractional id", "wrong-shape prior", "non-finite mean", "fractional adjacency",
+        "camera without fx"])
+def test_cli_export_refuses_a_graph_file_with_a_bad_value(section, index, key, change,
+                                                          graph_doc, tmp_path, capsys):
+    # Values the graph or the camera refuses are a malformed file (exit 2),
+    # named by their node, not a runtime error.
+    doc = json.loads(json.dumps(graph_doc))
+    node = doc[section] if index is None else doc[section][index]
+    if change is None:
+        del node[key]
+    else:
+        node[key] = change(node[key])
+    graph_path, out = tmp_path / "graph.json", tmp_path / "recon.json"
+    graph_path.write_text(json.dumps(doc))
+    assert cli_main(["export", "--graph", str(graph_path), "--out", str(out)]) == 2
+    where = section if index is None else f"{section}[{index}]"
+    assert f"{where}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     def exhausted(config):
         raise CapacityError("pool 'reprojection' exhausted (capacity 0)")

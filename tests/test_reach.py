@@ -7,10 +7,12 @@ adjustment build with a few sweeps. A profiler hook records the code of every
 call into `src/planegbp`. The module-level functions and the methods defined
 in a class body that no run calls must be exactly `UNREACHED`: a function that
 no run reaches any more must be deleted or listed with its reason, and a
-listed one that a run reaches must leave the list.
+listed one that a run reaches must leave the list. Likewise, the fields of
+the config classes must be exactly `SETTINGS`.
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,10 +20,12 @@ import pytest
 
 import planegbp
 from planegbp import io_formats
+from planegbp.abstraction import AbstractionConfig
 from planegbp.cli import main as cli_main
 from planegbp.engine import GbpConfig, GbpEngine
-from planegbp.frontend import generate_scene
-from planegbp.harness import ExperimentConfig, build_ba_graph
+from planegbp.frontend import PlaneSpec, SceneSpec, generate_scene
+from planegbp.harness import ExperimentConfig, PriorConfig, build_ba_graph
+from planegbp.routing import PoolConfig
 from scenes import desk_config, merge_scene, wall_scene
 
 SRC = Path(planegbp.__file__).parent
@@ -38,7 +42,6 @@ UNREACHED = {
     "factors.own_poses": PIN + " (evaluate_factor's poses)",
     "gaussians.BlockLayout.slice_of": PIN,
     "factors.eval_linear_batch": ORACLE + " (the linear kind's kernel)",
-    "reference.assemble_dense": ORACLE + " (dense_marginals' system)",
     "reference.dense_marginals": ORACLE,
     "graph.FactorGraph.replay": ORACLE + " (journal replay)",
     "graph.FactorGraph.check_integrity": INVARIANT,
@@ -49,6 +52,22 @@ UNREACHED = {
     "geometry.Pose.identity": VALUE,
     "geometry.Pose.T": VALUE,
     "graph.FactorNode.arity": VALUE,
+}
+
+# Every settable value of a run, by config class.
+SETTINGS = {
+    ExperimentConfig: ("scene", "replay_path", "solver", "planes", "compression", "seed",
+                       "keyframe_interval", "max_iterations", "gbp", "abstraction", "priors",
+                       "out_dir"),
+    GbpConfig: ("damping", "dropout", "beta", "seed"),
+    AbstractionConfig: ("test_period", "merge_period", "iteration_scale"),
+    PriorConfig: ("default_depth", "bootstrap_t_sigma", "bootstrap_r_sigma"),
+    PoolConfig: ("max_variables", "max_factors", "max_edges_per_variable"),
+    SceneSpec: ("planes", "n_clutter", "clutter_low", "clutter_high",
+                "clutter_min_plane_distance", "n_keyframes", "traj_radius", "traj_span_deg",
+                "lookat", "camera", "pixel_sigma", "outlier_rate", "spurious_rate",
+                "spurious_members", "seed"),
+    PlaneSpec: ("normal", "d", "center", "extent", "n_points"),
 }
 
 
@@ -114,3 +133,10 @@ def reached_in(run, *args) -> set:
 def test_every_function_a_run_skips_is_listed_with_its_reason(tmp_path):
     unreached = defined() - reached_in(toy_runs, tmp_path)
     assert sorted(unreached) == sorted(UNREACHED)
+
+
+def test_every_setting_is_listed():
+    fields = {(cls.__name__, f.name) for cls in SETTINGS for f in dataclasses.fields(cls)}
+    listed = {(cls.__name__, name) for cls, names in SETTINGS.items() for name in names}
+    assert fields == listed
+    assert len(listed) == 45

@@ -9,7 +9,7 @@ from scipy.sparse import csc_matrix
 import planegbp
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import SingularGaussianError
-from planegbp.factors import linearise_batch, own_poses, robust_weight
+from planegbp.factors import linearise_batch, own_poses
 from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel
 from planegbp.graph import FACTOR_KINDS, LINEAR, POINT, PRIOR, FactorGraph
@@ -18,12 +18,11 @@ from planegbp.reference import (
     LAMBDA_FACTOR,
     LAMBDA_INIT,
     LAMBDA_MAX,
-    LmConfig,
+    LM_KERNEL,
+    LM_MAX_ITERATIONS,
     _lm_cost,
-    _lm_kernel,
     _solve_step,
     _System,
-    assemble_dense,
     avg_reprojection_px,
     dense_marginals,
     lm_solve,
@@ -131,7 +130,7 @@ def test_lm_zero_noise_ground_truth_init_converges_immediately():
     packets, camera, scene = _scene_inputs(cfg)
     graph, state = build_ba_graph(cfg, packets, camera, pose_noise=(0.0, 0.0),
                                   point_noise=0.0, scene=scene)
-    result = lm_solve(graph, LmConfig(kernel="none"))
+    result = lm_solve(graph)
     assert result.trace[0]["cost"] < 1e-9
     assert result.trace[-1]["avg_reproj_px"] < 1e-6
 
@@ -142,7 +141,7 @@ def test_lm_cost_non_increasing_and_converges(rng):
     packets, camera, scene = _scene_inputs(cfg)
     graph, state = build_ba_graph(cfg, packets, camera, pose_noise=(0.05, 0.02),
                                   point_noise=0.05, scene=scene)
-    result = lm_solve(graph, LmConfig(kernel="huber"))
+    result = lm_solve(graph)
     costs = [row["cost"] for row in result.trace]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
     assert result.converged
@@ -154,14 +153,14 @@ def test_lm_linear_graph_matches_dense_means(rng):
 
     g = build_linear_graph(rng, 8, random_tree_edges(rng, 8))
     oracle = dense_marginals(g)
-    result = lm_solve(g, LmConfig(kernel="none"))
+    result = lm_solve(g)
     for vid in g.variables:
         assert np.allclose(result.means[vid], oracle[vid].mean, atol=1e-10)
 
 
 # -- sparse assembly and step against the dense reference ----------------------
 
-def dense_assemble(system, x, weights=None):
+def dense_assemble(system, x, kernel="tukey"):
     """Joint (eta, lam) scattered with np.add.at into a dense (dim, dim)
     matrix, priors first, then the stacks in order: the reference for the
     compiled sparse assembly."""
@@ -174,33 +173,23 @@ def dense_assemble(system, x, weights=None):
     cam = system.graph.camera
     for stack, cols in zip(system.stacks, system.cols):
         # each factor rotates its own poses, where the system shares them
-        f_eta, f_lam, _ = linearise_batch(
-            stack, cam, x[cols], *own_poses(stack, x[cols]),
-            weight=None if weights is None else weights(stack)
-        )
+        f_eta, f_lam, _ = linearise_batch(stack, cam, x[cols], *own_poses(stack, x[cols]),
+                                          kernel=kernel)
         np.add.at(eta, cols, f_eta)
         np.add.at(lam, (cols[:, :, None], cols[:, None, :]), f_lam)
     return eta, lam
 
 
-def lm_weights(cfg):
-    def weights(stack):
-        kind = _lm_kernel(stack, cfg)
-        return lambda rho: robust_weight(kind, rho)
-    return weights
-
-
-def dense_lm_solve(graph, cfg):
+def dense_lm_solve(graph):
     """lm_solve's loop with a dense Hessian and np.linalg.solve steps; returns
     (means, per-step costs)."""
     system = _System(graph)
     x = system.flat({vid: node.mean for vid, node in graph.variables.items()})
-    weights = lm_weights(cfg)
     lam_damp = LAMBDA_INIT
-    cost = _lm_cost(system, x, cfg)
+    cost = _lm_cost(system, x)
     costs = [cost]
-    for _ in range(cfg.max_iterations):
-        eta, H = dense_assemble(system, x, weights)
+    for _ in range(LM_MAX_ITERATIONS):
+        eta, H = dense_assemble(system, x, LM_KERNEL)
         g = H @ x - eta
         converged = hit_max = False
         while True:
@@ -210,7 +199,7 @@ def dense_lm_solve(graph, cfg):
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
-                cand_cost = _lm_cost(system, x + delta, cfg)
+                cand_cost = _lm_cost(system, x + delta)
                 if cand_cost <= cost:
                     x = x + delta
                     rel = (cost - cand_cost) / max(cost, 1e-300)
@@ -250,11 +239,11 @@ def test_sparse_assembly_equals_dense_scatter(kind, rng):
     system = _System(graph)
     assert system.priors and len(system.stacks) >= (1 if kind == "ba" else 3)
     x = system.flat({vid: v.mean for vid, v in graph.variables.items()})
-    # each kind's loss, LM's Huber, and unweighted: Tukey zeroes most of the
+    # GBP's Tukey, LM's Huber, and unweighted: Tukey zeroes most of the
     # planar graph's far-off rows
-    for weights in (None, *(lm_weights(LmConfig(kernel=k)) for k in ("huber", "none"))):
-        eta, H = system.assemble(x, weights)
-        eta_ref, lam_ref = dense_assemble(system, x, weights)
+    for kernel in ("tukey", "huber", "none"):
+        eta, H = system.assemble(x, kernel)
+        eta_ref, lam_ref = dense_assemble(system, x, kernel)
         assert H.format == "csc"
         assert np.array_equal(eta, eta_ref)
         assert np.array_equal(H.toarray(), lam_ref)
@@ -262,9 +251,8 @@ def test_sparse_assembly_equals_dense_scatter(kind, rng):
 
 def test_lm_matches_dense_step_lm():
     graph = noisy_ba_graph()
-    cfg = LmConfig(kernel="huber")
-    result = lm_solve(graph, cfg)
-    means, costs = dense_lm_solve(graph, cfg)
+    result = lm_solve(graph)
+    means, costs = dense_lm_solve(graph)
     assert result.converged
     assert len(result.trace) == len(costs) > 2
     assert np.allclose([row["cost"] for row in result.trace], costs, rtol=1e-9, atol=0)
@@ -306,7 +294,7 @@ def test_damped_step_fill_stays_near_the_hessian():
     dim = system.layout.dim
     P = system.pose_cols.size
     assert (dim, H.nnz, P) == (174, 7794, 24)
-    assert lm_solve(graph, LmConfig(max_iterations=1)).fill <= H.nnz + P**2 + dim
+    assert lm_solve(graph).fill <= H.nnz + P**2 + dim
 
 
 def call_sites(names):
@@ -394,7 +382,7 @@ def test_lm_with_unconstrained_variable_terminates(rng):
     g = build_linear_graph(rng, 5, random_tree_edges(rng, 5))
     oracle = dense_marginals(g)
     free = g.add_variable(POINT, np.array([1.0, 2.0, 3.0]))
-    result = lm_solve(g, LmConfig(kernel="none"))
+    result = lm_solve(g)
     assert result.converged or result.hit_lambda_max
     assert np.array_equal(result.means[free], [1.0, 2.0, 3.0])
     for vid in oracle:
@@ -440,8 +428,10 @@ def landmark_coupling(graph) -> np.ndarray:
     """Entries of the joint precision, at the graph's means, that couple two
     distinct non-keyframe variables. Unweighted: this is the structure, and
     Tukey's weight would zero the far-off plane rows."""
-    means = {vid: v.mean for vid, v in graph.variables.items()}
-    _, lam, layout = assemble_dense(graph, means, robust=False)
+    system = _System(graph)
+    _, H = system.assemble(system.flat({vid: v.mean for vid, v in graph.variables.items()}),
+                           "none")
+    lam, layout = H.toarray(), system.layout
     owner = np.empty(layout.dim, dtype=int)
     for vid, off, width in layout.blocks:
         owner[off:off + width] = vid
@@ -474,7 +464,7 @@ def test_gbp_sweep_cost_is_structure_agnostic_direct_fill_is_not(rng):
         (sweep,) = sim.cost_report()
         assert sweep["hops"] == 4 * entries
         hops[name] = sweep["hops"]
-        fill[name] = lm_solve(g, LmConfig(max_iterations=1)).fill
+        fill[name] = lm_solve(g).fill
     assert hops["points"] == hops["planar"]
     assert all(isinstance(f, int) and f > 0 for f in fill.values())
     assert fill["points"] != fill["planar"]
