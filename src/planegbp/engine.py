@@ -23,7 +23,8 @@ sweep has reached yet is `fresh`: its first messages see zero incoming.
 A sweep rotates each pose once, not once per factor row: the rotations of
 the pose bank's means (with their right Jacobians for relinearisation) are
 computed once for the relinearisation and once for the metrics, and every
-batch's pose slots gather theirs through `rows` (`factors.evaluate_rows`).
+batch's pose slots take theirs at the batch's own `rows`, as the transport
+left them (`factors.evaluate_rows`).
 Messages are updated in place: damping writes into the batch's existing
 message arrays, in the same floating-point operations and order as a fresh
 computation.
@@ -148,8 +149,8 @@ class _Batch(_fm.FactorStack):
     # per-factor arrays, then the messages: per-position lists of them
     STATE = ("x0", "eta", "lam", "weight", "lin_valid", "fresh", "f2v_eta", "f2v_lam")
 
-    def __init__(self, key: tuple, nodes: list, banks: dict):
-        super().__init__(key, nodes, banks)
+    def __init__(self, key: tuple, nodes: list, banks: dict, camera):
+        super().__init__(key, nodes, banks, camera)
         n, D = self.n, self.joint_dim
         # linearisation state
         self.x0 = np.zeros((n, D))
@@ -205,11 +206,10 @@ class GbpEngine:
             if b.key in old_batches:
                 _carry(b, old_batches[b.key], _Batch.STATE)
             if b.spec.linear:
-                # exact factors: linearised once, about 0, when new; they
-                # have no pose slots
+                # exact factors: linearised once, about 0, when new
                 rows = np.flatnonzero(~b.lin_valid)
                 b.eta[rows], b.lam[rows], b.weight[rows] = _fm.linearise_batch(
-                    b, graph.camera, self._gather_x(b, rows), None, b.rows, rows
+                    b, np.zeros((rows.size, b.joint_dim)), None, rows
                 )
                 b.lin_valid[rows] = True
         self._attach()
@@ -270,7 +270,7 @@ class GbpEngine:
 
     def _rotations(self, want_jac: bool):
         """Rotations (and right Jacobians) of the pose bank's means, computed
-        once per sweep phase; a batch's pose slots gather theirs through
+        once per sweep phase; a batch's pose slots take theirs at their
         `rows`. Keyframes and rigid bodies share the 6-dim bank."""
         return pose_rotations_batch(self.banks[VARIABLE_DIMS[KEYFRAME]].mean, want_jac)
 
@@ -287,9 +287,7 @@ class GbpEngine:
         rows, Xr = rows[need], X[need]
         if rows.size == 0:
             return 0
-        b.eta[rows], b.lam[rows], b.weight[rows] = _fm.linearise_batch(
-            b, self.graph.camera, Xr, rot, [r[rows] for r in b.rows], rows
-        )
+        b.eta[rows], b.lam[rows], b.weight[rows] = _fm.linearise_batch(b, Xr, rot, rows)
         b.x0[rows] = Xr
         b.lin_valid[rows] = True
         return int(rows.size)
@@ -387,8 +385,7 @@ class GbpEngine:
 
     def _metrics(self):
         """`factors.residual_totals` at the banks' means."""
-        return _fm.residual_totals(self.batches, self.graph.camera,
-                                   map(self._gather_x, self.batches),
+        return _fm.residual_totals(self.batches, map(self._gather_x, self.batches),
                                    self._rotations(want_jac=False))
 
 

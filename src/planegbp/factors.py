@@ -10,10 +10,10 @@ and a validity mask: cheirality or plane-degeneracy failures flag a row as an
 outlier for the current iteration rather than raising. A pose slot arrives
 as `PoseRows`: its translations, its rotations R = exp(w) and, with
 want_jac, its right Jacobians Jr(w). No kernel exponentiates a rotation
-vector. The caller of `evaluate_rows` computes the rotations once over the
-distinct poses it holds (`geometry.pose_rotations_batch`) and names each
-row's pose among them; `evaluate_rows` gathers them per row. So a sweep
-rotates each pose once, not once per factor row.
+vector. The caller of `evaluate_rows` computes the rotations once per row of
+the pose bank (`geometry.pose_rotations_batch`), and `evaluate_rows` gathers
+each pose slot's through the stack's own `rows`. So a sweep rotates each pose
+once, not once per factor row.
 
 Each measurement model is written once: a rigid reprojection reprojects the
 body's baked point moved by the body's pose, and a rigid plane prediction
@@ -23,12 +23,12 @@ tracer wraps: a nested public call would count its rows twice.
 
 `compile_graph` compiles the graph once for the propagation engine, the dense
 oracle and Levenberg-Marquardt: a `VariableBank` per dimension and a
-`FactorStack` per kind and adjacency shape. Every solver evaluates through
-the stacks: `evaluate_rows` calls the kernel, `linearise_batch` turns rows
-into information form and `residual_totals` gives the energy and pixel error
-behind the convergence metrics. A row is one kernel evaluation: the factor
-itself, or for kinds with constituents (combined factors) one constituent,
-`owner` mapping it to its factor.
+`FactorStack` per kind and adjacency shape, which keeps the graph's camera.
+Every solver evaluates through the stacks: `evaluate_rows` calls the kernel,
+`linearise_batch` turns rows into information form and `residual_totals`
+gives the energy and pixel error behind the convergence metrics. A row is one
+kernel evaluation: the factor itself, or for kinds with constituents
+(combined factors) one constituent, `owner` mapping it to its factor.
 
 Linearisation follows the first-order expansion of the residual v(X) around
 X0 with robust-rescaled noise S' = S / w:
@@ -45,13 +45,13 @@ kind's loss under it: none for a linear kind (priors, linear factors), the
 named kernel for every other. Tukey's w = 0 turns the row into zero
 information until beliefs move again. A combined factor is the product of
 its constituents: their rows, each with its own weight, are summed into the
-factor. Linear kinds are exact: they are expanded about X0 = 0, so that eta
-is not formed by cancellation.
+factor. Linear kinds are exact: they are evaluated once, at X0 = 0, so that
+eta is not formed by cancellation.
 
-`evaluate_factor` is the one-factor view of the batched path, and
-`own_poses` poses a stack's rows by their own slots. No solver calls them:
-they stay because the benchmark's span tracer (`bench/spans.py`) wraps
-`evaluate_factor` by name, here and as re-exported by `reference`.
+`evaluate_factor` is the one-factor view of the batched path: it compiles the
+factor alone and poses each slot by its own rotation. No solver calls it: it
+stays because the benchmark's span tracer (`bench/spans.py`) wraps it by
+name, here and as re-exported by `reference`.
 """
 
 from __future__ import annotations
@@ -228,11 +228,6 @@ def _take(a, sel):
     return a if sel is None else a[sel]
 
 
-def _take_each(at, sel):
-    """Each slot's pose index `at[pos]` at `sel`; None stays None."""
-    return [None if a is None else a[sel] for a in at]
-
-
 def _stack(rows) -> np.ndarray:
     """`np.array(rows, dtype=float)` of equal-shape arrays, by one
     concatenate: half the time on thousands of small rows."""
@@ -273,20 +268,21 @@ class FactorStack:
     Row arrays: z (rows, m), sigma (rows, m) and payload[key]. `owner`
     (rows,) gives each row's factor for kinds with constituents and is None
     when rows are the factors themselves. `rows[pos]` holds each factor's
-    row in the bank `banks[pos]`.
+    row in the bank `banks[pos]`; a pose slot's rows also name its rotations
+    (see `evaluate_rows`). `camera` is the graph's.
     """
 
-    def __init__(self, key: tuple, nodes: list, banks: dict):
+    def __init__(self, key: tuple, nodes: list, banks: dict, camera: CameraModel):
         kind, dims, _ = key
         spec = FACTOR_KINDS[kind]
         self.key = key
+        self.camera = camera
         self.kind = kind
         self.spec = spec
         self.dims = dims
         self.offsets = tuple(int(o) for o in np.cumsum((0,) + dims)[:-1])
         self.joint_dim = int(sum(dims))
         self.ids = [f.id for f in nodes]
-        self.nodes = nodes
         self.adjacency = np.fromiter(
             chain.from_iterable([f.adjacency for f in nodes]), dtype=int,
             count=len(nodes) * len(dims)).reshape(len(nodes), len(dims))
@@ -340,44 +336,46 @@ def group_factors(graph, factors=None) -> list:
 
 
 def compile_graph(graph, factors=None, bank=VariableBank, stack=FactorStack) -> tuple:
-    """({dim: bank(dim, variables in id order)}, [stack(key, nodes, banks)
-    per `group_factors` group of `factors`]); the engine passes its classes,
-    which add propagation state. The 6-dim bank holds the POSE_KINDS."""
+    """({dim: bank(dim, variables in id order)}, [stack(key, nodes, banks,
+    graph.camera) per `group_factors` group of `factors`]); the engine passes
+    its classes, which add propagation state. The 6-dim bank holds the
+    POSE_KINDS."""
     nodes: dict = {d: [] for d in sorted(set(VARIABLE_DIMS.values()))}
     for vid in sorted(graph.variables):
         node = graph.variables[vid]
         nodes[node.dim].append(node)
     banks = {d: bank(d, group) for d, group in nodes.items()}
-    return banks, [stack(key, group, banks) for key, group in group_factors(graph, factors)]
+    return banks, [stack(key, group, banks, graph.camera)
+                   for key, group in group_factors(graph, factors)]
 
 
-def evaluate_rows(stack: FactorStack, cam, X, rot, at, sel=None, want_jac=True):
+def evaluate_rows(stack: FactorStack, X, rot, sel=None, want_jac=True):
     """(value, J, valid) of the stack's rows `sel` (all when None) at X.
 
     X holds the stacked adjacency means of those rows, (rows, joint_dim).
-    `rot` is `geometry.pose_rotations_batch` of the distinct poses the
-    caller holds, with Jr when want_jac, and `at[pos]` gives, for each pose
-    slot, each row's pose among them; other slots' entries are not read.
+    `rot` is `geometry.pose_rotations_batch` of the rows of the pose bank,
+    with Jr when want_jac: each pose slot takes its rotations at its
+    `stack.rows`, a constituent row at its owner's.
     """
     kernel = globals()[stack.spec.kernel]  # looked up per call, so it can be wrapped
     payload = [_take(stack.payload[key], sel) for key, _ in stack.spec.payload]
     params = [X[:, o:o + d] for o, d in zip(stack.offsets, stack.dims)]
     for pos in stack.spec.pose_slots:
         R, Jr = rot
-        i = at[pos]
+        i = _take(_take(stack.rows[pos], stack.owner), sel)
         params[pos] = PoseRows(params[pos][:, :3], R[i], Jr[i] if want_jac else None)
-    return kernel(cam, _take(stack.z, sel), *payload, *params, want_jac=want_jac)
+    return kernel(stack.camera, _take(stack.z, sel), *payload, *params, want_jac=want_jac)
 
 
-def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, kernel="tukey"):
+def linearise_batch(stack: FactorStack, X, rot, rows=None, kernel="tukey"):
     """(eta, lam, weight) of the stack's factors `rows` (all when None).
 
     X holds the factors' stacked adjacency means, (len(rows), joint_dim),
-    and `at` their pose slots' poses among the rotations `rot` (see
-    `evaluate_rows`). Each row is weighted by `robust_weight` of the kind's
-    loss under `kernel` (`FactorKind.loss`) at its Mahalanobis residual
-    norm. Invalid rows get weight 0. A factor's weight is the mean over its
-    rows.
+    and `rot` the pose bank's rotations (see `evaluate_rows`). Each row is
+    weighted by `robust_weight` of the kind's loss under `kernel`
+    (`FactorKind.loss`) at its Mahalanobis residual norm. Invalid rows get
+    weight 0. A factor's weight is the mean over its rows. An exact kind is
+    evaluated at 0 whatever X, and needs no `rot`.
     """
     owner = stack.owner
     sel, Xr = rows, X
@@ -389,17 +387,14 @@ def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, kernel="tuke
         sel = local >= 0
         local = local[sel]
         Xr = X[local]
-        at = _take_each(at, local)
-    value, J, valid = evaluate_rows(stack, cam, Xr, rot, at, sel)
+    if stack.spec.linear:
+        Xr = np.zeros_like(Xr)
+    value, J, valid = evaluate_rows(stack, Xr, rot, sel)
     inv_var = 1.0 / (_take(stack.sigma, sel) ** 2)
     rho = np.sqrt(np.sum(value**2 * inv_var, axis=1))
     w = np.where(valid, robust_weight(stack.spec.loss(kernel), rho), 0.0)
     D = inv_var * w[:, None]
-    if stack.spec.linear:
-        # exact kinds have no pose slots
-        t = -evaluate_rows(stack, cam, np.zeros_like(Xr), None, at, sel, want_jac=False)[0]
-    else:
-        t = (J @ Xr[:, :, None])[:, :, 0] - value
+    t = -value if stack.spec.linear else (J @ Xr[:, :, None])[:, :, 0] - value
     JD = J * D[:, :, None]
     lam = np.einsum("nki,nkj->nij", JD, J)
     eta = np.einsum("nki,nk->ni", JD, t)
@@ -417,26 +412,26 @@ def linearise_batch(stack: FactorStack, cam, X, rot, at, rows=None, kernel="tuke
     return eta, 0.5 * (lam + np.transpose(lam, (0, 2, 1))), w
 
 
-def residual_rows(stack: FactorStack, cam, X, rot, at):
-    """(values, valid) of every row at the factors' stacked means X, whose
-    pose slots' poses `at` index the rotations `rot` (Jr not needed).
+def residual_rows(stack: FactorStack, X, rot):
+    """(values, valid) of every row at the factors' stacked means X, posed by
+    the pose bank's rotations `rot` (Jr not needed).
 
     Invalid rows come back zeroed.
     """
     if stack.owner is not None:
-        X, at = X[stack.owner], _take_each(at, stack.owner)
-    value, _, valid = evaluate_rows(stack, cam, X, rot, at, want_jac=False)
+        X = X[stack.owner]
+    value, _, valid = evaluate_rows(stack, X, rot, want_jac=False)
     return np.where(valid[:, None], value, 0.0), valid
 
 
-def residual_sums(stack: FactorStack, cam, X, rot, at):
+def residual_sums(stack: FactorStack, X, rot):
     """(energy, pixel-error sum, pixel rows) of a stack at its factors' means
     X, posed as in `residual_rows`.
 
     The energy is half the squared Mahalanobis residual with the
     unrobustified noise; invalid rows count zero and no pixel error.
     """
-    value, valid = residual_rows(stack, cam, X, rot, at)
+    value, valid = residual_rows(stack, X, rot)
     energy = float(0.5 * np.sum((value / stack.sigma) ** 2))
     if not stack.spec.pixel:
         return energy, 0.0, 0
@@ -444,11 +439,11 @@ def residual_sums(stack: FactorStack, cam, X, rot, at):
     return energy, float(np.sum(norms[valid])), int(np.count_nonzero(valid))
 
 
-def residual_totals(stacks, cam, Xs, rot):
+def residual_totals(stacks, Xs, rot):
     """(energy, average pixel error, NaN without a valid pixel row) of the
-    stacks at their stacked means `Xs`, posed as in `residual_sums` by their
-    `rows`: the one metrics pass of the engine and of LM."""
-    sums = [residual_sums(s, cam, X, rot, s.rows) for s, X in zip(stacks, Xs)]
+    stacks at their stacked means `Xs`, posed as in `residual_sums`: the one
+    metrics pass of the engine and of LM."""
+    sums = [residual_sums(s, X, rot) for s, X in zip(stacks, Xs)]
     count = sum(n for _, _, n in sums)
     return (sum((e for e, _, _ in sums), 0.0),
             sum(px for _, px, _ in sums) / count if count else math.nan)
@@ -457,18 +452,6 @@ def residual_totals(stacks, cam, Xs, rot):
 # ---------------------------------------------------------------------------
 # One-factor view (tests; bench/spans.py wraps evaluate_factor)
 # ---------------------------------------------------------------------------
-
-def own_poses(stack: FactorStack, X, want_jac=True):
-    """(rot, at) that pose each row of X by its own pose slots: one rotation
-    per row and slot, none shared between rows. `evaluate_factor` uses it;
-    callers that hold many rows of few poses name the distinct poses."""
-    n, slots = X.shape[0], stack.spec.pose_slots
-    poses = [X[:, stack.offsets[pos]:][:, :stack.dims[pos]] for pos in slots]
-    rot = pose_rotations_batch(np.concatenate([np.zeros((0, 6))] + poses), want_jac)
-    at = [np.arange(n) + slots.index(pos) * n if pos in slots else None
-          for pos in range(stack.arity)]
-    return rot, at
-
 
 def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Residual:
     """Residual of one factor at the given variable means.
@@ -479,10 +462,15 @@ def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Re
     """
     stack = compile_graph(graph, [factor])[1][0]
     x0 = np.concatenate([np.asarray(means[vid], dtype=float) for vid in factor.adjacency])
+    slots = stack.spec.pose_slots
+    # the k-th pose slot is posed by the k-th rotation
+    rot = pose_rotations_batch(np.reshape(
+        [x0[stack.offsets[pos]:][:6] for pos in slots], (-1, 6)), want_jac)
+    for k, pos in enumerate(slots):
+        stack.rows[pos] = np.array([k])
     rows = 1 if stack.owner is None else stack.owner.size
     X = np.repeat(x0[None], rows, axis=0)
-    value, J, valid = evaluate_rows(stack, graph.camera, X, *own_poses(stack, X, want_jac),
-                                    want_jac=want_jac)
+    value, J, valid = evaluate_rows(stack, X, rot, want_jac=want_jac)
     value = np.where(valid[:, None], value, 0.0).reshape(-1)
     jac = {}
     if want_jac:

@@ -111,8 +111,8 @@ def pose_rotations_batch(poses: np.ndarray, want_jac: bool = True):
     Jacobian Jr(w), else None.
 
     The factor kernels take these instead of the rotation vectors: a caller
-    computes them once over the distinct poses it holds, and
-    `factors.evaluate_rows` gathers them for every pose slot's rows.
+    computes them once over the rows of the pose bank, and
+    `factors.evaluate_rows` takes each pose slot's at the stack's `rows`.
     """
     return _so3(poses[:, 3:], want_jac)
 

@@ -147,7 +147,7 @@ def _packets_for(config: ExperimentConfig):
         doc = io_formats.read_json(path, "packets")
         io_formats.require_fields(doc, ("camera", "packets"), path)
         packets = []
-        for i, p in enumerate(doc["packets"]):
+        for i, p in enumerate(io_formats.require_list(doc, "packets", path)):
             try:
                 packets.append(KeyframePacket.from_dict(p))
             except FormatError as exc:
@@ -562,9 +562,8 @@ def build_ba_graph(
         points = dict(zip(first_seen, noisy))
     graph = FactorGraph(camera=camera)
     state = _SlamState()
-    cfg = dataclasses.replace(config, planes=False)
     for packet, override in zip(packets, overrides):
-        _add_keyframe(graph, state, None, cfg, packet, 0, camera,
+        _add_keyframe(graph, state, None, config, packet, 0, camera,
                       pose_override=override, points=points)
     return graph, state
 

@@ -128,6 +128,14 @@ def require_fields(doc, keys, where) -> None:
             raise FormatError(f"{where}: missing field {key!r}")
 
 
+def require_list(doc, key, where) -> list:
+    """doc[key], or FormatError naming `where` and the field when it is not a list."""
+    if not isinstance(doc[key], list):
+        raise FormatError(f"{where}: field {key!r} must be a list, "
+                          f"got {type(doc[key]).__name__}")
+    return doc[key]
+
+
 @contextmanager
 def _refused(where):
     """FormatError naming `where` for a value the graph or the camera refuses."""
@@ -144,7 +152,7 @@ def graph_from_dict(doc: dict) -> FactorGraph:
     with _refused("camera"):
         camera = CameraModel(**doc["camera"]) if doc.get("camera") else None
     graph = FactorGraph(camera=camera)
-    for i, v in enumerate(doc["variables"]):
+    for i, v in enumerate(require_list(doc, "variables", "graph")):
         where = f"variables[{i}]"
         require_fields(v, ("id", "kind", "mean_cache", "prior_eta", "prior_lam",
                            "belief_eta", "belief_lam"), where)
@@ -154,7 +162,7 @@ def graph_from_dict(doc: dict) -> FactorGraph:
             graph.variables[v["id"]].belief = GaussianInfo(np.asarray(v["belief_eta"]),
                                                            np.asarray(v["belief_lam"]))
     # add_factor turns the payload lists back into arrays, per FACTOR_KINDS
-    for i, f in enumerate(doc["factors"]):
+    for i, f in enumerate(require_list(doc, "factors", "graph")):
         where = f"factors[{i}]"
         require_fields(f, ("id", "kind", "adjacency", "measurement", "sigma", "payload"),
                        where)
@@ -184,7 +192,11 @@ def write_graph(path, graph: FactorGraph) -> None:
 
 
 def read_graph(path) -> FactorGraph:
-    return graph_from_dict(read_json(path, "factor-graph"))
+    doc = read_json(path, "factor-graph")
+    try:
+        return graph_from_dict(doc)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,9 @@ class _System:
         """
         etas = [p_eta for _, p_eta, _ in self.priors]
         lams = [p_lam for _, _, p_lam in self.priors]
-        cam = self.graph.camera
         rot = self.rotations(x, want_jac=True)
         for stack, cols in zip(self.stacks, self.cols):
-            f_eta, f_lam, _ = linearise_batch(stack, cam, x[cols], rot, stack.rows, kernel=kernel)
+            f_eta, f_lam, _ = linearise_batch(stack, x[cols], rot, kernel=kernel)
             etas.append(f_eta)
             lams.append(f_lam)
         dim = self.layout.dim
@@ -180,7 +179,7 @@ def _lm_cost(system: _System, x: np.ndarray) -> float:
     cost = 0.0
     rot = system.rotations(x, want_jac=False)
     for stack, cols in zip(system.stacks, system.cols):
-        value, _ = residual_rows(stack, system.graph.camera, x[cols], rot, stack.rows)
+        value, _ = residual_rows(stack, x[cols], rot)
         s = np.sqrt(np.sum((value / stack.sigma) ** 2, axis=1))
         cost += float(np.sum(robust_cost(stack.spec.loss(LM_KERNEL), s)))
     for (cols, _, p_lam), mean in zip(system.priors, system.prior_means):
@@ -192,8 +191,7 @@ def _lm_cost(system: _System, x: np.ndarray) -> float:
 def avg_reprojection_px(system: _System, x: np.ndarray) -> float:
     """Mean pixel error at the flat means `x` over the valid pixel rows; NaN
     when there is none. It is `factors.residual_totals`, as the engine's."""
-    return residual_totals(system.stacks, system.graph.camera,
-                           (x[cols] for cols in system.cols),
+    return residual_totals(system.stacks, (x[cols] for cols in system.cols),
                            system.rotations(x, want_jac=False))[1]
 
 

@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from planegbp.engine import GbpConfig, GbpEngine
-from planegbp.factors import compile_graph, linearise_batch, own_poses, residual_sums
+from planegbp.factors import compile_graph, linearise_batch, residual_sums
 from planegbp.gaussians import REG_LAMBDA_REL, GaussianInfo
-from planegbp.geometry import project_cam_batch
+from planegbp.geometry import pose_rotations_batch, project_cam_batch
 from planegbp.graph import KEYFRAME, LINEAR, POINT, PRIOR, VARIABLE_DIMS, FactorGraph
 from planegbp.routing import ROUTED, PoolConfig
 
@@ -30,12 +32,29 @@ def pixel(cam, pose, p):
     return pix[0]
 
 
+def own_poses(stack, X, want_jac=True, rows=None):
+    """(posed stack, X, rot) that pose each row of X, the stack's factors
+    `rows` (all when None), by its own pose slots: one rotation per row and
+    slot, none shared between rows. `posed` is a shallow copy of the stack
+    whose pose slots' `rows` name those rotations. The per-row reference of
+    the solvers, which rotate each pose of the bank once."""
+    n, slots = X.shape[0], stack.spec.pose_slots
+    poses = [X[:, stack.offsets[pos]:][:, :stack.dims[pos]] for pos in slots]
+    rot = pose_rotations_batch(np.concatenate([np.zeros((0, 6))] + poses), want_jac)
+    posed = copy.copy(stack)
+    posed.rows = list(stack.rows)
+    for k, pos in enumerate(slots):
+        posed.rows[pos] = np.zeros(stack.n, dtype=int)
+        posed.rows[pos][slice(None) if rows is None else rows] = np.arange(n) + k * n
+    return posed, X, rot
+
+
 def one_factor(g, fac, means, want_jac=True):
-    """(stack, camera, X, rot, at) of `fac` alone in a stack, at `means`, posed
-    by its own slots: the arguments of `linearise_batch` and `residual_sums`."""
+    """(stack, X, rot) of `fac` alone in a stack, at `means`, posed by its own
+    slots: the arguments of `linearise_batch` and `residual_sums`."""
     stack = compile_graph(g, [fac])[1][0]
     X = np.concatenate([np.asarray(means[v], dtype=float) for v in fac.adjacency])[None]
-    return (stack, g.camera, X, *own_poses(stack, X, want_jac))
+    return own_poses(stack, X, want_jac)
 
 
 def linearise_one(g, fac, means) -> GaussianInfo:

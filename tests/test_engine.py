@@ -26,7 +26,7 @@ from planegbp.graph import (
 from planegbp.harness import build_ba_graph, energy_converged
 from planegbp.frontend import generate_scene
 from planegbp.routing import RoutedTransport, RoutingSimulator
-from planegbp.factors import linearise_batch, own_poses, residual_sums
+from planegbp.factors import linearise_batch, residual_sums
 from planegbp.reference import dense_marginals
 from conftest import (
     GENEROUS_POOLS,
@@ -35,6 +35,7 @@ from conftest import (
     dropout_masks,
     engine_quotient,
     linearise_one,
+    own_poses,
     pixel,
     random_info,
     random_tree_edges,
@@ -555,12 +556,12 @@ def test_linearisation_and_metrics_equal_per_row_rotations(rng):
         for b in eng.batches:
             done = np.flatnonzero(b.lin_valid)
             x0 = b.x0[done]
-            eta, lam, weight = linearise_batch(b, CAM, x0, *own_poses(b, x0), done)
+            eta, lam, weight = linearise_batch(*own_poses(b, x0, rows=done), done)
             assert np.array_equal(eta, b.eta[done])
             assert np.array_equal(lam, b.lam[done])
             assert np.array_equal(weight, b.weight[done])
             X = np.stack([np.concatenate([means[v] for v in adj]) for adj in b.adjacency])
-            e, p, c = residual_sums(b, CAM, X, *own_poses(b, X, want_jac=False))
+            e, p, c = residual_sums(*own_poses(b, X, want_jac=False))
             energy, px, count = energy + e, px + p, count + c
             kinds.add(b.kind)
         assert report.total_energy == energy

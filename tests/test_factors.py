@@ -38,11 +38,10 @@ from planegbp.factors import (
     evaluate_factor,
     group_factors,
     linearise_batch,
-    own_poses,
     robust_cost,
     robust_weight,
 )
-from conftest import energy_one, fd_jacobian, linearise_one, one_factor, pixel
+from conftest import energy_one, fd_jacobian, linearise_one, one_factor, own_poses, pixel
 
 CAM = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -329,8 +328,24 @@ def test_outlier_flag_yields_zero_information(rng):
     assert not (np.any(out.eta) or np.any(out.lam))
     stack = compile_graph(g, [g.factors[fid]])[1][0]
     X = np.array([[0.0] * 6 + [0.0, 0.0, -3.0]])
-    _, _, w = linearise_batch(stack, CAM, X, *own_poses(stack, X))
+    _, _, w = linearise_batch(*own_poses(stack, X))
     assert w[0] == 0.0
+
+
+def test_exact_kind_is_evaluated_once_at_zero(monkeypatch):
+    # an exact kind's kernel runs once per linearisation, at 0 whatever X
+    calls = []
+    kernel = factors.eval_prior_batch
+    monkeypatch.setattr(factors, "eval_prior_batch",
+                        lambda *a, **kw: calls.append(a[2].copy()) or kernel(*a, **kw))
+    g = FactorGraph(camera=CAM)
+    v = g.add_variable(POINT, np.ones(3))
+    g.add_factor(PRIOR, (v,), np.array([1.0, 2.0, 3.0]), 0.5)
+    stack = compile_graph(g)[1][0]
+    eta, lam, w = linearise_batch(stack, np.full((1, 3), 7.0), None)
+    assert len(calls) == 1 and not np.any(calls[0])
+    assert np.array_equal(eta[0], [4.0, 8.0, 12.0])
+    assert np.array_equal(lam[0], 4.0 * np.eye(3)) and w[0] == 1.0
 
 
 def test_degenerate_baked_plane_yields_zero_information():
@@ -342,8 +357,7 @@ def test_degenerate_baked_plane_yields_zero_information():
     fid = g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), np.array([0.0, 0.0, 3.0]), 0.2,
                        payload={"pi_conv": np.zeros(3)})
     stack = compile_graph(g, [g.factors[fid]])[1][0]
-    eta, lam, w = linearise_batch(stack, CAM, np.zeros((1, 12)),
-                                  *own_poses(stack, np.zeros((1, 12))))
+    eta, lam, w = linearise_batch(*own_poses(stack, np.zeros((1, 12))))
     assert w[0] == 0.0
     assert np.all(np.isfinite(eta)) and np.all(np.isfinite(lam))
     eng = GbpEngine(g, GbpConfig(damping=0.0, dropout=0.0))
@@ -549,7 +563,8 @@ def test_stacks_hold_each_field_of_their_nodes(rng):
         else:
             rows = [(i, (f.measurement, *(f.payload[k] for k in keys)))
                     for i, f in enumerate(nodes)]
-        stack = FactorStack((kind, dims, m), nodes, banks)
+        stack = FactorStack((kind, dims, m), nodes, banks, g.camera)
+        assert stack.camera is g.camera
         for pos, d in enumerate(dims):  # each position's variables are its bank rows
             assert stack.banks[pos] is banks[d]
             assert np.array_equal(banks[d].ids[stack.rows[pos]], stack.adjacency[:, pos])
@@ -586,8 +601,8 @@ def test_batched_linearisation_matches_loop_reference(rng):
         kinds, weights = set(), []
         for stack in compile_graph(g)[1]:
             X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
-            eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X), kernel=kernel)
-            for i, fac in enumerate(stack.nodes):
+            eta, lam, w = linearise_batch(*own_poses(stack, X), kernel=kernel)
+            for i, fac in enumerate(g.factors[fid] for fid in stack.ids):
                 ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means, kernel)
                 assert_close(eta[i], ref_eta)
                 assert_close(lam[i], ref_lam)
@@ -597,8 +612,7 @@ def test_batched_linearisation_matches_loop_reference(rng):
                 weights.append(w)
             # a subset of the factors, as the engine relinearises them
             rows = np.arange(stack.n)[::2]
-            sub = linearise_batch(stack, CAM, X[rows], *own_poses(stack, X[rows]), rows,
-                                  kernel)
+            sub = linearise_batch(*own_poses(stack, X[rows], rows=rows), rows, kernel)
             for full, part in zip((eta, lam, w), sub):
                 assert np.array_equal(full[rows], part)
         assert len(kinds) == 7  # five measurement kinds, prior, linear
@@ -615,8 +629,8 @@ def test_one_factor_linearise_is_the_batched_path(rng):
     rows = {}
     for stack in compile_graph(g)[1]:
         X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
-        eta, lam, w = linearise_batch(stack, CAM, X, *own_poses(stack, X))
-        rows.update((fac.id, (eta[i], lam[i], w[i])) for i, fac in enumerate(stack.nodes))
+        eta, lam, w = linearise_batch(*own_poses(stack, X))
+        rows.update((fid, (eta[i], lam[i], w[i])) for i, fid in enumerate(stack.ids))
     for fac in g.factors.values():
         eta, lam, w = linearise_batch(*one_factor(g, fac, means))
         ref_eta, ref_lam, ref_w = linearise_loop(g, fac, means)

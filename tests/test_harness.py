@@ -558,6 +558,14 @@ def test_cli_refuses_a_packet_file_whose_camera_lacks_a_field(replay_packets, tm
     assert "field 'camera'" in replay_refused(doc, tmp_path, capsys)
 
 
+def test_cli_refuses_a_packet_file_whose_packets_are_not_a_list(replay_packets, tmp_path,
+                                                                capsys):
+    doc = json.loads(json.dumps(replay_packets))
+    doc["packets"] = 3
+    err = replay_refused(doc, tmp_path, capsys)
+    assert f"{tmp_path / 'packets.json'}: field 'packets' must be a list" in err
+
+
 def test_replayed_packets_read_back_as_written(replay_packets):
     from planegbp.frontend import KeyframePacket
 
@@ -581,7 +589,7 @@ def test_cli_export_refuses_a_graph_file_with_a_missing_field(section, index, ke
     out = tmp_path / "recon.json"
     assert cli_main(["export", "--graph", str(graph_path), "--out", str(out)]) == 2
     where = "graph" if section is None else f"{section}[{index}]"
-    assert f"{where}: missing field {key!r}" in capsys.readouterr().err
+    assert f"{graph_path}: {where}: missing field {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -600,14 +608,16 @@ def graph_doc(tmp_path_factory):
     ("variables", 1, "mean_cache", lambda v: [math.nan] + v[1:]),
     ("factors", 3, "adjacency", lambda v: [v[0] + 0.5] + v[1:]),
     ("camera", None, "fx", None),
+    (None, None, "variables", lambda v: 5),
+    (None, None, "factors", lambda v: None),
 ], ids=["fractional id", "wrong-shape prior", "non-finite mean", "fractional adjacency",
-        "camera without fx"])
+        "camera without fx", "variables not a list", "factors not a list"])
 def test_cli_export_refuses_a_graph_file_with_a_bad_value(section, index, key, change,
                                                           graph_doc, tmp_path, capsys):
     # Values the graph or the camera refuses are a malformed file (exit 2),
-    # named by their node, not a runtime error.
+    # named by the file and their node, not a runtime error.
     doc = json.loads(json.dumps(graph_doc))
-    node = doc[section] if index is None else doc[section][index]
+    node = doc if section is None else doc[section] if index is None else doc[section][index]
     if change is None:
         del node[key]
     else:
@@ -615,8 +625,11 @@ def test_cli_export_refuses_a_graph_file_with_a_bad_value(section, index, key, c
     graph_path, out = tmp_path / "graph.json", tmp_path / "recon.json"
     graph_path.write_text(json.dumps(doc))
     assert cli_main(["export", "--graph", str(graph_path), "--out", str(out)]) == 2
-    where = section if index is None else f"{section}[{index}]"
-    assert f"{where}: " in capsys.readouterr().err
+    where = "graph" if section is None else section if index is None else f"{section}[{index}]"
+    err = capsys.readouterr().err
+    assert f"{graph_path}: {where}: " in err
+    if section is None:
+        assert f"field {key!r} must be a list" in err
     assert not out.exists()
 
 

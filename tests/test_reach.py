@@ -39,7 +39,6 @@ VALUE = "a small value-type convenience"
 
 UNREACHED = {
     "factors.evaluate_factor": PIN,
-    "factors.own_poses": PIN + " (evaluate_factor's poses)",
     "gaussians.BlockLayout.slice_of": PIN,
     "factors.eval_linear_batch": ORACLE + " (the linear kind's kernel)",
     "reference.dense_marginals": ORACLE,

@@ -9,7 +9,7 @@ from scipy.sparse import csc_matrix
 import planegbp
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import SingularGaussianError
-from planegbp.factors import linearise_batch, own_poses
+from planegbp.factors import linearise_batch
 from planegbp.gaussians import GaussianInfo
 from planegbp.geometry import CameraModel
 from planegbp.graph import FACTOR_KINDS, LINEAR, POINT, PRIOR, FactorGraph
@@ -37,7 +37,7 @@ from planegbp.graph import (
     PLANE_PREDICTION,
     REPROJECTION,
 )
-from conftest import GENEROUS_POOLS
+from conftest import GENEROUS_POOLS, own_poses
 
 
 def test_dense_marginals_single_unary_variable():
@@ -170,11 +170,9 @@ def dense_assemble(system, x, kernel="tukey"):
     for cols, p_eta, p_lam in system.priors:
         np.add.at(eta, cols, p_eta)
         np.add.at(lam, (cols[:, :, None], cols[:, None, :]), p_lam)
-    cam = system.graph.camera
     for stack, cols in zip(system.stacks, system.cols):
         # each factor rotates its own poses, where the system shares them
-        f_eta, f_lam, _ = linearise_batch(stack, cam, x[cols], *own_poses(stack, x[cols]),
-                                          kernel=kernel)
+        f_eta, f_lam, _ = linearise_batch(*own_poses(stack, x[cols]), kernel=kernel)
         np.add.at(eta, cols, f_eta)
         np.add.at(lam, (cols[:, :, None], cols[:, None, :]), f_lam)
     return eta, lam
