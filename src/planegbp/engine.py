@@ -385,8 +385,9 @@ class GbpEngine:
 
     def _metrics(self):
         """`factors.residual_totals` at the banks' means."""
-        return _fm.residual_totals(self.batches, map(self._gather_x, self.batches),
-                                   self._rotations(want_jac=False))
+        rot = self._rotations(want_jac=False)
+        return _fm.residual_totals(self.batches, [
+            _fm.residual_rows(b, self._gather_x(b), rot) for b in self.batches])
 
 
 def _schur(b: _Batch, target: int, rows):

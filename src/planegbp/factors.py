@@ -25,10 +25,11 @@ tracer wraps: a nested public call would count its rows twice.
 oracle and Levenberg-Marquardt: a `VariableBank` per dimension and a
 `FactorStack` per kind and adjacency shape, which keeps the graph's camera.
 Every solver evaluates through the stacks: `evaluate_rows` calls the kernel,
-`linearise_batch` turns rows into information form and `residual_totals`
-gives the energy and pixel error behind the convergence metrics. A row is one
-kernel evaluation: the factor itself, or for kinds with constituents
-(combined factors) one constituent, `owner` mapping it to its factor.
+`linearise_batch` turns rows into information form, and `residual_totals`
+gives the energy and pixel error behind the convergence metrics from the
+rows of `residual_rows`. A row is one kernel evaluation: the factor itself,
+or for kinds with constituents (combined factors) one constituent, `owner`
+mapping it to its factor.
 
 Linearisation follows the first-order expansion of the residual v(X) around
 X0 with robust-rescaled noise S' = S / w:
@@ -376,6 +377,13 @@ def linearise_batch(stack: FactorStack, X, rot, rows=None, kernel="tukey"):
     (`FactorKind.loss`) at its Mahalanobis residual norm. Invalid rows get
     weight 0. A factor's weight is the mean over its rows. An exact kind is
     evaluated at 0 whatever X, and needs no `rot`.
+
+    lam = J^T D J is summed in a fixed order (`_outer_sum`): from +0.0, one
+    measurement component after another. That is
+    `np.einsum("nki,nkj->nij", J D, J)`'s own sum, bit for bit, signed
+    zeros included. The order stays fixed because a run's decisions follow
+    every bit of lam: a 1.8e-15 change in it flips the plane verdict of
+    `test_export_reconstruction_box_room`.
     """
     owner = stack.owner
     sel, Xr = rows, X
@@ -396,7 +404,7 @@ def linearise_batch(stack: FactorStack, X, rot, rows=None, kernel="tukey"):
     D = inv_var * w[:, None]
     t = -value if stack.spec.linear else (J @ Xr[:, :, None])[:, :, 0] - value
     JD = J * D[:, :, None]
-    lam = np.einsum("nki,nkj->nij", JD, J)
+    lam = _outer_sum(JD, J)
     eta = np.einsum("nki,nk->ni", JD, t)
     if owner is not None:
         n = X.shape[0]
@@ -409,7 +417,21 @@ def linearise_batch(stack: FactorStack, X, rot, rows=None, kernel="tukey"):
         np.add.at(wsum, local, w)
         np.add.at(cnt, local, 1.0)
         lam, eta, w = lam_f, eta_f, wsum / np.maximum(cnt, 1.0)
-    return eta, 0.5 * (lam + np.transpose(lam, (0, 2, 1))), w
+    # C order, as einsum gave it: the engine's matmuls on lam keep their path
+    return eta, np.ascontiguousarray(0.5 * (lam + np.transpose(lam, (0, 2, 1)))), w
+
+
+def _outer_sum(JD, J):
+    """Sum over k of the outer products of JD[n, k] and J[n, k], (n, D, D),
+    in the order `linearise_batch` states, as a view of a (D, D, n) array.
+    It runs on component-major copies, so that each product is one multiply
+    over contiguous rows."""
+    JDc = np.ascontiguousarray(JD.transpose(1, 2, 0))
+    Jc = np.ascontiguousarray(J.transpose(1, 2, 0))
+    lam = np.zeros((JDc.shape[1], Jc.shape[1], Jc.shape[2]))
+    for JDk, Jk in zip(JDc, Jc):
+        lam += JDk[:, None, :] * Jk[None, :, :]
+    return lam.transpose(2, 0, 1)
 
 
 def residual_rows(stack: FactorStack, X, rot):
@@ -424,14 +446,13 @@ def residual_rows(stack: FactorStack, X, rot):
     return np.where(valid[:, None], value, 0.0), valid
 
 
-def residual_sums(stack: FactorStack, X, rot):
-    """(energy, pixel-error sum, pixel rows) of a stack at its factors' means
-    X, posed as in `residual_rows`.
+def residual_sums(stack: FactorStack, value, valid):
+    """(energy, pixel-error sum, pixel rows) of a stack's `residual_rows`
+    (value, valid).
 
     The energy is half the squared Mahalanobis residual with the
     unrobustified noise; invalid rows count zero and no pixel error.
     """
-    value, valid = residual_rows(stack, X, rot)
     energy = float(0.5 * np.sum((value / stack.sigma) ** 2))
     if not stack.spec.pixel:
         return energy, 0.0, 0
@@ -439,11 +460,11 @@ def residual_sums(stack: FactorStack, X, rot):
     return energy, float(np.sum(norms[valid])), int(np.count_nonzero(valid))
 
 
-def residual_totals(stacks, Xs, rot):
+def residual_totals(stacks, rows):
     """(energy, average pixel error, NaN without a valid pixel row) of the
-    stacks at their stacked means `Xs`, posed as in `residual_sums`: the one
-    metrics pass of the engine and of LM."""
-    sums = [residual_sums(s, X, rot) for s, X in zip(stacks, Xs)]
+    stacks from their `residual_rows` `rows`, summed as in `residual_sums`:
+    the one metrics pass of the engine and of LM."""
+    sums = [residual_sums(s, *r) for s, r in zip(stacks, rows)]
     count = sum(n for _, _, n in sums)
     return (sum((e for e, _, _ in sums), 0.0),
             sum(px for _, px, _ in sums) / count if count else math.nan)

@@ -13,16 +13,24 @@
   the gradient is H x - eta. H stays sparse, in a CSC pattern compiled once
   per solve, and each damped step is factorised by SuperLU as the symmetric
   positive-definite system it is: symmetric mode, diagonal pivots and the
-  COLAMD ordering. The result reports the fill of the first damped
-  factorisation, the entries that factorisation stores for L and U: the
-  cost a direct solver pays for the graph's structure, where GBP's
-  per-sweep cost (the routing simulator's hops) depends on the number of
-  edges alone. The damping starts at LAMBDA_INIT and is divided by
-  LAMBDA_FACTOR after an accepted step, multiplied after a rejected one; LM
-  stops after LM_MAX_ITERATIONS steps, past LAMBDA_MAX or when a step gains
-  less than COST_REL_TOL of the cost. Each kind's loss under LM_KERNEL is
-  `FactorKind.loss`, as in the engine: its weight is
-  `factors.robust_weight` and its cost `factors.robust_cost`.
+  COLAMD ordering. The storage is built once per solve too: one CSC matrix
+  with int32 indices, which SuperLU takes as they are, receives H's values
+  at each step, and a second one receives H plus the damping at each
+  attempt. No step builds, copies or format-checks a sparse matrix. Each
+  point is evaluated once: its cost and its pixel error share one
+  `residual_rows` pass, which the system keeps for the last point.
+  `avg_reprojection_px`, called once at the start and once per accepted
+  step, returns `factors.residual_totals`' pixel error at its point, bit
+  for bit. The result reports the fill of the first damped factorisation,
+  the entries that factorisation stores for L and U: the cost a direct
+  solver pays for the graph's structure, where GBP's per-sweep cost (the
+  routing simulator's hops) depends on the number of edges alone. The damping
+  starts at LAMBDA_INIT and is divided by LAMBDA_FACTOR after an accepted
+  step, multiplied after a rejected one; LM stops after LM_MAX_ITERATIONS
+  steps, past LAMBDA_MAX or when a step gains less than COST_REL_TOL of the
+  cost. Each kind's loss under LM_KERNEL is `FactorKind.loss`, as in the
+  engine: its weight is `factors.robust_weight` and its cost
+  `factors.robust_cost`.
 """
 
 from __future__ import annotations
@@ -62,6 +70,10 @@ class _System:
     The joint precision's sparsity is compiled here: every prior and factor
     block entry, priors first and then the stacks in order, maps to its slot
     in one CSC pattern (`slot`), which always holds the diagonal (`diag`).
+    Two matrices in that pattern are built once, with int32 indices, which
+    SuperLU takes as they are: the Hessian that `assemble` fills and the
+    damped copy that `damped` fills. `residuals` keeps the residual rows of
+    the last point it evaluated.
     """
 
     def __init__(self, graph: FactorGraph):
@@ -92,8 +104,12 @@ class _System:
             (c[:, None, :] * dim + c[:, :, None]).ravel() for c in blocks
         ]), return_inverse=True)
         self.diag, self.slot = inverse[:dim], inverse[dim:]
-        self.indices = pattern % dim
-        self.indptr = np.searchsorted(pattern, np.arange(dim + 1) * dim)
+        indices = (pattern % dim).astype(np.int32)
+        indptr = np.searchsorted(pattern, np.arange(dim + 1) * dim).astype(np.int32)
+        self.hessian, self._damped = (
+            csc_matrix((np.zeros(pattern.size), indices, indptr), shape=(dim, dim))
+            for _ in range(2))
+        self._point = self._rows = None
 
     def flat(self, means: dict) -> np.ndarray:
         return np.concatenate([np.zeros(0)] + [
@@ -107,13 +123,26 @@ class _System:
         """Rotations (and right Jacobians) of the pose variables at x."""
         return pose_rotations_batch(x[self.pose_cols], want_jac)
 
+    def residuals(self, x: np.ndarray) -> list:
+        """Each stack's `factors.residual_rows` at the flat means x. The rows
+        of the last point are kept, and a point equal to it by value is not
+        evaluated again."""
+        if self._point is None or not np.array_equal(self._point, x):
+            rot = self.rotations(x, want_jac=False)
+            self._rows = [residual_rows(stack, x[cols], rot)
+                          for stack, cols in zip(self.stacks, self.cols)]
+            self._point = x.copy()
+        return self._rows
+
     def assemble(self, x: np.ndarray, kernel="tukey"):
         """Joint (eta, lam) at x: priors plus every stack's linearisation
         under `kernel` (see `factors.linearise_batch`).
 
-        lam is a CSC matrix in the compiled pattern. Each quantity is one
-        bincount over the block entries in priors-then-stacks order, which
-        adds them in the order a sequential scatter would.
+        lam is `self.hessian`, the CSC matrix in the compiled pattern, with
+        its values written in place: it stays valid until the next
+        `assemble` of this system. Each quantity is one bincount over the
+        block entries in priors-then-stacks order, which adds them in the
+        order a sequential scatter would.
         """
         etas = [p_eta for _, p_eta, _ in self.priors]
         lams = [p_lam for _, _, p_lam in self.priors]
@@ -124,8 +153,16 @@ class _System:
             lams.append(f_lam)
         dim = self.layout.dim
         eta = _sum_into(self.eta_cols, etas, dim)
-        lam = _sum_into(self.slot, lams, self.indices.size)
-        return eta, csc_matrix((lam, self.indices, self.indptr), shape=(dim, dim))
+        self.hessian.data[:] = _sum_into(self.slot, lams, self.hessian.nnz)
+        return eta, self.hessian
+
+    def damped(self, shift: np.ndarray) -> csc_matrix:
+        """The last assembled Hessian plus `shift` on its diagonal, written
+        into the system's second matrix; valid until the next call."""
+        damp = self._damped
+        damp.data[:] = self.hessian.data
+        damp.data[self.diag] += shift
+        return damp
 
 
 def _sum_into(slots: np.ndarray, blocks: list, size: int) -> np.ndarray:
@@ -177,9 +214,7 @@ class LmResult:
 
 def _lm_cost(system: _System, x: np.ndarray) -> float:
     cost = 0.0
-    rot = system.rotations(x, want_jac=False)
-    for stack, cols in zip(system.stacks, system.cols):
-        value, _ = residual_rows(stack, x[cols], rot)
+    for stack, (value, _) in zip(system.stacks, system.residuals(x)):
         s = np.sqrt(np.sum((value / stack.sigma) ** 2, axis=1))
         cost += float(np.sum(robust_cost(stack.spec.loss(LM_KERNEL), s)))
     for (cols, _, p_lam), mean in zip(system.priors, system.prior_means):
@@ -190,9 +225,9 @@ def _lm_cost(system: _System, x: np.ndarray) -> float:
 
 def avg_reprojection_px(system: _System, x: np.ndarray) -> float:
     """Mean pixel error at the flat means `x` over the valid pixel rows; NaN
-    when there is none. It is `factors.residual_totals`, as the engine's."""
-    return residual_totals(system.stacks, (x[cols] for cols in system.cols),
-                           system.rotations(x, want_jac=False))[1]
+    when there is none. It is `factors.residual_totals`, as the engine's, of
+    the rows `system.residuals` holds."""
+    return residual_totals(system.stacks, system.residuals(x))[1]
 
 
 def _solve_step(damp: csc_matrix, rhs: np.ndarray):
@@ -233,9 +268,7 @@ def lm_solve(graph: FactorGraph) -> LmResult:
 
         accepted = False
         while not accepted:
-            damp = H.copy()
-            damp.data[system.diag] += lam_damp * h_diag
-            delta, step_fill = _solve_step(damp, -g)
+            delta, step_fill = _solve_step(system.damped(lam_damp * h_diag), -g)
             if fill is None:
                 fill = step_fill
             if delta is not None and np.all(np.isfinite(delta)):

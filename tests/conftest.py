@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from planegbp.engine import GbpConfig, GbpEngine
-from planegbp.factors import compile_graph, linearise_batch, residual_sums
+from planegbp.factors import compile_graph, linearise_batch, residual_rows, residual_sums
 from planegbp.gaussians import REG_LAMBDA_REL, GaussianInfo
 from planegbp.geometry import pose_rotations_batch, project_cam_batch
 from planegbp.graph import KEYFRAME, LINEAR, POINT, PRIOR, VARIABLE_DIMS, FactorGraph
@@ -51,7 +51,7 @@ def own_poses(stack, X, want_jac=True, rows=None):
 
 def one_factor(g, fac, means, want_jac=True):
     """(stack, X, rot) of `fac` alone in a stack, at `means`, posed by its own
-    slots: the arguments of `linearise_batch` and `residual_sums`."""
+    slots: the arguments of `linearise_batch` and `residual_rows`."""
     stack = compile_graph(g, [fac])[1][0]
     X = np.concatenate([np.asarray(means[v], dtype=float) for v in fac.adjacency])[None]
     return own_poses(stack, X, want_jac)
@@ -63,7 +63,8 @@ def linearise_one(g, fac, means) -> GaussianInfo:
 
 
 def energy_one(g, fac, means) -> float:
-    return residual_sums(*one_factor(g, fac, means, want_jac=False))[0]
+    posed, X, rot = one_factor(g, fac, means, want_jac=False)
+    return residual_sums(posed, *residual_rows(posed, X, rot))[0]
 
 
 # Routing pools for every variable and routed factor kind, larger than any test graph.

@@ -26,7 +26,7 @@ from planegbp.graph import (
 from planegbp.harness import build_ba_graph, energy_converged
 from planegbp.frontend import generate_scene
 from planegbp.routing import RoutedTransport, RoutingSimulator
-from planegbp.factors import linearise_batch, residual_sums
+from planegbp.factors import linearise_batch, residual_rows, residual_sums
 from planegbp.reference import dense_marginals
 from conftest import (
     GENEROUS_POOLS,
@@ -561,7 +561,7 @@ def test_linearisation_and_metrics_equal_per_row_rotations(rng):
             assert np.array_equal(lam, b.lam[done])
             assert np.array_equal(weight, b.weight[done])
             X = np.stack([np.concatenate([means[v] for v in adj]) for adj in b.adjacency])
-            e, p, c = residual_sums(*own_poses(b, X, want_jac=False))
+            e, p, c = residual_sums(b, *residual_rows(*own_poses(b, X, want_jac=False)))
             energy, px, count = energy + e, px + p, count + c
             kinds.add(b.kind)
         assert report.total_energy == energy

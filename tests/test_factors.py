@@ -638,3 +638,43 @@ def test_one_factor_linearise_is_the_batched_path(rng):
         assert_close(lam[0], ref_lam)
         assert np.isclose(w[0], ref_w, rtol=1e-12, atol=1e-12)
         assert all(np.array_equal(a[0], b) for a, b in zip((eta, lam, w), rows[fac.id]))
+
+
+def test_lam_is_the_einsum_sum_bit_for_bit(rng):
+    # linearise_batch sums J^T D J one measurement component at a time; its
+    # lam must be np.einsum's own sum, signed zeros included, on every kind,
+    # Tukey-zeroed and invalid rows among them: the engine's beliefs follow
+    # every bit of lam.
+    g = every_kind_graph(rng)
+    far = next(f for f in g.factors.values() if f.kind == REPROJECTION)
+    g.add_factor(REPROJECTION, far.adjacency, far.measurement + [90.0, -60.0], 2.0)
+    means = {vid: v.mean for vid, v in g.variables.items()}
+    zeroed = invalid = negative_zeros = 0
+    for stack in compile_graph(g)[1]:
+        X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
+        posed, X, rot = own_poses(stack, X)
+        _, lam, _ = linearise_batch(posed, X, rot)
+        # J and D as linearise_batch forms them
+        Xr = X if stack.owner is None else X[stack.owner]
+        if stack.spec.linear:
+            Xr = np.zeros_like(Xr)
+        value, J, valid = factors.evaluate_rows(posed, Xr, rot)
+        inv_var = 1.0 / stack.sigma**2
+        rho = np.sqrt(np.sum(value**2 * inv_var, axis=1))
+        w = np.where(valid, robust_weight(stack.spec.loss("tukey"), rho), 0.0)
+        JD = J * (inv_var * w[:, None])[:, :, None]
+        L = np.einsum("nki,nkj->nij", JD, J)
+        # entries whose every product is -0.0: a sum that did not start
+        # from +0.0 would leave them -0.0
+        products = JD[:, :, :, None] * J[:, :, None, :]
+        negative_zeros += np.count_nonzero(np.all(np.signbit(products) & (products == 0.0), axis=1))
+        if stack.owner is not None:
+            summed = np.zeros((stack.n,) + L.shape[1:])
+            np.add.at(summed, stack.owner, L)
+            L = summed
+        want = 0.5 * (L + np.transpose(L, (0, 2, 1)))
+        assert lam.tobytes() == want.tobytes(), stack.kind
+        assert np.array_equal(np.signbit(lam), np.signbit(want)), stack.kind
+        zeroed += np.count_nonzero(valid & (w == 0.0))
+        invalid += np.count_nonzero(~valid)
+    assert zeroed and invalid and negative_zeros

@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse import csc_matrix
 
 import planegbp
+from planegbp import factors, reference
 from planegbp.engine import GbpConfig, GbpEngine
 from planegbp.errors import SingularGaussianError
 from planegbp.factors import linearise_batch
@@ -253,6 +254,76 @@ def test_lm_matches_dense_step_lm():
     means, costs = dense_lm_solve(graph)
     assert result.converged
     assert len(result.trace) == len(costs) > 2
+    assert np.allclose([row["cost"] for row in result.trace], costs, rtol=1e-9, atol=0)
+    for vid, mean in means.items():
+        assert np.allclose(result.means[vid], mean, rtol=0, atol=1e-8)
+
+
+def test_lm_evaluates_the_residuals_once_per_point(monkeypatch):
+    # A point's cost and its trace pixel error share one residual pass: the
+    # kernels run without Jacobians at the start point and at each attempt
+    # with a finite step, and once more nowhere.
+    graph = noisy_ba_graph()
+    rows = {True: 0, False: 0}
+    for name in {spec.kernel for spec in FACTOR_KINDS.values()}:
+        def counted(cam, z, *args, want_jac=True, kernel=getattr(factors, name)):
+            rows[want_jac] += z.shape[0]
+            return kernel(cam, z, *args, want_jac=want_jac)
+        monkeypatch.setattr(factors, name, counted)
+    finite = []
+    solve = reference._solve_step
+
+    def counted_step(damp, rhs):
+        delta, fill = solve(damp, rhs)
+        finite.append(delta is not None and bool(np.all(np.isfinite(delta))))
+        return delta, fill
+
+    monkeypatch.setattr(reference, "_solve_step", counted_step)
+    result = lm_solve(graph)
+    per_pass = sum(s.z.shape[0] for s in _System(graph).stacks)
+    assert result.converged and len(result.trace) > 2
+    assert rows[False] == (1 + sum(finite)) * per_pass
+    # every attempt is accepted on this graph: one linearisation per step
+    assert rows[True] == (len(result.trace) - 1) * per_pass
+
+
+def test_damped_attempts_write_one_matrix_and_leave_the_hessian():
+    graph = noisy_ba_graph()
+    system = _System(graph)
+    x = system.flat({vid: v.mean for vid, v in graph.variables.items()})
+    _, H = system.assemble(x, LM_KERNEL)
+    values = H.data.copy()
+    h_diag = np.maximum(H.diagonal(), 1e-12)
+    damped = []
+    for lam_damp in (LAMBDA_INIT, LAMBDA_INIT * LAMBDA_FACTOR):
+        damp = system.damped(lam_damp * np.maximum(H.data[system.diag], 1e-12))
+        assert np.array_equal(damp.toarray(), H.toarray() + lam_damp * np.diag(h_diag))
+        assert H.data.tobytes() == values.tobytes()
+        damped.append(damp)
+    assert damped[0] is damped[1] and damped[0] is not H
+    assert system.assemble(x, LM_KERNEL)[1] is H
+
+
+def test_lm_with_rejected_attempts_matches_dense_step_lm(monkeypatch):
+    # every_kind_graph at this seed rejects most attempts; every attempt is
+    # factorised from the solve's one damped matrix
+    from test_factors import every_kind_graph
+
+    graph = every_kind_graph(np.random.default_rng(8))
+    handed = []
+    solve = reference._solve_step
+
+    def recorded(damp, rhs):
+        handed.append(damp)
+        return solve(damp, rhs)
+
+    monkeypatch.setattr(reference, "_solve_step", recorded)
+    result = lm_solve(graph)
+    means, costs = dense_lm_solve(graph)
+    assert result.converged
+    assert len(handed) > 2 * (len(result.trace) - 1)
+    assert all(damp is handed[0] for damp in handed)
+    assert len(result.trace) == len(costs)
     assert np.allclose([row["cost"] for row in result.trace], costs, rtol=1e-9, atol=0)
     for vid, mean in means.items():
         assert np.allclose(result.means[vid], mean, rtol=0, atol=1e-8)
