@@ -267,12 +267,12 @@ class AbstractionManager:
         })
 
     def confirm_hypothesis(
-        self, hyp: PlaneHypothesis, means: dict, iteration: int, y: float,
-        compress: bool = True, liks: dict | None = None,
+        self, hyp: PlaneHypothesis, means: dict, liks: dict, iteration: int, y: float,
+        compress: bool = True,
     ):
         """Bake converged parameters and compress into a rigid body; returns
         the rigid id. `liks` are the members' likelihoods at `means`, as
-        `evaluate_hypothesis` gives them; they are evaluated when not given.
+        `evaluate_hypothesis` gives them.
 
         With compress=False the hypothesis is only logged as confirmed and
         leaves the manager's pending set; its plane variable and factors stay
@@ -286,8 +286,6 @@ class AbstractionManager:
                 "true_plane": hyp.true_plane,
             })
             return None
-        if liks is None:
-            _, liks = self.evaluate_hypothesis(hyp, means)
         qualifying = [pid for pid, lik in liks.items() if lik > L_THRESH]
         # An immutable snapshot: later changes to `means` leave the bakes alone.
         conv = {vid: np.asarray(means[vid], float).copy()
@@ -313,7 +311,7 @@ class AbstractionManager:
             if verdict == "reject":
                 self.reject_hypothesis(hyp, iteration, y)
             elif verdict == "confirm":
-                self.confirm_hypothesis(hyp, means, iteration, y, compress, liks)
+                self.confirm_hypothesis(hyp, means, liks, iteration, y, compress)
             outcomes.append((hyp.variable_id, verdict, y))
         return outcomes
 

@@ -24,6 +24,8 @@ tracer wraps: a nested public call would count its rows twice.
 `compile_graph` compiles the graph once for the propagation engine, the dense
 oracle and Levenberg-Marquardt: a `VariableBank` per dimension and a
 `FactorStack` per kind and adjacency shape, which keeps the graph's camera.
+A compile of a subset of the factors holds their stacks and, in its banks,
+only the variables those factors touch.
 Every solver evaluates through the stacks: `evaluate_rows` calls the kernel,
 `linearise_batch` turns rows into information form, and `residual_totals`
 gives the energy and pixel error behind the convergence metrics from the
@@ -50,15 +52,16 @@ factor. Linear kinds are exact: they are evaluated once, at X0 = 0, so that
 eta is not formed by cancellation.
 
 `evaluate_factor` is the one-factor view of the batched path: it compiles the
-factor alone and poses each slot by its own rotation. No solver calls it: it
-stays because the benchmark's span tracer (`bench/spans.py`) wraps it by
-name, here and as re-exported by `reference`.
+factor alone and returns the (value, J, valid) arrays of `evaluate_rows` for
+its rows, one row or one per constituent, as they are: invalid rows are
+flagged, not zeroed. No solver calls it: it stays because the benchmark's
+span tracer (`bench/spans.py`) wraps it by name, here and as re-exported by
+`reference`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
@@ -75,17 +78,7 @@ from .geometry import (
     so3_hat_batch,
     transform_plane_batch,
 )
-from .graph import ANY, FACTOR_KINDS, VARIABLE_DIMS, FactorNode
-
-
-@dataclass
-class Residual:
-    """Residual value with Jacobian blocks keyed by adjacent variable id."""
-
-    value: np.ndarray
-    jacobians: dict
-    x0: np.ndarray  # stacked evaluation point, adjacency order
-    valid: bool = True
+from .graph import ANY, FACTOR_KINDS, KEYFRAME, VARIABLE_DIMS, FactorNode
 
 
 class PoseRows(NamedTuple):
@@ -339,10 +332,13 @@ def group_factors(graph, factors=None) -> list:
 def compile_graph(graph, factors=None, bank=VariableBank, stack=FactorStack) -> tuple:
     """({dim: bank(dim, variables in id order)}, [stack(key, nodes, banks,
     graph.camera) per `group_factors` group of `factors`]); the engine passes
-    its classes, which add propagation state. The 6-dim bank holds the
-    POSE_KINDS."""
+    its classes, which add propagation state. The banks hold every variable
+    of the graph, or with `factors` given only the variables adjacent to
+    them. The 6-dim bank holds the POSE_KINDS."""
+    vids = graph.variables if factors is None else {
+        vid for fac in factors for vid in fac.adjacency}
     nodes: dict = {d: [] for d in sorted(set(VARIABLE_DIMS.values()))}
-    for vid in sorted(graph.variables):
+    for vid in sorted(vids):
         node = graph.variables[vid]
         nodes[node.dim].append(node)
     banks = {d: bank(d, group) for d, group in nodes.items()}
@@ -474,28 +470,14 @@ def residual_totals(stacks, rows):
 # One-factor view (tests; bench/spans.py wraps evaluate_factor)
 # ---------------------------------------------------------------------------
 
-def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> Residual:
-    """Residual of one factor at the given variable means.
-
-    Invalid rows (cheirality/degeneracy) come back zeroed, with zeroed
-    Jacobians, instead of raising, matching the engine's outlier handling.
-    A combined factor stacks its constituents' rows.
-    """
-    stack = compile_graph(graph, [factor])[1][0]
-    x0 = np.concatenate([np.asarray(means[vid], dtype=float) for vid in factor.adjacency])
-    slots = stack.spec.pose_slots
-    # the k-th pose slot is posed by the k-th rotation
-    rot = pose_rotations_batch(np.reshape(
-        [x0[stack.offsets[pos]:][:6] for pos in slots], (-1, 6)), want_jac)
-    for k, pos in enumerate(slots):
-        stack.rows[pos] = np.array([k])
-    rows = 1 if stack.owner is None else stack.owner.size
-    X = np.repeat(x0[None], rows, axis=0)
-    value, J, valid = evaluate_rows(stack, X, rot, want_jac=want_jac)
-    value = np.where(valid[:, None], value, 0.0).reshape(-1)
-    jac = {}
-    if want_jac:
-        J = np.where(valid[:, None, None], J, 0.0).reshape(-1, stack.joint_dim)
-        for vid, o, d in zip(factor.adjacency, stack.offsets, stack.dims):
-            jac[vid] = J[:, o:o + d]
-    return Residual(value, jac, x0, valid=bool(np.all(valid)))
+def evaluate_factor(graph, factor: FactorNode, means: dict, want_jac=True) -> tuple:
+    """(value, J, valid) of `evaluate_rows` for the rows of `factor` alone at
+    the variable means `means`: (rows, m), (rows, m, joint_dim) or None
+    without want_jac, and (rows,), where a combined factor has a row per
+    constituent and every other factor one."""
+    banks, (stack,) = compile_graph(graph, [factor])
+    X = np.concatenate([np.asarray(means[vid], dtype=float) for vid in factor.adjacency])[None]
+    poses = np.array([means[vid] for vid in banks[VARIABLE_DIMS[KEYFRAME]].ids], dtype=float)
+    rot = pose_rotations_batch(poses.reshape(-1, 6), want_jac)
+    return evaluate_rows(stack, X if stack.owner is None else X[stack.owner], rot,
+                         want_jac=want_jac)

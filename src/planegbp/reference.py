@@ -17,20 +17,20 @@
   with int32 indices, which SuperLU takes as they are, receives H's values
   at each step, and a second one receives H plus the damping at each
   attempt. No step builds, copies or format-checks a sparse matrix. Each
-  point is evaluated once: its cost and its pixel error share one
-  `residual_rows` pass, which the system keeps for the last point.
-  `avg_reprojection_px`, called once at the start and once per accepted
-  step, returns `factors.residual_totals`' pixel error at its point, bit
-  for bit. The result reports the fill of the first damped factorisation,
-  the entries that factorisation stores for L and U: the cost a direct
-  solver pays for the graph's structure, where GBP's per-sweep cost (the
-  routing simulator's hops) depends on the number of edges alone. The damping
-  starts at LAMBDA_INIT and is divided by LAMBDA_FACTOR after an accepted
-  step, multiplied after a rejected one; LM stops after LM_MAX_ITERATIONS
-  steps, past LAMBDA_MAX or when a step gains less than COST_REL_TOL of the
-  cost. Each kind's loss under LM_KERNEL is `FactorKind.loss`, as in the
-  engine: its weight is `factors.robust_weight` and its cost
-  `factors.robust_cost`.
+  point is evaluated once: `_lm_cost` returns the stacks' `residual_rows`
+  with the cost, and `avg_reprojection_px`, called once at the start and
+  once per accepted step, reads `factors.residual_totals`' pixel error from
+  those rows, bit for bit. A step's rows are passed along, not kept: the
+  system holds no evaluation state. The result reports the fill of the
+  first damped factorisation, the entries that factorisation stores for L
+  and U: the cost a direct solver pays for the graph's structure, where
+  GBP's per-sweep cost (the routing simulator's hops) depends on the number
+  of edges alone. The damping starts at LAMBDA_INIT and is divided by
+  LAMBDA_FACTOR after an accepted step, multiplied after a rejected one; LM
+  stops after LM_MAX_ITERATIONS steps, past LAMBDA_MAX or when a step gains
+  less than COST_REL_TOL of the cost. Each kind's loss under LM_KERNEL is
+  `FactorKind.loss`, as in the engine: its weight is `factors.robust_weight`
+  and its cost `factors.robust_cost`.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ class _System:
     in one CSC pattern (`slot`), which always holds the diagonal (`diag`).
     Two matrices in that pattern are built once, with int32 indices, which
     SuperLU takes as they are: the Hessian that `assemble` fills and the
-    damped copy that `damped` fills. `residuals` keeps the residual rows of
-    the last point it evaluated.
+    damped copy that `damped` fills.
     """
 
     def __init__(self, graph: FactorGraph):
@@ -109,7 +108,6 @@ class _System:
         self.hessian, self._damped = (
             csc_matrix((np.zeros(pattern.size), indices, indptr), shape=(dim, dim))
             for _ in range(2))
-        self._point = self._rows = None
 
     def flat(self, means: dict) -> np.ndarray:
         return np.concatenate([np.zeros(0)] + [
@@ -122,17 +120,6 @@ class _System:
     def rotations(self, x: np.ndarray, want_jac: bool):
         """Rotations (and right Jacobians) of the pose variables at x."""
         return pose_rotations_batch(x[self.pose_cols], want_jac)
-
-    def residuals(self, x: np.ndarray) -> list:
-        """Each stack's `factors.residual_rows` at the flat means x. The rows
-        of the last point are kept, and a point equal to it by value is not
-        evaluated again."""
-        if self._point is None or not np.array_equal(self._point, x):
-            rot = self.rotations(x, want_jac=False)
-            self._rows = [residual_rows(stack, x[cols], rot)
-                          for stack, cols in zip(self.stacks, self.cols)]
-            self._point = x.copy()
-        return self._rows
 
     def assemble(self, x: np.ndarray, kernel="tukey"):
         """Joint (eta, lam) at x: priors plus every stack's linearisation
@@ -212,22 +199,26 @@ class LmResult:
     fill: int | None = None
 
 
-def _lm_cost(system: _System, x: np.ndarray) -> float:
+def _lm_cost(system: _System, x: np.ndarray) -> tuple:
+    """(cost, rows) at the flat means x: LM's robust cost and the rows it is
+    summed from, each stack's `factors.residual_rows`."""
+    rot = system.rotations(x, want_jac=False)
+    rows = [residual_rows(stack, x[cols], rot) for stack, cols in zip(system.stacks, system.cols)]
     cost = 0.0
-    for stack, (value, _) in zip(system.stacks, system.residuals(x)):
+    for stack, (value, _) in zip(system.stacks, rows):
         s = np.sqrt(np.sum((value / stack.sigma) ** 2, axis=1))
         cost += float(np.sum(robust_cost(stack.spec.loss(LM_KERNEL), s)))
     for (cols, _, p_lam), mean in zip(system.priors, system.prior_means):
         d = x[cols] - mean
         cost += 0.5 * float(np.einsum("ni,nij,nj->", d, p_lam, d))
-    return cost
+    return cost, rows
 
 
-def avg_reprojection_px(system: _System, x: np.ndarray) -> float:
-    """Mean pixel error at the flat means `x` over the valid pixel rows; NaN
-    when there is none. It is `factors.residual_totals`, as the engine's, of
-    the rows `system.residuals` holds."""
-    return residual_totals(system.stacks, system.residuals(x))[1]
+def avg_reprojection_px(system: _System, rows: list) -> float:
+    """Mean pixel error over the valid pixel rows of the stacks' `rows`, as
+    `_lm_cost` gives them; NaN when there is none. It is
+    `factors.residual_totals`, as the engine's."""
+    return residual_totals(system.stacks, rows)[1]
 
 
 def _solve_step(damp: csc_matrix, rhs: np.ndarray):
@@ -253,9 +244,9 @@ def lm_solve(graph: FactorGraph) -> LmResult:
     system = _System(graph)
     x = system.flat({vid: node.mean for vid, node in graph.variables.items()})
     lam_damp = LAMBDA_INIT
-    cost = _lm_cost(system, x)
+    cost, rows = _lm_cost(system, x)
     trace = [{"iteration": 0, "cost": cost,
-              "avg_reproj_px": avg_reprojection_px(system, x)}]
+              "avg_reproj_px": avg_reprojection_px(system, rows)}]
     converged = False
     hit_max = False
     fill = None
@@ -273,7 +264,7 @@ def lm_solve(graph: FactorGraph) -> LmResult:
                 fill = step_fill
             if delta is not None and np.all(np.isfinite(delta)):
                 cand = x + delta
-                cand_cost = _lm_cost(system, cand)
+                cand_cost, rows = _lm_cost(system, cand)
                 if cand_cost <= cost:
                     x = cand
                     rel = (cost - cand_cost) / max(cost, 1e-300)
@@ -282,7 +273,7 @@ def lm_solve(graph: FactorGraph) -> LmResult:
                     accepted = True
                     trace.append({
                         "iteration": it, "cost": cost,
-                        "avg_reproj_px": avg_reprojection_px(system, x),
+                        "avg_reproj_px": avg_reprojection_px(system, rows),
                     })
                     if rel < COST_REL_TOL:
                         converged = True

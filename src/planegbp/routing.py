@@ -18,17 +18,19 @@ construction, and `apply_edit` checks that.
 The simulator follows the graph journal itself: `follow` applies the records
 (`AddVariable`, `RemoveVariable`, an inserted factor's `FactorNode` and
 `RemoveFactor`) appended since its last call, once each; a compression or
-merge arrives as the primitive records it consists of. The simulation is
-functional, not cycle-accurate. Whenever the engine compiles,
-`RoutedTransport.attach` brings the tables up to the journal, then resolves
-every routed batch's rows through the routing matrices (never through graph
-adjacency), with one gather per batch and position, and writes them into
-the engine's batches, which gather, scatter beliefs and send
-variable-to-factor messages along them only; so a wrong routing entry shows
-up as a wrong inference result. Each sweep's cost is read off the entry
-counts: every entry carries one factor-to-variable and one
-variable-to-factor message of 2 hops each, reported as hops, deliveries and
-per-routing-node loads.
+merge arrives as the primitive records it consists of. A record is applied
+whole or refused whole: every check precedes the first write, and the
+journal mark passes each record as it is applied, so a retry after a refusal
+starts at the refused record. The simulation is functional, not
+cycle-accurate. Whenever the engine compiles, `RoutedTransport.attach`
+brings the tables up to the journal, then resolves every routed batch's rows
+through the routing matrices (never through graph adjacency), with one
+gather per batch and position, and writes them into the engine's batches,
+which gather, scatter beliefs and send variable-to-factor messages along
+them only; so a wrong routing entry shows up as a wrong inference result.
+Each sweep's cost is read off the entry counts: every entry carries one
+factor-to-variable and one variable-to-factor message of 2 hops each,
+reported as hops, deliveries and per-routing-node loads.
 
 A routed factor kind has a pool and routing nodes when the pool
 configuration lists it; a factor of an unlisted routed kind is a
@@ -173,13 +175,14 @@ class RoutingSimulator:
     def follow(self, journal):
         """Apply the journal's events since the last call."""
         self.apply_edit(journal[self.journal_mark:])
-        self.journal_mark = len(journal)
 
     def apply_edit(self, events):
-        """Update the slot tables for journal events; the pattern is fixed."""
+        """Update the slot tables for journal events, each whole, counting
+        each applied one in `journal_mark`; the pattern is fixed."""
         before = self.comm_pattern_hash()
         for event in events:
             self._apply_one(event)
+            self.journal_mark += 1
         if self.comm_pattern_hash() != before:
             raise ContractViolation("communication pattern mutated by an edit")
 
@@ -209,24 +212,25 @@ class RoutingSimulator:
         pool = self.factor_pools.get(kind)
         if pool is None:
             raise CapacityError(f"no pool for routed factor kind '{kind}'")
-        slot = pool.allocate(fid)
-        self._factor_pool[fid] = pool
-        for pos, vid in enumerate(adjacency):
+        limit = self.pools_config.max_edges_per_variable
+        vpools = []
+        for vid in adjacency:
             vpool = self._variable_pool.get(vid)
             if vpool is None:
                 raise ContractViolation(f"variable {vid} is not bound to any slot")
             pair = (vpool.kind, kind)
             if pair not in self.routing_nodes:
                 raise ContractViolation(f"no routing node for pair {pair}")
+            if vpool.edges[vpool.slot[vid]] + adjacency.count(vid) > limit:
+                raise CapacityError(f"variable {vid} exceeds max edges ({limit})")
+            vpools.append(vpool)
+        slot = pool.allocate(fid)  # the first write; it raises on a full pool
+        self._factor_pool[fid] = pool
+        for pos, (vid, vpool) in enumerate(zip(adjacency, vpools)):
             vslot = vpool.slot[vid]
             pool.route[slot, pos] = vpool.index, vslot
-            self.routing_nodes[pair] += 1
+            self.routing_nodes[(vpool.kind, kind)] += 1
             vpool.edges[vslot] += 1
-            if vpool.edges[vslot] > self.pools_config.max_edges_per_variable:
-                raise CapacityError(
-                    f"variable {vid} exceeds max edges "
-                    f"({self.pools_config.max_edges_per_variable})"
-                )
 
     def _release_factor(self, fid: int):
         pool = self._factor_pool.pop(fid, None)

@@ -212,7 +212,8 @@ def test_confirm_census_and_energy_bookkeeping(rng):
     )
     e_before = total_energy(g, means)
     census_before = g.snapshot_census()
-    rigid_id = mgr.confirm_hypothesis(hyp, means, iteration=500, y=1.0)
+    rigid_id = mgr.confirm_hypothesis(
+        hyp, means, mgr.evaluate_hypothesis(hyp, means)[1], iteration=500, y=1.0)
     census_after = g.snapshot_census()
     assert census_after["variables"][RIGID_BODY] == census_before["variables"][RIGID_BODY] + 1
     assert census_after["variables"]["plane_hypothesis"] == 0
@@ -233,7 +234,9 @@ def test_confirm_without_compression_keeps_structure(rng):
     pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
     hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
     before = g.snapshot_census()
-    out = mgr.confirm_hypothesis(hyp, means_of(g), 500, 1.0, compress=False)
+    means = means_of(g)
+    out = mgr.confirm_hypothesis(hyp, means, mgr.evaluate_hypothesis(hyp, means)[1], 500, 1.0,
+                                 compress=False)
     assert out is None
     assert g.snapshot_census() == before
     assert hyp.variable_id not in mgr.hypotheses  # no longer pending
@@ -246,7 +249,7 @@ def test_confirmed_plane_is_read_from_the_graph(rng):
     pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
     hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
     means = means_of(g)
-    rigid_id = mgr.confirm_hypothesis(hyp, means, 500, 1.0)
+    rigid_id = mgr.confirm_hypothesis(hyp, means, mgr.evaluate_hypothesis(hyp, means)[1], 500, 1.0)
     assert set(mgr.absorbed) == set(pts)  # keyed by point variable id
     for pid in pts:
         body, p_conv = mgr.absorbed[pid]
@@ -302,7 +305,7 @@ def test_confirm_writes_one_combined_factor_per_keyframe(rng):
     pi_z = transform_plane(Pose(g.variables[kfs[0]].mean), plane)
     hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
     means = means_of(g)
-    rigid_id = mgr.confirm_hypothesis(hyp, means, 500, 1.0)
+    rigid_id = mgr.confirm_hypothesis(hyp, means, mgr.evaluate_hypothesis(hyp, means)[1], 500, 1.0)
     census = g.snapshot_census()
     assert census["factors"][COMBINED_RIGID_REPROJECTION] == K
     assert census["factors"][REPROJECTION] == 0
@@ -367,7 +370,7 @@ def test_bake_parameters_snapshot_immutable(rng):
     hyp = mgr.integrate_hypothesis(kfs[0], pi_z.m, pts, 0)
     means = means_of(g)
     bakes = {vid: v.copy() for vid, v in means.items()}
-    rigid_id = mgr.confirm_hypothesis(hyp, means, 500, 1.0)
+    rigid_id = mgr.confirm_hypothesis(hyp, means, mgr.evaluate_hypothesis(hyp, means)[1], 500, 1.0)
     means[hyp.variable_id][2] = 99.0
     for pid in pts:
         means[pid][0] = 99.0

@@ -307,14 +307,16 @@ def test_gauss_newton_assembly_matches_dense_oracle(rng):
     eta_o = np.zeros(dim)
     lam_o = np.zeros((dim, dim))
     for fac in g.factors.values():
-        res = evaluate_factor(g, fac, means)
-        J = np.concatenate([res.jacobians[v] for v in fac.adjacency], axis=1)
-        rho = np.sqrt(np.sum((res.value / fac.sigma) ** 2))
+        value, J, valid = evaluate_factor(g, fac, means)
+        value = np.where(valid[:, None], value, 0.0)[0]
+        J = np.where(valid[:, None, None], J, 0.0)[0]
+        x0 = np.concatenate([means[v] for v in fac.adjacency])
+        rho = np.sqrt(np.sum((value / fac.sigma) ** 2))
         S_inv = np.eye(2) * tukey_weight_loop(rho, TUKEY_C) / fac.sigma[0] ** 2
         idx = np.concatenate([np.arange(s.start, s.stop)
                               for s in (layout.slice_of(v) for v in fac.adjacency)])
         lam_o[np.ix_(idx, idx)] += J.T @ S_inv @ J
-        eta_o[idx] += J.T @ S_inv @ (J @ res.x0 - res.value)
+        eta_o[idx] += J.T @ S_inv @ (J @ x0 - value)
     assert np.allclose(lam_a, lam_o, rtol=1e-9, atol=1e-9)
     assert np.allclose(eta_a, eta_o, rtol=1e-9, atol=1e-9)
 
@@ -638,6 +640,40 @@ def test_one_factor_linearise_is_the_batched_path(rng):
         assert_close(lam[0], ref_lam)
         assert np.isclose(w[0], ref_w, rtol=1e-12, atol=1e-12)
         assert all(np.array_equal(a[0], b) for a, b in zip((eta, lam, w), rows[fac.id]))
+
+
+def test_one_factor_compile_holds_only_its_variables(rng):
+    # a compile of one factor banks exactly the variables it touches, and a
+    # compile of all factors every variable of the graph
+    g = every_kind_graph(rng)
+    g.add_variable(POINT, np.zeros(3))  # touched by no factor
+    for fac in g.factors.values():
+        banks, stacks = compile_graph(g, [fac])
+        assert [s.ids for s in stacks] == [[fac.id]]
+        held = np.concatenate([bank.ids for bank in banks.values()])
+        assert sorted(held) == sorted(set(fac.adjacency))
+    held = np.concatenate([bank.ids for bank in compile_graph(g)[0].values()])
+    assert sorted(held) == sorted(g.variables)
+
+
+def test_evaluate_factor_is_evaluate_rows_of_the_graphs_stack(rng):
+    # the one-factor view returns, bit for bit, the rows that the graph's
+    # compile evaluates for the factor, invalid rows and constituents included
+    g = every_kind_graph(rng)
+    means = {vid: v.mean for vid, v in g.variables.items()}
+    banks, stacks = compile_graph(g)
+    for want_jac in (True, False):
+        rot = pose_rotations_batch(banks[6].mean, want_jac)
+        for stack in stacks:
+            X = np.stack([np.concatenate([means[v] for v in adj]) for adj in stack.adjacency])
+            owner = np.arange(stack.n) if stack.owner is None else stack.owner
+            value, J, valid = factors.evaluate_rows(stack, X[owner], rot, want_jac=want_jac)
+            for i, fid in enumerate(stack.ids):
+                mine = evaluate_factor(g, g.factors[fid], means, want_jac)
+                at = owner == i
+                assert np.array_equal(mine[0], value[at])
+                assert mine[1] is None if J is None else np.array_equal(mine[1], J[at])
+                assert np.array_equal(mine[2], valid[at])
 
 
 def test_lam_is_the_einsum_sum_bit_for_bit(rng):

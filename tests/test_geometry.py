@@ -51,6 +51,14 @@ def test_so3_log_round_trip(rng):
         assert np.allclose(so3_log(so3_exp(w)), w, atol=1e-9)
 
 
+@pytest.mark.parametrize("gap", [1e-9, 1e-7, 1e-5, 2e-5, 1e-4, 1e-3, 1e-2, 1e-1])
+def test_so3_log_round_trip_near_pi(gap, rng):
+    for _ in range(50):
+        w = rng.normal(size=3)
+        w = w / np.linalg.norm(w) * (np.pi - gap)
+        assert np.allclose(so3_log(so3_exp(w)), w, rtol=0, atol=1e-9)
+
+
 def test_pose_log_exp_round_trip(rng):
     for _ in range(100):
         r = rng.normal(size=6)

@@ -79,6 +79,16 @@ def test_ba_graph_growth_exponentiates_per_keyframe_not_per_point(monkeypatch):
     assert counts[0] == counts[1] <= 2 * spec.n_keyframes
 
 
+@pytest.mark.parametrize("planes", [True, False])
+def test_default_budget_runs_past_the_last_keyframe(planes):
+    # the keyframes' sweeps, then a plane's longest life and two tests with
+    # planes, or four keyframe intervals without (slam_stream's budget)
+    cfg = desk_config(ba_scene(0), 0, planes=planes, keyframe_interval=50)
+    a, k = cfg.abstraction, cfg.keyframe_interval_eff
+    tail = a.t_max_eff + 2 * a.test_period_eff if planes else 4 * k
+    assert k == 5 and harness._default_budget(cfg, 16) == 15 * k + tail + 10
+
+
 def test_run_emits_all_artifacts(tmp_path):
     cfg = small_config()
     cfg.out_dir = str(tmp_path / "run")
@@ -309,7 +319,8 @@ def confirmed_map(seed=1):
         for pid in members:
             means[pid] = means[pid] - plane.normal * (plane.normal @ means[pid]
                                                       - plane.distance)
-        rigid_id = manager.confirm_hypothesis(hyp, means, 500, 1.0)
+        rigid_id = manager.confirm_hypothesis(
+            hyp, means, manager.evaluate_hypothesis(hyp, means)[1], 500, 1.0)
         bodies.update(dict.fromkeys(members, rigid_id))
     return cfg, packets, camera, graph, state, manager, means, bodies
 

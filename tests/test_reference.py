@@ -185,7 +185,7 @@ def dense_lm_solve(graph):
     system = _System(graph)
     x = system.flat({vid: node.mean for vid, node in graph.variables.items()})
     lam_damp = LAMBDA_INIT
-    cost = _lm_cost(system, x)
+    cost = _lm_cost(system, x)[0]
     costs = [cost]
     for _ in range(LM_MAX_ITERATIONS):
         eta, H = dense_assemble(system, x, LM_KERNEL)
@@ -198,7 +198,7 @@ def dense_lm_solve(graph):
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
-                cand_cost = _lm_cost(system, x + delta)
+                cand_cost = _lm_cost(system, x + delta)[0]
                 if cand_cost <= cost:
                     x = x + delta
                     rel = (cost - cand_cost) / max(cost, 1e-300)
@@ -440,7 +440,7 @@ def test_lm_system_indexes_the_engines_compile(rng):
             assert np.array_equal(mine, theirs)
         assert np.array_equal(x[cols], eng._gather_x(b))
     assert {b.kind for b in eng.batches} == set(FACTOR_KINDS)
-    px = avg_reprojection_px(system, x)
+    px = avg_reprojection_px(system, _lm_cost(system, x)[1])
     assert np.isfinite(px) and px.hex() == eng._metrics()[1].hex()
     assert np.array_equal(x[system.pose_cols], eng.banks[6].mean)
 
@@ -464,6 +464,21 @@ def test_lm_without_factors_or_priors_converges():
     result = lm_solve(g)
     assert result.converged and not result.hit_lambda_max
     assert np.array_equal(result.means[v], [1.0, 2.0, 3.0])
+
+
+def test_lm_stops_past_lambda_max_when_every_step_is_refused(monkeypatch):
+    # a factorisation that fails at every damping: the damping grows past
+    # LAMBDA_MAX within the first step, and the start point is returned
+    graph = noisy_ba_graph()
+    attempts = []
+    monkeypatch.setattr(reference, "_solve_step",
+                        lambda damp, rhs: attempts.append(1) or (None, None))
+    result = lm_solve(graph)
+    assert result.hit_lambda_max and not result.converged
+    assert len(result.trace) == 1 and result.fill is None
+    assert len(attempts) == int(np.ceil(np.log(LAMBDA_MAX / LAMBDA_INIT) / np.log(LAMBDA_FACTOR)))
+    for vid, node in graph.variables.items():
+        assert np.array_equal(result.means[vid], node.mean)
 
 
 # -- structure: what a direct solver pays and GBP does not --------------------

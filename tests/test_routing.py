@@ -12,6 +12,7 @@ from planegbp.graph import (
     REPROJECTION,
     RIGID_BODY,
     FactorGraph,
+    RemoveVariable,
 )
 from planegbp.routing import (
     PoolConfig,
@@ -110,10 +111,39 @@ def test_entry_count_equals_sum_of_arities(seed):
 
 def routing_tables(sim):
     """Copies of every slot table of the simulator."""
-    return ([dict(p.slot) for p in sim.factor_pools.values()]
+    return ([dict(p.slot) for p in [*sim.factor_pools.values(), *sim.var_pools.values()]]
             + [p.route.tobytes() for p in sim.factor_pools.values()]
             + [p.edges.tobytes() for p in sim.var_pools.values()]
             + [dict(sim.routing_nodes)])
+
+
+def test_a_refused_factor_leaves_the_tables_as_before_it():
+    # Three reprojections on one point, at an edge limit of 2: the third is
+    # refused before any write, and a retry refuses it again without applying
+    # the events before it a second time.
+    g, _, pts = ba_graph(n_kf=3, n_pts=1)
+    sim = RoutingSimulator(default_pools(max_edges_per_variable=2))
+    ref = RoutingSimulator(default_pools(max_edges_per_variable=2))
+    ref.follow(g.journal[:-1])
+    for _ in range(2):
+        with pytest.raises(CapacityError, match=f"variable {pts[0]} exceeds max edges"):
+            sim.follow(g.journal)
+        assert routing_tables(sim) == routing_tables(ref)
+        assert sim.routing_entry_count() == 4 and sim.slot_conservation_ok()
+        assert sim.journal_mark == len(g.journal) - 1
+
+
+@pytest.mark.parametrize("routed", [True, False])
+def test_removing_a_routed_or_unbound_variable_is_refused(routed):
+    g, _, pts = ba_graph(n_kf=1, n_pts=1)
+    sim = RoutingSimulator(default_pools())
+    sim.follow(g.journal)
+    before = routing_tables(sim)
+    vid, why = (pts[0], "still routed") if routed else (max(g.variables) + 1, "was not bound")
+    with pytest.raises(ContractViolation, match=f"variable {vid} {why}"):
+        sim.apply_edit([RemoveVariable(vid)])
+    assert routing_tables(sim) == before and sim.slot_conservation_ok()
+    assert sim.journal_mark == len(g.journal)
 
 
 def test_add_then_remove_restores_matrices():
