@@ -344,7 +344,7 @@ def run(config: ExperimentConfig) -> RunResult:
 
     graph = FactorGraph(camera=camera)
     state = _SlamState()
-    manager = AbstractionManager(graph, config.abstraction, config.seed)
+    manager = AbstractionManager(graph, config.abstraction)
     # The map proper appears with the second keyframe (two-view bootstrap);
     # until then the graph holds only the anchored first pose.
     _add_keyframe_variable(graph, state, packets[0])

@@ -39,13 +39,14 @@ def wall_scene(seed, n_keyframes=6, spurious_rate=0.0, pixel_sigma=0.5,
     )
 
 
-def merge_scene(seed):
-    """The toy wall scene with its x = 1 wall as two overlapping patches
-    (centres 0.6 m apart, 1.2 m wide) and no y-plane: on seeds 1, 2, 4 and
-    7 both patches are confirmed and then merged into one rigid body."""
+def merge_scene(seed, centre=0.3):
+    """The toy wall scene with its x = 1 wall as two patches 1.2 m wide,
+    centred at y = -centre and y = +centre, and no y-plane. At the default
+    the patches overlap over half their width, and on seeds 1-20 but 16 they
+    end as one rigid body; at centre=1.1 they are 1 m apart."""
     spec = wall_scene(seed, n_keyframes=4, points_per_plane=10, n_clutter=8)
     spec.planes = [PlaneSpec([1, 0, 0], 1.0, [1.0, y, 0], [0.6, 0.6], 10)
-                   for y in (-0.3, 0.3)] + spec.planes[2:]
+                   for y in (-centre, centre)] + spec.planes[2:]
     return spec
 
 

@@ -56,7 +56,14 @@ EVENT_LOG_SCHEMA = {
                 "properties": {
                     "event": {"enum": ["integrate", "confirm", "reject", "merge"]},
                     "iteration": {"type": "integer"},
+                    "merged": {"type": "array", "items": {"type": "integer"}},
+                    "rigid_id": {"type": ["integer", "null"]},
+                    "gap": _NUM,
+                    "spacing": _NUM,
+                    "separation": _NUM,
                 },
+                "if": {"properties": {"event": {"const": "merge"}}},
+                "then": {"required": ["merged", "rigid_id", "gap", "spacing", "separation"]},
             },
         },
     },

@@ -5,6 +5,7 @@ import pytest
 
 from planegbp.abstraction import (
     D_MERGE,
+    GAP_MERGE,
     MIN_MEMBERS,
     SIGMA_PP,
     AbstractionConfig,
@@ -12,9 +13,7 @@ from planegbp.abstraction import (
     decide,
     hull2d,
     plane_hull,
-    points_in_hull,
     rigid_plane,
-    sample_in_hull,
 )
 from planegbp.errors import ContractViolation
 from planegbp.factors import eval_plane_point_batch
@@ -384,22 +383,22 @@ def test_bake_parameters_snapshot_immutable(rng):
 
 # -- merging ------------------------------------------------------------------------
 
-def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0, pose=None):
-    """Two confirmed rigid planes over the same surface, with controllable
-    separation, relative tilt and in-plane shift of the second one. Both
-    bodies sit at `pose` (identity by default); their factors hold the body
-    frame in one combined factor each, and `mgr.absorbed` lists 8 points of
-    each. Returns the graph, the manager, the body ids, the means and each
-    point's world position."""
+def rigid_plane_pair(rng, offset=0.0, angle_deg=0.0, shift=0.0, pose=None, n_bodies=2):
+    """Two (or `n_bodies`) confirmed rigid planes over the same surface, with
+    controllable separation, relative tilt and in-plane shift of the second
+    one. All bodies sit at `pose` (identity by default); their factors hold
+    the body frame in one combined factor each, and `mgr.absorbed` lists 8
+    points of each. Returns the graph, the manager, the body ids, the means
+    and each point's world position."""
     pose = pose or Pose.identity()
     g = FactorGraph(camera=CAM)
     kf = g.add_variable(KEYFRAME, np.zeros(6),
                         GaussianInfo(np.zeros(6) * 1e6, np.eye(6) * 1e6))
-    mgr = AbstractionManager(g, config(), seed=1)
+    mgr = AbstractionManager(g, config())
     bodies = []
     means = {kf: np.zeros(6)}
     world = {}
-    for idx in range(2):
+    for idx in range(n_bodies):
         base = PlaneParams.from_normal_distance([0, 0, 1.0], 3.0)
         n = base.normal
         if idx == 1 and angle_deg:
@@ -488,6 +487,63 @@ def test_merge_pass_merges_the_graphs_rigid_bodies(rng):
     assert mgr.merge_pass(means, iteration=0) == 0  # a single body is left
 
 
+def test_merge_pass_restarts_after_a_merge(rng):
+    # a and b merge first; c's pairs with them are skipped, so only the
+    # second round, over (c, merged), leaves one body.
+    g, mgr, (a, b, c), means, world = rigid_plane_pair(rng, n_bodies=3)
+    assert mgr.merge_pass(means, iteration=0) == 2
+    first, second = [e for e in mgr.events if e["event"] == "merge"]
+    assert first["merged"] == [a, b]
+    assert second["merged"] == [c, first["rigid_id"]]
+    (body,) = g.variables_of_kind(RIGID_BODY)
+    assert body.id == second["rigid_id"]
+    assert len(rigid_plane(g, body.id)[1]) == len(world)
+    g.check_integrity()
+
+
+def grid_bodies(gap, side_b=3):
+    """Two bodies on z = 3, a 3 x 3 and a `side_b` x `side_b` grid of pitch
+    0.1, the second's first column `gap` beyond the first's last."""
+    g = FactorGraph(camera=CAM)
+    kf = g.add_variable(KEYFRAME, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6)))
+    pi = np.array([0.0, 0.0, 3.0])
+    bodies = []
+    for x0, side in ((0.0, 3), (0.2 + gap, side_b)):
+        rb = g.add_variable(RIGID_BODY, np.zeros(6), GaussianInfo(np.zeros(6), np.eye(6)))
+        cons = []
+        for u in range(side):
+            for v in range(side):
+                p = np.array([x0 + 0.1 * u, 0.1 * v, 3.0])
+                cons.append((pixel(CAM, Pose.identity(), p), p))
+        g.add_factor(COMBINED_RIGID_REPROJECTION, (kf, rb), None, 2.0,
+                     payload={"constituents": cons})
+        g.add_factor(RIGID_PLANE_PREDICTION, (rb, kf), pi, 20.0, payload={"pi_conv": pi})
+        bodies.append(rb)
+    means = {kf: np.zeros(6), **{rb: np.zeros(6) for rb in bodies}}
+    return AbstractionManager(g, config()), bodies, means
+
+
+@pytest.mark.parametrize("share, merges", [(0.0, True), (0.95, True), (1.05, False), (5.0, False)])
+def test_merge_gap_is_measured_in_member_spacings(share, merges):
+    # The spacing is the grids' pitch, 0.1, so the cut is a gap of
+    # GAP_MERGE * 0.1; share is the gap as a share of that cut.
+    gap = share * GAP_MERGE * 0.1
+    mgr, (a, b), means = grid_bodies(gap)
+    assert (mgr.merge_planes(a, b, means, iteration=0) is not None) == merges
+    if merges:
+        event = mgr.events[-1]
+        assert np.isclose(event["gap"], gap, atol=1e-12)
+        assert np.isclose(event["spacing"], 0.1) and event["separation"] < 1e-12
+
+
+def test_merge_refuses_a_body_of_one_member():
+    # One member has no spacing to measure a gap in.
+    mgr, (a, b), means = grid_bodies(0.0, side_b=1)
+    assert mgr.merge_planes(a, b, means, iteration=0) is None
+    mgr, (a, b), means = grid_bodies(0.0, side_b=2)
+    assert mgr.merge_planes(a, b, means, iteration=0) is not None
+
+
 def test_merge_rejects_perpendicular(rng):
     g, mgr, (a, b), means, _ = rigid_plane_pair(rng, angle_deg=90.0)
     assert mgr.merge_planes(a, b, means, iteration=0) is None
@@ -504,28 +560,6 @@ def test_merge_rejects_disjoint_extents(rng):
 
 
 # -- hull helpers ---------------------------------------------------------------------
-
-def test_hull_sampling_and_containment(rng):
-    square = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
-    hull = hull2d(np.concatenate([square, rng.uniform(0.2, 0.8, size=(30, 2))]))
-    samples = sample_in_hull(rng, hull, 200)
-    assert np.all(points_in_hull(hull, samples))
-    outside = np.array([[2.0, 2.0], [-1.0, 0.5]])
-    assert not np.any(points_in_hull(hull, outside))
-
-    # The same draws and, per sample, the same arithmetic as a loop over the
-    # fan's triangles, so the merge gate sees the same bits.
-    polygon = hull2d(rng.normal(size=(12, 2)))
-    draw = np.random.default_rng(5)
-    a = polygon[0]
-    areas = [abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]) / 2
-             for b, c in zip(polygon[1:-1], polygon[2:])]
-    choice = draw.choice(len(areas), size=50, p=np.array(areas) / np.sum(areas))
-    r1, r2 = np.sqrt(draw.uniform(size=50)), draw.uniform(size=50)
-    loop = np.array([(1 - r1[i]) * a + r1[i] * (1 - r2[i]) * polygon[t + 1]
-                     + r1[i] * r2[i] * polygon[t + 2] for i, t in enumerate(choice)])
-    assert np.array_equal(sample_in_hull(np.random.default_rng(5), polygon, 50), loop)
-
 
 def test_hull_degenerate_collinear():
     line = np.stack([np.linspace(0, 1, 5), np.zeros(5)], axis=1)

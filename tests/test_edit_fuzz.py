@@ -88,7 +88,7 @@ def _merge_two_planes(g, kf, j):
     """Build two coplanar, overlapping rigid planes, the first seen in one
     combined factor and the second in four of one view each, and merge the
     two."""
-    manager = AbstractionManager(g, AbstractionConfig(), seed=j)
+    manager = AbstractionManager(g, AbstractionConfig())
     a = _rigid_plane(g, kf, 0.0, 1)
     b = _rigid_plane(g, kf, 0.05 * (j % 3), 4)
     means = {a: np.zeros(6), b: np.zeros(6)}

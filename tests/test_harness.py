@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from jsonschema import validate
+from jsonschema import ValidationError, validate
 
-from planegbp import geometry, harness, io_formats
-from planegbp.abstraction import AbstractionManager
+from planegbp import abstraction, geometry, harness, io_formats
+from planegbp.abstraction import D_MERGE, GAP_MERGE, AbstractionManager
 from planegbp.cli import main as cli_main
 from planegbp.engine import GbpEngine
 from planegbp.errors import CapacityError, ContractViolation
@@ -165,6 +165,53 @@ def test_overlapping_coplanar_patches_merge_in_a_run_routed_as_direct(monkeypatc
         len(f.adjacency) for f in routed.graph.factors.values() if f.kind in ROUTED)
 
 
+def x_wall_hulls(result):
+    """The y-extent of each confirmed plane of the x = 1 wall, in id order."""
+    planes = export_reconstruction(result.graph)["planes"]
+    return [(min(v[1] for v in p["hull"]), max(v[1] for v in p["hull"]))
+            for p in planes if abs(p["normal"][0]) > math.cos(math.radians(10))]
+
+
+@pytest.mark.parametrize("seed", [3, 5, 6, 8, 9, 10])
+def test_overlapping_patches_end_as_one_body(seed):
+    # The two patches overlap over y in [-0.3, 0.3]; the body left holds
+    # members from both sides of that strip.
+    result = run(desk_config(merge_scene(seed), seed))
+    assert result.summary["n_merged"] == 1
+    ((lo, hi),) = x_wall_hulls(result)
+    assert lo < -0.3 and hi > 0.3
+    (merge,) = [e for e in result.manager.events if e["event"] == "merge"]
+    assert merge["gap"] <= GAP_MERGE * merge["spacing"]
+    assert merge["separation"] <= D_MERGE
+    validate({"format": "event-log", "version": 1, "events": result.manager.events},
+             schemas.EVENT_LOG_SCHEMA)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_coplanar_patches_1m_apart_stay_two_bodies(seed, monkeypatch):
+    result = run(desk_config(merge_scene(seed, centre=1.1), seed))
+    s = result.summary
+    assert (s["n_confirmed"], s["n_rejected"], s["n_merged"]) == (3, 0, 0)
+    (a_lo, a_hi), (b_lo, b_hi) = sorted(x_wall_hulls(result))
+    assert a_hi < 0 < b_lo
+    # On these seeds the pair passes the angle and separation gates, so the
+    # gap gate is the one that refuses: without it the patches merge.
+    monkeypatch.setattr(abstraction, "GAP_MERGE", math.inf)
+    assert run(desk_config(merge_scene(seed, centre=1.1), seed)).summary["n_merged"] == 1
+
+
+def test_event_log_schema_requires_the_merge_gates():
+    record = {"event": "merge", "iteration": 600, "merged": [45, 46], "rigid_id": 48,
+              "gap": 0.11, "spacing": 0.23, "separation": 0.02}
+    validate({"format": "event-log", "version": 1, "events": [record]},
+             schemas.EVENT_LOG_SCHEMA)
+    for key in ("merged", "rigid_id", "gap", "spacing", "separation"):
+        rest = {k: v for k, v in record.items() if k != key}
+        with pytest.raises(ValidationError):
+            validate({"format": "event-log", "version": 1, "events": [rest]},
+                     schemas.EVENT_LOG_SCHEMA)
+
+
 def test_census_has_one_row_at_start_and_one_per_edit_pass(tmp_path, monkeypatch):
     on_graph_edit = GbpEngine.on_graph_edit
     calls = []
@@ -307,7 +354,7 @@ def confirmed_map(seed=1):
     packets, camera = harness._packets_for(cfg)
     graph = FactorGraph(camera=camera)
     state = harness._SlamState()
-    manager = AbstractionManager(graph, cfg.abstraction, cfg.seed)
+    manager = AbstractionManager(graph, cfg.abstraction)
     harness._add_keyframe_variable(graph, state, packets[0])
     harness._bootstrap_two_view(graph, state, manager, cfg, packets[0], packets[1],
                                 30, camera)
